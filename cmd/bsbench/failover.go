@@ -309,15 +309,14 @@ var e21ReplAddrs = map[*server.Server]string{}
 
 func primaryReplAddr(s *server.Server) string { return e21ReplAddrs[s] }
 
-// e21Node builds one journaled whitepages server, per-transaction
-// durability, journal on its own file under dir.
+// e21Node builds one journaled whitepages server, journal on its own
+// file under dir.
 func e21Node(dir, name string) (*server.Server, error) {
 	s := workload.WhitePagesSchema()
 	srv, err := server.New(s, "whitepages", workload.WhitePagesInstance(s))
 	if err != nil {
 		return nil, err
 	}
-	srv.SetGroupCommit(false)
 	if err := srv.OpenJournal(filepath.Join(dir, name+".ldif")); err != nil {
 		srv.Close()
 		return nil, err

@@ -26,12 +26,10 @@
 //	e12 ablation: extension rules vs the pairwise reconstruction
 //	e13 Section 7 future work: schema-aided query optimization
 //	e14 parallel legality engine: sequential vs sharded Check
-//	e16 group commit: batched vs per-transaction journal fsync
 //	e17 crash recovery: cold-start cost vs journal length
 //	e18 streaming replication: read fan-out and the semi-sync write price
 //	e20 attribute-value indexes: SEARCH latency vs instance size
 //	e21 epoch-fenced failover: time-to-writable, acked-write loss, fencing
-//	e22 subtree sharding: aggregate write throughput vs shard count
 package main
 
 import (
@@ -58,12 +56,10 @@ var (
 	quick                = flag.Bool("quick", false, "smaller sweeps")
 	parallel             = flag.Int("parallel", 0, "extra worker count for e14 (0 = GOMAXPROCS sweep only)")
 	jsonOut              = flag.String("json", "", "write e14 results as JSON to this file")
-	jsonE16              = flag.String("json-e16", "", "write e16 results as JSON to this file")
 	jsonE17              = flag.String("json-e17", "", "write e17 results as JSON to this file")
 	jsonE18              = flag.String("json-e18", "", "write e18 results as JSON to this file")
 	jsonE20              = flag.String("json-e20", "", "write e20 results as JSON to this file")
 	jsonE21              = flag.String("json-e21", "", "write e21 results as JSON to this file")
-	jsonE22              = flag.String("json-e22", "", "write e22 results as JSON to this file")
 	checkRecoveryScaling = flag.Bool("check-recovery-scaling", false,
 		"e17: exit non-zero unless ns/replayed-commit at the largest journal is < 3x the smallest (regression gate)")
 	checkIndexScaling = flag.Bool("check-index-scaling", false,
@@ -93,18 +89,17 @@ func main() {
 		{"e13", "Section 7: schema-aided query optimization", runE12},
 		{"e14", "Parallel legality engine: sequential vs sharded Check", runE13},
 		// e15 (metrics overhead) and e19 (bsload convergence) live in
-		// EXPERIMENTS.md as Go benchmarks / the bsload harness; ids here
-		// match the doc's section numbers.
-		{"e16", "Group commit: batched vs per-transaction journal fsync", runE16},
+		// EXPERIMENTS.md as Go benchmarks / the bsload harness; e16 and
+		// e22 measured against the per-transaction commit path and were
+		// retired with it. Ids here match the doc's section numbers.
 		{"e17", "Crash recovery: cold-start cost vs journal length", runE17},
 		{"e18", "Streaming replication: read fan-out and the semi-sync write price", runE18},
 		{"e20", "Attribute-value indexes: SEARCH latency vs instance size", runE20},
 		{"e21", "Epoch-fenced failover: time-to-writable, acked-write loss, fencing", runE21},
-		{"e22", "Subtree sharding: aggregate write throughput vs shard count", runE22},
 	}
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: bsbench [-quick] all | e1 ... e14 | e16 | e17 | e18 | e20 | e21 | e22 | trend [dir]")
+		fmt.Fprintln(os.Stderr, "usage: bsbench [-quick] all | e1 ... e14 | e17 | e18 | e20 | e21 | trend [dir]")
 		os.Exit(2)
 	}
 	if args[0] == "trend" {

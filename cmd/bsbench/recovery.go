@@ -58,7 +58,6 @@ func e17Build(dir string, n int, snapshot bool) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, "journal.ldif")
-	srv.SetGroupCommit(false)
 	if err := srv.OpenJournal(path); err != nil {
 		return "", err
 	}

@@ -77,9 +77,6 @@ func e18Cluster(dir string, mode repl.Mode, n, seedCommits int) (*server.Server,
 		if err != nil {
 			return nil, err
 		}
-		// Per-transaction durability: each commit holds the write lock
-		// through its own fsync, the contention the read fan-out measures.
-		srv.SetGroupCommit(false)
 		if err := srv.OpenJournal(filepath.Join(dir, name+".ldif")); err != nil {
 			srv.Close()
 			return nil, err

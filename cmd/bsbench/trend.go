@@ -63,12 +63,6 @@ func trendLines(exp string, doc map[string]any) []string {
 				tnum(r, "workers"), tdur(tnum(r, "check_ns")), tnum(r, "speedup_vs_sequential")))
 		}
 		out = append(out, fmt.Sprintf("reports_identical=%v", doc["reports_identical"]))
-	case "e16-group-commit":
-		for _, m := range tarr(doc, "modes") {
-			out = append(out, fmt.Sprintf("%-14s %7.0f commits/s  commits/fsync=%.1f",
-				tstr(m, "mode"), tnum(m, "commits_per_sec"), tnum(m, "commits_per_fsync")))
-		}
-		out = append(out, fmt.Sprintf("speedup group vs per-txn: %.2fx", tnum(doc, "speedup_group_vs_per_txn")))
 	case "e17-crash-recovery":
 		pts := tarr(doc, "points")
 		for _, p := range pts {
@@ -109,11 +103,6 @@ func trendLines(exp string, doc map[string]any) []string {
 		if fc, ok := doc["fencing"].(map[string]any); ok {
 			out = append(out, fmt.Sprintf("fencing: doomed_before=%.0f accepted_after=%.0f (must be 0) fence=%.2fms",
 				tnum(fc, "doomed_writes_before_fence"), tnum(fc, "writes_accepted_after_fence"), tnum(fc, "time_to_fence_ms")))
-		}
-	case "e22-shard-scaling":
-		for _, p := range tarr(doc, "points") {
-			out = append(out, fmt.Sprintf("%-14s servers=%.0f %8.0f commits/s  speedup=%.2fx",
-				tstr(p, "cluster"), tnum(p, "servers"), tnum(p, "commits_per_sec"), tnum(p, "speedup_vs_single")))
 		}
 	case "bsload":
 		var best map[string]any

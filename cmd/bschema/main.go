@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bschema check      -schema S.bs -instance D.ldif [-parallel N]
+//	bschema check      -schema S.bs -instance D.ldif
 //	bschema consistent -schema S.bs [-explain] [-witness out.ldif]
 //	bschema apply      -schema S.bs -instance D.ldif -changes C.ldif [-full] [-counts] [-o out.ldif]
 //	bschema query      -instance D.ldif -q '(minus (select (objectClass=a)) ...)'
@@ -121,7 +121,6 @@ func cmdCheck(args []string) error {
 	schemaPath := fs.String("schema", "", "schema definition file")
 	instPath := fs.String("instance", "", "LDIF instance file")
 	maxWitnesses := fs.Int("max-witnesses", 20, "cap violations reported per element (0 = all)")
-	parallel := fs.Int("parallel", 0, "checker workers (0 = auto, 1 = sequential)")
 	fs.Parse(args)
 	if *schemaPath == "" || *instPath == "" {
 		return fmt.Errorf("check: -schema and -instance are required")
@@ -136,7 +135,6 @@ func cmdCheck(args []string) error {
 	}
 	checker := boundschema.NewChecker(s)
 	checker.MaxWitnesses = *maxWitnesses
-	checker.Concurrency = *parallel
 	report := checker.Check(d)
 	fmt.Printf("schema %s, instance %s (%d entries): %s\n", name, *instPath, d.Len(), report)
 	if !report.Legal() {

@@ -6,10 +6,10 @@
 // Usage:
 //
 //	bsd -schema wp.bs -instance corpus.ldif [-addr 127.0.0.1:3890]
-//	    [-snapshot out.ldif] [-journal changes.ldif] [-parallel N]
+//	    [-snapshot out.ldif] [-journal changes.ldif]
 //	    [-read-timeout 0] [-idle-timeout 0] [-max-conns 0]
 //	    [-drain-timeout 1s] [-journal-rotate 0] [-metrics-addr host:port]
-//	    [-group-commit=true] [-commit-delay 0] [-fsck]
+//	    [-fsck]
 //	    [-repl-addr host:port] [-repl-mode async|semisync]
 //	    [-replica-of host:port] [-primary-client-addr host:port]
 //
@@ -67,14 +67,11 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:3890", "listen address")
 	snapshot := flag.String("snapshot", "", "write the instance as LDIF on shutdown")
 	journal := flag.String("journal", "", "replay and append committed transactions to this LDIF change log")
-	parallel := flag.Int("parallel", 0, "CHECK workers (0 = auto, 1 = sequential)")
 	readTimeout := flag.Duration("read-timeout", 0, "per-read deadline on client connections (0 = off)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "cut sessions idle between commands for this long (0 = off)")
 	maxConns := flag.Int("max-conns", 0, "max concurrent sessions; further accepts queue (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", time.Second, "grace given to live sessions on shutdown")
 	journalRotate := flag.Int64("journal-rotate", 0, "compact the journal into a snapshot once it exceeds this many bytes (0 = never)")
-	groupCommit := flag.Bool("group-commit", true, "batch concurrent COMMITs into one journal fsync (off = one fsync per transaction)")
-	commitDelay := flag.Duration("commit-delay", 0, "extra wait before each journal fsync so more commits join the batch (0 = none)")
 	metricsAddr := flag.String("metrics-addr", "", "serve expvar metrics over HTTP on this address (empty = off)")
 	fsck := flag.Bool("fsck", false, "check and repair the -journal (truncate torn tail, quarantine corruption), print a report, and exit")
 	replAddr := flag.String("repl-addr", "", "serve journal replication to replicas on this address (empty = off)")
@@ -117,7 +114,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv.SetConcurrency(*parallel)
 	srv.SetErrorLog(log.New(os.Stderr, "bsd: ", log.LstdFlags))
 	srv.SetLimits(server.Limits{
 		ReadTimeout:  *readTimeout,
@@ -126,8 +122,6 @@ func main() {
 		DrainTimeout: *drainTimeout,
 	})
 	srv.SetJournalRotation(*journalRotate)
-	srv.SetGroupCommit(*groupCommit)
-	srv.SetCommitDelay(*commitDelay)
 	if *fsck {
 		if *journal == "" {
 			fmt.Fprintln(os.Stderr, "bsd: -fsck requires -journal")

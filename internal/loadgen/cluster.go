@@ -44,20 +44,16 @@ type Cluster struct {
 	corpusN int
 	seed    int64
 	mode    repl.Mode
-	tune    []func(*server.Server) // pre-OpenJournal hooks, re-applied on restart
 }
 
-// StartSingle boots a journaled single node. The optional tune hooks
-// run on every server after construction but before OpenJournal, the
-// window where pre-journal knobs (group commit, sync delay) latch —
-// bsbench e22 uses them for its slow-disk emulation.
-func StartSingle(sc *Scenario, corpusN int, seed int64, tune ...func(*server.Server)) (*Cluster, error) {
-	return StartCluster(sc, corpusN, 0, seed, repl.Async, tune...)
+// StartSingle boots a journaled single node.
+func StartSingle(sc *Scenario, corpusN int, seed int64) (*Cluster, error) {
+	return StartCluster(sc, corpusN, 0, seed, repl.Async)
 }
 
 // StartCluster boots a primary and nReplicas streaming replicas.
-func StartCluster(sc *Scenario, corpusN, nReplicas int, seed int64, mode repl.Mode, tune ...func(*server.Server)) (*Cluster, error) {
-	c := &Cluster{Scenario: sc, corpusN: corpusN, seed: seed, mode: mode, tune: tune}
+func StartCluster(sc *Scenario, corpusN, nReplicas int, seed int64, mode repl.Mode) (*Cluster, error) {
+	c := &Cluster{Scenario: sc, corpusN: corpusN, seed: seed, mode: mode}
 	p, schema, dir, err := c.newNode("primary")
 	if err != nil {
 		return nil, err
@@ -119,9 +115,6 @@ func (c *Cluster) newNode(name string) (*Node, *core.Schema, *dirtree.Directory,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	for _, f := range c.tune {
-		f(srv)
-	}
 	fs := vfs.NewFault()
 	srv.SetFS(fs)
 	if err := srv.OpenJournal(journalPath); err != nil {
@@ -142,9 +135,6 @@ func (c *Cluster) RestartNode(name string, fs *vfs.Fault) (*Node, *core.Schema, 
 	srv, err := server.New(schema, c.Scenario.Name, dir)
 	if err != nil {
 		return nil, nil, err
-	}
-	for _, f := range c.tune {
-		f(srv)
 	}
 	srv.SetFS(fs)
 	if err := srv.OpenJournal(journalPath); err != nil {

@@ -42,16 +42,12 @@ type ShardCluster struct {
 	Addr          string // the router's client-protocol address
 
 	Shards []*ShardNode // map order: carved shards first, default last
-
-	tune []func(*server.Server) // pre-OpenJournal hooks, re-applied on restart
 }
 
 // StartShardCluster carves the scenario corpus with shard.AutoCut into
 // nShards subtree shards plus the default remainder, boots a journaled
-// server per shard, and a router over the lot. The optional tune hooks
-// run on every shard server before OpenJournal, the window where
-// pre-journal knobs (group commit, sync delay) latch.
-func StartShardCluster(sc *Scenario, corpusN, nShards int, seed int64, tune ...func(*server.Server)) (*ShardCluster, error) {
+// server per shard, and a router over the lot.
+func StartShardCluster(sc *Scenario, corpusN, nShards int, seed int64) (*ShardCluster, error) {
 	schema := sc.NewSchema()
 	src := sc.NewCorpus(schema, rand.New(rand.NewSource(seed)), corpusN)
 	c := &ShardCluster{
@@ -59,7 +55,6 @@ func StartShardCluster(sc *Scenario, corpusN, nShards int, seed int64, tune ...f
 		Schema:        schema,
 		Pools:         sc.ExtractPools(src),
 		CorpusEntries: src.Len(),
-		tune:          tune,
 	}
 	roots, err := shard.AutoCut(schema, src, nShards)
 	if err != nil {
@@ -116,9 +111,6 @@ func (c *ShardCluster) bootShard(n *ShardNode, dir *dirtree.Directory, addr stri
 	srv, err := server.New(c.Scenario.NewSchema(), c.Scenario.Name, dir)
 	if err != nil {
 		return fmt.Errorf("shard %s: %v", n.Name, err)
-	}
-	for _, f := range c.tune {
-		f(srv)
 	}
 	if n.FS == nil {
 		n.FS = vfs.NewFault()

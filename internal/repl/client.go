@@ -68,9 +68,7 @@ func Run(conn io.ReadWriter, t Target) error {
 	if err != nil {
 		return fmt.Errorf("repl: handshake: %w", err)
 	}
-	// sessionEpoch is what the primary announced in its header; 0 means
-	// a pre-epoch primary, which is accepted (unknown, not stale).
-	var sessionEpoch uint64
+	var sessionEpoch uint64 // what the primary announced in its header
 	switch {
 	case strings.HasPrefix(header, errPrefix):
 		msg := strings.TrimPrefix(header, errPrefix)
@@ -82,10 +80,10 @@ func Run(conn io.ReadWriter, t Target) error {
 		var seq, epoch uint64
 		var n int64
 		rest := strings.TrimPrefix(header, snapshotPrefix)
-		if cnt, serr := fmt.Sscanf(rest, "seq=%d len=%d epoch=%d", &seq, &n, &epoch); cnt < 2 || (serr != nil && cnt != 2) {
+		if cnt, _ := fmt.Sscanf(rest, "seq=%d len=%d epoch=%d", &seq, &n, &epoch); cnt != 3 {
 			return fmt.Errorf("repl: malformed snapshot header %q", header)
 		}
-		if epoch != 0 && epoch < t.Epoch() {
+		if epoch < t.Epoch() {
 			poison(conn, t)
 			return fmt.Errorf("%w: snapshot from epoch %d, local epoch %d", ErrStalePrimary, epoch, t.Epoch())
 		}
@@ -111,10 +109,10 @@ func Run(conn io.ReadWriter, t Target) error {
 		var count int64
 		var epoch uint64
 		rest := strings.TrimPrefix(header, tailPrefix)
-		if cnt, serr := fmt.Sscanf(rest, "from=%d count=%d epoch=%d", &from, &count, &epoch); cnt < 2 || (serr != nil && cnt != 2) {
+		if cnt, _ := fmt.Sscanf(rest, "from=%d count=%d epoch=%d", &from, &count, &epoch); cnt != 3 {
 			return fmt.Errorf("repl: malformed tail header %q", header)
 		}
-		if epoch != 0 && epoch < t.Epoch() {
+		if epoch < t.Epoch() {
 			poison(conn, t)
 			return fmt.Errorf("%w: tail from epoch %d, local epoch %d", ErrStalePrimary, epoch, t.Epoch())
 		}
@@ -124,23 +122,25 @@ func Run(conn io.ReadWriter, t Target) error {
 	}
 	sr := &SegmentReader{r: br}
 	for {
-		seg, err := sr.Next(func(line string) {
-			if seq, _, ok := parsePing(line); ok {
-				t.ObservePrimarySeq(seq)
+		seg, err := sr.Next(func(line string) error {
+			seq, _, ok := parsePing(line)
+			if !ok {
+				return fmt.Errorf("repl: malformed control line %q", line)
 			}
+			t.ObservePrimarySeq(seq)
+			return nil
 		})
 		if err != nil {
 			return err
 		}
 		// Refuse shipped segments from a lower epoch instead of applying
-		// them: this is the split-brain write path. Epoch 0 records are
-		// pre-epoch history and carry no evidence of staleness.
-		if seg.Epoch != 0 && seg.Epoch < t.Epoch() {
+		// them: this is the split-brain write path.
+		if seg.Epoch < t.Epoch() {
 			poison(conn, t)
 			return fmt.Errorf("%w: segment seq=%d from epoch %d, local epoch %d",
 				ErrStalePrimary, seg.Seq, seg.Epoch, t.Epoch())
 		}
-		if sessionEpoch != 0 && seg.Epoch > sessionEpoch {
+		if seg.Epoch > sessionEpoch {
 			return fmt.Errorf("repl: segment seq=%d from epoch %d ahead of session epoch %d",
 				seg.Seq, seg.Epoch, sessionEpoch)
 		}

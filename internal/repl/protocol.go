@@ -23,9 +23,8 @@ import (
 //	primary → REPL PING seq=<n> epoch=<e>              heartbeat between segments
 //	replica → REPL ACK seq=<n> epoch=<e>               segment n is locally durable
 //
-// Every parser tolerates a missing epoch field (treating it as epoch 0,
-// "pre-epoch") so the wire format stays compatible with journals and
-// peers from before epochs existed.
+// Every field of every line is mandatory: a line without its epoch is
+// malformed, and the session it arrived on is closed.
 
 const (
 	controlPrefix  = "REPL "
@@ -48,14 +47,13 @@ func HelloLine(lastSeq, epoch uint64) string {
 	return fmt.Sprintf("%slast_seq=%d epoch=%d\n", helloPrefix, lastSeq, epoch)
 }
 
-// ParseHello decodes a HELLO line (without trailing newline). A missing
-// epoch field parses as epoch 0 (a pre-epoch peer).
+// ParseHello decodes a HELLO line (without trailing newline).
 func ParseHello(line string) (lastSeq, epoch uint64, err error) {
 	rest, ok := strings.CutPrefix(line, helloPrefix)
 	if !ok {
 		return 0, 0, fmt.Errorf("repl: expected HELLO, got %q", line)
 	}
-	if n, serr := fmt.Sscanf(rest, "last_seq=%d epoch=%d", &lastSeq, &epoch); n < 1 || (serr != nil && n != 1) {
+	if n, _ := fmt.Sscanf(rest, "last_seq=%d epoch=%d", &lastSeq, &epoch); n != 2 {
 		return 0, 0, fmt.Errorf("repl: malformed HELLO %q", line)
 	}
 	return lastSeq, epoch, nil
@@ -69,14 +67,13 @@ func AckLine(seq, epoch uint64) string {
 	return fmt.Sprintf("%sseq=%d epoch=%d\n", ackPrefix, seq, epoch)
 }
 
-// ParseAck decodes an ACK line (without trailing newline). A missing
-// epoch field parses as epoch 0.
+// ParseAck decodes an ACK line (without trailing newline).
 func ParseAck(line string) (seq, epoch uint64, err error) {
 	rest, ok := strings.CutPrefix(line, ackPrefix)
 	if !ok {
 		return 0, 0, fmt.Errorf("repl: expected ACK, got %q", line)
 	}
-	if n, serr := fmt.Sscanf(rest, "seq=%d epoch=%d", &seq, &epoch); n < 1 || (serr != nil && n != 1) {
+	if n, _ := fmt.Sscanf(rest, "seq=%d epoch=%d", &seq, &epoch); n != 2 {
 		return 0, 0, fmt.Errorf("repl: malformed ACK %q", line)
 	}
 	return seq, epoch, nil
@@ -93,7 +90,7 @@ func parsePing(line string) (seq, epoch uint64, ok bool) {
 	if !found {
 		return 0, 0, false
 	}
-	if n, err := fmt.Sscanf(rest, "seq=%d epoch=%d", &seq, &epoch); n < 1 || (err != nil && n != 1) {
+	if n, _ := fmt.Sscanf(rest, "seq=%d epoch=%d", &seq, &epoch); n != 2 {
 		return 0, 0, false
 	}
 	return seq, epoch, true
@@ -122,8 +119,8 @@ func TailHeader(from uint64, count int, epoch uint64) string {
 // SegmentReader incrementally parses the primary's byte stream into
 // verified segments, dispatching interleaved control lines (pings) to a
 // callback. It enforces the same verdict logic as the journal scanner:
-// a complete marker whose payload fails length or CRC verification is
-// corruption, and legacy (bare) markers are not acceptable on the wire.
+// a complete marker that is damaged, or whose payload fails length or
+// CRC verification, is corruption.
 type SegmentReader struct {
 	r       *bufio.Reader
 	payload bytes.Buffer
@@ -137,9 +134,9 @@ func NewSegmentReader(r io.Reader) *SegmentReader {
 // Next returns the next verified segment. Control lines between
 // segments are passed to onControl (which may be nil). Errors are
 // terminal: a malformed marker, a checksum mismatch, a control line
-// splitting a segment, or the underlying read error (io.EOF when the
-// primary closes cleanly between segments).
-func (sr *SegmentReader) Next(onControl func(line string)) (Segment, error) {
+// splitting a segment or refused by onControl, or the underlying read
+// error (io.EOF when the primary closes cleanly between segments).
+func (sr *SegmentReader) Next(onControl func(line string) error) (Segment, error) {
 	for {
 		line, err := sr.r.ReadBytes('\n')
 		if err != nil {
@@ -154,16 +151,15 @@ func (sr *SegmentReader) Next(onControl func(line string)) (Segment, error) {
 				return Segment{}, fmt.Errorf("repl: control line %q inside a segment", bytes.TrimSpace(line))
 			}
 			if onControl != nil {
-				onControl(strings.TrimRight(string(line), "\n"))
+				if err := onControl(strings.TrimRight(string(line), "\n")); err != nil {
+					return Segment{}, err
+				}
 			}
 		case IsMarkerLine(bytes.TrimRight(line, "\n")):
 			marker := bytes.TrimRight(line, "\n")
-			seq, length, crc, epoch, legacy, perr := ParseMarker(marker)
+			seq, length, crc, epoch, perr := ParseMarker(marker)
 			if perr != nil {
 				return Segment{}, fmt.Errorf("repl: %v", perr)
-			}
-			if legacy {
-				return Segment{}, fmt.Errorf("repl: legacy bare marker on the wire")
 			}
 			payload := append([]byte(nil), sr.payload.Bytes()...)
 			sr.payload.Reset()

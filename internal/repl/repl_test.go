@@ -15,11 +15,10 @@ import (
 
 func seg(t *testing.T, seq uint64, payload string) Segment {
 	t.Helper()
-	raw := RawSegment(seq, []byte(payload), 0)
-	return Segment{Seq: seq, Payload: []byte(payload), Raw: raw}
+	return epochSeg(t, seq, 1, payload)
 }
 
-// epochSeg builds a segment whose marker carries an epoch.
+// epochSeg builds a segment committed under the given epoch.
 func epochSeg(t *testing.T, seq, epoch uint64, payload string) Segment {
 	t.Helper()
 	raw := RawSegment(seq, []byte(payload), epoch)
@@ -28,34 +27,29 @@ func epochSeg(t *testing.T, seq, epoch uint64, payload string) Segment {
 
 func TestMarkerRoundTrip(t *testing.T) {
 	payload := []byte("dn: uid=a,o=x\nchangetype: add\nobjectClass: person\n\n")
-	line := MarkerLine(7, payload, 0)
+	line := MarkerLine(7, payload, 3)
 	if !strings.HasSuffix(line, "\n") {
 		t.Fatalf("marker not newline-terminated: %q", line)
 	}
-	seq, length, crc, epoch, legacy, err := ParseMarker([]byte(strings.TrimRight(line, "\n")))
-	if err != nil || legacy {
-		t.Fatalf("ParseMarker: seq=%d legacy=%v err=%v", seq, legacy, err)
+	seq, length, crc, epoch, err := ParseMarker([]byte(strings.TrimRight(line, "\n")))
+	if err != nil {
+		t.Fatalf("ParseMarker: seq=%d err=%v", seq, err)
 	}
-	if seq != 7 || length != int64(len(payload)) || crc != Checksum(payload) || epoch != 0 {
+	if seq != 7 || length != int64(len(payload)) || crc != Checksum(payload) || epoch != 3 {
 		t.Fatalf("round trip mismatch: seq=%d len=%d crc=%08x epoch=%d", seq, length, crc, epoch)
 	}
-	// Epoch-carrying marker round-trips, and epoch 0 renders the exact
-	// pre-epoch format.
-	line = MarkerLine(7, payload, 3)
-	if !strings.Contains(line, " epoch=3") {
-		t.Fatalf("epoch missing from marker: %q", line)
+	// Every field is mandatory: the bare and epoch-less markers of
+	// pre-checksum journals are refused by name, anything else that
+	// fails to parse is damage.
+	for _, old := range []string{MarkerPrefix, MarkerPrefix + " seq=7 len=2 crc=0000abcd"} {
+		if _, _, _, _, err := ParseMarker([]byte(old)); err == nil || !strings.Contains(err.Error(), "unsupported pre-checksum journal format") {
+			t.Fatalf("ParseMarker(%q) = %v, want the unsupported-format refusal", old, err)
+		}
 	}
-	if _, _, _, epoch, _, err := ParseMarker([]byte(strings.TrimRight(line, "\n"))); err != nil || epoch != 3 {
-		t.Fatalf("epoch round trip: epoch=%d err=%v", epoch, err)
-	}
-	if _, _, _, _, legacy, err := ParseMarker([]byte(MarkerPrefix)); err != nil || !legacy {
-		t.Fatalf("bare marker should parse as legacy, got legacy=%v err=%v", legacy, err)
-	}
-	if _, _, _, _, _, err := ParseMarker([]byte(MarkerPrefix + " seq=zap")); err == nil {
-		t.Fatal("damaged marker accepted")
-	}
-	if _, _, _, _, _, err := ParseMarker([]byte(MarkerPrefix + " seq=1 len=2 crc=0000abcd epoch=x")); err == nil {
-		t.Fatal("damaged epoch field accepted")
+	for _, bad := range []string{MarkerPrefix + " seq=zap", MarkerPrefix + " seq=1 len=2 crc=0000abcd epoch=x", MarkerPrefix + "seq=1 len=2 crc=0000abcd epoch=1"} {
+		if _, _, _, _, err := ParseMarker([]byte(bad)); err == nil || !strings.Contains(err.Error(), "damaged marker") {
+			t.Fatalf("ParseMarker(%q) = %v, want damaged marker", bad, err)
+		}
 	}
 }
 
@@ -64,21 +58,23 @@ func TestHelloAckLines(t *testing.T) {
 	if err != nil || n != 42 || e != 3 {
 		t.Fatalf("hello round trip: %d %d %v", n, e, err)
 	}
-	// A pre-epoch HELLO parses with epoch 0.
-	n, e, err = ParseHello("REPL HELLO last_seq=42")
-	if err != nil || n != 42 || e != 0 {
-		t.Fatalf("pre-epoch hello: %d %d %v", n, e, err)
-	}
-	if _, _, err := ParseHello("REPL HELLO last_seq=x"); err == nil {
-		t.Fatal("malformed hello accepted")
+	for _, bad := range []string{"REPL HELLO last_seq=42", "REPL HELLO last_seq=x"} {
+		if _, _, err := ParseHello(bad); err == nil || !strings.Contains(err.Error(), "malformed HELLO") {
+			t.Fatalf("ParseHello(%q) = %v, want malformed", bad, err)
+		}
 	}
 	n, e, err = ParseAck(strings.TrimRight(AckLine(9, 2), "\n"))
 	if err != nil || n != 9 || e != 2 {
 		t.Fatalf("ack round trip: %d %d %v", n, e, err)
 	}
-	n, e, err = ParseAck("REPL ACK seq=9")
-	if err != nil || n != 9 || e != 0 {
-		t.Fatalf("pre-epoch ack: %d %d %v", n, e, err)
+	if _, _, err := ParseAck("REPL ACK seq=9"); err == nil || !strings.Contains(err.Error(), "malformed ACK") {
+		t.Fatalf("epoch-less ack = %v, want malformed", err)
+	}
+	if _, _, ok := parsePing("REPL PING seq=9"); ok {
+		t.Fatal("epoch-less ping accepted")
+	}
+	if seq, e, ok := parsePing(strings.TrimRight(PingLine(9, 2), "\n")); !ok || seq != 9 || e != 2 {
+		t.Fatalf("ping round trip: %d %d %v", seq, e, ok)
 	}
 }
 
@@ -93,7 +89,7 @@ func TestSegmentReaderStream(t *testing.T) {
 	var pings []string
 	var got []uint64
 	for {
-		s, err := sr.Next(func(line string) { pings = append(pings, line) })
+		s, err := sr.Next(func(line string) error { pings = append(pings, line); return nil })
 		if err == io.EOF {
 			break
 		}
@@ -118,11 +114,12 @@ func TestSegmentReaderStream(t *testing.T) {
 
 func TestSegmentReaderRejects(t *testing.T) {
 	cases := map[string]string{
-		"checksum mismatch": "dn: a\n" + MarkerLine(1, []byte("dn: b\n"), 0),
-		"length mismatch":   "dn: a\n" + fmt.Sprintf("%s seq=1 len=3 crc=%08x\n", MarkerPrefix, Checksum([]byte("dn: a\n"))),
-		"legacy marker":     "dn: a\n" + MarkerPrefix + "\n",
+		"checksum mismatch": "dn: a\n" + MarkerLine(1, []byte("dn: b\n"), 1),
+		"length mismatch":   "dn: a\n" + fmt.Sprintf("%s seq=1 len=3 crc=%08x epoch=1\n", MarkerPrefix, Checksum([]byte("dn: a\n"))),
+		"bare marker":       "dn: a\n" + MarkerPrefix + "\n",
+		"epoch-less marker": "dn: a\n" + fmt.Sprintf("%s seq=1 len=6 crc=%08x\n", MarkerPrefix, Checksum([]byte("dn: a\n"))),
 		"damaged marker":    "dn: a\n" + MarkerPrefix + " seq=zap\n",
-		"control mid-seg":   "dn: a\n" + PingLine(5, 1) + string(RawSegment(1, []byte("dn: a\n"), 0)),
+		"control mid-seg":   "dn: a\n" + PingLine(5, 1) + string(RawSegment(1, []byte("dn: a\n"), 1)),
 	}
 	for name, stream := range cases {
 		sr := NewSegmentReader(strings.NewReader(stream))
@@ -439,6 +436,27 @@ func TestClientRunRefused(t *testing.T) {
 	}
 }
 
+// TestClientRefusesEpochlessHeaders: a catch-up header without its
+// epoch is malformed; the session ends before anything is applied.
+func TestClientRefusesEpochlessHeaders(t *testing.T) {
+	for _, header := range []string{"REPL TAIL from=1 count=0\n", "REPL SNAPSHOT seq=1 len=0\n"} {
+		cli, prim := net.Pipe()
+		target := &fakeTarget{}
+		runErr := make(chan error, 1)
+		go func() { runErr <- Run(cli, target) }()
+		readLine(bufio.NewReader(prim))
+		io.WriteString(prim, header)
+		err := <-runErr
+		prim.Close()
+		if err == nil || !strings.Contains(err.Error(), "malformed") {
+			t.Errorf("%q: Run = %v, want a malformed-header refusal", header, err)
+		}
+		if target.boot != nil || len(target.applied) != 0 {
+			t.Errorf("%q: target mutated by a refused session", header)
+		}
+	}
+}
+
 // TestClientApplyErrorStopsRun: a target that rejects a segment ends the
 // session with that error.
 func TestClientApplyErrorStopsRun(t *testing.T) {
@@ -448,7 +466,7 @@ func TestClientApplyErrorStopsRun(t *testing.T) {
 	go func() { runErr <- Run(cli, target) }()
 	br := bufio.NewReader(prim)
 	readLine(br)
-	io.WriteString(prim, TailHeader(1, 1, 0))
+	io.WriteString(prim, TailHeader(1, 1, 1))
 	prim.Write(seg(t, 1, "dn: a\nchangetype: delete\n\n").Raw)
 	err := <-runErr
 	prim.Close()
@@ -498,7 +516,7 @@ func TestClientRefusesStalePrimary(t *testing.T) {
 	go func() { runErr <- Run(cli, target) }()
 	br = bufio.NewReader(prim)
 	readLine(br)
-	io.WriteString(prim, TailHeader(3, 1, 0)) // pre-epoch header: accepted
+	io.WriteString(prim, TailHeader(3, 1, 2))
 	prim.Write(epochSeg(t, 3, 1, conflicting).Raw)
 	if line, _ := readLine(br); !strings.Contains(line, "epoch=2") {
 		t.Fatalf("poison ack = %q", line)

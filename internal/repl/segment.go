@@ -10,8 +10,8 @@
 //	<LDIF change records…>
 //	# commit seq=<n> len=<payload bytes> crc=<crc32c, 8 hex digits> epoch=<e>
 //
-// (the epoch field is omitted from records written before replication
-// epochs existed; epoch 0 on the wire means "pre-epoch").
+// Every field is mandatory, on disk and on the wire: a marker without
+// them is a damaged marker, never a record.
 //
 // Around that byte stream sits a small line-oriented control protocol
 // (protocol.go): a replica opens with "REPL HELLO last_seq=<n>
@@ -46,13 +46,8 @@ func Checksum(payload []byte) uint32 {
 
 // MarkerLine renders the checksummed marker terminating a transaction's
 // journal payload. epoch is the replication epoch the transaction was
-// committed under; epoch 0 renders the pre-epoch marker format so
-// journals written before epochs existed stay byte-reproducible.
+// committed under.
 func MarkerLine(seq uint64, payload []byte, epoch uint64) string {
-	if epoch == 0 {
-		return fmt.Sprintf("%s seq=%d len=%d crc=%08x\n",
-			MarkerPrefix, seq, len(payload), Checksum(payload))
-	}
 	return fmt.Sprintf("%s seq=%d len=%d crc=%08x epoch=%d\n",
 		MarkerPrefix, seq, len(payload), Checksum(payload), epoch)
 }
@@ -62,37 +57,33 @@ func IsMarkerLine(line []byte) bool {
 	return bytes.HasPrefix(line, []byte(MarkerPrefix))
 }
 
-// ParseMarker decodes a complete "# commit…" line. legacy is true for
-// the bare pre-checksum marker; epoch is 0 for markers written before
-// replication epochs existed; err means the line claims to be a marker
-// but its fields do not parse — a damaged marker, which is corruption,
-// not a tear, because the line is complete.
-func ParseMarker(line []byte) (seq uint64, length int64, crc uint32, epoch uint64, legacy bool, err error) {
+// ParseMarker decodes a complete "# commit…" line. err means the line
+// claims to be a marker but does not carry all four fields — a damaged
+// marker, which is corruption, not a tear, because the line is
+// complete. The bare and epoch-less markers of pre-checksum journals
+// are reported as an unsupported format rather than as damage, so the
+// refusal names what the operator is holding.
+func ParseMarker(line []byte) (seq uint64, length int64, crc uint32, epoch uint64, err error) {
 	rest := line[len(MarkerPrefix):]
-	if len(rest) == 0 {
-		return 0, 0, 0, 0, true, nil
+	if len(rest) > 0 && rest[0] != ' ' {
+		return 0, 0, 0, 0, fmt.Errorf("damaged marker %q", line)
 	}
-	if rest[0] != ' ' {
-		return 0, 0, 0, 0, false, fmt.Errorf("damaged marker %q", line)
+	n, _ := fmt.Sscanf(string(rest), " seq=%d len=%d crc=%x epoch=%d", &seq, &length, &crc, &epoch)
+	switch {
+	case n == 4 && seq != 0:
+		return seq, length, crc, epoch, nil
+	case len(rest) == 0, n == 3 && !bytes.Contains(rest, []byte(" epoch=")):
+		return 0, 0, 0, 0, fmt.Errorf("unsupported pre-checksum journal format: marker %q lacks seq/len/crc/epoch", line)
+	default:
+		return 0, 0, 0, 0, fmt.Errorf("damaged marker %q", line)
 	}
-	n, serr := fmt.Sscanf(string(rest), " seq=%d len=%d crc=%x epoch=%d", &seq, &length, &crc, &epoch)
-	if n == 3 && seq != 0 && !bytes.Contains(rest, []byte(" epoch=")) {
-		// Pre-epoch marker: three fields and no epoch token. Sscanf
-		// reports an error for the missing fourth verb; that is not
-		// damage.
-		return seq, length, crc, 0, false, nil
-	}
-	if serr != nil || n != 4 || seq == 0 {
-		return 0, 0, 0, 0, false, fmt.Errorf("damaged marker %q", line)
-	}
-	return seq, length, crc, epoch, false, nil
 }
 
 // Segment is one verified replication unit: exactly one committed
 // transaction as it sits in the journal.
 type Segment struct {
 	Seq     uint64
-	Epoch   uint64 // replication epoch from the marker; 0 for pre-epoch records
+	Epoch   uint64 // replication epoch from the marker
 	Payload []byte // the LDIF change records, without the marker line
 	Raw     []byte // Payload plus the marker line — the verbatim journal bytes
 }

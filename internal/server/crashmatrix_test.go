@@ -24,12 +24,14 @@ import (
 //   - legality: the recovered instance passes the full bounding-schema
 //     check (recovery itself refuses to serve otherwise).
 //
-// Two matrices cover both durability pipelines deterministically: the
-// group-commit committer with rotation off (a sequential driver makes
-// its op stream deterministic; auto-rotation would not be), and the
-// per-transaction path with a small rotation threshold, so the sweep
+// Two matrices sweep the one durability pipeline: rotation off (every
+// op is a journal append), and a small rotation threshold, so the sweep
 // also crashes inside snapshot rotation — including between the rename
 // and the journal truncate, the window the snapshot-seq header closes.
+// The committer rotates from its own goroutine, so the sequential
+// driver waits at a quiescent-point barrier after every commit: the
+// committer serves the barrier only after any rotation that commit
+// triggered, which keeps the op stream — and so the sweep — deterministic.
 
 const crashJournalPath = "journal.ldif"
 
@@ -84,7 +86,7 @@ func crashWorkload(n int) []crashTxn {
 // op-counting sweep depends on). It returns the DNs of every
 // acknowledged transaction; the run stops at the first commit error
 // (the scripted crash, or the read-only degradation that follows it).
-func runCrashWorkload(t *testing.T, fault *vfs.Fault, groupCommit bool, rotateBytes int64, txns []crashTxn) map[string]bool {
+func runCrashWorkload(t *testing.T, fault *vfs.Fault, rotateBytes int64, txns []crashTxn) map[string]bool {
 	t.Helper()
 	s := workload.WhitePagesSchema()
 	srv, err := New(s, "whitepages", workload.WhitePagesInstance(s))
@@ -92,7 +94,6 @@ func runCrashWorkload(t *testing.T, fault *vfs.Fault, groupCommit bool, rotateBy
 		t.Fatal(err)
 	}
 	srv.SetFS(fault)
-	srv.SetGroupCommit(groupCommit)
 	srv.SetJournalRotation(rotateBytes)
 	acked := make(map[string]bool)
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
@@ -110,6 +111,7 @@ func runCrashWorkload(t *testing.T, fault *vfs.Fault, groupCommit bool, rotateBy
 		for _, dn := range ct.dns {
 			acked[dn] = true
 		}
+		srv.atQuiescent(func() error { return nil }) // rotation barrier
 	}
 	return acked
 }
@@ -171,16 +173,12 @@ func TestCrashMatrix(t *testing.T) {
 	txns := crashWorkload(nCommits)
 	matrices := []struct {
 		name        string
-		groupCommit bool
 		rotateBytes int64
 	}{
-		// Group commit with rotation off: the committer's auto-rotation
-		// fires from its own goroutine, which would make op counts racy.
-		{"group-commit", true, 0},
-		// Per-transaction commits with a small threshold: rotation runs
-		// inline, so the sweep deterministically crashes inside the
-		// snapshot write, the rename, the SyncDir and the truncate.
-		{"per-txn-rotating", false, 2048},
+		{"append-only", 0},
+		// A small threshold: the sweep crashes inside the snapshot write,
+		// the rename, the SyncDir and the truncate.
+		{"rotating", 2048},
 	}
 	for _, m := range matrices {
 		m := m
@@ -188,12 +186,24 @@ func TestCrashMatrix(t *testing.T) {
 			// Fault-free counting pass: the same workload under a script
 			// that injects nothing yields the sweep bound.
 			probe := vfs.NewFault()
-			acked := runCrashWorkload(t, probe, m.groupCommit, m.rotateBytes, txns)
+			acked := runCrashWorkload(t, probe, m.rotateBytes, txns)
 			total := probe.OpCount()
 			if len(acked) < nCommits {
 				t.Fatalf("fault-free run acknowledged %d entries, want at least %d commits' worth", len(acked), nCommits)
 			}
 			assertRecovery(t, probe, txns, acked)
+			if m.rotateBytes > 0 {
+				if _, err := probe.ReadFile(crashJournalPath + ".snapshot"); err != nil {
+					t.Fatalf("rotating matrix never rotated: %v", err)
+				}
+			}
+			// The sweep addresses crash points by op number, so the op
+			// stream must not depend on goroutine scheduling.
+			again := vfs.NewFault()
+			runCrashWorkload(t, again, m.rotateBytes, txns)
+			if again.OpCount() != total {
+				t.Fatalf("op stream not deterministic: %d ops, then %d", total, again.OpCount())
+			}
 
 			step := 1
 			if cap := crashMatrixCap(); cap > 0 && total > cap {
@@ -205,7 +215,7 @@ func TestCrashMatrix(t *testing.T) {
 				t.Run(fmt.Sprintf("op%03d", op), func(t *testing.T) {
 					fault := vfs.NewFault()
 					fault.SetScript(vfs.FaultPoint{Op: op, Kind: vfs.FaultCrash})
-					acked := runCrashWorkload(t, fault, m.groupCommit, m.rotateBytes, txns)
+					acked := runCrashWorkload(t, fault, m.rotateBytes, txns)
 					fault.Recover()
 					assertRecovery(t, fault, txns, acked)
 				})

@@ -16,13 +16,17 @@ import (
 func FuzzScanJournal(f *testing.F) {
 	p1 := []byte("dn: uid=a,o=att\nchangetype: add\nobjectClass: person\n\n")
 	p2 := []byte("dn: uid=b,o=att\nchangetype: add\nobjectClass: person\n\n")
-	valid := append(append([]byte{}, repl.RawSegment(1, p1, 0)...), repl.RawSegment(2, p2, 0)...)
+	valid := append(append([]byte{}, repl.RawSegment(1, p1, 1)...), repl.RawSegment(2, p2, 1)...)
 	f.Add([]byte{})
 	f.Add(valid)
 	f.Add(append(append([]byte{}, valid...), []byte("dn: uid=torn,o=att\nchangetype:")...))
-	f.Add(append(append([]byte{}, p1...), []byte("# commit\n")...)) // legacy bare marker
-	f.Add([]byte("dn: uid=h,o=att\nchangetype: add\n\n"))           // headerless journal
-	f.Add([]byte("# commit seq=1 len=999 crc=deadbeef\n"))          // marker vouching for missing bytes
+	f.Add(append(append([]byte{}, p1...), []byte("# commit\n")...))                           // bare marker: damaged
+	f.Add(append(append([]byte{}, p1...), []byte("# commit seq=1 len=54 crc=00000000\n")...)) // epoch-less marker: damaged
+	f.Add([]byte("# commit seq=1 len=999 crc=deadbeef epoch=1\n"))                            // marker vouching for missing bytes
+	// A crash during the first-ever append: no complete marker anywhere.
+	f.Add(p1)
+	f.Add(append(append([]byte{}, p1...), []byte("# com")...))
+	f.Add(p1[:len(p1)/2])
 	corrupt := append([]byte{}, valid...)
 	corrupt[10] ^= 0x01
 	f.Add(corrupt)
@@ -33,10 +37,7 @@ func FuzzScanJournal(f *testing.F) {
 		if sr.tornBytes < 0 || sr.tornBytes > int64(len(data)) {
 			t.Fatalf("torn bytes %d outside [0, %d]", sr.tornBytes, len(data))
 		}
-		if sr.verified+sr.legacy != len(sr.txns) {
-			t.Fatalf("verified=%d legacy=%d but %d scanned transactions", sr.verified, sr.legacy, len(sr.txns))
-		}
-		if sr.verified > 0 && sr.firstSeq > sr.lastSeq {
+		if len(sr.txns) > 0 && sr.firstSeq > sr.lastSeq {
 			t.Fatalf("sequence range inverted: first=%d last=%d", sr.firstSeq, sr.lastSeq)
 		}
 		if sr.corrupt {
@@ -46,13 +47,10 @@ func FuzzScanJournal(f *testing.F) {
 			return // no clean prefix to trust
 		}
 		// Every verified payload must sit inside the input and carry a
-		// nonzero sequence number (zero is the legacy sentinel).
+		// nonzero sequence number.
 		for _, jt := range sr.txns {
-			if jt.legacy {
-				continue
-			}
 			if jt.seq == 0 {
-				t.Fatal("verified transaction with the legacy sequence sentinel 0")
+				t.Fatal("verified transaction with sequence number 0")
 			}
 			if !bytes.Contains(data, jt.payload) {
 				t.Fatalf("verified payload of seq=%d is not a substring of the input", jt.seq)
@@ -66,9 +64,12 @@ func FuzzScanJournal(f *testing.F) {
 		if sr2.tornBytes != 0 {
 			t.Fatalf("clean prefix still has %d torn bytes", sr2.tornBytes)
 		}
-		if sr2.verified != sr.verified || sr2.legacy != sr.legacy || sr2.lastSeq != sr.lastSeq {
-			t.Fatalf("rescan disagrees: verified %d->%d legacy %d->%d lastSeq %d->%d",
-				sr.verified, sr2.verified, sr.legacy, sr2.legacy, sr.lastSeq, sr2.lastSeq)
+		if len(sr2.txns) != len(sr.txns) || sr2.lastSeq != sr.lastSeq {
+			t.Fatalf("rescan disagrees: records %d->%d lastSeq %d->%d",
+				len(sr.txns), len(sr2.txns), sr.lastSeq, sr2.lastSeq)
+		}
+		if len(sr.txns) == 0 && sr.tornBytes != int64(len(data)) {
+			t.Fatalf("no record verified yet only %d of %d bytes are torn", sr.tornBytes, len(data))
 		}
 	})
 }

@@ -4,20 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"boundschema/internal/txn"
 )
 
-// This file is the group-commit pipeline: the batched-durability half of
-// the commit path. Without it every COMMIT holds the server's write lock
-// across the journal write AND fsync, so one slow disk sync stalls every
-// reader and serializes all writers at one-fsync-per-transaction. With
-// it, the write-lock critical section shrinks to apply + validate +
-// re-encode + journal-record encoding, and durability moves to a single
-// committer goroutine that coalesces every record staged while the
-// previous fsync was in flight into one write + Sync() (ARIES-style
-// group commit).
+// This file is the durability half of the commit path — the only one a
+// journaled primary has. CommitTx's write-lock critical section is
+// apply + validate + re-encode + journal-record encoding; durability
+// belongs to a single committer goroutine that coalesces every record
+// staged while the previous fsync was in flight into one write + Sync()
+// (ARIES-style group commit), so a slow disk sync stalls neither
+// readers nor the next wave of appliers. A lone writer is a batch of
+// one.
 //
 // Invariants:
 //
@@ -32,9 +30,7 @@ import (
 //     plus anything staged on top of them (all equally non-durable) in
 //     reverse apply order via their ApplyWithUndo closures, truncates
 //     torn bytes, and replies "ERR commit not durable" to each. If the
-//     rollback or the truncate fails, the server degrades to read-only
-//     — the same contract as the per-transaction path, extended to a
-//     batch.
+//     rollback or the truncate fails, the server degrades to read-only.
 //   - Snapshot rotation only runs at a quiescent point (staging queue
 //     empty under the write lock), so the snapshot can never contain a
 //     transaction the journal will replay again.
@@ -49,15 +45,15 @@ type commitReq struct {
 	done chan error   // buffered(1); nil means durable
 }
 
-// committer owns all journal file I/O while group commit is on. It is
-// started by OpenJournal and stopped by Close after sessions drain.
+// committer owns all journal file I/O on a primary. It is started by
+// OpenJournal (and by Promote), and stopped by Close after sessions
+// drain (and by StartReplica: a replica appends inline under srv.mu).
 type committer struct {
-	srv   *Server
-	delay time.Duration // extra window to accumulate a batch (0 = none)
+	srv *Server
 
 	mu       sync.Mutex
 	staged   []*commitReq  // apply-ordered; appended under srv.mu
-	quiesces []*quiesceReq // pending SNAPSHOT/VERIFY requests
+	quiesces []*quiesceReq // pending atQuiescent requests
 	lastSeq  uint64
 
 	wake     chan struct{} // buffered(1) doorbell
@@ -68,11 +64,10 @@ type committer struct {
 
 func (s *Server) startCommitter() {
 	c := &committer{
-		srv:   s,
-		delay: s.commitDelay,
-		wake:  make(chan struct{}, 1),
-		quit:  make(chan struct{}),
-		dead:  make(chan struct{}),
+		srv:  s,
+		wake: make(chan struct{}, 1),
+		quit: make(chan struct{}),
+		dead: make(chan struct{}),
 	}
 	s.committer = c
 	go c.loop()
@@ -102,16 +97,16 @@ func (c *committer) stage(r *commitReq) {
 
 // quiesceReq is work that must run at a quiescent point — staged queue
 // empty under srv.mu, so the in-memory instance equals the durable
-// state and no journal append is in flight. SNAPSHOT rotation and
-// VERIFY both ride this queue.
+// state and no journal append is in flight. Everything atQuiescent is
+// asked to run rides this queue.
 type quiesceReq struct {
 	fn   func() error // runs under srv.mu at the quiescent point
 	done chan error
 }
 
 // requestQuiesce enqueues fn for the committer's next quiescent point
-// and returns the channel its result lands on. Called without srv.mu
-// held by the waiter (the committer's failure path needs the lock).
+// and returns the channel its result lands on. The waiter must not hold
+// srv.mu while it waits (the committer's failure path needs the lock).
 func (c *committer) requestQuiesce(fn func() error) chan error {
 	q := &quiesceReq{fn: fn, done: make(chan error, 1)}
 	c.mu.Lock()
@@ -159,23 +154,21 @@ func (c *committer) loop() {
 			c.drain()
 			return
 		}
-		if c.delay > 0 {
-			// Deliberately widen the window so more concurrent commits
-			// join this batch. Trades commit latency for fsync amortization.
-			time.Sleep(c.delay)
-		}
 		if batch := c.takeStaged(); len(batch) > 0 {
 			c.commitBatch(batch)
 		}
+		// Rotation before quiesce requests: a caller that commits and then
+		// waits on atQuiescent observes the journal after any rotation
+		// that commit triggered, never racing it.
+		c.maybeAutoRotate()
 		if qs := c.takeQuiesces(); len(qs) > 0 {
 			c.quiesce(qs)
 		}
-		c.maybeAutoRotate()
 	}
 }
 
 // drain flushes everything staged at shutdown so no session is left
-// waiting on a reply. Pending quiesce work (SNAPSHOT, VERIFY) is refused.
+// waiting on a reply. Pending quiesce work is refused.
 func (c *committer) drain() {
 	for {
 		batch := c.takeStaged()
@@ -197,30 +190,19 @@ func (c *committer) drain() {
 // readers and the next wave of appliers proceed while the disk works.
 func (c *committer) commitBatch(batch []*commitReq) {
 	s := c.srv
-	j := s.journal
-	cw := &countingWriter{w: j.f}
-	var err error
-	for _, r := range batch {
-		if _, werr := cw.Write(r.data); werr != nil {
-			err = werr
-			break
-		}
+	recs := make([][]byte, len(batch))
+	for i, r := range batch {
+		recs[i] = r.data
 	}
-	if err == nil {
-		err = s.syncJournal()
-	}
-	if err != nil {
+	if err := s.journal.append(recs...); err != nil {
 		c.failBatch(batch, err)
 		return
 	}
-	j.size += cw.n
-	s.metrics.JournalBytes.Store(j.size)
-	s.metrics.noteBatch(len(batch))
 	// Replication: ship the whole batch in journal order (only this
-	// goroutine ships in group-commit mode), then release each waiter.
-	// Under semi-sync the hub holds a waiter's done channel until a
-	// replica ack covers its seq — the batch OK is gated on replica
-	// durability without blocking the committer itself.
+	// goroutine ships), then release each waiter. Under semi-sync the
+	// hub holds a waiter's done channel until a replica ack covers its
+	// seq — the batch OK is gated on replica durability without blocking
+	// the committer itself.
 	hub := s.replHub.Load()
 	if hub != nil {
 		for _, r := range batch {
@@ -239,13 +221,11 @@ func (c *committer) commitBatch(batch []*commitReq) {
 // failBatch handles a failed batch write or sync: every member — plus
 // any transaction staged on top of the batch while the sync was in
 // flight, which is equally non-durable and was applied later — is rolled
-// back in reverse apply order under the write lock, torn bytes are
-// truncated away, and each session gets the error for its "ERR commit
-// not durable" reply.
+// back in reverse apply order under the write lock (journal.append
+// already truncated the torn bytes away), and each session gets the
+// error for its "ERR commit not durable" reply.
 func (c *committer) failBatch(batch []*commitReq, err error) {
 	s := c.srv
-	j := s.journal
-	s.metrics.JournalErrors.Add(1)
 	s.mu.Lock()
 	all := append(batch, c.takeStaged()...)
 	undos := make([]func() error, len(all))
@@ -267,9 +247,8 @@ func (c *committer) failBatch(batch []*commitReq, err error) {
 		c.lastSeq = s.commitSeq
 		c.mu.Unlock()
 	}
-	if terr := j.f.Truncate(j.size); terr != nil {
-		j.failed = true
-		s.readOnly = fmt.Sprintf("journal %s unrecoverable after failed write (%v; truncate: %v)", j.path, err, terr)
+	if s.journal.failed != "" {
+		s.readOnly = s.journal.failed
 		s.logf("journal: %s", s.readOnly)
 	}
 	s.mu.Unlock()
@@ -278,8 +257,8 @@ func (c *committer) failBatch(batch []*commitReq, err error) {
 	}
 }
 
-// quiesce serves SNAPSHOT and VERIFY requests. Both must only run when
-// the in-memory instance equals the durable state — a snapshot taken
+// quiesce serves atQuiescent requests. They must only run when the
+// in-memory instance equals the durable state — a snapshot taken
 // earlier would contain staged-but-unsynced transactions the journal
 // later replays again, and a verify would find the unsynced tail.
 // Holding the write lock freezes staging, so "staged queue empty under

@@ -20,14 +20,19 @@ import (
 )
 
 // blockingJournal wraps the real journal file with a gated, optionally
-// failing Sync, so tests can hold an fsync in flight while more commits
-// stage behind it — the window the group-commit pipeline exists for.
+// slow or failing Sync, so tests can hold an fsync in flight while more
+// commits stage behind it — the window the group-commit pipeline exists
+// for.
 type blockingJournal struct {
 	f        *os.File
-	gate     chan struct{} // Sync parks here until the test closes it
+	gate     chan struct{} // Sync parks here until the test closes it; nil = no gate
+	delay    time.Duration // every Sync sleeps this long first: a slow disk
 	syncing  chan struct{} // buffered(1); signaled when a Sync starts
 	failSync atomic.Bool
-	syncs    atomic.Int64
+	// failTrunc fails every Truncate: with failSync, a batch failure
+	// becomes unrecoverable. Set before injecting.
+	failTrunc bool
+	syncs     atomic.Int64
 }
 
 func (j *blockingJournal) Write(p []byte) (int, error) { return j.f.Write(p) }
@@ -41,14 +46,20 @@ func (j *blockingJournal) Sync() error {
 	if j.gate != nil {
 		<-j.gate
 	}
+	time.Sleep(j.delay)
 	if j.failSync.Load() {
 		return errors.New("fsync failed (injected)")
 	}
 	return j.f.Sync()
 }
 
-func (j *blockingJournal) Truncate(n int64) error { return j.f.Truncate(n) }
-func (j *blockingJournal) Close() error           { return j.f.Close() }
+func (j *blockingJournal) Truncate(n int64) error {
+	if j.failTrunc {
+		return errors.New("truncate failed (injected)")
+	}
+	return j.f.Truncate(n)
+}
+func (j *blockingJournal) Close() error { return j.f.Close() }
 
 // injectBlocking swaps in the gated journal. Taking srv.mu orders the
 // swap before any commit staged afterwards, and the committer only
@@ -305,7 +316,7 @@ func TestGroupCommitFailedBatchRollsBack(t *testing.T) {
 // count (i.e. batching actually happened).
 func TestGroupCommitConcurrentStress(t *testing.T) {
 	srv, addr, journal := startGroupServer(t, 0)
-	srv.SetSyncDelay(2 * time.Millisecond)
+	injectBlocking(srv, &blockingJournal{delay: 2 * time.Millisecond, syncing: make(chan struct{}, 1)})
 	const writers, commitsPer = 8, 5
 
 	var wg sync.WaitGroup
@@ -478,5 +489,63 @@ func TestGroupCommitSnapshotDrainsBacklog(t *testing.T) {
 		if srv2.dir.ByDN("uid="+uid+",ou=attLabs,o=att") == nil {
 			t.Errorf("entry %s lost across SNAPSHOT + restart", uid)
 		}
+	}
+}
+
+// TestRotateQueuedBehindFailedBatchIsRefused: a Rotate that passed its
+// read-only check and queued behind an in-flight batch must re-check at
+// the quiescent point. Here the batch's fsync fails and the cleanup
+// truncate fails too, so the server is read-only by the time the
+// rotation's turn comes: it is refused, and neither snapshot nor journal
+// is touched.
+func TestRotateQueuedBehindFailedBatchIsRefused(t *testing.T) {
+	srv, addr, journal := startGroupServer(t, 0)
+	c := dialClient(t, addr)
+	c.expectOK("BEGIN")
+	c.expectOK(addPersonLines("durable")...)
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bj := &blockingJournal{gate: make(chan struct{}), syncing: make(chan struct{}, 1), failTrunc: true}
+	bj.failSync.Store(true)
+	injectBlocking(srv, bj)
+
+	c.expectOK("BEGIN")
+	c.send(addPersonLines("doomed")...)
+	waitSyncStart(t, bj)
+	rotated := make(chan error, 1)
+	go func() { rotated <- srv.Rotate() }()
+	// Rotate holds no lock while it waits, so "queued" is observable.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		srv.committer.mu.Lock()
+		queued := len(srv.committer.quiesces)
+		srv.committer.mu.Unlock()
+		if queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Rotate never queued behind the in-flight batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	close(bj.gate) // the fsync fails, and so does the truncate
+	if _, term := c.until(); !strings.HasPrefix(term, "ERR ") || !strings.Contains(term, "not durable") {
+		t.Fatalf("commit on the failed batch replied %q", term)
+	}
+	if err := <-rotated; err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("Rotate queued behind a batch that degraded the server = %v, want a read-only refusal", err)
+	}
+	if n := srv.metrics.JournalRotations.Load(); n != 0 {
+		t.Errorf("rotations = %d on a read-only server", n)
+	}
+	if _, err := os.Stat(journal + ".snapshot"); !os.IsNotExist(err) {
+		t.Errorf("a refused rotation left a snapshot behind (stat err=%v)", err)
+	}
+	if after, _ := os.ReadFile(journal); !bytes.HasPrefix(after, before) {
+		t.Errorf("journal lost acknowledged bytes across the refused rotation")
 	}
 }

@@ -2,14 +2,11 @@ package server
 
 import (
 	"bufio"
-	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"boundschema/internal/ldif"
-	"boundschema/internal/repl"
-	"boundschema/internal/txn"
 	"boundschema/internal/vfs"
 )
 
@@ -42,30 +39,49 @@ type journalFile interface {
 	Close() error
 }
 
-// journal is the commit log of a running server. In per-transaction mode
-// it is mutated only under the server's write lock; in group-commit mode
-// (the default) all file I/O and size accounting belong to the committer
-// goroutine (see groupcommit.go), which takes the write lock only for
-// failure rollback and rotation.
+// journal is the commit log of a running server. All file I/O and size
+// accounting belong to one goroutine at a time: the committer on a
+// primary (groupcommit.go), which takes the server's write lock only
+// for failure rollback and rotation, or the replica's streaming loop,
+// which appends under that lock.
 type journal struct {
 	path     string
 	snapPath string
 	f        journalFile
-	size     int64 // bytes currently in the live journal file
-	failed   bool  // the on-disk journal can no longer be trusted
+	size     int64    // bytes currently in the live journal file
+	failed   string   // non-empty: why the on-disk journal can no longer be trusted
+	metrics  *Metrics // the owning server's
 }
 
-// countingWriter counts bytes that actually reached the underlying
-// writer, so a failed append can be truncated back to a record boundary.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+// append makes recs — complete records, in journal order — durable:
+// write each, then one Sync for the lot. On failure the file is
+// truncated back to the last durable record boundary, so the on-disk
+// journal stays an exact prefix of acknowledged commits; if even that
+// fails, failed records why and the caller degrades the server to
+// read-only.
+func (j *journal) append(recs ...[]byte) error {
+	var n int64
+	var err error
+	for _, rec := range recs {
+		if _, err = j.f.Write(rec); err != nil {
+			break
+		}
+		n += int64(len(rec))
+	}
+	if err == nil {
+		err = j.f.Sync()
+	}
+	if err != nil {
+		j.metrics.JournalErrors.Add(1)
+		if terr := j.f.Truncate(j.size); terr != nil {
+			j.failed = fmt.Sprintf("journal %s unrecoverable after failed write (%v; truncate: %v)", j.path, err, terr)
+		}
+		return err
+	}
+	j.size += n
+	j.metrics.JournalBytes.Store(j.size)
+	j.metrics.noteBatch(len(recs))
+	return nil
 }
 
 // OpenJournal prepares the durable state at path by running the full
@@ -82,103 +98,65 @@ func (s *Server) OpenJournal(path string) error {
 	if err != nil {
 		return err
 	}
-	if s.groupCommit {
-		s.startCommitter()
-	}
+	s.startCommitter()
 	return nil
 }
 
 // Rotate compacts the open journal into its snapshot immediately — the
 // programmatic equivalent of the SNAPSHOT protocol command.
 func (s *Server) Rotate() error {
+	return s.atQuiescent(func() error {
+		if s.journal == nil {
+			return errors.New("no journal configured")
+		}
+		// Re-checked here, under the lock at the quiescent point: a batch
+		// failure may have degraded the server while this request queued.
+		if s.readOnly != "" {
+			return errors.New("server is read-only: " + s.readOnly)
+		}
+		return s.rotateJournal()
+	})
+}
+
+// atQuiescent runs fn under s.mu at a point where the in-memory
+// instance equals the durable journal and no append is in flight: the
+// committer's quiescent point on a primary; directly under the lock on
+// a replica or a journal-less server, which have no committer (a
+// replica appends under s.mu, so holding it is already quiescence).
+func (s *Server) atQuiescent(fn func() error) error {
 	s.mu.Lock()
-	if s.journal == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("no journal configured")
-	}
-	if s.readOnly != "" {
-		reason := s.readOnly
-		s.mu.Unlock()
-		return fmt.Errorf("server is read-only: %s", reason)
-	}
 	c := s.committer
 	if c == nil {
-		err := s.rotateJournal()
-		s.mu.Unlock()
-		return err
+		defer s.mu.Unlock()
+		return fn()
 	}
-	done := c.requestQuiesce(s.rotateJournal)
+	done := c.requestQuiesce(fn)
 	s.mu.Unlock()
 	return <-done
 }
 
-// syncJournal fsyncs the journal file, first honouring the artificial
-// SetSyncDelay slow-disk knob. Called under s.mu in per-transaction mode
-// and from the committer goroutine in group-commit mode.
-func (s *Server) syncJournal() error {
-	if d := s.syncDelay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
+// writeSnapshot renders the instance as a snapshot blob: the
+// "# snapshot-seq" / "# snapshot-epoch" headers, then the LDIF. Called
+// with s.mu held.
+func (s *Server) writeSnapshot(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "%s%d\n%s%d\n", snapshotSeqPrefix, s.commitSeq, snapshotEpochPrefix, s.epoch.Load()); err != nil {
+		return err
 	}
-	return s.journal.f.Sync()
+	return ldif.WriteDirectory(w, s.dir)
 }
 
-// appendCommit durably records a committed transaction (write + fsync)
-// under the next sequence number, returning that number, and ships the
-// record to any subscribed replicas. The per-transaction path, used
-// when group commit is off; called with s.mu held (which is also what
-// keeps the ship order equal to the journal order). On failure it
-// truncates any torn record so the on-disk journal stays an exact
-// prefix of acknowledged commits (and the sequence number is not
-// consumed); if even that fails, the server degrades to read-only.
-func (s *Server) appendCommit(tx *txn.Transaction) (uint64, error) {
-	j := s.journal
-	var buf bytes.Buffer
-	if err := tx.WriteChanges(&buf); err != nil {
-		return 0, err // nothing reached the disk
-	}
-	seq := s.commitSeq + 1
-	buf.WriteString(repl.MarkerLine(seq, buf.Bytes(), s.epoch.Load()))
-	cw := &countingWriter{w: j.f}
-	_, err := cw.Write(buf.Bytes())
-	if err == nil {
-		err = s.syncJournal()
-	}
-	if err != nil {
-		s.metrics.JournalErrors.Add(1)
-		if terr := j.f.Truncate(j.size); terr != nil {
-			j.failed = true
-			s.readOnly = fmt.Sprintf("journal %s unrecoverable after failed write (%v; truncate: %v)", j.path, err, terr)
-			s.logf("journal: %s", s.readOnly)
-		}
-		return 0, err
-	}
-	s.commitSeq = seq
-	j.size += cw.n
-	s.metrics.JournalBytes.Store(j.size)
-	s.metrics.noteBatch(1) // per-transaction mode: every fsync carries one commit
-	s.shipSegment(seq, buf.Bytes())
-	if s.rotateBytes > 0 && j.size >= s.rotateBytes {
-		if rerr := s.rotateJournal(); rerr != nil {
-			// The journal is still a complete log; rotation simply retries
-			// after the next commit.
-			s.metrics.JournalErrors.Add(1)
-			s.logf("journal rotation: %v", rerr)
-		}
-	}
-	return seq, nil
-}
-
-// rotateJournal compacts the durable state: the current instance is
-// written to the snapshot sidecar (write + fsync + atomic rename + parent
-// directory fsync — rename alone is not durable) and the journal
-// truncated to empty. Called with s.mu held.
+// installSnapshot makes what write produces the durable snapshot
+// sidecar (tmp write + fsync + atomic rename + parent directory fsync —
+// rename alone is not durable) and truncates the journal to empty.
+// Called with s.mu held, at a point where the snapshot covers every
+// journal record.
 //
 // The snapshot records the sequence number it compacted through in a
 // "# snapshot-seq" header, so a crash anywhere in this function —
 // including between the rename and the truncate — recovers cleanly:
 // journal records the snapshot already contains are recognized by their
 // seq numbers and skipped on replay instead of failing it.
-func (s *Server) rotateJournal() error {
+func (s *Server) installSnapshot(write func(io.Writer) error) error {
 	j := s.journal
 	tmp := j.snapPath + ".tmp"
 	f, err := s.fs.Create(tmp)
@@ -186,11 +164,7 @@ func (s *Server) rotateJournal() error {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	fmt.Fprintf(w, "%s%d\n", snapshotSeqPrefix, s.commitSeq)
-	if e := s.epoch.Load(); e > 0 {
-		fmt.Fprintf(w, "%s%d\n", snapshotEpochPrefix, e)
-	}
-	err = ldif.WriteDirectory(w, s.dir)
+	err = write(w)
 	if err == nil {
 		err = w.Flush()
 	}
@@ -209,21 +183,31 @@ func (s *Server) rotateJournal() error {
 	}
 	if err := s.fs.SyncDir(vfs.DirOf(j.snapPath)); err != nil {
 		// The rename may not survive a crash, but the journal is intact:
-		// rotation simply retries later.
+		// the caller simply retries later.
 		return fmt.Errorf("snapshot %s: parent directory sync after rename: %v", j.snapPath, err)
 	}
 	if err := j.f.Truncate(0); err != nil {
-		// The journal still overlaps the snapshot; that is now benign
-		// (replay skips seq ≤ snapshot-seq) but the truncate failure means
-		// the file cannot be trusted for future appends.
-		j.failed = true
-		s.readOnly = fmt.Sprintf("journal %s not truncated after snapshot (%v)", j.path, err)
+		// The journal still overlaps the snapshot; that is benign on
+		// replay (seq ≤ snapshot-seq is skipped) but the truncate failure
+		// means the file cannot be trusted for future appends.
+		j.failed = fmt.Sprintf("journal %s not truncated after snapshot (%v)", j.path, err)
+		s.readOnly = j.failed
 		s.logf("journal: %s", s.readOnly)
 		return err
 	}
 	_ = j.f.Sync()
 	j.size = 0
 	s.metrics.JournalBytes.Store(0)
+	return nil
+}
+
+// rotateJournal compacts the durable state: the current instance
+// becomes the snapshot and the journal is emptied. Called with s.mu
+// held at a quiescent point.
+func (s *Server) rotateJournal() error {
+	if err := s.installSnapshot(s.writeSnapshot); err != nil {
+		return err
+	}
 	s.metrics.JournalRotations.Add(1)
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"boundschema/internal/core"
+	"boundschema/internal/repl"
 	"boundschema/internal/workload"
 )
 
@@ -181,8 +182,8 @@ func TestServerJournalRotation(t *testing.T) {
 		c.expectOK("BEGIN")
 		c.expectOK(addPersonLines(uid)...)
 	}
-	// In group-commit mode the committer rotates right after acknowledging
-	// the batch, so give the asynchronous compaction a moment to land.
+	// The committer rotates right after acknowledging the batch, so give
+	// the asynchronous compaction a moment to land.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		st, err := os.Stat(journal)
@@ -266,38 +267,13 @@ const journaledAdd = "dn: uid=%s,ou=attLabs,o=att\n" +
 	"objectClass: top\n" +
 	"name: %s\n\n"
 
-// TestServerJournalLegacyReplay: a journal written before the commit
-// markers existed (one transaction per record, no "# commit" lines)
-// still replays record-by-record.
-func TestServerJournalLegacyReplay(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "journal.ldif")
-	legacy := fmt.Sprintf(journaledAdd, "old1", "old1") + fmt.Sprintf(journaledAdd, "old2", "old2")
-	if err := os.WriteFile(journal, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := workload.WhitePagesSchema()
-	srv, err := New(s, "whitepages", workload.WhitePagesInstance(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.OpenJournal(journal); err != nil {
-		t.Fatalf("legacy journal replay: %v", err)
-	}
-	defer srv.Close()
-	for _, uid := range []string{"old1", "old2"} {
-		if srv.dir.ByDN("uid="+uid+",ou=attLabs,o=att") == nil {
-			t.Errorf("legacy entry %s lost on replay", uid)
-		}
-	}
-}
-
 // TestServerJournalTornTailDiscarded: bytes after the last commit
 // marker belong to a write that was never acknowledged (the marker is
 // fsynced before OK); a restart discards them and keeps appending to
 // the clean prefix.
 func TestServerJournalTornTailDiscarded(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal.ldif")
-	content := fmt.Sprintf(journaledAdd, "acked", "acked") + "# commit\n" +
+	content := string(repl.RawSegment(1, []byte(fmt.Sprintf(journaledAdd, "acked", "acked")), 1)) +
 		"dn: uid=torn,ou=attLabs,o=att\nchangetype: add\nobjectCla" // torn mid-write
 	if err := os.WriteFile(journal, []byte(content), 0o644); err != nil {
 		t.Fatal(err)

@@ -163,7 +163,7 @@ type Metrics struct {
 	// Group commit: one observation per fsync, valued at how many
 	// commits that sync made durable. count = fsyncs, sum = commits, so
 	// sum/count is the commits-per-fsync amortization and count/sum the
-	// fsyncs-per-commit cost gauge. Per-transaction mode records 1s.
+	// fsyncs-per-commit cost gauge.
 	batchSizes histogram
 
 	// Checker timings, split by the execution path taken.
@@ -205,7 +205,7 @@ func (m *Metrics) noteRecovery(r *RecoveryReport) {
 		return
 	}
 	m.recRan.Store(1)
-	m.recScanned.Store(int64(r.RecordsScanned + r.LegacyRecords))
+	m.recScanned.Store(int64(r.RecordsScanned))
 	m.recReplayed.Store(int64(r.RecordsReplayed))
 	m.recTrusted.Store(int64(r.RecordsTrusted))
 	m.recTruncated.Store(int64(r.RecordsTruncated))

@@ -116,7 +116,7 @@ func runPartitionScenario(t *testing.T, kind netfault.Kind, op int) int {
 	}
 
 	pfs, f1, f2 := vfs.NewFault(), vfs.NewFault(), vfs.NewFault()
-	p := newReplServer(t, pfs, true, 0)
+	p := newReplServer(t, pfs, 0)
 	p.SetReplicationMode(repl.SemiSync)
 	p.SetSemiSyncTimeout(50 * time.Millisecond)
 	p.SetReplListenerWrap(f.Listener)
@@ -125,7 +125,7 @@ func runPartitionScenario(t *testing.T, kind netfault.Kind, op int) int {
 		t.Fatalf("ListenRepl: %v", err)
 	}
 	mkReplica := func(fs vfs.FS) *Server {
-		r := newReplServer(t, fs, true, 0)
+		r := newReplServer(t, fs, 0)
 		r.SetDialer(f.Dialer())
 		if err := r.StartReplica(addr); err != nil {
 			t.Fatalf("StartReplica: %v", err)
@@ -224,12 +224,12 @@ func runPartitionScenario(t *testing.T, kind netfault.Kind, op int) int {
 	// both bootstrap from a snapshot — the deposed primary's partition-
 	// era unacked writes are discarded, not merged.
 	other.Close()
-	r3 := newReplServer(t, otherFS, true, 0)
+	r3 := newReplServer(t, otherFS, 0)
 	if err := r3.StartReplica(newAddr); err != nil {
 		t.Fatalf("rejoin replica: %v", err)
 	}
 	p.Close()
-	p2 := newReplServer(t, pfs, true, 0)
+	p2 := newReplServer(t, pfs, 0)
 	if err := p2.StartReplica(newAddr); err != nil {
 		t.Fatalf("rejoin deposed primary: %v", err)
 	}
@@ -309,7 +309,7 @@ func TestPartitionMatrix(t *testing.T) {
 // without degrading itself.
 func TestSplitBrainFencingRegression(t *testing.T) {
 	pfs := vfs.NewFault()
-	p := newReplServer(t, pfs, true, 0)
+	p := newReplServer(t, pfs, 0)
 	t.Cleanup(func() { p.Close() })
 	p.SetReplicationMode(repl.SemiSync)
 	p.SetSemiSyncTimeout(50 * time.Millisecond)
@@ -372,7 +372,7 @@ func TestSplitBrainFencingRegression(t *testing.T) {
 	w := startReplica(t, wfs, newAddr)
 	waitSeq(t, w, commitSeqOf(r))
 	w.Close()
-	w2 := newReplServer(t, wfs, true, 0)
+	w2 := newReplServer(t, wfs, 0)
 	t.Cleanup(func() { w2.Close() })
 	if got := w2.Epoch(); got != 2 {
 		t.Fatalf("restarted replica recovered epoch %d, want 2 from its snapshot header", got)

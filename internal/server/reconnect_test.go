@@ -53,7 +53,7 @@ func TestReconnectStorm(t *testing.T) {
 
 	replicas := make([]*Server, nReplicas)
 	for i := range replicas {
-		r := newReplServer(t, vfs.NewFault(), true, 0)
+		r := newReplServer(t, vfs.NewFault(), 0)
 		t.Cleanup(func() { r.Close() })
 		if err := r.StartReplica(addr); err != nil {
 			t.Fatalf("StartReplica: %v", err)
@@ -64,7 +64,7 @@ func TestReconnectStorm(t *testing.T) {
 	// backoff before the primary exists.
 	time.Sleep(250 * time.Millisecond)
 
-	p := newReplServer(t, vfs.NewFault(), true, 0)
+	p := newReplServer(t, vfs.NewFault(), 0)
 	t.Cleanup(func() { p.Close() })
 	p.SetReplicationMode(repl.Async)
 	if _, err := p.ListenRepl(addr); err != nil {

@@ -25,17 +25,19 @@ import (
 // Journal record format. Every committed transaction is one append of
 //
 //	<LDIF change records…>
-//	# commit seq=<n> len=<payload bytes> crc=<crc32c, 8 hex digits>
+//	# commit seq=<n> len=<payload bytes> crc=<crc32c, 8 hex digits> epoch=<e>
 //
 // The marker line is an LDIF comment, so generic LDIF tooling ignores
 // it. seq increases by exactly one per commit (continuing across
 // snapshot rotations), len is the byte length of the records above the
-// marker, and crc is their CRC32C. Because each append lands data
-// before its marker, a complete marker whose payload fails verification
-// cannot be a torn write — it is corruption. Two legacy formats still
-// replay: bare "# commit" markers (no verification, continuity tracking
-// re-bases at the next checksummed marker) and fully headerless
-// journals (one transaction per record).
+// marker, crc is their CRC32C, and epoch is the replication epoch the
+// commit was acknowledged under. All four fields are mandatory. Because
+// each append lands data before its marker, a complete marker that is
+// damaged, or whose payload fails verification, cannot be a torn write
+// — it is corruption; bytes with no complete marker after them are the
+// torn tail. This is the only format: the bare and epoch-less markers
+// of pre-checksum journals are damaged markers like any other, refused
+// with an error that names the unsupported format.
 //
 // Snapshots carry their own continuity header: rotation writes
 // "# snapshot-seq <n>" as the first line, so a crash between the
@@ -50,36 +52,25 @@ import (
 const snapshotSeqPrefix = "# snapshot-seq "
 
 // snapshotEpochPrefix heads the second snapshot line, recording the
-// replication epoch the snapshot was taken under. Absent on snapshots
-// from before epochs existed (epoch 0, "unknown").
+// replication epoch the snapshot was taken under.
 const snapshotEpochPrefix = "# snapshot-epoch "
 
 // journalTxn is one scanned transaction: the payload bytes of its LDIF
-// change records plus the marker header that vouched for them. seq is 0
-// for legacy records (bare marker or headerless journal); epoch is 0
-// for records written before replication epochs existed.
+// change records plus the marker header that vouched for them.
 type journalTxn struct {
 	seq     uint64
 	epoch   uint64
 	payload []byte
-	legacy  bool
 }
 
 // scanResult is the outcome of walking a journal byte-for-byte without
 // applying anything.
 type scanResult struct {
-	txns       []journalTxn
-	verified   int    // records whose checksummed marker validated
-	legacy     int    // records accepted without verification
-	headerless bool   // no markers at all: one transaction per record
-	prefix     []byte // headerless records preceding the first marker
-	// (a journal upgraded in place: the first checksummed marker covers
-	// only its own payload, so the bytes before it are pre-marker
-	// history, replayed one transaction per record)
-	tornBytes int64  // unacknowledged tail after the last complete marker
-	lastSeq   uint64 // highest verified sequence number
-	firstSeq  uint64 // first verified sequence number (0 if none)
-	lastEpoch uint64 // highest epoch any verified marker carries
+	txns      []journalTxn // one per record whose marker validated
+	tornBytes int64        // unacknowledged tail after the last complete marker
+	lastSeq   uint64       // highest verified sequence number
+	firstSeq  uint64       // first verified sequence number (0 if none)
+	lastEpoch uint64       // highest epoch any verified marker carries
 
 	corrupt       bool
 	corruptReason string
@@ -88,21 +79,14 @@ type scanResult struct {
 }
 
 // scanJournal walks the journal and classifies every byte: verified
-// records, legacy records, a torn tail, or corruption. It never applies
-// or decodes LDIF — that is replay's job, after the verdict.
+// records, a torn tail, or corruption. It never applies or decodes LDIF
+// — that is replay's job, after the verdict.
 func scanJournal(data []byte) *scanResult {
 	sr := &scanResult{}
-	if len(data) == 0 {
-		return sr
-	}
-	if !bytes.Contains(data, []byte(repl.MarkerPrefix)) {
-		sr.headerless = true
-		return sr
-	}
 	var (
 		pos, segStart int
 		lastComplete  int    // offset just past the last complete marker
-		expect        uint64 // next expected seq; 0 = unknown (start or after legacy)
+		expect        uint64 // next expected seq; 0 = unknown (start of the journal)
 		record        int    // 1-based index of the record being scanned
 	)
 	fail := func(reason string) {
@@ -129,45 +113,27 @@ func scanJournal(data []byte) *scanResult {
 			continue
 		}
 		payload := data[segStart:pos]
-		seq, length, crc, epoch, legacy, err := repl.ParseMarker(line)
+		seq, length, crc, epoch, err := repl.ParseMarker(line)
 		switch {
 		case err != nil:
 			fail(err.Error())
-		case legacy:
-			sr.txns = append(sr.txns, journalTxn{payload: payload, legacy: true})
-			sr.legacy++
-			expect = 0 // continuity unknown until the next checksummed marker
+		case int64(len(payload)) != length:
+			fail(fmt.Sprintf("record seq=%d: payload is %d bytes, marker says %d", seq, len(payload), length))
+		case repl.Checksum(payload) != crc:
+			fail(fmt.Sprintf("record seq=%d: checksum mismatch (stored %08x, computed %08x)",
+				seq, crc, repl.Checksum(payload)))
+		case expect != 0 && seq != expect:
+			fail(fmt.Sprintf("sequence break: expected seq=%d, found seq=%d", expect, seq))
 		default:
-			if record == 1 && int64(len(payload)) > length {
-				// More bytes than the first marker vouches for: if the
-				// trailing `length` bytes check out, the rest is a
-				// headerless journal this server was upgraded over.
-				cut := len(payload) - int(length)
-				if repl.Checksum(payload[cut:]) == crc {
-					sr.prefix = payload[:cut]
-					payload = payload[cut:]
-				}
+			sr.txns = append(sr.txns, journalTxn{seq: seq, epoch: epoch, payload: payload})
+			if sr.firstSeq == 0 {
+				sr.firstSeq = seq
 			}
-			switch {
-			case int64(len(payload)) != length:
-				fail(fmt.Sprintf("record seq=%d: payload is %d bytes, marker says %d", seq, len(payload), length))
-			case repl.Checksum(payload) != crc:
-				fail(fmt.Sprintf("record seq=%d: checksum mismatch (stored %08x, computed %08x)",
-					seq, crc, repl.Checksum(payload)))
-			case expect != 0 && seq != expect:
-				fail(fmt.Sprintf("sequence break: expected seq=%d, found seq=%d", expect, seq))
-			default:
-				sr.txns = append(sr.txns, journalTxn{seq: seq, epoch: epoch, payload: payload})
-				sr.verified++
-				if sr.firstSeq == 0 {
-					sr.firstSeq = seq
-				}
-				sr.lastSeq = seq
-				if epoch > sr.lastEpoch {
-					sr.lastEpoch = epoch
-				}
-				expect = seq + 1
+			sr.lastSeq = seq
+			if epoch > sr.lastEpoch {
+				sr.lastEpoch = epoch
 			}
+			expect = seq + 1
 		}
 		if sr.corrupt {
 			sr.afterCorrupt++
@@ -186,7 +152,6 @@ type RecoveryReport struct {
 	SnapshotLoaded     bool   `json:"snapshot_loaded"`
 	SnapshotSeq        uint64 `json:"snapshot_seq"`
 	RecordsScanned     int    `json:"records_scanned"`  // checksum-verified records
-	LegacyRecords      int    `json:"legacy_records"`   // replayed without verification
 	RecordsReplayed    int    `json:"records_replayed"` // transactions applied
 	RecordsTrusted     int    `json:"records_trusted"`  // applied with per-txn checks skipped
 	RecordsSkipped     int    `json:"records_skipped"`  // seq ≤ snapshot seq: already compacted
@@ -208,8 +173,8 @@ type RecoveryReport struct {
 // Lines renders the report for humans (fsck output, VERIFY bodies).
 func (r *RecoveryReport) Lines() []string {
 	out := []string{
-		fmt.Sprintf("journal %s: scanned=%d legacy=%d replayed=%d trusted=%d skipped=%d",
-			r.JournalPath, r.RecordsScanned, r.LegacyRecords, r.RecordsReplayed, r.RecordsTrusted, r.RecordsSkipped),
+		fmt.Sprintf("journal %s: scanned=%d replayed=%d trusted=%d skipped=%d",
+			r.JournalPath, r.RecordsScanned, r.RecordsReplayed, r.RecordsTrusted, r.RecordsSkipped),
 	}
 	if r.SnapshotLoaded {
 		out = append(out, fmt.Sprintf("snapshot: loaded seq=%d", r.SnapshotSeq))
@@ -331,8 +296,7 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 		return rep, err
 	}
 	sr := scanJournal(data)
-	rep.RecordsScanned = sr.verified
-	rep.LegacyRecords = sr.legacy
+	rep.RecordsScanned = len(sr.txns)
 	rep.TornBytes = sr.tornBytes
 	if sr.tornBytes > 0 {
 		rep.RecordsTruncated = 1
@@ -364,48 +328,23 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 		return quarantineNow(sr.corruptReason, sr.afterCorrupt)
 	}
 
-	// Decode into transactions. Headerless journals predate markers:
-	// every record was committed on its own. A record is trusted when its
-	// checksummed marker verified — it was proven legal before it was
-	// acknowledged, so replay may skip the per-transaction Figure 5
-	// checks; legacy records (bare marker, headerless, pre-marker prefix)
-	// carry no such proof and keep the checked path.
+	// Decode into transactions. Every record's checksummed marker
+	// verified — it was proven legal before it was acknowledged — so
+	// replay may skip the per-transaction Figure 5 checks.
 	type replayTxn struct {
-		recs    []*ldif.Record
-		seq     uint64
-		trusted bool
+		recs []*ldif.Record
+		seq  uint64
 	}
 	var txns []replayTxn
-	if sr.headerless {
-		recs, rerr := ldif.NewReader(bytes.NewReader(data)).ReadAll()
+	for i, jt := range sr.txns {
+		if len(bytes.TrimSpace(jt.payload)) == 0 {
+			continue
+		}
+		recs, rerr := ldif.NewReader(bytes.NewReader(jt.payload)).ReadAll()
 		if rerr != nil {
-			return quarantineNow(fmt.Sprintf("headerless journal undecodable: %v", rerr), 0)
+			return quarantineNow(fmt.Sprintf("record %d (seq=%d) undecodable despite intact marker: %v", i+1, jt.seq, rerr), len(sr.txns)-i)
 		}
-		rep.LegacyRecords = len(recs)
-		for _, rec := range recs {
-			txns = append(txns, replayTxn{recs: []*ldif.Record{rec}})
-		}
-	} else {
-		if len(sr.prefix) > 0 {
-			recs, rerr := ldif.NewReader(bytes.NewReader(sr.prefix)).ReadAll()
-			if rerr != nil {
-				return quarantineNow(fmt.Sprintf("pre-marker journal history undecodable: %v", rerr), 0)
-			}
-			rep.LegacyRecords += len(recs)
-			for _, rec := range recs {
-				txns = append(txns, replayTxn{recs: []*ldif.Record{rec}})
-			}
-		}
-		for i, jt := range sr.txns {
-			if len(bytes.TrimSpace(jt.payload)) == 0 {
-				continue
-			}
-			recs, rerr := ldif.NewReader(bytes.NewReader(jt.payload)).ReadAll()
-			if rerr != nil {
-				return quarantineNow(fmt.Sprintf("record %d (seq=%d) undecodable despite intact marker: %v", i+1, jt.seq, rerr), len(sr.txns)-i)
-			}
-			txns = append(txns, replayTxn{recs: recs, seq: jt.seq, trusted: !jt.legacy})
-		}
+		txns = append(txns, replayTxn{recs: recs, seq: jt.seq})
 	}
 
 	// Replay, skipping transactions the snapshot already contains (a
@@ -415,20 +354,17 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 	// The whole replay runs under ONE hold of s.mu: recovery finishes
 	// before the listener accepts its first session, so there is no
 	// reader to yield to, and per-transaction lock churn was measurable
-	// noise in the replay benchmark (E17). Trusted records go through a
-	// CheckNone applier with no per-transaction re-encode — the dirtree
-	// layer patches the encoding in O(|Δ|) — and the terminal full proof
-	// below is what makes that safe: a doctored-but-checksum-valid
-	// journal either fails Apply outright (duplicate DN, missing parent)
-	// or is caught as an illegal recovered instance and refused. Legacy
-	// records keep the checked path, with the incremental indexes
-	// refreshed first if trusted records ran in between.
+	// noise in the replay benchmark (E17). Records go through a CheckNone
+	// applier with no per-transaction re-encode — the dirtree layer
+	// patches the encoding in O(|Δ|) — and the terminal full proof below
+	// is what makes that safe: a doctored-but-checksum-valid journal
+	// either fails Apply outright (duplicate DN, missing parent) or is
+	// caught as an illegal recovered instance and refused.
 	lastSeq := snapSeq
 	trusted := txn.NewTrustedApplier(s.schema)
-	indexesFresh := true
 	s.mu.Lock()
 	for _, rt := range txns {
-		if rt.seq != 0 && rt.seq <= snapSeq {
+		if rt.seq <= snapSeq {
 			rep.RecordsSkipped++
 			continue
 		}
@@ -437,37 +373,16 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 			s.mu.Unlock()
 			return rep, fmt.Errorf("server: journal %s: %v", path, terr)
 		}
-		if rt.trusted {
-			if _, aerr := trusted.Apply(s.dir, tx); aerr != nil {
-				s.mu.Unlock()
-				return rep, fmt.Errorf("server: journal %s replay: %v", path, aerr)
-			}
-			rep.RecordsTrusted++
-			indexesFresh = false
-		} else {
-			if !indexesFresh {
-				s.reindex(s.dir)
-				indexesFresh = true
-			}
-			report, aerr := s.applier.Apply(s.dir, tx)
-			if aerr != nil {
-				s.mu.Unlock()
-				return rep, fmt.Errorf("server: journal %s replay: %v", path, aerr)
-			}
-			if !report.Legal() {
-				s.mu.Unlock()
-				return rep, fmt.Errorf("server: journal %s replay rejected:\n%s", path, report)
-			}
+		if _, aerr := trusted.Apply(s.dir, tx); aerr != nil {
+			s.mu.Unlock()
+			return rep, fmt.Errorf("server: journal %s replay: %v", path, aerr)
 		}
+		rep.RecordsTrusted++
 		rep.RecordsReplayed++
-		if rt.seq != 0 {
-			lastSeq = rt.seq
-		} else {
-			lastSeq++ // legacy records advance the sequence implicitly
-		}
+		lastSeq = rt.seq
 	}
 	s.dir.EnsureEncoded() // keep readers free of the lazy re-encode
-	if !indexesFresh {
+	if rep.RecordsReplayed > 0 {
 		s.reindex(s.dir) // trusted replay bypassed count/key maintenance
 	}
 	s.mu.Unlock()
@@ -507,9 +422,8 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 	rep.Clean = sr.tornBytes == 0 && !rep.Quarantined
 
 	// The recovered replication epoch is the highest the disk remembers
-	// — snapshot header or commit marker — floored at 1: every live
-	// server runs at epoch ≥ 1, so epoch 0 stays reserved for
-	// "pre-epoch/unknown" on the wire and on disk.
+	// — snapshot header or commit marker — floored at 1, the epoch of a
+	// node with no durable state yet.
 	epoch := snapEpoch
 	if sr.lastEpoch > epoch {
 		epoch = sr.lastEpoch
@@ -519,7 +433,7 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 	}
 
 	s.mu.Lock()
-	s.journal = &journal{path: path, snapPath: snapPath, f: f, size: size}
+	s.journal = &journal{path: path, snapPath: snapPath, f: f, size: size, metrics: s.metrics}
 	s.commitSeq = lastSeq
 	s.epoch.Store(epoch)
 	s.mu.Unlock()
@@ -552,9 +466,8 @@ func (s *Server) Fsck(path string) (*RecoveryReport, error) {
 // verifyNow is the VERIFY protocol command's engine: re-scan the
 // on-disk journal against its checksums and sequence numbers, then run
 // the full legality checker over the served instance. It must run at a
-// point where no journal append is in flight — under s.mu in
-// per-transaction mode, or at the committer's quiescent point in
-// group-commit mode (both of which the caller arranges).
+// point where no journal append is in flight (atQuiescent, or Promote
+// after it stopped the replica's streaming loop).
 func (s *Server) verifyNow() ([]string, error) {
 	var lines []string
 	if s.journal != nil {
@@ -563,11 +476,8 @@ func (s *Server) verifyNow() ([]string, error) {
 			return lines, fmt.Errorf("journal unreadable: %v", err)
 		}
 		sr := scanJournal(data)
-		lines = append(lines, fmt.Sprintf("journal %s: bytes=%d records=%d legacy=%d last_seq=%d",
-			s.journal.path, len(data), sr.verified, sr.legacy, sr.lastSeq))
-		if sr.headerless {
-			lines = append(lines, "journal format: headerless (pre-checksum)")
-		}
+		lines = append(lines, fmt.Sprintf("journal %s: bytes=%d records=%d last_seq=%d",
+			s.journal.path, len(data), len(sr.txns), sr.lastSeq))
 		if sr.corrupt {
 			return lines, fmt.Errorf("journal corrupt: %s", sr.corruptReason)
 		}

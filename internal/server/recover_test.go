@@ -1,15 +1,20 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	iofs "io/fs"
+	"log"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-
-	"errors"
+	"time"
 
 	"boundschema/internal/dirtree"
 	"boundschema/internal/repl"
@@ -20,7 +25,7 @@ import (
 
 // newFaultServer builds a whitepages server over the fault FS, without
 // a listener — the recovery tests drive it through CommitTx.
-func newFaultServer(t *testing.T, fault *vfs.Fault, groupCommit bool) *Server {
+func newFaultServer(t *testing.T, fault *vfs.Fault) *Server {
 	t.Helper()
 	s := workload.WhitePagesSchema()
 	srv, err := New(s, "whitepages", workload.WhitePagesInstance(s))
@@ -28,7 +33,6 @@ func newFaultServer(t *testing.T, fault *vfs.Fault, groupCommit bool) *Server {
 		t.Fatal(err)
 	}
 	srv.SetFS(fault)
-	srv.SetGroupCommit(groupCommit)
 	return srv
 }
 
@@ -55,13 +59,13 @@ func commitPerson(t *testing.T, srv *Server, uid string) error {
 // first.
 func TestRecoveryBitFlipQuarantined(t *testing.T) {
 	fault := vfs.NewFault()
-	srv := newFaultServer(t, fault, false)
+	srv := newFaultServer(t, fault)
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
 		t.Fatal(err)
 	}
-	// Per-transaction ops: OpenAppend=1, then commit i is Write=2i,
-	// Sync=2i+1. Flip a bit inside commit 2's record — mid-log once two
-	// more commits land after it.
+	// Sequential commits are batches of one: OpenAppend=1, then commit i
+	// is Write=2i, Sync=2i+1. Flip a bit inside commit 2's record —
+	// mid-log once two more commits land after it.
 	fault.SetScript(vfs.FaultPoint{Op: 4, Kind: vfs.FaultBitFlip})
 	for _, uid := range []string{"p1", "p2", "p3", "p4"} {
 		if err := commitPerson(t, srv, uid); err != nil {
@@ -71,7 +75,7 @@ func TestRecoveryBitFlipQuarantined(t *testing.T) {
 	srv.Close()
 
 	for attempt := 1; attempt <= 2; attempt++ {
-		srv2 := newFaultServer(t, fault, false)
+		srv2 := newFaultServer(t, fault)
 		err := srv2.OpenJournal(crashJournalPath)
 		if err == nil {
 			t.Fatalf("attempt %d: server started over a corrupt journal", attempt)
@@ -96,7 +100,7 @@ func TestRecoveryBitFlipQuarantined(t *testing.T) {
 // accepting appends afterwards.
 func TestRecoveryTornWriteTruncated(t *testing.T) {
 	fault := vfs.NewFault()
-	srv := newFaultServer(t, fault, false)
+	srv := newFaultServer(t, fault)
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +117,7 @@ func TestRecoveryTornWriteTruncated(t *testing.T) {
 	}
 	fault.Recover()
 
-	srv2 := newFaultServer(t, fault, false)
+	srv2 := newFaultServer(t, fault)
 	if err := srv2.OpenJournal(crashJournalPath); err != nil {
 		t.Fatalf("recovery from a torn tail: %v", err)
 	}
@@ -137,7 +141,7 @@ func TestRecoveryTornWriteTruncated(t *testing.T) {
 		t.Fatalf("append after torn-tail recovery: %v", err)
 	}
 	srv2.Close()
-	srv3 := newFaultServer(t, fault, false)
+	srv3 := newFaultServer(t, fault)
 	if err := srv3.OpenJournal(crashJournalPath); err != nil {
 		t.Fatalf("second recovery: %v", err)
 	}
@@ -152,33 +156,161 @@ func TestRecoveryTornWriteTruncated(t *testing.T) {
 	}
 }
 
-// TestRecoveryHeaderlessUpgrade: a pre-marker (headerless) journal that
-// a current server appends checksummed records to must still replay in
-// full on the next restart — the scanner recognizes the pre-marker
-// prefix instead of calling it corruption.
-func TestRecoveryHeaderlessUpgrade(t *testing.T) {
-	fault := vfs.NewFault()
-	legacy := fmt.Sprintf(journaledAdd, "old1", "old1") + fmt.Sprintf(journaledAdd, "old2", "old2")
-	fault.WriteFile(crashJournalPath, []byte(legacy))
-
-	srv := newFaultServer(t, fault, false)
-	if err := srv.OpenJournal(crashJournalPath); err != nil {
-		t.Fatalf("headerless replay: %v", err)
+// TestRecoveryTornFirstRecord: a crash during the first-ever append
+// leaves a journal with no complete marker in it. Whatever shape the
+// torn bytes take — a whole change record whose marker never landed,
+// the same with half a marker, half a change record — they were never
+// acknowledged: recovery truncates them all, replays nothing, and the
+// node boots.
+func TestRecoveryTornFirstRecord(t *testing.T) {
+	ghost := fmt.Sprintf(journaledAdd, "ghost", "ghost")
+	shapes := map[string]string{
+		"payload-without-marker":  ghost,
+		"payload-and-half-marker": ghost + "# com",
+		"half-payload":            ghost[:len(ghost)/2],
 	}
-	if err := commitPerson(t, srv, "new1"); err != nil {
+	for name, data := range shapes {
+		t.Run(name, func(t *testing.T) {
+			if sr := scanJournal([]byte(data)); sr.corrupt || len(sr.txns) != 0 || sr.tornBytes != int64(len(data)) {
+				t.Fatalf("scan = %+v, want %d torn bytes and nothing else", sr, len(data))
+			}
+			fault := vfs.NewFault()
+			fault.WriteFile(crashJournalPath, []byte(data))
+			srv := newFaultServer(t, fault)
+			if err := srv.OpenJournal(crashJournalPath); err != nil {
+				t.Fatalf("a torn first append stopped the server from booting: %v", err)
+			}
+			if left, err := fault.ReadFile(crashJournalPath); err != nil || len(left) != 0 {
+				t.Errorf("journal holds %d bytes after recovery (err=%v), want it truncated to 0", len(left), err)
+			}
+			if srv.dir.ByDN("uid=ghost,ou=attLabs,o=att") != nil {
+				t.Errorf("unacknowledged first write was replayed")
+			}
+			if srv.metrics.recClean.Load() != 0 || srv.metrics.recTruncated.Load() != 1 || srv.metrics.recReplayed.Load() != 0 {
+				t.Errorf("recovery metrics: clean=%d truncated=%d replayed=%d, want 0/1/0",
+					srv.metrics.recClean.Load(), srv.metrics.recTruncated.Load(), srv.metrics.recReplayed.Load())
+			}
+			if err := commitPerson(t, srv, "first"); err != nil {
+				t.Fatalf("commit after torn-first-record recovery: %v", err)
+			}
+			srv.Close()
+
+			srv2 := newFaultServer(t, fault)
+			if err := srv2.OpenJournal(crashJournalPath); err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer srv2.Close()
+			if srv2.metrics.recClean.Load() != 1 {
+				t.Errorf("recovery_clean = 0 on the restart after the repair")
+			}
+			if srv2.dir.ByDN("uid=first,ou=attLabs,o=att") == nil || srv2.dir.ByDN("uid=ghost,ou=attLabs,o=att") != nil {
+				t.Errorf("restart did not reproduce exactly the acknowledged commit")
+			}
+		})
+	}
+}
+
+// TestPreChecksumFormatsRefused: one journal format and one wire format.
+// A bare or epoch-less marker on disk is a damaged marker — quarantine,
+// refuse, replay nothing, every time — and an epoch-less REPL control
+// line ends its session; each refusal is one pinned line.
+func TestPreChecksumFormatsRefused(t *testing.T) {
+	old := fmt.Sprintf(journaledAdd, "old1", "old1")
+	epochless := fmt.Sprintf("# commit seq=1 len=%d crc=%08x\n", len(old), repl.Checksum([]byte(old)))
+	for name, journal := range map[string]string{
+		"bare-marker":       old + "# commit\n",
+		"epoch-less-marker": old + epochless,
+		// A good record first: the refusal must not half-apply the log.
+		"good-then-bare": string(repl.RawSegment(1, []byte(old), 1)) + fmt.Sprintf(journaledAdd, "old2", "old2") + "# commit\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			fault := vfs.NewFault()
+			fault.WriteFile(crashJournalPath, []byte(journal))
+			for attempt := 1; attempt <= 2; attempt++ {
+				srv := newFaultServer(t, fault)
+				err := srv.OpenJournal(crashJournalPath)
+				if err == nil {
+					t.Fatalf("attempt %d: served a pre-checksum journal", attempt)
+				}
+				for _, want := range []string{"unsupported pre-checksum journal format", "quarantined", "refusing to serve"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("attempt %d: refusal %q lacks %q", attempt, err, want)
+					}
+				}
+				if strings.Contains(err.Error(), "\n") {
+					t.Fatalf("refusal is not one line: %q", err)
+				}
+				if srv.dir.ByDN("uid=old1,ou=attLabs,o=att") != nil || srv.metrics.recReplayed.Load() != 0 {
+					t.Fatalf("attempt %d: a refused journal was (half-)replayed", attempt)
+				}
+			}
+			if kept, err := fault.ReadFile(crashJournalPath); err != nil || string(kept) != journal {
+				t.Fatalf("refused journal was modified (err=%v)", err)
+			}
+		})
+	}
+
+	// The wire: a primary refuses an epoch-less HELLO in the handshake
+	// and drops a subscriber whose ACK lacks its epoch; a replica ends a
+	// session whose PING lacks one. Nothing is applied on either side.
+	var logged syncBuffer
+	primary := newReplServer(t, vfs.NewFault(), 0)
+	primary.SetErrorLog(log.New(&logged, "", 0))
+	t.Cleanup(func() { primary.Close() })
+	addr, err := primary.ListenRepl("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Close()
-
-	srv2 := newFaultServer(t, fault, false)
-	if err := srv2.OpenJournal(crashJournalPath); err != nil {
-		t.Fatalf("replay of upgraded journal: %v", err)
-	}
-	defer srv2.Close()
-	for _, uid := range []string{"old1", "old2", "new1"} {
-		if srv2.dir.ByDN("uid="+uid+",ou=attLabs,o=att") == nil {
-			t.Errorf("entry %s lost across the headerless upgrade", uid)
+	dial := func() (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn, bufio.NewReader(conn)
+	}
+	conn, br := dial()
+	io.WriteString(conn, "REPL HELLO last_seq=0\n")
+	if line, _ := br.ReadString('\n'); line != "REPL ERR repl: malformed HELLO \"REPL HELLO last_seq=0\"\n" {
+		t.Fatalf("epoch-less HELLO answered %q", line)
+	}
+	if _, err := br.ReadString('\n'); err != io.EOF {
+		t.Fatalf("handshake not closed after the refusal: %v", err)
+	}
+
+	conn, br = dial()
+	io.WriteString(conn, repl.HelloLine(0, 1))
+	if line, _ := br.ReadString('\n'); line != repl.TailHeader(1, 0, 1) {
+		t.Fatalf("handshake answered %q", line)
+	}
+	waitReplicas(t, primary, 1)
+	io.WriteString(conn, "REPL ACK seq=0\n")
+	if _, err := br.ReadString('\n'); err != io.EOF {
+		t.Fatalf("session not closed after an epoch-less ACK: %v", err)
+	}
+	if !strings.Contains(logged.String(), "repl: malformed ACK \"REPL ACK seq=0\"") {
+		t.Fatalf("epoch-less ACK not reported; log:\n%s", logged.String())
+	}
+	if st := primary.ReplStatus(); st.AckedSeq != 0 {
+		t.Fatalf("epoch-less ACK moved acked_seq to %d", st.AckedSeq)
+	}
+
+	cli, prim := net.Pipe()
+	replica := newReplServer(t, vfs.NewFault(), 0)
+	t.Cleanup(func() { replica.Close() })
+	runErr := make(chan error, 1)
+	go func() { runErr <- repl.Run(cli, replicaTarget{replica}) }()
+	pbr := bufio.NewReader(prim)
+	pbr.ReadString('\n') // HELLO
+	io.WriteString(prim, repl.TailHeader(1, 0, 1))
+	io.WriteString(prim, "REPL PING seq=7\n")
+	if err := <-runErr; err == nil || err.Error() != "repl: malformed control line \"REPL PING seq=7\"" {
+		t.Fatalf("epoch-less PING: Run = %v", err)
+	}
+	prim.Close()
+	if _, seen := replica.ReplicaSeqs(); seen != 0 || commitSeqOf(replica) != 0 {
+		t.Fatalf("epoch-less PING moved the replica: primary_seq=%d local=%d", seen, commitSeqOf(replica))
 	}
 }
 
@@ -189,7 +321,7 @@ func TestRecoveryHeaderlessUpgrade(t *testing.T) {
 // compacted commit. The fault FS models exactly that trap.
 func TestRecoverySnapshotRotationSurvivesPowerLoss(t *testing.T) {
 	fault := vfs.NewFault()
-	srv := newFaultServer(t, fault, false)
+	srv := newFaultServer(t, fault)
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
 		t.Fatal(err)
 	}
@@ -198,16 +330,13 @@ func TestRecoverySnapshotRotationSurvivesPowerLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.mu.Lock()
-	err := srv.rotateJournal()
-	srv.mu.Unlock()
-	if err != nil {
+	if err := srv.Rotate(); err != nil {
 		t.Fatalf("rotation: %v", err)
 	}
 	srv.Close()
 	fault.Recover() // power loss immediately after rotation
 
-	srv2 := newFaultServer(t, fault, false)
+	srv2 := newFaultServer(t, fault)
 	if err := srv2.OpenJournal(crashJournalPath); err != nil {
 		t.Fatalf("recovery after rotation + power loss: %v", err)
 	}
@@ -364,17 +493,17 @@ func TestFsck(t *testing.T) {
 // TestScanJournal covers the scanner's verdicts in isolation.
 func TestScanJournal(t *testing.T) {
 	payload := "dn: uid=x,o=att\nchangetype: add\nobjectClass: person\n\n"
-	rec := func(seq uint64) string { return payload + repl.MarkerLine(seq, []byte(payload), 0) }
+	rec := func(seq uint64) string { return payload + repl.MarkerLine(seq, []byte(payload), 1) }
 
 	t.Run("verified-run", func(t *testing.T) {
 		sr := scanJournal([]byte(rec(1) + rec(2) + rec(3)))
-		if sr.corrupt || sr.verified != 3 || sr.lastSeq != 3 || sr.tornBytes != 0 {
+		if sr.corrupt || len(sr.txns) != 3 || sr.lastSeq != 3 || sr.tornBytes != 0 {
 			t.Fatalf("scan = %+v", sr)
 		}
 	})
 	t.Run("torn-tail", func(t *testing.T) {
 		sr := scanJournal([]byte(rec(1) + payload[:17]))
-		if sr.corrupt || sr.verified != 1 || sr.tornBytes != 17 {
+		if sr.corrupt || len(sr.txns) != 1 || sr.tornBytes != 17 {
 			t.Fatalf("scan = %+v", sr)
 		}
 	})
@@ -401,22 +530,18 @@ func TestScanJournal(t *testing.T) {
 			t.Fatalf("scan = %+v", sr)
 		}
 	})
-	t.Run("legacy-bare-markers", func(t *testing.T) {
-		sr := scanJournal([]byte(payload + "# commit\n" + payload + "# commit\n"))
-		if sr.corrupt || sr.legacy != 2 || sr.verified != 0 {
-			t.Fatalf("scan = %+v", sr)
-		}
-	})
-	t.Run("headerless", func(t *testing.T) {
+	t.Run("no-marker-is-all-torn", func(t *testing.T) {
 		sr := scanJournal([]byte(payload + payload))
-		if !sr.headerless || sr.corrupt {
+		if sr.corrupt || len(sr.txns) != 0 || sr.tornBytes != int64(2*len(payload)) {
 			t.Fatalf("scan = %+v", sr)
 		}
 	})
-	t.Run("upgrade-prefix", func(t *testing.T) {
+	t.Run("bytes-before-first-marker", func(t *testing.T) {
+		// More payload than the marker vouches for is a length mismatch,
+		// not pre-marker history to replay.
 		sr := scanJournal([]byte(payload + rec(1)))
-		if sr.corrupt || sr.verified != 1 || string(sr.prefix) != payload {
-			t.Fatalf("scan = %+v (prefix %q)", sr, sr.prefix)
+		if !sr.corrupt || !strings.Contains(sr.corruptReason, "marker says") {
+			t.Fatalf("scan = %+v", sr)
 		}
 	})
 }
@@ -429,7 +554,7 @@ func TestRecoverySnapshotSeqSkipsReplayedRecords(t *testing.T) {
 	// Probe pass: the same commits-plus-rotation sequence without
 	// faults, to learn how many mutating ops rotation takes.
 	setup := func(fault *vfs.Fault) *Server {
-		srv := newFaultServer(t, fault, false)
+		srv := newFaultServer(t, fault)
 		if err := srv.OpenJournal(crashJournalPath); err != nil {
 			t.Fatal(err)
 		}
@@ -442,12 +567,9 @@ func TestRecoverySnapshotSeqSkipsReplayedRecords(t *testing.T) {
 	}
 	probe := vfs.NewFault()
 	psrv := setup(probe)
-	psrv.mu.Lock()
-	if err := psrv.rotateJournal(); err != nil {
-		psrv.mu.Unlock()
+	if err := psrv.Rotate(); err != nil {
 		t.Fatalf("probe rotation: %v", err)
 	}
-	psrv.mu.Unlock()
 	psrv.Close()
 	total := probe.OpCount()
 
@@ -457,16 +579,14 @@ func TestRecoverySnapshotSeqSkipsReplayedRecords(t *testing.T) {
 	fault := vfs.NewFault()
 	srv := setup(fault)
 	fault.SetScript(vfs.FaultPoint{Op: total - 1, Kind: vfs.FaultCrash})
-	srv.mu.Lock()
 	// The truncate lands in the volatile namespace and the sync after it
 	// dies with the crash (rotation tolerates that), so the durable
 	// journal still holds both records.
-	_ = srv.rotateJournal()
-	srv.mu.Unlock()
+	_ = srv.Rotate()
 	srv.Close()
 	fault.Recover()
 
-	srv2 := newFaultServer(t, fault, false)
+	srv2 := newFaultServer(t, fault)
 	if err := srv2.OpenJournal(crashJournalPath); err != nil {
 		t.Fatalf("recovery in the rename/truncate crash window: %v", err)
 	}
@@ -500,4 +620,22 @@ func TestOpenJournalMissingParent(t *testing.T) {
 	if !errors.Is(err, iofs.ErrNotExist) {
 		t.Fatalf("error does not unwrap to fs.ErrNotExist: %v", err)
 	}
+}
+
+// syncBuffer is a log sink safe to read while server goroutines write.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }

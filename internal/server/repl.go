@@ -13,7 +13,6 @@ import (
 	"boundschema/internal/ldif"
 	"boundschema/internal/repl"
 	"boundschema/internal/txn"
-	"boundschema/internal/vfs"
 )
 
 // This file wires streaming journal replication (internal/repl) into the
@@ -323,22 +322,6 @@ func (s *Server) handleReplConn(conn net.Conn, hub *repl.Hub) {
 	hub.Unsubscribe(sub)
 }
 
-// atQuiescent runs fn under s.mu at a point where the in-memory
-// instance equals the durable journal: directly under the lock in
-// per-transaction mode, at the committer's quiescent point in
-// group-commit mode.
-func (s *Server) atQuiescent(fn func() error) error {
-	s.mu.Lock()
-	c := s.committer
-	if c == nil {
-		defer s.mu.Unlock()
-		return fn()
-	}
-	done := c.requestQuiesce(fn)
-	s.mu.Unlock()
-	return <-done
-}
-
 // maxTailBytes bounds a journal-tail catch-up; a replica further behind
 // than this bootstraps from a snapshot instead.
 const maxTailBytes = 256 << 20
@@ -351,12 +334,11 @@ const maxTailBytes = 256 << 20
 // LOWER epoch rejoined after missing at least one failover — its
 // journal may hold a history this primary's epoch rewrote, so it never
 // tails: it bootstraps from a snapshot, which resets its journal and
-// adopts the current epoch. (repEpoch 0 is a pre-epoch client and is
-// trusted like an equal epoch.) Called under s.mu at a quiescent point.
+// adopts the current epoch. Called under s.mu at a quiescent point.
 func (s *Server) replCatchup(last, repEpoch uint64) ([][]byte, error) {
 	cur := s.commitSeq
 	epoch := s.epoch.Load()
-	if repEpoch == epoch || repEpoch == 0 {
+	if repEpoch == epoch {
 		if last > cur {
 			return nil, fmt.Errorf("replica is ahead of this primary (replica seq=%d, primary seq=%d): refusing to serve a diverged history", last, cur)
 		}
@@ -367,14 +349,10 @@ func (s *Server) replCatchup(last, repEpoch uint64) ([][]byte, error) {
 			return [][]byte{[]byte(repl.TailHeader(last+1, int(cur-last), epoch)), tail}, nil
 		}
 	}
+	// The seq and epoch headers ride inside the blob, so a replica
+	// restart recovers the adopted epoch from its local snapshot sidecar.
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s%d\n", snapshotSeqPrefix, cur)
-	if epoch > 0 {
-		// The header rides inside the blob, so a replica restart recovers
-		// the adopted epoch from its local snapshot sidecar.
-		fmt.Fprintf(&buf, "%s%d\n", snapshotEpochPrefix, epoch)
-	}
-	if err := ldif.WriteDirectory(&buf, s.dir); err != nil {
+	if err := s.writeSnapshot(&buf); err != nil {
 		return nil, fmt.Errorf("encoding snapshot: %v", err)
 	}
 	return [][]byte{[]byte(repl.SnapshotHeader(cur, buf.Len(), epoch)), buf.Bytes()}, nil
@@ -382,16 +360,16 @@ func (s *Server) replCatchup(last, repEpoch uint64) ([][]byte, error) {
 
 // journalTail reconstructs the verbatim segment bytes for sequences
 // (last, cur] from the on-disk journal, reporting ok=false when the
-// journal does not cleanly cover that range (rotated past it, legacy
-// records, torn tail, corruption) — the caller falls back to a
-// snapshot. Called under s.mu at a quiescent point.
+// journal does not cleanly cover that range (rotated past it, torn
+// tail, corruption) — the caller falls back to a snapshot. Called under
+// s.mu at a quiescent point.
 func (s *Server) journalTail(last, cur uint64) ([]byte, bool) {
 	data, err := s.fs.ReadFile(s.journal.path)
 	if err != nil {
 		return nil, false
 	}
 	sr := scanJournal(data)
-	if sr.corrupt || sr.headerless || sr.legacy > 0 || len(sr.prefix) > 0 || sr.tornBytes > 0 {
+	if sr.corrupt || sr.tornBytes > 0 {
 		return nil, false
 	}
 	if sr.firstSeq == 0 || sr.firstSeq > last+1 || sr.lastSeq != cur {
@@ -410,29 +388,6 @@ func (s *Server) journalTail(last, cur uint64) ([]byte, bool) {
 	return buf.Bytes(), true
 }
 
-// shipSegment hands one durable journal record to the replication hub.
-// Callers must hold the ordering point that assigned seq (s.mu on the
-// per-transaction path, the committer goroutine in group-commit mode)
-// so segments ship in journal order. Non-blocking.
-func (s *Server) shipSegment(seq uint64, raw []byte) {
-	if hub := s.replHub.Load(); hub != nil {
-		hub.Ship(seq, raw)
-	}
-}
-
-// replWaitDurable blocks until the replication durability contract for
-// seq is met — an immediate no-op unless the hub runs semi-sync. Called
-// off s.mu by the per-transaction commit path.
-func (s *Server) replWaitDurable(seq uint64) {
-	hub := s.replHub.Load()
-	if hub == nil {
-		return
-	}
-	done := make(chan error, 1)
-	hub.Gate(seq, done)
-	<-done
-}
-
 // errDiverged marks a replicated transaction this replica cannot hold:
 // an apply failure or a legality violation means the replica's state
 // disagrees with its primary's, so it degrades to read-only and the
@@ -441,9 +396,9 @@ var errDiverged = errors.New("replica diverged from primary")
 
 // StartReplica puts the server in replica mode and starts the streaming
 // loop against the primary's replication address. Requires an open
-// journal. The committer (if the journal started one) is stopped:
-// replicas apply inline under the lock, so journal I/O has exactly one
-// owner. Call before Listen.
+// journal. The committer OpenJournal started is stopped: replicas apply
+// inline under the lock, so journal I/O has exactly one owner. Call
+// before Listen.
 func (s *Server) StartReplica(primaryAddr string) error {
 	s.mu.Lock()
 	if s.journal == nil {
@@ -599,14 +554,14 @@ func (t replicaTarget) ObservePrimarySeq(seq uint64) {
 }
 
 // bootstrapFromPrimary installs a full snapshot from the primary: parse
-// and legality-check the blob, write it durably as the local snapshot
-// sidecar (tmp + fsync + rename + parent sync — the rotation recipe),
-// truncate the journal, and swap the served instance. The snapshot-seq
-// header inside the blob makes every crash window benign: recovery
-// either finds the old state or the new snapshot, and journal records
-// the snapshot already covers are skipped by seq on replay. A snapshot
-// from a higher epoch also advances this replica's epoch — that is how
-// a rejoining node adopts the regime of a promoted primary.
+// and legality-check the blob, install it as the local snapshot sidecar
+// (installSnapshot — the rotation recipe, which also truncates the
+// journal), and swap the served instance. The snapshot-seq header
+// inside the blob makes every crash window benign: recovery either
+// finds the old state or the new snapshot, and journal records the
+// snapshot already covers are skipped by seq on replay. A snapshot from
+// a higher epoch also advances this replica's epoch — that is how a
+// rejoining node adopts the regime of a promoted primary.
 func (s *Server) bootstrapFromPrimary(seq, epoch uint64, snapshot []byte) error {
 	d, err := ldif.ReadDirectory(bytes.NewReader(snapshot), s.schema.Registry)
 	if err != nil {
@@ -620,37 +575,12 @@ func (s *Server) bootstrapFromPrimary(seq, epoch uint64, snapshot []byte) error 
 	if s.readOnly != "" {
 		return fmt.Errorf("%w: server is read-only: %s", errDiverged, s.readOnly)
 	}
-	j := s.journal
-	tmp := j.snapPath + ".tmp"
-	f, err := s.fs.Create(tmp)
-	if err != nil {
+	if err := s.installSnapshot(func(w io.Writer) error {
+		_, werr := w.Write(snapshot)
+		return werr
+	}); err != nil {
 		return fmt.Errorf("repl: bootstrap snapshot: %v", err)
 	}
-	_, err = f.Write(snapshot)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = s.fs.Rename(tmp, j.snapPath)
-	}
-	if err != nil {
-		s.fs.Remove(tmp)
-		return fmt.Errorf("repl: bootstrap snapshot: %v", err)
-	}
-	if err := s.fs.SyncDir(vfs.DirOf(j.snapPath)); err != nil {
-		return fmt.Errorf("repl: bootstrap snapshot: parent directory sync: %v", err)
-	}
-	if err := j.f.Truncate(0); err != nil {
-		j.failed = true
-		s.readOnly = fmt.Sprintf("journal %s not truncated after bootstrap snapshot (%v)", j.path, err)
-		s.logf("repl: %s", s.readOnly)
-		return fmt.Errorf("repl: bootstrap: %v", err)
-	}
-	_ = j.f.Sync()
-	j.size = 0
 	s.dir = d
 	s.dir.EnsureEncoded()
 	s.reindex(d)
@@ -658,7 +588,6 @@ func (s *Server) bootstrapFromPrimary(seq, epoch uint64, snapshot []byte) error 
 	if epoch > s.epoch.Load() {
 		s.epoch.Store(epoch)
 	}
-	s.metrics.JournalBytes.Store(0)
 	s.logf("repl: bootstrapped from primary snapshot through seq %d epoch %d (%d bytes)", seq, s.epoch.Load(), len(snapshot))
 	return nil
 }
@@ -706,29 +635,19 @@ func (s *Server) applyReplicated(seg repl.Segment) error {
 		return fmt.Errorf("%w: transaction seq=%d: %v", errDiverged, seg.Seq, err)
 	}
 	j := s.journal
-	cw := &countingWriter{w: j.f}
-	_, werr := cw.Write(seg.Raw)
-	if werr == nil {
-		werr = s.syncJournal()
-	}
-	if werr != nil {
+	if werr := j.append(seg.Raw); werr != nil {
 		// Local fault, not divergence: roll back and let the reconnect
 		// re-deliver the segment.
-		s.metrics.JournalErrors.Add(1)
 		if uerr := undo(); uerr != nil {
 			s.degradeReplica(fmt.Sprintf("in-memory state diverged after failed journal write: %v (rollback: %v)", werr, uerr))
 		}
 		s.dir.EnsureEncoded()
-		if terr := j.f.Truncate(j.size); terr != nil {
-			j.failed = true
-			s.degradeReplica(fmt.Sprintf("journal %s unrecoverable after failed write (%v; truncate: %v)", j.path, werr, terr))
+		if j.failed != "" {
+			s.degradeReplica(j.failed)
 		}
 		return fmt.Errorf("repl: journal append seq=%d: %v", seg.Seq, werr)
 	}
 	s.commitSeq = seg.Seq
-	j.size += cw.n
-	s.metrics.JournalBytes.Store(j.size)
-	s.metrics.noteBatch(1)
 	s.replApplied.Add(1)
 	if s.rotateBytes > 0 && j.size >= s.rotateBytes {
 		if rerr := s.rotateJournal(); rerr != nil {
@@ -806,21 +725,17 @@ func (s *Server) Promote() ([]string, error) {
 	s.mu.Lock()
 	s.epoch.Store(newEpoch)
 	s.dir.EnsureEncoded()
-	rerr := s.rotateJournal()
-	s.mu.Unlock()
-	if rerr != nil {
+	if rerr := s.rotateJournal(); rerr != nil {
+		s.mu.Unlock()
 		return lines, fmt.Errorf("refusing promotion, could not persist epoch %d: %v", newEpoch, rerr)
 	}
-	s.role.Store(int32(RolePrimary))
-	s.mu.Lock()
 	// Trusted replica apply bypasses count/key index maintenance (the
-	// primary already proved every segment legal); rebuild them before
-	// this node accepts its first write.
-	s.dir.EnsureEncoded()
+	// primary already proved every segment legal); rebuild them, and give
+	// the journal its committer, before the role flip lets the first
+	// write in — CommitTx checks the role before it takes s.mu.
 	s.reindex(s.dir)
-	if s.groupCommit && s.journal != nil && s.committer == nil {
-		s.startCommitter()
-	}
+	s.startCommitter()
+	s.role.Store(int32(RolePrimary))
 	local := s.commitSeq
 	s.mu.Unlock()
 	s.logf("repl: promoted to primary at seq %d epoch %d", local, newEpoch)

@@ -20,7 +20,7 @@ import (
 
 // newReplServer builds a journaled whitepages server on its own FS. The
 // caller owns Close.
-func newReplServer(t *testing.T, fs vfs.FS, groupCommit bool, rotateBytes int64) *Server {
+func newReplServer(t *testing.T, fs vfs.FS, rotateBytes int64) *Server {
 	t.Helper()
 	sch := workload.WhitePagesSchema()
 	srv, err := New(sch, "whitepages", workload.WhitePagesInstance(sch))
@@ -28,7 +28,6 @@ func newReplServer(t *testing.T, fs vfs.FS, groupCommit bool, rotateBytes int64)
 		t.Fatal(err)
 	}
 	srv.SetFS(fs)
-	srv.SetGroupCommit(groupCommit)
 	srv.SetJournalRotation(rotateBytes)
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
 		t.Fatalf("OpenJournal: %v", err)
@@ -39,7 +38,7 @@ func newReplServer(t *testing.T, fs vfs.FS, groupCommit bool, rotateBytes int64)
 // startPrimary builds a primary and its replication listener.
 func startPrimary(t *testing.T, mode repl.Mode) (*Server, string) {
 	t.Helper()
-	srv := newReplServer(t, vfs.NewFault(), true, 0)
+	srv := newReplServer(t, vfs.NewFault(), 0)
 	srv.SetReplicationMode(mode)
 	addr, err := srv.ListenRepl("127.0.0.1:0")
 	if err != nil {
@@ -52,7 +51,7 @@ func startPrimary(t *testing.T, mode repl.Mode) (*Server, string) {
 // startReplica builds a replica on fs streaming from primaryAddr.
 func startReplica(t *testing.T, fs vfs.FS, primaryAddr string) *Server {
 	t.Helper()
-	srv := newReplServer(t, fs, true, 0)
+	srv := newReplServer(t, fs, 0)
 	if err := srv.StartReplica(primaryAddr); err != nil {
 		t.Fatalf("StartReplica: %v", err)
 	}
@@ -163,7 +162,7 @@ func TestReplicationCluster(t *testing.T) {
 // snapshot — and streaming continues seamlessly after the bootstrap.
 func TestReplicaSnapshotBootstrap(t *testing.T) {
 	pf := vfs.NewFault()
-	primary := newReplServer(t, pf, false, 1500) // per-txn commits, aggressive rotation
+	primary := newReplServer(t, pf, 1500) // aggressive rotation
 	t.Cleanup(func() { primary.Close() })
 	addr, err := primary.ListenRepl("127.0.0.1:0")
 	if err != nil {
@@ -233,7 +232,7 @@ func TestSemiSyncDurability(t *testing.T) {
 	// journal pipeline: every OK'd commit must be there.
 	r.Close()
 	rf.Recover()
-	r2 := newReplServer(t, rf, true, 0)
+	r2 := newReplServer(t, rf, 0)
 	defer r2.Close()
 	if got := commitSeqOf(r2); got != want {
 		t.Errorf("recovered replica at seq %d, want %d", got, want)
@@ -428,7 +427,7 @@ func TestReplicaCrashDuringCatchup(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			primary := newReplServer(t, vfs.NewFault(), false, sc.rotateBytes)
+			primary := newReplServer(t, vfs.NewFault(), sc.rotateBytes)
 			t.Cleanup(func() { primary.Close() })
 			addr, err := primary.ListenRepl("127.0.0.1:0")
 			if err != nil {
@@ -482,7 +481,7 @@ func TestReplicaCrashDuringCatchup(t *testing.T) {
 					// Restart through the recovery pipeline: a pure crash
 					// must never be refused, and the recovered state must be
 					// legal, atomic, and not ahead of the primary.
-					r2 := newReplServer(t, fault, false, 0)
+					r2 := newReplServer(t, fault, 0)
 					t.Cleanup(func() { r2.Close() })
 					r2.mu.RLock()
 					for _, ct := range txns {

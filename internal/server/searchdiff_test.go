@@ -191,7 +191,7 @@ func TestSearchIndexScanDifferential(t *testing.T) {
 // pre-crash ones.
 func TestSearchDifferentialRestart(t *testing.T) {
 	fault := vfs.NewFault()
-	srv := newFaultServer(t, fault, true)
+	srv := newFaultServer(t, fault)
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSearchDifferentialRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2 := newFaultServer(t, fault, true)
+	srv2 := newFaultServer(t, fault)
 	if err := srv2.OpenJournal(crashJournalPath); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

@@ -39,8 +39,8 @@
 // transaction was applied AND recorded in the journal (write + fsync). A
 // failed journal write rolls the directory back and replies ERR; see
 // journal.go for the read-only degradation and rotation rules, and
-// groupcommit.go for the batched fsync pipeline (default on) that keeps
-// the contract while coalescing concurrent commits into one sync.
+// groupcommit.go for the committer that keeps the contract while
+// coalescing concurrent commits into one sync.
 package server
 
 import (
@@ -136,16 +136,11 @@ type Server struct {
 	rotateBytes int64    // journal rotation threshold; 0 = never
 	readOnly    string   // non-empty reason = refuse COMMIT/SNAPSHOT
 
-	// Group commit (see groupcommit.go). groupCommit/commitDelay are
-	// configuration read before OpenJournal; committer is non-nil while
-	// the pipeline runs; commitSeq orders records (assigned under mu).
-	groupCommit bool
-	commitDelay time.Duration
-	committer   *committer
-	commitSeq   uint64
-	// syncDelay artificially slows every journal fsync — a test and
-	// benchmark knob emulating a slow disk (see bsbench e16).
-	syncDelay atomic.Int64 // nanoseconds
+	// committer (see groupcommit.go) is non-nil on a journaled primary —
+	// replicas append inline, journal-less servers have nothing to sync;
+	// commitSeq orders records (assigned under mu).
+	committer *committer
+	commitSeq uint64
 
 	// Replication (see repl.go). role flips from primary (the zero
 	// value) to replica in StartReplica and back in Promote. replHub is
@@ -225,7 +220,6 @@ func New(schema *core.Schema, name string, dir *dirtree.Directory) (*Server, err
 		conns:       make(map[net.Conn]struct{}),
 		metrics:     newMetrics(),
 		fs:          vfs.OS{},
-		groupCommit: true,
 	}
 	checker.OnTiming = s.metrics.noteCheckTiming
 	s.epoch.Store(1)
@@ -268,11 +262,6 @@ func (s *Server) SetShardInfo(name string, roots []string) {
 	s.shardRoots = append([]string(nil), roots...)
 }
 
-// SetConcurrency selects the legality checker's worker count for CHECK
-// (see core.Checker.Concurrency: 0 = GOMAXPROCS auto, 1 = sequential).
-// Call it before Listen; the checker is shared by all sessions.
-func (s *Server) SetConcurrency(n int) { s.checker.Concurrency = n }
-
 // SetLimits installs the connection lifecycle limits. Call before Listen.
 func (s *Server) SetLimits(l Limits) {
 	s.limits = l
@@ -297,23 +286,6 @@ func (s *Server) SetJournalRotation(bytes int64) { s.rotateBytes = bytes }
 // and corruption. Call before OpenJournal.
 func (s *Server) SetFS(fs vfs.FS) { s.fs = fs }
 
-// SetGroupCommit selects the durable-commit strategy (default on):
-// batched group commit — one fsync per batch of concurrent COMMITs,
-// performed off the write lock by a committer goroutine — versus the
-// per-transaction write+fsync under the lock. Call before OpenJournal.
-func (s *Server) SetGroupCommit(on bool) { s.groupCommit = on }
-
-// SetCommitDelay widens the group-commit batching window: after waking
-// for a batch, the committer waits this long for more commits to join
-// before syncing. 0 (the default) batches only what accumulates while
-// the previous fsync is in flight. Call before OpenJournal.
-func (s *Server) SetCommitDelay(d time.Duration) { s.commitDelay = d }
-
-// SetSyncDelay makes every journal fsync sleep this long first — an
-// artificial slow disk for tests and the bsbench e16 experiment. Safe to
-// change while serving.
-func (s *Server) SetSyncDelay(d time.Duration) { s.syncDelay.Store(int64(d)) }
-
 // MetricsSnapshot returns a JSON-marshalable snapshot of the server's
 // metrics, shaped for expvar.Publish(expvar.Func(srv.MetricsSnapshot)).
 func (s *Server) MetricsSnapshot() any {
@@ -323,14 +295,6 @@ func (s *Server) MetricsSnapshot() any {
 	readOnly := s.readOnly
 	s.mu.RUnlock()
 	return s.metrics.snapshot(journalOn, readOnly, rs)
-}
-
-// JournalStats reports the durability amortization counters: fsyncs the
-// journal performed, commits those fsyncs made durable, and the largest
-// single batch. commits/fsyncs is the group-commit win; per-transaction
-// mode pins it at 1. Used by the bsbench e16 experiment.
-func (s *Server) JournalStats() (fsyncs, commits, maxBatch int64) {
-	return s.metrics.Fsyncs(), s.metrics.BatchedCommits(), s.metrics.batchSizes.maxUS.Load()
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -835,34 +799,10 @@ func (s *Server) CommitTx(tx *txn.Transaction) (*core.Report, error) {
 		s.metrics.TxCommitted.Add(1)
 		return report, nil
 	}
-	if s.committer == nil {
-		// Per-transaction durability (group commit off): write + fsync
-		// under the write lock, as the pre-batching server did.
-		seq, jerr := s.appendCommit(tx)
-		if jerr != nil {
-			// Not durable: roll the in-memory state back so the ERR reply
-			// and the journal agree that this transaction never happened.
-			if uerr := undo(); uerr != nil {
-				s.readOnly = fmt.Sprintf("in-memory state diverged after failed journal write: %v (rollback: %v)", jerr, uerr)
-				s.logf("server: %s", s.readOnly)
-			}
-			s.dir.EnsureEncoded()
-			s.mu.Unlock()
-			s.metrics.TxErrors.Add(1)
-			return nil, fmt.Errorf("commit not durable: %v", jerr)
-		}
-		s.mu.Unlock()
-		// Semi-sync: wait for the replication contract off the lock. The
-		// wait never fails a locally durable commit (repl.Hub degrades
-		// to async instead), so OK is unconditional from here.
-		s.replWaitDurable(seq)
-		s.metrics.TxCommitted.Add(1)
-		return report, nil
-	}
-	// Group commit: encode the journal record and assign its sequence
-	// number while the apply's write lock is still held (journal order =
-	// apply order), then release the lock and let the committer batch the
-	// fsync. Readers and other writers proceed while the disk works.
+	// Encode the journal record and assign its sequence number while the
+	// apply's write lock is still held (journal order = apply order), then
+	// release the lock and let the committer batch the fsync. Readers and
+	// other writers proceed while the disk works.
 	var buf bytes.Buffer
 	if werr := tx.WriteChanges(&buf); werr != nil {
 		if uerr := undo(); uerr != nil {
@@ -1079,77 +1019,27 @@ func (se *session) promoteCmd() {
 
 func (se *session) snapshotCmd() {
 	s := se.srv
-	s.mu.Lock()
-	if s.journal == nil {
-		s.mu.Unlock()
-		se.err("no journal configured")
-		return
-	}
-	if s.readOnly != "" {
-		reason := s.readOnly
-		s.mu.Unlock()
-		se.err("server is read-only: " + reason)
-		return
-	}
-	snapPath := s.journal.snapPath
-	c := s.committer
-	if c == nil {
-		// Per-transaction mode: the journal is only touched under the
-		// write lock, so rotation can run right here.
-		err := s.rotateJournal()
-		s.mu.Unlock()
-		if err != nil {
-			se.err(err.Error())
-			return
-		}
-		se.reply("# journal compacted to " + snapPath)
-		se.ok()
-		return
-	}
-	// Group-commit mode: all journal file I/O belongs to the committer
-	// goroutine, so compaction is a request it serves at a quiescent
-	// point (no staged-but-unsynced transactions). Waiting must happen
-	// off the lock — the committer's failure path needs it.
-	done := c.requestQuiesce(func() error {
-		if s.readOnly != "" {
-			return errors.New("server is read-only: " + s.readOnly)
-		}
-		return s.rotateJournal()
-	})
-	s.mu.Unlock()
-	if err := <-done; err != nil {
+	if err := s.Rotate(); err != nil {
 		se.err(err.Error())
 		return
 	}
+	s.mu.RLock()
+	snapPath := s.journal.snapPath
+	s.mu.RUnlock()
 	se.reply("# journal compacted to " + snapPath)
 	se.ok()
 }
 
 // verifyCmd is the online fsck: it re-scans the on-disk journal against
 // its checksums and sequence numbers and runs the full legality checker
-// over the served instance, reporting both. It needs a point where no
-// journal append is in flight — the write lock excludes the
-// per-transaction path, and the committer's quiesce excludes the
-// group-commit pipeline.
+// over the served instance, reporting both — at a quiescent point, so
+// no journal append is in flight.
 func (se *session) verifyCmd() {
-	s := se.srv
-	s.mu.RLock()
-	c := s.committer
-	s.mu.RUnlock()
 	var lines []string
-	var err error
-	if c == nil {
-		s.mu.RLock()
-		lines, err = s.verifyNow()
-		s.mu.RUnlock()
-	} else {
-		done := c.requestQuiesce(func() error {
-			var verr error
-			lines, verr = s.verifyNow()
-			return verr
-		})
-		err = <-done
-	}
+	err := se.srv.atQuiescent(func() (verr error) {
+		lines, verr = se.srv.verifyNow()
+		return verr
+	})
 	for _, l := range lines {
 		se.reply("# " + l)
 	}

@@ -434,7 +434,7 @@ func TestServerConcurrentCheckCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetConcurrency(4)
+	srv.checker.Concurrency = 4
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,9 @@ import (
 
 	"boundschema/internal/core"
 	"boundschema/internal/dirtree"
+	"boundschema/internal/ldif"
 	"boundschema/internal/repl"
+	"boundschema/internal/txn"
 	"boundschema/internal/workload"
 )
 
@@ -41,7 +43,7 @@ func doctoredJournal(payloads ...string) []byte {
 	var buf bytes.Buffer
 	for i, p := range payloads {
 		buf.WriteString(p)
-		buf.WriteString(repl.MarkerLine(uint64(i+1), []byte(p), 0))
+		buf.WriteString(repl.MarkerLine(uint64(i+1), []byte(p), 1))
 	}
 	return buf.Bytes()
 }
@@ -112,59 +114,63 @@ func TestTrustedReplayRefusesDoctoredJournal(t *testing.T) {
 	}
 }
 
-// TestTrustedAndCheckedReplayByteIdentical: the same journal replayed
-// through the trusted fast path (checksummed markers) and through the
-// legacy checked path (markers rewritten bare) must recover
-// byte-identical instances.
-func TestTrustedAndCheckedReplayByteIdentical(t *testing.T) {
+// TestTrustedReplayMatchesLiveCommits: a journal replayed through the
+// trusted fast path must recover the instance, byte for byte, that the
+// same transactions produce when committed live through CommitTx — the
+// path that runs every Figure 5 check.
+func TestTrustedReplayMatchesLiveCommits(t *testing.T) {
 	records := []string{
 		hostRecord("cn=h1,o=net", "10.9.0.1"),
 		hostRecord("cn=h2,o=net", "10.9.0.2"),
 		"dn: cn=ops,o=net\nchangetype: add\nobjectClass: person\nobjectClass: top\nname: ops\n\n",
 		"dn: cn=h2,o=net\nchangetype: delete\n\n",
 	}
-	recover := func(data []byte) (*RecoveryReport, string) {
-		s := workload.NetPolicySchema()
-		srv, err := New(s, "netpolicy", netInstance(t, s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "journal.ldif")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := srv.Fsck(path)
-		if err != nil {
-			t.Fatalf("recovery of a legitimate journal failed: %v", err)
-		}
+	s := workload.NetPolicySchema()
+	snapshot := func(srv *Server) string {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
 		if err := srv.Snapshot(w); err != nil {
 			t.Fatal(err)
 		}
 		w.Flush()
-		return rep, buf.String()
+		return buf.String()
 	}
 
-	trustedRep, trustedLDIF := recover(doctoredJournal(records...))
-	if trustedRep.RecordsTrusted != len(records) {
-		t.Fatalf("trusted replay applied %d/%d records trusted", trustedRep.RecordsTrusted, len(records))
+	replayed, err := New(s, "netpolicy", netInstance(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal.ldif")
+	if err := os.WriteFile(path, doctoredJournal(records...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := replayed.Fsck(path)
+	if err != nil {
+		t.Fatalf("recovery of a legitimate journal failed: %v", err)
+	}
+	if rep.RecordsTrusted != len(records) || rep.RecordsReplayed != len(records) {
+		t.Fatalf("replay applied %d/%d records, %d trusted", rep.RecordsReplayed, len(records), rep.RecordsTrusted)
 	}
 
-	var legacy bytes.Buffer
-	for _, p := range records {
-		legacy.WriteString(p)
-		legacy.WriteString(repl.MarkerPrefix + "\n") // bare marker: no proof carried
+	live, err := New(s, "netpolicy", netInstance(t, s))
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacyRep, legacyLDIF := recover(legacy.Bytes())
-	if legacyRep.RecordsTrusted != 0 || legacyRep.LegacyRecords != len(records) {
-		t.Fatalf("legacy replay report = %+v, want 0 trusted / %d legacy", legacyRep, len(records))
+	for i, p := range records {
+		recs, err := ldif.NewReader(strings.NewReader(p)).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx, err := txn.FromRecords(recs, s.Registry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report, err := live.CommitTx(tx); err != nil || !report.Legal() {
+			t.Fatalf("live commit %d: err=%v report=%v", i, err, report)
+		}
 	}
 
-	if trustedLDIF != legacyLDIF {
-		t.Fatalf("trusted and checked replay diverged:\n--- trusted ---\n%s\n--- checked ---\n%s", trustedLDIF, legacyLDIF)
-	}
-	if trustedRep.RecordsReplayed != legacyRep.RecordsReplayed {
-		t.Fatalf("replay counts differ: trusted %d, checked %d", trustedRep.RecordsReplayed, legacyRep.RecordsReplayed)
+	if got, want := snapshot(replayed), snapshot(live); got != want {
+		t.Fatalf("trusted replay and live commits diverged:\n--- replayed ---\n%s\n--- live ---\n%s", got, want)
 	}
 }
