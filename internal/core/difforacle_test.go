@@ -102,3 +102,17 @@ func corruptDirectory(d *dirtree.Directory, rng *rand.Rand) {
 		}
 	}
 }
+
+// TestEntryCheckDoesNotAllocate pins the legal path of the per-entry
+// check at zero allocations: a full CHECK runs it once per entry, and
+// per-entry garbage there is a collector cycle every few CHECKs.
+func TestEntryCheckDoesNotAllocate(t *testing.T) {
+	s := workload.WhitePagesSchema()
+	d := workload.Corpus(s, rand.New(rand.NewSource(1)), 200)
+	c := core.NewChecker(s)
+	for _, e := range d.Entries() {
+		if n := testing.AllocsPerRun(10, func() { c.EntryLegal(e) }); n != 0 {
+			t.Fatalf("EntryLegal(%s): %.0f allocations on a legal entry, want 0", e.DN(), n)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package dirtree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -67,12 +67,20 @@ func (e *Entry) HasClass(c string) bool {
 
 // Classes returns the entry's object classes in sorted order.
 func (e *Entry) Classes() []string {
-	out := make([]string, 0, len(e.classes))
+	return e.AppendClasses(make([]string, 0, len(e.classes)))
+}
+
+// AppendClasses appends the entry's object classes, sorted, to dst and
+// returns the extended slice — Classes for a caller that brings its own
+// buffer (the per-entry legality check runs once per entry of the
+// instance and must not allocate).
+func (e *Entry) AppendClasses(dst []string) []string {
+	n := len(dst)
 	for c := range e.classes {
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // NumClasses returns |class(e)|.
@@ -132,15 +140,21 @@ func (e *Entry) HasAttr(name string) bool {
 // AttrNames returns the names of the entry's attributes (objectClass
 // included when the entry has classes), sorted.
 func (e *Entry) AttrNames() []string {
-	out := make([]string, 0, len(e.attrs)+1)
+	return e.AppendAttrNames(make([]string, 0, len(e.attrs)+1))
+}
+
+// AppendAttrNames is AttrNames into the caller's buffer: the names are
+// appended to dst, sorted, and the extended slice returned.
+func (e *Entry) AppendAttrNames(dst []string) []string {
+	n := len(dst)
 	for a := range e.attrs {
-		out = append(out, a)
+		dst = append(dst, a)
 	}
 	if len(e.classes) > 0 {
-		out = append(out, AttrObjectClass)
+		dst = append(dst, AttrObjectClass)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // NumPairs returns |val(e)|, the number of (attribute, value) pairs held by
