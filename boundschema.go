@@ -94,10 +94,6 @@ type (
 	Transaction = txn.Transaction
 	// Applier applies transactions while preserving legality.
 	Applier = txn.Applier
-	// CountIndex makes required-class checks incremental under deletion.
-	CountIndex = txn.CountIndex
-	// KeyIndex makes Section 6.1 key-uniqueness checks incremental.
-	KeyIndex = core.KeyIndex
 )
 
 // Axis values.
@@ -148,7 +144,9 @@ func CheckConsistency(s *Schema) ConsistencyResult { return core.CheckConsistenc
 func Materialize(s *Schema) (*Directory, error) { return core.Materialize(s) }
 
 // NewApplier returns a transaction applier using the Figure 5
-// incremental checks.
+// incremental checks, required-class counts and Section 6.1 key
+// uniqueness, all read off the directory's own indexes. The schema must
+// not change afterwards.
 func NewApplier(s *Schema) *Applier { return txn.NewApplier(s) }
 
 // PlanEvolution classifies the differences between two schemas by the
@@ -172,13 +170,6 @@ func Lint(s *Schema) []core.LintFinding { return core.Lint(s) }
 // schemas enable query optimization, applied to the schema's own
 // elements.
 func GuaranteedElements(s *Schema) []Element { return core.GuaranteedElements(s) }
-
-// NewCountIndex builds the per-class count index over d.
-func NewCountIndex(d *Directory) *CountIndex { return txn.NewCountIndex(d) }
-
-// NewKeyIndex builds the key-value index over d for incremental
-// key-uniqueness checks (Section 6.1).
-func NewKeyIndex(s *Schema, d *Directory) *KeyIndex { return core.NewKeyIndex(s, d) }
 
 // ParseSchema parses a schema written in the definition language
 // (internal/schemadsl); it returns the schema and its declared name.

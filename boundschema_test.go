@@ -58,7 +58,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Update through the applier; a violating delete must roll back.
 	app := boundschema.NewApplier(schema)
-	app.Counts = boundschema.NewCountIndex(dir)
 	tx := &boundschema.Transaction{}
 	tx.Delete("uid=ada,ou=eng")
 	report, err := app.Apply(dir, tx)

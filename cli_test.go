@@ -115,7 +115,7 @@ func TestCLIApplyAndPipe(t *testing.T) {
 	updated := filepath.Join(tmp, "updated.ldif")
 	out, err = runCLI(t, "bschema", "apply",
 		"-schema", "testdata/whitepages.bs", "-instance", corpus,
-		"-changes", changes, "-counts", "-o", updated)
+		"-changes", changes, "-o", updated)
 	if err != nil {
 		t.Fatalf("apply: %v\n%s", err, out)
 	}
@@ -133,6 +133,47 @@ func TestCLIApplyAndPipe(t *testing.T) {
 	}
 	if !strings.Contains(out, "rejected") {
 		t.Fatalf("missing rejection message:\n%s", out)
+	}
+}
+
+// TestCLIApplyRefusesDuplicateKey: bschema apply enforces the netpolicy
+// schema's ipAddress key (Section 6.1) with no flag.
+func TestCLIApplyRefusesDuplicateKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration skipped in -short mode")
+	}
+	tmp := t.TempDir()
+	write := func(name, content string) string {
+		path := filepath.Join(tmp, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	out, err := runCLI(t, "bsgen", "schema", "-scenario", "netpolicy")
+	if err != nil {
+		t.Fatalf("bsgen schema: %v\n%s", err, out)
+	}
+	schema := write("netpolicy.bs", out)
+	out, err = runCLI(t, "bsgen", "corpus", "-scenario", "netpolicy", "-n", "200", "-seed", "1")
+	if err != nil {
+		t.Fatalf("bsgen corpus: %v\n%s", err, out)
+	}
+	corpus := write("netpolicy.ldif", out)
+	changes := write("dup.ldif", `dn: cn=dup,ou=lab net 0,o=backbone
+changetype: add
+objectClass: host
+objectClass: netElement
+objectClass: top
+ipAddress: 10.0.0.0
+`)
+	out, err = runCLI(t, "bschema", "apply", "-schema", schema, "-instance", corpus, "-changes", changes)
+	if err == nil {
+		t.Fatalf("duplicate key applied:\n%s", out)
+	}
+	want := `key ipAddress="10.0.0.0" already used by cn=gw0,ou=lab net 0,o=backbone`
+	if !strings.Contains(out, "rejected") || !strings.Contains(out, want) {
+		t.Fatalf("missing duplicate-key refusal %q:\n%s", want, out)
 	}
 }
 

@@ -81,7 +81,7 @@ func main() {
 		{"e4", "Section 3.2: naive baseline vs query reduction", runE4},
 		{"e5", "Theorem 4.1: normalization modularity", runE5},
 		{"e6", "Figure 5 / Theorem 4.2: incremental update checks", runE6},
-		{"e7", "Section 4 remark: count-indexed required classes", runE7},
+		{"e7", "Section 4 remark: required classes counted off the posting lists", runE7},
 		{"e8", "Theorem 5.1: inference soundness", runE8},
 		{"e9", "Theorem 5.2: polynomial consistency", runE9},
 		{"e10", "Sections 5.1-5.2: inconsistency taxonomy", runE10},

@@ -7,7 +7,7 @@
 //
 //	bschema check      -schema S.bs -instance D.ldif
 //	bschema consistent -schema S.bs [-explain] [-witness out.ldif]
-//	bschema apply      -schema S.bs -instance D.ldif -changes C.ldif [-full] [-counts] [-o out.ldif]
+//	bschema apply      -schema S.bs -instance D.ldif -changes C.ldif [-full] [-o out.ldif]
 //	bschema query      -instance D.ldif -q '(minus (select (objectClass=a)) ...)'
 //	bschema search     -instance D.ldif -filter '(objectClass=person)' [-base DN]
 //	bschema lint       -schema S.bs
@@ -191,7 +191,6 @@ func cmdApply(args []string) error {
 	instPath := fs.String("instance", "", "LDIF instance file")
 	changesPath := fs.String("changes", "", "LDIF change records (changetype add/delete)")
 	full := fs.Bool("full", false, "use a full recheck instead of the Figure 5 incremental tests")
-	counts := fs.Bool("counts", false, "maintain a class-count index (incremental c⇓ under deletion)")
 	out := fs.String("o", "", "write the updated instance to this LDIF file")
 	fs.Parse(args)
 	if *schemaPath == "" || *instPath == "" || *changesPath == "" {
@@ -221,9 +220,6 @@ func cmdApply(args []string) error {
 	app := boundschema.NewApplier(s)
 	if *full {
 		app.Mode = txn.CheckFull
-	}
-	if *counts {
-		app.Counts = boundschema.NewCountIndex(d)
 	}
 	report, err := app.Apply(d, tx)
 	if err != nil {

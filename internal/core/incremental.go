@@ -34,11 +34,24 @@ import (
 //	ci →an cj   Y   no check (a survivor's ancestors survive)
 //	ci ⇥ch cj   Y   no check (deletion cannot create pairs)
 //	ci ⇥de cj   Y   no check
-//	c⇓          N   recheck σc[D−Δ] non-empty (Y with a count index —
-//	                see txn.CountIndex for the Section 4 remark)
+//	c⇓          N   recheck σc[D−Δ] non-empty
 //
 // Theorem 4.2 states this characterization is tight: the N rows are not
-// incrementally testable in general.
+// incrementally testable in general — from D and Δ alone. With the
+// auxiliary structures the directory already keeps current under every
+// update (the interval encoding and the per-class posting lists sorted
+// by pre-order rank), each N row becomes a count, and txn.Applier runs
+// that form:
+//
+//	c⇓          |postings(c)| − |postings(c) ∩ Δ| > 0 (the Section 4
+//	            count remark)
+//	ci →de cj   for each ci ancestor anc of Δ:
+//	            |postings(cj) ∩ (anc.pre, anc.post]| − |postings(cj) ∩ Δ| > 0
+//	            (binary searches on cj's posting list)
+//	ci →ch cj   Δ's parent, if a ci, keeps a cj child besides Δ's root
+//
+// The Δ-queries below remain the paper's rows; DeleteChecks returns them
+// unchanged.
 
 // DeltaCheck is the per-element outcome of the Figure 5 analysis.
 type DeltaCheck struct {
@@ -123,7 +136,7 @@ func DeleteCheckForb(f ForbiddenRel) DeltaCheck {
 
 // DeleteCheckClass returns the deletion row for a required class: without
 // auxiliary state the survivors must be rescanned (the Section 4 remark;
-// txn.CountIndex implements the "with counts" variant).
+// txn.Applier counts the class posting list instead).
 func DeleteCheckClass(c string) DeltaCheck {
 	return DeltaCheck{
 		Element:     RequiredClass{Class: c},

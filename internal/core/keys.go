@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"boundschema/internal/dirtree"
 )
@@ -16,8 +17,8 @@ import (
 // A key attribute therefore demands: no value of the attribute occurs on
 // two distinct entries, anywhere in the instance. Checking is a single
 // hash pass (CheckKeys); insertions are incrementally testable by probing
-// only the inserted subtree's values against an index (KeyIndex);
-// deletions cannot violate uniqueness.
+// only the inserted subtree's values against the directory's value
+// indexes (CheckInsertKeys); deletions cannot violate uniqueness.
 
 // DeclareKey marks an attribute as a key: its values must be unique
 // across all entries of any legal instance.
@@ -77,97 +78,78 @@ func (c *Checker) checkEntryKeys(e *dirtree.Entry, seen map[keyVal]*dirtree.Entr
 	}
 }
 
-// KeyIndex maintains the key-value → entry map alongside a directory, so
-// insertions are checked against existing values in O(|Δ| values) — the
-// key analogue of the Figure 5 incremental tests. Deletions only remove
-// index entries; they cannot violate uniqueness.
-type KeyIndex struct {
-	schema *Schema
-	seen   map[keyVal]string // value -> DN of the holding entry
-}
-
-// NewKeyIndex builds the index over the current instance. It does not
-// verify uniqueness of the existing values; run CheckKeys first if the
-// instance is untrusted.
-func NewKeyIndex(s *Schema, d *dirtree.Directory) *KeyIndex {
-	ki := &KeyIndex{schema: s, seen: make(map[keyVal]string)}
-	for _, e := range d.Entries() {
-		ki.note(e)
-	}
-	return ki
-}
-
-func (ki *KeyIndex) note(e *dirtree.Entry) {
-	for _, attr := range ki.schema.Keys() {
-		for _, v := range e.Attr(attr) {
-			ki.seen[keyVal{attr, v.String()}] = e.DN()
-		}
-	}
-}
-
-// CheckInsert reports the key violations the subtree's entries would
-// introduce (against the pre-insertion index and against each other).
-func (ki *KeyIndex) CheckInsert(d *dirtree.Directory, root *dirtree.Entry) *Report {
-	return ki.CheckInsertExcluding(d, root, nil)
-}
-
-// CheckInsertExcluding is CheckInsert with an exclusion predicate: a
-// collision with an existing holder is excused when excluded(holderDN)
-// reports true. The transaction applier uses it so a moved subtree does
-// not collide with its own origin, which the same update deletes.
-func (ki *KeyIndex) CheckInsertExcluding(d *dirtree.Directory, root *dirtree.Entry, excluded func(dn string) bool) *Report {
+// CheckInsertKeys reports the key violations a grafted subtree Δ (rooted
+// at root) introduces — the key analogue of the Figure 5 insertion
+// checks, read off the directory's per-attribute value indexes, which
+// the graft has already patched. For every key value v on an entry of Δ,
+// d.ValueEntries(attr, v) may hold no entry outside Δ, except entries
+// under one of the deleting roots (a moved subtree's origin, which the
+// same update removes; tested by interval); nor may an earlier entry of
+// Δ hold it. On a legal instance each probe returns at most two
+// postings, so the check costs O(|Δ| values). Deletions cannot violate
+// uniqueness.
+func (c *Checker) CheckInsertKeys(d *dirtree.Directory, root *dirtree.Entry, deleting []string) *Report {
 	r := &Report{}
-	local := make(map[keyVal]string)
+	keys := c.schema.Keys()
+	if len(keys) == 0 {
+		return r
+	}
 	for _, e := range d.SubtreeView(root).Entries() {
-		for _, attr := range ki.schema.Keys() {
-			for _, v := range e.Attr(attr) {
-				kv := keyVal{attr, v.String()}
-				if dn, dup := ki.seen[kv]; dup && (excluded == nil || !excluded(dn)) {
+		for _, attr := range keys {
+			vs := e.Attr(attr)
+			for i, v := range vs {
+				posts := d.ValueEntries(attr, v)
+				if h := outsideHolder(d, posts, root, deleting); h != nil {
 					r.Add(Violation{Kind: ViolationDuplicateKey, Entry: e,
-						Detail: fmt.Sprintf("key %s=%q already used by %s", attr, v.String(), dn)})
+						Detail: fmt.Sprintf("key %s=%q already used by %s", attr, v.String(), h.DN())})
 					continue
 				}
-				if dn, dup := local[kv]; dup {
-					r.Add(Violation{Kind: ViolationDuplicateKey, Entry: e,
-						Detail: fmt.Sprintf("key %s=%q duplicated within the insertion (also on %s)", attr, v.String(), dn)})
-					continue
+				// posts is in pre-order and holds e, so its first posting
+				// inside Δ is Δ's earliest holder of v.
+				first := e
+				for _, h := range posts {
+					if h.Pre() >= root.Pre() {
+						first = h
+						break
+					}
 				}
-				local[kv] = e.DN()
+				if first != e || slices.Contains(vs[:i], v) {
+					r.Add(Violation{Kind: ViolationDuplicateKey, Entry: e,
+						Detail: fmt.Sprintf("key %s=%q duplicated within the insertion (also on %s)", attr, v.String(), first.DN())})
+				}
 			}
 		}
 	}
 	return r
 }
 
-// NoteInsert records the subtree's key values after a successful insert.
-func (ki *KeyIndex) NoteInsert(d *dirtree.Directory, root *dirtree.Entry) {
-	for _, e := range d.SubtreeView(root).Entries() {
-		ki.note(e)
-	}
-}
-
-// NoteDelete forgets the subtree's key values before deletion. A value
-// is removed only while the index still attributes it to the deleted
-// entry, so a move (which re-attributes the value to the destination
-// before the origin is deleted) keeps its key indexed.
-func (ki *KeyIndex) NoteDelete(d *dirtree.Directory, root *dirtree.Entry) {
-	for _, e := range d.SubtreeView(root).Entries() {
-		dn := e.DN()
-		for _, attr := range ki.schema.Keys() {
-			for _, v := range e.Attr(attr) {
-				kv := keyVal{attr, v.String()}
-				if ki.seen[kv] == dn {
-					delete(ki.seen, kv)
-				}
+// outsideHolder returns the first of posts lying outside the subtree of
+// root and outside every deleting root's subtree, or nil.
+func outsideHolder(d *dirtree.Directory, posts []*dirtree.Entry, root *dirtree.Entry, deleting []string) *dirtree.Entry {
+	for _, h := range posts {
+		if root.Pre() <= h.Pre() && h.Pre() <= root.Post() {
+			continue
+		}
+		excused := false
+		for _, dn := range deleting {
+			if o := d.ByDN(dn); o != nil && o.Pre() <= h.Pre() && h.Pre() <= o.Post() {
+				excused = true
+				break
 			}
 		}
+		if !excused {
+			return h
+		}
 	}
+	return nil
 }
 
-// Rebuild recomputes the index from scratch (after a rollback).
-func (ki *KeyIndex) Rebuild(d *dirtree.Directory) {
-	ki.seen = make(map[keyVal]string)
-	for _, e := range d.Entries() {
-		ki.note(e)
+// NewKeyIndex only builds the key attributes' value indexes over d.
+//
+// Deprecated: key uniqueness is checked by CheckInsertKeys against the
+// directory's own value indexes; bench/layers.go is the last caller.
+func NewKeyIndex(s *Schema, d *dirtree.Directory) {
+	for _, attr := range s.Keys() {
+		d.ValuePairs(attr)
 	}
 }

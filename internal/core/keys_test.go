@@ -59,12 +59,16 @@ func TestCheckKeys(t *testing.T) {
 	}
 }
 
+// TestKeyIndexIncremental drives CheckInsertKeys, the Section 6.1
+// insertion check read off the directory's value indexes: collisions
+// with existing holders, with earlier insertions, and the excuse for
+// holders under a root the same update deletes.
 func TestKeyIndexIncremental(t *testing.T) {
 	s := keySchema(t)
+	c := NewChecker(s)
 	d := whitePagesInstance(t, s)
 	laks := entryByRDN(t, d, "uid=laks")
 	laks.AddValue("ssn", dirtree.String("123"))
-	ki := NewKeyIndex(s, d)
 
 	// A fresh subtree with a colliding key.
 	frag := dirtree.New(s.Registry)
@@ -76,16 +80,17 @@ func TestKeyIndexIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := ki.CheckInsert(d, root); r.Legal() {
-		t.Fatalf("colliding key accepted")
+	r := c.CheckInsertKeys(d, root, nil)
+	want := `duplicate-key at uid=clone,ou=new,ou=attLabs,o=att: key ssn="123" already used by uid=laks,ou=databases,ou=attLabs,o=att`
+	if len(r.Violations) != 1 || r.Violations[0].String() != want {
+		t.Fatalf("colliding key report:\n%s\nwant the single line\n%s", r, want)
 	}
-	// Fix the collision: now acceptable, and the index learns the value.
+	// Fix the collision in place: the patched value index now agrees.
 	clone := d.ByDN("uid=clone,ou=new,ou=attLabs,o=att")
 	clone.SetValues("ssn", dirtree.String("456"))
-	if r := ki.CheckInsert(d, root); !r.Legal() {
+	if r := c.CheckInsertKeys(d, root, nil); !r.Legal() {
 		t.Fatalf("distinct key rejected:\n%s", r)
 	}
-	ki.NoteInsert(d, root)
 
 	// A second subtree duplicating the newly inserted value.
 	frag2 := dirtree.New(s.Registry)
@@ -97,12 +102,18 @@ func TestKeyIndexIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := ki.CheckInsert(d, root2); r.Legal() {
+	if r := c.CheckInsertKeys(d, root2, nil); r.Legal() {
 		t.Fatalf("duplicate of inserted key accepted")
 	}
+	// A holder under a root the same update deletes is excused.
+	if r := c.CheckInsertKeys(d, root2, []string{root.DN()}); !r.Legal() {
+		t.Fatalf("holder under a deleting root still collides:\n%s", r)
+	}
 	// Deleting the first subtree frees the value.
-	ki.NoteDelete(d, root)
-	if r := ki.CheckInsert(d, root2); !r.Legal() {
+	if _, err := d.DeleteSubtree(root); err != nil {
+		t.Fatal(err)
+	}
+	if r := c.CheckInsertKeys(d, root2, nil); !r.Legal() {
 		t.Fatalf("freed key still rejected:\n%s", r)
 	}
 }
@@ -110,7 +121,6 @@ func TestKeyIndexIncremental(t *testing.T) {
 func TestKeyIndexInternalDuplicate(t *testing.T) {
 	s := keySchema(t)
 	d := whitePagesInstance(t, s)
-	ki := NewKeyIndex(s, d)
 	frag := dirtree.New(s.Registry)
 	fr, _ := frag.AddRoot("ou=new", "orgUnit", "orgGroup", "top")
 	for _, uid := range []string{"a", "b"} {
@@ -122,8 +132,10 @@ func TestKeyIndexInternalDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := ki.CheckInsert(d, root); r.Legal() {
-		t.Fatalf("within-insertion duplicate accepted")
+	r := NewChecker(s).CheckInsertKeys(d, root, nil)
+	want := `duplicate-key at uid=b,ou=new,ou=attLabs,o=att: key ssn="same" duplicated within the insertion (also on uid=a,ou=new,ou=attLabs,o=att)`
+	if len(r.Violations) != 1 || r.Violations[0].String() != want {
+		t.Fatalf("within-insertion duplicate report:\n%s\nwant the single line\n%s", r, want)
 	}
 }
 

@@ -190,9 +190,19 @@ func (d *Directory) detach(e *Entry) {
 }
 
 // GraftSubtree copies the subtree rooted at src (from any directory) as a
-// new child of parent in d (or as a new root if parent is nil), returning
-// the root of the copy. It is the Δ-insertion primitive of Section 4.1.
+// new last child of parent in d (or as a new last root if parent is nil),
+// returning the root of the copy. It is the Δ-insertion primitive of
+// Section 4.1.
 func (d *Directory) GraftSubtree(parent *Entry, src *Entry) (*Entry, error) {
+	return d.GraftSubtreeAt(parent, src, -1)
+}
+
+// GraftSubtreeAt is GraftSubtree placing the copy at sibling position i
+// among parent's children (or among the roots), shifting later siblings
+// right; i < 0 or past the end appends. Rolling a deletion back grafts
+// the saved subtree at the position it was deleted from, so the restored
+// instance is the original one, sibling order included.
+func (d *Directory) GraftSubtreeAt(parent *Entry, src *Entry, i int) (*Entry, error) {
 	if parent != nil && parent.dir != d {
 		return nil, fmt.Errorf("dirtree: parent %s belongs to a different directory", parent.DN())
 	}
@@ -224,6 +234,14 @@ func (d *Directory) GraftSubtree(parent *Entry, src *Entry) (*Entry, error) {
 	d.grafting = false
 	if err != nil {
 		return nil, err
+	}
+	sibs := &d.roots
+	if parent != nil {
+		sibs = &parent.children
+	}
+	if last := len(*sibs) - 1; i >= 0 && i < last {
+		copy((*sibs)[i+1:], (*sibs)[i:last])
+		(*sibs)[i] = root
 	}
 	if patch {
 		d.patchInsert(root)

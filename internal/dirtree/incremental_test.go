@@ -172,10 +172,16 @@ func TestIncrementalEncodingDifferential(t *testing.T) {
 			if parent != nil {
 				dest = parent.DN()
 			}
-			what = fmt.Sprintf("GraftSubtree %s -> %s", src.DN(), dest)
+			// Half the grafts land at a random sibling position (the
+			// rollback of a deletion), the rest append.
+			at := -1
+			if rng.Intn(2) == 0 {
+				at = rng.Intn(4)
+			}
+			what = fmt.Sprintf("GraftSubtreeAt %s -> %s @%d", src.DN(), dest, at)
 			// Duplicate DNs make grafts fail, sometimes after partial
 			// progress; both outcomes must leave a consistent encoding.
-			_, _ = d.GraftSubtree(parent, src)
+			_, _ = d.GraftSubtreeAt(parent, src, at)
 		case op < 81: // class membership
 			e := pick()
 			c := classPool[rng.Intn(len(classPool))]

@@ -39,9 +39,9 @@ func (d *Directory) patchable() bool {
 }
 
 // patchInsert splices a freshly linked subtree into the current
-// encoding. root must already hang off its parent (or the root list) as
-// the LAST child/root, with none of its entries in the pre-order slice
-// or the posting lists yet — the shape add and GraftSubtree produce.
+// encoding. root must already hang off its parent (or the root list),
+// with none of its entries in the pre-order slice or the posting lists
+// yet — the shape add and GraftSubtreeAt produce.
 func (d *Directory) patchInsert(root *Entry) {
 	sub := make([]*Entry, 0, 8)
 	var collect func(e *Entry)
@@ -54,11 +54,22 @@ func (d *Directory) patchInsert(root *Entry) {
 	collect(root)
 	k := len(sub)
 
-	// Insertion rank and depth: right after the parent's current subtree
-	// (root is its last child), or after everything for a new forest root.
+	// Insertion rank and depth: at the next sibling's rank, or, for a last
+	// child, right after the parent's current subtree (after everything
+	// for a last forest root).
 	p, depth := len(d.order), 0
+	sibs := d.roots
 	if par := root.parent; par != nil {
 		p, depth = par.post+1, par.depth+1
+		sibs = par.children
+	}
+	if sibs[len(sibs)-1] != root {
+		for i, s := range sibs {
+			if s == root {
+				p = sibs[i+1].pre
+				break
+			}
+		}
 	}
 
 	// Entries at or after the splice point shift up; the new subtree's

@@ -73,15 +73,6 @@ func parseTx(schema *core.Schema, lines []string) (*txn.Transaction, error) {
 	return t, nil
 }
 
-// serverApplier mirrors the server's applier configuration (incremental
-// Figure 5 checks, count index, narrowed deletes).
-func serverApplier(schema *core.Schema, d *dirtree.Directory) *txn.Applier {
-	a := txn.NewApplier(schema)
-	a.Counts = txn.NewCountIndex(d)
-	a.NarrowDeletes = true
-	return a
-}
-
 func ldifBytes(t *testing.T, d *dirtree.Directory) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -107,7 +98,7 @@ func TestWorkloadBatchesDifferentialEngines(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			d := sc.NewCorpus(schema, rng, 300)
 			pools := sc.ExtractPools(d)
-			applier := serverApplier(schema, d)
+			applier := txn.NewApplier(schema)
 			mix := Churn()
 			applied := 0
 			for w := 0; w < 2; w++ {
@@ -233,7 +224,7 @@ func TestIllegalMutantsRejectedIdentically(t *testing.T) {
 
 				// (a) The guarded applier refuses and rolls back exactly.
 				before := ldifBytes(t, d)
-				applier := serverApplier(schema, d)
+				applier := txn.NewApplier(schema)
 				report, err := applier.Apply(d, tx)
 				if err != nil {
 					t.Fatalf("mutant errored instead of reporting violations: %v", err)

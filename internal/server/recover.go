@@ -246,7 +246,6 @@ func (s *Server) loadSnapshot(snapPath string) (loaded bool, snapSeq, snapEpoch 
 	s.mu.Lock()
 	s.dir = d
 	s.dir.EnsureEncoded()
-	s.reindex(d)
 	s.mu.Unlock()
 	return true, snapSeq, snapEpoch, nil
 }
@@ -382,9 +381,6 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 		lastSeq = rt.seq
 	}
 	s.dir.EnsureEncoded() // keep readers free of the lazy re-encode
-	if rep.RecordsReplayed > 0 {
-		s.reindex(s.dir) // trusted replay bypassed count/key maintenance
-	}
 	s.mu.Unlock()
 
 	// The paper's invariant, end to end: recovery finishes by proving

@@ -583,7 +583,6 @@ func (s *Server) bootstrapFromPrimary(seq, epoch uint64, snapshot []byte) error 
 	}
 	s.dir = d
 	s.dir.EnsureEncoded()
-	s.reindex(d)
 	s.commitSeq = seq
 	if epoch > s.epoch.Load() {
 		s.epoch.Store(epoch)
@@ -729,11 +728,8 @@ func (s *Server) Promote() ([]string, error) {
 		s.mu.Unlock()
 		return lines, fmt.Errorf("refusing promotion, could not persist epoch %d: %v", newEpoch, rerr)
 	}
-	// Trusted replica apply bypasses count/key index maintenance (the
-	// primary already proved every segment legal); rebuild them, and give
-	// the journal its committer, before the role flip lets the first
+	// Give the journal its committer before the role flip lets the first
 	// write in — CommitTx checks the role before it takes s.mu.
-	s.reindex(s.dir)
 	s.startCommitter()
 	s.role.Store(int32(RolePrimary))
 	local := s.commitSeq

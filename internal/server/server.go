@@ -102,7 +102,9 @@ type Server struct {
 	applier *txn.Applier
 	// replApplier applies replicated segments without re-proving
 	// legality (txn.NewTrustedApplier): the primary proved them before
-	// acknowledging. Promote reindexes s.applier before the first write.
+	// acknowledging. Neither applier keeps state of its own, so any
+	// directory installed under s.mu is checked correctly from its first
+	// COMMIT.
 	replApplier *txn.Applier
 	checker     *core.Checker
 
@@ -198,21 +200,10 @@ func New(schema *core.Schema, name string, dir *dirtree.Directory) (*Server, err
 	if r := checker.Check(dir); !r.Legal() {
 		return nil, fmt.Errorf("server: initial instance is illegal:\n%s", r)
 	}
-	applier := txn.NewApplier(schema)
-	applier.Counts = txn.NewCountIndex(dir)
-	applier.NarrowDeletes = true
-	// Without the key index the Section 6.1 uniqueness checks only run
-	// under a full Check: concurrent commits could then slip duplicate
-	// key values past the incremental path and corrupt the served
-	// instance until VERIFY noticed (found by the load harness driving
-	// the netpolicy schema's ipAddress key at scale).
-	if len(schema.Keys()) > 0 {
-		applier.Keys = core.NewKeyIndex(schema, dir)
-	}
 	s := &Server{
 		schema:      schema,
 		name:        name,
-		applier:     applier,
+		applier:     txn.NewApplier(schema),
 		replApplier: txn.NewTrustedApplier(schema),
 		checker:     checker,
 		dir:         dir,
@@ -241,17 +232,6 @@ func (s *Server) SetDialer(d func(addr string, timeout time.Duration) (net.Conn,
 // accepted replica connection). Call before ListenRepl.
 func (s *Server) SetReplListenerWrap(w func(net.Listener) net.Listener) {
 	s.replListenWrap = w
-}
-
-// reindex rebuilds the applier's incremental indexes over a freshly
-// installed directory — journal recovery and replica bootstrap swap
-// s.dir wholesale, and a stale count or key index would validate
-// commits against an instance that no longer exists. Callers hold s.mu.
-func (s *Server) reindex(d *dirtree.Directory) {
-	s.applier.Counts = txn.NewCountIndex(d)
-	if len(s.schema.Keys()) > 0 {
-		s.applier.Keys = core.NewKeyIndex(s.schema, d)
-	}
 }
 
 // SetShardInfo labels this node as the named shard of a routed

@@ -2,7 +2,7 @@ package txn
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"boundschema/internal/core"
 	"boundschema/internal/dirtree"
@@ -14,9 +14,10 @@ type CheckMode int
 
 // Check modes.
 const (
-	// CheckIncremental uses the Figure 5 Δ-queries: content checks over
-	// Δ only, incremental structure checks where Theorem 4.2 allows, and
-	// the prescribed rechecks where it does not.
+	// CheckIncremental checks Δ only: content and key checks over its
+	// entries, the Figure 5 Δ-queries for insertions, and, for the
+	// deletion rows Theorem 4.2 marks N, counts over the directory's
+	// class posting lists.
 	CheckIncremental CheckMode = iota
 	// CheckFull rechecks the whole instance after applying everything —
 	// the baseline the incremental path is benchmarked against.
@@ -29,41 +30,67 @@ const (
 // Applier applies update transactions to a directory while preserving
 // legality, per Section 4. The zero value is not usable; construct with
 // NewApplier.
+//
+// Every check reads structures the directory itself keeps current under
+// mutation — the interval encoding, the class posting lists and the
+// attribute-value indexes — so the applier holds no state of its own
+// beyond the Figure 5 rows, and a refused transaction is undone by its
+// undo closures alone: it costs what its Δ costs, not O(|D|).
 type Applier struct {
 	checker *core.Checker
 	// Mode selects the verification strategy; default CheckIncremental.
 	Mode CheckMode
-	// Counts, when non-nil, makes required-class elements incrementally
-	// testable under deletion (the Section 4 counts remark). The index
-	// must have been built over the same directory.
+	// Deprecated: ignored; c⇓ under deletion reads the class posting
+	// lists. bench/layers.go is the last caller.
 	Counts *CountIndex
-	// Keys, when non-nil, makes the Section 6.1 key-uniqueness checks
-	// incremental: insertions probe the index instead of rescanning the
-	// instance. Without it, key uniqueness is verified only by CheckFull
-	// (or by an explicit Checker.CheckKeys).
-	Keys *core.KeyIndex
-	// NarrowDeletes enables the ancestor-narrowing extension: the
-	// Figure 5 "N" deletion rows (downward required relationships) are
-	// rechecked only along the deleted subtree's root path, since only
-	// ancestors of Δ can lose witnesses. This is beyond the paper but
-	// preserves verdicts exactly; see the package comment.
+	// Deprecated: ignored; downward required relationships under deletion
+	// are always checked along Δ's ancestors. bench/layers.go is the last
+	// caller.
 	NarrowDeletes bool
+
+	// inserts and deletes are the Figure 5 rows that need a check, built
+	// once: the schema must not change after NewApplier.
+	inserts, deletes []core.DeltaCheck
 }
 
-// NewApplier returns an applier checking against the given schema.
+// CountIndex is an empty placeholder.
+//
+// Deprecated: required classes under deletion are counted off the
+// directory's class posting lists (Directory.ClassCount).
+// bench/layers.go is the last caller.
+type CountIndex struct{}
+
+// NewCountIndex returns an empty CountIndex in O(1).
+//
+// Deprecated: see CountIndex; bench/layers.go is the last caller.
+func NewCountIndex(*dirtree.Directory) *CountIndex { return &CountIndex{} }
+
+// NewApplier returns an applier checking against the given schema, which
+// must not change afterwards.
 func NewApplier(s *core.Schema) *Applier {
-	return &Applier{checker: core.NewChecker(s)}
+	a := &Applier{checker: core.NewChecker(s)}
+	for _, chk := range core.InsertChecks(s.Structure) {
+		if chk.Query != nil {
+			a.inserts = append(a.inserts, chk)
+		}
+	}
+	for _, chk := range core.DeleteChecks(s.Structure) {
+		if chk.Query != nil {
+			a.deletes = append(a.deletes, chk)
+		}
+	}
+	return a
 }
 
 // NewTrustedApplier returns an applier that applies without re-proving
-// legality: CheckNone, no count or key indexes, so each transaction costs
-// O(|Δ|) instead of re-running the Figure 5 Δ-checks and key probes. It
-// is for records whose legality was already proven before they became
-// durable — checksum-verified journal records during recovery, and
-// replicated segments the primary acknowledged — where the caller keeps a
-// terminal full Checker.Check (or the replica's divergence → read-only
-// degradation) as the safety net. Structural impossibilities (a missing
-// graft parent, a duplicate DN) still fail the Apply call itself.
+// legality: CheckNone, so each transaction costs O(|Δ|) without the
+// Figure 5 Δ-checks and key probes. It is for records whose legality was
+// already proven before they became durable — checksum-verified journal
+// records during recovery, and replicated segments the primary
+// acknowledged — where the caller keeps a terminal full Checker.Check (or
+// the replica's divergence → read-only degradation) as the safety net.
+// Structural impossibilities (a missing graft parent, a duplicate DN)
+// still fail the Apply call itself.
 func NewTrustedApplier(s *core.Schema) *Applier {
 	a := NewApplier(s)
 	a.Mode = CheckNone
@@ -91,10 +118,10 @@ func (a *Applier) Apply(d *dirtree.Directory, t *Transaction) (*core.Report, err
 
 // ApplyWithUndo is Apply plus a revert handle: on a successful, legal
 // application it additionally returns a non-nil undo function that
-// reverses the transaction and rebuilds the applier's count and key
-// indexes. Undo must be called before any further mutation of d (the
-// server's durable-commit path calls it under the same write lock when a
-// journal write fails, so a non-durable commit is never visible).
+// reverses the transaction, restoring the instance exactly (sibling
+// order included). Undo must be called before any further mutation of d
+// (the server's durable-commit path calls it under the same write lock
+// when a journal write fails, so a non-durable commit is never visible).
 func (a *Applier) ApplyWithUndo(d *dirtree.Directory, t *Transaction) (*core.Report, func() error, error) {
 	norm, err := Normalize(d, t)
 	if err != nil {
@@ -132,16 +159,6 @@ func (a *Applier) ApplyNormalized(d *dirtree.Directory, norm *Normalized) (*core
 }
 
 func (a *Applier) applyNormalized(d *dirtree.Directory, norm *Normalized) (*core.Report, func() error, error) {
-	// Key collisions with entries this same update deletes (a moved
-	// subtree's origin) are excused; the deletion removes them.
-	pendingDelete := func(dn string) bool {
-		for _, root := range norm.Deletes {
-			if dn == root || strings.HasSuffix(dn, ","+root) {
-				return true
-			}
-		}
-		return false
-	}
 	var undo []func() error
 	rollback := func() error {
 		for i := len(undo) - 1; i >= 0; i-- {
@@ -149,33 +166,26 @@ func (a *Applier) applyNormalized(d *dirtree.Directory, norm *Normalized) (*core
 				return fmt.Errorf("txn: rollback failed: %v", err)
 			}
 		}
-		if a.Counts != nil {
-			a.Counts.Rebuild(d)
-		}
-		if a.Keys != nil {
-			a.Keys.Rebuild(d)
-		}
 		return nil
+	}
+	refuse := func(r *core.Report, err error) (*core.Report, func() error, error) {
+		if rerr := rollback(); rerr != nil {
+			return nil, nil, rerr
+		}
+		return r, nil, err
 	}
 
 	// Insertions first (Theorem 4.1).
 	for _, ins := range norm.Inserts {
 		var parent *dirtree.Entry
 		if ins.ParentDN != "" {
-			parent = d.ByDN(ins.ParentDN)
-			if parent == nil {
-				if rerr := rollback(); rerr != nil {
-					return nil, nil, rerr
-				}
-				return nil, nil, fmt.Errorf("txn: graft parent %q vanished", ins.ParentDN)
+			if parent = d.ByDN(ins.ParentDN); parent == nil {
+				return refuse(nil, fmt.Errorf("txn: graft parent %q vanished", ins.ParentDN))
 			}
 		}
 		root, err := d.GraftSubtree(parent, ins.Fragment.Roots()[0])
 		if err != nil {
-			if rerr := rollback(); rerr != nil {
-				return nil, nil, rerr
-			}
-			return nil, nil, err
+			return refuse(nil, err)
 		}
 		rootDN := root.DN()
 		undo = append(undo, func() error {
@@ -186,23 +196,8 @@ func (a *Applier) applyNormalized(d *dirtree.Directory, norm *Normalized) (*core
 			_, err := d.DeleteSubtree(e)
 			return err
 		})
-		if a.Counts != nil {
-			a.Counts.NoteInsert(d, root)
-		}
-		if a.Keys != nil {
-			if r := a.Keys.CheckInsertExcluding(d, root, pendingDelete); !r.Legal() {
-				if rerr := rollback(); rerr != nil {
-					return nil, nil, rerr
-				}
-				return r, nil, nil
-			}
-			a.Keys.NoteInsert(d, root)
-		}
-		if r := a.checkInsert(d, root); !r.Legal() {
-			if rerr := rollback(); rerr != nil {
-				return nil, nil, rerr
-			}
-			return r, nil, nil
+		if r := a.checkInsert(d, root, norm.Deletes); !r.Legal() {
+			return refuse(r, nil)
 		}
 	}
 
@@ -210,61 +205,47 @@ func (a *Applier) applyNormalized(d *dirtree.Directory, norm *Normalized) (*core
 	for _, dn := range norm.Deletes {
 		root := d.ByDN(dn)
 		if root == nil {
-			if rerr := rollback(); rerr != nil {
-				return nil, nil, rerr
-			}
-			return nil, nil, fmt.Errorf("txn: delete root %q vanished", dn)
+			return refuse(nil, fmt.Errorf("txn: delete root %q vanished", dn))
 		}
 		if r := a.checkDelete(d, root); !r.Legal() {
-			if rerr := rollback(); rerr != nil {
-				return nil, nil, rerr
-			}
-			return r, nil, nil
+			return refuse(r, nil)
 		}
-		// Keep a copy for rollback, then delete.
+		// Keep a copy and its sibling position for rollback, then delete.
 		saved := dirtree.New(d.Registry())
 		if _, err := saved.GraftSubtree(nil, root); err != nil {
-			return nil, nil, err
+			return refuse(nil, err)
 		}
-		parentDN := ""
+		parentDN, sibs := "", d.Roots()
 		if p := root.Parent(); p != nil {
-			parentDN = p.DN()
+			parentDN, sibs = p.DN(), p.Children()
 		}
-		if a.Counts != nil {
-			a.Counts.NoteDelete(d, root)
-		}
-		if a.Keys != nil {
-			a.Keys.NoteDelete(d, root)
-		}
+		at := slices.Index(sibs, root)
 		if _, err := d.DeleteSubtree(root); err != nil {
-			return nil, nil, err
+			return refuse(nil, err)
 		}
 		undo = append(undo, func() error {
 			var parent *dirtree.Entry
 			if parentDN != "" {
-				parent = d.ByDN(parentDN)
-				if parent == nil {
+				if parent = d.ByDN(parentDN); parent == nil {
 					return fmt.Errorf("delete parent %q vanished", parentDN)
 				}
 			}
-			_, err := d.GraftSubtree(parent, saved.Roots()[0])
+			_, err := d.GraftSubtreeAt(parent, saved.Roots()[0], at)
 			return err
 		})
 	}
 
 	if a.Mode == CheckFull {
 		if r := a.checker.Check(d); !r.Legal() {
-			if rerr := rollback(); rerr != nil {
-				return nil, nil, rerr
-			}
-			return r, nil, nil
+			return refuse(r, nil)
 		}
 	}
 	return &core.Report{}, rollback, nil
 }
 
-// checkInsert verifies that the grafted subtree preserves legality.
-func (a *Applier) checkInsert(d *dirtree.Directory, root *dirtree.Entry) *core.Report {
+// checkInsert verifies that the grafted subtree preserves legality;
+// deleting names the subtree roots the same update deletes.
+func (a *Applier) checkInsert(d *dirtree.Directory, root *dirtree.Entry, deleting []string) *core.Report {
 	r := &core.Report{}
 	if a.Mode != CheckIncremental {
 		return r // CheckFull verifies at the end; CheckNone never.
@@ -274,9 +255,11 @@ func (a *Applier) checkInsert(d *dirtree.Directory, root *dirtree.Entry) *core.R
 	for _, e := range d.SubtreeView(root).Entries() {
 		r.Merge(a.checker.CheckEntry(e))
 	}
+	// Keys (Section 6.1), off the directory's value indexes.
+	r.Merge(a.checker.CheckInsertKeys(d, root, deleting))
 	// Structure schema: the Figure 5 insertion rows.
 	b := hquery.DeltaBinding(d, root)
-	for _, chk := range core.InsertChecks(a.checker.Schema().Structure) {
+	for _, chk := range a.inserts {
 		if !chk.Holds(b) {
 			r.Add(core.Violation{
 				Kind:    violationKindFor(chk.Element),
@@ -289,91 +272,83 @@ func (a *Applier) checkInsert(d *dirtree.Directory, root *dirtree.Entry) *core.R
 }
 
 // checkDelete verifies, before removal, that deleting the subtree
-// preserves legality.
+// preserves legality. Figure 5's deletion N rows — c⇓ and the downward
+// required relationships — are decided from the class posting lists in
+// O(depth · log |D|); every other deletion row needs no check.
 func (a *Applier) checkDelete(d *dirtree.Directory, root *dirtree.Entry) *core.Report {
 	r := &core.Report{}
 	if a.Mode != CheckIncremental {
 		return r
 	}
-	b := hquery.DeltaBinding(d, root)
-	for _, chk := range core.DeleteChecks(a.checker.Schema().Structure) {
-		if rc, ok := chk.Element.(core.RequiredClass); ok && a.Counts != nil {
-			// Counts make c⇓ incrementally testable under deletion.
-			if a.Counts.Count(rc.Class)-countInSubtree(d, root, rc.Class) <= 0 {
+	for _, chk := range a.deletes {
+		switch el := chk.Element.(type) {
+		case core.RequiredClass:
+			// The Section 4 count remark: c survives iff its posting list
+			// is longer than its part inside Δ.
+			if d.ClassCount(el.Class)-len(d.SubtreeView(root).ClassEntries(el.Class)) <= 0 {
 				r.Add(core.Violation{
 					Kind:    core.ViolationMissingClass,
-					Element: chk.Element,
-					Detail:  "deletion removes the last entry of a required class (count index)",
+					Element: el,
+					Detail:  "deletion removes the last entry of a required class (class posting list)",
 				})
 			}
-			continue
-		}
-		if rel, ok := chk.Element.(core.RequiredRel); ok && !chk.Incremental && a.NarrowDeletes {
-			if w := NarrowedDeleteCheck(d, root, rel); w != nil {
+		case core.RequiredRel:
+			if w := NarrowedDeleteCheck(d, root, el); w != nil {
 				r.Add(core.Violation{
 					Kind:    core.ViolationRequiredRel,
 					Entry:   w,
-					Element: rel,
-					Detail:  "deletion removes the last witness (ancestor-narrowed check)",
+					Element: el,
+					Detail:  "deletion removes the last witness (class posting list)",
 				})
 			}
-			continue
-		}
-		if !chk.Holds(b) {
-			r.Add(core.Violation{
-				Kind:    violationKindFor(chk.Element),
-				Element: chk.Element,
-				Detail:  "deletion breaks this element (Figure 5 check)",
-			})
 		}
 	}
 	return r
 }
 
-// NarrowedDeleteCheck rechecks a downward required relationship only for
-// the ancestors of the subtree about to be deleted — the only entries
-// whose child or descendant sets shrink. It returns a violating entry or
-// nil, with the same verdict as the full Figure 5 recheck. This is the
-// ancestor-narrowing extension (see the package comment).
+// NarrowedDeleteCheck decides a downward required relationship
+// (ci →ch cj or ci →de cj) under the deletion of the subtree Δ rooted at
+// root, before removal. Only Δ's ancestors lose children or descendants,
+// and on a legal instance each had a witness before:
+//
+//   - →de: a ci ancestor anc keeps one iff
+//     |postings(cj) ∩ (anc.pre, anc.post]| − |postings(cj) ∩ Δ| > 0,
+//     binary searches on cj's posting list, no walk and no allocation;
+//   - →ch: only Δ's parent loses a child, so only it is consulted.
+//
+// It returns the nearest violating ancestor or nil — the verdict of
+// Figure 5's full recheck over D−Δ, which Theorem 4.2 shows cannot be
+// incremental without auxiliary structures like these posting lists.
 func NarrowedDeleteCheck(d *dirtree.Directory, root *dirtree.Entry, rel core.RequiredRel) *dirtree.Entry {
-	base := d.ExceptSubtreeView(root)
+	if rel.Axis == core.AxisChild {
+		p := root.Parent()
+		if p == nil || !p.HasClass(rel.Source) || !root.HasClass(rel.Target) {
+			return nil
+		}
+		for _, c := range p.Children() {
+			if c != root && c.HasClass(rel.Target) {
+				return nil
+			}
+		}
+		return p
+	}
+	lost := len(d.SubtreeView(root).ClassEntries(rel.Target))
+	if lost == 0 {
+		return nil
+	}
 	for anc := root.Parent(); anc != nil; anc = anc.Parent() {
 		if !anc.HasClass(rel.Source) {
 			continue
 		}
-		if !hasSurvivingWitness(anc, rel, base) {
+		below := len(d.SubtreeView(anc).ClassEntries(rel.Target))
+		if anc.HasClass(rel.Target) {
+			below-- // (anc.pre, anc.post] excludes anc itself
+		}
+		if below-lost <= 0 {
 			return anc
 		}
 	}
 	return nil
-}
-
-func hasSurvivingWitness(e *dirtree.Entry, rel core.RequiredRel, base dirtree.View) bool {
-	if rel.Axis == core.AxisChild {
-		for _, c := range e.Children() {
-			if c.HasClass(rel.Target) && base.Contains(c) {
-				return true
-			}
-		}
-		return false
-	}
-	var walk func(n *dirtree.Entry) bool
-	walk = func(n *dirtree.Entry) bool {
-		for _, c := range n.Children() {
-			if !base.Contains(c) {
-				continue
-			}
-			if c.HasClass(rel.Target) || walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(e)
-}
-
-func countInSubtree(d *dirtree.Directory, root *dirtree.Entry, class string) int {
-	return len(d.SubtreeView(root).ClassEntries(class))
 }
 
 func violationKindFor(el core.Element) core.ViolationKind {

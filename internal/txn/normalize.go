@@ -30,7 +30,7 @@ type Normalized struct {
 //   - operate on the same DN twice (Section 4.1 requires distinct ops);
 //   - add an entry whose parent neither exists in d nor is added earlier
 //     in the transaction;
-//   - add an entry below a deleted subtree;
+//   - add or move an entry below a deleted subtree;
 //   - delete a missing entry, or delete an entry while keeping one of
 //     its descendants (LDAP deletes leaves only, so the net deleted set
 //     must be closed under descendants).
@@ -72,6 +72,23 @@ func Normalize(d *dirtree.Directory, t *Transaction) (*Normalized, error) {
 		}
 	}
 	sort.Strings(out.Deletes)
+	// A move's target DN must be new to the transaction, and its
+	// destination must survive it: a copy grafted below a deleted entry
+	// would be checked, then silently deleted with it.
+	targets := make(map[string]bool, len(moves))
+	for _, m := range moves {
+		dn := m.Fragment.Roots()[0].RDN()
+		if m.ParentDN != "" {
+			dn += "," + m.ParentDN
+		}
+		if _, dup := seen[dn]; dup || targets[dn] {
+			return nil, fmt.Errorf("txn: duplicate operation on %q", dn)
+		}
+		targets[dn] = true
+		if m.ParentDN != "" && underAny(m.ParentDN, deleted) {
+			return nil, fmt.Errorf("txn: %q would be moved below deleted entry %q", dn, m.ParentDN)
+		}
+	}
 
 	// Insertions: roots are the added entries whose parent is not added;
 	// their parent must exist in d and must not be scheduled for

@@ -4,17 +4,16 @@
 // that preserves legality using the incremental tests of Figure 5
 // (Theorem 4.2), with atomic rollback on violation.
 //
-// Beyond the paper, the package implements the two extensions Section 4
-// sketches or implies:
-//
-//   - CountIndex: per-class entry counts making required-class elements
-//     (c⇓) incrementally testable under deletion ("if we had the ability
-//     to associate each ci with the number of entries that belong to
-//     ci");
-//   - ancestor narrowing: deletion can only break downward required
-//     relationships for ancestors of the deleted subtree, so the
-//     Figure 5 "not incrementally testable" rows can be rechecked along
-//     the root path instead of over the whole surviving instance.
+// Beyond the paper, the applier makes Figure 5's deletion "N" rows
+// incremental by reading the directory's class posting lists, which
+// dirtree patches in place under every update: required classes (c⇓)
+// by posting-list length, the Section 4 remark ("if we had the ability
+// to associate each ci with the number of entries that belong to ci");
+// downward required relationships by posting-list counts along the
+// deleted subtree's ancestors, the only entries whose child or
+// descendant sets shrink. Section 6.1 keys are probed in the directory's
+// value indexes. The applier keeps no state of its own, so a refusal is
+// undone by the transaction's undo closures alone.
 package txn
 
 import (

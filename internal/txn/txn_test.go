@@ -2,10 +2,8 @@ package txn
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"boundschema/internal/core"
 	"boundschema/internal/dirtree"
@@ -105,6 +103,18 @@ func TestNormalizeErrors(t *testing.T) {
 			tx.Add("uid=x,ou=databases,"+base, []string{"person", "top"}, nil)
 			return tx
 		}, "deleted"},
+		{"move below deleted", func() *Transaction {
+			tx := &Transaction{}
+			tx.Move("uid=armstrong,"+base, "ou=databases,"+base)
+			tx.Move("ou=databases,"+base, "o=att")
+			return tx
+		}, "moved below deleted"},
+		{"move onto an added DN", func() *Transaction {
+			tx := &Transaction{}
+			tx.Move("uid=laks,ou=databases,"+base, base)
+			tx.Add("uid=laks,"+base, []string{"person", "top"}, nil)
+			return tx
+		}, "duplicate operation"},
 		{"add existing", func() *Transaction {
 			tx := &Transaction{}
 			tx.Add("uid=armstrong,"+base, []string{"person", "top"}, nil)
@@ -204,15 +214,17 @@ func TestApplyPaperSuciuExample(t *testing.T) {
 func TestDeleteLastPersonRejected(t *testing.T) {
 	s := workload.WhitePagesSchema()
 	d := workload.WhitePagesInstance(s)
+	// "scan" rechecks the survivors in full; "count-index" is the default
+	// applier, which counts the class posting lists.
 	for _, mode := range []struct {
-		name   string
-		counts bool
-	}{{"scan", false}, {"count-index", true}} {
+		name string
+		full bool
+	}{{"scan", true}, {"count-index", false}} {
 		t.Run(mode.name, func(t *testing.T) {
 			dd := d.Clone()
 			a := NewApplier(s)
-			if mode.counts {
-				a.Counts = NewCountIndex(dd)
+			if mode.full {
+				a.Mode = CheckFull
 			}
 			// Deleting all three persons breaks person⇓ and
 			// orgGroup →de person.
@@ -227,14 +239,12 @@ func TestDeleteLastPersonRejected(t *testing.T) {
 			if r.Legal() {
 				t.Fatalf("deleting every person accepted")
 			}
-			if dd.Len() != 6 {
-				t.Errorf("rollback incomplete: len = %d", dd.Len())
+			if dd.Len() != 6 || dd.String() != d.String() {
+				t.Errorf("rollback incomplete:\n%s", dd)
 			}
-			if mode.counts {
-				// The index must reflect the rolled-back state.
-				if a.Counts.Count("person") != 3 {
-					t.Errorf("count index desynced: person = %d", a.Counts.Count("person"))
-				}
+			// The posting lists reflect the rolled-back state.
+			if n := dd.ClassCount("person"); n != 3 {
+				t.Errorf("person posting list desynced: %d", n)
 			}
 		})
 	}
@@ -277,60 +287,6 @@ func TestFromRecordsRejectsContentRecord(t *testing.T) {
 	recs := []*ldif.Record{{DN: "o=x", Change: ldif.ChangeNone}}
 	if _, err := FromRecords(recs, dirtree.NewRegistry()); err == nil {
 		t.Error("content record accepted as change")
-	}
-}
-
-// TestQuickIncrementalAgreesWithFull: on random legal corpora and random
-// transactions, the incremental applier must accept/reject exactly as a
-// full recheck does, for all applier configurations (Theorems 4.1/4.2).
-func TestQuickIncrementalAgreesWithFull(t *testing.T) {
-	s := workload.WhitePagesSchema()
-	f := func(seed int64, nops uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := workload.Corpus(s, rng, 40)
-
-		tx := randomTransaction(s, d, rng, int(nops%6)+1)
-
-		full := d.Clone()
-		fullApplier := NewApplier(s)
-		fullApplier.Mode = CheckFull
-		rFull, errFull := fullApplier.Apply(full, tx)
-
-		for _, cfg := range []struct {
-			counts, narrow bool
-		}{{false, false}, {true, false}, {false, true}, {true, true}} {
-			inc := d.Clone()
-			a := NewApplier(s)
-			if cfg.counts {
-				a.Counts = NewCountIndex(inc)
-			}
-			a.NarrowDeletes = cfg.narrow
-			rInc, errInc := a.Apply(inc, tx)
-			if (errFull != nil) != (errInc != nil) {
-				t.Logf("error mismatch: full=%v inc=%v", errFull, errInc)
-				return false
-			}
-			if errFull != nil {
-				continue
-			}
-			if rFull.Legal() != rInc.Legal() {
-				t.Logf("verdict mismatch (counts=%v narrow=%v): full=%v inc=%v\nfull:\n%s\ninc:\n%s",
-					cfg.counts, cfg.narrow, rFull.Legal(), rInc.Legal(), rFull, rInc)
-				return false
-			}
-			if rFull.Legal() && canonical(inc) != canonical(full) {
-				t.Logf("applied instances differ")
-				return false
-			}
-			if !rFull.Legal() && canonical(inc) != canonical(d) {
-				t.Logf("rollback differs from original")
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -400,34 +356,6 @@ func randomTransaction(s *core.Schema, d *dirtree.Directory, rng *rand.Rand, n i
 		}
 	}
 	return tx
-}
-
-// canonical renders a directory outline with children sorted by RDN, so
-// instances that differ only in sibling order compare equal (rollback
-// re-grafts at the end of the child list).
-func canonical(d *dirtree.Directory) string {
-	var b strings.Builder
-	var walk func(e *dirtree.Entry, depth int)
-	walk = func(e *dirtree.Entry, depth int) {
-		for i := 0; i < depth; i++ {
-			b.WriteString("  ")
-		}
-		b.WriteString(e.RDN())
-		b.WriteString(" (")
-		b.WriteString(strings.Join(e.Classes(), ","))
-		b.WriteString(")\n")
-		kids := append([]*dirtree.Entry(nil), e.Children()...)
-		sort.Slice(kids, func(i, j int) bool { return kids[i].RDN() < kids[j].RDN() })
-		for _, c := range kids {
-			walk(c, depth+1)
-		}
-	}
-	roots := append([]*dirtree.Entry(nil), d.Roots()...)
-	sort.Slice(roots, func(i, j int) bool { return roots[i].RDN() < roots[j].RDN() })
-	for _, r := range roots {
-		walk(r, 0)
-	}
-	return b.String()
 }
 
 func itoa(i int) string {
@@ -507,33 +435,50 @@ func TestApplierModes(t *testing.T) {
 	})
 }
 
+// TestCountIndexLifecycle: the c⇓ deletion row reads the directory's
+// class posting lists through insertion, deletion and refusal; the
+// deprecated CountIndex is accepted and ignored.
 func TestCountIndexLifecycle(t *testing.T) {
 	s := workload.WhitePagesSchema()
 	d := workload.WhitePagesInstance(s)
-	ci := NewCountIndex(d)
-	if ci.Count("person") != 3 || ci.Count("organization") != 1 || ci.Count("ghost") != 0 {
-		t.Fatalf("initial counts wrong")
+	a := NewApplier(s)
+	a.Counts = NewCountIndex(d)
+
+	ins := &Transaction{}
+	ins.Add("ou=new,ou=attLabs,o=att", []string{"orgUnit", "orgGroup", "top"}, nil)
+	ins.Add("uid=np,ou=new,ou=attLabs,o=att", []string{"person", "top"}, person("np"))
+	if r, err := a.Apply(d, ins); err != nil || !r.Legal() {
+		t.Fatalf("insert: %v %s", err, r)
 	}
-	labs := d.ByDN("ou=attLabs,o=att")
-	frag := dirtree.New(s.Registry)
-	fr, _ := frag.AddRoot("ou=new", "orgUnit", "orgGroup", "top")
-	p, _ := frag.AddChild(fr, "uid=np", "person", "top")
-	p.AddValue("name", dirtree.String("np"))
-	root, err := d.GraftSubtree(labs, frag.Roots()[0])
+	if n := d.ClassCount("person"); n != 4 {
+		t.Fatalf("person count after insert = %d, want 4", n)
+	}
+	// The three original persons may go: the new one survives.
+	del := &Transaction{}
+	for _, dn := range []string{"uid=armstrong,ou=attLabs,o=att", "ou=databases,ou=attLabs,o=att",
+		"uid=laks,ou=databases,ou=attLabs,o=att", "uid=suciu,ou=databases,ou=attLabs,o=att"} {
+		del.Delete(dn)
+	}
+	if r, err := a.Apply(d, del); err != nil || !r.Legal() {
+		t.Fatalf("delete: %v %s", err, r)
+	}
+	if n := d.ClassCount("person"); n != 1 {
+		t.Fatalf("person count after delete = %d, want 1", n)
+	}
+	// The last person may not.
+	before := d.String()
+	last := &Transaction{}
+	last.Delete("uid=np,ou=new,ou=attLabs,o=att")
+	last.Delete("ou=new,ou=attLabs,o=att")
+	r, err := a.Apply(d, last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci.NoteInsert(d, root)
-	if ci.Count("person") != 4 || ci.Count("orgUnit") != 3 {
-		t.Errorf("counts after insert wrong: person=%d orgUnit=%d", ci.Count("person"), ci.Count("orgUnit"))
+	if len(r.ByKind(core.ViolationMissingClass)) == 0 {
+		t.Fatalf("deleting the last person must break person⇓:\n%s", r)
 	}
-	ci.NoteDelete(d, root)
-	if ci.Count("person") != 3 {
-		t.Errorf("counts after delete wrong")
-	}
-	ci.Rebuild(d)
-	if ci.Count("person") != 4 { // the grafted person is still in d
-		t.Errorf("rebuild wrong: person=%d", ci.Count("person"))
+	if d.String() != before || d.ClassCount("person") != 1 {
+		t.Errorf("refusal changed the instance")
 	}
 }
 
@@ -546,7 +491,6 @@ func TestApplierKeyIndex(t *testing.T) {
 	laks.AddValue("employeeID", dirtree.String("E-1"))
 
 	a := NewApplier(s)
-	a.Keys = core.NewKeyIndex(s, d)
 
 	attrs := func(id string) map[string][]dirtree.Value {
 		return map[string][]dirtree.Value{
@@ -628,7 +572,7 @@ func TestMoveSubtree(t *testing.T) {
 func TestMoveRejectedWhenIllegal(t *testing.T) {
 	s := workload.WhitePagesSchema()
 	d := workload.WhitePagesInstance(s)
-	before := canonical(d)
+	before := d.String()
 	a := NewApplier(s)
 
 	// Moving the unit under a person breaks person ⇥ch top and
@@ -642,7 +586,7 @@ func TestMoveRejectedWhenIllegal(t *testing.T) {
 	if r.Legal() {
 		t.Fatalf("illegal move accepted")
 	}
-	if canonical(d) != before {
+	if d.String() != before {
 		t.Errorf("rollback incomplete after rejected move")
 	}
 }
@@ -697,7 +641,6 @@ func TestMoveWithKeyIndex(t *testing.T) {
 	laks.AddValue("employeeID", dirtree.String("E-1"))
 
 	a := NewApplier(s)
-	a.Keys = core.NewKeyIndex(s, d)
 	// Moving the subtree that HOLDS the key must not self-collide.
 	tx := &Transaction{}
 	tx.Move("ou=databases,ou=attLabs,o=att", "o=att")
@@ -722,6 +665,97 @@ func TestMoveWithKeyIndex(t *testing.T) {
 	}
 	if r.Legal() {
 		t.Fatalf("duplicate of moved key accepted")
+	}
+}
+
+// TestDefaultApplierRefusesDuplicateKey: the applier NewApplier returns
+// enforces Section 6.1 key uniqueness with no further setup, so Apply's
+// contract (an update that would make the instance illegal is rolled
+// back) covers keys too.
+func TestDefaultApplierRefusesDuplicateKey(t *testing.T) {
+	s := workload.NetPolicySchema()
+	d := workload.NetPolicyCorpus(s, rand.New(rand.NewSource(1)), 200)
+	before := d.String()
+	tx := &Transaction{}
+	tx.Add("cn=dup,ou=lab net 0,o=backbone", []string{"host", "netElement", "top"},
+		map[string][]dirtree.Value{"ipAddress": {dirtree.String("10.0.0.0")}})
+	r, err := NewApplier(s).Apply(d, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `duplicate-key at cn=dup,ou=lab net 0,o=backbone: key ipAddress="10.0.0.0" already used by cn=gw0,ou=lab net 0,o=backbone`
+	if len(r.Violations) != 1 || r.Violations[0].String() != want {
+		t.Fatalf("report:\n%s\nwant the single line\n%s", r, want)
+	}
+	if d.String() != before {
+		t.Errorf("refused transaction changed the instance")
+	}
+	if rep := core.NewChecker(s).Check(d); !rep.Legal() {
+		t.Fatalf("instance illegal after refusal:\n%s", rep)
+	}
+}
+
+// TestNarrowedDeleteCheck pins the posting-list form of Figure 5's
+// downward deletion rows on a schema where the →de source class is a
+// subclass of its target (so the ancestor's own posting must not count
+// as its witness), the violated ancestor is not Δ's parent, and a →ch
+// parent keeps or loses its last witness child.
+func TestNarrowedDeleteCheck(t *testing.T) {
+	s := core.NewSchema()
+	for _, c := range [][2]string{{"a", core.ClassTop}, {"b", "a"}, {"g", core.ClassTop}} {
+		if err := s.Classes.AddCore(c[0], c[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	de := core.RequiredRel{Source: "b", Axis: core.AxisDesc, Target: "a"}
+	ch := core.RequiredRel{Source: "g", Axis: core.AxisChild, Target: "a"}
+	s.Structure.RequireRel(de.Source, de.Axis, de.Target)
+	s.Structure.RequireRel(ch.Source, ch.Axis, ch.Target)
+	d := dirtree.New(s.Registry)
+	add := func(parent *dirtree.Entry, rdn string, classes ...string) *dirtree.Entry {
+		var e *dirtree.Entry
+		var err error
+		if parent == nil {
+			e, err = d.AddRoot(rdn, append(classes, core.ClassTop)...)
+		} else {
+			e, err = d.AddChild(parent, rdn, append(classes, core.ClassTop)...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	r := add(nil, "cn=r", "b", "a")
+	x := add(r, "cn=x", "g")
+	y := add(x, "cn=y", "a")
+	q := add(nil, "cn=q", "g")
+	y1 := add(q, "cn=y1", "a")
+	add(q, "cn=y2", "a")
+	checker := core.NewChecker(s)
+	if rep := checker.Check(d); !rep.Legal() {
+		t.Fatalf("fixture illegal:\n%s", rep)
+	}
+	for _, c := range []struct {
+		victim         *dirtree.Entry
+		wantDe, wantCh *dirtree.Entry
+	}{
+		{y, r, x},      // r's only a-descendant besides itself; x's only a-child
+		{x, r, nil},    // r loses y; r is no g
+		{y1, nil, nil}, // q keeps y2
+		{q, nil, nil},  // a root: no ancestor loses anything
+	} {
+		gotDe, gotCh := NarrowedDeleteCheck(d, c.victim, de), NarrowedDeleteCheck(d, c.victim, ch)
+		if gotDe != c.wantDe || gotCh != c.wantCh {
+			t.Errorf("delete %s: →de witness %v (want %v), →ch witness %v (want %v)",
+				c.victim.DN(), gotDe, c.wantDe, gotCh, c.wantCh)
+		}
+		after := d.Clone()
+		if _, err := after.DeleteSubtree(after.ByDN(c.victim.DN())); err != nil {
+			t.Fatal(err)
+		}
+		if full := checker.Legal(after); full != (gotDe == nil && gotCh == nil) {
+			t.Errorf("delete %s: counted verdict disagrees with the full recheck (%v)", c.victim.DN(), full)
+		}
 	}
 }
 
@@ -766,7 +800,7 @@ func TestWriteChangesRoundTrip(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatalf("apply: %v / %v", err1, err2)
 	}
-	if r1.Legal() != r2.Legal() || canonical(d1) != canonical(d2) {
+	if r1.Legal() != r2.Legal() || d1.String() != d2.String() {
 		t.Fatalf("round-tripped transaction applies differently")
 	}
 }
