@@ -239,10 +239,7 @@ func runE5() {
 		}
 		okA, vA := applyVerdict(tx.Ops)
 
-		full := d.Clone()
-		af := txn.NewApplier(s)
-		af.Mode = txn.CheckFull
-		repF, errF := af.Apply(full, tx)
+		repF, errF := wholeTxnRecheck(s, d.Clone(), tx)
 		if okA == (errF == nil) && (errF != nil || vA == repF.Legal()) {
 			agree++
 		}
@@ -260,6 +257,27 @@ func runE5() {
 	fmt.Printf("incremental == whole-txn recheck:     %d/%d\n", agree, rounds)
 	fmt.Printf("verdict invariant under permutation:  %d/%d\n", permAgree, rounds)
 	fmt.Println("\nshape check: both counters must equal the number checked.")
+}
+
+// wholeTxnRecheck is E5's reference verdict: apply the normalized update
+// to d unchecked — insertions, then deletions (Theorem 4.1) — and run
+// the full checker over the result.
+func wholeTxnRecheck(s *core.Schema, d *dirtree.Directory, tx *txn.Transaction) (*core.Report, error) {
+	norm, err := txn.Normalize(d, tx)
+	if err != nil {
+		return nil, err
+	}
+	for _, ins := range norm.Inserts {
+		if _, err := d.GraftSubtree(d.ByDN(ins.ParentDN), ins.Fragment.Roots()[0]); err != nil {
+			return nil, err
+		}
+	}
+	for _, dn := range norm.Deletes {
+		if _, err := d.DeleteSubtree(d.ByDN(dn)); err != nil {
+			return nil, err
+		}
+	}
+	return core.NewChecker(s).Check(d), nil
 }
 
 func randomTx(s *core.Schema, d *dirtree.Directory, rng *rand.Rand) *txn.Transaction {

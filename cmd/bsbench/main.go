@@ -26,7 +26,6 @@
 //	e12 ablation: extension rules vs the pairwise reconstruction
 //	e13 Section 7 future work: schema-aided query optimization
 //	e14 parallel legality engine: sequential vs sharded Check
-//	e17 crash recovery: cold-start cost vs journal length
 //	e18 streaming replication: read fan-out and the semi-sync write price
 //	e20 attribute-value indexes: SEARCH latency vs instance size
 //	e21 epoch-fenced failover: time-to-writable, acked-write loss, fencing
@@ -53,15 +52,12 @@ func env(scenario string) envInfo {
 }
 
 var (
-	quick                = flag.Bool("quick", false, "smaller sweeps")
-	parallel             = flag.Int("parallel", 0, "extra worker count for e14 (0 = GOMAXPROCS sweep only)")
-	jsonOut              = flag.String("json", "", "write e14 results as JSON to this file")
-	jsonE17              = flag.String("json-e17", "", "write e17 results as JSON to this file")
-	jsonE18              = flag.String("json-e18", "", "write e18 results as JSON to this file")
-	jsonE20              = flag.String("json-e20", "", "write e20 results as JSON to this file")
-	jsonE21              = flag.String("json-e21", "", "write e21 results as JSON to this file")
-	checkRecoveryScaling = flag.Bool("check-recovery-scaling", false,
-		"e17: exit non-zero unless ns/replayed-commit at the largest journal is < 3x the smallest (regression gate)")
+	quick             = flag.Bool("quick", false, "smaller sweeps")
+	parallel          = flag.Int("parallel", 0, "extra worker count for e14 (0 = GOMAXPROCS sweep only)")
+	jsonOut           = flag.String("json", "", "write e14 results as JSON to this file")
+	jsonE18           = flag.String("json-e18", "", "write e18 results as JSON to this file")
+	jsonE20           = flag.String("json-e20", "", "write e20 results as JSON to this file")
+	jsonE21           = flag.String("json-e21", "", "write e21 results as JSON to this file")
 	checkIndexScaling = flag.Bool("check-index-scaling", false,
 		"e20: exit non-zero unless index-probe p50 at the largest instance is < 3x the smallest (regression gate)")
 )
@@ -91,15 +87,16 @@ func main() {
 		// e15 (metrics overhead) and e19 (bsload convergence) live in
 		// EXPERIMENTS.md as Go benchmarks / the bsload harness; e16 and
 		// e22 measured against the per-transaction commit path and were
-		// retired with it. Ids here match the doc's section numbers.
-		{"e17", "Crash recovery: cold-start cost vs journal length", runE17},
+		// retired with it; e17 timed trusted journal replay, which is gone
+		// (internal/server's replay-cost ratchet counts checked replay
+		// instead). Ids here match the doc's section numbers.
 		{"e18", "Streaming replication: read fan-out and the semi-sync write price", runE18},
 		{"e20", "Attribute-value indexes: SEARCH latency vs instance size", runE20},
 		{"e21", "Epoch-fenced failover: time-to-writable, acked-write loss, fencing", runE21},
 	}
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: bsbench [-quick] all | e1 ... e14 | e17 | e18 | e20 | e21 | trend [dir]")
+		fmt.Fprintln(os.Stderr, "usage: bsbench [-quick] all | e1 ... e14 | e18 | e20 | e21 | trend [dir]")
 		os.Exit(2)
 	}
 	if args[0] == "trend" {

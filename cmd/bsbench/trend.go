@@ -63,24 +63,6 @@ func trendLines(exp string, doc map[string]any) []string {
 				tnum(r, "workers"), tdur(tnum(r, "check_ns")), tnum(r, "speedup_vs_sequential")))
 		}
 		out = append(out, fmt.Sprintf("reports_identical=%v", doc["reports_identical"]))
-	case "e17-crash-recovery":
-		pts := tarr(doc, "points")
-		for _, p := range pts {
-			out = append(out, fmt.Sprintf("commits=%-6.0f recovery=%-10s ns/replayed=%.0f",
-				tnum(p, "commits"), tdur(tnum(p, "recovery_ns")), tnum(p, "ns_per_replayed_commit")))
-		}
-		// Snapshotted points replay nothing and would read as a 0x ratio;
-		// the linearity claim is about the points that actually replayed.
-		var replayed []float64
-		for _, p := range pts {
-			if v := tnum(p, "ns_per_replayed_commit"); v > 0 {
-				replayed = append(replayed, v)
-			}
-		}
-		if len(replayed) >= 2 && replayed[0] > 0 {
-			out = append(out, fmt.Sprintf("replay cost ratio largest/smallest journal: %.2fx (flat = linear replay)",
-				replayed[len(replayed)-1]/replayed[0]))
-		}
 	case "e18-replication":
 		for _, r := range tarr(doc, "reads") {
 			out = append(out, fmt.Sprintf("replicas=%-2.0f %8.0f reads/s  speedup=%.2fx",

@@ -7,7 +7,7 @@
 //
 //	bschema check      -schema S.bs -instance D.ldif
 //	bschema consistent -schema S.bs [-explain] [-witness out.ldif]
-//	bschema apply      -schema S.bs -instance D.ldif -changes C.ldif [-full] [-o out.ldif]
+//	bschema apply      -schema S.bs -instance D.ldif -changes C.ldif [-o out.ldif]
 //	bschema query      -instance D.ldif -q '(minus (select (objectClass=a)) ...)'
 //	bschema search     -instance D.ldif -filter '(objectClass=person)' [-base DN]
 //	bschema lint       -schema S.bs
@@ -190,7 +190,6 @@ func cmdApply(args []string) error {
 	schemaPath := fs.String("schema", "", "schema definition file")
 	instPath := fs.String("instance", "", "LDIF instance file")
 	changesPath := fs.String("changes", "", "LDIF change records (changetype add/delete)")
-	full := fs.Bool("full", false, "use a full recheck instead of the Figure 5 incremental tests")
 	out := fs.String("o", "", "write the updated instance to this LDIF file")
 	fs.Parse(args)
 	if *schemaPath == "" || *instPath == "" || *changesPath == "" {
@@ -217,11 +216,7 @@ func cmdApply(args []string) error {
 	if err != nil {
 		return err
 	}
-	app := boundschema.NewApplier(s)
-	if *full {
-		app.Mode = txn.CheckFull
-	}
-	report, err := app.Apply(d, tx)
+	report, err := boundschema.NewApplier(s).Apply(d, tx)
 	if err != nil {
 		return err
 	}

@@ -27,8 +27,8 @@ package dirtree
 //   - a full encoding rebuild drops all trees: arbitrary unpatched
 //     mutations may have happened.
 //
-// Because every transactional path (txn apply and undo, trusted journal
-// replay, replica apply, PROMOTE) mutates the directory exclusively
+// Because every transactional path (txn apply and undo, journal replay,
+// replica apply, PROMOTE) mutates the directory exclusively
 // through these primitives, the value indexes stay consistent through
 // commit, rollback, recovery and replication with no extra bookkeeping.
 //

@@ -6,8 +6,8 @@ package dirtree
 // auxiliary structures they run over — the pre/post interval encoding and
 // the per-class posting lists — are maintained in O(|Δ|) too. Rebuilding
 // them from the roots after every mutation (EnsureEncoded) silently
-// re-introduces an O(|D|) term per transaction, which is exactly the
-// superlinear journal-replay cost BENCH_recovery.json measured.
+// re-introduces an O(|D|) term per transaction, which once made journal
+// replay superlinear (internal/server's replay-cost ratchet pins it).
 //
 // This file patches the encoding in place instead. Because update
 // granularity is a single subtree Δ (Theorem 4.1) and Δ occupies a

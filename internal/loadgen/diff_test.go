@@ -22,6 +22,27 @@ import (
 // a directly-mutated copy must be judged illegal with all engines in
 // agreement.
 
+// forceApply applies tx to d with no legality check — the normalized
+// insertions, then the deletions (Theorem 4.1) — to build the illegal
+// instance a mutant would produce.
+func forceApply(d *dirtree.Directory, tx *txn.Transaction) error {
+	norm, err := txn.Normalize(d, tx)
+	if err != nil {
+		return err
+	}
+	for _, ins := range norm.Inserts {
+		if _, err := d.GraftSubtree(d.ByDN(ins.ParentDN), ins.Fragment.Roots()[0]); err != nil {
+			return err
+		}
+	}
+	for _, dn := range norm.Deletes {
+		if _, err := d.DeleteSubtree(d.ByDN(dn)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // parseTx converts wire transaction lines (the Op.Tx format the sources
 // emit) into a txn.Transaction, mirroring the server's handleTx parser.
 func parseTx(schema *core.Schema, lines []string) (*txn.Transaction, error) {
@@ -239,9 +260,7 @@ func TestIllegalMutantsRejectedIdentically(t *testing.T) {
 				// (b) Forced in unchecked, all three engines agree: illegal,
 				// with identical witnesses (DiffEngines errors on divergence).
 				forced := d.Clone()
-				unchecked := txn.NewApplier(schema)
-				unchecked.Mode = txn.CheckNone
-				if _, err := unchecked.Apply(forced, tx); err != nil {
+				if err := forceApply(forced, tx); err != nil {
 					t.Fatalf("unchecked apply: %v", err)
 				}
 				if r := core.NewChecker(schema).Check(forced); r.Legal() {

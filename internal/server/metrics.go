@@ -153,7 +153,6 @@ type Metrics struct {
 	recRan         atomic.Int64
 	recScanned     atomic.Int64 // journal_records_scanned
 	recReplayed    atomic.Int64 // journal_records_replayed
-	recTrusted     atomic.Int64 // journal_records_trusted
 	recTruncated   atomic.Int64 // journal_records_truncated
 	recQuarantined atomic.Int64 // journal_records_quarantined
 	recLegalityMs  atomic.Int64 // recovery_legality_ms (legacy, floors to 0 under 1ms)
@@ -207,7 +206,6 @@ func (m *Metrics) noteRecovery(r *RecoveryReport) {
 	m.recRan.Store(1)
 	m.recScanned.Store(int64(r.RecordsScanned))
 	m.recReplayed.Store(int64(r.RecordsReplayed))
-	m.recTrusted.Store(int64(r.RecordsTrusted))
 	m.recTruncated.Store(int64(r.RecordsTruncated))
 	m.recQuarantined.Store(int64(r.RecordsQuarantined))
 	m.recLegalityMs.Store(r.LegalityMs)
@@ -290,8 +288,8 @@ func (m *Metrics) lines(journalOn bool, readOnly string, rs replStatus) []string
 	}
 	if m.recRan.Load() == 1 {
 		out = append(out, fmt.Sprintf(
-			"recovery: journal_records_scanned=%d journal_records_replayed=%d journal_records_trusted=%d journal_records_truncated=%d journal_records_quarantined=%d recovery_legality_ms=%d recovery_legality_us=%d recovery_clean=%d",
-			m.recScanned.Load(), m.recReplayed.Load(), m.recTrusted.Load(),
+			"recovery: journal_records_scanned=%d journal_records_replayed=%d journal_records_truncated=%d journal_records_quarantined=%d recovery_legality_ms=%d recovery_legality_us=%d recovery_clean=%d",
+			m.recScanned.Load(), m.recReplayed.Load(),
 			m.recTruncated.Load(), m.recQuarantined.Load(),
 			m.recLegalityMs.Load(), m.recLegalityUs.Load(), m.recClean.Load()))
 	}
@@ -411,7 +409,6 @@ func (m *Metrics) snapshot(journalOn bool, readOnly string, rs replStatus) map[s
 		out["recovery"] = map[string]int64{
 			"journal_records_scanned":     m.recScanned.Load(),
 			"journal_records_replayed":    m.recReplayed.Load(),
-			"journal_records_trusted":     m.recTrusted.Load(),
 			"journal_records_truncated":   m.recTruncated.Load(),
 			"journal_records_quarantined": m.recQuarantined.Load(),
 			"recovery_legality_ms":        m.recLegalityMs.Load(),

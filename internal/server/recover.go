@@ -7,6 +7,7 @@ import (
 	iofs "io/fs"
 	"time"
 
+	"boundschema/internal/core"
 	"boundschema/internal/ldif"
 	"boundschema/internal/repl"
 	"boundschema/internal/txn"
@@ -153,7 +154,6 @@ type RecoveryReport struct {
 	SnapshotSeq        uint64 `json:"snapshot_seq"`
 	RecordsScanned     int    `json:"records_scanned"`  // checksum-verified records
 	RecordsReplayed    int    `json:"records_replayed"` // transactions applied
-	RecordsTrusted     int    `json:"records_trusted"`  // applied with per-txn checks skipped
 	RecordsSkipped     int    `json:"records_skipped"`  // seq ≤ snapshot seq: already compacted
 	TornBytes          int64  `json:"torn_bytes"`
 	RecordsTruncated   int    `json:"records_truncated"` // partial records dropped with the tail
@@ -173,8 +173,8 @@ type RecoveryReport struct {
 // Lines renders the report for humans (fsck output, VERIFY bodies).
 func (r *RecoveryReport) Lines() []string {
 	out := []string{
-		fmt.Sprintf("journal %s: scanned=%d replayed=%d trusted=%d skipped=%d",
-			r.JournalPath, r.RecordsScanned, r.RecordsReplayed, r.RecordsTrusted, r.RecordsSkipped),
+		fmt.Sprintf("journal %s: scanned=%d replayed=%d skipped=%d",
+			r.JournalPath, r.RecordsScanned, r.RecordsReplayed, r.RecordsSkipped),
 	}
 	if r.SnapshotLoaded {
 		out = append(out, fmt.Sprintf("snapshot: loaded seq=%d", r.SnapshotSeq))
@@ -199,6 +199,16 @@ func (r *RecoveryReport) Lines() []string {
 		out = append(out, "verdict: not clean")
 	}
 	return out
+}
+
+// firstViolation renders an illegal report on one line: its first
+// violation, plus "(+k more)" when there are more.
+func firstViolation(r *core.Report) string {
+	first := r.Violations[0].String()
+	if k := len(r.Violations) - 1; k > 0 {
+		return fmt.Sprintf("%s (+%d more)", first, k)
+	}
+	return first
 }
 
 // quarantine copies the untrusted journal bytes to <path>.quarantine
@@ -327,9 +337,8 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 		return quarantineNow(sr.corruptReason, sr.afterCorrupt)
 	}
 
-	// Decode into transactions. Every record's checksummed marker
-	// verified — it was proven legal before it was acknowledged — so
-	// replay may skip the per-transaction Figure 5 checks.
+	// Decode into transactions; every record's checksummed marker
+	// verified.
 	type replayTxn struct {
 		recs []*ldif.Record
 		seq  uint64
@@ -352,15 +361,13 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 	//
 	// The whole replay runs under ONE hold of s.mu: recovery finishes
 	// before the listener accepts its first session, so there is no
-	// reader to yield to, and per-transaction lock churn was measurable
-	// noise in the replay benchmark (E17). Records go through a CheckNone
-	// applier with no per-transaction re-encode — the dirtree layer
-	// patches the encoding in O(|Δ|) — and the terminal full proof below
-	// is what makes that safe: a doctored-but-checksum-valid journal
-	// either fails Apply outright (duplicate DN, missing parent) or is
-	// caught as an illegal recovered instance and refused.
+	// reader to yield to. Records go through the same applier as a live
+	// COMMIT — the Figure 5 Δ-checks cost O(|Δ|), and the dirtree layer
+	// patches the encoding in O(|Δ|) — so a checksum-valid record that no
+	// legitimate primary would have acknowledged is refused as it is
+	// applied, and the server does not serve. It is not corruption, so
+	// nothing is quarantined.
 	lastSeq := snapSeq
-	trusted := txn.NewTrustedApplier(s.schema)
 	s.mu.Lock()
 	for _, rt := range txns {
 		if rt.seq <= snapSeq {
@@ -372,11 +379,15 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 			s.mu.Unlock()
 			return rep, fmt.Errorf("server: journal %s: %v", path, terr)
 		}
-		if _, aerr := trusted.Apply(s.dir, tx); aerr != nil {
+		r, aerr := s.applier.Apply(s.dir, tx)
+		if aerr != nil {
 			s.mu.Unlock()
-			return rep, fmt.Errorf("server: journal %s replay: %v", path, aerr)
+			return rep, fmt.Errorf("server: journal %s replay seq=%d: %v", path, rt.seq, aerr)
 		}
-		rep.RecordsTrusted++
+		if !r.Legal() {
+			s.mu.Unlock()
+			return rep, fmt.Errorf("server: journal %s replay refused: record seq=%d is illegal: %s", path, rt.seq, firstViolation(r))
+		}
 		rep.RecordsReplayed++
 		lastSeq = rt.seq
 	}
@@ -384,7 +395,8 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 	s.mu.Unlock()
 
 	// The paper's invariant, end to end: recovery finishes by proving
-	// the whole replayed instance legal before the server serves it.
+	// the whole replayed instance legal before the server serves it — the
+	// safety net behind the per-record checks.
 	t0 := time.Now()
 	s.mu.RLock()
 	fullReport := s.checker.Check(s.dir)

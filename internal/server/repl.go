@@ -596,7 +596,8 @@ func (s *Server) bootstrapFromPrimary(seq, epoch uint64, snapshot []byte) error 
 // tests, append verbatim to the local journal (write + fsync). nil
 // means the segment is locally durable — the caller acknowledges it.
 // Local faults (journal I/O) roll the apply back and return a retryable
-// error; a transaction this replica cannot legally hold is divergence.
+// error; a transaction this replica cannot apply, or cannot legally
+// hold, is divergence: the replica degrades to read-only.
 func (s *Server) applyReplicated(seg repl.Segment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -619,19 +620,22 @@ func (s *Server) applyReplicated(seg repl.Segment) error {
 		s.degradeReplica(fmt.Sprintf("replicated segment seq=%d rejected: %v", seg.Seq, err))
 		return fmt.Errorf("%w: segment seq=%d: %v", errDiverged, seg.Seq, err)
 	}
-	// The primary proved this transaction legal before acknowledging it,
-	// and the stream layer verified its checksum and sequence, so it
-	// applies trusted: CheckNone, no per-transaction Figure 5 re-checks —
-	// O(|Δ|) per segment, which keeps catch-up linear in the stream
-	// length. The divergence safety net stays: undecodable segments,
-	// sequence gaps and apply failures (duplicate DN, missing parent)
-	// degrade the replica to read-only, and PROMOTE re-proves the whole
-	// instance legal before the role flips.
-	_, undo, err := s.replApplier.ApplyWithUndo(s.dir, tx)
+	// The checksum and sequence say the primary sent these bytes, not
+	// that they are legal here: the segment goes through the same Figure 5
+	// Δ-checks as a COMMIT, O(|Δ|) per segment. An illegal one was rolled
+	// back by the applier before any reader could see it; like an apply
+	// failure (duplicate DN, missing parent) it is divergence — never
+	// journaled, never acknowledged.
+	report, undo, err := s.applier.ApplyWithUndo(s.dir, tx)
 	s.dir.EnsureEncoded()
 	if err != nil {
 		s.degradeReplica(fmt.Sprintf("replicated transaction seq=%d failed to apply: %v", seg.Seq, err))
 		return fmt.Errorf("%w: transaction seq=%d: %v", errDiverged, seg.Seq, err)
+	}
+	if !report.Legal() {
+		reason := fmt.Sprintf("replicated transaction seq=%d is illegal here: %s", seg.Seq, firstViolation(report))
+		s.degradeReplica(reason)
+		return fmt.Errorf("%w: %s", errDiverged, reason)
 	}
 	j := s.journal
 	if werr := j.append(seg.Raw); werr != nil {

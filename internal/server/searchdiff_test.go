@@ -242,7 +242,7 @@ func resultDNs(d *dirtree.Directory, fs []filter.Filter) []string {
 }
 
 // TestSearchDifferentialReplica: the oracle must hold on a replica's
-// directory after streaming catch-up (the trusted apply path), keep
+// directory after streaming catch-up (the replicated apply path), keep
 // agreeing with the primary, and survive promotion plus the first
 // post-failover commit.
 func TestSearchDifferentialReplica(t *testing.T) {

@@ -23,7 +23,8 @@
 //	CHECK                           full legality report
 //	CONSISTENT                      schema consistency verdict
 //	SCHEMA                          the schema in the definition language
-//	STAT                            entry and class counts
+//	STAT                            role (with the reason, when degraded),
+//	                                entry and class counts
 //	METRICS                         counters, latency histograms, gauges
 //	SNAPSHOT                        force journal compaction
 //	VERIFY                          re-scan the journal checksums and run
@@ -97,16 +98,14 @@ type Limits struct {
 
 // Server serves one directory instance guarded by one bounding-schema.
 type Server struct {
-	schema  *core.Schema
-	name    string
+	schema *core.Schema
+	name   string
+	// applier Δ-checks every transaction this node applies: COMMIT,
+	// journal replay and replicated segments. It keeps no state of its
+	// own, so any directory installed under s.mu is checked correctly from
+	// its first transaction.
 	applier *txn.Applier
-	// replApplier applies replicated segments without re-proving
-	// legality (txn.NewTrustedApplier): the primary proved them before
-	// acknowledging. Neither applier keeps state of its own, so any
-	// directory installed under s.mu is checked correctly from its first
-	// COMMIT.
-	replApplier *txn.Applier
-	checker     *core.Checker
+	checker *core.Checker
 
 	// mu guards dir, journal state and readOnly. Writers (COMMIT, journal
 	// replay) mutate under the write lock and must leave the interval
@@ -201,16 +200,15 @@ func New(schema *core.Schema, name string, dir *dirtree.Directory) (*Server, err
 		return nil, fmt.Errorf("server: initial instance is illegal:\n%s", r)
 	}
 	s := &Server{
-		schema:      schema,
-		name:        name,
-		applier:     txn.NewApplier(schema),
-		replApplier: txn.NewTrustedApplier(schema),
-		checker:     checker,
-		dir:         dir,
-		closed:      make(chan struct{}),
-		conns:       make(map[net.Conn]struct{}),
-		metrics:     newMetrics(),
-		fs:          vfs.OS{},
+		schema:  schema,
+		name:    name,
+		applier: txn.NewApplier(schema),
+		checker: checker,
+		dir:     dir,
+		closed:  make(chan struct{}),
+		conns:   make(map[net.Conn]struct{}),
+		metrics: newMetrics(),
+		fs:      vfs.OS{},
 	}
 	checker.OnTiming = s.metrics.noteCheckTiming
 	s.epoch.Store(1)
@@ -954,6 +952,9 @@ func (se *session) stat() {
 	se.srv.mu.RLock()
 	defer se.srv.mu.RUnlock()
 	se.reply("role: " + role)
+	if role == "read-only degraded" {
+		se.reply(role + ": " + se.srv.readOnly)
+	}
 	se.reply(fmt.Sprintf("epoch: %d", se.srv.epoch.Load()))
 	if se.srv.shardName != "" {
 		se.reply("shard: " + se.srv.shardName)

@@ -9,37 +9,22 @@ import (
 	"boundschema/internal/hquery"
 )
 
-// CheckMode selects how the applier verifies legality preservation.
-type CheckMode int
-
-// Check modes.
-const (
-	// CheckIncremental checks Δ only: content and key checks over its
-	// entries, the Figure 5 Δ-queries for insertions, and, for the
-	// deletion rows Theorem 4.2 marks N, counts over the directory's
-	// class posting lists.
-	CheckIncremental CheckMode = iota
-	// CheckFull rechecks the whole instance after applying everything —
-	// the baseline the incremental path is benchmarked against.
-	CheckFull
-	// CheckNone applies without checking (for bulk loads followed by one
-	// explicit Check).
-	CheckNone
-)
-
 // Applier applies update transactions to a directory while preserving
 // legality, per Section 4. The zero value is not usable; construct with
 // NewApplier.
 //
+// It checks Δ only: content and key checks over its entries, the
+// Figure 5 Δ-queries for insertions, and, for the deletion rows
+// Theorem 4.2 marks N, counts over the directory's class posting lists.
 // Every check reads structures the directory itself keeps current under
 // mutation — the interval encoding, the class posting lists and the
 // attribute-value indexes — so the applier holds no state of its own
 // beyond the Figure 5 rows, and a refused transaction is undone by its
-// undo closures alone: it costs what its Δ costs, not O(|D|).
+// undo closures alone: it costs what its Δ costs, not O(|D|). That is
+// why every path applies through it alike: a primary's COMMIT, journal
+// replay at recovery, and a replica's replicated segments.
 type Applier struct {
 	checker *core.Checker
-	// Mode selects the verification strategy; default CheckIncremental.
-	Mode CheckMode
 	// Deprecated: ignored; c⇓ under deletion reads the class posting
 	// lists. bench/layers.go is the last caller.
 	Counts *CountIndex
@@ -79,21 +64,6 @@ func NewApplier(s *core.Schema) *Applier {
 			a.deletes = append(a.deletes, chk)
 		}
 	}
-	return a
-}
-
-// NewTrustedApplier returns an applier that applies without re-proving
-// legality: CheckNone, so each transaction costs O(|Δ|) without the
-// Figure 5 Δ-checks and key probes. It is for records whose legality was
-// already proven before they became durable — checksum-verified journal
-// records during recovery, and replicated segments the primary
-// acknowledged — where the caller keeps a terminal full Checker.Check (or
-// the replica's divergence → read-only degradation) as the safety net.
-// Structural impossibilities (a missing graft parent, a duplicate DN)
-// still fail the Apply call itself.
-func NewTrustedApplier(s *core.Schema) *Applier {
-	a := NewApplier(s)
-	a.Mode = CheckNone
 	return a
 }
 
@@ -234,12 +204,6 @@ func (a *Applier) applyNormalized(d *dirtree.Directory, norm *Normalized) (*core
 			return err
 		})
 	}
-
-	if a.Mode == CheckFull {
-		if r := a.checker.Check(d); !r.Legal() {
-			return refuse(r, nil)
-		}
-	}
 	return &core.Report{}, rollback, nil
 }
 
@@ -247,9 +211,6 @@ func (a *Applier) applyNormalized(d *dirtree.Directory, norm *Normalized) (*core
 // deleting names the subtree roots the same update deletes.
 func (a *Applier) checkInsert(d *dirtree.Directory, root *dirtree.Entry, deleting []string) *core.Report {
 	r := &core.Report{}
-	if a.Mode != CheckIncremental {
-		return r // CheckFull verifies at the end; CheckNone never.
-	}
 	// Content schema: insertion preserves content legality iff Δ itself
 	// is content-legal (Section 4.2).
 	for _, e := range d.SubtreeView(root).Entries() {
@@ -277,9 +238,6 @@ func (a *Applier) checkInsert(d *dirtree.Directory, root *dirtree.Entry, deletin
 // O(depth · log |D|); every other deletion row needs no check.
 func (a *Applier) checkDelete(d *dirtree.Directory, root *dirtree.Entry) *core.Report {
 	r := &core.Report{}
-	if a.Mode != CheckIncremental {
-		return r
-	}
 	for _, chk := range a.deletes {
 		switch el := chk.Element.(type) {
 		case core.RequiredClass:

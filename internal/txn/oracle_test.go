@@ -15,7 +15,7 @@ import (
 )
 
 // The refusal/undo oracle. For one transaction on a legal instance it
-// holds the incremental applier to CheckFull (apply everything, then a
+// holds the incremental applier to the full recheck (forceApply, then a
 // full Checker.Check):
 //
 //   - the verdicts are equal, and so are the violated-element sets when
@@ -26,7 +26,7 @@ import (
 //     accepted transaction, the instance is byte-identical to the one
 //     before the transaction: LDIF dump, every class posting list with
 //     its interval ranks, and every value index;
-//   - an accepted instance equals the full applier's, and its patched
+//   - an accepted instance equals the forced one, and its patched
 //     posting lists and value indexes equal a from-scratch rebuild.
 //
 // warm builds every value index before the transaction, so the commit
@@ -43,9 +43,11 @@ func (o oracle) check(t *testing.T, d *dirtree.Directory, tx *Transaction) (lega
 	before := stateDump(d.Clone(), probes)
 
 	full := d.Clone()
-	fa := NewApplier(o.s)
-	fa.Mode = CheckFull
-	rFull, errFull := fa.Apply(full, tx)
+	var rFull *core.Report
+	errFull := forceApply(full, tx)
+	if errFull == nil {
+		rFull = core.NewChecker(o.s).Check(full)
+	}
 
 	inc := d.Clone()
 	if o.warm {
@@ -94,7 +96,7 @@ func (o oracle) check(t *testing.T, d *dirtree.Directory, tx *Transaction) (lega
 		return false, true
 	}
 	if ldifOf(inc) != ldifOf(full) {
-		t.Logf("incremental and full appliers produced different instances")
+		t.Logf("incremental applier and forced apply produced different instances")
 		return false, false
 	}
 	if o.warm {
@@ -112,6 +114,27 @@ func (o oracle) check(t *testing.T, d *dirtree.Directory, tx *Transaction) (lega
 		return false, false
 	}
 	return true, true
+}
+
+// forceApply applies tx to d with no legality check — the normalized
+// insertions, then the deletions (Theorem 4.1). Followed by a full
+// Checker.Check it is the reference verdict the applier is held to.
+func forceApply(d *dirtree.Directory, tx *Transaction) error {
+	norm, err := Normalize(d, tx)
+	if err != nil {
+		return err
+	}
+	for _, ins := range norm.Inserts {
+		if _, err := d.GraftSubtree(d.ByDN(ins.ParentDN), ins.Fragment.Roots()[0]); err != nil {
+			return err
+		}
+	}
+	for _, dn := range norm.Deletes {
+		if _, err := d.DeleteSubtree(d.ByDN(dn)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // stateDump renders everything a commit patches: the LDIF dump, every
@@ -389,11 +412,13 @@ func randomLegalInstance(rng *rand.Rand) (*core.Schema, *dirtree.Directory) {
 		if err != nil {
 			continue
 		}
-		grow := NewApplier(s)
-		grow.Mode = CheckFull
+		checker := core.NewChecker(s)
 		for i := 0; i < 8; i++ {
 			// A refused or malformed copy leaves d as it was.
-			_, _ = grow.Apply(d, copySubtree(d, rng, fmt.Sprintf("g%d", i)))
+			grown := d.Clone()
+			if forceApply(grown, copySubtree(d, rng, fmt.Sprintf("g%d", i))) == nil && checker.Check(grown).Legal() {
+				d = grown
+			}
 		}
 		return s, d
 	}

@@ -214,40 +214,40 @@ func TestApplyPaperSuciuExample(t *testing.T) {
 func TestDeleteLastPersonRejected(t *testing.T) {
 	s := workload.WhitePagesSchema()
 	d := workload.WhitePagesInstance(s)
-	// "scan" rechecks the survivors in full; "count-index" is the default
+	// Deleting all three persons breaks person⇓ and orgGroup →de person.
+	tx := &Transaction{}
+	tx.Delete("uid=armstrong,ou=attLabs,o=att")
+	tx.Delete("uid=laks,ou=databases,ou=attLabs,o=att")
+	tx.Delete("uid=suciu,ou=databases,ou=attLabs,o=att")
+
+	// "scan" rechecks the forced survivors in full; "count-index" is the
 	// applier, which counts the class posting lists.
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"scan", true}, {"count-index", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			dd := d.Clone()
-			a := NewApplier(s)
-			if mode.full {
-				a.Mode = CheckFull
-			}
-			// Deleting all three persons breaks person⇓ and
-			// orgGroup →de person.
-			tx := &Transaction{}
-			tx.Delete("uid=armstrong,ou=attLabs,o=att")
-			tx.Delete("uid=laks,ou=databases,ou=attLabs,o=att")
-			tx.Delete("uid=suciu,ou=databases,ou=attLabs,o=att")
-			r, err := a.Apply(dd, tx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Legal() {
-				t.Fatalf("deleting every person accepted")
-			}
-			if dd.Len() != 6 || dd.String() != d.String() {
-				t.Errorf("rollback incomplete:\n%s", dd)
-			}
-			// The posting lists reflect the rolled-back state.
-			if n := dd.ClassCount("person"); n != 3 {
-				t.Errorf("person posting list desynced: %d", n)
-			}
-		})
-	}
+	t.Run("scan", func(t *testing.T) {
+		forced := d.Clone()
+		if err := forceApply(forced, tx); err != nil {
+			t.Fatal(err)
+		}
+		if core.NewChecker(s).Check(forced).Legal() {
+			t.Fatalf("full recheck accepts deleting every person")
+		}
+	})
+	t.Run("count-index", func(t *testing.T) {
+		dd := d.Clone()
+		r, err := NewApplier(s).Apply(dd, tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Legal() {
+			t.Fatalf("deleting every person accepted")
+		}
+		if dd.Len() != 6 || dd.String() != d.String() {
+			t.Errorf("rollback incomplete:\n%s", dd)
+		}
+		// The posting lists reflect the rolled-back state.
+		if n := dd.ClassCount("person"); n != 3 {
+			t.Errorf("person posting list desynced: %d", n)
+		}
+	})
 }
 
 func TestFromRecords(t *testing.T) {
@@ -394,43 +394,56 @@ func TestRootInsertion(t *testing.T) {
 	}
 }
 
+// TestApplierModes: what the two retired modes did still exists, but
+// not as modes. The unchecked apply is the oracles' forceApply, and
+// the one applier rejects and rolls back where the full recheck did.
 func TestApplierModes(t *testing.T) {
 	s := workload.WhitePagesSchema()
+	// An orgGroup with no person below it breaks orgGroup →de person.
+	tx := &Transaction{}
+	tx.Add("ou=empty,ou=attLabs,o=att", []string{"orgUnit", "orgGroup", "top"}, nil)
 
 	t.Run("CheckNone applies without validation", func(t *testing.T) {
 		d := workload.WhitePagesInstance(s)
-		a := NewApplier(s)
-		a.Mode = CheckNone
-		tx := &Transaction{}
-		tx.Add("ou=empty,ou=attLabs,o=att", []string{"orgUnit", "orgGroup", "top"}, nil)
-		r, err := a.Apply(d, tx)
-		if err != nil {
+		if err := forceApply(d, tx); err != nil {
 			t.Fatal(err)
 		}
-		if !r.Legal() {
-			t.Fatalf("CheckNone must not report violations")
+		if d.Len() != 7 {
+			t.Fatalf("forced apply left %d entries, want 7", d.Len())
 		}
 		// The instance is now actually illegal.
 		if core.NewChecker(s).Check(d).Legal() {
-			t.Fatalf("expected the bulk-loaded instance to be illegal")
+			t.Fatalf("expected the forced instance to be illegal")
 		}
 	})
 
 	t.Run("CheckFull rejects and rolls back", func(t *testing.T) {
+		forced := workload.WhitePagesInstance(s)
+		if err := forceApply(forced, tx); err != nil {
+			t.Fatal(err)
+		}
+		full := core.NewChecker(s).Check(forced)
+
 		d := workload.WhitePagesInstance(s)
-		a := NewApplier(s)
-		a.Mode = CheckFull
-		tx := &Transaction{}
-		tx.Add("ou=empty,ou=attLabs,o=att", []string{"orgUnit", "orgGroup", "top"}, nil)
-		r, err := a.Apply(d, tx)
+		before := d.String()
+		r, err := NewApplier(s).Apply(d, tx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Legal() {
-			t.Fatalf("CheckFull accepted a violating insert")
+			t.Fatalf("violating insert accepted")
 		}
-		if d.Len() != 6 {
-			t.Errorf("rollback incomplete")
+		if got, want := elementSet(r), elementSet(full); len(got) != len(want) {
+			t.Errorf("violated elements = %v, full recheck = %v", got, want)
+		} else {
+			for el := range got {
+				if !want[el] {
+					t.Errorf("applier reports %q, full recheck does not", el)
+				}
+			}
+		}
+		if d.Len() != 6 || d.String() != before {
+			t.Errorf("rollback incomplete:\n%s", d)
 		}
 	})
 }
