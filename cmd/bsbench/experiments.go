@@ -627,10 +627,10 @@ func rulesOn(explanation string) string {
 }
 
 // ---------------------------------------------------------------------
-// E11 — ablation: which inconsistencies need the extension rules beyond
+// E12 — ablation: which inconsistencies need the extension rules beyond
 // the pairwise Figure 6/7 reconstruction.
 
-func runE11() {
+func runE12() {
 	fmt.Printf("%-52s %-10s %-10s %s\n", "inconsistent case", "pairwise", "full", "rules used")
 	for _, hc := range workload.HardCases() {
 		pw := core.InferWith(hc.Schema, core.InferOptions{PairwiseOnly: true})
@@ -653,9 +653,9 @@ func detects(b bool) string {
 }
 
 // ---------------------------------------------------------------------
-// E12 — §7 future work: schema-aided query optimization.
+// E13 — §7 future work: schema-aided query optimization.
 
-func runE12() {
+func runE13() {
 	n := 50000
 	if *quick {
 		n = 5000

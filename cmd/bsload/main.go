@@ -15,7 +15,7 @@
 //	bsload -scenario netpolicy -mix olap -workers 16 -entries 100000
 //	bsload -addr 127.0.0.1:3890 -scenario whitepages -mix oltp
 //	bsload -chaos all                # failover, disk faults, conn storms, shard crash
-//	bsload -json BENCH_load.json     # write all results as JSON
+//	bsload -json load.json           # write all results as JSON
 //
 // Mixes: oltp (c10/r90), olap (c90/r10), reporting (c5/r10/u3/d2/q80
 // range-SEARCH heavy), churn (c30/r30/u15/d10/q15). Every chaos
@@ -60,7 +60,6 @@ var (
 	readAddrs    = flag.String("read-addrs", "", "comma-separated replica client addresses for reads (external mode)")
 	chaos        = flag.String("chaos", "none", "failover, fault-crash, fault-torn-write, fault-sync-error, connstorm, shardcrash, all, or none")
 	jsonOut      = flag.String("json", "", "write results as JSON to this file")
-	bench        = flag.Bool("bench", false, "run the canonical committed suite (BENCH_load.json): every scenario × oltp/olap/reporting on a single node, whitepages oltp on a semi-sync 1p+2r cluster, and the full chaos battery")
 )
 
 // output is the bench JSON envelope.
@@ -108,8 +107,6 @@ func main() {
 	}
 
 	switch {
-	case *bench:
-		runBench(out)
 	case *chaos != "none":
 		runChaos(out)
 	case *addr != "":
@@ -129,92 +126,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("bsload: wrote %s\n", *jsonOut)
-	}
-}
-
-// runBench runs the canonical committed suite behind BENCH_load.json:
-// deterministic seeds, every scenario × the three headline presets on a
-// journaled single node, the whitepages OLTP mix against a semi-sync
-// 1-primary/2-replica cluster with replica reads, and the full chaos
-// battery. Every phase ends in the convergence oracle.
-func runBench(out *output) {
-	oracle := func(cl *loadgen.Cluster) {
-		if err := loadgen.Converge(cl.Nodes(), 30*time.Second); err != nil {
-			cl.Close()
-			fatal(err)
-		}
-		if err := loadgen.Oracle(cl.Schema, cl.Nodes()); err != nil {
-			cl.Close()
-			fatal(err)
-		}
-	}
-	presets := []string{"oltp", "olap", "reporting"}
-	for _, sc := range loadgen.Scenarios() {
-		cl, err := loadgen.StartSingle(sc, *entries, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		for i, name := range presets {
-			mix, _ := loadgen.PresetByName(name)
-			res, err := loadgen.Run(loadgen.Options{
-				Scenario: sc, Pools: cl.Pools, Mix: mix,
-				Workers: *workers, OpsPerWorker: *ops, Seed: *seed,
-				FirstWorker:   i * 100, // disjoint worker ids per run on one live node
-				CorpusEntries: cl.CorpusEntries, Cluster: "single",
-			}, cl.Target())
-			if err != nil {
-				cl.Close()
-				fatal(err)
-			}
-			report(res)
-			out.Runs = append(out.Runs, res)
-		}
-		oracle(cl)
-		cl.Close()
-	}
-
-	// Whitepages OLTP against a semi-sync 1p+2r cluster, reads on replicas.
-	wp, _ := loadgen.ScenarioByName("whitepages")
-	cl, err := loadgen.StartCluster(wp, *entries, 2, *seed, repl.SemiSync)
-	if err != nil {
-		fatal(err)
-	}
-	mix, _ := loadgen.PresetByName("oltp")
-	res, err := loadgen.Run(loadgen.Options{
-		Scenario: wp, Pools: cl.Pools, Mix: mix,
-		Workers: *workers, OpsPerWorker: *ops, Seed: *seed,
-		CorpusEntries: cl.CorpusEntries, Cluster: "1p+2r semisync",
-	}, cl.Target())
-	if err != nil {
-		cl.Close()
-		fatal(err)
-	}
-	report(res)
-	out.Runs = append(out.Runs, res)
-	oracle(cl)
-	cl.Close()
-
-	// The chaos battery, all on whitepages for comparability.
-	cfg := loadgen.ChaosConfig{
-		Scenario: wp, CorpusN: *entries, Workers: *workers,
-		Duration: 3 * time.Second, Seed: *seed,
-	}
-	for _, c := range []struct {
-		name string
-		f    func() (*loadgen.ChaosReport, error)
-	}{
-		{"failover", func() (*loadgen.ChaosReport, error) { return loadgen.Failover(cfg) }},
-		{"fault-crash", func() (*loadgen.ChaosReport, error) { return loadgen.FaultUnderLoad(cfg, vfs.FaultCrash) }},
-		{"fault-torn-write", func() (*loadgen.ChaosReport, error) { return loadgen.FaultUnderLoad(cfg, vfs.FaultTornWrite) }},
-		{"fault-sync-error", func() (*loadgen.ChaosReport, error) { return loadgen.FaultUnderLoad(cfg, vfs.FaultSyncErr) }},
-		{"connstorm", func() (*loadgen.ChaosReport, error) { return loadgen.ConnStorm(cfg) }},
-	} {
-		rep, err := c.f()
-		if err != nil {
-			fatal(fmt.Errorf("chaos %s: %v", c.name, err))
-		}
-		fmt.Printf("chaos %-16s committed=%-6d errors=%v\n", c.name, rep.Load.Committed, rep.Load.Errors)
-		out.Chaos = append(out.Chaos, rep)
 	}
 }
 
