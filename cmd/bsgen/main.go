@@ -65,8 +65,9 @@ commands:
 }
 
 // scenarioFuncs resolves a -scenario name to its schema and corpus
-// generators (the same generators internal/loadgen drives, so a bsd
-// seeded here matches what bsload's external mode expects).
+// generators (the same generators internal/loadgen's in-process
+// clusters boot from, so a bsd seeded here serves the same instance
+// for a given -n and -seed).
 func scenarioFuncs(name string) (func() *boundschema.Schema, func(*boundschema.Schema, *rand.Rand, int) *boundschema.Directory, error) {
 	switch name {
 	case "whitepages":

@@ -57,7 +57,8 @@ type bptree struct {
 	// to the very posting slice its leaf holds, so equality probes (the
 	// dominant SEARCH shape) cost one hash lookup instead of a descent —
 	// at 10^6 entries the descent is several cache-missing node hops and
-	// shows up directly in point-SEARCH latency (bsbench e20). Map keys
+	// shows up directly in point-SEARCH latency (EXPERIMENTS.md E20; the
+	// flat probe is pinned by TestValueIndexProbeIsFlat). Map keys
 	// are the stored leaf keys; a probe Value that is Compare-equal but
 	// not structurally identical may miss and falls back to the descent.
 	exact map[Value][]*Entry

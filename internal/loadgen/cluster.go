@@ -34,12 +34,11 @@ type Node struct {
 // seed). It exists so load tests and chaos scenarios can pull the plug
 // on real servers without leaving the test process.
 type Cluster struct {
-	Scenario      *Scenario
-	Schema        *core.Schema // the primary's schema, for oracle-side checking
-	Pools         *Pools
-	Primary       *Node
-	Replicas      []*Node
-	CorpusEntries int
+	Scenario *Scenario
+	Schema   *core.Schema // the primary's schema, for oracle-side checking
+	Pools    *Pools
+	Primary  *Node
+	Replicas []*Node
 
 	corpusN int
 	seed    int64
@@ -60,7 +59,6 @@ func StartCluster(sc *Scenario, corpusN, nReplicas int, seed int64, mode repl.Mo
 	}
 	c.Schema = schema
 	c.Pools = sc.ExtractPools(dir)
-	c.CorpusEntries = dir.Len()
 	c.Primary = p
 	p.Srv.SetReplicationMode(mode)
 	p.Srv.SetSemiSyncTimeout(2 * time.Second)
@@ -147,16 +145,6 @@ func (c *Cluster) RestartNode(name string, fs *vfs.Fault) (*Node, *core.Schema, 
 		return nil, nil, err
 	}
 	return n, schema, nil
-}
-
-// Target builds the address book for a load run: writes to the primary,
-// reads spread over the replicas (or the primary when there are none).
-func (c *Cluster) Target() *Target {
-	var reads []string
-	for _, r := range c.Replicas {
-		reads = append(reads, r.Addr)
-	}
-	return NewTarget(c.Primary.Addr, reads...)
 }
 
 // Nodes returns every node, primary first.

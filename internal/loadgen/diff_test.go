@@ -120,14 +120,12 @@ func TestWorkloadBatchesDifferentialEngines(t *testing.T) {
 			d := sc.NewCorpus(schema, rng, 300)
 			pools := sc.ExtractPools(d)
 			applier := txn.NewApplier(schema)
-			mix := Churn()
 			applied := 0
 			for w := 0; w < 2; w++ {
 				wrng := rand.New(rand.NewSource(int64(100 + w)))
 				src := sc.newSource(pools, w, wrng)
-				deck := mix.Deck(wrng)
 				for i := 0; i < batchesPerWorker; i++ {
-					op, ok := src.Op(deck[i%len(deck)])
+					op, ok := src.Op(churn[wrng.Intn(len(churn))])
 					if !ok {
 						op, _ = src.Op(OpCreate)
 					}

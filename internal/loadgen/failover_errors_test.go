@@ -1,10 +1,6 @@
 package loadgen
 
-import (
-	"testing"
-
-	"boundschema/internal/repl"
-)
+import "testing"
 
 // TestClassifyFailoverTaxonomy pins the error labels failover drivers
 // steer by. The ordering matters: a fenced ex-primary's reason flows to
@@ -28,71 +24,5 @@ func TestClassifyFailoverTaxonomy(t *testing.T) {
 		if got := classify(resp, nil); got != tc.want {
 			t.Errorf("classify(%q) = %q, want %q", tc.msg, got, tc.want)
 		}
-	}
-}
-
-// TestRedirectTracker pins the loop detector's contract: fresh hops are
-// progress, a revisit is a loop, and both loop detection and a
-// successful write clear the chain.
-func TestRedirectTracker(t *testing.T) {
-	var rt redirectTracker
-	if !rt.follow("a") || !rt.follow("b") {
-		t.Fatal("fresh hops reported as loops")
-	}
-	if rt.follow("a") {
-		t.Fatal("revisiting a followed address not reported as a loop")
-	}
-	// Detection reset the chain: the same address is a fresh hop again.
-	if !rt.follow("a") {
-		t.Fatal("chain not cleared after loop detection")
-	}
-	rt.reset()
-	if !rt.follow("b") {
-		t.Fatal("chain not cleared by reset")
-	}
-}
-
-// TestRedirectLoopDetection cross-wires two real replicas so each
-// advertises the other as the primary — the shape a failover driver
-// sees mid-promotion, before the new primary's role settles. A
-// redirect-following run against them must detect the ping-pong, count
-// it under redirect_loop, back off instead of spinning connections, and
-// still terminate on its op budget.
-func TestRedirectLoopDetection(t *testing.T) {
-	sc, _ := ScenarioByName("whitepages")
-	cl, err := StartCluster(sc, 100, 2, 11, repl.Async)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.Replicas[0].Srv.SetPrimaryClientAddr(cl.Replicas[1].Addr)
-	cl.Replicas[1].Srv.SetPrimaryClientAddr(cl.Replicas[0].Addr)
-
-	target := NewTarget(cl.Replicas[0].Addr)
-	res, err := Run(Options{
-		Scenario: sc, Pools: cl.Pools, Mix: Mix{Name: "writes", Create: 100},
-		Workers: 2, OpsPerWorker: 30, Seed: 13,
-		FollowRedirects: true,
-		CorpusEntries:   cl.CorpusEntries, Cluster: "loop",
-	}, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalOps != 2*30 {
-		t.Errorf("run did not honor its op budget: %d ops, want %d", res.TotalOps, 60)
-	}
-	if res.Committed != 0 {
-		t.Errorf("%d commits landed with no writable node in the loop", res.Committed)
-	}
-	if res.Errors[ErrRedirect] == 0 {
-		t.Error("no redirects recorded against mutually-redirecting replicas")
-	}
-	if res.Errors[ErrRedirectLoop] == 0 {
-		t.Fatalf("redirect ping-pong never detected as a loop; errors: %v", res.Errors)
-	}
-	// Every op either bounced or was counted as a detected loop — the
-	// worker must not silently eat ops on any other path.
-	if got := res.Errors[ErrRedirect] + res.Errors[ErrConn]; got+res.Errors[ErrRedirectLoop] < res.TotalOps {
-		t.Errorf("ops unaccounted for: %v over %d ops", res.Errors, res.TotalOps)
 	}
 }

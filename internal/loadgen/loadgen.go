@@ -1,20 +1,16 @@
-// Package loadgen is the YCSB-style load harness (ROADMAP item 5): it
-// drives configurable create/read/update/delete/query operation mixes
-// from N concurrent workers over the wire against a live server —
-// single node or a primary+replicas cluster — using schema-respecting
-// operations for each example scenario (whitepages, netpolicy,
-// semistructured). It records per-op latency quantiles, throughput and
-// an error taxonomy, scrapes the server's METRICS surface, and layers
-// chaos scenarios (failover, fault injection, connection storms) on
-// top, each ending in a convergence oracle: surviving nodes must be
-// byte-identical where expected, pass VERIFY, and serve an instance the
-// full (non-incremental) legality engines agree is legal.
+// Package loadgen is the wire-level harness the chaos battery and the
+// repository benchmark share: a minimal protocol client, in-process
+// clusters (a single node, a primary with streaming replicas, or carved
+// shards behind a router) on fault-injectable filesystems, per-scenario
+// sources of schema-respecting operations (whitepages, netpolicy,
+// semistructured), and the convergence oracle every chaos run ends in:
+// surviving nodes must be byte-identical where expected, pass VERIFY,
+// and serve an instance the full (non-incremental) legality engines
+// agree is legal. The traffic driver and the chaos scenarios themselves
+// live in this package's tests.
 package loadgen
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // OpKind is one of the five YCSB-style operation classes.
 type OpKind int
@@ -25,7 +21,6 @@ const (
 	OpUpdate               // restructure owned entries (BEGIN..MOVE..COMMIT)
 	OpDelete               // remove owned entries (BEGIN..DELETE..COMMIT)
 	OpQuery                // range/subtree scan (SEARCH <filter> [base=<dn>])
-	numOpKinds
 )
 
 func (k OpKind) String() string {
@@ -42,81 +37,4 @@ func (k OpKind) String() string {
 		return "query"
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))
-}
-
-// Mix is a c/r/u/d/q operation mix in percent; the five shares must sum
-// to 100. The zero value is invalid — use a preset or fill every share.
-type Mix struct {
-	Name   string `json:"name"`
-	Create int    `json:"create"`
-	Read   int    `json:"read"`
-	Update int    `json:"update"`
-	Delete int    `json:"delete"`
-	Query  int    `json:"query"`
-}
-
-// Validate checks the shares sum to 100 and none is negative.
-func (m Mix) Validate() error {
-	sum := 0
-	for _, v := range []int{m.Create, m.Read, m.Update, m.Delete, m.Query} {
-		if v < 0 {
-			return fmt.Errorf("mix %q: negative share", m.Name)
-		}
-		sum += v
-	}
-	if sum != 100 {
-		return fmt.Errorf("mix %q: shares sum to %d, want 100", m.Name, sum)
-	}
-	return nil
-}
-
-// Spec renders the mix as a compact c/r/u/d/q string for JSON output.
-func (m Mix) Spec() string {
-	return fmt.Sprintf("c%d/r%d/u%d/d%d/q%d", m.Create, m.Read, m.Update, m.Delete, m.Query)
-}
-
-// Deck expands the mix into a shuffled 100-slot operation deck; workers
-// cycle through it so long runs converge to the exact percentages while
-// short runs still interleave kinds.
-func (m Mix) Deck(rng *rand.Rand) []OpKind {
-	deck := make([]OpKind, 0, 100)
-	shares := [numOpKinds]int{OpCreate: m.Create, OpRead: m.Read, OpUpdate: m.Update, OpDelete: m.Delete, OpQuery: m.Query}
-	for kind, share := range shares {
-		for i := 0; i < share; i++ {
-			deck = append(deck, OpKind(kind))
-		}
-	}
-	rng.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
-	return deck
-}
-
-// OLTP is the transaction-processing preset: 90% point reads, 10%
-// inserts (SNIPPETS Snippet 2 shape).
-func OLTP() Mix { return Mix{Name: "oltp", Create: 10, Read: 90} }
-
-// OLAP is the ingest-heavy preset: 10% point reads, 90% inserts.
-func OLAP() Mix { return Mix{Name: "olap", Create: 90, Read: 10} }
-
-// Reporting is the range-scan preset: dominated by subtree SEARCHes
-// (many over spaced base DNs), with a trickle of writes to keep the
-// instance moving under the scans.
-func Reporting() Mix {
-	return Mix{Name: "reporting", Create: 5, Read: 10, Query: 80, Update: 3, Delete: 2}
-}
-
-// Churn exercises every operation class, including the restructuring
-// MOVEs and subtree DELETEs that stress Theorem 4.1 normalization.
-func Churn() Mix { return Mix{Name: "churn", Create: 30, Read: 30, Update: 15, Delete: 10, Query: 15} }
-
-// Presets returns the named mixes bsload exposes.
-func Presets() []Mix { return []Mix{OLTP(), OLAP(), Reporting(), Churn()} }
-
-// PresetByName resolves a preset name; ok is false for unknown names.
-func PresetByName(name string) (Mix, bool) {
-	for _, m := range Presets() {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Mix{}, false
 }

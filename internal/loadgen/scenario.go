@@ -118,7 +118,7 @@ type Op struct {
 
 // OpSource generates operations for one worker. Op returns false when
 // the kind is not currently possible (update/delete with nothing owned
-// yet); the runner substitutes a create.
+// yet); callers substitute a create.
 type OpSource interface {
 	Op(kind OpKind) (Op, bool)
 }

@@ -33,13 +33,12 @@ type ShardNode struct {
 // router speaking the client protocol. Load runs target Addr exactly
 // as they would a single node.
 type ShardCluster struct {
-	Scenario      *Scenario
-	Schema        *core.Schema
-	Pools         *Pools
-	CorpusEntries int
-	Map           *shard.Map
-	Router        *shard.Router
-	Addr          string // the router's client-protocol address
+	Scenario *Scenario
+	Schema   *core.Schema
+	Pools    *Pools
+	Map      *shard.Map
+	Router   *shard.Router
+	Addr     string // the router's client-protocol address
 
 	Shards []*ShardNode // map order: carved shards first, default last
 }
@@ -50,12 +49,7 @@ type ShardCluster struct {
 func StartShardCluster(sc *Scenario, corpusN, nShards int, seed int64) (*ShardCluster, error) {
 	schema := sc.NewSchema()
 	src := sc.NewCorpus(schema, rand.New(rand.NewSource(seed)), corpusN)
-	c := &ShardCluster{
-		Scenario:      sc,
-		Schema:        schema,
-		Pools:         sc.ExtractPools(src),
-		CorpusEntries: src.Len(),
-	}
+	c := &ShardCluster{Scenario: sc, Schema: schema, Pools: sc.ExtractPools(src)}
 	roots, err := shard.AutoCut(schema, src, nShards)
 	if err != nil {
 		return nil, err
