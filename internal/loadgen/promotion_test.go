@@ -106,7 +106,7 @@ func TestPromotionRaceSpacedSearchAndRedirects(t *testing.T) {
 					commits++
 					mu.Unlock()
 				case ErrRedirect:
-					addr := RedirectAddr(resp.Err)
+					addr := redirectAddr(resp.Err)
 					if addr != cl.Primary.Addr {
 						errc <- &searchErr{base: "redirect", term: resp.Term,
 							msg: "advertised " + addr + ", want client addr " + cl.Primary.Addr}
