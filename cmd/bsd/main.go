@@ -26,22 +26,8 @@
 // recovered instance legal), prints the report, and exits 0 if the
 // journal is servable, 1 if it was refused.
 //
-// Protocol (line-oriented over TCP; every response ends with OK, ILLEGAL
-// or ERR). DNs may contain spaces: SEARCH's base= takes the rest of the
-// line, and MOVE separates source and destination with "->":
-//
-//	SEARCH (objectClass=person) [base=ou=Human Resources,o=corp]
-//	QUERY (minus (select (objectClass=orgGroup)) ...)
-//	GET uid=ada,ou=eng,o=corp
-//	BEGIN
-//	ADD uid=new,ou=eng,o=corp
-//	objectClass: person
-//	objectClass: top
-//	name: New Person
-//	DELETE uid=old,ou=eng,o=corp
-//	MOVE ou=eng,o=corp -> o=corp
-//	COMMIT
-//	CHECK | CONSISTENT | SCHEMA | STAT | METRICS | SNAPSHOT | VERIFY | QUIT
+// Protocol: the line protocol internal/proto defines — one request per
+// line, every reply ending in OK, ILLEGAL or ERR.
 package main
 
 import (

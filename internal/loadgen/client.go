@@ -1,22 +1,18 @@
 package loadgen
 
 import (
-	"bufio"
 	"net"
 	"strings"
 	"time"
+
+	"boundschema/internal/proto"
 )
 
-// Client is a minimal wire-protocol client for the load workers: one
-// TCP connection, line-oriented requests, replies read until the
-// OK/ILLEGAL/ERR terminator. It is intentionally not safe for
+// Client is the load workers' protocol client: one TCP connection
+// framed by internal/proto (Do, Txn, Close). It is not safe for
 // concurrent use — each worker owns its connections, as a real LDAP
 // client library would.
-type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-}
+type Client struct{ *proto.Conn }
 
 // Dial connects to a server's client protocol address.
 func Dial(addr string) (*Client, error) {
@@ -24,78 +20,11 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return &Client{proto.NewConn(conn)}, nil
 }
 
-// Close tears the connection down.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// Resp is one protocol reply: the payload lines and the terminator
-// ("OK", "ILLEGAL", or "ERR"; Err holds the message after "ERR ").
-type Resp struct {
-	Lines []string
-	Term  string
-	Err   string
-}
-
-// OK reports a clean terminator.
-func (r Resp) OK() bool { return r.Term == "OK" }
-
-// readResp consumes one reply. Every server response — including the
-// mid-transaction error paths — ends in exactly one terminator line, so
-// this is the protocol's only framing rule (pinned by the ERR grammar
-// test in internal/server).
-func (c *Client) readResp() (Resp, error) {
-	var resp Resp
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return resp, err
-		}
-		line = strings.TrimRight(line, "\r\n")
-		switch {
-		case line == "OK", line == "ILLEGAL":
-			resp.Term = line
-			return resp, nil
-		case strings.HasPrefix(line, "ERR "):
-			resp.Term = "ERR"
-			resp.Err = line[len("ERR "):]
-			return resp, nil
-		default:
-			resp.Lines = append(resp.Lines, line)
-		}
-	}
-}
-
-// Do sends one command line and reads its reply.
-func (c *Client) Do(cmd string) (Resp, error) {
-	if _, err := c.w.WriteString(cmd + "\n"); err != nil {
-		return Resp{}, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return Resp{}, err
-	}
-	return c.readResp()
-}
-
-// Txn runs BEGIN, the body lines (which produce no replies), and
-// COMMIT, returning the COMMIT reply. A BEGIN rejected with ERR (write
-// redirect on a replica, shutdown) is returned as-is without sending
-// the body. A mid-body protocol error makes the server reply early and
-// abort the transaction; that reply then surfaces as the COMMIT's,
-// which is why the body must be drained from the socket either way.
-func (c *Client) Txn(body []string) (Resp, error) {
-	begin, err := c.Do("BEGIN")
-	if err != nil || !begin.OK() {
-		return begin, err
-	}
-	for _, l := range body {
-		if _, err := c.w.WriteString(l + "\n"); err != nil {
-			return Resp{}, err
-		}
-	}
-	return c.Do("COMMIT")
-}
+// Deprecated: use proto.Reply.
+type Resp = proto.Reply
 
 // Error taxonomy labels — what classify returns for a failed reply.
 const (
@@ -115,47 +44,35 @@ const (
 	ErrOther      = "err_other"     // any ERR not classified above
 )
 
+// taxonomy maps ERR stems to labels; the first match wins. Fenced must
+// precede read-only: a fenced ex-primary's reason reads "server is
+// read-only: fenced: ...", and failover drivers need the two told apart
+// (fenced clears on restart; a degraded journal does not).
+var taxonomy = []struct{ stem, label string }{
+	{proto.Redirect, ErrRedirect}, {proto.NotDurable, ErrNotDurable},
+	{proto.Fenced, ErrFenced}, {proto.StaleEpoch, ErrStaleEpoch},
+	{proto.ReadOnly, ErrReadOnly}, {proto.TooLong, ErrTooLong},
+	{proto.ShuttingDown, ErrShutdown}, {proto.IdleTimeout, ErrShutdown},
+	{proto.NoEntry, ErrNotFound}, {proto.MissingEntry, ErrNotFound},
+	{proto.Unroutable, ErrWrongShard}, {proto.CrossShard, ErrCrossShard},
+	{proto.Unavailable, ErrShardDown},
+}
+
 // classify maps a reply (or transport error) onto the taxonomy; ok
 // replies return "".
-func classify(resp Resp, err error) string {
-	if err != nil {
+func classify(resp proto.Reply, err error) string {
+	switch {
+	case err != nil:
 		return ErrConn
-	}
-	switch resp.Term {
-	case "OK":
+	case resp.Term == "OK":
 		return ""
-	case "ILLEGAL":
+	case resp.Term == "ILLEGAL":
 		return ErrIllegal
 	}
-	msg := resp.Err
-	switch {
-	case strings.Contains(msg, "redirect primary="):
-		return ErrRedirect
-	case strings.Contains(msg, "commit not durable"):
-		return ErrNotDurable
-	case strings.Contains(msg, "fenced:"):
-		// Must precede the read-only case: a fenced ex-primary's reason
-		// reads "server is read-only: fenced: ...", and failover drivers
-		// need the two told apart (fenced clears on restart; a degraded
-		// journal does not).
-		return ErrFenced
-	case strings.Contains(msg, "stale epoch"):
-		return ErrStaleEpoch
-	case strings.Contains(msg, "read-only"):
-		return ErrReadOnly
-	case strings.Contains(msg, "line too long"):
-		return ErrTooLong
-	case strings.Contains(msg, "shutting down"), strings.Contains(msg, "idle timeout"):
-		return ErrShutdown
-	case strings.Contains(msg, "no entry"), strings.Contains(msg, "missing entry"):
-		return ErrNotFound
-	case strings.Contains(msg, "unroutable dn"):
-		return ErrWrongShard
-	case strings.Contains(msg, "cross-shard"):
-		return ErrCrossShard
-	case strings.Contains(msg, "unavailable"):
-		return ErrShardDown
-	default:
-		return ErrOther
+	for _, t := range taxonomy {
+		if strings.Contains(resp.Err, t.stem) {
+			return t.label
+		}
 	}
+	return ErrOther
 }

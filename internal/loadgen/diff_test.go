@@ -10,6 +10,7 @@ import (
 	"boundschema/internal/core"
 	"boundschema/internal/dirtree"
 	"boundschema/internal/ldif"
+	"boundschema/internal/proto"
 	"boundschema/internal/txn"
 )
 
@@ -44,7 +45,8 @@ func forceApply(d *dirtree.Directory, tx *txn.Transaction) error {
 }
 
 // parseTx converts wire transaction lines (the Op.Tx format the sources
-// emit) into a txn.Transaction, mirroring the server's handleTx parser.
+// emit) into a txn.Transaction under the protocol's body grammar, as the
+// server's session does.
 func parseTx(schema *core.Schema, lines []string) (*txn.Transaction, error) {
 	t := &txn.Transaction{}
 	var pendingDN string
@@ -57,37 +59,31 @@ func parseTx(schema *core.Schema, lines []string) (*txn.Transaction, error) {
 		}
 	}
 	for _, line := range lines {
+		l, err := proto.ParseTxLine(strings.TrimSpace(line), pendingDN != "")
+		if err != nil {
+			return nil, err
+		}
+		if l.Cmd != "" {
+			flush()
+		}
 		switch {
-		case strings.HasPrefix(line, "ADD "):
-			flush()
-			pendingDN = strings.TrimSpace(line[len("ADD "):])
-			pendingClasses = nil
+		case l.Cmd == "ADD":
+			pendingDN = l.DN
 			pendingAttrs = make(map[string][]dirtree.Value)
-		case strings.HasPrefix(line, "DELETE "):
-			flush()
-			t.Delete(strings.TrimSpace(line[len("DELETE "):]))
-		case strings.HasPrefix(line, "MOVE "):
-			flush()
-			dn, dest, ok := strings.Cut(strings.TrimSpace(line[len("MOVE "):]), " -> ")
-			if !ok {
-				return nil, fmt.Errorf("malformed MOVE %q", line)
-			}
-			t.Move(strings.TrimSpace(dn), strings.TrimSpace(dest))
-		default:
-			name, value, ok := strings.Cut(line, ":")
-			if !ok || pendingDN == "" {
-				return nil, fmt.Errorf("unexpected tx line %q", line)
-			}
-			name, value = strings.TrimSpace(name), strings.TrimSpace(value)
-			if name == dirtree.AttrObjectClass {
-				pendingClasses = append(pendingClasses, value)
-				continue
-			}
-			v, err := dirtree.ParseValue(schema.Registry.Type(name), value)
+		case l.Cmd == "DELETE":
+			t.Delete(l.DN)
+		case l.Cmd == "MOVE":
+			t.Move(l.DN, l.Dest)
+		case l.Cmd != "":
+			return nil, fmt.Errorf("unexpected %s in a transaction body", l.Cmd)
+		case l.Attr && l.Name == dirtree.AttrObjectClass:
+			pendingClasses = append(pendingClasses, l.Value)
+		case l.Attr:
+			v, err := dirtree.ParseValue(schema.Registry.Type(l.Name), l.Value)
 			if err != nil {
 				return nil, err
 			}
-			pendingAttrs[name] = append(pendingAttrs[name], v)
+			pendingAttrs[l.Name] = append(pendingAttrs[l.Name], v)
 		}
 	}
 	flush()

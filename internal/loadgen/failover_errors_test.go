@@ -1,6 +1,10 @@
 package loadgen
 
-import "testing"
+import (
+	"testing"
+
+	"boundschema/internal/proto"
+)
 
 // TestClassifyFailoverTaxonomy pins the error labels failover drivers
 // steer by. The ordering matters: a fenced ex-primary's reason flows to
@@ -20,7 +24,7 @@ func TestClassifyFailoverTaxonomy(t *testing.T) {
 		{"commit not durable: sync failed", ErrNotDurable},
 	}
 	for _, tc := range cases {
-		resp := Resp{Term: "ERR", Err: tc.msg}
+		resp := proto.Reply{Term: "ERR", Err: tc.msg}
 		if got := classify(resp, nil); got != tc.want {
 			t.Errorf("classify(%q) = %q, want %q", tc.msg, got, tc.want)
 		}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"boundschema/internal/proto"
 )
 
 // Target is the replica-side state machine the streaming client drives.
@@ -72,7 +74,7 @@ func Run(conn io.ReadWriter, t Target) error {
 	switch {
 	case strings.HasPrefix(header, errPrefix):
 		msg := strings.TrimPrefix(header, errPrefix)
-		if strings.Contains(msg, "stale epoch") {
+		if strings.Contains(msg, proto.StaleEpoch) {
 			return fmt.Errorf("%w: %s", ErrStalePrimary, msg)
 		}
 		return fmt.Errorf("repl: primary refused: %s", msg)

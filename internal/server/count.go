@@ -3,45 +3,25 @@ package server
 import (
 	"fmt"
 	"sort"
-	"strings"
+
+	"boundschema/internal/proto"
 )
 
 // COUNT is the boundary-count query behind cross-shard legality
 // (internal/shard): it answers "how many entries of class c lie
 // (strictly) below this DN" straight from the interval encoding the
 // directory already maintains — the same pre/post ranks the legality
-// engine's Δ-queries use — without materializing the entries.
-//
-//	COUNT <class>                 instance-wide count of the class
-//	COUNT <class> base=<dn>       proper descendants of <dn> in the class
-//	COUNT <class> child base=<dn> children of <dn> in the class
+// engine's Δ-queries use — without materializing the entries. Its
+// grammar is proto.ParseCountArgs.
 //
 // The reply is a single "count: N" line. A base DN this node does not
 // hold counts zero rather than erroring: the router fans the query out
 // and a shard that owns no part of the boundary subtree contributes
 // nothing — absence is an answer, not a fault.
-const countUsage = "(usage: COUNT <class> [child] [base=<dn>])"
-
 func (se *session) count(rest string) {
-	rest = strings.TrimSpace(rest)
-	class, tail, _ := strings.Cut(rest, " ")
-	if class == "" {
-		se.err("COUNT needs a class " + countUsage)
-		return
-	}
-	tail = strings.TrimSpace(tail)
-	childOnly := false
-	if t, ok := strings.CutPrefix(tail, "child"); ok && (t == "" || strings.HasPrefix(t, " ")) {
-		childOnly = true
-		tail = strings.TrimSpace(t)
-	}
-	baseDN, hasBase := strings.CutPrefix(tail, "base=")
-	if tail != "" && !hasBase {
-		se.err(fmt.Sprintf("unexpected %q after class %s", tail, countUsage))
-		return
-	}
-	if childOnly && !hasBase {
-		se.err("COUNT child needs a base " + countUsage)
+	a, err := proto.ParseCountArgs(rest)
+	if err != nil {
+		se.w.Err(err.Error())
 		return
 	}
 	se.srv.mu.RLock()
@@ -49,16 +29,16 @@ func (se *session) count(rest string) {
 	dir := se.srv.dir
 	n := 0
 	switch {
-	case !hasBase:
-		n = dir.ClassCount(class)
+	case !a.HasBase:
+		n = dir.ClassCount(a.Class)
 	default:
-		e := dir.ByDN(baseDN)
+		e := dir.ByDN(a.Base)
 		if e == nil {
 			break // absent base: this node holds none of the subtree
 		}
-		if childOnly {
+		if a.Child {
 			for _, ch := range e.Children() {
-				if ch.HasClass(class) {
+				if ch.HasClass(a.Class) {
 					n++
 				}
 			}
@@ -66,11 +46,11 @@ func (se *session) count(rest string) {
 		}
 		// The posting list is sorted by pre-order rank, so the proper
 		// descendants of e are one contiguous run: (e.pre, e.post].
-		posting := dir.ClassEntries(class)
+		posting := dir.ClassEntries(a.Class)
 		lo := sort.Search(len(posting), func(i int) bool { return posting[i].Pre() > e.Pre() })
 		hi := sort.Search(len(posting), func(i int) bool { return posting[i].Pre() > e.Post() })
 		n = hi - lo
 	}
-	se.reply(fmt.Sprintf("count: %d", n))
-	se.ok()
+	se.w.Line(fmt.Sprintf("count: %d", n))
+	se.w.OK()
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"boundschema/internal/proto"
 	"boundschema/internal/repl"
 	"boundschema/internal/vfs"
 )
@@ -12,9 +13,11 @@ import (
 // form "ERR <message>" — no payload lines before it, no embedded
 // newlines (the reply funnel folds them to " | "), and a non-empty
 // message — and, unless the error is session-fatal, the reply stream
-// stays parseable: the next command gets a normal reply. The load
-// harness's response framing (internal/loadgen.readResp) depends on
-// exactly this contract.
+// stays parseable: the next command gets a normal reply. The protocol's
+// reply framing (internal/proto.ReadReply) depends on exactly this
+// contract. The malformed request lines themselves are one table,
+// TestErrGrammarDifferential in internal/shard, which sends each to bsd
+// and to a router in front of it; the cases here are bsd's own.
 
 // expectErr reads one reply and asserts the ERR grammar, returning the
 // message after "ERR ".
@@ -40,45 +43,25 @@ func expectErr(t *testing.T, c *client, wantSub string) string {
 	return msg
 }
 
-// TestErrGrammarCommandPaths drives every protocol-level error path on a
-// plain server and checks the grammar plus stream recovery.
+// TestErrGrammarCommandPaths drives bsd's refusals of well-formed
+// requests (QUERY is not routable, so its grammar is bsd's alone) and
+// checks the grammar plus stream recovery.
 func TestErrGrammarCommandPaths(t *testing.T) {
 	cases := []struct {
 		name string
-		pre  []string // lines sent first, each group answered with OK
-		send []string // lines whose (single) reply must be a grammatical ERR
+		send string // the line whose single reply must be a grammatical ERR
 		want string
 	}{
-		{"unknown command", nil, []string{"FROB o=att"}, "unknown command"},
-		{"commit outside txn", nil, []string{"COMMIT"}, "unknown command"},
-		{"abort outside txn", nil, []string{"ABORT"}, "unknown command"},
-		{"bad search filter", nil, []string{"SEARCH (bad"}, ""},
-		{"search trailing junk", nil, []string{"SEARCH (objectClass=person) bogus"}, "unexpected"},
-		{"search limit not a number", nil, []string{"SEARCH (objectClass=person) limit=ten"}, "malformed"},
-		{"search limit empty", nil, []string{"SEARCH (objectClass=person) limit="}, "malformed"},
-		{"search limit negative", nil, []string{"SEARCH (objectClass=person) limit=-1"}, "malformed"},
-		{"search limit with junk base", nil, []string{"SEARCH (objectClass=person) bogus limit=2"}, "unexpected"},
-		{"bad query", nil, []string{"QUERY (frob x)"}, ""},
-		{"get missing entry", nil, []string{"GET uid=ghost,o=att"}, "no entry"},
-		{"add without dn", []string{"BEGIN"}, []string{"ADD"}, "ADD needs a DN"},
-		{"move without arrow", []string{"BEGIN"}, []string{"MOVE uid=x,o=att somewhere"}, "MOVE needs"},
-		{"attr line with no pending add", []string{"BEGIN"}, []string{"name: stray"}, "inside transaction"},
-		{"malformed attr line", []string{"BEGIN", "ADD uid=x,o=att"}, []string{"not-an-attribute"}, "malformed attribute"},
+		{"bad query", "QUERY (frob x)", ""},
+		{"get missing entry", "GET uid=ghost,o=att", "no entry"},
+		{"search missing base", "SEARCH (objectClass=person) base=o=ghost", "not found"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, c := startServer(t)
-			if len(tc.pre) > 0 {
-				// BEGIN replies OK; ADD inside a transaction replies nothing.
-				c.send(tc.pre...)
-				if _, term := c.until(); term != "OK" {
-					t.Fatalf("setup %v replied %q", tc.pre, term)
-				}
-			}
-			c.send(tc.send...)
+			c.send(tc.send)
 			expectErr(t, c, tc.want)
-			// Every command-level error leaves the session alive and the
-			// transaction aborted: the next command parses normally.
+			// The session stays alive: the next command parses normally.
 			c.expectOK("STAT")
 		})
 	}
@@ -133,7 +116,7 @@ func TestErrGrammarNotDurableAndReadOnly(t *testing.T) {
 func TestErrGrammarLineTooLong(t *testing.T) {
 	_, addr := startServerWithLimits(t, Limits{DrainTimeout: 200 * 1e6})
 	c := dialClient(t, addr)
-	if _, err := c.conn.Write([]byte(strings.Repeat("A", maxLineBytes+4096) + "\n")); err != nil {
+	if _, err := c.conn.Write([]byte(strings.Repeat("A", proto.MaxLineBytes+4096) + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	line, err := c.r.ReadString('\n')

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"boundschema/internal/proto"
 	"boundschema/internal/txn"
 )
 
@@ -180,7 +181,7 @@ func (c *committer) drain() {
 			c.commitBatch(batch)
 		}
 		for _, q := range qs {
-			q.done <- errors.New("server shutting down")
+			q.done <- errors.New("server " + proto.ShuttingDown)
 		}
 	}
 }

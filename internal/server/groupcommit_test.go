@@ -16,6 +16,7 @@ import (
 
 	"boundschema/internal/core"
 	"boundschema/internal/ldif"
+	"boundschema/internal/proto"
 	"boundschema/internal/workload"
 )
 
@@ -176,18 +177,8 @@ func TestGroupCommitBatchesConcurrentCommits(t *testing.T) {
 			res <- searchResult{err: err}
 			return
 		}
-		for {
-			line, err := reader.r.ReadString('\n')
-			if err != nil {
-				res <- searchResult{err: err}
-				return
-			}
-			line = strings.TrimRight(line, "\n")
-			if line == "OK" || line == "ILLEGAL" || strings.HasPrefix(line, "ERR ") {
-				res <- searchResult{term: line}
-				return
-			}
-		}
+		rep, err := proto.ReadReply(reader.r)
+		res <- searchResult{term: termLine(rep), err: err}
 	}()
 	select {
 	case r := <-res:
@@ -328,16 +319,8 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 				return "", err
 			}
 		}
-		for {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				return "", err
-			}
-			line = strings.TrimRight(line, "\n")
-			if line == "OK" || line == "ILLEGAL" || strings.HasPrefix(line, "ERR ") {
-				return line, nil
-			}
-		}
+		rep, err := proto.ReadReply(r)
+		return termLine(rep), err
 	}
 
 	for w := 0; w < writers; w++ {

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"boundschema/internal/ldif"
+	"boundschema/internal/proto"
 	"boundschema/internal/vfs"
 )
 
@@ -112,7 +113,7 @@ func (s *Server) Rotate() error {
 		// Re-checked here, under the lock at the quiescent point: a batch
 		// failure may have degraded the server while this request queued.
 		if s.readOnly != "" {
-			return errors.New("server is read-only: " + s.readOnly)
+			return errors.New("server is " + proto.ReadOnly + ": " + s.readOnly)
 		}
 		return s.rotateJournal()
 	})

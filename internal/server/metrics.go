@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"boundschema/internal/core"
+	"boundschema/internal/proto"
 )
 
 // This file is the server's observability surface: per-command counters
@@ -98,14 +99,6 @@ type cmdStats struct {
 	errs atomic.Int64
 }
 
-// protocolCommands is the closed set of metered commands; anything else
-// lands in the UNKNOWN bucket.
-var protocolCommands = []string{
-	"SEARCH", "QUERY", "GET", "BEGIN", "ADD", "DELETE", "MOVE", "COMMIT",
-	"ABORT", "CHECK", "CONSISTENT", "SCHEMA", "STAT", "METRICS", "SNAPSHOT",
-	"VERIFY", "PROMOTE", "QUIT", "UNKNOWN",
-}
-
 // nViolationKinds sizes the per-kind violation counters; the kinds are a
 // closed enum ending at ViolationForbiddenRel.
 const nViolationKinds = int(core.ViolationForbiddenRel) + 1
@@ -176,10 +169,12 @@ type Metrics struct {
 	cmds       map[string]*cmdStats
 }
 
+// newMetrics meters each command of the protocol's table under its own
+// name; anything else lands in the UNKNOWN bucket.
 func newMetrics() *Metrics {
-	m := &Metrics{start: time.Now(), cmds: make(map[string]*cmdStats, len(protocolCommands))}
-	for _, c := range protocolCommands {
-		m.cmds[c] = &cmdStats{}
+	m := &Metrics{start: time.Now(), cmds: map[string]*cmdStats{"UNKNOWN": {}}}
+	for _, c := range proto.Commands {
+		m.cmds[c.Name] = &cmdStats{}
 	}
 	return m
 }

@@ -2,12 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"boundschema/internal/core"
+	"boundschema/internal/proto"
 	"boundschema/internal/repl"
+	"boundschema/internal/workload"
 )
 
 // metricLine finds the first METRICS body line with the given prefix.
@@ -20,6 +23,59 @@ func metricLine(t *testing.T, body []string, prefix string) string {
 	}
 	t.Fatalf("no %q line in METRICS body:\n%s", prefix, strings.Join(body, "\n"))
 	return ""
+}
+
+// TestMetricsCountsCOUNT: every command of the protocol's table is
+// metered under its own name, COUNT included, and never as UNKNOWN.
+func TestMetricsCountsCOUNT(t *testing.T) {
+	_, c := startServer(t)
+	c.expectOK("COUNT person")
+	body := c.expectOK("METRICS")
+	if got := metricLine(t, body, "command COUNT:"); !strings.Contains(got, "count=1 errors=0") {
+		t.Errorf("command COUNT = %q, want count=1 errors=0", got)
+	}
+	for _, l := range body {
+		if strings.HasPrefix(l, "command UNKNOWN:") {
+			t.Errorf("COUNT metered as unknown: %q", l)
+		}
+	}
+}
+
+// TestCommandTableMatchesDispatch: the session serves exactly the
+// protocol's command table, each command in its own scope, so the
+// METRICS buckets built from the table are the commands bsd answers.
+func TestCommandTableMatchesDispatch(t *testing.T) {
+	s := workload.WhitePagesSchema()
+	srv, err := New(s, "whitepages", workload.WhitePagesInstance(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// meter handles word and returns its metering label and terminator.
+	meter := func(inTx bool, word string) (string, string) {
+		se := &session{srv: srv, w: proto.NewWriter(io.Discard)}
+		defer se.abort()
+		if inTx {
+			se.handle("BEGIN")
+		}
+		se.w.Term = ""
+		se.handle(word)
+		return se.cmd, se.w.Term
+	}
+	for _, c := range proto.Commands {
+		if got, term := meter(c.Tx, c.Name); got != c.Name || (!c.Tx && term == "") {
+			t.Errorf("%s in its scope metered as %q, answered %q", c.Name, got, term)
+		}
+		want := "" // a top-level word inside a transaction is a body line
+		if c.Tx {
+			want = "UNKNOWN"
+		}
+		if got, _ := meter(!c.Tx, c.Name); got != want {
+			t.Errorf("%s out of its scope metered as %q, want %q", c.Name, got, want)
+		}
+	}
+	if got, _ := meter(false, "SHARDMAP"); got != "UNKNOWN" {
+		t.Errorf("the router's SHARDMAP metered by bsd as %q", got)
+	}
 }
 
 // TestServerMetricsCommand drives a scripted session and asserts METRICS

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"boundschema/internal/ldif"
+	"boundschema/internal/proto"
 	"boundschema/internal/repl"
 	"boundschema/internal/txn"
 )
@@ -93,7 +94,7 @@ func (s *Server) roleString() string {
 
 // fencedPrefix starts the read-only reason of a fenced ex-primary; the
 // rest of the reason is parseable evidence (observed epoch, source).
-const fencedPrefix = "fenced:"
+const fencedPrefix = proto.Fenced
 
 // fence flips this primary read-only after it observed evidence of a
 // higher replication epoch — a replica HELLO, an ACK, or a rejected
@@ -126,7 +127,7 @@ func (s *Server) writeRedirect() string {
 	if p := s.primaryClientAddr.Load(); p != nil && *p != "" {
 		addr = *p
 	}
-	return fmt.Sprintf("read-only replica: writes go to the primary (redirect primary=%s)", addr)
+	return fmt.Sprintf("read-only replica: writes go to the primary (%s%s)", proto.Redirect, addr)
 }
 
 // SetPrimaryClientAddr records the primary's client protocol address so
@@ -279,7 +280,7 @@ func (s *Server) handleReplConn(conn net.Conn, hub *repl.Hub) {
 		// not follow us, and we must stop taking writes.
 		s.fence(repEpoch, fmt.Sprintf("HELLO from replica %s", conn.RemoteAddr()))
 		io.WriteString(conn, repl.ErrLine(fmt.Sprintf(
-			"stale epoch: this primary is at epoch %d, replica announced epoch %d", local, repEpoch)))
+			"%s: this primary is at epoch %d, replica announced epoch %d", proto.StaleEpoch, local, repEpoch)))
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -573,7 +574,7 @@ func (s *Server) bootstrapFromPrimary(seq, epoch uint64, snapshot []byte) error 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly != "" {
-		return fmt.Errorf("%w: server is read-only: %s", errDiverged, s.readOnly)
+		return fmt.Errorf("%w: server is %s: %s", errDiverged, proto.ReadOnly, s.readOnly)
 	}
 	if err := s.installSnapshot(func(w io.Writer) error {
 		_, werr := w.Write(snapshot)
@@ -602,7 +603,7 @@ func (s *Server) applyReplicated(seg repl.Segment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly != "" {
-		return fmt.Errorf("%w: server is read-only: %s", errDiverged, s.readOnly)
+		return fmt.Errorf("%w: server is %s: %s", errDiverged, proto.ReadOnly, s.readOnly)
 	}
 	if seg.Seq <= s.commitSeq {
 		return nil // duplicate after a reconnect: already durable here
@@ -694,7 +695,7 @@ func (s *Server) Promote() ([]string, error) {
 	reason := s.readOnly
 	s.mu.RUnlock()
 	if reason != "" {
-		return nil, fmt.Errorf("replica is read-only degraded: %s", reason)
+		return nil, fmt.Errorf("replica is %s degraded: %s", proto.ReadOnly, reason)
 	}
 	select {
 	case <-s.promoteCh:
@@ -708,7 +709,7 @@ func (s *Server) Promote() ([]string, error) {
 	reason = s.readOnly
 	s.mu.RUnlock()
 	if reason != "" {
-		return nil, fmt.Errorf("replica is read-only degraded: %s", reason)
+		return nil, fmt.Errorf("replica is %s degraded: %s", proto.ReadOnly, reason)
 	}
 	// Final verify: with the streaming loop stopped nothing appends, so
 	// the read lock is a stable point.

@@ -2,39 +2,13 @@
 // bounding-schema on every update — the deployment the paper targets: an
 // LDAP-style store whose instances stay legal by construction.
 //
-// The protocol is line-oriented text over TCP (LDAP's ASN.1 framing is
-// out of scope; the operations mirror LDAP's):
-//
-//	SEARCH <filter> [base=<dn>] [limit=N]
-//	                                matching DNs, one per line, at most N
-//	                                with limit=N (default unlimited). The
-//	                                base DN is everything after "base="
-//	                                up to the optional trailing limit
-//	                                token — DNs may contain spaces. The
-//	                                filter runs through the cost-based
-//	                                hquery planner: typed atoms are
-//	                                answered from the attribute-value
-//	                                indexes when cheaper than a scan.
-//	QUERY <hierarchical query>      DNs matched by an hquery expression
-//	GET <dn>                        the entry as LDIF attribute lines
-//	BEGIN ... ADD/DELETE/MOVE ... COMMIT an update transaction (LDIF-ish;
-//	                                MOVE <dn> -> <dest> relocates a
-//	                                subtree, "MOVE <dn> ->" to the root)
-//	CHECK                           full legality report
-//	CONSISTENT                      schema consistency verdict
-//	SCHEMA                          the schema in the definition language
-//	STAT                            role (with the reason, when degraded),
-//	                                entry and class counts
-//	METRICS                         counters, latency histograms, gauges
-//	SNAPSHOT                        force journal compaction
-//	VERIFY                          re-scan the journal checksums and run
-//	                                the full legality check, online
-//	QUIT
-//
-// Every response is terminated by a line reading "OK", "ILLEGAL" or
-// "ERR <message>". Transactions are applied atomically with the Figure 5
-// incremental checks; a violating COMMIT leaves the directory unchanged
-// and reports the violations.
+// The wire protocol is the line protocol internal/proto defines: its
+// grammar, reply framing and ERR vocabulary live there, and a session
+// here dispatches the parsed requests. SEARCH filters run through the
+// cost-based hquery planner, so typed atoms are answered from the
+// attribute-value indexes when cheaper than a scan. Transactions are
+// applied atomically with the Figure 5 incremental checks; a violating
+// COMMIT leaves the directory unchanged and reports the violations.
 //
 // Durability: when a journal is configured, OK after COMMIT means the
 // transaction was applied AND recorded in the journal (write + fsync). A
@@ -49,11 +23,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,15 +36,12 @@ import (
 	"boundschema/internal/filter"
 	"boundschema/internal/hquery"
 	"boundschema/internal/ldif"
+	"boundschema/internal/proto"
 	"boundschema/internal/repl"
 	"boundschema/internal/schemadsl"
 	"boundschema/internal/txn"
 	"boundschema/internal/vfs"
 )
-
-// maxLineBytes caps one protocol line; longer lines fail the session with
-// "ERR line too long" instead of silently dropping it.
-const maxLineBytes = 1024 * 1024
 
 // maxAcceptBackoff caps the exponential backoff acceptLoop applies after
 // transient Accept errors (e.g. EMFILE), mirroring net/http.Server.Serve.
@@ -464,12 +433,11 @@ func (c *deadlineConn) Read(p []byte) (int, error) {
 
 type session struct {
 	srv *Server
-	w   *bufio.Writer
+	w   *proto.Writer    // w.Term is the terminator of the line being handled
 	tx  *txn.Transaction // non-nil inside BEGIN..COMMIT
-	// cmd and term record the command label and terminator of the line
-	// being handled, for the metrics layer.
-	cmd  string
-	term string
+	// cmd is the command label of the line being handled, for the
+	// metrics layer.
+	cmd string
 	// pending is the entry currently being assembled by ADD lines.
 	pendingDN      string
 	pendingClasses []string
@@ -478,14 +446,13 @@ type session struct {
 
 func (s *Server) serve(conn net.Conn) {
 	dc := &deadlineConn{Conn: conn, srv: s}
-	sc := bufio.NewScanner(dc)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	sess := &session{srv: s, w: bufio.NewWriter(conn)}
+	sc := proto.NewScanner(dc)
+	sess := &session{srv: s, w: proto.NewWriter(conn)}
 	defer sess.abort() // releases the tx gauge if the session dies mid-transaction
 	for {
 		select {
 		case <-s.closed:
-			sess.err("server shutting down")
+			sess.w.Err("server " + proto.ShuttingDown)
 			sess.w.Flush()
 			return
 		default:
@@ -496,12 +463,11 @@ func (s *Server) serve(conn net.Conn) {
 		if !sc.Scan() {
 			break
 		}
-		line := strings.TrimRight(sc.Text(), "\r")
 		start := time.Now()
-		sess.cmd, sess.term = "", ""
-		quit := sess.handle(line)
+		sess.cmd, sess.w.Term = "", ""
+		quit := sess.handle(sc.Text())
 		if sess.cmd != "" {
-			s.metrics.observeCommand(sess.cmd, time.Since(start), sess.term == "ERR")
+			s.metrics.observeCommand(sess.cmd, time.Since(start), sess.w.Term == "ERR")
 		}
 		sess.w.Flush()
 		if quit {
@@ -514,21 +480,15 @@ func (s *Server) serve(conn net.Conn) {
 		// clean EOF — the client went away
 	case errors.Is(err, bufio.ErrTooLong):
 		s.metrics.LinesTooLong.Add(1)
-		sess.err(fmt.Sprintf("line too long (max %d bytes)", maxLineBytes))
-		sess.w.Flush()
-		// Linger briefly to drain the rest of the oversized line, so the
-		// error reply is not destroyed by a TCP reset carrying unread data
-		// (the same trick net/http uses for unread request bodies).
-		conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-		io.Copy(io.Discard, conn)
+		proto.RefuseTooLong(sess.w, conn)
 	case isTimeout(err):
 		select {
 		case <-s.closed:
 			// drain deadline during shutdown, not a client fault
-			sess.err("server shutting down")
+			sess.w.Err("server " + proto.ShuttingDown)
 		default:
 			s.metrics.IdleTimeouts.Add(1)
-			sess.err("idle timeout")
+			sess.w.Err(proto.IdleTimeout)
 		}
 	default:
 		s.metrics.ScanErrors.Add(1)
@@ -542,44 +502,27 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-func (se *session) reply(lines ...string) {
-	for _, l := range lines {
-		se.w.WriteString(l)
-		se.w.WriteByte('\n')
-	}
-}
-
-func (se *session) ok() {
-	se.term = "OK"
-	se.reply("OK")
-}
-
-func (se *session) err(msg string) {
-	se.term = "ERR"
-	se.reply("ERR " + strings.ReplaceAll(msg, "\n", " | "))
-}
-
 func (se *session) illegal(r *core.Report) {
-	se.term = "ILLEGAL"
 	for _, v := range r.Violations {
-		se.reply("# " + v.String())
+		se.w.Comment(v.String())
 	}
-	se.reply("ILLEGAL")
+	se.w.Illegal()
 }
 
 // handle processes one protocol line; it returns true on QUIT.
 func (se *session) handle(line string) bool {
 	trimmed := strings.TrimSpace(line)
 	if se.tx != nil {
-		return se.handleTx(trimmed)
+		se.handleTx(trimmed)
+		return false
 	}
-	cmd, rest := splitCommand(trimmed)
+	cmd, rest := proto.Split(trimmed)
 	se.cmd = cmd
 	switch cmd {
 	case "":
 		// ignore blank lines between commands
 	case "QUIT":
-		se.ok()
+		se.w.OK()
 		return true
 	case "SEARCH":
 		se.search(rest)
@@ -589,19 +532,19 @@ func (se *session) handle(line string) bool {
 		se.get(rest)
 	case "BEGIN":
 		if hint := se.srv.writeRedirect(); hint != "" {
-			se.err(hint)
+			se.w.Err(hint)
 			break
 		}
 		se.tx = &txn.Transaction{}
 		se.srv.metrics.TxActive.Add(1)
-		se.ok()
+		se.w.OK()
 	case "CHECK":
 		se.check()
 	case "CONSISTENT":
 		se.consistent()
 	case "SCHEMA":
-		se.reply(strings.Split(strings.TrimRight(schemadsl.Format(se.srv.schema, se.srv.name), "\n"), "\n")...)
-		se.ok()
+		se.w.Line(strings.Split(strings.TrimRight(schemadsl.Format(se.srv.schema, se.srv.name), "\n"), "\n")...)
+		se.w.OK()
 	case "STAT":
 		se.stat()
 	case "COUNT":
@@ -616,87 +559,44 @@ func (se *session) handle(line string) bool {
 		se.promoteCmd()
 	default:
 		se.cmd = "UNKNOWN"
-		se.err(fmt.Sprintf("unknown command %q", cmd))
+		se.w.Err(proto.UnknownCommand(cmd))
 	}
 	return false
 }
 
-// handleTx processes lines inside BEGIN..COMMIT.
-func (se *session) handleTx(line string) bool {
-	cmd, rest := splitCommand(line)
-	switch cmd {
-	case "ADD":
-		se.cmd = cmd
+// handleTx processes one line inside BEGIN..COMMIT; a refused line
+// drops the transaction.
+func (se *session) handleTx(line string) {
+	l, err := proto.ParseTxLine(line, se.pendingDN != "")
+	se.cmd = l.Cmd
+	if l.Cmd != "" {
 		se.flushPending()
-		dn := strings.TrimSpace(rest)
-		if dn == "" {
-			se.err("ADD needs a DN")
-			se.abort()
-			return false
-		}
-		se.pendingDN = dn
-		se.pendingClasses = nil
-		se.pendingAttrs = make(map[string][]dirtree.Value)
-	case "DELETE":
-		se.cmd = cmd
-		se.flushPending()
-		se.tx.Delete(strings.TrimSpace(rest))
-	case "MOVE":
-		se.cmd = cmd
-		se.flushPending()
-		// "MOVE <dn> -> <dest>": splitting on a space would mangle any DN
-		// containing one, so the protocol uses an explicit arrow separator.
-		// "MOVE <dn> ->" (empty destination) moves to the forest root.
-		dn, dest, ok := strings.Cut(strings.TrimSpace(rest), " -> ")
-		if !ok {
-			if d, rootOK := strings.CutSuffix(strings.TrimSpace(rest), " ->"); rootOK {
-				dn, dest, ok = d, "", true
-			}
-		}
-		if !ok {
-			se.err(`MOVE needs "<dn> -> <dest>" ("<dn> ->" moves to the forest root)`)
-			se.abort()
-			return false
-		}
-		se.tx.Move(strings.TrimSpace(dn), strings.TrimSpace(dest))
-	case "COMMIT":
-		se.cmd = cmd
-		se.flushPending()
-		se.commit()
-	case "ABORT":
-		se.cmd = cmd
-		se.abort()
-		se.ok()
-	case "":
-		// blank line inside a transaction is a no-op
-	default:
-		// attribute line "name: value" for the pending ADD
-		if se.pendingDN == "" {
-			se.err(fmt.Sprintf("unexpected %q inside transaction", line))
-			se.abort()
-			return false
-		}
-		name, value, ok := strings.Cut(line, ":")
-		if !ok {
-			se.err(fmt.Sprintf("malformed attribute line %q", line))
-			se.abort()
-			return false
-		}
-		name = strings.TrimSpace(name)
-		value = strings.TrimSpace(value)
-		if name == dirtree.AttrObjectClass {
-			se.pendingClasses = append(se.pendingClasses, value)
-			return false
-		}
-		v, err := dirtree.ParseValue(se.srv.schema.Registry.Type(name), value)
-		if err != nil {
-			se.err(err.Error())
-			se.abort()
-			return false
-		}
-		se.pendingAttrs[name] = append(se.pendingAttrs[name], v)
 	}
-	return false
+	switch {
+	case err != nil:
+	case l.Cmd == "ADD":
+		se.pendingDN, se.pendingClasses, se.pendingAttrs = l.DN, nil, make(map[string][]dirtree.Value)
+	case l.Cmd == "DELETE":
+		se.tx.Delete(l.DN)
+	case l.Cmd == "MOVE":
+		se.tx.Move(l.DN, l.Dest)
+	case l.Cmd == "COMMIT":
+		se.commit()
+	case l.Cmd == "ABORT":
+		se.abort()
+		se.w.OK()
+	case l.Attr && l.Name == dirtree.AttrObjectClass:
+		se.pendingClasses = append(se.pendingClasses, l.Value)
+	case l.Attr:
+		var v dirtree.Value
+		if v, err = dirtree.ParseValue(se.srv.schema.Registry.Type(l.Name), l.Value); err == nil {
+			se.pendingAttrs[l.Name] = append(se.pendingAttrs[l.Name], v)
+		}
+	}
+	if err != nil {
+		se.w.Err(err.Error())
+		se.abort()
+	}
 }
 
 func (se *session) flushPending() {
@@ -727,14 +627,14 @@ func (se *session) commit() {
 	se.abort()
 	report, err := se.srv.CommitTx(tx)
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
 	if !report.Legal() {
 		se.illegal(report)
 		return
 	}
-	se.ok()
+	se.w.OK()
 }
 
 // CommitTx applies tx and makes it durable — the exact path a session's
@@ -754,7 +654,7 @@ func (s *Server) CommitTx(tx *txn.Transaction) (*core.Report, error) {
 		reason := s.readOnly
 		s.mu.Unlock()
 		s.metrics.TxErrors.Add(1)
-		return nil, errors.New("server is read-only: " + reason)
+		return nil, errors.New("server is " + proto.ReadOnly + ": " + reason)
 	}
 	report, undo, err := s.applier.ApplyWithUndo(s.dir, tx)
 	// Re-encode before releasing the write lock: reader sessions (CHECK,
@@ -790,7 +690,7 @@ func (s *Server) CommitTx(tx *txn.Transaction) (*core.Report, error) {
 		s.dir.EnsureEncoded()
 		s.mu.Unlock()
 		s.metrics.TxErrors.Add(1)
-		return nil, fmt.Errorf("commit not durable: %v", werr)
+		return nil, fmt.Errorf("%s: %v", proto.NotDurable, werr)
 	}
 	seq := s.commitSeq + 1
 	// The checksummed marker terminates the transaction for atomic replay;
@@ -803,66 +703,27 @@ func (s *Server) CommitTx(tx *txn.Transaction) (*core.Report, error) {
 	// OK only after the batch fsync: the durability contract is unchanged.
 	if jerr := <-req.done; jerr != nil {
 		s.metrics.TxErrors.Add(1)
-		return nil, fmt.Errorf("commit not durable: %v", jerr)
+		return nil, fmt.Errorf("%s: %v", proto.NotDurable, jerr)
 	}
 	s.metrics.TxCommitted.Add(1)
 	return report, nil
 }
 
-const searchUsage = "(usage: SEARCH <filter> [base=<dn>] [limit=N])"
+// Deprecated: use proto.SearchArgs.
+type SearchArgs = proto.SearchArgs
 
-// SearchArgs is the parsed tail of a SEARCH command line. Exported so
-// the shard router (internal/shard) parses routing targets — the base
-// DN decides the owning shard — with exactly the server's grammar.
-type SearchArgs struct {
-	Filter  string // balanced-parenthesis filter text, unparsed
-	Base    string // base DN; meaningful only when HasBase
-	HasBase bool
-	Limit   int // -1 = unlimited
-}
-
-// ParseSearchArgs splits "(filter) [base=<dn>] [limit=N]". The base DN
-// is everything after "base=" — DNs contain spaces (ou=Human
-// Resources,o=acme), so the tail must not be re-tokenized. The optional
-// limit is the final space-separated token, peeled off before the base
-// is read. Anything else trailing the filter is an error, not silently
-// ignored.
-func ParseSearchArgs(rest string) (SearchArgs, error) {
-	a := SearchArgs{Limit: -1}
-	ftext, tail, err := cutBalanced(strings.TrimSpace(rest))
-	if err != nil {
-		return a, err
-	}
-	a.Filter = ftext
-	tail = strings.TrimSpace(tail)
-	last := tail
-	if i := strings.LastIndexByte(tail, ' '); i >= 0 {
-		last = tail[i+1:]
-	}
-	if digits, isLimit := strings.CutPrefix(last, "limit="); isLimit {
-		n, lerr := strconv.Atoi(digits)
-		if lerr != nil || n < 0 || strings.TrimLeft(digits, "0123456789") != "" {
-			return a, fmt.Errorf("malformed %q %s", last, searchUsage)
-		}
-		a.Limit = n
-		tail = strings.TrimSpace(tail[:len(tail)-len(last)])
-	}
-	a.Base, a.HasBase = strings.CutPrefix(tail, "base=")
-	if tail != "" && !a.HasBase {
-		return a, fmt.Errorf("unexpected %q after filter %s", tail, searchUsage)
-	}
-	return a, nil
-}
+// Deprecated: use proto.ParseSearchArgs.
+var ParseSearchArgs = proto.ParseSearchArgs
 
 func (se *session) search(rest string) {
-	args, err := ParseSearchArgs(rest)
+	args, err := proto.ParseSearchArgs(rest)
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
 	f, err := filter.Parse(args.Filter)
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
 	limit := args.Limit
@@ -872,7 +733,7 @@ func (se *session) search(rest string) {
 	if args.HasBase {
 		e := se.srv.dir.ByDN(args.Base)
 		if e == nil {
-			se.err(fmt.Sprintf("base %q not found", args.Base))
+			se.w.Err(fmt.Sprintf("base %q not found", args.Base))
 			return
 		}
 		view = se.srv.dir.SubtreeView(e)
@@ -887,23 +748,23 @@ func (se *session) search(rest string) {
 		if limit >= 0 && i >= limit {
 			break
 		}
-		se.reply(e.DN())
+		se.w.Line(e.DN())
 	}
-	se.ok()
+	se.w.OK()
 }
 
 func (se *session) query(rest string) {
 	q, err := hquery.Parse(strings.TrimSpace(rest))
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
 	se.srv.mu.RLock()
 	defer se.srv.mu.RUnlock()
 	for _, e := range hquery.Eval(q, hquery.NewBinding(se.srv.dir)) {
-		se.reply(e.DN())
+		se.w.Line(e.DN())
 	}
-	se.ok()
+	se.w.OK()
 }
 
 func (se *session) get(rest string) {
@@ -912,16 +773,16 @@ func (se *session) get(rest string) {
 	defer se.srv.mu.RUnlock()
 	e := se.srv.dir.ByDN(dn)
 	if e == nil {
-		se.err(fmt.Sprintf("no entry %q", dn))
+		se.w.Err(fmt.Sprintf("%s %q", proto.NoEntry, dn))
 		return
 	}
-	se.reply("dn: " + e.DN())
+	se.w.Line("dn: " + e.DN())
 	for _, name := range e.AttrNames() {
 		for _, v := range e.Attr(name) {
-			se.reply(name + ": " + v.String())
+			se.w.Line(name + ": " + v.String())
 		}
 	}
-	se.ok()
+	se.w.OK()
 }
 
 func (se *session) check() {
@@ -933,17 +794,16 @@ func (se *session) check() {
 		se.illegal(report)
 		return
 	}
-	se.ok()
+	se.w.OK()
 }
 
 func (se *session) consistent() {
 	res := core.CheckConsistency(se.srv.schema)
-	se.reply(fmt.Sprintf("consistent: %v facts: %d", res.Consistent, res.Facts))
+	se.w.Line(fmt.Sprintf("consistent: %v facts: %d", res.Consistent, res.Facts))
 	if res.Consistent {
-		se.ok()
+		se.w.OK()
 	} else {
-		se.term = "ILLEGAL"
-		se.reply("ILLEGAL")
+		se.w.Illegal()
 	}
 }
 
@@ -951,24 +811,24 @@ func (se *session) stat() {
 	role := se.srv.roleString()
 	se.srv.mu.RLock()
 	defer se.srv.mu.RUnlock()
-	se.reply("role: " + role)
+	se.w.Line("role: " + role)
 	if role == "read-only degraded" {
-		se.reply(role + ": " + se.srv.readOnly)
+		se.w.Line(role + ": " + se.srv.readOnly)
 	}
-	se.reply(fmt.Sprintf("epoch: %d", se.srv.epoch.Load()))
+	se.w.Line(fmt.Sprintf("epoch: %d", se.srv.epoch.Load()))
 	if se.srv.shardName != "" {
-		se.reply("shard: " + se.srv.shardName)
+		se.w.Line("shard: " + se.srv.shardName)
 		for _, r := range se.srv.shardRoots {
-			se.reply("shard root: " + r)
+			se.w.Line("shard root: " + r)
 		}
 	}
-	se.reply(fmt.Sprintf("entries: %d", se.srv.dir.Len()))
+	se.w.Line(fmt.Sprintf("entries: %d", se.srv.dir.Len()))
 	names := se.srv.dir.ClassNames()
 	sort.Strings(names)
 	for _, c := range names {
-		se.reply(fmt.Sprintf("class %s: %d", c, se.srv.dir.ClassCount(c)))
+		se.w.Line(fmt.Sprintf("class %s: %d", c, se.srv.dir.ClassCount(c)))
 	}
-	se.ok()
+	se.w.OK()
 }
 
 func (se *session) metricsCmd() {
@@ -979,36 +839,36 @@ func (se *session) metricsCmd() {
 	readOnly := s.readOnly
 	s.mu.RUnlock()
 	if s.shardName != "" {
-		se.reply(fmt.Sprintf("shard: name=%s roots=%d", s.shardName, len(s.shardRoots)))
+		se.w.Line(fmt.Sprintf("shard: name=%s roots=%d", s.shardName, len(s.shardRoots)))
 	}
-	se.reply(s.metrics.lines(journalOn, readOnly, rs)...)
-	se.ok()
+	se.w.Line(s.metrics.lines(journalOn, readOnly, rs)...)
+	se.w.OK()
 }
 
 func (se *session) promoteCmd() {
 	lines, err := se.srv.Promote()
 	for _, l := range lines {
-		se.reply("# " + l)
+		se.w.Comment(l)
 	}
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
-	se.reply("# promoted: now primary")
-	se.ok()
+	se.w.Comment("promoted: now primary")
+	se.w.OK()
 }
 
 func (se *session) snapshotCmd() {
 	s := se.srv
 	if err := s.Rotate(); err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
 	s.mu.RLock()
 	snapPath := s.journal.snapPath
 	s.mu.RUnlock()
-	se.reply("# journal compacted to " + snapPath)
-	se.ok()
+	se.w.Comment("journal compacted to " + snapPath)
+	se.w.OK()
 }
 
 // verifyCmd is the online fsck: it re-scans the on-disk journal against
@@ -1022,41 +882,13 @@ func (se *session) verifyCmd() {
 		return verr
 	})
 	for _, l := range lines {
-		se.reply("# " + l)
+		se.w.Comment(l)
 	}
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
-	se.ok()
-}
-
-// cutBalanced splits off a leading balanced-parenthesis span (a filter,
-// which may contain spaces) from the rest of the line.
-func cutBalanced(s string) (string, string, error) {
-	if s == "" || s[0] != '(' {
-		return "", "", fmt.Errorf("expected a parenthesized filter")
-	}
-	depth := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++ // skip the escape marker
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				return s[:i+1], s[i+1:], nil
-			}
-		}
-	}
-	return "", "", fmt.Errorf("unbalanced filter")
-}
-
-func splitCommand(line string) (string, string) {
-	cmd, rest, _ := strings.Cut(line, " ")
-	return strings.ToUpper(cmd), rest
+	se.w.OK()
 }
 
 // Snapshot writes the current instance as LDIF, for persistence.

@@ -12,6 +12,7 @@ import (
 
 	"boundschema/internal/core"
 	"boundschema/internal/dirtree"
+	"boundschema/internal/proto"
 	"boundschema/internal/workload"
 )
 
@@ -52,22 +53,23 @@ func (c *client) send(lines ...string) {
 	}
 }
 
-// until reads lines until a terminator (OK/ILLEGAL/ERR...) and returns
-// body plus the terminator.
+// until reads one reply and returns its payload plus the terminator
+// line (OK, ILLEGAL or the whole "ERR <message>").
 func (c *client) until() ([]string, string) {
 	c.t.Helper()
-	var body []string
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			c.t.Fatalf("read: %v (body so far %v)", err, body)
-		}
-		line = strings.TrimRight(line, "\n")
-		if line == "OK" || line == "ILLEGAL" || strings.HasPrefix(line, "ERR ") {
-			return body, line
-		}
-		body = append(body, line)
+	rep, err := proto.ReadReply(c.r)
+	if err != nil {
+		c.t.Fatalf("read: %v (body so far %v)", err, rep.Lines)
 	}
+	return rep.Lines, termLine(rep)
+}
+
+// termLine renders a reply's terminator line.
+func termLine(rep proto.Reply) string {
+	if rep.Term == "ERR" {
+		return "ERR " + rep.Err
+	}
+	return rep.Term
 }
 
 func (c *client) expectOK(lines ...string) []string {
@@ -449,16 +451,8 @@ func TestServerConcurrentCheckCommit(t *testing.T) {
 				return "", err
 			}
 		}
-		for {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				return "", err
-			}
-			line = strings.TrimRight(line, "\n")
-			if line == "OK" || line == "ILLEGAL" || strings.HasPrefix(line, "ERR ") {
-				return line, nil
-			}
-		}
+		rep, err := proto.ReadReply(r)
+		return termLine(rep), err
 	}
 
 	const rounds = 20

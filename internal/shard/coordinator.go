@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 
 	"boundschema/internal/core"
+	"boundschema/internal/proto"
 	"boundschema/internal/schemadsl"
 )
 
@@ -45,12 +47,12 @@ func (co *coordinator) ensureSchema() (*core.Schema, error) {
 	sh := co.rt.anchorShard()
 	r, err := co.rt.do(sh, "SCHEMA")
 	if err != nil {
-		return nil, fmt.Errorf("shard %s unavailable: %v", sh.Name, err)
+		return nil, errors.New(shardDownMsg(sh, err))
 	}
-	if !r.ok() {
-		return nil, fmt.Errorf("shard %s: SCHEMA: %s", sh.Name, r.err)
+	if !r.OK() {
+		return nil, fmt.Errorf("shard %s: SCHEMA: %s", sh.Name, r.Err)
 	}
-	schema, _, err := schemadsl.Parse(strings.Join(r.lines, "\n") + "\n")
+	schema, _, err := schemadsl.Parse(strings.Join(r.Lines, "\n") + "\n")
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: parse schema: %v", sh.Name, err)
 	}
@@ -76,13 +78,13 @@ func (co *coordinator) ensureSpine() (map[string][]string, error) {
 		sh := hs[len(hs)-1] // the default shard holds the real entry, when present
 		r, err := co.rt.do(sh, "GET "+dn)
 		if err != nil {
-			return nil, fmt.Errorf("shard %s unavailable: %v", sh.Name, err)
+			return nil, errors.New(shardDownMsg(sh, err))
 		}
-		if !r.ok() {
-			return nil, fmt.Errorf("shard %s: spine entry %q: %s", sh.Name, dn, r.err)
+		if !r.OK() {
+			return nil, fmt.Errorf("shard %s: spine entry %q: %s", sh.Name, dn, r.Err)
 		}
 		var classes []string
-		for _, l := range r.lines {
+		for _, l := range r.Lines {
 			if v, ok := strings.CutPrefix(l, "objectClass: "); ok {
 				classes = append(classes, v)
 			}
@@ -98,7 +100,7 @@ func (co *coordinator) ensureSpine() (map[string][]string, error) {
 // instance but len(Holders)-1 extra times across the fanned-out
 // shards. Derived statically from the map plus the cached spine
 // classes — no per-query shard round-trips.
-func (co *coordinator) correction(class, base string, hasBase, childOnly bool) (int, error) {
+func (co *coordinator) correction(a proto.CountArgs) (int, error) {
 	spineClasses, err := co.ensureSpine()
 	if err != nil {
 		return 0, err
@@ -106,18 +108,18 @@ func (co *coordinator) correction(class, base string, hasBase, childOnly bool) (
 	corr := 0
 	for _, s := range co.rt.m.Spine() {
 		switch {
-		case !hasBase:
+		case !a.HasBase:
 			// whole instance: every spine entry is in scope
-		case childOnly:
-			if parent := parentDN(s); parent != base {
+		case a.Child:
+			if parent := parentDN(s); parent != a.Base {
 				continue
 			}
 		default:
-			if s == base || !UnderDN(s, base) {
+			if s == a.Base || !UnderDN(s, a.Base) {
 				continue
 			}
 		}
-		if !hasClass(spineClasses[s], class) {
+		if !hasClass(spineClasses[s], a.Class) {
 			continue
 		}
 		if extra := len(co.rt.m.Holders(s)) - 1; extra > 0 {
@@ -148,7 +150,7 @@ func (co *coordinator) audit() ([]string, error) {
 			if !downward(rel.Axis) || !hasClass(classes, rel.Source) {
 				continue
 			}
-			n, err := co.rt.countAcrossShards(rel.Target, dn, true, rel.Axis == core.AxisChild)
+			n, err := co.rt.countAcrossShards(proto.CountArgs{Class: rel.Target, Child: rel.Axis == core.AxisChild, Base: dn, HasBase: true})
 			if err != nil {
 				return nil, err
 			}
@@ -160,7 +162,7 @@ func (co *coordinator) audit() ([]string, error) {
 			if !hasClass(classes, rel.Upper) {
 				continue
 			}
-			n, err := co.rt.countAcrossShards(rel.Lower, dn, true, rel.Axis == core.AxisChild)
+			n, err := co.rt.countAcrossShards(proto.CountArgs{Class: rel.Lower, Child: rel.Axis == core.AxisChild, Base: dn, HasBase: true})
 			if err != nil {
 				return nil, err
 			}
@@ -170,7 +172,7 @@ func (co *coordinator) audit() ([]string, error) {
 		}
 	}
 	for _, c := range schema.Structure.RequiredClasses() {
-		n, err := co.rt.countAcrossShards(c, "", false, false)
+		n, err := co.rt.countAcrossShards(proto.CountArgs{Class: c})
 		if err != nil {
 			return nil, err
 		}

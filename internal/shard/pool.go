@@ -1,12 +1,11 @@
 package shard
 
 import (
-	"bufio"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
+	"boundschema/internal/proto"
 	"boundschema/internal/repl"
 )
 
@@ -14,24 +13,13 @@ import (
 // connections are closed.
 const poolMaxIdle = 4
 
-// dialTimeout bounds one dial attempt; ioTimeout bounds one routed
-// command round-trip so a wedged shard cannot wedge the router session
-// holding the connection.
+// dialTimeout bounds one dial attempt; ioTimeout bounds one borrow of
+// a connection (one routed command or one replayed transaction) so a
+// wedged shard cannot wedge the router session holding it.
 const (
 	dialTimeout = 2 * time.Second
 	ioTimeout   = 30 * time.Second
 )
-
-// reply is one framed protocol reply: payload lines and the
-// OK/ILLEGAL/ERR terminator — the framing rule shared with
-// internal/loadgen's client and pinned by the ERR-grammar tests.
-type reply struct {
-	lines []string
-	term  string // "OK", "ILLEGAL" or "ERR"
-	err   string // message after "ERR "
-}
-
-func (r reply) ok() bool { return r.term == "OK" }
 
 // pool hands out pooled connections to one shard, redialing with the
 // replication transport's equal-jitter backoff: shards restart, and a
@@ -46,14 +34,10 @@ type pool struct {
 	closed bool
 }
 
+// shardConn is one pooled connection, framed by internal/proto.
 type shardConn struct {
-	c net.Conn
-	r *bufio.Reader
-	w *bufio.Writer
-}
-
-func newShardConn(c net.Conn) *shardConn {
-	return &shardConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
+	*proto.Conn
+	nc net.Conn // the raw connection, whose deadline get arms
 }
 
 func newPool(sh *Shard, dialer func(string, time.Duration) (net.Conn, error)) *pool {
@@ -65,19 +49,31 @@ func newPool(sh *Shard, dialer func(string, time.Duration) (net.Conn, error)) *p
 	return &pool{shard: sh, dialer: dialer}
 }
 
-// get pops an idle connection or dials a fresh one, retrying with
-// jittered backoff within one bounded budget (~1 s) before giving up —
-// the router reports the shard unavailable rather than hanging the
-// client session.
+// get pops an idle connection or dials a fresh one, and arms its
+// deadline ioTimeout from now.
 func (p *pool) get() (*shardConn, error) {
+	var c *shardConn
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
-		c := p.idle[n-1]
+		c = p.idle[n-1]
 		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-		return c, nil
 	}
 	p.mu.Unlock()
+	if c == nil {
+		nc, err := p.dial()
+		if err != nil {
+			return nil, err
+		}
+		c = &shardConn{Conn: proto.NewConn(nc), nc: nc}
+	}
+	c.nc.SetDeadline(time.Now().Add(ioTimeout))
+	return c, nil
+}
+
+// dial retries with jittered backoff within one bounded budget (~1 s)
+// before giving up — the router reports the shard unavailable rather
+// than hanging the client session.
+func (p *pool) dial() (net.Conn, error) {
 	backoff := 50 * time.Millisecond
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
@@ -86,25 +82,24 @@ func (p *pool) get() (*shardConn, error) {
 			backoff = repl.NextBackoff(backoff, 400*time.Millisecond)
 		}
 		conn, err := p.dialer(p.shard.Addr, dialTimeout)
-		if err != nil {
-			lastErr = err
-			continue
+		if err == nil {
+			return conn, nil
 		}
-		return newShardConn(conn), nil
+		lastErr = err
 	}
 	return nil, lastErr
 }
 
 // put returns a connection whose last reply was read cleanly. Anything
 // suspect (transport error, a transaction replay that erred early and
-// may have queued extra replies) must be discarded with c.close()
+// may have queued extra replies) must be discarded with c.Close()
 // instead — a pooled connection with stale replies would desync the
 // next borrower.
 func (p *pool) put(c *shardConn) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed || len(p.idle) >= poolMaxIdle {
-		c.close()
+		c.Close()
 		return
 	}
 	p.idle = append(p.idle, c)
@@ -115,53 +110,7 @@ func (p *pool) close() {
 	defer p.mu.Unlock()
 	p.closed = true
 	for _, c := range p.idle {
-		c.close()
+		c.Close()
 	}
 	p.idle = nil
-}
-
-func (c *shardConn) close() { c.c.Close() }
-
-// send writes lines without reading a reply (transaction bodies
-// produce none).
-func (c *shardConn) send(lines ...string) error {
-	c.c.SetDeadline(time.Now().Add(ioTimeout))
-	for _, l := range lines {
-		if _, err := c.w.WriteString(l + "\n"); err != nil {
-			return err
-		}
-	}
-	return c.w.Flush()
-}
-
-// read consumes one framed reply.
-func (c *shardConn) read() (reply, error) {
-	c.c.SetDeadline(time.Now().Add(ioTimeout))
-	var r reply
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return r, err
-		}
-		line = strings.TrimRight(line, "\r\n")
-		switch {
-		case line == "OK", line == "ILLEGAL":
-			r.term = line
-			return r, nil
-		case strings.HasPrefix(line, "ERR "):
-			r.term = "ERR"
-			r.err = line[len("ERR "):]
-			return r, nil
-		default:
-			r.lines = append(r.lines, line)
-		}
-	}
-}
-
-// do runs one command and reads its reply.
-func (c *shardConn) do(line string) (reply, error) {
-	if err := c.send(line); err != nil {
-		return reply{}, err
-	}
-	return c.read()
 }

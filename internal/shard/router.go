@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -11,17 +12,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"boundschema/internal/server"
+	"boundschema/internal/proto"
 )
 
-// Router speaks the server's line protocol in front of a shard map:
-// DN-prefixed commands go to the owning shard over pooled connections,
-// reads without a routable base fan out to every shard and come back
-// merged in canonical hierarchical DN order. Transactions are buffered
-// at the router and replayed to the single owning shard at COMMIT —
-// Theorem 4.1's normalized Δs are subtree-confined, so a transaction
-// that would span two shards is refused with a parseable ERR rather
-// than half-applied.
+// Router speaks the line protocol (internal/proto) in front of a shard
+// map: DN-prefixed commands go to the owning shard over pooled
+// connections, reads without a routable base fan out to every shard and
+// come back merged in canonical hierarchical DN order. Transactions are
+// buffered at the router and replayed to the single owning shard at
+// COMMIT — Theorem 4.1's normalized Δs are subtree-confined, so a
+// transaction that would span two shards is refused with a parseable
+// ERR rather than half-applied.
 //
 // Scope: the router targets shard primaries. Replicas behind a shard
 // still serve reads directly and failover behind a shard is the
@@ -161,7 +162,7 @@ func (rt *Router) acceptLoop() {
 // shard — and replayed on COMMIT.
 type rsession struct {
 	rt *Router
-	w  *bufio.Writer
+	w  *proto.Writer
 
 	inTx       bool
 	txShard    *Shard
@@ -170,24 +171,25 @@ type rsession struct {
 }
 
 func (rt *Router) serve(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	se := &rsession{rt: rt, w: bufio.NewWriter(conn)}
+	sc := proto.NewScanner(conn)
+	se := &rsession{rt: rt, w: proto.NewWriter(conn)}
 	for {
 		select {
 		case <-rt.closed:
-			se.err("router shutting down")
+			se.w.Err("router " + proto.ShuttingDown)
 			se.w.Flush()
 			return
 		default:
 		}
 		if !sc.Scan() {
+			if errors.Is(sc.Err(), bufio.ErrTooLong) {
+				proto.RefuseTooLong(se.w, conn)
+			}
 			se.w.Flush()
 			return
 		}
-		line := strings.TrimRight(sc.Text(), "\r")
 		rt.cmdsTotal.Add(1)
-		quit := se.handle(line)
+		quit := se.handle(sc.Text())
 		se.w.Flush()
 		if quit {
 			return
@@ -195,48 +197,28 @@ func (rt *Router) serve(conn net.Conn) {
 	}
 }
 
-func (se *rsession) reply(lines ...string) {
-	for _, l := range lines {
-		se.w.WriteString(l)
-		se.w.WriteByte('\n')
-	}
+// unroutableMsg and shardDownMsg word the router's wrong_shard and
+// shard_down refusals around their proto stems.
+func unroutableMsg(dn string) string {
+	return fmt.Sprintf("%s %q: no shard owns it and the map has no default shard", proto.Unroutable, dn)
 }
 
-func (se *rsession) ok() { se.reply("OK") }
-
-func (se *rsession) err(msg string) {
-	se.reply("ERR " + strings.ReplaceAll(msg, "\n", " | "))
-}
-
-func (se *rsession) errf(format string, args ...any) { se.err(fmt.Sprintf(format, args...)) }
-
-// relay writes a shard's reply verbatim.
-func (se *rsession) relay(r reply) {
-	se.reply(r.lines...)
-	switch r.term {
-	case "ERR":
-		se.err(r.err)
-	default:
-		se.reply(r.term)
-	}
-}
-
-func splitCommand(line string) (string, string) {
-	cmd, rest, _ := strings.Cut(line, " ")
-	return strings.ToUpper(cmd), rest
+func shardDownMsg(sh *Shard, err error) string {
+	return fmt.Sprintf("shard %s %s: %v", sh.Name, proto.Unavailable, err)
 }
 
 func (se *rsession) handle(line string) bool {
 	trimmed := strings.TrimSpace(line)
 	if se.inTx {
-		return se.handleTx(trimmed)
+		se.handleTx(trimmed)
+		return false
 	}
-	cmd, rest := splitCommand(trimmed)
+	cmd, rest := proto.Split(trimmed)
 	switch cmd {
 	case "":
 		// blank line between commands
 	case "QUIT":
-		se.ok()
+		se.w.OK()
 		return true
 	case "SEARCH":
 		se.search(rest)
@@ -249,7 +231,7 @@ func (se *rsession) handle(line string) bool {
 		se.txShard = nil
 		se.txBody = nil
 		se.pendingAdd = false
-		se.ok()
+		se.w.OK()
 	case "CHECK":
 		se.check()
 	case "VERIFY":
@@ -261,8 +243,8 @@ func (se *rsession) handle(line string) bool {
 	case "METRICS":
 		se.metricsCmd()
 	case "SHARDMAP":
-		se.reply(se.rt.m.Render()...)
-		se.ok()
+		se.w.Line(se.rt.m.Render()...)
+		se.w.OK()
 	case "SCHEMA", "CONSISTENT":
 		sh := se.rt.anchorShard()
 		r, err := se.rt.do(sh, trimmed)
@@ -270,76 +252,63 @@ func (se *rsession) handle(line string) bool {
 			se.shardDown(sh, err)
 			return false
 		}
-		se.relay(r)
+		se.w.Relay(r)
 	case "QUERY":
-		se.err("QUERY is not routable; connect to a shard directly")
+		se.w.Err("QUERY is not routable; connect to a shard directly")
 	case "PROMOTE":
-		se.err("PROMOTE is not routable; promote the shard node directly")
+		se.w.Err("PROMOTE is not routable; promote the shard node directly")
 	default:
-		se.errf("unknown command %q", cmd)
+		se.w.Err(proto.UnknownCommand(cmd))
 	}
 	return false
 }
 
-// handleTx mirrors the shard server's in-transaction grammar: body
-// lines are silent on success, any protocol error replies immediately
-// and drops the transaction.
-func (se *rsession) handleTx(line string) bool {
-	cmd, rest := splitCommand(line)
-	switch cmd {
-	case "ADD":
+// handleTx buffers one transaction-body line under the shard server's
+// grammar: body lines are silent on success, any refusal replies at
+// once and drops the transaction.
+func (se *rsession) handleTx(line string) {
+	l, err := proto.ParseTxLine(line, se.pendingAdd)
+	if err != nil {
+		se.w.Err(err.Error())
+		se.abortTx()
+		return
+	}
+	if l.Cmd != "" {
 		se.pendingAdd = false
-		dn := strings.TrimSpace(rest)
-		if dn == "" {
-			se.err("ADD needs a DN")
-			se.abortTx()
-			return false
-		}
-		if !se.bindTx(dn) {
-			return false
+	}
+	switch l.Cmd {
+	case "ADD":
+		if !se.bindTx(l.DN) {
+			return
 		}
 		se.pendingAdd = true
-		se.txBody = append(se.txBody, line)
 	case "DELETE":
-		se.pendingAdd = false
-		dn := strings.TrimSpace(rest)
-		if se.rt.m.IsSpine(dn) {
+		if se.rt.m.IsSpine(l.DN) {
 			se.rt.crossShard.Add(1)
-			se.errf("cross-shard delete: %q is a spine entry whose subtree spans shards", dn)
+			se.w.Err(fmt.Sprintf("%s delete: %q is a spine entry whose subtree spans shards", proto.CrossShard, l.DN))
 			se.abortTx()
-			return false
+			return
 		}
-		if !se.bindTx(dn) {
-			return false
+		if !se.bindTx(l.DN) {
+			return
 		}
-		se.txBody = append(se.txBody, line)
 	case "MOVE":
-		se.pendingAdd = false
-		if !se.moveTx(line, rest) {
-			return false
+		if !se.moveTx(l.DN, l.Dest) {
+			return
 		}
 	case "COMMIT":
-		se.pendingAdd = false
 		se.commit()
+		return
 	case "ABORT":
 		se.abortTx()
-		se.ok()
+		se.w.OK()
+		return
 	case "":
-		// blank line inside a transaction is a no-op
-	default:
-		if !se.pendingAdd {
-			se.errf("unexpected %q inside transaction", line)
-			se.abortTx()
-			return false
+		if !l.Attr {
+			return // blank line inside a transaction is a no-op
 		}
-		if !strings.Contains(line, ":") {
-			se.errf("malformed attribute line %q", line)
-			se.abortTx()
-			return false
-		}
-		se.txBody = append(se.txBody, line)
 	}
-	return false
+	se.txBody = append(se.txBody, line)
 }
 
 // bindTx resolves dn's owner and binds the transaction to it. A DN no
@@ -349,7 +318,7 @@ func (se *rsession) bindTx(dn string) bool {
 	owner := se.rt.m.Owner(dn)
 	if owner == nil {
 		se.rt.unroutable.Add(1)
-		se.errf("unroutable dn %q: no shard owns it and the map has no default shard", dn)
+		se.w.Err(unroutableMsg(dn))
 		se.abortTx()
 		return false
 	}
@@ -359,40 +328,28 @@ func (se *rsession) bindTx(dn string) bool {
 	}
 	if se.txShard != owner {
 		se.rt.crossShard.Add(1)
-		se.errf("cross-shard transaction: %q is owned by shard %s but the transaction is bound to shard %s",
-			dn, owner.Name, se.txShard.Name)
+		se.w.Err(fmt.Sprintf("%s transaction: %q is owned by shard %s but the transaction is bound to shard %s",
+			proto.CrossShard, dn, owner.Name, se.txShard.Name))
 		se.abortTx()
 		return false
 	}
 	return true
 }
 
-// moveTx validates a MOVE line: the moved subtree and its destination
-// must live on one shard, and neither may disturb the spine or the
-// shard cut itself.
-func (se *rsession) moveTx(line, rest string) bool {
-	dn, dest, ok := strings.Cut(strings.TrimSpace(rest), " -> ")
-	if !ok {
-		if d, rootOK := strings.CutSuffix(strings.TrimSpace(rest), " ->"); rootOK {
-			dn, dest, ok = d, "", true
-		}
-	}
-	if !ok {
-		se.err(`MOVE needs "<dn> -> <dest>" ("<dn> ->" moves to the forest root)`)
-		se.abortTx()
-		return false
-	}
-	dn, dest = strings.TrimSpace(dn), strings.TrimSpace(dest)
+// moveTx checks a MOVE: the moved subtree and its destination must live
+// on one shard, and neither may disturb the spine or the shard cut
+// itself.
+func (se *rsession) moveTx(dn, dest string) bool {
 	m := se.rt.m
 	if m.IsSpine(dn) {
 		se.rt.crossShard.Add(1)
-		se.errf("cross-shard move: %q is a spine entry whose subtree spans shards", dn)
+		se.w.Err(fmt.Sprintf("%s move: %q is a spine entry whose subtree spans shards", proto.CrossShard, dn))
 		se.abortTx()
 		return false
 	}
 	if sh := m.RootShard(dn); sh != nil {
 		se.rt.crossShard.Add(1)
-		se.errf("cross-shard move: %q is the root of shard %s; re-carve the map to move it", dn, sh.Name)
+		se.w.Err(fmt.Sprintf("%s move: %q is the root of shard %s; re-carve the map to move it", proto.CrossShard, dn, sh.Name))
 		se.abortTx()
 		return false
 	}
@@ -404,22 +361,18 @@ func (se *rsession) moveTx(line, rest string) bool {
 	srcOwner, dstOwner := m.Owner(dn), m.Owner(newDN)
 	if srcOwner == nil || dstOwner == nil {
 		se.rt.unroutable.Add(1)
-		se.errf("unroutable dn %q: no shard owns it and the map has no default shard", dn)
+		se.w.Err(unroutableMsg(dn))
 		se.abortTx()
 		return false
 	}
 	if srcOwner != dstOwner {
 		se.rt.crossShard.Add(1)
-		se.errf("cross-shard move: %q is owned by shard %s but destination %q is owned by shard %s; move within one shard or re-carve the map",
-			dn, srcOwner.Name, newDN, dstOwner.Name)
+		se.w.Err(fmt.Sprintf("%s move: %q is owned by shard %s but destination %q is owned by shard %s; move within one shard or re-carve the map",
+			proto.CrossShard, dn, srcOwner.Name, newDN, dstOwner.Name))
 		se.abortTx()
 		return false
 	}
-	if !se.bindTx(dn) {
-		return false
-	}
-	se.txBody = append(se.txBody, line)
-	return true
+	return se.bindTx(dn)
 }
 
 func (se *rsession) abortTx() {
@@ -446,43 +399,27 @@ func (se *rsession) commit() {
 		se.shardDown(sh, err)
 		return
 	}
-	begin, err := conn.do("BEGIN")
+	r, err := conn.Txn(body)
 	if err != nil {
-		conn.close()
+		conn.Close()
 		se.shardDown(sh, err)
 		return
 	}
-	if !begin.ok() {
-		p.put(conn)
-		se.relay(begin)
-		return
-	}
-	if err := conn.send(append(body, "COMMIT")...); err != nil {
-		conn.close()
-		se.shardDown(sh, err)
-		return
-	}
-	r, err := conn.read()
-	if err != nil {
-		conn.close()
-		se.shardDown(sh, err)
-		return
-	}
-	// An ERR reply can come from a mid-body line rather than COMMIT
-	// itself; the shard session then queued further replies for the
-	// remaining replayed lines. Discard the connection instead of
-	// resynchronizing it.
-	if r.term == "ERR" {
-		conn.close()
+	// An ERR reply can come from BEGIN or from a mid-body line rather
+	// than COMMIT itself; the shard session then queued further replies
+	// for the remaining replayed lines. Discard the connection instead
+	// of resynchronizing it.
+	if r.Term == "ERR" {
+		conn.Close()
 	} else {
 		p.put(conn)
 	}
-	se.relay(r)
+	se.w.Relay(r)
 }
 
 func (se *rsession) shardDown(sh *Shard, err error) {
 	se.rt.shardErrors.Add(1)
-	se.errf("shard %s unavailable: %v", sh.Name, err)
+	se.w.Err(shardDownMsg(sh, err))
 }
 
 // anchorShard is the shard schema-level queries go to: the default
@@ -503,30 +440,30 @@ func (rt *Router) noteRouted(sh *Shard) {
 // do runs one single-reply command against a shard, retrying once on a
 // transport error with a fresh connection. ERR replies leave the
 // connection clean (one reply per command), so it is pooled again.
-func (rt *Router) do(sh *Shard, line string) (reply, error) {
+func (rt *Router) do(sh *Shard, line string) (proto.Reply, error) {
 	rt.noteRouted(sh)
 	p := rt.pools[sh.Name]
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		conn, err := p.get()
 		if err != nil {
-			return reply{}, err
+			return proto.Reply{}, err
 		}
-		r, err := conn.do(line)
+		r, err := conn.Do(line)
 		if err != nil {
-			conn.close()
+			conn.Close()
 			lastErr = err
 			continue
 		}
 		p.put(conn)
 		return r, nil
 	}
-	return reply{}, lastErr
+	return proto.Reply{}, lastErr
 }
 
 type fanRes struct {
 	sh  *Shard
-	r   reply
+	r   proto.Reply
 	err error
 }
 
@@ -558,7 +495,7 @@ func (se *rsession) routeByDN(dn, line string) {
 	}
 	if sh == nil {
 		se.rt.unroutable.Add(1)
-		se.errf("unroutable dn %q: no shard owns it and the map has no default shard", dn)
+		se.w.Err(unroutableMsg(dn))
 		return
 	}
 	r, err := se.rt.do(sh, line)
@@ -566,25 +503,23 @@ func (se *rsession) routeByDN(dn, line string) {
 		se.shardDown(sh, err)
 		return
 	}
-	se.relay(r)
+	se.w.Relay(r)
 }
 
-// search parses with the server's own grammar, routes to the owning
+// search parses with the protocol's grammar, routes to the owning
 // shard when the base pins one, else fans out to every shard (or the
 // holders of a spine base) and merges: duplicates removed (spine
 // ghosts exist on several shards), canonical hierarchical DN order,
 // limit applied after the merge so it is deterministic regardless of
 // which shard answers first.
 func (se *rsession) search(rest string) {
-	args, err := server.ParseSearchArgs(rest)
+	args, err := proto.ParseSearchArgs(rest)
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
-	ds := "SEARCH " + args.Filter
-	if args.HasBase {
-		ds += " base=" + args.Base
-	}
+	fwd := args
+	fwd.Limit = -1
 	var targets []*Shard
 	switch {
 	case !args.HasBase:
@@ -595,12 +530,12 @@ func (se *rsession) search(rest string) {
 		sh := se.rt.m.Owner(args.Base)
 		if sh == nil {
 			se.rt.unroutable.Add(1)
-			se.errf("unroutable dn %q: no shard owns it and the map has no default shard", args.Base)
+			se.w.Err(unroutableMsg(args.Base))
 			return
 		}
 		targets = []*Shard{sh}
 	}
-	results := se.rt.fanOut(targets, ds)
+	results := se.rt.fanOut(targets, fwd.Line())
 	seen := make(map[string]bool)
 	var dns []string
 	for _, fr := range results {
@@ -608,15 +543,15 @@ func (se *rsession) search(rest string) {
 			se.shardDown(fr.sh, fr.err)
 			return
 		}
-		if fr.r.term != "OK" {
+		if fr.r.Term != "OK" {
 			if len(targets) == 1 {
-				se.relay(fr.r) // e.g. base not found, byte-identical to a single node
+				se.w.Relay(fr.r) // e.g. base not found, byte-identical to a single node
 			} else {
-				se.errf("shard %s: %s", fr.sh.Name, fr.r.err)
+				se.w.Err(fmt.Sprintf("shard %s: %s", fr.sh.Name, fr.r.Err))
 			}
 			return
 		}
-		for _, dn := range fr.r.lines {
+		for _, dn := range fr.r.Lines {
 			if !seen[dn] {
 				seen[dn] = true
 				dns = append(dns, dn)
@@ -627,8 +562,8 @@ func (se *rsession) search(rest string) {
 	if args.Limit >= 0 && len(dns) > args.Limit {
 		dns = dns[:args.Limit]
 	}
-	se.reply(dns...)
-	se.ok()
+	se.w.Line(dns...)
+	se.w.OK()
 }
 
 // check fans CHECK out and, if every shard is locally legal, runs the
@@ -641,35 +576,35 @@ func (se *rsession) check() {
 			se.shardDown(fr.sh, fr.err)
 			return
 		}
-		switch fr.r.term {
+		switch fr.r.Term {
 		case "OK":
 		case "ILLEGAL":
-			for _, l := range fr.r.lines {
+			for _, l := range fr.r.Lines {
 				bad = append(bad, fmt.Sprintf("# [%s] %s", fr.sh.Name, strings.TrimPrefix(l, "# ")))
 			}
 		default:
-			se.errf("shard %s: %s", fr.sh.Name, fr.r.err)
+			se.w.Err(fmt.Sprintf("shard %s: %s", fr.sh.Name, fr.r.Err))
 			return
 		}
 	}
 	if len(bad) > 0 {
-		se.reply(bad...)
-		se.reply("ILLEGAL")
+		se.w.Line(bad...)
+		se.w.Illegal()
 		return
 	}
 	viols, err := se.rt.coord.audit()
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
 	if len(viols) > 0 {
 		for _, v := range viols {
-			se.reply("# cross-shard: " + v)
+			se.w.Comment(proto.CrossShard + ": " + v)
 		}
-		se.reply("ILLEGAL")
+		se.w.Illegal()
 		return
 	}
-	se.ok()
+	se.w.OK()
 }
 
 // fanVerify fans VERIFY (or SNAPSHOT) to every shard, shard-labelling
@@ -680,15 +615,15 @@ func (se *rsession) fanVerify(cmd string) {
 			se.shardDown(fr.sh, fr.err)
 			return
 		}
-		if fr.r.term != "OK" {
-			se.errf("shard %s: %s", fr.sh.Name, fr.r.err)
+		if fr.r.Term != "OK" {
+			se.w.Err(fmt.Sprintf("shard %s: %s", fr.sh.Name, fr.r.Err))
 			return
 		}
-		for _, l := range fr.r.lines {
-			se.reply(fmt.Sprintf("# [%s] %s", fr.sh.Name, strings.TrimPrefix(l, "# ")))
+		for _, l := range fr.r.Lines {
+			se.w.Comment(fmt.Sprintf("[%s] %s", fr.sh.Name, strings.TrimPrefix(l, "# ")))
 		}
 	}
-	se.ok()
+	se.w.OK()
 }
 
 // stat aggregates STAT across shards with ghost correction: spine
@@ -697,7 +632,7 @@ func (se *rsession) fanVerify(cmd string) {
 func (se *rsession) stat() {
 	spineClasses, err := se.rt.coord.ensureSpine()
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
 	type shardStat struct {
@@ -712,12 +647,12 @@ func (se *rsession) stat() {
 			se.shardDown(fr.sh, fr.err)
 			return
 		}
-		if fr.r.term != "OK" {
-			se.errf("shard %s: %s", fr.sh.Name, fr.r.err)
+		if fr.r.Term != "OK" {
+			se.w.Err(fmt.Sprintf("shard %s: %s", fr.sh.Name, fr.r.Err))
 			return
 		}
 		st := shardStat{sh: fr.sh}
-		for _, l := range fr.r.lines {
+		for _, l := range fr.r.Lines {
 			if v, ok := strings.CutPrefix(l, "entries: "); ok {
 				fmt.Sscanf(v, "%d", &st.entries)
 			}
@@ -745,91 +680,67 @@ func (se *rsession) stat() {
 			classes[c] -= extra
 		}
 	}
-	se.reply("role: router")
-	se.reply(fmt.Sprintf("shards: %d", len(se.rt.m.All())))
+	se.w.Line("role: router")
+	se.w.Line(fmt.Sprintf("shards: %d", len(se.rt.m.All())))
 	for _, st := range per {
-		se.reply(fmt.Sprintf("shard %s: addr=%s entries=%d", st.sh.Name, st.sh.Addr, st.entries))
+		se.w.Line(fmt.Sprintf("shard %s: addr=%s entries=%d", st.sh.Name, st.sh.Addr, st.entries))
 	}
-	se.reply(fmt.Sprintf("entries: %d", total))
+	se.w.Line(fmt.Sprintf("entries: %d", total))
 	names := make([]string, 0, len(classes))
 	for c := range classes {
 		names = append(names, c)
 	}
 	sort.Strings(names)
 	for _, c := range names {
-		se.reply(fmt.Sprintf("class %s: %d", c, classes[c]))
+		se.w.Line(fmt.Sprintf("class %s: %d", c, classes[c]))
 	}
-	se.ok()
+	se.w.OK()
 }
 
-// count serves the COUNT grammar at the router: fanned out and
-// ghost-corrected, so the answer matches what a single unsharded node
-// would say.
+// count serves COUNT at the router: fanned out and ghost-corrected, so
+// the answer matches what a single unsharded node would say.
 func (se *rsession) count(rest string) {
-	rest = strings.TrimSpace(rest)
-	class, tail, _ := strings.Cut(rest, " ")
-	if class == "" {
-		se.err("COUNT needs a class (usage: COUNT <class> [child] [base=<dn>])")
-		return
-	}
-	tail = strings.TrimSpace(tail)
-	childOnly := false
-	if t, ok := strings.CutPrefix(tail, "child"); ok && (t == "" || strings.HasPrefix(t, " ")) {
-		childOnly = true
-		tail = strings.TrimSpace(t)
-	}
-	baseDN, hasBase := strings.CutPrefix(tail, "base=")
-	if tail != "" && !hasBase {
-		se.errf("unexpected %q after class (usage: COUNT <class> [child] [base=<dn>])", tail)
-		return
-	}
-	base := ""
-	if hasBase {
-		base = baseDN
-	}
-	n, err := se.rt.countAcrossShards(class, base, hasBase, childOnly)
+	a, err := proto.ParseCountArgs(rest)
 	if err != nil {
-		se.err(err.Error())
+		se.w.Err(err.Error())
 		return
 	}
-	se.reply(fmt.Sprintf("count: %d", n))
-	se.ok()
+	n, err := se.rt.countAcrossShards(a)
+	if err != nil {
+		se.w.Err(err.Error())
+		return
+	}
+	se.w.Line(fmt.Sprintf("count: %d", n))
+	se.w.OK()
 }
 
 // countAcrossShards evaluates one boundary count: fan the COUNT to the
 // shards that can hold matches, sum, and subtract the ghost
 // multiplicity the coordinator derives from the static map.
-func (rt *Router) countAcrossShards(class, base string, hasBase, childOnly bool) (int, error) {
-	line := "COUNT " + class
-	if childOnly {
-		line += " child"
-	}
+func (rt *Router) countAcrossShards(a proto.CountArgs) (int, error) {
 	var targets []*Shard
 	switch {
-	case !hasBase:
+	case !a.HasBase:
 		targets = rt.m.All()
-	case rt.m.IsSpine(base):
-		targets = rt.m.Holders(base)
+	case rt.m.IsSpine(a.Base):
+		targets = rt.m.Holders(a.Base)
 	default:
-		sh := rt.m.Owner(base)
+		sh := rt.m.Owner(a.Base)
 		if sh == nil {
-			return 0, fmt.Errorf("unroutable dn %q: no shard owns it and the map has no default shard", base)
+			return 0, errors.New(unroutableMsg(a.Base))
 		}
 		targets = []*Shard{sh}
 	}
-	if hasBase {
-		line += " base=" + base
-	}
 	total := 0
-	for _, fr := range rt.fanOut(targets, line) {
+	for _, fr := range rt.fanOut(targets, a.Line()) {
 		if fr.err != nil {
 			rt.shardErrors.Add(1)
-			return 0, fmt.Errorf("shard %s unavailable: %v", fr.sh.Name, fr.err)
+			return 0, errors.New(shardDownMsg(fr.sh, fr.err))
 		}
-		if fr.r.term != "OK" {
-			return 0, fmt.Errorf("shard %s: %s", fr.sh.Name, fr.r.err)
+		if fr.r.Term != "OK" {
+			return 0, fmt.Errorf("shard %s: %s", fr.sh.Name, fr.r.Err)
 		}
-		for _, l := range fr.r.lines {
+		for _, l := range fr.r.Lines {
 			if v, ok := strings.CutPrefix(l, "count: "); ok {
 				n := 0
 				fmt.Sscanf(v, "%d", &n)
@@ -838,7 +749,7 @@ func (rt *Router) countAcrossShards(class, base string, hasBase, childOnly bool)
 		}
 	}
 	if len(targets) > 1 {
-		corr, err := rt.coord.correction(class, base, hasBase, childOnly)
+		corr, err := rt.coord.correction(a)
 		if err != nil {
 			return 0, err
 		}
@@ -849,9 +760,9 @@ func (rt *Router) countAcrossShards(class, base string, hasBase, childOnly bool)
 
 func (se *rsession) metricsCmd() {
 	rt := se.rt
-	se.reply(fmt.Sprintf("router: commands=%d fanouts=%d", rt.cmdsTotal.Load(), rt.fanouts.Load()))
-	se.reply(fmt.Sprintf("refusals: unroutable=%d cross_shard=%d", rt.unroutable.Load(), rt.crossShard.Load()))
-	se.reply(fmt.Sprintf("shard_errors: %d", rt.shardErrors.Load()))
+	se.w.Line(fmt.Sprintf("router: commands=%d fanouts=%d", rt.cmdsTotal.Load(), rt.fanouts.Load()))
+	se.w.Line(fmt.Sprintf("refusals: unroutable=%d cross_shard=%d", rt.unroutable.Load(), rt.crossShard.Load()))
+	se.w.Line(fmt.Sprintf("shard_errors: %d", rt.shardErrors.Load()))
 	rt.routedMu.Lock()
 	names := make([]string, 0, len(rt.routed))
 	for n := range rt.routed {
@@ -859,8 +770,8 @@ func (se *rsession) metricsCmd() {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		se.reply(fmt.Sprintf("routed %s: %d", n, rt.routed[n]))
+		se.w.Line(fmt.Sprintf("routed %s: %d", n, rt.routed[n]))
 	}
 	rt.routedMu.Unlock()
-	se.ok()
+	se.w.OK()
 }

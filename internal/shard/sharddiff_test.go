@@ -10,6 +10,7 @@ import (
 
 	"boundschema/internal/core"
 	"boundschema/internal/dirtree"
+	"boundschema/internal/proto"
 	"boundschema/internal/server"
 	"boundschema/internal/vfs"
 	"boundschema/internal/workload"
@@ -191,21 +192,20 @@ func (c *diffCluster) restartShard(name string) {
 	c.bootShard(ds, ds.pristine.Clone(), ds.addr)
 }
 
-// dialTest returns a raw protocol client (the same framing the pool
-// uses) for a router or shard address.
-func dialTest(t *testing.T, addr string) *shardConn {
+// dialTest returns a protocol client for a router or shard address.
+func dialTest(t *testing.T, addr string) *proto.Conn {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		t.Fatalf("dial %s: %v", addr, err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return newShardConn(conn)
+	return proto.NewConn(conn)
 }
 
-func doCmd(t *testing.T, c *shardConn, line string) reply {
+func doCmd(t *testing.T, c *proto.Conn, line string) proto.Reply {
 	t.Helper()
-	r, err := c.do(line)
+	r, err := c.Do(line)
 	if err != nil {
 		t.Fatalf("%q: transport error: %v", line, err)
 	}
@@ -214,33 +214,26 @@ func doCmd(t *testing.T, c *shardConn, line string) reply {
 
 // txn replays one transaction: BEGIN, body, COMMIT, returning the
 // COMMIT reply.
-func txn(t *testing.T, c *shardConn, body ...string) reply {
+func txn(t *testing.T, c *proto.Conn, body ...string) proto.Reply {
 	t.Helper()
-	begin := doCmd(t, c, "BEGIN")
-	if !begin.ok() {
-		t.Fatalf("BEGIN: %s %s", begin.term, begin.err)
-	}
-	if err := c.send(append(body, "COMMIT")...); err != nil {
-		t.Fatalf("send txn: %v", err)
-	}
-	r, err := c.read()
+	r, err := c.Txn(body)
 	if err != nil {
-		t.Fatalf("read COMMIT reply: %v", err)
+		t.Fatalf("txn %v: transport error: %v", body, err)
 	}
 	return r
 }
 
 // mutTxn applies the same transaction to the router and the reference
 // node and insists both land the same way.
-func mutTxn(t *testing.T, ref, rtc *shardConn, body ...string) {
+func mutTxn(t *testing.T, ref, rtc *proto.Conn, body ...string) {
 	t.Helper()
 	r1 := txn(t, ref, body...)
 	r2 := txn(t, rtc, body...)
-	if r1.term != r2.term {
-		t.Fatalf("divergence on %v: reference %s %s, router %s %s", body, r1.term, r1.err, r2.term, r2.err)
+	if r1.Term != r2.Term {
+		t.Fatalf("divergence on %v: reference %s %s, router %s %s", body, r1.Term, r1.Err, r2.Term, r2.Err)
 	}
-	if r1.term != "OK" {
-		t.Fatalf("mutation %v did not apply: %s %s", body, r1.term, r1.err)
+	if r1.Term != "OK" {
+		t.Fatalf("mutation %v did not apply: %s %s", body, r1.Term, r1.Err)
 	}
 }
 
@@ -251,7 +244,7 @@ func canon(lines []string) string {
 }
 
 // assertEquivalent runs the query battery against both endpoints.
-func assertEquivalent(t *testing.T, ref, rtc *shardConn, c *diffCluster) {
+func assertEquivalent(t *testing.T, ref, rtc *proto.Conn, c *diffCluster) {
 	t.Helper()
 	sc := c.sc
 	spineRoot := c.m.Spine()[0]
@@ -265,16 +258,16 @@ func assertEquivalent(t *testing.T, ref, rtc *shardConn, c *diffCluster) {
 	}
 	for _, q := range searches {
 		r1, r2 := doCmd(t, ref, q), doCmd(t, rtc, q)
-		if r1.term != "OK" || r2.term != "OK" {
-			t.Fatalf("%q: reference %s %s, router %s %s", q, r1.term, r1.err, r2.term, r2.err)
+		if r1.Term != "OK" || r2.Term != "OK" {
+			t.Fatalf("%q: reference %s %s, router %s %s", q, r1.Term, r1.Err, r2.Term, r2.Err)
 		}
-		if canon(r1.lines) != canon(r2.lines) {
+		if canon(r1.Lines) != canon(r2.Lines) {
 			t.Fatalf("%q diverged:\nreference (%d):\n%s\nrouter (%d):\n%s",
-				q, len(r1.lines), canon(r1.lines), len(r2.lines), canon(r2.lines))
+				q, len(r1.Lines), canon(r1.Lines), len(r2.Lines), canon(r2.Lines))
 		}
 		// The router's merge order is canonical already.
-		if q == searches[0] && strings.Join(r2.lines, "\n") != canon(r2.lines) {
-			t.Fatalf("router SEARCH output not in canonical DN order:\n%s", strings.Join(r2.lines, "\n"))
+		if q == searches[0] && strings.Join(r2.Lines, "\n") != canon(r2.Lines) {
+			t.Fatalf("router SEARCH output not in canonical DN order:\n%s", strings.Join(r2.Lines, "\n"))
 		}
 	}
 
@@ -282,11 +275,11 @@ func assertEquivalent(t *testing.T, ref, rtc *shardConn, c *diffCluster) {
 	// deterministic regardless of which shard answered first.
 	full := doCmd(t, rtc, "SEARCH "+sc.allFilter)
 	lim := doCmd(t, rtc, "SEARCH "+sc.allFilter+" limit=5")
-	if !lim.ok() || len(lim.lines) != 5 {
-		t.Fatalf("limited search: %s %s (%d lines)", lim.term, lim.err, len(lim.lines))
+	if !lim.OK() || len(lim.Lines) != 5 {
+		t.Fatalf("limited search: %s %s (%d lines)", lim.Term, lim.Err, len(lim.Lines))
 	}
-	if strings.Join(lim.lines, "\n") != strings.Join(full.lines[:5], "\n") {
-		t.Fatalf("limit is not the canonical prefix:\n%v\nvs\n%v", lim.lines, full.lines[:5])
+	if strings.Join(lim.Lines, "\n") != strings.Join(full.Lines[:5], "\n") {
+		t.Fatalf("limit is not the canonical prefix:\n%v\nvs\n%v", lim.Lines, full.Lines[:5])
 	}
 
 	counts := []string{
@@ -298,28 +291,28 @@ func assertEquivalent(t *testing.T, ref, rtc *shardConn, c *diffCluster) {
 	}
 	for _, q := range counts {
 		r1, r2 := doCmd(t, ref, q), doCmd(t, rtc, q)
-		if r1.term != "OK" || r2.term != "OK" {
-			t.Fatalf("%q: reference %s %s, router %s %s", q, r1.term, r1.err, r2.term, r2.err)
+		if r1.Term != "OK" || r2.Term != "OK" {
+			t.Fatalf("%q: reference %s %s, router %s %s", q, r1.Term, r1.Err, r2.Term, r2.Err)
 		}
-		if strings.Join(r1.lines, "\n") != strings.Join(r2.lines, "\n") {
-			t.Fatalf("%q diverged: reference %v, router %v", q, r1.lines, r2.lines)
+		if strings.Join(r1.Lines, "\n") != strings.Join(r2.Lines, "\n") {
+			t.Fatalf("%q diverged: reference %v, router %v", q, r1.Lines, r2.Lines)
 		}
 	}
 
 	// Aggregated STAT must report the single node's entry total (ghost
 	// correction) and the same per-class counts.
 	s1, s2 := doCmd(t, ref, "STAT"), doCmd(t, rtc, "STAT")
-	if !s1.ok() || !s2.ok() {
-		t.Fatalf("STAT: reference %s, router %s", s1.term, s2.term)
+	if !s1.OK() || !s2.OK() {
+		t.Fatalf("STAT: reference %s, router %s", s1.Term, s2.Term)
 	}
 	for _, prefix := range []string{"entries: ", "class "} {
 		var want, got []string
-		for _, l := range s1.lines {
+		for _, l := range s1.Lines {
 			if strings.HasPrefix(l, prefix) {
 				want = append(want, l)
 			}
 		}
-		for _, l := range s2.lines {
+		for _, l := range s2.Lines {
 			if strings.HasPrefix(l, prefix) {
 				got = append(got, l)
 			}
@@ -333,22 +326,22 @@ func assertEquivalent(t *testing.T, ref, rtc *shardConn, c *diffCluster) {
 	// runs the coordinator's cross-shard audit over the spine.
 	for _, q := range []string{"CHECK", "VERIFY"} {
 		r1, r2 := doCmd(t, ref, q), doCmd(t, rtc, q)
-		if r1.term != "OK" || r2.term != "OK" {
+		if r1.Term != "OK" || r2.Term != "OK" {
 			t.Fatalf("%s: reference %s %v %s, router %s %v %s",
-				q, r1.term, r1.lines, r1.err, r2.term, r2.lines, r2.err)
+				q, r1.Term, r1.Lines, r1.Err, r2.Term, r2.Lines, r2.Err)
 		}
 	}
 }
 
 // containersByShard groups the corpus's mutation containers by owning
 // shard so moves can stay shard-confined on purpose.
-func containersByShard(t *testing.T, ref *shardConn, c *diffCluster) (all []string, byShard map[string][]string) {
+func containersByShard(t *testing.T, ref *proto.Conn, c *diffCluster) (all []string, byShard map[string][]string) {
 	t.Helper()
 	r := doCmd(t, ref, "SEARCH (objectClass="+c.sc.containerClass+")")
-	if !r.ok() {
-		t.Fatalf("container search: %s %s", r.term, r.err)
+	if !r.OK() {
+		t.Fatalf("container search: %s %s", r.Term, r.Err)
 	}
-	all = append([]string(nil), r.lines...)
+	all = append([]string(nil), r.Lines...)
 	SortDNs(all)
 	byShard = map[string][]string{}
 	for _, dn := range all {
@@ -473,30 +466,30 @@ func assertCrashVisible(t *testing.T, c *diffCluster) {
 	// "server shutting down" off a pooled connection; once dials are
 	// refused the router must say the shard is unavailable. Either way,
 	// every reply is one payload-free ERR line.
-	var r reply
+	var r proto.Reply
 	for attempt := 0; attempt < 3; attempt++ {
 		r = doCmd(t, rtc, "SEARCH "+c.sc.allFilter)
-		if r.term != "ERR" {
-			t.Fatalf("fan-out with a dead shard: want ERR, got %s %v", r.term, r.lines)
+		if r.Term != "ERR" {
+			t.Fatalf("fan-out with a dead shard: want ERR, got %s %v", r.Term, r.Lines)
 		}
-		if len(r.lines) != 0 {
-			t.Fatalf("ERR reply carried payload lines: %v", r.lines)
+		if len(r.Lines) != 0 {
+			t.Fatalf("ERR reply carried payload lines: %v", r.Lines)
 		}
-		if strings.Contains(r.err, "unavailable") {
+		if strings.Contains(r.Err, "unavailable") {
 			break
 		}
-		if !strings.Contains(r.err, "shutting down") {
-			t.Fatalf("unexpected ERR while shard down: %q", r.err)
+		if !strings.Contains(r.Err, "shutting down") {
+			t.Fatalf("unexpected ERR while shard down: %q", r.Err)
 		}
 	}
-	if !strings.Contains(r.err, "unavailable") {
-		t.Fatalf("dead shard never reported unavailable: %q", r.err)
+	if !strings.Contains(r.Err, "unavailable") {
+		t.Fatalf("dead shard never reported unavailable: %q", r.Err)
 	}
 	if len(c.m.Shards) > 1 {
 		alive := c.m.Shards[1].Roots[0]
 		r = doCmd(t, rtc, "SEARCH "+c.sc.allFilter+" base="+alive)
-		if !r.ok() {
-			t.Fatalf("surviving shard unreachable through router: %s %s", r.term, r.err)
+		if !r.OK() {
+			t.Fatalf("surviving shard unreachable through router: %s %s", r.Term, r.Err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"boundschema/internal/dirtree"
 	"boundschema/internal/ldif"
+	"boundschema/internal/proto"
 )
 
 // InsertTree is one normalized subtree insertion: a standalone fragment
@@ -55,7 +56,7 @@ func Normalize(d *dirtree.Directory, t *Transaction) (*Normalized, error) {
 	for _, op := range t.Ops {
 		if op.Kind == OpDelete {
 			if d.ByDN(op.DN) == nil {
-				return nil, fmt.Errorf("txn: cannot delete missing entry %q", op.DN)
+				return nil, fmt.Errorf("txn: cannot delete %s %q", proto.MissingEntry, op.DN)
 			}
 			deleted[op.DN] = true
 		}
@@ -187,7 +188,7 @@ func expandMoves(d *dirtree.Directory, t *Transaction) (*Transaction, []InsertTr
 		}
 		src := d.ByDN(op.DN)
 		if src == nil {
-			return nil, nil, fmt.Errorf("txn: cannot move missing entry %q", op.DN)
+			return nil, nil, fmt.Errorf("txn: cannot move %s %q", proto.MissingEntry, op.DN)
 		}
 		if op.NewParentDN != "" {
 			dst := d.ByDN(op.NewParentDN)
