@@ -165,12 +165,6 @@ func CheckEvolution(new *Schema, d *Directory, plan *EvolutionPlan) *Report {
 // the schema.
 func Lint(s *Schema) []core.LintFinding { return core.Lint(s) }
 
-// GuaranteedElements returns the structure elements whose violation
-// queries the schema itself proves empty — the §7 observation that
-// schemas enable query optimization, applied to the schema's own
-// elements.
-func GuaranteedElements(s *Schema) []Element { return core.GuaranteedElements(s) }
-
 // ParseSchema parses a schema written in the definition language
 // (internal/schemadsl); it returns the schema and its declared name.
 func ParseSchema(src string) (*Schema, string, error) { return schemadsl.Parse(src) }

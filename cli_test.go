@@ -202,6 +202,49 @@ func TestCLIQueryAndSearch(t *testing.T) {
 	}
 }
 
+// TestCLIElementsAndLint: bschema elements prints the whitepages cover,
+// orgUnit⇓ plus the four relationships, then the two required classes it
+// implies, each with its derivation; bschema lint reports exactly those
+// two and exits 1.
+func TestCLIElementsAndLint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration skipped in -short mode")
+	}
+	out, err := runCLI(t, "bschema", "elements", "-schema", "testdata/whitepages.bs")
+	if err != nil {
+		t.Fatalf("elements: %v\n%s", err, out)
+	}
+	_, cover, _ := strings.Cut(out, "cover (")
+	for _, want := range []string{
+		"5 of 7 structure elements):\n  orgUnit⇓\n  orgGroup →de person\n  orgUnit →pa orgGroup\n" +
+			"  person →an organization\n  person ⇥ch top\ndropped, implied by the cover:\n",
+		"\n  organization⇓\n    organization⇓ [N]\n",
+		"\n  person⇓\n    person⇓ [N]\n",
+	} {
+		if !strings.Contains(cover, want) {
+			t.Errorf("elements output lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(cover, "orgUnit⇓ [given]"); n != 2 {
+		t.Errorf("want each dropped element derived from orgUnit⇓, got %d citations:\n%s", n, cover)
+	}
+
+	out, err = runCLI(t, "bschema", "lint", "-schema", "testdata/whitepages.bs")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("lint: %v, want exit 1:\n%s", err, out)
+	}
+	var findings []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "redundant-element" {
+			findings = append(findings, f[1])
+		}
+	}
+	if strings.Join(findings, " ") != "organization⇓ person⇓" || !strings.Contains(out, "2 finding(s)") {
+		t.Errorf("lint findings %v, want exactly organization⇓ and person⇓:\n%s", findings, out)
+	}
+}
+
 func TestCLIFormatRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration skipped in -short mode")

@@ -90,7 +90,7 @@ commands:
   query        evaluate a hierarchical selection query
   search       evaluate an LDAP filter
   lint         report schema quality findings (redundant elements, dead classes)
-  elements     list a schema's elements, guarantees and derived facts
+  elements     list a schema's elements, its non-redundant cover and derived facts
   format       canonicalize a schema definition
   materialize  emit a legal witness instance for a consistent schema
   carve        split a legal instance into per-shard instances plus a
@@ -356,12 +356,17 @@ func cmdElements(args []string) error {
 	for _, el := range s.Elements() {
 		fmt.Println("  " + el.ElementString())
 	}
-	guaranteed := core.GuaranteedElements(s)
-	if len(guaranteed) > 0 {
-		fmt.Println("structure elements the schema guarantees (queries fold to ∅):")
-		for _, el := range guaranteed {
-			fmt.Println("  " + el.ElementString())
-		}
+	kept, dropped := core.Cover(s)
+	fmt.Printf("cover (%d of %d structure elements):\n", len(kept), len(kept)+len(dropped))
+	for _, el := range kept {
+		fmt.Println("  " + el.ElementString())
+	}
+	if len(dropped) > 0 {
+		fmt.Println("dropped, implied by the cover:")
+	}
+	for _, el := range dropped {
+		fmt.Println("  " + el.Element.ElementString())
+		fmt.Print("    " + strings.ReplaceAll(strings.TrimSuffix(el.Derivation, "\n"), "\n", "\n    ") + "\n")
 	}
 	if *derived {
 		in := core.Infer(s)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"boundschema/internal/dirtree"
 )
@@ -52,8 +53,12 @@ type EvolutionStep struct {
 	// Classes lists the classes whose entries need a content recheck
 	// (CostContent).
 	Classes []string
-	// Element is the structure element to evaluate (CostStructure).
+	// Element is the structure element to evaluate (CostStructure), or
+	// the new element the old schema implies (CostNone).
 	Element Element
+	// Derivation is the old schema's closure deriving an implied new
+	// element, as Inference.Explain renders it.
+	Derivation string
 }
 
 // EvolutionPlan is the full classified diff.
@@ -111,11 +116,15 @@ func (p *EvolutionPlan) String() string {
 	if len(p.Steps) == 0 {
 		return "no schema changes"
 	}
-	out := ""
+	var b strings.Builder
 	for _, s := range p.Steps {
-		out += fmt.Sprintf("%-16s %s\n", s.Cost, s.Description)
+		fmt.Fprintf(&b, "%-16s %s\n", s.Cost, s.Description)
+		if s.Derivation != "" {
+			pad := strings.Repeat(" ", 19)
+			b.WriteString(pad + strings.ReplaceAll(strings.TrimSuffix(s.Derivation, "\n"), "\n", "\n"+pad) + "\n")
+		}
 	}
-	return out
+	return b.String()
 }
 
 // PlanEvolution diffs two schemas and classifies every change.
@@ -180,6 +189,9 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 			}
 		}
 	}
+
+	// Every class-schema difference added a step above.
+	sameClasses := len(p.Steps) == 0
 
 	// --- Attribute typing (τ) -------------------------------------------
 	if old.Registry != nil && new.Registry != nil {
@@ -249,48 +261,29 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 	}
 
 	// --- Structure schema ----------------------------------------------
-	oldReqC := toSet(old.Structure.RequiredClasses())
-	for _, c := range new.Structure.RequiredClasses() {
-		if _, ok := oldReqC[c]; !ok {
-			add(CostStructure, fmt.Sprintf("new required class %s⇓", c), nil, RequiredClass{Class: c})
+	// A new element the old schema's closure derives holds on every
+	// old-legal instance (Theorem 5.1), so it needs no check. The closure
+	// depends on the class schema, so this applies only when that is
+	// unchanged.
+	implied := func(Element) string { return "" }
+	if sameClasses {
+		implied = Infer(old).Explain
+	}
+	for _, el := range new.Structure.elements() {
+		if old.Structure.has(el) {
+			continue
+		}
+		desc := "new structure element " + el.ElementString()
+		if why := implied(el); why != "" {
+			p.Steps = append(p.Steps, EvolutionStep{Description: desc + ", implied by the old schema",
+				Cost: CostNone, Element: el, Derivation: why})
+		} else {
+			add(CostStructure, desc, nil, el)
 		}
 	}
-	newReqC := toSet(new.Structure.RequiredClasses())
-	for _, c := range old.Structure.RequiredClasses() {
-		if _, ok := newReqC[c]; !ok {
-			add(CostNone, fmt.Sprintf("required class %s⇓ dropped", c), nil, nil)
-		}
-	}
-	oldRels := make(map[RequiredRel]struct{})
-	for _, r := range old.Structure.RequiredRels() {
-		oldRels[r] = struct{}{}
-	}
-	newRels := make(map[RequiredRel]struct{})
-	for _, r := range new.Structure.RequiredRels() {
-		newRels[r] = struct{}{}
-		if _, ok := oldRels[r]; !ok {
-			add(CostStructure, fmt.Sprintf("new required relationship %s", r.ElementString()), nil, r)
-		}
-	}
-	for r := range oldRels {
-		if _, ok := newRels[r]; !ok {
-			add(CostNone, fmt.Sprintf("required relationship %s dropped", r.ElementString()), nil, nil)
-		}
-	}
-	oldForb := make(map[ForbiddenRel]struct{})
-	for _, r := range old.Structure.ForbiddenRels() {
-		oldForb[r] = struct{}{}
-	}
-	newForb := make(map[ForbiddenRel]struct{})
-	for _, r := range new.Structure.ForbiddenRels() {
-		newForb[r] = struct{}{}
-		if _, ok := oldForb[r]; !ok {
-			add(CostStructure, fmt.Sprintf("new forbidden relationship %s", r.ElementString()), nil, r)
-		}
-	}
-	for r := range oldForb {
-		if _, ok := newForb[r]; !ok {
-			add(CostNone, fmt.Sprintf("forbidden relationship %s dropped", r.ElementString()), nil, nil)
+	for _, el := range old.Structure.elements() {
+		if !new.Structure.has(el) {
+			add(CostNone, "structure element "+el.ElementString()+" dropped", nil, nil)
 		}
 	}
 

@@ -148,6 +148,77 @@ func TestEvolutionPlanString(t *testing.T) {
 	}
 }
 
+// addStructureElement adds a derived element to ss; elements naming ∅
+// are skipped, since no schema may state them.
+func addStructureElement(ss *StructureSchema, el Element) {
+	switch e := el.(type) {
+	case RequiredClass:
+		if e.Class != ClassNone {
+			ss.RequireClass(e.Class)
+		}
+	case RequiredRel:
+		if e.Source != ClassNone && e.Target != ClassNone {
+			ss.RequireRel(e.Source, e.Axis, e.Target)
+		}
+	case ForbiddenRel:
+		if e.Upper != ClassNone && e.Lower != ClassNone {
+			_ = ss.ForbidRel(e.Upper, e.Axis, e.Lower)
+		}
+	}
+}
+
+// TestEvolutionImpliedElement: a new element the old schema's closure
+// derives holds on every old-legal instance (Theorem 5.1), so the plan
+// charges nothing for it and shows the derivation, as long as the class
+// schema is unchanged.
+func TestEvolutionImpliedElement(t *testing.T) {
+	old := whitePagesSchema(t)
+	new := old.Clone()
+	new.Structure.RequireRel("orgUnit", AxisDesc, "person")
+	plan := PlanEvolution(old, new)
+	if !plan.Lightweight() || len(plan.Steps) != 1 {
+		t.Fatalf("orgUnit →de person should plan as one lightweight step:\n%s", plan)
+	}
+	want := "orgUnit →de person [S]\n  orgGroup →de person [given]\n"
+	if got := plan.Steps[0].Derivation; got != want {
+		t.Errorf("derivation:\n%s\nwant:\n%s", got, want)
+	}
+	if s := plan.String(); !strings.Contains(s, "lightweight") || !strings.Contains(s, "[S]") {
+		t.Errorf("plan rendering omits the derivation:\n%s", s)
+	}
+
+	// A class-schema change as well: the old closure is not consulted.
+	if err := new.Classes.AddCore("contractor", "person"); err != nil {
+		t.Fatal(err)
+	}
+	plan = PlanEvolution(old, new)
+	if els := plan.StructureElements(); len(els) != 1 || els[0] != (RequiredRel{Source: "orgUnit", Axis: AxisDesc, Target: "person"}) {
+		t.Fatalf("with a new class, orgUnit →de person should need a structure check:\n%s", plan)
+	}
+}
+
+// TestPlanEvolutionDeterministic: the plan lists dropped elements in the
+// schema's sorted order, so repeated plans render identically.
+func TestPlanEvolutionDeterministic(t *testing.T) {
+	old := whitePagesSchema(t)
+	new := old.Clone()
+	new.Structure = NewStructureSchema()
+	for _, el := range old.Structure.elements() {
+		if _, ok := el.(RequiredRel); !ok {
+			addStructureElement(new.Structure, el)
+		}
+	}
+	first := PlanEvolution(old, new).String()
+	if strings.Count(first, "dropped") != 3 {
+		t.Fatalf("plan should drop the three required relationships:\n%s", first)
+	}
+	for i := 0; i < 50; i++ {
+		if got := PlanEvolution(old, new).String(); got != first {
+			t.Fatalf("plan %d renders differently:\n%s\nfirst:\n%s", i, got, first)
+		}
+	}
+}
+
 // TestQuickEvolutionAgreesWithFullCheck: for instances legal under the
 // old schema and random schema edits, the planned checks must reach the
 // same verdict as a full check under the new schema.
@@ -162,9 +233,10 @@ func TestQuickEvolutionAgreesWithFullCheck(t *testing.T) {
 		// Apply 1-3 random edits.
 		cores := new.Classes.CoreClasses()
 		attrs := []string{"name", "mail", "uid", "room", "uri"}
+		derived := Infer(old).Derived()
 		for k := 0; k < rng.Intn(3)+1; k++ {
 			c := cores[rng.Intn(len(cores))]
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				new.Attrs.Allow(c, attrs[rng.Intn(len(attrs))])
 			case 1:
@@ -175,6 +247,9 @@ func TestQuickEvolutionAgreesWithFullCheck(t *testing.T) {
 				new.Structure.RequireRel(c, Axis(rng.Intn(4)), cores[rng.Intn(len(cores))])
 			case 4:
 				_ = new.Structure.ForbidRel(c, Axis(rng.Intn(2)), cores[rng.Intn(len(cores))])
+			case 5:
+				// An element the old closure derives: planned lightweight.
+				addStructureElement(new.Structure, derived[rng.Intn(len(derived))])
 			default:
 				// no-op edit
 			}

@@ -12,10 +12,9 @@ import (
 //   - auxiliary classes no core class allows (undeclarable in practice);
 //   - classes carrying attribute requirements but unreachable from the
 //     structure schema or attribute allowances (likely typos);
-//   - redundant structure elements: elements derivable from the rest of
-//     the schema by the Figure 6/7 inference system, so removing them
-//     changes nothing about which instances are legal... almost — see
-//     RedundantElements for the exact guarantee.
+//   - redundant structure elements: the elements Cover drops. The cover
+//     implies each of them, so removing all of them together changes
+//     nothing about which instances are legal.
 type LintFinding struct {
 	// Kind is a stable identifier: unsatisfiable-class, orphan-aux,
 	// unused-class, redundant-element.
@@ -84,66 +83,56 @@ func Lint(s *Schema) []LintFinding {
 		}
 	}
 
-	for _, el := range RedundantElements(s) {
+	_, dropped := Cover(s)
+	for _, el := range dropped {
 		out = append(out, LintFinding{
 			Kind:    "redundant-element",
-			Subject: el.ElementString(),
-			Detail:  "derivable from the remaining schema elements (Figures 6-7)",
+			Subject: el.Element.ElementString(),
+			Detail:  "implied by the schema's cover (Figures 6-7)",
 		})
 	}
 	return out
 }
 
-// RedundantElements returns the structure-schema elements that the rest
-// of the schema derives via the inference system: dropping such an
-// element keeps every remaining-legal instance identical in the "schema
-// implies element" sense of Theorem 5.1. (Because the inference system is
-// sound but deliberately incomplete as a logic, the converse — flagging
-// every semantically redundant element — is not promised.)
-func RedundantElements(s *Schema) []Element {
-	var out []Element
-	check := func(without *Schema, el Element) bool {
-		in := Infer(without)
-		f, ok := in.factOf(el)
-		if !ok {
-			return false
-		}
-		_ = f
-		return true
-	}
-
-	for _, rc := range s.Structure.RequiredClasses() {
-		without := s.Clone()
-		removeRequiredClass(without.Structure, rc)
-		if check(without, RequiredClass{Class: rc}) {
-			out = append(out, RequiredClass{Class: rc})
-		}
-	}
-	for _, rel := range s.Structure.RequiredRels() {
-		without := s.Clone()
-		removeRequiredRel(without.Structure, rel)
-		if check(without, rel) {
-			out = append(out, rel)
-		}
-	}
-	for _, rel := range s.Structure.ForbiddenRels() {
-		without := s.Clone()
-		removeForbiddenRel(without.Structure, rel)
-		if check(without, rel) {
-			out = append(out, rel)
-		}
-	}
-	return out
+// Implies reports whether the closure of s (Figures 6-7) derives the
+// structure element e: a required class, or a required or forbidden
+// relationship. The closure is sound (Theorem 5.1), so every instance
+// legal under s then satisfies e. Elements of the class schema are never
+// reported implied.
+func Implies(s *Schema, e Element) bool {
+	_, ok := Infer(s).factOf(e)
+	return ok
 }
 
-func removeRequiredClass(ss *StructureSchema, c string) {
-	delete(ss.required, c)
+// ImpliedElement is a structure element Cover drops, with the closure's
+// derivation of it from the cover (Inference.Explain).
+type ImpliedElement struct {
+	Element    Element
+	Derivation string
 }
 
-func removeRequiredRel(ss *StructureSchema, r RequiredRel) {
-	delete(ss.reqRels, r)
-}
-
-func removeForbiddenRel(ss *StructureSchema, r ForbiddenRel) {
-	delete(ss.forbRels, r)
+// Cover splits the schema's structure elements into a non-redundant cover
+// and the elements it implies, both in Schema.Elements order. It walks the
+// elements greedily, dropping one when the elements not yet dropped imply
+// it without it. Each drop keeps the legal instances (Theorem 5.1), and of
+// two elements that imply each other only the first goes. A kept element
+// is not implied by a superset of the cover, so, the closure being
+// monotone, no kept element is implied by the others.
+func Cover(s *Schema) (kept []Element, dropped []ImpliedElement) {
+	// The closure reads only the class and structure schemas.
+	cut := &Schema{Classes: s.Classes, Structure: s.Structure}
+	var implied []Element
+	for _, el := range s.Structure.elements() {
+		rest := &Schema{Classes: s.Classes, Structure: cut.Structure.without(el)}
+		if Implies(rest, el) {
+			cut, implied = rest, append(implied, el)
+		} else {
+			kept = append(kept, el)
+		}
+	}
+	in := Infer(cut)
+	for _, el := range implied {
+		dropped = append(dropped, ImpliedElement{Element: el, Derivation: in.Explain(el)})
+	}
+	return kept, dropped
 }

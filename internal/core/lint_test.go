@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -78,7 +79,7 @@ func TestLintRedundantElements(t *testing.T) {
 	s.Structure.RequireClass("researcher") // not in Cr yet
 	// person⇓ already in Cr and researcher⇓ implies it (rule E).
 
-	reds := RedundantElements(s)
+	reds := droppedElements(s)
 	have := make(map[string]bool)
 	for _, el := range reds {
 		have[el.ElementString()] = true
@@ -102,7 +103,7 @@ func TestLintRedundantForbidden(t *testing.T) {
 	if err := s.Structure.ForbidRel("person", AxisDesc, "orgUnit"); err != nil {
 		t.Fatal(err)
 	}
-	reds := RedundantElements(s)
+	reds := droppedElements(s)
 	found := false
 	for _, el := range reds {
 		if el.ElementString() == "person ⇥de orgUnit" {
@@ -111,6 +112,84 @@ func TestLintRedundantForbidden(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("implied forbidden relationship not flagged: %v", reds)
+	}
+}
+
+// droppedElements returns the structure elements Cover drops.
+func droppedElements(s *Schema) []Element {
+	var out []Element
+	_, dropped := Cover(s)
+	for _, el := range dropped {
+		out = append(out, el.Element)
+	}
+	return out
+}
+
+func TestImplies(t *testing.T) {
+	s := whitePagesSchema(t)
+	for _, tc := range []struct {
+		el   Element
+		want bool
+	}{
+		{RequiredClass{Class: "person"}, true},
+		{RequiredRel{Source: "orgUnit", Axis: AxisDesc, Target: "person"}, true}, // S
+		{RequiredRel{Source: "orgGroup", Axis: AxisDesc, Target: "person"}, true},
+		{ForbiddenRel{Upper: "person", Axis: AxisDesc, Lower: "orgUnit"}, true}, // FL, FS
+		{RequiredRel{Source: "orgUnit", Axis: AxisDesc, Target: "researcher"}, false},
+		{RequiredClass{Class: "staffMember"}, false},
+		{Subclass{Sub: "person", Super: ClassTop}, false},
+	} {
+		if got := Implies(s, tc.el); got != tc.want {
+			t.Errorf("Implies(whitepages, %s) = %v, want %v", tc.el.ElementString(), got, tc.want)
+		}
+	}
+}
+
+// TestCoverWhitePages: the paper's running schema keeps orgUnit⇓ and its
+// four relationships; orgUnit⇓ with orgUnit ⊑ orgGroup, orgGroup →de
+// person and person →an organization implies the other two c⇓.
+func TestCoverWhitePages(t *testing.T) {
+	s := whitePagesSchema(t)
+	keptEls, dropped := Cover(s)
+	var kept []string
+	for _, el := range keptEls {
+		kept = append(kept, el.ElementString())
+	}
+	want := []string{"orgUnit⇓", "orgGroup →de person", "orgUnit →pa orgGroup",
+		"person →an organization", "person ⇥ch top"}
+	if strings.Join(kept, "; ") != strings.Join(want, "; ") {
+		t.Errorf("kept %q, want %q", kept, want)
+	}
+	if len(dropped) != 2 {
+		t.Fatalf("dropped %v, want organization⇓ and person⇓", dropped)
+	}
+	for i, w := range []struct{ el, cites string }{
+		{"organization⇓", "person →an organization [given]"},
+		{"person⇓", "orgGroup →de person [given]"},
+	} {
+		got := dropped[i]
+		if got.Element.ElementString() != w.el || !strings.Contains(got.Derivation, w.cites) ||
+			!strings.Contains(got.Derivation, "orgUnit⇓ [given]") {
+			t.Errorf("dropped[%d] = %s derived by\n%s\nwant %s citing orgUnit⇓ and %s",
+				i, got.Element.ElementString(), got.Derivation, w.el, w.cites)
+		}
+	}
+}
+
+// TestCoverMutualDerivation: a⇓ and b⇓ imply each other through a →ch b
+// and b →pa a. Each is redundant alone, but not both: the cover drops
+// exactly one, and Lint reports that one.
+func TestCoverMutualDerivation(t *testing.T) {
+	s := flatSchema(t, "a", "b")
+	s.Structure.RequireClass("a")
+	s.Structure.RequireClass("b")
+	s.Structure.RequireRel("a", AxisChild, "b")
+	s.Structure.RequireRel("b", AxisParent, "a")
+	if got := droppedElements(s); len(got) != 1 || got[0] != (RequiredClass{Class: "a"}) {
+		t.Fatalf("dropped %v, want [a⇓]", got)
+	}
+	if got := findingKinds(Lint(s))["redundant-element"]; len(got) != 1 {
+		t.Fatalf("redundant-element findings %v, want one", got)
 	}
 }
 

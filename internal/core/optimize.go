@@ -30,8 +30,8 @@ func (f QueryFacts) UnsatClass(c string) bool {
 
 // Required implements hquery.SchemaFacts.
 func (f QueryFacts) Required(ci, axis, cj string) bool {
-	ax, ok := parseFactAxis(axis)
-	if !ok {
+	ax, err := ParseAxis(axis)
+	if err != nil {
 		return false
 	}
 	si, ok1 := f.in.ids[ci]
@@ -44,8 +44,8 @@ func (f QueryFacts) Required(ci, axis, cj string) bool {
 
 // Forbidden implements hquery.SchemaFacts.
 func (f QueryFacts) Forbidden(ci, axis, cj string) bool {
-	ax, ok := parseFactAxis(axis)
-	if !ok || !ax.Downward() {
+	ax, err := ParseAxis(axis)
+	if err != nil || !ax.Downward() {
 		return false
 	}
 	ui, ok1 := f.in.ids[ci]
@@ -56,37 +56,9 @@ func (f QueryFacts) Forbidden(ci, axis, cj string) bool {
 	return f.in.hasForb(ui, ax, li)
 }
 
-func parseFactAxis(axis string) (Axis, bool) {
-	a, err := ParseAxis(axis)
-	if err != nil {
-		return 0, false
-	}
-	return a, true
-}
-
 // OptimizeQuery rewrites a hierarchical selection query using the
 // schema's guarantees; the result is equivalent on every instance legal
 // under the schema.
 func OptimizeQuery(q hquery.Query, s *Schema) hquery.Query {
 	return hquery.Optimize(q, NewQueryFacts(s))
-}
-
-// GuaranteedElements returns the structure-schema elements whose Figure 4
-// violation queries optimize to statically-empty form — elements the
-// schema itself guarantees, needing no evaluation at all during legality
-// checks of instances already known to satisfy the rest of the schema.
-func GuaranteedElements(s *Schema) []Element {
-	facts := NewQueryFacts(s)
-	var out []Element
-	for _, rel := range s.Structure.RequiredRels() {
-		if hquery.IsStaticallyEmpty(hquery.Optimize(RequiredRelQuery(rel), facts)) {
-			out = append(out, rel)
-		}
-	}
-	for _, rel := range s.Structure.ForbiddenRels() {
-		if hquery.IsStaticallyEmpty(hquery.Optimize(ForbiddenRelQuery(rel), facts)) {
-			out = append(out, rel)
-		}
-	}
-	return out
 }

@@ -31,17 +31,6 @@ func TestOptimizeGuaranteedElement(t *testing.T) {
 	}
 }
 
-func TestGuaranteedElements(t *testing.T) {
-	s := whitePagesSchema(t)
-	got := GuaranteedElements(s)
-	// Every structure relationship of the schema is guaranteed by
-	// construction (its own closure contains it).
-	want := len(s.Structure.RequiredRels()) + len(s.Structure.ForbiddenRels())
-	if len(got) != want {
-		t.Fatalf("guaranteed = %d, want %d: %v", len(got), want, got)
-	}
-}
-
 func TestOptimizeUnsatAtom(t *testing.T) {
 	s := flatSchema(t, "a", "b")
 	s.Structure.RequireRel("a", AxisDesc, "a") // a is unsatisfiable

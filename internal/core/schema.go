@@ -62,16 +62,7 @@ func (s *Schema) Validate() error {
 // required classes, required relationships, forbidden relationships,
 // subclass co-occurrences, and disjointness co-occurrences.
 func (s *Schema) Elements() []Element {
-	var out []Element
-	for _, c := range s.Structure.RequiredClasses() {
-		out = append(out, RequiredClass{Class: c})
-	}
-	for _, r := range s.Structure.RequiredRels() {
-		out = append(out, r)
-	}
-	for _, r := range s.Structure.ForbiddenRels() {
-		out = append(out, r)
-	}
+	out := s.Structure.elements()
 	cores := s.Classes.CoreClasses()
 	for _, c := range cores {
 		if p, ok := s.Classes.Superclass(c); ok {

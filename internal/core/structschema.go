@@ -114,6 +114,49 @@ func (s *StructureSchema) Classes() []string {
 	return sortedKeys(set)
 }
 
+// elements returns Cr, Er and Ef as elements, in that order, each sorted.
+func (s *StructureSchema) elements() []Element {
+	var out []Element
+	for _, c := range s.RequiredClasses() {
+		out = append(out, RequiredClass{Class: c})
+	}
+	for _, r := range s.RequiredRels() {
+		out = append(out, r)
+	}
+	for _, r := range s.ForbiddenRels() {
+		out = append(out, r)
+	}
+	return out
+}
+
+// has reports whether el is an element of the structure schema.
+func (s *StructureSchema) has(el Element) bool {
+	var ok bool
+	switch e := el.(type) {
+	case RequiredClass:
+		_, ok = s.required[e.Class]
+	case RequiredRel:
+		_, ok = s.reqRels[e]
+	case ForbiddenRel:
+		_, ok = s.forbRels[e]
+	}
+	return ok
+}
+
+// without returns a copy of the structure schema lacking el.
+func (s *StructureSchema) without(el Element) *StructureSchema {
+	out := s.Clone()
+	switch e := el.(type) {
+	case RequiredClass:
+		delete(out.required, e.Class)
+	case RequiredRel:
+		delete(out.reqRels, e)
+	case ForbiddenRel:
+		delete(out.forbRels, e)
+	}
+	return out
+}
+
 // Clone returns an independent deep copy.
 func (s *StructureSchema) Clone() *StructureSchema {
 	out := NewStructureSchema()

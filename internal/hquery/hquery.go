@@ -103,7 +103,9 @@ func (b Binding) view(i Inst) dirtree.View {
 // Query is a hierarchical selection query. Results of evaluation are entry
 // lists sorted by pre-order rank.
 type Query interface {
-	eval(b Binding) []*dirtree.Entry
+	// eval evaluates the query; a non-nil st records one node per
+	// operator and atom, depth being this node's.
+	eval(b Binding, st *Stats, depth int) []*dirtree.Entry
 	writeTo(sb *strings.Builder)
 	// Size returns |Q|, the number of operators and atoms, used in the
 	// O(|Q|·|D|) accounting of Theorem 3.1.
@@ -114,7 +116,7 @@ type Query interface {
 // entries in pre-order.
 func Eval(q Query, b Binding) []*dirtree.Entry {
 	b.Default.Directory().EnsureEncoded()
-	return q.eval(b)
+	return q.eval(b, nil, 0)
 }
 
 // Empty reports whether the query evaluates to the empty set — the
@@ -153,19 +155,24 @@ func ClassAtomOn(c string, inst Inst) Query { return SelectOn(filter.ClassIs(c),
 
 func (q selectQ) Size() int { return 1 }
 
-func (q selectQ) eval(b Binding) []*dirtree.Entry {
+func (q selectQ) eval(b Binding, st *Stats, depth int) []*dirtree.Entry {
 	v := b.view(q.inst)
 	if v.IsEmptyView() {
+		st.atom(q, sPlan{strategy: stratEmpty}, 0, depth)
 		return nil
 	}
 	// Pure objectClass equality — the legality-check hot path (Figure 4
 	// translates every structure-schema element to such atoms) — reads the
 	// posting list without consulting the planner.
 	if c, ok := q.f.(filter.Compare); ok && c.Op == filter.OpEqual && c.Attr == dirtree.AttrObjectClass {
-		return v.ClassEntries(c.Value)
+		out := v.ClassEntries(c.Value)
+		st.atom(q, sPlan{strategy: stratClass, est: len(out)}, len(out), depth)
+		return out
 	}
 	p := planSelect(q.f, v)
-	return p.execute(q.f, v)
+	out := p.execute(q.f, v)
+	st.atom(q, p, len(out), depth)
+	return out
 }
 
 // classLead recognizes filters of the form (objectClass=c) or
@@ -255,69 +262,84 @@ func (q binQ) writeTo(sb *strings.Builder) {
 	sb.WriteByte(')')
 }
 
-func (q binQ) eval(b Binding) []*dirtree.Entry {
-	// Skew-aware fast paths: when one operand is an atomic selection over
-	// a much larger instance than the other operand's result, probe the
-	// atom per candidate instead of materializing it. This keeps the
-	// Figure 5 incremental checks O(|Δ|) even though their queries mix Δ
-	// atoms with full-instance atoms (e.g. the pa/an rows and the
-	// forbidden rows), while changing nothing semantically.
-	switch q.kind {
-	case opParent, opAnc:
-		left := q.left.eval(b)
-		if len(left) == 0 {
-			return nil
-		}
-		if m, ok := atomMatcher(q.right, b); ok && skewed(len(left), m.size) {
-			if q.kind == opParent {
-				return probeParent(left, m)
-			}
-			return probeAnc(left, m)
-		}
-		right := q.right.eval(b)
-		if q.kind == opParent {
-			return joinParent(left, right)
-		}
-		return joinAnc(left, right)
+// joinTrace is what Stats records of how one operator ran: its operand
+// sizes (-1 for an operand it did not materialize), and whether the right
+// operand was evaluated first.
+type joinTrace struct {
+	left, right int
+	rightFirst  bool
+}
 
-	case opChild, opDesc:
+func (q binQ) eval(b Binding, st *Stats, depth int) []*dirtree.Entry {
+	j := joinTrace{left: -1, right: -1}
+	out, strategy := q.run(b, st, depth+1, &j)
+	st.join(q, strategy, j, len(out), depth)
+	return out
+}
+
+// run evaluates the operator, noting operand sizes in j, and names the
+// strategy it took; depth is its operands'.
+//
+// Skew-aware fast paths: when one operand is an atomic selection over a
+// much larger instance than the other operand's result, probe the atom
+// per candidate instead of materializing it. This keeps the Figure 5
+// incremental checks O(|Δ|) even though their queries mix Δ atoms with
+// full-instance atoms (e.g. the pa/an rows and the forbidden rows), while
+// changing nothing semantically.
+func (q binQ) run(b Binding, st *Stats, depth int, j *joinTrace) ([]*dirtree.Entry, string) {
+	if q.kind == opChild || q.kind == opDesc {
 		if m, ok := atomMatcher(q.left, b); ok {
-			right := q.right.eval(b)
-			if len(right) == 0 {
-				return nil
+			j.rightFirst = true
+			right := q.right.eval(b, st, depth)
+			if j.right = len(right); j.right == 0 {
+				st.skip(q.left, depth)
+				return nil, "short-circuit"
 			}
 			if skewed(len(right), m.size) {
+				st.atom(m.q, sPlan{strategy: "matcher", est: m.size}, -1, depth)
 				if q.kind == opChild {
-					return probeChild(m, right)
+					return probeChild(m, right), "probe-child"
 				}
-				return probeDesc(m, right)
+				return probeDesc(m, right), "probe-desc"
 			}
-			left := q.left.eval(b)
-			if q.kind == opChild {
-				return joinChild(left, right)
-			}
-			return joinDesc(left, right)
+			left := q.left.eval(b, st, depth)
+			j.left = len(left)
+			return q.merge(left, right)
 		}
 	}
 
-	left := q.left.eval(b)
-	if len(left) == 0 {
-		return nil
+	left := q.left.eval(b, st, depth)
+	if j.left = len(left); j.left == 0 {
+		st.skip(q.right, depth)
+		return nil, "short-circuit"
 	}
-	right := q.right.eval(b)
+	if q.kind == opParent || q.kind == opAnc {
+		if m, ok := atomMatcher(q.right, b); ok && skewed(len(left), m.size) {
+			st.atom(m.q, sPlan{strategy: "matcher", est: m.size}, -1, depth)
+			if q.kind == opParent {
+				return probeParent(left, m), "probe-parent"
+			}
+			return probeAnc(left, m), "probe-anc"
+		}
+	}
+	right := q.right.eval(b, st, depth)
+	j.right = len(right)
+	return q.merge(left, right)
+}
+
+// merge combines two materialized operands.
+func (q binQ) merge(left, right []*dirtree.Entry) ([]*dirtree.Entry, string) {
 	switch q.kind {
 	case opChild:
-		return joinChild(left, right)
+		return joinChild(left, right), "hash-parents"
 	case opParent:
-		return joinParent(left, right)
+		return joinParent(left, right), "hash"
 	case opDesc:
-		return joinDesc(left, right)
+		return joinDesc(left, right), "merge"
 	case opAnc:
-		return joinAnc(left, right)
-	case opMinus:
-		return diff(left, right)
+		return joinAnc(left, right), "staircase"
 	}
-	return nil
+	return diff(left, right), "diff"
 }
 
 // skewed decides whether probing the atom per candidate beats
@@ -327,12 +349,12 @@ func skewed(small, atomSize int) bool { return small*8 < atomSize }
 // matcher tests membership in an atomic selection without evaluating it.
 type matcher struct {
 	v    dirtree.View
-	f    filter.Filter
+	q    selectQ
 	size int
 }
 
 func (m matcher) match(e *dirtree.Entry) bool {
-	return m.v.Contains(e) && m.f.Matches(e)
+	return m.v.Contains(e) && m.q.f.Matches(e)
 }
 
 // atomMatcher recognizes an atomic selection operand and returns a
@@ -349,7 +371,7 @@ func atomMatcher(q Query, b Binding) (matcher, bool) {
 	if !v.IsEmptyView() {
 		size = planSelect(sel.f, v).est
 	}
-	return matcher{v: v, f: sel.f, size: size}, true
+	return matcher{v: v, q: sel, size: size}, true
 }
 
 // probeParent keeps the left entries whose parent matches the right atom.

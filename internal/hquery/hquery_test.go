@@ -497,3 +497,41 @@ func TestQuickStatsEvalMatchesFast(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStatsReportProbePaths: on a skewed Δ binding, the kind Figure 5
+// checks run on, EXPLAIN shows the probe path Eval takes and the atom it
+// tested per candidate, not a merge over the materialized atom.
+func TestStatsReportProbePaths(t *testing.T) {
+	d := dirtree.New(nil)
+	root, _ := d.AddRoot("r=0", "top", "common")
+	for i := 0; i < 400; i++ {
+		_, _ = d.AddChild(root, "n="+strconv.Itoa(i), "top", "common")
+	}
+	delta, _ := d.AddChild(root, "n=delta", "top", "common")
+	_, _ = d.AddChild(delta, "n=x", "top", "rare")
+	_, _ = d.AddChild(delta, "n=y", "top", "rare")
+	b := DeltaBinding(d, delta)
+	rare, common := ClassAtomOn("rare", InstDelta), ClassAtomOn("common", InstFull)
+	for _, tc := range []struct {
+		q    Query
+		want string
+	}{
+		{Parent(rare, common), "probe-parent"},
+		{Anc(rare, common), "probe-anc"},
+		{Child(common, rare), "probe-child"},
+		{Desc(common, rare), "probe-desc"},
+	} {
+		out, st := EvalWithStats(tc.q, b)
+		if got := Eval(tc.q, b); !equalStrings(dns(out), dns(got)) || len(got) == 0 {
+			t.Errorf("%s: EvalWithStats %v, Eval %v", String(tc.q), dns(out), dns(got))
+		}
+		if len(st.Nodes) != tc.q.Size() {
+			t.Errorf("%s: %d stats nodes, want %d", String(tc.q), len(st.Nodes), tc.q.Size())
+		}
+		s := st.String()
+		if !strings.HasPrefix(s, opNames[tc.q.(binQ).kind]+" ") || !strings.Contains(s, tc.want) ||
+			!strings.Contains(s, "matcher") {
+			t.Errorf("%s: EXPLAIN does not show %s over a matcher:\n%s", String(tc.q), tc.want, s)
+		}
+	}
+}

@@ -13,27 +13,30 @@ type NodeStats struct {
 	Op string
 	// Detail renders the node (filter text for atoms).
 	Detail string
-	// Left and Right are the operand result sizes (Right is -1 for
-	// atoms, and -1 for Left when a probe path skipped materializing an
-	// atom operand).
+	// Left and Right are the operand result sizes, -1 for atoms and for
+	// an operand the operator did not materialize.
 	Left, Right int
-	// Out is the node's result size.
+	// Out is the node's result size, -1 for a matcher atom.
 	Out int
-	// Strategy names the access path or join strategy. Atoms report the
-	// planner's choice (scan, posting-list, index-eq, index-range,
-	// index-prefix, index-present, empty, with a "+filter" suffix when a
-	// residual filter runs); joins report hash, merge, staircase, diff.
+	// Strategy names what Eval executed. Atoms report the planner's access
+	// path (scan, posting-list, index-eq, index-range, index-prefix,
+	// index-present, empty, with "+filter" when a residual filter runs),
+	// or matcher for an atom a probe path tested per candidate. Joins
+	// report hash, hash-parents, merge, staircase, diff, a probe-parent,
+	// -anc, -child or -desc path, or short-circuit when an operand was
+	// empty; the nodes it never evaluated report skipped.
 	Strategy string
 	// Est is the planner's cardinality estimate for atoms (the number of
 	// candidate entries the chosen access path fetches); 0 for joins.
 	Est int
 	// Depth is the node's depth in the query tree, for rendering.
 	Depth int
-	// children indexes into Stats.Nodes, for rendering.
+	// children indexes into Stats.Nodes, for rendering; nil for atoms.
 	children []int
 }
 
-// Stats collects per-node statistics in evaluation (post-order) order.
+// Stats collects per-node statistics of one Eval, one node per operator
+// and atom, each node after its operands.
 type Stats struct {
 	Nodes []NodeStats
 }
@@ -48,15 +51,11 @@ func (s *Stats) String() string {
 	render = func(i int) {
 		n := s.Nodes[i]
 		fmt.Fprintf(&b, "%s%-8s %-14s out=%-8d", strings.Repeat("  ", n.Depth), n.Op, n.Strategy, n.Out)
-		if n.Right >= 0 {
-			fmt.Fprintf(&b, " left=%-8d right=%-8d", n.Left, n.Right)
+		if n.children != nil {
+			fmt.Fprintf(&b, " left=%-8d right=%-8d\n", n.Left, n.Right)
 		} else {
-			fmt.Fprintf(&b, " est=%-8d", n.Est)
+			fmt.Fprintf(&b, " est=%-8d %s\n", n.Est, n.Detail)
 		}
-		if n.Detail != "" {
-			fmt.Fprintf(&b, " %s", n.Detail)
-		}
-		b.WriteByte('\n')
 		for _, c := range n.children {
 			render(c)
 		}
@@ -70,80 +69,66 @@ func (s *Stats) String() string {
 func (s *Stats) TotalWork() int {
 	total := 0
 	for _, n := range s.Nodes {
-		if n.Left > 0 {
-			total += n.Left
-		}
-		if n.Right > 0 {
-			total += n.Right
-		}
-		if n.Right < 0 && n.Left < 0 {
-			total += n.Out // atoms
+		if n.children == nil {
+			total += max(n.Out, 0)
+		} else {
+			total += max(n.Left, 0) + max(n.Right, 0)
 		}
 	}
 	return total
 }
 
-// EvalWithStats evaluates the query and reports per-operator statistics.
-// It uses the plain (non-probe) evaluation strategies so the reported
-// operand sizes reflect the textbook merge joins; use Eval for the
-// fastest path.
+// EvalWithStats evaluates the query as Eval does and reports, per
+// operator and atom, the strategy it executed and the sizes it touched.
 func EvalWithStats(q Query, b Binding) ([]*dirtree.Entry, *Stats) {
 	b.Default.Directory().EnsureEncoded()
 	st := &Stats{}
-	out := evalStats(q, b, st, 0)
-	return out, st
+	return q.eval(b, st, 0), st
 }
 
-func evalStats(q Query, b Binding, st *Stats, depth int) []*dirtree.Entry {
-	switch t := q.(type) {
-	case selectQ:
-		v := b.view(t.inst)
-		var out []*dirtree.Entry
-		strategy, est := stratEmpty, 0
-		if !v.IsEmptyView() {
-			p := planSelect(t.f, v)
-			out = p.execute(t.f, v)
-			strategy, est = p.label(), p.est
-		}
-		st.Nodes = append(st.Nodes, NodeStats{
-			Op: "select", Detail: t.f.String() + instSuffix(t.inst),
-			Left: -1, Right: -1, Out: len(out), Strategy: strategy, Est: est,
-			Depth: depth,
-		})
-		return out
+// The recorders below are no-ops on a nil *Stats, which is how Eval runs.
 
-	case binQ:
-		left := evalStats(t.left, b, st, depth+1)
-		leftIdx := len(st.Nodes) - 1
-		right := evalStats(t.right, b, st, depth+1)
-		rightIdx := len(st.Nodes) - 1
-		var out []*dirtree.Entry
-		var strategy string
-		switch t.kind {
-		case opChild:
-			out, strategy = joinChild(left, right), "hash-parents"
-		case opParent:
-			out, strategy = joinParent(left, right), "hash"
-		case opDesc:
-			out, strategy = joinDesc(left, right), "merge"
-		case opAnc:
-			out, strategy = joinAnc(left, right), "staircase"
-		case opMinus:
-			out, strategy = diff(left, right), "diff"
-		}
-		st.Nodes = append(st.Nodes, NodeStats{
-			Op: opNames[t.kind], Left: len(left), Right: len(right),
-			Out: len(out), Strategy: strategy, Depth: depth,
-			children: []int{leftIdx, rightIdx},
-		})
-		return out
+// atom records an atomic selection: evaluated by plan p, tested per
+// candidate by a probe path (matcher), or never evaluated (skipped).
+func (s *Stats) atom(q selectQ, p sPlan, out, depth int) {
+	if s == nil {
+		return
 	}
-	return nil
+	detail := q.f.String()
+	if q.inst != InstDefault {
+		detail += " @" + q.inst.String()
+	}
+	s.Nodes = append(s.Nodes, NodeStats{Op: "select", Detail: detail,
+		Left: -1, Right: -1, Out: out, Strategy: p.label(), Est: p.est, Depth: depth})
 }
 
-func instSuffix(i Inst) string {
-	if i == InstDefault {
-		return ""
+// skip records every node of a subtree a short-circuit never evaluated.
+func (s *Stats) skip(q Query, depth int) {
+	if s == nil {
+		return
 	}
-	return " @" + i.String()
+	if t, ok := q.(binQ); ok {
+		s.skip(t.left, depth+1)
+		s.skip(t.right, depth+1)
+		s.join(t, "skipped", joinTrace{left: -1, right: -1}, 0, depth)
+	} else {
+		s.atom(q.(selectQ), sPlan{strategy: "skipped"}, 0, depth)
+	}
+}
+
+// join records an operator after its operands. Every query node records
+// exactly one node and each subtree records contiguously, so the operand
+// recorded second sits just below this node and the other one below its
+// subtree.
+func (s *Stats) join(q binQ, strategy string, j joinTrace, out, depth int) {
+	if s == nil {
+		return
+	}
+	last := len(s.Nodes) - 1
+	li, ri := last-q.right.Size(), last
+	if j.rightFirst {
+		li, ri = last, last-q.left.Size()
+	}
+	s.Nodes = append(s.Nodes, NodeStats{Op: opNames[q.kind], Left: j.left, Right: j.right,
+		Out: out, Strategy: strategy, Depth: depth, children: []int{li, ri}})
 }
