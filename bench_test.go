@@ -62,23 +62,22 @@ func BenchmarkLegalityFull(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckParallel measures the sharded legality engine
-// (internal/core/parallel.go) against the sequential reference on a
-// 50k-entry corpus. workers=1 is the baseline; on a machine with
-// GOMAXPROCS ≥ 4 the workers=4 case should be ≥2x faster. Every
-// parallel run is cross-checked for report byte-identity once before
-// timing.
+// BenchmarkCheckParallel measures the chunked legality engine
+// (internal/core/parallel.go) at several pool widths on a 50k-entry
+// corpus. workers=1 is the baseline; on a machine with GOMAXPROCS ≥ 4
+// the workers=4 case should be ≥2x faster. Every width's report is
+// cross-checked for byte-identity with workers=1 once before timing.
 func BenchmarkCheckParallel(b *testing.B) {
 	s, d := corpus(b, 50000)
-	seq := core.NewChecker(s)
-	seq.Concurrency = 1
-	ref := seq.Check(d).String()
+	one := core.NewChecker(s)
+	one.Concurrency = 1
+	ref := one.Check(d).String()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			checker := core.NewChecker(s)
 			checker.Concurrency = workers
 			if got := checker.Check(d).String(); got != ref {
-				b.Fatal("parallel report diverges from the sequential reference")
+				b.Fatalf("report at %d workers diverges from workers=1", workers)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

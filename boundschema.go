@@ -131,8 +131,7 @@ func NewChecker(s *Schema) *Checker { return core.NewChecker(s) }
 // content checks plus the query-based structure checks of Section 3.
 func Check(s *Schema, d *Directory) *Report { return core.NewChecker(s).Check(d) }
 
-// Legal reports whether d is legal w.r.t. s, short-circuiting on the
-// first violation.
+// Legal reports whether d is legal w.r.t. s: the verdict of Check.
 func Legal(s *Schema, d *Directory) bool { return core.NewChecker(s).Legal(d) }
 
 // CheckConsistency decides whether the schema admits any legal instance

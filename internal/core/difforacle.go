@@ -7,64 +7,64 @@ import (
 	"boundschema/internal/dirtree"
 )
 
-// Differential-testing oracle: three independent legality engines must
-// agree on every instance.
+// Differential-testing oracle: the Checker's one engine must agree with
+// itself across chunk widths and with two independent references on
+// every instance.
 //
-//   - the sequential Checker (Concurrency = 1), the reference
-//     implementation of Theorem 3.1;
-//   - the parallel Checker (Concurrency > 1), which must produce a
-//     byte-identical report (see parallel.go);
-//   - the quadratic NaiveStructureCheck (naive.go), which must produce
-//     the same structure verdict and, witness caps aside, the same
-//     violation set.
+//   - the Checker at one worker (Concurrency = 1) and at a wider pool
+//     (Concurrency > 1) must produce byte-identical reports, which pins
+//     the merge order of chunks and per-element jobs (see parallel.go);
+//   - naiveKeyCheck (naive.go), a plain pre-order map scan, must produce
+//     CheckKeys' report byte for byte at both widths;
+//   - the quadratic NaiveStructureCheck (naive.go) must produce the same
+//     structure verdict and, witness caps aside, the same violation set.
 //
 // DiffEngines is driven over randomized workload directories by the
 // harness in difforacle_test.go.
 
 // DiffEngines cross-checks the engines on one (schema, instance) pair.
-// concurrency is the parallel checker's worker count (values > 1
-// exercise the parallel merge even on tiny instances); maxWitnesses is
-// applied to both checkers. It returns a descriptive error on the first
-// divergence found, nil when all engines agree.
+// concurrency is the wide checker's worker count (values > 1 exercise the
+// chunk merge even on tiny instances); maxWitnesses is applied to both
+// checkers. It returns a descriptive error on the first divergence found,
+// nil when all engines agree.
 func DiffEngines(s *Schema, d *dirtree.Directory, concurrency, maxWitnesses int) error {
 	if concurrency < 2 {
-		return fmt.Errorf("difforacle: concurrency %d does not exercise the parallel engine", concurrency)
+		return fmt.Errorf("difforacle: concurrency %d does not widen the worker pool", concurrency)
 	}
-	seq := NewChecker(s)
-	seq.Concurrency = 1
-	seq.MaxWitnesses = maxWitnesses
-	par := NewChecker(s)
-	par.Concurrency = concurrency
-	par.MaxWitnesses = maxWitnesses
+	one := NewChecker(s)
+	one.Concurrency = 1
+	one.MaxWitnesses = maxWitnesses
+	wide := NewChecker(s)
+	wide.Concurrency = concurrency
+	wide.MaxWitnesses = maxWitnesses
 
 	// Byte-identical full reports.
-	seqReport := seq.Check(d)
-	parReport := par.Check(d)
-	if sr, pr := seqReport.String(), parReport.String(); sr != pr {
-		return fmt.Errorf("difforacle: sequential and parallel reports diverge\n--- sequential ---\n%s\n--- parallel(%d) ---\n%s", sr, concurrency, pr)
+	oneReport := one.Check(d)
+	wideReport := wide.Check(d)
+	if or, wr := oneReport.String(), wideReport.String(); or != wr {
+		return fmt.Errorf("difforacle: reports diverge across worker counts\n--- 1 worker ---\n%s\n--- %d workers ---\n%s", or, concurrency, wr)
 	}
-	if seqReport.Truncated != parReport.Truncated {
-		return fmt.Errorf("difforacle: truncation flags diverge: sequential=%v parallel=%v", seqReport.Truncated, parReport.Truncated)
+	if oneReport.Truncated != wideReport.Truncated {
+		return fmt.Errorf("difforacle: truncation flags diverge: 1 worker=%v %d workers=%v", oneReport.Truncated, concurrency, wideReport.Truncated)
 	}
 
-	// Legality verdicts: both engines' Legal must match the report.
-	want := seqReport.Legal()
-	if got := seq.Legal(d); got != want {
-		return fmt.Errorf("difforacle: sequential Legal=%v but report says %v", got, want)
-	}
-	if got := par.Legal(d); got != want {
-		return fmt.Errorf("difforacle: parallel Legal=%v but report says %v", got, want)
+	// Key reference: byte-identical key reports at both widths.
+	naiveKeys := naiveKeyCheck(s, d).String()
+	for _, c := range []*Checker{one, wide} {
+		if got := c.CheckKeys(d).String(); got != naiveKeys {
+			return fmt.Errorf("difforacle: key reports diverge at %d worker(s)\n--- naive ---\n%s\n--- CheckKeys ---\n%s", c.Concurrency, naiveKeys, got)
+		}
 	}
 
 	// Naive quadratic structure oracle: identical verdict always, and an
 	// identical sorted violation set when no witness cap interferes.
 	naive := NaiveStructureCheck(s, d)
-	structSeq := seq.CheckStructure(d)
-	if naive.Legal() != structSeq.Legal() {
-		return fmt.Errorf("difforacle: naive structure verdict %v != query-based %v", naive.Legal(), structSeq.Legal())
+	structOne := one.CheckStructure(d)
+	if naive.Legal() != structOne.Legal() {
+		return fmt.Errorf("difforacle: naive structure verdict %v != query-based %v", naive.Legal(), structOne.Legal())
 	}
 	if maxWitnesses == 0 {
-		ns, qs := sortedViolationStrings(naive), sortedViolationStrings(structSeq)
+		ns, qs := sortedViolationStrings(naive), sortedViolationStrings(structOne)
 		if len(ns) != len(qs) {
 			return fmt.Errorf("difforacle: naive found %d structure violations, query-based %d", len(ns), len(qs))
 		}

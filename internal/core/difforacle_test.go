@@ -10,9 +10,10 @@ import (
 	"boundschema/internal/workload"
 )
 
-// The differential-testing harness drives core.DiffEngines — sequential
-// checker vs parallel checker vs the quadratic naive oracle — over a few
-// hundred randomized directories from every workload generator family:
+// The differential-testing harness drives core.DiffEngines — the checker
+// at one worker vs a wider pool, and both vs the naive key and quadratic
+// structure references — over a few hundred randomized directories from
+// every workload generator family:
 // random schemas + random instances, the extension-rule hard cases, and
 // white-pages corpora (clean and corrupted, with and without keys).
 

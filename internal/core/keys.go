@@ -39,43 +39,12 @@ func (s *Schema) IsKey(attr string) bool {
 }
 
 // CheckKeys verifies instance-wide uniqueness of every key attribute's
-// values, one hash pass over the instance. In parallel mode the value
-// extraction is sharded across workers; the uniqueness pass over the
-// extracted streams stays sequential so the first holder of every value —
-// and therefore the report — is identical to the sequential pass.
+// values, one hash pass over the instance. The value extraction is
+// chunked across the worker pool; the uniqueness pass over the extracted
+// streams replays them in pre-order, so the first holder of every value —
+// and therefore the report — does not depend on the worker count.
 func (c *Checker) CheckKeys(d *dirtree.Directory) *Report {
-	r := &Report{}
-	keys := c.schema.Keys()
-	if len(keys) == 0 {
-		return r
-	}
-	if w := c.workersFor(d.Len()); w > 1 {
-		return c.checkKeysParallel(d, w)
-	}
-	seen := make(map[keyVal]*dirtree.Entry)
-	for _, e := range d.Entries() {
-		c.checkEntryKeys(e, seen, r)
-	}
-	return r
-}
-
-type keyVal struct {
-	attr  string
-	value string
-}
-
-func (c *Checker) checkEntryKeys(e *dirtree.Entry, seen map[keyVal]*dirtree.Entry, r *Report) {
-	for _, attr := range c.schema.Keys() {
-		for _, v := range e.Attr(attr) {
-			kv := keyVal{attr: attr, value: v.String()}
-			if prev, dup := seen[kv]; dup && prev != e {
-				r.Add(Violation{Kind: ViolationDuplicateKey, Entry: e,
-					Detail: fmt.Sprintf("key %s=%q already used by %s", attr, v.String(), prev.DN())})
-				continue
-			}
-			seen[kv] = e
-		}
-	}
+	return c.checkKeys(d, c.workersFor(d.Len()))
 }
 
 // CheckInsertKeys reports the key violations a grafted subtree Δ (rooted

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"boundschema/internal/dirtree"
-	"boundschema/internal/hquery"
 )
 
 // Checker tests legality of directory instances against one schema
@@ -18,47 +17,27 @@ type Checker struct {
 	// element / per entry condition; 0 means unlimited. Legality verdicts
 	// are unaffected — only report size.
 	MaxWitnesses int
-	// Concurrency selects the execution mode: 1 runs the sequential
-	// reference implementation, values > 1 shard the per-entry content and
-	// key checks across that many workers and evaluate the per-element
-	// structure queries concurrently, and 0 (the default) picks
+	// Concurrency is the worker pool's width: the per-entry content and
+	// key checks split into chunks and the per-element structure queries
+	// run as jobs on that many workers, and 0 (the default) picks
 	// GOMAXPROCS workers automatically for instances large enough to
-	// amortize the fan-out (see autoParallelMin). Parallel and sequential
-	// runs produce byte-identical reports; see parallel.go for the merge
+	// amortize the fan-out (see autoParallelMin). Reports are
+	// byte-identical at every width; see parallel.go for the merge
 	// contract.
 	Concurrency int
-	// OnTiming, when non-nil, is called after every top-level Check and
-	// Legal with the execution profile — which path the Concurrency knob
-	// resolved to and the wall time. It must be safe for concurrent use;
-	// the server's metrics layer hooks in here.
+	// OnTiming, when non-nil, is called after every top-level Check (and
+	// so every Legal) with the execution profile — the worker count the
+	// Concurrency knob resolved to and the wall time. It must be safe for
+	// concurrent use; the server's metrics layer hooks in here.
 	OnTiming func(CheckTiming)
 }
 
-// CheckTiming describes one top-level Check or Legal invocation.
+// CheckTiming describes one top-level Check invocation.
 type CheckTiming struct {
-	Parallel bool          // whether the sharded path was taken
-	Workers  int           // resolved worker count (1 = sequential)
+	Workers  int           // resolved worker count
 	Entries  int           // instance size at check time
 	Legal    bool          // the verdict
 	Duration time.Duration // wall time of the whole check
-}
-
-// timed wraps a legality verdict computation with the OnTiming hook.
-func (c *Checker) timed(n int, f func() bool) bool {
-	if c.OnTiming == nil {
-		return f()
-	}
-	start := time.Now()
-	legal := f()
-	w := c.workersFor(n)
-	c.OnTiming(CheckTiming{
-		Parallel: w > 1,
-		Workers:  w,
-		Entries:  n,
-		Legal:    legal,
-		Duration: time.Since(start),
-	})
-	return legal
 }
 
 // NewChecker returns a checker for the schema.
@@ -71,67 +50,28 @@ func (c *Checker) Schema() *Schema { return c.schema }
 // entry, then structure schema via the Figure 4 query reduction. The
 // returned report is never nil.
 func (c *Checker) Check(d *dirtree.Directory) *Report {
-	var r *Report
-	c.timed(d.Len(), func() bool {
-		r = c.CheckContent(d)
-		r.Merge(c.CheckKeys(d))
-		r.Merge(c.CheckStructure(d))
-		return r.Legal()
-	})
+	start := time.Now()
+	n := d.Len()
+	w := c.workersFor(n)
+	r := c.checkContent(d, w)
+	r.Merge(c.checkKeys(d, w))
+	r.Merge(c.checkStructure(d, w))
+	if c.OnTiming != nil {
+		c.OnTiming(CheckTiming{Workers: w, Entries: n, Legal: r.Legal(), Duration: time.Since(start)})
+	}
 	return r
 }
 
-// Legal reports whether d is legal w.r.t. the schema, short-circuiting on
-// the first violation. In parallel mode the short-circuit is cooperative:
-// the first worker to find a violation cancels the others.
-func (c *Checker) Legal(d *dirtree.Directory) bool {
-	return c.timed(d.Len(), func() bool { return c.legal(d) })
-}
-
-func (c *Checker) legal(d *dirtree.Directory) bool {
-	if w := c.workersFor(d.Len()); w > 1 {
-		return c.legalParallel(d, w)
-	}
-	for _, e := range d.Entries() {
-		if !c.EntryLegal(e) {
-			return false
-		}
-	}
-	if len(c.schema.Keys()) > 0 && !c.CheckKeys(d).Legal() {
-		return false
-	}
-	b := hquery.NewBinding(d)
-	for _, cls := range c.schema.Structure.RequiredClasses() {
-		if hquery.Empty(RequiredClassQuery(cls), b) {
-			return false
-		}
-	}
-	for _, rel := range c.schema.Structure.RequiredRels() {
-		if !hquery.Empty(RequiredRelQuery(rel), b) {
-			return false
-		}
-	}
-	for _, rel := range c.schema.Structure.ForbiddenRels() {
-		if !hquery.Empty(ForbiddenRelQuery(rel), b) {
-			return false
-		}
-	}
-	return true
-}
+// Legal reports whether d is legal w.r.t. the schema: the verdict of
+// Check.
+func (c *Checker) Legal(d *dirtree.Directory) bool { return c.Check(d).Legal() }
 
 // ---------------------------------------------------------------------
 // Content schema (Section 3.1): per-entry checks.
 
 // CheckContent tests every entry against the attribute and class schemas.
 func (c *Checker) CheckContent(d *dirtree.Directory) *Report {
-	if w := c.workersFor(d.Len()); w > 1 {
-		return c.checkContentParallel(d, w)
-	}
-	r := &Report{}
-	for _, e := range d.Entries() {
-		c.checkEntry(e, r)
-	}
-	return r
+	return c.checkContent(d, c.workersFor(d.Len()))
 }
 
 // CheckEntry tests a single entry against the content schema, the unit of
@@ -143,8 +83,7 @@ func (c *Checker) CheckEntry(e *dirtree.Entry) *Report {
 	return r
 }
 
-// EntryLegal reports whether the entry satisfies the content schema,
-// short-circuiting on the first violation.
+// EntryLegal reports whether the entry satisfies the content schema.
 func (c *Checker) EntryLegal(e *dirtree.Entry) bool {
 	r := &Report{}
 	c.checkEntry(e, r)
@@ -304,30 +243,9 @@ func (c *Checker) checkEntry(e *dirtree.Entry, r *Report) {
 
 // CheckStructure tests the structure schema using the Figure 4 reduction:
 // one hierarchical selection query per element, each evaluated in
-// O(|Q|·|D|). In parallel mode the per-element queries run concurrently.
+// O(|Q|·|D|), the queries spread across the worker pool.
 func (c *Checker) CheckStructure(d *dirtree.Directory) *Report {
-	if w := c.workersFor(d.Len()); w > 1 {
-		return c.checkStructureParallel(d, w)
-	}
-	return c.checkStructureOn(hquery.NewBinding(d))
-}
-
-func (c *Checker) checkStructureOn(b hquery.Binding) *Report {
-	r := &Report{}
-	for _, cls := range c.schema.Structure.RequiredClasses() {
-		if hquery.Empty(RequiredClassQuery(cls), b) {
-			r.Add(Violation{Kind: ViolationMissingClass,
-				Element: RequiredClass{Class: cls},
-				Detail:  fmt.Sprintf("no entry belongs to required class %s", cls)})
-		}
-	}
-	for _, rel := range c.schema.Structure.RequiredRels() {
-		c.addWitnesses(r, ViolationRequiredRel, rel, hquery.Eval(RequiredRelQuery(rel), b))
-	}
-	for _, rel := range c.schema.Structure.ForbiddenRels() {
-		c.addWitnesses(r, ViolationForbiddenRel, rel, hquery.Eval(ForbiddenRelQuery(rel), b))
-	}
-	return r
+	return c.checkStructure(d, c.workersFor(d.Len()))
 }
 
 func (c *Checker) addWitnesses(r *Report, kind ViolationKind, el Element, witnesses []*dirtree.Entry) {

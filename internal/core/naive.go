@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"boundschema/internal/dirtree"
 )
 
@@ -93,4 +95,28 @@ func pairRelated(ei *dirtree.Entry, axis Axis, ej *dirtree.Entry) bool {
 		}
 	}
 	return false
+}
+
+// naiveKeyCheck is the key-uniqueness reference that DiffEngines holds
+// Checker.CheckKeys against: one map, filled entry by entry in pre-order,
+// where a value already held by another entry is a duplicate attributed
+// to its later holder and naming the first. CheckKeys must produce a
+// byte-identical report at every worker count.
+func naiveKeyCheck(s *Schema, d *dirtree.Directory) *Report {
+	r := &Report{}
+	seen := make(map[keyVal]*dirtree.Entry)
+	for _, e := range d.Entries() {
+		for _, attr := range s.Keys() {
+			for _, v := range e.Attr(attr) {
+				kv := keyVal{attr: attr, value: v.String()}
+				if prev, dup := seen[kv]; dup && prev != e {
+					r.Add(Violation{Kind: ViolationDuplicateKey, Entry: e,
+						Detail: fmt.Sprintf("key %s=%q already used by %s", attr, v.String(), prev.DN())})
+					continue
+				}
+				seen[kv] = e
+			}
+		}
+	}
+	return r
 }

@@ -10,32 +10,34 @@ import (
 	"boundschema/internal/hquery"
 )
 
-// This file implements the parallel execution mode of the Checker.
-// Theorem 3.1 makes full legality checking linear in |D|, and the work is
-// embarrassingly parallel along two independent axes:
+// This file implements the Checker's one full-check engine. Theorem 3.1
+// makes full legality checking a sum of independent pieces of work along
+// two axes:
 //
 //   - the content and key checks of Section 3.1 are per-entry, so the
-//     pre-order entry list shards into contiguous DN-ordered chunks that
-//     workers check independently;
+//     pre-order entry list splits into contiguous DN-ordered chunks that
+//     are checked independently;
 //   - the structure checks of Section 3.2 are per-element, one Figure 4
-//     query each, so the queries evaluate concurrently against one shared
-//     read-only Binding.
+//     query each, evaluated against one shared read-only Binding.
 //
-// Determinism contract: a parallel run produces a report byte-identical
-// to the sequential reference implementation. Content chunks are merged
-// in chunk (= pre-order) order; key extraction is sharded but the
-// uniqueness pass replays the extracted streams in pre-order; structure
-// violations are emitted in the schema's canonical element order with
-// MaxWitnesses applied after the merge, exactly where the sequential path
-// applies it. The differential oracle (difforacle.go) enforces this
-// contract over randomized workloads.
+// Every piece is a job on runPool; the worker count only sets the pool's
+// width, and at one worker the jobs run inline, in order.
+//
+// Determinism contract: the report is byte-identical at every worker
+// count. Content chunks are merged in chunk (= pre-order) order; key
+// extraction is chunked but the uniqueness pass replays the extracted
+// streams in pre-order; structure violations are emitted in the schema's
+// canonical element order with MaxWitnesses applied after the merge. The
+// differential oracle (difforacle.go) enforces this contract over
+// randomized workloads, across chunk widths and against independent
+// structure and key references (naive.go).
 //
 // Concurrency contract: workers only read the directory. The directory's
 // interval encoding is brought current once, before the fan-out, so no
-// worker ever triggers the lazy re-encoding (see hquery.AuditReadOnly).
+// worker ever triggers the lazy re-encoding (see hquery.Binding).
 
 // autoParallelMin is the instance size below which Concurrency = 0 (auto)
-// stays sequential: the fan-out overhead dominates for small instances,
+// runs one worker: the fan-out overhead dominates for small instances,
 // and the incremental Figure 5 checks keep hot small-Δ paths cheap.
 const autoParallelMin = 4096
 
@@ -43,39 +45,30 @@ const autoParallelMin = 4096
 // entries cannot serialize the pool behind one worker.
 const chunksPerWorker = 4
 
-// cancelStride is how many entries a Legal worker checks between polls of
-// the cancellation signal.
-const cancelStride = 256
-
-// workersFor resolves the Concurrency knob for an instance of n entries:
-// 1 is the sequential reference path, > 1 is taken literally, and 0 (or
+// workersFor resolves the Concurrency knob for an instance of n entries
+// into the pool width: values ≥ 1 are taken literally, and 0 (or
 // negative) picks GOMAXPROCS for instances big enough to amortize it.
 func (c *Checker) workersFor(n int) int {
 	switch {
-	case c.Concurrency == 1:
-		return 1
-	case c.Concurrency > 1:
+	case c.Concurrency >= 1:
 		return c.Concurrency
+	case n < autoParallelMin:
+		return 1
 	default:
-		if n < autoParallelMin {
-			return 1
-		}
 		return runtime.GOMAXPROCS(0)
 	}
 }
 
-// runPool runs the jobs on a bounded pool of workers and waits for all of
-// them. Jobs are claimed in index order.
-func runPool(workers int, jobs []func()) {
-	if len(jobs) == 0 {
-		return
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+// runPool runs job(0) … job(n-1) on a pool of at most workers goroutines
+// and waits for all of them. Indices are claimed in order; at one worker
+// the jobs run inline.
+func runPool(workers, n int, job func(i int)) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for _, job := range jobs {
-			job()
+		for i := 0; i < n; i++ {
+			job(i)
 		}
 		return
 	}
@@ -87,10 +80,10 @@ func runPool(workers int, jobs []func()) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				if i >= n {
 					return
 				}
-				jobs[i]()
+				job(i)
 			}
 		}()
 	}
@@ -122,31 +115,29 @@ func chunkBounds(n, chunks int) [][2]int {
 // ---------------------------------------------------------------------
 // Content schema: contiguous entry chunks, merged in pre-order.
 
-func (c *Checker) checkContentParallel(d *dirtree.Directory, workers int) *Report {
+func (c *Checker) checkContent(d *dirtree.Directory, workers int) *Report {
 	entries := d.Entries() // brings the encoding current before the fan-out
 	bounds := chunkBounds(len(entries), workers*chunksPerWorker)
-	reports := make([]*Report, len(bounds))
-	jobs := make([]func(), len(bounds))
-	for i := range bounds {
-		i := i
-		jobs[i] = func() {
-			r := &Report{}
-			for _, e := range entries[bounds[i][0]:bounds[i][1]] {
-				c.checkEntry(e, r)
-			}
-			reports[i] = r
+	reports := make([]Report, len(bounds))
+	runPool(workers, len(bounds), func(i int) {
+		for _, e := range entries[bounds[i][0]:bounds[i][1]] {
+			c.checkEntry(e, &reports[i])
 		}
-	}
-	runPool(workers, jobs)
+	})
 	out := &Report{}
-	for _, r := range reports {
-		out.Merge(r)
+	for i := range reports {
+		out.Merge(&reports[i])
 	}
 	return out
 }
 
 // ---------------------------------------------------------------------
-// Keys: sharded extraction, sequential uniqueness replay.
+// Keys: chunked extraction, one uniqueness replay in pre-order.
+
+type keyVal struct {
+	attr  string
+	value string
+}
 
 // keyRef is one (key value, holding entry) occurrence, in pre-order.
 type keyRef struct {
@@ -154,31 +145,29 @@ type keyRef struct {
 	e  *dirtree.Entry
 }
 
-func (c *Checker) checkKeysParallel(d *dirtree.Directory, workers int) *Report {
+func (c *Checker) checkKeys(d *dirtree.Directory, workers int) *Report {
 	r := &Report{}
 	keys := c.schema.Keys()
+	if len(keys) == 0 {
+		return r
+	}
 	entries := d.Entries()
 	bounds := chunkBounds(len(entries), workers*chunksPerWorker)
 	streams := make([][]keyRef, len(bounds))
-	jobs := make([]func(), len(bounds))
-	for i := range bounds {
-		i := i
-		jobs[i] = func() {
-			var refs []keyRef
-			for _, e := range entries[bounds[i][0]:bounds[i][1]] {
-				for _, attr := range keys {
-					for _, v := range e.Attr(attr) {
-						refs = append(refs, keyRef{keyVal{attr, v.String()}, e})
-					}
+	runPool(workers, len(bounds), func(i int) {
+		var refs []keyRef
+		for _, e := range entries[bounds[i][0]:bounds[i][1]] {
+			for _, attr := range keys {
+				for _, v := range e.Attr(attr) {
+					refs = append(refs, keyRef{keyVal{attr, v.String()}, e})
 				}
 			}
-			streams[i] = refs
 		}
-	}
-	runPool(workers, jobs)
+		streams[i] = refs
+	})
 	// Replaying the per-chunk streams in chunk order visits the values in
-	// exactly the sequential pass's order, so the first holder of every
-	// value — and the violation list — is identical.
+	// pre-order whatever the chunk width, so the first holder of every
+	// value — and the violation list — is the same at every worker count.
 	seen := make(map[keyVal]*dirtree.Entry, len(entries))
 	for _, refs := range streams {
 		for _, ref := range refs {
@@ -196,36 +185,27 @@ func (c *Checker) checkKeysParallel(d *dirtree.Directory, workers int) *Report {
 // ---------------------------------------------------------------------
 // Structure schema: one job per element, canonical emission order.
 
-func (c *Checker) checkStructureParallel(d *dirtree.Directory, workers int) *Report {
+func (c *Checker) checkStructure(d *dirtree.Directory, workers int) *Report {
 	d.EnsureEncoded()
 	b := hquery.NewBinding(d)
-	if err := hquery.AuditReadOnly(b); err != nil {
-		// Unreachable after EnsureEncoded; keep the sequential path as the
-		// safe fallback rather than racing on a stale encoding.
-		return c.checkStructureOn(b)
-	}
 	rc := c.schema.Structure.RequiredClasses()
 	rr := c.schema.Structure.RequiredRels()
 	fr := c.schema.Structure.ForbiddenRels()
-	missing := make([]bool, len(rc))
-	rrWitnesses := make([][]*dirtree.Entry, len(rr))
-	frWitnesses := make([][]*dirtree.Entry, len(fr))
-	jobs := make([]func(), 0, len(rc)+len(rr)+len(fr))
-	for i, cls := range rc {
-		i, cls := i, cls
-		jobs = append(jobs, func() { missing[i] = hquery.Empty(RequiredClassQuery(cls), b) })
-	}
-	for i, rel := range rr {
-		i, rel := i, rel
-		jobs = append(jobs, func() { rrWitnesses[i] = hquery.Eval(RequiredRelQuery(rel), b) })
-	}
-	for i, rel := range fr {
-		i, rel := i, rel
-		jobs = append(jobs, func() { frWitnesses[i] = hquery.Eval(ForbiddenRelQuery(rel), b) })
-	}
-	runPool(workers, jobs)
+	nrc, nrr := len(rc), len(rr)
+	missing := make([]bool, nrc)
+	witnesses := make([][]*dirtree.Entry, nrr+len(fr)) // required, then forbidden rels
+	runPool(workers, nrc+len(witnesses), func(i int) {
+		switch j := i - nrc; {
+		case j < 0:
+			missing[i] = hquery.Empty(RequiredClassQuery(rc[i]), b)
+		case j < nrr:
+			witnesses[j] = hquery.Eval(RequiredRelQuery(rr[j]), b)
+		default:
+			witnesses[j] = hquery.Eval(ForbiddenRelQuery(fr[j-nrr]), b)
+		}
+	})
 	// Emit in the canonical element order with the witness cap applied
-	// after the merge — the same place the sequential path applies it.
+	// after the merge, so neither depends on the order jobs finished in.
 	r := &Report{}
 	for i, cls := range rc {
 		if missing[i] {
@@ -235,101 +215,10 @@ func (c *Checker) checkStructureParallel(d *dirtree.Directory, workers int) *Rep
 		}
 	}
 	for i, rel := range rr {
-		c.addWitnesses(r, ViolationRequiredRel, rel, rrWitnesses[i])
+		c.addWitnesses(r, ViolationRequiredRel, rel, witnesses[i])
 	}
 	for i, rel := range fr {
-		c.addWitnesses(r, ViolationForbiddenRel, rel, frWitnesses[i])
+		c.addWitnesses(r, ViolationForbiddenRel, rel, witnesses[nrr+i])
 	}
 	return r
-}
-
-// ---------------------------------------------------------------------
-// Legal: cooperative short-circuit.
-
-// legalParallel runs every per-entry chunk, the key pass and every
-// structure query as pool jobs sharing a cancellation signal: the first
-// violation found cancels all other workers cooperatively.
-func (c *Checker) legalParallel(d *dirtree.Directory, workers int) bool {
-	d.EnsureEncoded()
-	entries := d.Entries()
-	var failed atomic.Bool
-	stop := make(chan struct{})
-	var once sync.Once
-	fail := func() {
-		failed.Store(true)
-		once.Do(func() { close(stop) })
-	}
-	cancelled := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
-
-	var jobs []func()
-	for _, bd := range chunkBounds(len(entries), workers*chunksPerWorker) {
-		lo, hi := bd[0], bd[1]
-		jobs = append(jobs, func() {
-			for i, e := range entries[lo:hi] {
-				if i%cancelStride == 0 && cancelled() {
-					return
-				}
-				if !c.EntryLegal(e) {
-					fail()
-					return
-				}
-			}
-		})
-	}
-	if keys := c.schema.Keys(); len(keys) > 0 {
-		// Uniqueness needs one global map, so the key pass is a single job
-		// that aborts on the first duplicate or on cancellation.
-		jobs = append(jobs, func() {
-			seen := make(map[keyVal]*dirtree.Entry, len(entries))
-			for i, e := range entries {
-				if i%cancelStride == 0 && cancelled() {
-					return
-				}
-				for _, attr := range keys {
-					for _, v := range e.Attr(attr) {
-						kv := keyVal{attr, v.String()}
-						if prev, dup := seen[kv]; dup && prev != e {
-							fail()
-							return
-						}
-						seen[kv] = e
-					}
-				}
-			}
-		})
-	}
-	b := hquery.NewBinding(d)
-	for _, cls := range c.schema.Structure.RequiredClasses() {
-		cls := cls
-		jobs = append(jobs, func() {
-			if !cancelled() && hquery.Empty(RequiredClassQuery(cls), b) {
-				fail()
-			}
-		})
-	}
-	for _, rel := range c.schema.Structure.RequiredRels() {
-		rel := rel
-		jobs = append(jobs, func() {
-			if !cancelled() && !hquery.Empty(RequiredRelQuery(rel), b) {
-				fail()
-			}
-		})
-	}
-	for _, rel := range c.schema.Structure.ForbiddenRels() {
-		rel := rel
-		jobs = append(jobs, func() {
-			if !cancelled() && !hquery.Empty(ForbiddenRelQuery(rel), b) {
-				fail()
-			}
-		})
-	}
-	runPool(workers, jobs)
-	return !failed.Load()
 }

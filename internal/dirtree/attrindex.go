@@ -34,8 +34,8 @@ package dirtree
 //
 // Concurrency: probing an attribute for the first time builds its tree,
 // which mutates the directory even on the "read" path. Builds are
-// serialized by attrMu, so concurrent read-only evaluation (the
-// AuditReadOnly contract) remains safe; mutation paths touch the trees
+// serialized by attrMu, so concurrent read-only evaluation (the rule on
+// hquery.Binding) remains safe; mutation paths touch the trees
 // only under the caller's exclusive access, as for every other directory
 // mutation.
 
@@ -688,4 +688,3 @@ func (d *Directory) patchValueDelete(doomed []*Entry) {
 		}
 	}
 }
-

@@ -93,10 +93,10 @@ func TestTypedEquality(t *testing.T) {
 		want bool
 	}{
 		{"(bandwidth=80)", true},
-		{"(bandwidth=080)", true},     // was false: raw string comparison
-		{"(bandwidth= 80)", true},     // ParseValue trims, like the range ops
+		{"(bandwidth=080)", true}, // was false: raw string comparison
+		{"(bandwidth= 80)", true}, // ParseValue trims, like the range ops
 		{"(bandwidth=81)", false},
-		{"(bandwidth=notanumber)", false}, // parse error → string fallback
+		{"(bandwidth=notanumber)", false},           // parse error → string fallback
 		{"(&(bandwidth>=80)(bandwidth<=80))", true}, // must agree with =080
 		{"(ipAddress=10.0.0.5)", true},
 		{"(ipAddress=10.0.0.05)", false}, // strings stay exact-text

@@ -55,11 +55,11 @@ func (i Inst) String() string {
 // Binding resolves instance tags to concrete views over one directory.
 // For ordinary (non-incremental) evaluation use NewBinding.
 //
-// A Binding is an immutable value and may be shared across goroutines;
-// concurrent evaluation is read-only provided the bound directories'
-// interval encodings are current and nothing mutates them while
-// evaluations are in flight. See AuditReadOnly (concurrency.go) for the
-// precise contract.
+// A Binding is an immutable value and may be shared across goroutines,
+// with one rule: Eval lazily re-encodes a mutated directory, so bring the
+// encoding current once, single-threaded, before fanning out
+// (dirtree.Directory.EnsureEncoded), and mutate no bound directory while
+// evaluations run. Eval is then read-only.
 type Binding struct {
 	Default dirtree.View
 	Delta   dirtree.View

@@ -68,12 +68,12 @@ func TestPlanStrategies(t *testing.T) {
 		{"(name=al*e)", "index-prefix", "name", true}, // prefix over-approximates
 		{"(name=*ce)", "scan", "", false},             // no initial segment
 		{"(port=*)", "index-present", "port", false},
-		{"(port>=oops)", "empty", "", false},                // typed range: parse error matches nothing
+		{"(port>=oops)", "empty", "", false},                     // typed range: parse error matches nothing
 		{"(&(objectClass=host)(port>=zzz))", "empty", "", false}, // ...and empties the conjunction
-		{"(port=oops)", "scan", "", false},                  // equality keeps its string fallback
+		{"(port=oops)", "scan", "", false},                       // equality keeps its string fallback
 		{"(name~=alice)", "scan", "", false},
 		{"(|(name=alice)(name=bob))", "scan", "", false},
-		{"(objectClass=al*)", "scan", "", false},  // objectClass is never in the value trees
+		{"(objectClass=al*)", "scan", "", false}, // objectClass is never in the value trees
 		{"(objectClass>=a)", "scan", "", false},
 		// Index beats the class posting list when strictly smaller.
 		{"(&(objectClass=person)(name=alice))", "index-eq", "name", true},

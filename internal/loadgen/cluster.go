@@ -206,8 +206,9 @@ func Converge(nodes []*Node, timeout time.Duration) error {
 //     legality);
 //  3. the instance re-parsed from LDIF is legal under the full
 //     non-incremental engines, which must also agree among themselves
-//     (core.DiffEngines: sequential, parallel, naive) — so a bug in the
-//     incremental Fig 5 path cannot vouch for itself.
+//     (core.DiffEngines: one worker vs several, naive keys and
+//     structure) — so a bug in the incremental Fig 5 path cannot vouch
+//     for itself.
 func Oracle(schema *core.Schema, nodes []*Node) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("oracle: no surviving nodes")

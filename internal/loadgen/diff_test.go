@@ -17,8 +17,8 @@ import (
 // Differential testing of the generated workloads: the exact wire
 // batches the load workers emit are replayed through the incremental
 // applier (configured like the server), and the instance is run through
-// all three legality engines — sequential, parallel, naive — at regular
-// intervals. Hand-built illegal mutants then pin the rejection side:
+// DiffEngines — the checker at 1 and 2 workers, the naive key and
+// structure references — at regular intervals. Hand-built illegal mutants then pin the rejection side:
 // the applier must refuse them leaving the instance byte-identical, and
 // a directly-mutated copy must be judged illegal with all engines in
 // agreement.
@@ -101,8 +101,8 @@ func ldifBytes(t *testing.T, d *dirtree.Directory) []byte {
 
 // TestWorkloadBatchesDifferentialEngines replays generated worker
 // batches through the incremental applier and cross-checks the evolving
-// instance with DiffEngines every few batches: any divergence between
-// the sequential, parallel, and naive engines on workload-shaped
+// instance with DiffEngines every few batches: any divergence across
+// worker counts or from the naive references on workload-shaped
 // instances is a bug in one of them.
 func TestWorkloadBatchesDifferentialEngines(t *testing.T) {
 	batchesPerWorker := 60

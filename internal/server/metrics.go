@@ -148,7 +148,6 @@ type Metrics struct {
 	recReplayed    atomic.Int64 // journal_records_replayed
 	recTruncated   atomic.Int64 // journal_records_truncated
 	recQuarantined atomic.Int64 // journal_records_quarantined
-	recLegalityMs  atomic.Int64 // recovery_legality_ms (legacy, floors to 0 under 1ms)
 	recLegalityUs  atomic.Int64 // recovery_legality_us
 	recClean       atomic.Int64 // recovery_clean gauge
 
@@ -203,7 +202,6 @@ func (m *Metrics) noteRecovery(r *RecoveryReport) {
 	m.recReplayed.Store(int64(r.RecordsReplayed))
 	m.recTruncated.Store(int64(r.RecordsTruncated))
 	m.recQuarantined.Store(int64(r.RecordsQuarantined))
-	m.recLegalityMs.Store(r.LegalityMs)
 	m.recLegalityUs.Store(r.LegalityUs)
 	if r.Clean {
 		m.recClean.Store(1)
@@ -225,7 +223,7 @@ func (m *Metrics) BatchedCommits() int64 { return m.batchSizes.sumUS.Load() }
 
 // noteCheckTiming is installed as the shared Checker's OnTiming hook.
 func (m *Metrics) noteCheckTiming(t core.CheckTiming) {
-	if t.Parallel {
+	if t.Workers > 1 {
 		m.checkParCount.Add(1)
 		m.checkParNS.Add(int64(t.Duration))
 		m.checkWorkers.Store(int64(t.Workers))
@@ -283,10 +281,10 @@ func (m *Metrics) lines(journalOn bool, readOnly string, rs replStatus) []string
 	}
 	if m.recRan.Load() == 1 {
 		out = append(out, fmt.Sprintf(
-			"recovery: journal_records_scanned=%d journal_records_replayed=%d journal_records_truncated=%d journal_records_quarantined=%d recovery_legality_ms=%d recovery_legality_us=%d recovery_clean=%d",
+			"recovery: journal_records_scanned=%d journal_records_replayed=%d journal_records_truncated=%d journal_records_quarantined=%d recovery_legality_us=%d recovery_clean=%d",
 			m.recScanned.Load(), m.recReplayed.Load(),
 			m.recTruncated.Load(), m.recQuarantined.Load(),
-			m.recLegalityMs.Load(), m.recLegalityUs.Load(), m.recClean.Load()))
+			m.recLegalityUs.Load(), m.recClean.Load()))
 	}
 	if readOnly != "" {
 		out = append(out, "read_only: "+readOnly)
@@ -406,7 +404,6 @@ func (m *Metrics) snapshot(journalOn bool, readOnly string, rs replStatus) map[s
 			"journal_records_replayed":    m.recReplayed.Load(),
 			"journal_records_truncated":   m.recTruncated.Load(),
 			"journal_records_quarantined": m.recQuarantined.Load(),
-			"recovery_legality_ms":        m.recLegalityMs.Load(),
 			"recovery_legality_us":        m.recLegalityUs.Load(),
 			"recovery_clean":              m.recClean.Load(),
 		}

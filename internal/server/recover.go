@@ -162,10 +162,8 @@ type RecoveryReport struct {
 	QuarantinePath     string `json:"quarantine_path,omitempty"`
 	CorruptReason      string `json:"corrupt_reason,omitempty"`
 	// LegalityUs is the terminal full legality proof's duration in
-	// microseconds; LegalityMs keeps the pre-existing key readable for
-	// older tooling but floors sub-millisecond proofs to 0.
+	// microseconds.
 	LegalityUs int64 `json:"legality_us"`
-	LegalityMs int64 `json:"legality_ms"`
 	Legal      bool  `json:"legal"`
 	Clean      bool  `json:"clean"` // nothing truncated, nothing quarantined
 }
@@ -402,7 +400,6 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 	fullReport := s.checker.Check(s.dir)
 	s.mu.RUnlock()
 	rep.LegalityUs = time.Since(t0).Microseconds()
-	rep.LegalityMs = rep.LegalityUs / 1000
 	rep.Legal = fullReport.Legal()
 	if !rep.Legal {
 		return rep, fmt.Errorf("server: journal %s: recovered instance fails the full legality check:\n%s", path, fullReport)
@@ -492,7 +489,8 @@ func (s *Server) verifyNow() ([]string, error) {
 		if sr.tornBytes > 0 {
 			return lines, fmt.Errorf("journal has %d torn bytes past the last marker", sr.tornBytes)
 		}
-		if _, snapSeq, err := s.peekSnapshotSeq(); err == nil {
+		if snap, err := s.fs.ReadFile(s.journal.snapPath); err == nil {
+			snapSeq, _ := parseSnapshotHeaders(snap)
 			lines = append(lines, fmt.Sprintf("snapshot: present seq=%d", snapSeq))
 		} else {
 			lines = append(lines, "snapshot: none")
@@ -508,23 +506,4 @@ func (s *Server) verifyNow() ([]string, error) {
 	}
 	lines = append(lines, "verify: clean")
 	return lines, nil
-}
-
-// peekSnapshotSeq reports whether the snapshot sidecar exists and the
-// sequence number its header records, without loading the instance.
-func (s *Server) peekSnapshotSeq() (bool, uint64, error) {
-	if s.journal == nil {
-		return false, 0, errors.New("no journal")
-	}
-	data, err := s.fs.ReadFile(s.journal.snapPath)
-	if err != nil {
-		return false, 0, err
-	}
-	var seq uint64
-	if rest, ok := bytes.CutPrefix(data, []byte(snapshotSeqPrefix)); ok {
-		if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
-			fmt.Sscanf(string(rest[:nl]), "%d", &seq)
-		}
-	}
-	return true, seq, nil
 }

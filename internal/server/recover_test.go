@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -378,6 +379,79 @@ func TestVerifyCommand(t *testing.T) {
 		t.Fatalf("VERIFY over a corrupted journal replied %q", term)
 	}
 	_ = srv
+}
+
+// TestVerifyReportsSnapshotSeq: VERIFY reads the sequence number from
+// the snapshot sidecar's header — the seq the rotation compacted up to,
+// not the live commit counter that has moved on since.
+func TestVerifyReportsSnapshotSeq(t *testing.T) {
+	srv, c, _ := startJournaledServer(t, 0)
+	for _, uid := range []string{"s1", "s2", "s3"} {
+		c.expectOK("BEGIN")
+		c.expectOK(addPersonLines(uid)...)
+	}
+	c.expectOK("SNAPSHOT")
+	srv.mu.RLock()
+	rotated := srv.commitSeq
+	srv.mu.RUnlock()
+	if rotated != 3 {
+		t.Fatalf("commit seq at SNAPSHOT = %d, want 3", rotated)
+	}
+	c.expectOK("BEGIN")
+	c.expectOK(addPersonLines("s4")...)
+
+	body := c.expectOK("VERIFY")
+	want := fmt.Sprintf("# snapshot: present seq=%d", rotated)
+	if !slices.Contains(body, want) {
+		t.Fatalf("VERIFY body lacks %q: %v", want, body)
+	}
+}
+
+// TestRecoveryMetricsLine pins the METRICS recovery line's fields after
+// a replay: the replayed-record count and the proof's duration in
+// microseconds, and no millisecond field.
+func TestRecoveryMetricsLine(t *testing.T) {
+	fault := vfs.NewFault()
+	srv := newFaultServer(t, fault)
+	if err := srv.OpenJournal(crashJournalPath); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	for i := 0; i < n; i++ {
+		if err := commitPerson(t, srv, fmt.Sprintf("m%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close()
+
+	srv2 := newFaultServer(t, fault)
+	if err := srv2.OpenJournal(crashJournalPath); err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	var line string
+	for _, l := range srv2.metrics.lines(true, "", replStatus{role: "primary"}) {
+		if strings.HasPrefix(l, "recovery: ") {
+			line = l
+		}
+	}
+	if line == "" {
+		t.Fatal("METRICS has no recovery line after a replay")
+	}
+	fields := map[string]string{}
+	for _, f := range strings.Fields(strings.TrimPrefix(line, "recovery: ")) {
+		k, v, _ := strings.Cut(f, "=")
+		fields[k] = v
+		if strings.HasSuffix(k, "_ms") {
+			t.Errorf("recovery line carries a millisecond field %s: %s", k, line)
+		}
+	}
+	if got := fields["journal_records_replayed"]; got != fmt.Sprint(n) {
+		t.Errorf("journal_records_replayed=%s, want %d: %s", got, n, line)
+	}
+	if _, ok := fields["recovery_legality_us"]; !ok {
+		t.Errorf("recovery line lacks recovery_legality_us: %s", line)
+	}
 }
 
 // TestVerifyCommandWithoutJournal: VERIFY still checks legality when

@@ -80,7 +80,8 @@ type Server struct {
 	// replay) mutate under the write lock and must leave the interval
 	// encoding current before unlocking, so reader sessions under the read
 	// lock never trigger the lazy re-encode — the read paths are only
-	// concurrency-safe while dirtree's Directory.Encoded() holds.
+	// concurrency-safe while dirtree's Directory.Encoded() holds (the rule
+	// on hquery.Binding).
 	mu  sync.RWMutex
 	dir *dirtree.Directory
 
