@@ -39,7 +39,11 @@ package dirtree
 // only under the caller's exclusive access, as for every other directory
 // mutation.
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // bpOrder is the maximum number of keys per B+tree node.
 const bpOrder = 32
@@ -374,81 +378,94 @@ func (d *Directory) valueTree(attr string) *bptree {
 	return t
 }
 
-// buildValueTree bulk-loads attr's tree from the current pre-order.
-// Collection order is pre-order, so a stable sort by value leaves every
-// posting list sorted by pre rank with no per-key sort.
+// buildValueTree bulk-loads attr's tree from the current pre-order. It
+// sorts the (value, entry) pairs once by value then pre rank — the order
+// a stable sort of the pre-order collection gives, since pre ranks are
+// unique — so every posting list comes out sorted by pre rank. Keys,
+// postings and leaves each live in one allocation: a posting is a
+// cap-limited window of one shared backing array, so insertRec and
+// removeRec reallocate it rather than write into a neighbour's.
 func (d *Directory) buildValueTree(attr string) *bptree {
 	type kv struct {
 		v Value
 		e *Entry
 	}
-	var pairs []kv
+	t := &bptree{}
+	total := 0
+	for _, e := range d.order {
+		total += len(e.attrs[attr])
+	}
+	if total == 0 {
+		return t
+	}
+	pairs := make([]kv, 0, total)
 	for _, e := range d.order {
 		for _, v := range e.attrs[attr] {
 			pairs = append(pairs, kv{v, e})
 		}
 	}
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].v.Compare(pairs[j].v) < 0 })
+	slices.SortFunc(pairs, func(a, b kv) int {
+		if c := a.v.Compare(b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.e.pre, b.e.pre)
+	})
 
-	t := &bptree{}
 	// Group into unique keys with their postings, dropping duplicate
 	// (value, entry) pairs (SetValues stores values verbatim, so an entry
-	// may hold the same value twice; the index is a set).
-	var keys []Value
-	var posts [][]*Entry
-	for i := 0; i < len(pairs); i++ {
-		p := pairs[i]
-		if len(keys) > 0 && keys[len(keys)-1].Compare(p.v) == 0 {
-			last := posts[len(posts)-1]
-			if last[len(last)-1] != p.e {
-				posts[len(posts)-1] = append(last, p.e)
-				t.pairs++
-				if !textSafe(p.v) {
-					t.nonText++
-				}
+	// may hold the same value twice; the index is a set). Duplicates are
+	// adjacent after the sort.
+	distinct := 1
+	for i := 1; i < len(pairs); i++ {
+		if pairs[i-1].v.Compare(pairs[i].v) != 0 {
+			distinct++
+		}
+	}
+	keys := make([]Value, 0, distinct)
+	posts := make([][]*Entry, 0, distinct)
+	backing := make([]*Entry, 0, len(pairs))
+	for i := 0; i < len(pairs); {
+		k := pairs[i].v
+		start := len(backing)
+		for ; i < len(pairs) && pairs[i].v.Compare(k) == 0; i++ {
+			if len(backing) == start || backing[len(backing)-1] != pairs[i].e {
+				backing = append(backing, pairs[i].e)
 			}
-			continue
 		}
-		keys = append(keys, p.v)
-		posts = append(posts, []*Entry{p.e})
-		t.pairs++
-		if !textSafe(p.v) {
-			t.nonText++
-		}
+		keys = append(keys, k)
+		posts = append(posts, backing[start:len(backing):len(backing)])
 	}
-	if len(keys) == 0 {
-		return t
-	}
+	t.pairs = len(backing)
 	t.exact = make(map[Value][]*Entry, len(keys))
-	for i := range keys {
-		t.exact[keys[i]] = posts[i]
+	for i, k := range keys {
+		t.exact[k] = posts[i]
+		if !textSafe(k) {
+			t.nonText += len(posts[i])
+		}
 	}
 
 	// Build leaves left to right at ~3/4 fill, then internal levels
 	// bottom-up.
 	const fill = bpOrder * 3 / 4
-	var level []*bpnode
-	var seps []Value // smallest key of each node after the first
-	for i := 0; i < len(keys); i += fill {
-		j := i + fill
-		if j > len(keys) {
-			j = len(keys)
-		}
-		n := &bpnode{leaf: true, keys: keys[i:j:j], posts: posts[i:j:j]}
-		if len(level) > 0 {
-			level[len(level)-1].next = n
+	leaves := make([]bpnode, (len(keys)+fill-1)/fill)
+	level := make([]*bpnode, len(leaves))
+	seps := make([]Value, 0, len(leaves)) // smallest key of each node after the first
+	for l := range leaves {
+		i := l * fill
+		j := min(i+fill, len(keys))
+		n := &leaves[l]
+		*n = bpnode{leaf: true, keys: keys[i:j:j], posts: posts[i:j:j]}
+		if l > 0 {
+			level[l-1].next = n
 			seps = append(seps, n.keys[0])
 		}
-		level = append(level, n)
+		level[l] = n
 	}
 	for len(level) > 1 {
-		var up []*bpnode
-		var upSeps []Value
+		up := make([]*bpnode, 0, (len(level)+fill)/(fill+1))
+		upSeps := make([]Value, 0, cap(up))
 		for i := 0; i < len(level); i += fill + 1 {
-			j := i + fill + 1
-			if j > len(level) {
-				j = len(level)
-			}
+			j := min(i+fill+1, len(level))
 			n := &bpnode{
 				kids:  level[i:j:j],
 				keys:  seps[i : j-1 : j-1],
@@ -563,7 +580,7 @@ func dedupByPre(out []*Entry) []*Entry {
 	if len(out) < 2 {
 		return out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pre < out[j].pre })
+	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.pre, b.pre) })
 	w := 1
 	for _, e := range out[1:] {
 		if out[w-1] != e {

@@ -3,6 +3,7 @@ package dirtree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -39,6 +40,7 @@ func checkValueTree(t *testing.T, d *Directory, attr, step string) {
 	t.Helper()
 	tree := d.valueTree(attr)
 	model := referenceValues(d, attr)
+	checkNodes(t, tree, attr, step)
 
 	gotKeys := 0
 	pairs, nonText := 0, 0
@@ -81,6 +83,57 @@ func checkValueTree(t *testing.T, d *Directory, attr, step string) {
 	}
 	if got := tree.countRange(nil, nil); got != pairs {
 		t.Fatalf("%s: %s unbounded countRange %d, pairs %d", step, attr, got, pairs)
+	}
+}
+
+// checkNodes walks the tree node by node: every internal count equals its
+// kid's posting total, every separator splits its two neighbours (keys in
+// kids[i] < keys[i] <= keys in kids[i+1]), and the leaf chain links
+// exactly the leaves the descent reaches, left to right.
+func checkNodes(t *testing.T, tree *bptree, attr, step string) {
+	t.Helper()
+	if tree.root == nil {
+		return
+	}
+	var leaves []*bpnode
+	var walk func(n *bpnode, lo, hi *Value)
+	walk = func(n *bpnode, lo, hi *Value) {
+		if n.leaf {
+			for _, k := range n.keys {
+				if lo != nil && k.Compare(*lo) < 0 || hi != nil && k.Compare(*hi) >= 0 {
+					t.Fatalf("%s: %s key %v lies outside its separators", step, attr, k)
+				}
+			}
+			leaves = append(leaves, n)
+			return
+		}
+		if len(n.kids) != len(n.keys)+1 || len(n.count) != len(n.kids) {
+			t.Fatalf("%s: %s node has %d kids, %d keys, %d counts", step, attr, len(n.kids), len(n.keys), len(n.count))
+		}
+		for i, kid := range n.kids {
+			if n.count[i] != subCount(kid) {
+				t.Fatalf("%s: %s count[%d] = %d, kid holds %d", step, attr, i, n.count[i], subCount(kid))
+			}
+			klo, khi := lo, hi
+			if i > 0 {
+				klo = &n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				khi = &n.keys[i]
+			}
+			walk(kid, klo, khi)
+		}
+	}
+	walk(tree.root, nil, nil)
+	i := 0
+	for n := leaves[0]; n != nil; n = n.next {
+		if i == len(leaves) || leaves[i] != n {
+			t.Fatalf("%s: %s leaf chain leaves the tree's leaf order at leaf %d", step, attr, i)
+		}
+		i++
+	}
+	if i != len(leaves) {
+		t.Fatalf("%s: %s leaf chain links %d of %d leaves", step, attr, i, len(leaves))
 	}
 }
 
@@ -287,7 +340,8 @@ func TestValueIndexQueries(t *testing.T) {
 }
 
 // TestValueIndexLargeBulk bulk-builds a tree past several split levels
-// and cross-checks rank queries against brute force.
+// and cross-checks rank queries against brute force, over entries that
+// hold one value twice and over mixed Int/String keys.
 func TestValueIndexLargeBulk(t *testing.T) {
 	d := New(nil)
 	root, err := d.AddRoot("o=big", "org")
@@ -302,8 +356,17 @@ func TestValueIndexLargeBulk(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := int64(rng.Intn(2000))
-		e.AddValue("port", Int(v))
+		if i%97 == 0 {
+			e.SetValues("port", Int(v), Int(v)) // stored twice, indexed once
+		} else {
+			e.AddValue("port", Int(v))
+		}
 		vals = append(vals, v)
+		if i%2 == 0 {
+			e.AddValue("mixed", Int(int64(i%300)))
+		} else {
+			e.AddValue("mixed", String(fmt.Sprintf("m%d", i%300)))
+		}
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	for _, probe := range []int64{-5, 0, 17, 999, 1999, 2500} {
@@ -314,6 +377,43 @@ func TestValueIndexLargeBulk(t *testing.T) {
 		}
 	}
 	checkValueTree(t, d, "port", "bulk")
+	checkValueTree(t, d, "mixed", "bulk")
+
+	// The bulk build cuts every posting from one backing array, so an
+	// insert or a remove on key k must reallocate k's posting rather than
+	// write into k+1's, leaving both neighbours pointer-identical.
+	k := int64(-1)
+	for c := int64(1); c < 1999 && k < 0; c++ {
+		if d.ValueCount("port", Int(c-1)) > 0 && d.ValueCount("port", Int(c)) > 0 && d.ValueCount("port", Int(c+1)) > 0 {
+			k = c
+		}
+	}
+	if k < 0 {
+		t.Fatal("no three consecutive port keys")
+	}
+	neighbours := func() [2][]*Entry {
+		return [2][]*Entry{d.ValueEntries("port", Int(k-1)), d.ValueEntries("port", Int(k+1))}
+	}
+	before := neighbours()
+	want := [2][]*Entry{slices.Clone(before[0]), slices.Clone(before[1])}
+	untouched := func(op string) {
+		t.Helper()
+		for i, now := range neighbours() {
+			if &now[0] != &before[i][0] || !slices.Equal(now, want[i]) {
+				t.Fatalf("%s on key %d moved or changed the posting of key %d", op, k, k-1+2*int64(i))
+			}
+		}
+	}
+	e, err := d.AddChild(root, "cn=k", "host")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AddValue("port", Int(k)) // the largest pre rank: appended to k's posting
+	untouched("insert")
+	d.ValueEntries("port", Int(k))[0].SetValues("port")
+	untouched("remove")
+	checkValueTree(t, d, "port", "bulk+insert+remove")
+
 	// Incremental inserts after a bulk build must keep splitting cleanly.
 	for i := 0; i < 2000; i++ {
 		e, err := d.AddChild(root, fmt.Sprintf("cn=x%d", i), "host")
@@ -323,6 +423,32 @@ func TestValueIndexLargeBulk(t *testing.T) {
 		e.AddValue("port", Int(int64(rng.Intn(2000))))
 	}
 	checkValueTree(t, d, "port", "bulk+incremental")
+}
+
+// TestValueTreeBuildAllocs is the bulk build's allocation ratchet: pairs,
+// keys, postings and leaves each take one allocation whatever the size,
+// so a build over n distinct keys allocates far less than once per key.
+func TestValueTreeBuildAllocs(t *testing.T) {
+	for _, n := range []int{1000, 8000, 32000} {
+		d := New(nil)
+		root, err := d.AddRoot("o=big", "org")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			e, err := d.AddChild(root, fmt.Sprintf("cn=e%d", i), "host")
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.AddValue("name", String(fmt.Sprintf("n%06d", i*7919%n))) // distinct, not in pre-order
+		}
+		d.EnsureEncoded()
+		allocs := testing.AllocsPerRun(3, func() { d.buildValueTree("name") })
+		t.Logf("%d keys: %.0f allocations", n, allocs)
+		if allocs/float64(n) > 0.1 {
+			t.Errorf("%d keys: %.0f allocations, want at most 0.1 per key", n, allocs)
+		}
+	}
 }
 
 // FuzzValueIndex drives the index with an arbitrary op tape against the

@@ -66,6 +66,20 @@ func TestDNConstruction(t *testing.T) {
 	}
 }
 
+var dnSink string
+
+// TestEntryDNAllocs: a root's DN is its RDN, and any other DN is built
+// in one allocation however deep the entry sits.
+func TestEntryDNAllocs(t *testing.T) {
+	_, es := buildWhitePages(t)
+	if n := testing.AllocsPerRun(100, func() { dnSink = es["att"].DN() }); n != 0 {
+		t.Errorf("root DN: %.0f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { dnSink = es["laks"].DN() }); n != 1 {
+		t.Errorf("depth-3 DN: %.0f allocations, want 1", n)
+	}
+}
+
 func TestObjectClassAttributeSync(t *testing.T) {
 	// Condition 3(b) of Definition 2.1: objectClass values are exactly
 	// the class set, in both directions.

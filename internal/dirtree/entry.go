@@ -37,13 +37,24 @@ func (e *Entry) RDN() string { return e.rdn }
 
 // DN returns the entry's distinguished name: its RDN followed by the DNs of
 // its ancestors, leaf-first, comma-separated, in the LDAP convention
-// ("uid=laks,ou=databases,ou=attLabs,o=att").
+// ("uid=laks,ou=databases,ou=attLabs,o=att"). A root's DN is its RDN and
+// costs no allocation; any other DN is built in exactly one.
 func (e *Entry) DN() string {
-	var parts []string
-	for n := e; n != nil; n = n.parent {
-		parts = append(parts, n.rdn)
+	if e.parent == nil {
+		return e.rdn
 	}
-	return strings.Join(parts, ",")
+	size := len(e.rdn)
+	for n := e.parent; n != nil; n = n.parent {
+		size += 1 + len(n.rdn)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(e.rdn)
+	for n := e.parent; n != nil; n = n.parent {
+		b.WriteByte(',')
+		b.WriteString(n.rdn)
+	}
+	return b.String()
 }
 
 // Parent returns the entry's parent, or nil if the entry is a forest root.

@@ -16,7 +16,8 @@
 package hquery
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"boundschema/internal/dirtree"
@@ -445,7 +446,7 @@ func probeDesc(m matcher, right []*dirtree.Entry) []*dirtree.Entry {
 }
 
 func sortByPre(es []*dirtree.Entry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Pre() < es[j].Pre() })
+	slices.SortFunc(es, func(a, b *dirtree.Entry) int { return cmp.Compare(a.Pre(), b.Pre()) })
 }
 
 // joinChild keeps the left entries having a child in right: hash the

@@ -85,14 +85,16 @@ func (j *journal) append(recs ...[]byte) error {
 	return nil
 }
 
-// OpenJournal prepares the durable state at path by running the full
-// recovery pipeline (recover.go): load the compacted snapshot
-// <path>.snapshot when one exists, scan the journal validating record
-// checksums and sequence continuity, truncate a torn tail, quarantine
-// corruption (refusing to serve), replay the committed transactions, and
-// prove the recovered instance legal before accepting connections. Every
-// future successful COMMIT is then appended as checksummed LDIF change
-// records — so a restart with the same arguments reproduces the state.
+// OpenJournal prepares the durable state at path by running the recovery
+// pipeline (recover.go): load the compacted snapshot <path>.snapshot when
+// one exists, proving it legal; scan the journal validating record
+// checksums and sequence continuity; truncate a torn tail; quarantine
+// corruption (refusing to serve); and replay the committed transactions
+// through the Figure 5 Δ-checks. The base was proven legal, so by
+// Theorem 4.2 the recovered instance is too, without a second full proof.
+// Every future successful COMMIT is then appended as checksummed LDIF
+// change records — so a restart with the same arguments reproduces the
+// state.
 func (s *Server) OpenJournal(path string) error {
 	rep, err := s.recoverJournal(path)
 	s.metrics.noteRecovery(rep)

@@ -84,6 +84,11 @@ type Server struct {
 	// on hquery.Binding).
 	mu  sync.RWMutex
 	dir *dirtree.Directory
+	// baseProofUs is the duration, in µs, of the full legality proof of
+	// the instance recovery replays onto: New's, or the loaded snapshot's.
+	// Replay Δ-checks every record on top of it, so startup proves nothing
+	// more and reports this as recovery_legality_us.
+	baseProofUs int64
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -166,19 +171,22 @@ type Server struct {
 // served directory is always legal" holds from the start.
 func New(schema *core.Schema, name string, dir *dirtree.Directory) (*Server, error) {
 	checker := core.NewChecker(schema)
+	t0 := time.Now()
 	if r := checker.Check(dir); !r.Legal() {
 		return nil, fmt.Errorf("server: initial instance is illegal:\n%s", r)
 	}
+	proofUs := time.Since(t0).Microseconds()
 	s := &Server{
-		schema:  schema,
-		name:    name,
-		applier: txn.NewApplier(schema),
-		checker: checker,
-		dir:     dir,
-		closed:  make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
-		metrics: newMetrics(),
-		fs:      vfs.OS{},
+		schema:      schema,
+		name:        name,
+		applier:     txn.NewApplier(schema),
+		checker:     checker,
+		dir:         dir,
+		baseProofUs: proofUs,
+		closed:      make(chan struct{}),
+		conns:       make(map[net.Conn]struct{}),
+		metrics:     newMetrics(),
+		fs:          vfs.OS{},
 	}
 	checker.OnTiming = s.metrics.noteCheckTiming
 	s.epoch.Store(1)
