@@ -8,12 +8,14 @@ import (
 )
 
 // Differential-testing oracle: the Checker's one engine must agree with
-// itself across chunk widths and with two independent references on
+// itself across chunk widths and with three independent references on
 // every instance.
 //
 //   - the Checker at one worker (Concurrency = 1) and at a wider pool
 //     (Concurrency > 1) must produce byte-identical reports, which pins
 //     the merge order of chunks and per-element jobs (see parallel.go);
+//   - naiveContentCheck (naive.go), every entry decided from scratch,
+//     must produce CheckContent's report byte for byte at both widths;
 //   - naiveKeyCheck (naive.go), a plain pre-order map scan, must produce
 //     CheckKeys' report byte for byte at both widths;
 //   - the quadratic NaiveStructureCheck (naive.go) must produce the same
@@ -46,6 +48,14 @@ func DiffEngines(s *Schema, d *dirtree.Directory, concurrency, maxWitnesses int)
 	}
 	if oneReport.Truncated != wideReport.Truncated {
 		return fmt.Errorf("difforacle: truncation flags diverge: 1 worker=%v %d workers=%v", oneReport.Truncated, concurrency, wideReport.Truncated)
+	}
+
+	// Content reference: byte-identical content reports at both widths.
+	naiveContent := naiveContentCheck(s, d).String()
+	for _, c := range []*Checker{one, wide} {
+		if got := c.CheckContent(d).String(); got != naiveContent {
+			return fmt.Errorf("difforacle: content reports diverge at %d worker(s)\n--- naive ---\n%s\n--- CheckContent ---\n%s", c.Concurrency, naiveContent, got)
+		}
 	}
 
 	// Key reference: byte-identical key reports at both widths.

@@ -310,7 +310,7 @@ func CheckEvolution(new *Schema, d *dirtree.Directory, plan *EvolutionPlan) *Rep
 					continue
 				}
 				seen[e.ID()] = struct{}{}
-				checker.checkEntry(e, r)
+				checker.checkEntry(checker.memoFor(e.ClassSet()), e, r)
 			}
 		}
 	}

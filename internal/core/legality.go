@@ -3,14 +3,16 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"boundschema/internal/dirtree"
 )
 
 // Checker tests legality of directory instances against one schema
-// (Section 3). It is stateless apart from the schema and safe for
-// concurrent use.
+// (Section 3). Its only state besides the schema is a cache of the
+// content decisions for legal class sets, so the schema must not change
+// once the checker is in use; it is safe for concurrent use.
 type Checker struct {
 	schema *Schema
 	// MaxWitnesses caps the number of violations reported per schema
@@ -30,6 +32,8 @@ type Checker struct {
 	// Concurrency knob resolved to and the wall time. It must be safe for
 	// concurrent use; the server's metrics layer hooks in here.
 	OnTiming func(CheckTiming)
+
+	cache memoCache // content decisions of legal class sets (memoFor)
 }
 
 // CheckTiming describes one top-level Check invocation.
@@ -79,35 +83,56 @@ func (c *Checker) CheckContent(d *dirtree.Directory) *Report {
 // Section 3.1.
 func (c *Checker) CheckEntry(e *dirtree.Entry) *Report {
 	r := &Report{}
-	c.checkEntry(e, r)
+	c.checkEntry(c.memoFor(e.ClassSet()), e, r)
 	return r
 }
 
 // EntryLegal reports whether the entry satisfies the content schema.
 func (c *Checker) EntryLegal(e *dirtree.Entry) bool {
 	r := &Report{}
-	c.checkEntry(e, r)
+	c.checkEntry(c.memoFor(e.ClassSet()), e, r)
 	return r.Legal()
 }
 
-// checkEntry runs once per entry of the instance on every full check, so
-// its legal path does not allocate: the sorted class, attribute and
-// superclass-chain lists live in stack buffers (spilling to the heap only
-// for an entry with more names than any schema here gives one), and
-// ρr(c) is sorted only when an attribute is actually missing. Per-entry
-// garbage on a 100k-entry instance is a collector cycle every few CHECKs,
-// and a CHECK that overlaps one takes up to twice as long as one that
-// does not (TestEntryCheckDoesNotAllocate pins the zero).
-func (c *Checker) checkEntry(e *dirtree.Entry, r *Report) {
-	cs := c.schema.Classes
-	var classBuf, attrBuf [16]string
-	var chainBuf [8]string
-	classes := e.AppendClasses(classBuf[:0])
+// The content check decides the class schema once per class set, not
+// once per entry. Everything Definition 2.3 (class-schema conditions 1–4)
+// and Definition 2.2 (ρr, ρa) say about an entry depends on its classes
+// alone, and dirtree interns class sets, so entries with equal classes
+// share one *dirtree.ClassSet; a whitepages instance of 100k entries has
+// about a dozen. A setMemo holds that decision, built from the set's
+// sorted names. checkEntry, the per-entry pass, stamps the memo's class
+// violations with the entry, tests each required attribute with HasAttr,
+// merges the entry's sorted attribute names against the sorted allowed
+// union, and types the values. A full check builds one memo per live set
+// (checkContent); the single-entry paths read a per-checker cache of
+// legal sets (memoFor). naiveContentCheck (naive.go) is the per-entry
+// reference the differential oracle holds this to, byte for byte.
+
+// setMemo is the content check's decision for one class set.
+type setMemo struct {
+	// class holds the violations of class-schema conditions 1–4, in
+	// emission order, with no Entry: templates for every entry of the set.
+	class []Violation
+	// required is the (class, ρr(class)) list, by sorted class then
+	// sorted attribute, with each pair's missing-attribute detail.
+	required []requiredAttr
+	// allowed is the union of ρa over the set, sorted.
+	allowed []string
+}
+
+type requiredAttr struct {
+	attr, detail string
+}
+
+// newSetMemo decides the class-dependent content conditions for set.
+func newSetMemo(s *Schema, set *dirtree.ClassSet) *setMemo {
+	m := &setMemo{}
+	cs, classes := s.Classes, set.Names
 
 	// Class schema, condition 1: only declared object classes.
 	for _, cls := range classes {
 		if !cs.Declared(cls) {
-			r.Add(Violation{Kind: ViolationUnknownClass, Entry: e,
+			m.class = append(m.class, Violation{Kind: ViolationUnknownClass,
 				Detail: fmt.Sprintf("object class %s is not declared in the schema", cls)})
 		}
 	}
@@ -124,29 +149,24 @@ func (c *Checker) checkEntry(e *dirtree.Entry, r *Report) {
 		}
 	}
 	if nCore == 0 {
-		r.Add(Violation{Kind: ViolationNoCoreClass, Entry: e,
+		m.class = append(m.class, Violation{Kind: ViolationNoCoreClass,
 			Detail: "entry belongs to no core object class"})
 	} else {
-		// Condition 3 (single inheritance): the entry's core classes must
-		// be exactly the superclass chain of its deepest core class — the
-		// chain members must all be present (ci ⇒ cj) and nothing off the
-		// chain may be present (ci ⊗ cj). Walking one chain of length
-		// ≤ depth(H) checks both directions.
-		chain := chainBuf[:0]
+		// Condition 3 (single inheritance): the core classes must be
+		// exactly the superclass chain of the deepest one — every chain
+		// member present (ci ⇒ cj), nothing off the chain (ci ⊗ cj).
+		var chain []string
 		for sup, ok := deepest, true; ok; sup, ok = cs.Superclass(sup) {
 			chain = append(chain, sup)
-			if !e.HasClass(sup) {
-				r.Add(Violation{Kind: ViolationInheritance, Entry: e,
+			if !set.Has(sup) {
+				m.class = append(m.class, Violation{Kind: ViolationInheritance,
 					Element: Subclass{Sub: deepest, Super: sup},
 					Detail:  fmt.Sprintf("belongs to %s but not to its superclass %s", deepest, sup)})
 			}
 		}
 		for _, cls := range classes {
-			if !cs.IsCore(cls) {
-				continue
-			}
-			if !slices.Contains(chain, cls) {
-				r.Add(Violation{Kind: ViolationIncomparable, Entry: e,
+			if cs.IsCore(cls) && !slices.Contains(chain, cls) {
+				m.class = append(m.class, Violation{Kind: ViolationIncomparable,
 					Element: Disjoint{A: deepest, B: cls},
 					Detail:  fmt.Sprintf("core classes %s and %s are incomparable", deepest, cls)})
 			}
@@ -154,7 +174,7 @@ func (c *Checker) checkEntry(e *dirtree.Entry, r *Report) {
 	}
 
 	// Class schema, condition 4: every auxiliary class must be allowed by
-	// some core class of the entry.
+	// some core class of the set.
 	for _, cls := range classes {
 		if !cs.IsAux(cls) {
 			continue
@@ -167,50 +187,90 @@ func (c *Checker) checkEntry(e *dirtree.Entry, r *Report) {
 			}
 		}
 		if !ok {
-			r.Add(Violation{Kind: ViolationDisallowedAux, Entry: e,
+			m.class = append(m.class, Violation{Kind: ViolationDisallowedAux,
 				Detail: fmt.Sprintf("auxiliary class %s is not allowed by any of the entry's core classes", cls)})
 		}
 	}
 
-	// Attribute schema, condition 1: required attributes present.
-	as := c.schema.Attrs
+	// Attribute schema: the flattened ρr list and the ρa union.
+	allowed := make(map[string]struct{})
 	for _, cls := range classes {
-		// The sorted ρr(c) only fixes the order of the violations, so it is
-		// built only when there is one to report.
-		missing := false
-		for a := range as.required[cls] {
-			if !e.HasAttr(a) {
-				missing = true
-				break
-			}
+		for _, a := range s.Attrs.Required(cls) {
+			m.required = append(m.required, requiredAttr{a, fmt.Sprintf("class %s requires attribute %s", cls, a)})
 		}
-		if !missing {
-			continue
+		for a := range s.Attrs.allowed[cls] {
+			allowed[a] = struct{}{}
 		}
-		for _, a := range as.Required(cls) {
-			if !e.HasAttr(a) {
-				r.Add(Violation{Kind: ViolationMissingAttr, Entry: e,
-					Detail: fmt.Sprintf("class %s requires attribute %s", cls, a)})
-			}
+	}
+	m.allowed = sortedKeys(allowed)
+	return m
+}
+
+// memoCache holds the memos of the class sets with no class-condition
+// violation, keyed by dirtree.ClassSet.Key, for the single-entry paths.
+// Only legal sets are kept, so its size is bounded by the schema, not by
+// the class names clients send.
+type memoCache struct {
+	mu    sync.Mutex
+	memos map[string]*setMemo
+}
+
+// memoFor returns the memo of set, from the checker's cache when the set
+// has been seen before: the single-entry paths' legal path allocates
+// nothing once the cache is warm.
+func (c *Checker) memoFor(set *dirtree.ClassSet) *setMemo {
+	c.cache.mu.Lock()
+	m := c.cache.memos[set.Key()]
+	c.cache.mu.Unlock()
+	if m != nil {
+		return m
+	}
+	m = newSetMemo(c.schema, set)
+	if len(m.class) == 0 {
+		c.cache.mu.Lock()
+		if c.cache.memos == nil {
+			c.cache.memos = make(map[string]*setMemo)
+		}
+		c.cache.memos[set.Key()] = m
+		c.cache.mu.Unlock()
+	}
+	return m
+}
+
+// checkEntry is the per-entry pass over e, whose class set m decides. It
+// runs once per entry of the instance on every full check, so its legal
+// path does not allocate: the sorted attribute names live in a stack
+// buffer (spilling to the heap only for an entry with more attributes
+// than any schema here gives one). Per-entry garbage on a 100k-entry
+// instance is a collector cycle every few CHECKs
+// (TestEntryCheckDoesNotAllocate pins the zero).
+func (c *Checker) checkEntry(m *setMemo, e *dirtree.Entry, r *Report) {
+	for _, v := range m.class {
+		v.Entry = e
+		r.Add(v)
+	}
+
+	// Attribute schema, condition 1: required attributes present.
+	for _, ra := range m.required {
+		if !e.HasAttr(ra.attr) {
+			r.Add(Violation{Kind: ViolationMissingAttr, Entry: e, Detail: ra.detail})
 		}
 	}
 
-	// Attribute schema, condition 2: only allowed attributes present.
-	// objectClass is implicitly allowed everywhere (Definition 2.1 ties
-	// it to the class set).
+	// Attribute schema, condition 2: only allowed attributes present, a
+	// merge of two sorted lists. objectClass is implicitly allowed
+	// everywhere (Definition 2.1 ties it to the class set).
+	var attrBuf [16]string
 	attrs := e.AppendAttrNames(attrBuf[:0])
+	allowed := m.allowed
 	for _, a := range attrs {
 		if a == dirtree.AttrObjectClass {
 			continue
 		}
-		ok := false
-		for _, cls := range classes {
-			if as.IsAllowed(cls, a) {
-				ok = true
-				break
-			}
+		for len(allowed) > 0 && allowed[0] < a {
+			allowed = allowed[1:]
 		}
-		if !ok {
+		if len(allowed) == 0 || allowed[0] != a {
 			r.Add(Violation{Kind: ViolationDisallowedAttr, Entry: e,
 				Detail: fmt.Sprintf("attribute %s is allowed by none of the entry's classes", a)})
 		}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -385,4 +387,52 @@ func TestReportPlumbing(t *testing.T) {
 	if ViolationMissingClass.Content() || !ViolationDisallowedAux.Content() {
 		t.Errorf("Content() classification wrong")
 	}
+}
+
+// TestMemoCacheHoldsLegalSetsOnly pins the single-entry cache's bound:
+// entries whose class sets break a class-schema condition are decided
+// afresh and never cached, so client-chosen class names cannot grow it.
+func TestMemoCacheHoldsLegalSetsOnly(t *testing.T) {
+	s := whitePagesSchema(t)
+	d := whitePagesInstance(t, s)
+	c := NewChecker(s)
+	laks := entryByRDN(t, d, "uid=laks")
+	for i := 0; i < 100; i++ {
+		e, err := d.AddChild(laks.Parent(), fmt.Sprintf("uid=novel%d", i), "person", "top", fmt.Sprintf("novel%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.EntryLegal(e) {
+			t.Fatalf("%s with an undeclared class is content-legal", e.DN())
+		}
+	}
+	if !c.EntryLegal(laks) {
+		t.Fatal("laks should be content-legal")
+	}
+	if n := len(c.cache.memos); n != 1 {
+		t.Fatalf("cache holds %d memos after one legal set, want 1", n)
+	}
+}
+
+// TestMemoCacheConcurrent runs the single-entry path from several
+// goroutines on a cold checker, so the race detector sees the cache
+// filled and read at once.
+func TestMemoCacheConcurrent(t *testing.T) {
+	s := whitePagesSchema(t)
+	d := whitePagesInstance(t, s)
+	d.EnsureEncoded()
+	c := NewChecker(s)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, e := range d.Entries() {
+				if !c.EntryLegal(e) {
+					t.Errorf("%s should be content-legal", e.DN())
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"boundschema/internal/dirtree"
 )
@@ -119,4 +120,159 @@ func naiveKeyCheck(s *Schema, d *dirtree.Directory) *Report {
 		}
 	}
 	return r
+}
+
+// naiveContentCheck is the content-schema reference that DiffEngines
+// holds Checker.CheckContent against: every entry, in pre-order, decided
+// from scratch against the class schema (Definition 2.3), the attribute
+// schema (Definition 2.2) and the registry's typing, with no state shared
+// between entries. CheckContent, which decides each class set once
+// (legality.go), must produce a byte-identical report at every worker
+// count.
+func naiveContentCheck(s *Schema, d *dirtree.Directory) *Report {
+	r := &Report{}
+	for _, e := range d.Entries() {
+		naiveCheckEntry(s, e, r)
+	}
+	return r
+}
+
+func naiveCheckEntry(s *Schema, e *dirtree.Entry, r *Report) {
+	cs := s.Classes
+	var classBuf, attrBuf [16]string
+	var chainBuf [8]string
+	classes := e.AppendClasses(classBuf[:0])
+
+	// Class schema, condition 1: only declared object classes.
+	for _, cls := range classes {
+		if !cs.Declared(cls) {
+			r.Add(Violation{Kind: ViolationUnknownClass, Entry: e,
+				Detail: fmt.Sprintf("object class %s is not declared in the schema", cls)})
+		}
+	}
+
+	// Class schema, condition 2: at least one core class; and find the
+	// deepest core class for the single-inheritance check.
+	deepest, nCore := "", 0
+	for _, cls := range classes {
+		if cs.IsCore(cls) {
+			nCore++
+			if deepest == "" || cs.DepthOf(cls) > cs.DepthOf(deepest) {
+				deepest = cls
+			}
+		}
+	}
+	if nCore == 0 {
+		r.Add(Violation{Kind: ViolationNoCoreClass, Entry: e,
+			Detail: "entry belongs to no core object class"})
+	} else {
+		// Condition 3 (single inheritance): the entry's core classes must
+		// be exactly the superclass chain of its deepest core class — the
+		// chain members must all be present (ci ⇒ cj) and nothing off the
+		// chain may be present (ci ⊗ cj). Walking one chain of length
+		// ≤ depth(H) checks both directions.
+		chain := chainBuf[:0]
+		for sup, ok := deepest, true; ok; sup, ok = cs.Superclass(sup) {
+			chain = append(chain, sup)
+			if !e.HasClass(sup) {
+				r.Add(Violation{Kind: ViolationInheritance, Entry: e,
+					Element: Subclass{Sub: deepest, Super: sup},
+					Detail:  fmt.Sprintf("belongs to %s but not to its superclass %s", deepest, sup)})
+			}
+		}
+		for _, cls := range classes {
+			if !cs.IsCore(cls) {
+				continue
+			}
+			if !slices.Contains(chain, cls) {
+				r.Add(Violation{Kind: ViolationIncomparable, Entry: e,
+					Element: Disjoint{A: deepest, B: cls},
+					Detail:  fmt.Sprintf("core classes %s and %s are incomparable", deepest, cls)})
+			}
+		}
+	}
+
+	// Class schema, condition 4: every auxiliary class must be allowed by
+	// some core class of the entry.
+	for _, cls := range classes {
+		if !cs.IsAux(cls) {
+			continue
+		}
+		ok := false
+		for _, cc := range classes {
+			if cs.IsCore(cc) && cs.AuxAllowed(cc, cls) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			r.Add(Violation{Kind: ViolationDisallowedAux, Entry: e,
+				Detail: fmt.Sprintf("auxiliary class %s is not allowed by any of the entry's core classes", cls)})
+		}
+	}
+
+	// Attribute schema, condition 1: required attributes present.
+	as := s.Attrs
+	for _, cls := range classes {
+		// The sorted ρr(c) only fixes the order of the violations, so it is
+		// built only when there is one to report.
+		missing := false
+		for a := range as.required[cls] {
+			if !e.HasAttr(a) {
+				missing = true
+				break
+			}
+		}
+		if !missing {
+			continue
+		}
+		for _, a := range as.Required(cls) {
+			if !e.HasAttr(a) {
+				r.Add(Violation{Kind: ViolationMissingAttr, Entry: e,
+					Detail: fmt.Sprintf("class %s requires attribute %s", cls, a)})
+			}
+		}
+	}
+
+	// Attribute schema, condition 2: only allowed attributes present.
+	// objectClass is implicitly allowed everywhere (Definition 2.1 ties
+	// it to the class set).
+	attrs := e.AppendAttrNames(attrBuf[:0])
+	for _, a := range attrs {
+		if a == dirtree.AttrObjectClass {
+			continue
+		}
+		ok := false
+		for _, cls := range classes {
+			if as.IsAllowed(cls, a) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			r.Add(Violation{Kind: ViolationDisallowedAttr, Entry: e,
+				Detail: fmt.Sprintf("attribute %s is allowed by none of the entry's classes", a)})
+		}
+	}
+
+	// Typing (Definition 2.1 condition 3(a)) and single-valued
+	// declarations (Section 6.1), when a registry is present.
+	if reg := s.Registry; reg != nil {
+		for _, a := range attrs {
+			if a == dirtree.AttrObjectClass {
+				continue
+			}
+			vs := e.Attr(a)
+			for _, v := range vs {
+				if err := reg.CheckValue(a, v); err != nil {
+					r.Add(Violation{Kind: ViolationTyping, Entry: e, Detail: err.Error()})
+					break
+				}
+			}
+			if reg.SingleValued(a) && len(vs) > 1 {
+				r.Add(Violation{Kind: ViolationTyping, Entry: e,
+					Detail: fmt.Sprintf("attribute %s is single-valued but has %d values", a, len(vs))})
+			}
+		}
+	}
 }

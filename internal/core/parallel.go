@@ -117,11 +117,20 @@ func chunkBounds(n, chunks int) [][2]int {
 
 func (c *Checker) checkContent(d *dirtree.Directory, workers int) *Report {
 	entries := d.Entries() // brings the encoding current before the fan-out
+	// One decision per live class set, made before the fan-out; workers
+	// only index it by the entry's set ID.
+	sets := d.ClassSets()
+	memos := make([]*setMemo, len(sets))
+	for i, set := range sets {
+		if set != nil {
+			memos[i] = newSetMemo(c.schema, set)
+		}
+	}
 	bounds := chunkBounds(len(entries), workers*chunksPerWorker)
 	reports := make([]Report, len(bounds))
 	runPool(workers, len(bounds), func(i int) {
 		for _, e := range entries[bounds[i][0]:bounds[i][1]] {
-			c.checkEntry(e, &reports[i])
+			c.checkEntry(memos[e.ClassSet().ID], e, &reports[i])
 		}
 	})
 	out := &Report{}

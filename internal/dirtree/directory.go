@@ -16,11 +16,12 @@ import (
 // A Directory is not safe for concurrent mutation; concurrent read-only use
 // is safe once EnsureEncoded has been called.
 type Directory struct {
-	reg    *Registry
-	roots  []*Entry
-	byID   map[int]*Entry
-	byDN   map[string]*Entry
-	nextID int
+	reg     *Registry
+	roots   []*Entry
+	byID    map[int]*Entry
+	byDN    map[string]*Entry
+	nextID  int
+	classes classTable // the live entries' interned class sets
 
 	epoch        uint64
 	encodedEpoch uint64
@@ -39,13 +40,15 @@ type Directory struct {
 // New returns an empty directory using reg for attribute typing. A nil reg
 // leaves all attributes string-typed and multi-valued.
 func New(reg *Registry) *Directory {
-	return &Directory{
+	d := &Directory{
 		reg:          reg,
 		byID:         make(map[int]*Entry),
 		byDN:         make(map[string]*Entry),
 		epoch:        1, // force initial encoding
 		encodedEpoch: 0,
 	}
+	d.classes.init()
+	return d
 }
 
 // Registry returns the attribute registry the directory was created with;
@@ -91,20 +94,18 @@ func (d *Directory) add(parent *Entry, rdn string, classes []string) (*Entry, er
 		return nil, fmt.Errorf("dirtree: invalid RDN %q", rdn)
 	}
 	e := &Entry{
-		dir:     d,
-		id:      d.nextID,
-		rdn:     rdn,
-		parent:  parent,
-		classes: make(map[string]struct{}, len(classes)),
+		dir:    d,
+		id:     d.nextID,
+		rdn:    rdn,
+		parent: parent,
 	}
 	dn := e.DN()
 	if d.byDN[dn] != nil {
 		return nil, fmt.Errorf("dirtree: entry %s already exists", dn)
 	}
 	d.nextID++
-	for _, c := range classes {
-		e.classes[c] = struct{}{}
-	}
+	var buf [16]string
+	e.cls = d.classes.intern(append(buf[:0], classes...))
 	if parent == nil {
 		d.roots = append(d.roots, e)
 	} else {
@@ -139,6 +140,7 @@ func (d *Directory) DeleteLeaf(e *Entry) error {
 	d.detach(e)
 	delete(d.byID, e.id)
 	delete(d.byDN, e.DN())
+	d.classes.release(e.cls)
 	e.dir = nil
 	return nil
 }
@@ -157,6 +159,7 @@ func (d *Directory) DeleteSubtree(root *Entry) (int, error) {
 		}
 		delete(d.byID, e.id)
 		delete(d.byDN, e.DN())
+		d.classes.release(e.cls)
 		e.dir = nil
 		n++
 	}
@@ -208,7 +211,7 @@ func (d *Directory) GraftSubtreeAt(parent *Entry, src *Entry, i int) (*Entry, er
 	}
 	var copyRec func(p *Entry, s *Entry) (*Entry, error)
 	copyRec = func(p *Entry, s *Entry) (*Entry, error) {
-		e, err := d.add(p, s.rdn, s.Classes())
+		e, err := d.add(p, s.rdn, s.cls.Names)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +285,7 @@ func (d *Directory) EnsureEncoded() {
 		e.depth = depth
 		pre++
 		d.order = append(d.order, e)
-		for c := range e.classes {
+		for _, c := range e.cls.Names {
 			d.classIndex[c] = append(d.classIndex[c], e)
 		}
 		for _, c := range e.children {
@@ -344,7 +347,7 @@ func (d *Directory) Clone() *Directory {
 	out := New(d.reg)
 	var copyRec func(parent *Entry, src *Entry)
 	copyRec = func(parent *Entry, src *Entry) {
-		e, err := out.add(parent, src.rdn, src.Classes())
+		e, err := out.add(parent, src.rdn, src.cls.Names)
 		if err != nil {
 			// Cannot happen: the source directory has unique DNs.
 			panic(err)
@@ -363,28 +366,6 @@ func (d *Directory) Clone() *Directory {
 	return out
 }
 
-// CheckTyping verifies condition 3(a) of Definition 2.1 (every value lies
-// in the domain of its attribute's type) and, when the registry declares
-// single-valued attributes, that no such attribute carries more than one
-// value. It returns one error per offending (entry, attribute).
-func (d *Directory) CheckTyping() []error {
-	var errs []error
-	for _, e := range d.Entries() {
-		for name, vs := range e.attrs {
-			for _, v := range vs {
-				if err := d.reg.CheckValue(name, v); err != nil {
-					errs = append(errs, fmt.Errorf("%s: %v", e.DN(), err))
-					break
-				}
-			}
-			if d.reg.SingleValued(name) && len(vs) > 1 {
-				errs = append(errs, fmt.Errorf("%s: attribute %s is single-valued but has %d values", e.DN(), name, len(vs)))
-			}
-		}
-	}
-	return errs
-}
-
 // String renders the forest as an indented outline, for diagnostics and
 // golden tests.
 func (d *Directory) String() string {
@@ -394,7 +375,7 @@ func (d *Directory) String() string {
 		b.WriteString(strings.Repeat("  ", depth))
 		b.WriteString(e.rdn)
 		b.WriteString(" (")
-		b.WriteString(strings.Join(e.Classes(), ","))
+		b.WriteString(strings.Join(e.cls.Names, ","))
 		b.WriteString(")\n")
 		for _, c := range e.children {
 			walk(c, depth+1)

@@ -395,25 +395,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestCheckTyping(t *testing.T) {
-	r := NewRegistry()
-	r.Declare("age", TypeInt)
-	r.DeclareSingle("ssn", TypeString)
-	d := New(r)
-	e, _ := d.AddRoot("uid=x", "person", "top")
-	e.AddValue("age", Int(5))
-	e.AddValue("ssn", String("123"))
-	if errs := d.CheckTyping(); len(errs) != 0 {
-		t.Fatalf("unexpected typing errors: %v", errs)
-	}
-	e.AddValue("age", String("five"))
-	e.AddValue("ssn", String("456"))
-	errs := d.CheckTyping()
-	if len(errs) != 2 {
-		t.Fatalf("got %d typing errors, want 2: %v", len(errs), errs)
-	}
-}
-
 func TestTypeParse(t *testing.T) {
 	for _, tt := range []Type{TypeString, TypeInt, TypeBool, TypeDN, TypeTel} {
 		got, err := ParseType(tt.String())

@@ -21,8 +21,8 @@ type Entry struct {
 	parent   *Entry // nil for roots
 	children []*Entry
 
-	classes map[string]struct{}
-	attrs   map[string][]Value
+	cls   *ClassSet // interned in dir's class table
+	attrs map[string][]Value
 
 	// Interval encoding, valid while dir.encodedEpoch == dir.epoch.
 	pre, post, depth int
@@ -71,57 +71,48 @@ func (e *Entry) IsLeaf() bool { return len(e.children) == 0 }
 func (e *Entry) Directory() *Directory { return e.dir }
 
 // HasClass reports whether the entry belongs to object class c.
-func (e *Entry) HasClass(c string) bool {
-	_, ok := e.classes[c]
-	return ok
-}
+func (e *Entry) HasClass(c string) bool { return e.cls.Has(c) }
 
-// Classes returns the entry's object classes in sorted order.
+// ClassSet returns the entry's interned class set, shared with every
+// entry of the directory that has the same classes. It is immutable.
+func (e *Entry) ClassSet() *ClassSet { return e.cls }
+
+// Classes returns the entry's object classes in sorted order, in a
+// slice the caller owns.
 func (e *Entry) Classes() []string {
-	return e.AppendClasses(make([]string, 0, len(e.classes)))
+	return e.AppendClasses(make([]string, 0, len(e.cls.Names)))
 }
 
 // AppendClasses appends the entry's object classes, sorted, to dst and
-// returns the extended slice — Classes for a caller that brings its own
-// buffer (the per-entry legality check runs once per entry of the
-// instance and must not allocate).
-func (e *Entry) AppendClasses(dst []string) []string {
-	n := len(dst)
-	for c := range e.classes {
-		dst = append(dst, c)
-	}
-	slices.Sort(dst[n:])
-	return dst
-}
+// returns the extended slice.
+func (e *Entry) AppendClasses(dst []string) []string { return append(dst, e.cls.Names...) }
 
 // NumClasses returns |class(e)|.
-func (e *Entry) NumClasses() int { return len(e.classes) }
+func (e *Entry) NumClasses() int { return len(e.cls.Names) }
 
 // AddClass adds object class c to the entry. Adding a class the entry
 // already belongs to is a no-op.
 func (e *Entry) AddClass(c string) {
-	if _, ok := e.classes[c]; ok {
+	if e.HasClass(c) {
 		return
 	}
-	e.classes[c] = struct{}{}
-	if e.dir.patchable() {
-		e.dir.insertPosting(c, e) // ranks untouched; one posting-list splice
-	} else {
-		e.dir.touchContent()
-	}
+	var buf [16]string
+	e.setClasses(append(append(buf[:0], e.cls.Names...), c))
 }
 
 // RemoveClass removes object class c from the entry if present.
 func (e *Entry) RemoveClass(c string) {
-	if _, ok := e.classes[c]; !ok {
+	if !e.HasClass(c) {
 		return
 	}
-	if e.dir.patchable() {
-		e.dir.removePosting(c, e)
-	} else {
-		e.dir.touchContent()
+	var buf [16]string
+	names := buf[:0]
+	for _, n := range e.cls.Names {
+		if n != c {
+			names = append(names, n)
+		}
 	}
-	delete(e.classes, c)
+	e.setClasses(names)
 }
 
 // Attr returns the values of the named attribute. For objectClass it
@@ -129,12 +120,7 @@ func (e *Entry) RemoveClass(c string) {
 // Definition 2.1. The returned slice must not be modified.
 func (e *Entry) Attr(name string) []Value {
 	if name == AttrObjectClass {
-		cs := e.Classes()
-		out := make([]Value, len(cs))
-		for i, c := range cs {
-			out[i] = String(c)
-		}
-		return out
+		return e.cls.values
 	}
 	return e.attrs[name]
 }
@@ -143,7 +129,7 @@ func (e *Entry) Attr(name string) []Value {
 // attribute.
 func (e *Entry) HasAttr(name string) bool {
 	if name == AttrObjectClass {
-		return len(e.classes) > 0
+		return len(e.cls.Names) > 0
 	}
 	return len(e.attrs[name]) > 0
 }
@@ -161,7 +147,7 @@ func (e *Entry) AppendAttrNames(dst []string) []string {
 	for a := range e.attrs {
 		dst = append(dst, a)
 	}
-	if len(e.classes) > 0 {
+	if len(e.cls.Names) > 0 {
 		dst = append(dst, AttrObjectClass)
 	}
 	slices.Sort(dst[n:])
@@ -171,7 +157,7 @@ func (e *Entry) AppendAttrNames(dst []string) []string {
 // NumPairs returns |val(e)|, the number of (attribute, value) pairs held by
 // the entry, counting the implicit objectClass pairs.
 func (e *Entry) NumPairs() int {
-	n := len(e.classes)
+	n := len(e.cls.Names)
 	for _, vs := range e.attrs {
 		n += len(vs)
 	}
@@ -205,25 +191,12 @@ func (e *Entry) AddValue(name string, v Value) {
 // slice removes the attribute.
 func (e *Entry) SetValues(name string, values ...Value) {
 	if name == AttrObjectClass {
-		old := e.classes
-		e.classes = make(map[string]struct{}, len(values))
+		var buf [16]string
+		names := buf[:0]
 		for _, v := range values {
-			e.classes[v.String()] = struct{}{}
+			names = append(names, v.String())
 		}
-		if e.dir.patchable() {
-			for c := range old {
-				if _, keep := e.classes[c]; !keep {
-					e.dir.removePosting(c, e)
-				}
-			}
-			for c := range e.classes {
-				if _, had := old[c]; !had {
-					e.dir.insertPosting(c, e)
-				}
-			}
-		} else {
-			e.dir.touchContent()
-		}
+		e.setClasses(names)
 		return
 	}
 	old := e.attrs[name]
@@ -277,5 +250,5 @@ func (e *Entry) IsAncestorOf(d *Entry) bool {
 
 // String renders the entry as "dn (class,class,...)" for diagnostics.
 func (e *Entry) String() string {
-	return fmt.Sprintf("%s (%s)", e.DN(), strings.Join(e.Classes(), ","))
+	return fmt.Sprintf("%s (%s)", e.DN(), strings.Join(e.cls.Names, ","))
 }

@@ -24,7 +24,7 @@ func referenceEncode(d *Directory) (order []*Entry, pre, post, depth map[*Entry]
 		depth[e] = dep
 		rank++
 		order = append(order, e)
-		for c := range e.classes {
+		for _, c := range e.Classes() {
 			classes[c] = append(classes[c], e)
 		}
 		for _, c := range e.children {
@@ -259,10 +259,11 @@ func TestGraftSubtreePatchFailure(t *testing.T) {
 	checkEncoding(t, d, "after clean-failure graft")
 	// A graft can only fail midway if the source has colliding sibling
 	// RDNs, which no well-formed Directory produces — fabricate one.
-	src := &Entry{rdn: "ou=c", classes: map[string]struct{}{"org": {}}}
+	org := &ClassSet{Names: []string{"org"}}
+	src := &Entry{rdn: "ou=c", cls: org}
 	src.children = []*Entry{
-		{rdn: "ou=dup", parent: src, classes: map[string]struct{}{"org": {}}},
-		{rdn: "ou=dup", parent: src, classes: map[string]struct{}{"org": {}}},
+		{rdn: "ou=dup", parent: src, cls: org},
+		{rdn: "ou=dup", parent: src, cls: org},
 	}
 	if _, err := d.GraftSubtree(root, src); err == nil {
 		t.Fatal("graft should fail on the duplicate sibling RDN")

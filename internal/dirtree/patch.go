@@ -104,7 +104,7 @@ func (d *Directory) patchInsert(root *Entry) {
 	// Posting lists: sub is in pre-order, so repeated insertion keeps
 	// each list sorted.
 	for _, e := range sub {
-		for c := range e.classes {
+		for _, c := range e.cls.Names {
 			d.insertPosting(c, e)
 		}
 	}
@@ -126,7 +126,7 @@ func (d *Directory) patchDelete(root *Entry) {
 	d.patchValueDelete(d.order[lo : hi+1])
 	classes := make(map[string]struct{})
 	for _, e := range d.order[lo : hi+1] {
-		for c := range e.classes {
+		for _, c := range e.cls.Names {
 			classes[c] = struct{}{}
 		}
 	}

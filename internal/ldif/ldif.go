@@ -294,11 +294,20 @@ func AddRecord(d *dirtree.Directory, rec *Record) error {
 			return fmt.Errorf("ldif: line %d: parent %q of %q not found (parents must precede children)", rec.Line, parentDN, rec.DN)
 		}
 	}
+	// The classes go in with the entry, so it is interned into its class
+	// set once rather than through one intermediate set per class line.
+	var buf [8]string
+	classes := buf[:0]
+	for _, a := range rec.Attrs {
+		if strings.EqualFold(a.Name, dirtree.AttrObjectClass) {
+			classes = append(classes, a.Value)
+		}
+	}
 	var e *dirtree.Entry
 	if parent == nil {
-		e, err = d.AddRoot(rdn)
+		e, err = d.AddRoot(rdn, classes...)
 	} else {
-		e, err = d.AddChild(parent, rdn)
+		e, err = d.AddChild(parent, rdn, classes...)
 	}
 	if err != nil {
 		return fmt.Errorf("ldif: line %d: %v", rec.Line, err)
@@ -306,7 +315,6 @@ func AddRecord(d *dirtree.Directory, rec *Record) error {
 	reg := d.Registry()
 	for _, a := range rec.Attrs {
 		if strings.EqualFold(a.Name, dirtree.AttrObjectClass) {
-			e.AddClass(a.Value)
 			continue
 		}
 		v, err := dirtree.ParseValue(reg.Type(a.Name), a.Value)
@@ -337,7 +345,7 @@ func WriteDirectory(w io.Writer, d *dirtree.Directory) error {
 
 func writeEntry(w *bufio.Writer, e *dirtree.Entry) error {
 	writeLine(w, "dn", e.DN())
-	for _, c := range e.Classes() {
+	for _, c := range e.ClassSet().Names {
 		writeLine(w, dirtree.AttrObjectClass, c)
 	}
 	names := e.AttrNames()

@@ -36,7 +36,7 @@ func TestSessionAllocs(t *testing.T) {
 		term  string // every reply's terminator
 		max   float64
 	}{
-		{"GET hit", []string{"GET " + person}, "OK", 11},
+		{"GET hit", []string{"GET " + person}, "OK", 9},
 		{"GET miss", []string{"GET uid=ghost,o=org0"}, "ERR", 2},
 		{"SEARCH name miss", []string{"SEARCH (name=nobody)"}, "OK", 3},
 		{"SEARCH mail miss", []string{"SEARCH (mail=nobody@example.org)"}, "OK", 5},
@@ -51,7 +51,7 @@ func TestSessionAllocs(t *testing.T) {
 			"BEGIN",
 			"DELETE uid=pair," + unit,
 			"COMMIT",
-		}, "OK", 74},
+		}, "OK", 71},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

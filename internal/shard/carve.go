@@ -113,9 +113,9 @@ func copyGhost(dst *dirtree.Directory, se *dirtree.Entry) error {
 	var e *dirtree.Entry
 	var err error
 	if parent == nil {
-		e, err = dst.AddRoot(se.RDN(), se.Classes()...)
+		e, err = dst.AddRoot(se.RDN(), se.ClassSet().Names...)
 	} else {
-		e, err = dst.AddChild(parent, se.RDN(), se.Classes()...)
+		e, err = dst.AddChild(parent, se.RDN(), se.ClassSet().Names...)
 	}
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -829,5 +830,41 @@ func TestOpKindString(t *testing.T) {
 	a := NewApplier(s)
 	if a.Checker() == nil || a.Checker().Schema() != s {
 		t.Errorf("Checker accessor wrong")
+	}
+}
+
+// TestRefusedAddLeavesNoClassSets: a refused ADD whose entries carry a
+// thousand novel class names leaves the directory's class-set table
+// holding exactly the sets it held before.
+func TestRefusedAddLeavesNoClassSets(t *testing.T) {
+	s := workload.WhitePagesSchema()
+	d := workload.WhitePagesInstance(s)
+	live := func() int {
+		n := 0
+		for _, cs := range d.ClassSets() {
+			if cs != nil {
+				n++
+			}
+		}
+		return n
+	}
+	before := live()
+	tx := &Transaction{}
+	for i := 0; i < 10; i++ {
+		classes := []string{"person", "top"}
+		for j := 0; j < 100; j++ {
+			classes = append(classes, fmt.Sprintf("novel%d_%d", i, j))
+		}
+		tx.Add(fmt.Sprintf("uid=novel%d,ou=databases,ou=attLabs,o=att", i), classes, person("novel"))
+	}
+	r, err := NewApplier(s).Apply(d, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Legal() {
+		t.Fatal("ADD with undeclared classes accepted")
+	}
+	if got := live(); got != before {
+		t.Fatalf("refused ADD left %d class sets, want %d", got, before)
 	}
 }

@@ -26,11 +26,11 @@ var sourceBudget = map[string]int{
 	"examples/quickstart":     68,
 	"examples/semistructured": 63,
 	"examples/whitepages":     91,
-	"internal/core":           4632,
-	"internal/dirtree":        2029,
+	"internal/core":           4867,
+	"internal/dirtree":        2177,
 	"internal/filter":         464,
 	"internal/hquery":         1292,
-	"internal/ldif":           401,
+	"internal/ldif":           409,
 	"internal/loadgen":        1074,
 	"internal/netfault":       428,
 	"internal/proto":          445,
