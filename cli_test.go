@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"boundschema/internal/proto"
 )
 
 // The CLI integration suite builds the real binaries once and drives them
@@ -341,5 +343,137 @@ func TestCLIBsbench(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out, "no such experiment") {
 			t.Errorf("bsbench %s: %v, want exit 2 with \"no such experiment\":\n%s", id, err, out)
 		}
+	}
+}
+
+// TestCLIServerBootRefusals pins bsd's refusals of flag combinations it
+// cannot boot: each exits 2 with one stderr line, before binding or
+// creating anything.
+func TestCLIServerBootRefusals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration skipped in -short mode")
+	}
+	journal := filepath.Join(t.TempDir(), "j.ldif")
+	base := []string{"-schema", "testdata/whitepages.bs", "-instance", "testdata/figure1.ldif", "-addr", "127.0.0.1:0"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"repl-addr without journal", []string{"-repl-addr", "127.0.0.1:0"},
+			"bsd: replication requires -journal"},
+		{"replica-of without journal", []string{"-replica-of", "127.0.0.1:1"},
+			"bsd: replication requires -journal"},
+		{"repl-addr and replica-of", []string{"-journal", journal, "-repl-addr", "127.0.0.1:0", "-replica-of", "127.0.0.1:1"},
+			"bsd: -repl-addr and -replica-of are mutually exclusive"},
+		{"bogus repl-mode", []string{"-repl-mode", "bogus"},
+			`bsd: unknown -repl-mode "bogus" (want async or semisync)`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(buildCLIs(t), "bsd"), append(base, tc.args...)...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("bsd %v: err = %v, want exit status 2", tc.args, err)
+			}
+			if got := strings.TrimSpace(stderr.String()); got != tc.want {
+				t.Errorf("stderr = %q, want %q", got, tc.want)
+			}
+			if _, err := os.Stat(journal); err == nil {
+				t.Errorf("a refused boot created %s", journal)
+			}
+		})
+	}
+}
+
+// startBsd runs bsd with args and returns the addresses its stdout
+// announces (the text after " on " on each line up to the serving
+// line), keyed by the line's leading words.
+func startBsd(t *testing.T, args ...string) map[string]string {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(buildCLIs(t), "bsd"), args...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	addrs := map[string]string{}
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		line := sc.Text()
+		if i := strings.LastIndex(line, " on "); i >= 0 {
+			addrs[strings.Fields(line)[1]] = line[i+len(" on "):]
+		}
+		if strings.Contains(line, "entries) on ") {
+			return addrs
+		}
+	}
+	t.Fatalf("bsd %v never announced its listener (announced %v)", args, addrs)
+	return nil
+}
+
+func dialProto(t *testing.T, addr string) *proto.Conn {
+	t.Helper()
+	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeadline(time.Now().Add(20 * time.Second))
+	t.Cleanup(func() { c.Close() })
+	return proto.NewConn(c)
+}
+
+// TestCLIServerReplicationPair boots a primary bsd (-journal -repl-addr)
+// and a replica bsd (-journal -replica-of -primary-client-addr): a
+// COMMIT on the primary becomes readable on the replica, and a write on
+// the replica is redirected to the primary's client address.
+func TestCLIServerReplicationPair(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration skipped in -short mode")
+	}
+	dir := t.TempDir()
+	base := []string{"-schema", "testdata/whitepages.bs", "-instance", "testdata/figure1.ldif", "-addr", "127.0.0.1:0"}
+	primary := startBsd(t, append(base, "-journal", filepath.Join(dir, "p.ldif"), "-repl-addr", "127.0.0.1:0")...)
+	if primary["shipping"] == "" || primary["serving"] == "" {
+		t.Fatalf("primary announced %v, want shipping and serving addresses", primary)
+	}
+	replica := startBsd(t, append(base, "-journal", filepath.Join(dir, "r.ldif"),
+		"-replica-of", primary["shipping"], "-primary-client-addr", primary["serving"])...)
+
+	pc := dialProto(t, primary["serving"])
+	const dn = "uid=pinned,ou=attLabs,o=att"
+	if rep, err := pc.Txn([]string{"ADD " + dn, "objectClass: person", "objectClass: top", "name: pinned", ""}); err != nil || !rep.OK() {
+		t.Fatalf("COMMIT on the primary: %+v, %v", rep, err)
+	}
+
+	rc := dialProto(t, replica["serving"])
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rep, err := rc.Do("GET " + dn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.OK() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never served %s: %+v", dn, rep)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	rep, err := rc.Txn([]string{"ADD uid=refused,ou=attLabs,o=att", "objectClass: person", "objectClass: top", "name: x", ""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := proto.Redirect + primary["serving"]; rep.Term != "ERR" || !strings.Contains(rep.Err, want) {
+		t.Errorf("write on the replica = %+v, want an ERR naming %q", rep, want)
 	}
 }
