@@ -96,22 +96,14 @@ func main() {
 		}
 	}
 
-	srv, err := server.New(schema, name, dir)
-	if err != nil {
-		fatal(err)
-	}
-	srv.SetErrorLog(log.New(os.Stderr, "bsd: ", log.LstdFlags))
-	srv.SetLimits(server.Limits{
-		ReadTimeout:  *readTimeout,
-		IdleTimeout:  *idleTimeout,
-		MaxConns:     *maxConns,
-		DrainTimeout: *drainTimeout,
-	})
-	srv.SetJournalRotation(*journalRotate)
 	if *fsck {
 		if *journal == "" {
 			fmt.Fprintln(os.Stderr, "bsd: -fsck requires -journal")
 			os.Exit(2)
+		}
+		srv, err := server.New(schema, name, dir)
+		if err != nil {
+			fatal(err)
 		}
 		rep, err := srv.Fsck(*journal)
 		for _, l := range rep.Lines() {
@@ -128,7 +120,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bsd: unknown -repl-mode %q (want async or semisync)\n", *replModeName)
 		os.Exit(2)
 	}
-	srv.SetReplicationMode(replMode)
 	if (*replAddr != "" || *replicaOf != "") && *journal == "" {
 		fmt.Fprintln(os.Stderr, "bsd: replication requires -journal")
 		os.Exit(2)
@@ -137,30 +128,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bsd: -repl-addr and -replica-of are mutually exclusive")
 		os.Exit(2)
 	}
-	if *journal != "" {
-		if err := srv.OpenJournal(*journal); err != nil {
-			fatal(err)
-		}
-	}
-	if *replAddr != "" {
-		bound, err := srv.ListenRepl(*replAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("bsd: shipping journal (%s) to replicas on %s\n", replMode, bound)
-	}
-	if *replicaOf != "" {
-		if err := srv.StartReplica(*replicaOf); err != nil {
-			fatal(err)
-		}
-		if *primaryClient != "" {
-			srv.SetPrimaryClientAddr(*primaryClient)
-		}
-		fmt.Printf("bsd: read-only replica of %s\n", *replicaOf)
-	}
-	bound, err := srv.Listen(*addr)
+	srv, err := server.Open(server.Options{
+		Schema: schema, Name: name, Instance: dir,
+		Addr: *addr, Journal: *journal, ReplAddr: *replAddr, ReplicaOf: *replicaOf,
+		JournalRotate: *journalRotate, ErrorLog: log.New(os.Stderr, "bsd: ", log.LstdFlags),
+		Limits: server.Limits{ReadTimeout: *readTimeout, IdleTimeout: *idleTimeout,
+			MaxConns: *maxConns, DrainTimeout: *drainTimeout},
+		ReplMode: replMode, PrimaryClientAddr: *primaryClient,
+	})
 	if err != nil {
 		fatal(err)
+	}
+	if *replAddr != "" {
+		fmt.Printf("bsd: shipping journal (%s) to replicas on %s\n", replMode, srv.ReplAddr())
+	}
+	if *replicaOf != "" {
+		fmt.Printf("bsd: read-only replica of %s\n", *replicaOf)
 	}
 	if *metricsAddr != "" {
 		expvar.Publish("bsd", expvar.Func(func() any { return srv.MetricsSnapshot() }))
@@ -171,7 +154,7 @@ func main() {
 		}()
 		fmt.Printf("bsd: metrics at http://%s/debug/vars\n", *metricsAddr)
 	}
-	fmt.Printf("bsd: serving schema %s (%d entries) on %s\n", name, dir.Len(), bound)
+	fmt.Printf("bsd: serving schema %s (%d entries) on %s\n", name, dir.Len(), srv.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -45,7 +45,7 @@ func (f And) Matches(e *dirtree.Entry) bool {
 	return true
 }
 
-func (f And) String() string { return compose('&', f) }
+func (f And) String() string { return render(f) }
 
 // Or is the disjunction of its sub-filters; an empty Or matches nothing.
 type Or []Filter
@@ -60,17 +60,35 @@ func (f Or) Matches(e *dirtree.Entry) bool {
 	return false
 }
 
-func (f Or) String() string { return compose('|', f) }
+func (f Or) String() string { return render(f) }
 
-func compose(op byte, subs []Filter) string {
+// render writes f through one builder, linear in f's size; rendering
+// each sub-filter to a string at every level is quadratic in depth.
+func render(f Filter) string {
 	var b strings.Builder
-	b.WriteByte('(')
-	b.WriteByte(op)
-	for _, s := range subs {
-		b.WriteString(s.String())
+	write(&b, f)
+	return b.String()
+}
+
+func write(b *strings.Builder, f Filter) {
+	var open string
+	var subs []Filter
+	switch f := f.(type) {
+	case And:
+		open, subs = "(&", f
+	case Or:
+		open, subs = "(|", f
+	case Not:
+		open, subs = "(!", []Filter{f.Sub}
+	default:
+		b.WriteString(f.String())
+		return
+	}
+	b.WriteString(open)
+	for _, sub := range subs {
+		write(b, sub)
 	}
 	b.WriteByte(')')
-	return b.String()
 }
 
 // Not negates its sub-filter.
@@ -79,7 +97,7 @@ type Not struct{ Sub Filter }
 // Matches implements Filter.
 func (f Not) Matches(e *dirtree.Entry) bool { return !f.Sub.Matches(e) }
 
-func (f Not) String() string { return "(!" + f.Sub.String() + ")" }
+func (f Not) String() string { return render(f) }
 
 // CompareOp distinguishes the atomic comparison forms.
 type CompareOp int

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -242,4 +243,29 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return s
+}
+
+// TestFilterStringLinear pins that rendering a nested filter costs space
+// linear in its size: doubling the depth of a (! chain at most about
+// doubles the bytes String allocates.
+func TestFilterStringLinear(t *testing.T) {
+	alloc := func(depth int) uint64 {
+		var f Filter = Compare{Attr: "name", Op: OpEqual, Value: "x"}
+		for i := 0; i < depth; i++ {
+			f = Not{Sub: f}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := f.String()
+		runtime.ReadMemStats(&after)
+		if want := 3*depth + len("(name=x)"); len(s) != want {
+			t.Fatalf("depth %d rendered %d bytes, want %d", depth, len(s), want)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(10000), alloc(20000)
+	t.Logf("String allocated %d bytes at depth 10000, %d at depth 20000", small, large)
+	if float64(large) > 2.1*float64(small) {
+		t.Errorf("doubling the depth multiplied String's allocation by %.2f, want at most 2.1", float64(large)/float64(small))
+	}
 }

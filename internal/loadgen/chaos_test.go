@@ -256,7 +256,7 @@ func TestChaosFaultsUnderLoad(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			corpusN, workers, d := chaosSize()
 			sc, _ := ScenarioByName("netpolicy")
-			cl, err := StartSingle(sc, corpusN, chaosSeed)
+			cl, err := StartCluster(sc, corpusN, 0, chaosSeed, repl.Async)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,7 +341,7 @@ func TestChaosConnStorm(t *testing.T) {
 func TestOracleRejectsDivergence(t *testing.T) {
 	sc, _ := ScenarioByName("whitepages")
 	boot := func(t *testing.T) *Cluster {
-		cl, err := StartSingle(sc, 100, chaosSeed)
+		cl, err := StartCluster(sc, 100, 0, chaosSeed, repl.Async)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -42,36 +43,20 @@ type Cluster struct {
 
 	corpusN int
 	seed    int64
-	mode    repl.Mode
-}
-
-// StartSingle boots a journaled single node.
-func StartSingle(sc *Scenario, corpusN int, seed int64) (*Cluster, error) {
-	return StartCluster(sc, corpusN, 0, seed, repl.Async)
 }
 
 // StartCluster boots a primary and nReplicas streaming replicas.
 func StartCluster(sc *Scenario, corpusN, nReplicas int, seed int64, mode repl.Mode) (*Cluster, error) {
-	c := &Cluster{Scenario: sc, corpusN: corpusN, seed: seed, mode: mode}
-	p, schema, dir, err := c.newNode("primary")
+	c := &Cluster{Scenario: sc, corpusN: corpusN, seed: seed}
+	o := server.Options{ReplMode: mode, SemiSyncTimeout: 2 * time.Second}
+	if nReplicas > 0 {
+		o.ReplAddr = "127.0.0.1:0"
+	}
+	p, schema, dir, err := c.boot("primary", vfs.NewFault(), o)
 	if err != nil {
 		return nil, err
 	}
-	c.Schema = schema
-	c.Pools = sc.ExtractPools(dir)
-	c.Primary = p
-	p.Srv.SetReplicationMode(mode)
-	p.Srv.SetSemiSyncTimeout(2 * time.Second)
-	if nReplicas > 0 {
-		if p.ReplAddr, err = p.Srv.ListenRepl("127.0.0.1:0"); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
-	if p.Addr, err = p.Srv.Listen("127.0.0.1:0"); err != nil {
-		c.Close()
-		return nil, err
-	}
+	c.Schema, c.Pools, c.Primary = schema, sc.ExtractPools(dir), p
 	for i := 0; i < nReplicas; i++ {
 		if _, err := c.AddReplica(fmt.Sprintf("replica%d", i), p.ReplAddr, p.Addr); err != nil {
 			c.Close()
@@ -85,66 +70,45 @@ func StartCluster(sc *Scenario, corpusN, nReplicas int, seed int64, mode repl.Mo
 // advertising primaryClientAddr in its write redirects. Chaos scenarios
 // use it post-failover to hang a new replica off the promoted primary.
 func (c *Cluster) AddReplica(name, replAddr, primaryClientAddr string) (*Node, error) {
-	n, _, _, err := c.newNode(name)
+	n, _, _, err := c.boot(name, vfs.NewFault(), server.Options{ReplicaOf: replAddr, PrimaryClientAddr: primaryClientAddr})
 	if err != nil {
-		return nil, err
-	}
-	if err := n.Srv.StartReplica(replAddr); err != nil {
-		n.Srv.Close()
-		return nil, err
-	}
-	n.Srv.SetPrimaryClientAddr(primaryClientAddr)
-	if n.Addr, err = n.Srv.Listen("127.0.0.1:0"); err != nil {
-		n.Srv.Close()
 		return nil, err
 	}
 	c.Replicas = append(c.Replicas, n)
 	return n, nil
 }
 
-// newNode builds a journaled, not-yet-listening server with this
-// cluster's deterministic corpus. Every node re-generates the corpus
-// from the same seed, so all nodes start byte-identical — the premise
-// of the convergence oracle.
-func (c *Cluster) newNode(name string) (*Node, *core.Schema, *dirtree.Directory, error) {
-	schema := c.Scenario.NewSchema()
-	dir := c.Scenario.NewCorpus(schema, rand.New(rand.NewSource(c.seed)), c.corpusN)
-	srv, err := server.New(schema, c.Scenario.Name, dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	fs := vfs.NewFault()
-	srv.SetFS(fs)
-	if err := srv.OpenJournal(journalPath); err != nil {
-		srv.Close()
-		return nil, nil, nil, err
-	}
-	return &Node{Name: name, Srv: srv, FS: fs}, schema, dir, nil
-}
-
-// RestartNode builds a fresh server over a node's surviving FS — the
-// crash-recovery path: the caller pulls the plug (fs.Recover() drops
-// volatile state), and this re-runs the full recovery pipeline
-// (OpenJournal) over the durable journal on top of the deterministic
-// seed corpus, exactly as a restarted bsd would.
+// RestartNode builds a fresh server over a node's surviving FS: the
+// caller pulled the plug (fs.Recover() drops volatile state), and this
+// re-runs the recovery pipeline over the durable journal on top of the
+// deterministic seed corpus, exactly as a restarted bsd would.
 func (c *Cluster) RestartNode(name string, fs *vfs.Fault) (*Node, *core.Schema, error) {
-	schema := c.Scenario.NewSchema()
-	dir := c.Scenario.NewCorpus(schema, rand.New(rand.NewSource(c.seed)), c.corpusN)
-	srv, err := server.New(schema, c.Scenario.Name, dir)
+	n, schema, _, err := c.boot(name, fs, server.Options{})
 	if err != nil {
-		return nil, nil, err
-	}
-	srv.SetFS(fs)
-	if err := srv.OpenJournal(journalPath); err != nil {
-		srv.Close()
 		return nil, nil, fmt.Errorf("recovery: %v", err)
 	}
-	n := &Node{Name: name, Srv: srv, FS: fs}
-	if n.Addr, err = srv.Listen("127.0.0.1:0"); err != nil {
-		srv.Close()
-		return nil, nil, err
-	}
 	return n, schema, nil
+}
+
+// boot opens a node over this cluster's deterministic corpus. Every node
+// re-generates the corpus from the same seed, so all nodes start
+// byte-identical — the premise of the convergence oracle.
+func (c *Cluster) boot(name string, fs *vfs.Fault, o server.Options) (*Node, *core.Schema, *dirtree.Directory, error) {
+	schema := c.Scenario.NewSchema()
+	dir := c.Scenario.NewCorpus(schema, rand.New(rand.NewSource(c.seed)), c.corpusN)
+	srv, err := open(c.Scenario, schema, dir, fs, o)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return &Node{Name: name, Srv: srv, FS: fs, Addr: srv.Addr(), ReplAddr: srv.ReplAddr()}, schema, dir, nil
+}
+
+// open is the one boot path of every in-process node and shard: a
+// journaled server over dir on fs, on o.Addr or a free port, in o's role.
+func open(sc *Scenario, schema *core.Schema, dir *dirtree.Directory, fs *vfs.Fault, o server.Options) (*server.Server, error) {
+	o.Schema, o.Name, o.Instance, o.FS, o.Journal = schema, sc.Name, dir, fs, journalPath
+	o.Addr = cmp.Or(o.Addr, "127.0.0.1:0")
+	return server.Open(o)
 }
 
 // Nodes returns every node, primary first.

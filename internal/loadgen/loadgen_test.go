@@ -39,7 +39,7 @@ func TestSingleNodeEveryScenarioEveryOpKind(t *testing.T) {
 	for _, sc := range Scenarios() {
 		for kind := OpCreate; kind <= OpQuery; kind++ {
 			t.Run(sc.Name+"/"+kind.String(), func(t *testing.T) {
-				cl, err := StartSingle(sc, corpusSize(), 1)
+				cl, err := StartCluster(sc, corpusSize(), 0, 1, repl.Async)
 				if err != nil {
 					t.Fatal(err)
 				}

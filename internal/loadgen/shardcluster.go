@@ -74,8 +74,8 @@ func StartShardCluster(sc *Scenario, corpusN, nShards int, seed int64) (*ShardCl
 	var withAddrs []*shard.Shard
 	var def *shard.Shard
 	for _, sh := range cutMap.All() {
-		n := &ShardNode{Name: sh.Name, Roots: sh.Roots, pristine: dirs[sh.Name].Clone()}
-		if err := c.bootShard(n, dirs[sh.Name], ""); err != nil {
+		n := &ShardNode{Name: sh.Name, FS: vfs.NewFault(), Roots: sh.Roots, pristine: dirs[sh.Name].Clone()}
+		if err := c.bootShard(n, dirs[sh.Name]); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -99,31 +99,15 @@ func StartShardCluster(sc *Scenario, corpusN, nShards int, seed int64) (*ShardCl
 	return c, nil
 }
 
-// bootShard starts (or, with a fixed addr, restarts) one shard server.
-// The fault FS survives restarts and carries the journal.
-func (c *ShardCluster) bootShard(n *ShardNode, dir *dirtree.Directory, addr string) error {
-	srv, err := server.New(c.Scenario.NewSchema(), c.Scenario.Name, dir)
+// bootShard starts one shard server over dir, on a free port the first
+// time and on n.Addr on a restart (the shard map is static). The fault
+// FS survives restarts and carries the journal.
+func (c *ShardCluster) bootShard(n *ShardNode, dir *dirtree.Directory) error {
+	srv, err := open(c.Scenario, c.Scenario.NewSchema(), dir, n.FS, server.Options{Addr: n.Addr, ShardName: n.Name, ShardRoots: n.Roots})
 	if err != nil {
 		return fmt.Errorf("shard %s: %v", n.Name, err)
 	}
-	if n.FS == nil {
-		n.FS = vfs.NewFault()
-	}
-	srv.SetFS(n.FS)
-	if err := srv.OpenJournal(journalPath); err != nil {
-		srv.Close()
-		return fmt.Errorf("shard %s: %v", n.Name, err)
-	}
-	srv.SetShardInfo(n.Name, n.Roots)
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		srv.Close()
-		return fmt.Errorf("shard %s: listen %s: %v", n.Name, addr, err)
-	}
-	n.Srv, n.Addr = srv, bound
+	n.Srv, n.Addr = srv, srv.Addr()
 	return nil
 }
 
@@ -154,7 +138,7 @@ func (c *ShardCluster) RestartShard(name string) error {
 		return fmt.Errorf("shardcluster: no shard %q", name)
 	}
 	n.FS.Recover()
-	return c.bootShard(n, n.pristine.Clone(), n.Addr)
+	return c.bootShard(n, n.pristine.Clone())
 }
 
 // Close shuts the router and every shard down.

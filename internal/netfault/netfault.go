@@ -265,7 +265,7 @@ func (f *Fault) Wrap(c net.Conn) net.Conn {
 // Dial connects with a timeout and wraps the result. While a cut is
 // active the dial blocks (polling for Heal) and then fails with a
 // timeout, the way SYNs vanish inside a real partition. The signature
-// matches server.SetDialer.
+// matches server.Options.Dialer.
 func (f *Fault) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(timeout)
 	for f.inCut() || f.outCut() {
@@ -281,7 +281,7 @@ func (f *Fault) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	return f.Wrap(c), nil
 }
 
-// Dialer returns Dial as a function value for server.SetDialer.
+// Dialer returns Dial as a function value for server.Options.Dialer.
 func (f *Fault) Dialer() func(addr string, timeout time.Duration) (net.Conn, error) {
 	return f.Dial
 }

@@ -93,8 +93,8 @@ func runCrashWorkload(t *testing.T, fault *vfs.Fault, rotateBytes int64, txns []
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetFS(fault)
-	srv.SetJournalRotation(rotateBytes)
+	srv.opts.FS = fault
+	srv.opts.JournalRotate = rotateBytes
 	acked := make(map[string]bool)
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
 		return acked // the crash point landed inside startup
@@ -125,7 +125,7 @@ func assertRecovery(t *testing.T, fault *vfs.Fault, txns []crashTxn, acked map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetFS(fault)
+	srv.opts.FS = fault
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
 		t.Fatalf("recovery refused after a pure crash: %v", err)
 	}

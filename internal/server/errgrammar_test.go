@@ -70,14 +70,10 @@ func TestErrGrammarCommandPaths(t *testing.T) {
 // TestErrGrammarRedirect: a write on a replica is refused with a single
 // parseable redirect line that names the primary.
 func TestErrGrammarRedirect(t *testing.T) {
-	primary, replAddr := startPrimary(t, repl.Async)
+	primary, replAddr := startPrimary(t, Options{ReplMode: repl.Async})
 	_ = primary
 	r := startReplica(t, vfs.NewFault(), replAddr)
-	addr, err := r.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dialClient(t, addr)
+	c := dialClient(t, r.Addr())
 	c.send("BEGIN")
 	msg := expectErr(t, c, "redirect primary=")
 	if !strings.Contains(msg, replAddr) {

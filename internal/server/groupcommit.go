@@ -46,9 +46,9 @@ type commitReq struct {
 	done chan error   // buffered(1); nil means durable
 }
 
-// committer owns all journal file I/O on a primary. It is started by
-// OpenJournal (and by Promote), and stopped by Close after sessions
-// drain (and by StartReplica: a replica appends inline under srv.mu).
+// committer owns all journal file I/O on a primary (a replica has none
+// and appends inline under srv.mu). It is started by OpenJournal and
+// Promote, and stopped by Close after sessions drain.
 type committer struct {
 	srv *Server
 
@@ -287,7 +287,7 @@ func (c *committer) quiesce(reqs []*quiesceReq) {
 // still a complete log, and the check reruns after the next batch.
 func (c *committer) maybeAutoRotate() {
 	s := c.srv
-	if s.rotateBytes <= 0 || s.journal.size < s.rotateBytes {
+	if s.opts.JournalRotate <= 0 || s.journal.size < s.opts.JournalRotate {
 		return
 	}
 	s.mu.Lock()

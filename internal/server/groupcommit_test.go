@@ -77,22 +77,9 @@ func injectBlocking(srv *Server, bj *blockingJournal) {
 // group-commit tests open several connections themselves.
 func startGroupServer(t *testing.T, rotateBytes int64) (*Server, string, string) {
 	t.Helper()
-	s := workload.WhitePagesSchema()
 	journal := filepath.Join(t.TempDir(), "journal.ldif")
-	srv, err := New(s, "whitepages", workload.WhitePagesInstance(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetJournalRotation(rotateBytes)
-	if err := srv.OpenJournal(journal); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, addr, journal
+	srv := openServer(t, Options{Journal: journal, JournalRotate: rotateBytes})
+	return srv, srv.Addr(), journal
 }
 
 // waitStaged polls until at least n records sit in the committer's

@@ -94,14 +94,16 @@ func (j *journal) append(recs ...[]byte) error {
 // Theorem 4.2 the recovered instance is too, without a second full proof.
 // Every future successful COMMIT is then appended as checksummed LDIF
 // change records — so a restart with the same arguments reproduces the
-// state.
+// state. A primary gets its committer here; a replica has none.
 func (s *Server) OpenJournal(path string) error {
 	rep, err := s.recoverJournal(path)
 	s.metrics.noteRecovery(rep)
 	if err != nil {
 		return err
 	}
-	s.startCommitter()
+	if s.Role() == RolePrimary {
+		s.startCommitter()
+	}
 	return nil
 }
 
@@ -162,7 +164,7 @@ func (s *Server) writeSnapshot(w io.Writer) error {
 func (s *Server) installSnapshot(write func(io.Writer) error) error {
 	j := s.journal
 	tmp := j.snapPath + ".tmp"
-	f, err := s.fs.Create(tmp)
+	f, err := s.opts.FS.Create(tmp)
 	if err != nil {
 		return err
 	}
@@ -178,13 +180,13 @@ func (s *Server) installSnapshot(write func(io.Writer) error) error {
 		err = cerr
 	}
 	if err == nil {
-		err = s.fs.Rename(tmp, j.snapPath)
+		err = s.opts.FS.Rename(tmp, j.snapPath)
 	}
 	if err != nil {
-		s.fs.Remove(tmp)
+		s.opts.FS.Remove(tmp)
 		return err
 	}
-	if err := s.fs.SyncDir(vfs.DirOf(j.snapPath)); err != nil {
+	if err := s.opts.FS.SyncDir(vfs.DirOf(j.snapPath)); err != nil {
 		// The rename may not survive a crash, but the journal is intact:
 		// the caller simply retries later.
 		return fmt.Errorf("snapshot %s: parent directory sync after rename: %v", j.snapPath, err)

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,27 +41,8 @@ func (j *flakyJournal) Close() error { return j.f.Close() }
 // temp path and returns it with a connected client and the journal path.
 func startJournaledServer(t *testing.T, rotateBytes int64) (*Server, *client, string) {
 	t.Helper()
-	s := workload.WhitePagesSchema()
-	journal := filepath.Join(t.TempDir(), "journal.ldif")
-	srv, err := New(s, "whitepages", workload.WhitePagesInstance(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetJournalRotation(rotateBytes)
-	if err := srv.OpenJournal(journal); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return srv, &client{t: t, conn: conn, r: bufio.NewReader(conn)}, journal
+	srv, addr, journal := startGroupServer(t, rotateBytes)
+	return srv, dialClient(t, addr), journal
 }
 
 // injectJournal swaps the server's journal file for a flaky wrapper.
@@ -279,11 +258,9 @@ func TestServerJournalTornTailDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := workload.WhitePagesSchema()
-	srv, err := New(s, "whitepages", workload.WhitePagesInstance(s))
+	srv, err := Open(Options{Schema: s, Name: "whitepages", Instance: workload.WhitePagesInstance(s),
+		Addr: "127.0.0.1:0", Journal: journal})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.OpenJournal(journal); err != nil {
 		t.Fatalf("replay with torn tail: %v", err)
 	}
 	if srv.dir.ByDN("uid=acked,ou=attLabs,o=att") == nil {
@@ -294,11 +271,7 @@ func TestServerJournalTornTailDiscarded(t *testing.T) {
 	}
 
 	// The torn bytes are gone from disk; new commits extend a clean log.
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dialClient(t, addr)
+	c := dialClient(t, srv.Addr())
 	c.expectOK("BEGIN")
 	c.expectOK(addPersonLines("posttorn")...)
 	c.expectOK("QUIT")

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"net"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"bufio"
 
 	"boundschema/internal/workload"
 )
@@ -23,21 +20,8 @@ func keyedServer(t *testing.T) (*Server, *client) {
 	t.Helper()
 	s := workload.WhitePagesSchema()
 	s.DeclareKey("mail")
-	srv, err := New(s, "whitepages+mailkey", workload.WhitePagesInstance(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return srv, &client{t: t, conn: conn, r: bufio.NewReader(conn)}
+	srv := openServer(t, Options{Schema: s, Name: "whitepages+mailkey", Instance: workload.WhitePagesInstance(s)})
+	return srv, dialClient(t, srv.Addr())
 }
 
 func addMailLines(uid, mail string) []string {
@@ -108,48 +92,18 @@ func TestKeyIndexSurvivesJournalRecovery(t *testing.T) {
 	s.DeclareKey("mail")
 	journal := filepath.Join(t.TempDir(), "journal.ldif")
 
-	srv, err := New(s, "whitepages+mailkey", workload.WhitePagesInstance(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.OpenJournal(journal); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &client{t: t, conn: conn, r: bufio.NewReader(conn)}
+	srv := openServer(t, Options{Schema: s, Name: "whitepages+mailkey", Instance: workload.WhitePagesInstance(s), Journal: journal})
+	c := dialClient(t, srv.Addr())
 	c.expectOK("BEGIN")
 	c.expectOK(addMailLines("alpha", "alpha@example.org")...)
-	conn.Close()
+	c.conn.Close()
 	srv.Close()
 
 	// Restart: replay the journal into a fresh Figure 1 instance.
 	s2 := workload.WhitePagesSchema()
 	s2.DeclareKey("mail")
-	srv2, err := New(s2, "whitepages+mailkey", workload.WhitePagesInstance(s2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.OpenJournal(journal); err != nil {
-		t.Fatal(err)
-	}
-	addr2, err := srv2.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv2.Close() })
-	conn2, err := net.Dial("tcp", addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn2.Close() })
-	c2 := &client{t: t, conn: conn2, r: bufio.NewReader(conn2)}
+	srv2 := openServer(t, Options{Schema: s2, Name: "whitepages+mailkey", Instance: workload.WhitePagesInstance(s2), Journal: journal})
+	c2 := dialClient(t, srv2.Addr())
 
 	c2.expectKeyIllegal(addMailLines("dupseed", "laks@cs.concordia.ca")...)
 	c2.expectKeyIllegal(addMailLines("dupreplay", "alpha@example.org")...)

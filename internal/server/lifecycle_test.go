@@ -8,24 +8,13 @@ import (
 	"time"
 
 	"boundschema/internal/proto"
-	"boundschema/internal/workload"
 )
 
 // startServerWithLimits is startServer with connection-lifecycle limits.
 func startServerWithLimits(t *testing.T, l Limits) (*Server, string) {
 	t.Helper()
-	s := workload.WhitePagesSchema()
-	srv, err := New(s, "whitepages", workload.WhitePagesInstance(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetLimits(l)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, addr
+	srv := openServer(t, Options{Limits: l})
+	return srv, srv.Addr()
 }
 
 func dialClient(t *testing.T, addr string) *client {

@@ -116,21 +116,10 @@ func runPartitionScenario(t *testing.T, kind netfault.Kind, op int) int {
 	}
 
 	pfs, f1, f2 := vfs.NewFault(), vfs.NewFault(), vfs.NewFault()
-	p := newReplServer(t, pfs, 0)
-	p.SetReplicationMode(repl.SemiSync)
-	p.SetSemiSyncTimeout(50 * time.Millisecond)
-	p.SetReplListenerWrap(f.Listener)
-	addr, err := p.ListenRepl("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenRepl: %v", err)
-	}
+	p, addr := startPrimary(t, Options{FS: pfs, ReplMode: repl.SemiSync, SemiSyncTimeout: 50 * time.Millisecond,
+		ReplListenerWrap: f.Listener})
 	mkReplica := func(fs vfs.FS) *Server {
-		r := newReplServer(t, fs, 0)
-		r.SetDialer(f.Dialer())
-		if err := r.StartReplica(addr); err != nil {
-			t.Fatalf("StartReplica: %v", err)
-		}
-		return r
+		return openServer(t, Options{Journal: crashJournalPath, FS: fs, ReplicaOf: addr, Dialer: f.Dialer()})
 	}
 	r1, r2 := mkReplica(f1), mkReplica(f2)
 
@@ -224,15 +213,9 @@ func runPartitionScenario(t *testing.T, kind netfault.Kind, op int) int {
 	// both bootstrap from a snapshot — the deposed primary's partition-
 	// era unacked writes are discarded, not merged.
 	other.Close()
-	r3 := newReplServer(t, otherFS, 0)
-	if err := r3.StartReplica(newAddr); err != nil {
-		t.Fatalf("rejoin replica: %v", err)
-	}
+	r3 := startReplica(t, otherFS, newAddr)
 	p.Close()
-	p2 := newReplServer(t, pfs, 0)
-	if err := p2.StartReplica(newAddr); err != nil {
-		t.Fatalf("rejoin deposed primary: %v", err)
-	}
+	p2 := startReplica(t, pfs, newAddr)
 	// waitSeq is not enough for the deposed primary: its local seq may
 	// START above the new primary's (partition-era unacked writes), so
 	// convergence is epoch adoption plus exact sequence agreement.
@@ -308,15 +291,7 @@ func TestPartitionMatrix(t *testing.T) {
 // new epoch refuses to follow the stale primary (poison ACK path)
 // without degrading itself.
 func TestSplitBrainFencingRegression(t *testing.T) {
-	pfs := vfs.NewFault()
-	p := newReplServer(t, pfs, 0)
-	t.Cleanup(func() { p.Close() })
-	p.SetReplicationMode(repl.SemiSync)
-	p.SetSemiSyncTimeout(50 * time.Millisecond)
-	addr, err := p.ListenRepl("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenRepl: %v", err)
-	}
+	p, addr := startPrimary(t, Options{ReplMode: repl.SemiSync, SemiSyncTimeout: 50 * time.Millisecond})
 	rfs := vfs.NewFault()
 	r := startReplica(t, rfs, addr)
 	waitReplicas(t, p, 1)
@@ -372,15 +347,13 @@ func TestSplitBrainFencingRegression(t *testing.T) {
 	w := startReplica(t, wfs, newAddr)
 	waitSeq(t, w, commitSeqOf(r))
 	w.Close()
-	w2 := newReplServer(t, wfs, 0)
+	w2 := newReplServer(t, wfs, addr) // the STALE primary
 	t.Cleanup(func() { w2.Close() })
 	if got := w2.Epoch(); got != 2 {
 		t.Fatalf("restarted replica recovered epoch %d, want 2 from its snapshot header", got)
 	}
 	seqBefore := commitSeqOf(w2)
-	if err := w2.StartReplica(addr); err != nil { // the STALE primary
-		t.Fatalf("StartReplica: %v", err)
-	}
+	w2.startReplica()
 	deadline := time.Now().Add(5 * time.Second)
 	for w2.metrics.EpochRejects.Load() == 0 {
 		if time.Now().After(deadline) {

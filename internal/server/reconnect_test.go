@@ -7,6 +7,7 @@ import (
 
 	"boundschema/internal/repl"
 	"boundschema/internal/vfs"
+	"boundschema/internal/workload"
 )
 
 // TestJitterBackoff pins the reconnect jitter contract: equal-jitter
@@ -53,23 +54,19 @@ func TestReconnectStorm(t *testing.T) {
 
 	replicas := make([]*Server, nReplicas)
 	for i := range replicas {
-		r := newReplServer(t, vfs.NewFault(), 0)
-		t.Cleanup(func() { r.Close() })
-		if err := r.StartReplica(addr); err != nil {
-			t.Fatalf("StartReplica: %v", err)
-		}
-		replicas[i] = r
+		replicas[i] = startReplica(t, vfs.NewFault(), addr)
 	}
 	// Let every replica fail at least one dial and enter jittered
 	// backoff before the primary exists.
 	time.Sleep(250 * time.Millisecond)
 
-	p := newReplServer(t, vfs.NewFault(), 0)
-	t.Cleanup(func() { p.Close() })
-	p.SetReplicationMode(repl.Async)
-	if _, err := p.ListenRepl(addr); err != nil {
+	sch := workload.WhitePagesSchema()
+	p, err := Open(Options{Schema: sch, Name: "whitepages", Instance: workload.WhitePagesInstance(sch),
+		Addr: "127.0.0.1:0", Journal: crashJournalPath, FS: vfs.NewFault(), ReplAddr: addr, ReplMode: repl.Async})
+	if err != nil {
 		t.Skipf("reserved address %s re-bind lost: %v", addr, err)
 	}
+	t.Cleanup(func() { p.Close() })
 	waitReplicas(t, p, nReplicas)
 
 	txns := crashWorkload(5)

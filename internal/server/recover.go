@@ -215,7 +215,7 @@ func firstViolation(r *core.Report) string {
 // operator intervention, and returns the quarantine path.
 func (s *Server) quarantine(path string, data []byte) (string, error) {
 	qpath := path + ".quarantine"
-	f, err := s.fs.Create(qpath)
+	f, err := s.opts.FS.Create(qpath)
 	if err != nil {
 		return qpath, err
 	}
@@ -227,7 +227,7 @@ func (s *Server) quarantine(path string, data []byte) (string, error) {
 		err = cerr
 	}
 	if err == nil {
-		err = s.fs.SyncDir(vfs.DirOf(qpath))
+		err = s.opts.FS.SyncDir(vfs.DirOf(qpath))
 	}
 	return qpath, err
 }
@@ -237,7 +237,7 @@ func (s *Server) quarantine(path string, data []byte) (string, error) {
 // replication epoch it was taken under (both 0 for snapshots written
 // before the headers existed, or none).
 func (s *Server) loadSnapshot(snapPath string) (loaded bool, snapSeq, snapEpoch uint64, err error) {
-	data, rerr := s.fs.ReadFile(snapPath)
+	data, rerr := s.opts.FS.ReadFile(snapPath)
 	if rerr != nil {
 		if errors.Is(rerr, iofs.ErrNotExist) {
 			return false, 0, 0, nil
@@ -245,7 +245,7 @@ func (s *Server) loadSnapshot(snapPath string) (loaded bool, snapSeq, snapEpoch 
 		return false, 0, 0, rerr
 	}
 	snapSeq, snapEpoch = parseSnapshotHeaders(data)
-	d, rerr := ldif.ReadDirectory(bytes.NewReader(data), s.schema.Registry)
+	d, rerr := ldif.ReadDirectory(bytes.NewReader(data), s.opts.Schema.Registry)
 	if rerr != nil {
 		return false, 0, 0, fmt.Errorf("server: snapshot %s: %v", snapPath, rerr)
 	}
@@ -305,7 +305,7 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 	}
 	rep.SnapshotLoaded, rep.SnapshotSeq = loaded, snapSeq
 
-	data, err := s.fs.ReadFile(path)
+	data, err := s.opts.FS.ReadFile(path)
 	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
 		return rep, err
 	}
@@ -379,7 +379,7 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 			rep.RecordsSkipped++
 			continue
 		}
-		tx, terr := txn.FromRecords(rt.recs, s.schema.Registry)
+		tx, terr := txn.FromRecords(rt.recs, s.opts.Schema.Registry)
 		if terr != nil {
 			s.mu.Unlock()
 			return rep, fmt.Errorf("server: journal %s: %v", path, terr)
@@ -402,7 +402,7 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 
 	// Open for appending and drop the torn tail so future appends extend
 	// a clean prefix of committed transactions.
-	f, err := s.fs.OpenAppend(path)
+	f, err := s.opts.FS.OpenAppend(path)
 	if err != nil {
 		return rep, err
 	}
@@ -480,7 +480,7 @@ func (s *Server) Fsck(path string) (*RecoveryReport, error) {
 func (s *Server) verifyNow() ([]string, error) {
 	var lines []string
 	if s.journal != nil {
-		data, err := s.fs.ReadFile(s.journal.path)
+		data, err := s.opts.FS.ReadFile(s.journal.path)
 		if err != nil && !errors.Is(err, iofs.ErrNotExist) {
 			return lines, fmt.Errorf("journal unreadable: %v", err)
 		}
@@ -493,7 +493,7 @@ func (s *Server) verifyNow() ([]string, error) {
 		if sr.tornBytes > 0 {
 			return lines, fmt.Errorf("journal has %d torn bytes past the last marker", sr.tornBytes)
 		}
-		if snap, err := s.fs.ReadFile(s.journal.snapPath); err == nil {
+		if snap, err := s.opts.FS.ReadFile(s.journal.snapPath); err == nil {
 			snapSeq, _ := parseSnapshotHeaders(snap)
 			lines = append(lines, fmt.Sprintf("snapshot: present seq=%d", snapSeq))
 		} else {

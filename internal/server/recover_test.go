@@ -33,7 +33,7 @@ func newFaultServer(t *testing.T, fault *vfs.Fault) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetFS(fault)
+	srv.opts.FS = fault
 	return srv
 }
 
@@ -255,13 +255,7 @@ func TestPreChecksumFormatsRefused(t *testing.T) {
 	// and drops a subscriber whose ACK lacks its epoch; a replica ends a
 	// session whose PING lacks one. Nothing is applied on either side.
 	var logged syncBuffer
-	primary := newReplServer(t, vfs.NewFault(), 0)
-	primary.SetErrorLog(log.New(&logged, "", 0))
-	t.Cleanup(func() { primary.Close() })
-	addr, err := primary.ListenRepl("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary, addr := startPrimary(t, Options{ErrorLog: log.New(&logged, "", 0)})
 	dial := func() (net.Conn, *bufio.Reader) {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -298,7 +292,7 @@ func TestPreChecksumFormatsRefused(t *testing.T) {
 	}
 
 	cli, prim := net.Pipe()
-	replica := newReplServer(t, vfs.NewFault(), 0)
+	replica := newReplServer(t, vfs.NewFault(), "")
 	t.Cleanup(func() { replica.Close() })
 	runErr := make(chan error, 1)
 	go func() { runErr <- repl.Run(cli, replicaTarget{replica}) }()
@@ -469,21 +463,8 @@ func TestVerifyCommandWithoutJournal(t *testing.T) {
 // the first COMMIT, but reads keep serving and METRICS says why.
 func TestReadOnlyDegradationUnderFaults(t *testing.T) {
 	fault := vfs.NewFault()
-	s := workload.WhitePagesSchema()
-	srv, err := New(s, "whitepages", workload.WhitePagesInstance(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetFS(fault)
-	if err := srv.OpenJournal(crashJournalPath); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	c := dialClient(t, addr)
+	srv := openServer(t, Options{FS: fault, Journal: crashJournalPath})
+	c := dialClient(t, srv.Addr())
 
 	// Every sync and every truncate fails from here on: the failed
 	// append cannot be cleaned up, so the journal is untrustworthy.

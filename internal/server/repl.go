@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -115,28 +116,16 @@ func (s *Server) fence(observed uint64, source string) {
 
 // writeRedirect returns the rejection message for write traffic on a
 // replica ("" on a primary): replicas serve reads and point writers at
-// the primary. The advertised address is the primary's client protocol
-// address when the operator provided one (SetPrimaryClientAddr / bsd
-// -primary-addr); otherwise the replication address is the only thing
-// the replica knows and redirecting clients must map it themselves.
+// the primary. The advertised address is Options.PrimaryClientAddr when
+// the operator provided one (bsd -primary-client-addr); otherwise the
+// replication address is the only thing the replica knows, and
+// redirected clients must map it themselves.
 func (s *Server) writeRedirect() string {
 	if s.Role() != RoleReplica {
 		return ""
 	}
-	addr := s.primaryAddr
-	if p := s.primaryClientAddr.Load(); p != nil && *p != "" {
-		addr = *p
-	}
+	addr := cmp.Or(s.opts.PrimaryClientAddr, s.opts.ReplicaOf)
 	return fmt.Sprintf("read-only replica: writes go to the primary (%s%s)", proto.Redirect, addr)
-}
-
-// SetPrimaryClientAddr records the primary's client protocol address so
-// write redirects advertise a port that actually speaks the client
-// protocol (the replication address a replica streams from does not).
-// Safe to change while serving — failover managers update it after a
-// PROMOTE.
-func (s *Server) SetPrimaryClientAddr(addr string) {
-	s.primaryClientAddr.Store(&addr)
 }
 
 // DisconnectReplication force-closes a replica's streaming connection.
@@ -146,15 +135,6 @@ func (s *Server) SetPrimaryClientAddr(addr string) {
 func (s *Server) DisconnectReplication() {
 	s.closeReplConn()
 }
-
-// SetReplicationMode selects the primary's durability contract for
-// COMMIT (async or semi-sync; see repl.Mode). Call before ListenRepl.
-func (s *Server) SetReplicationMode(m repl.Mode) { s.replMode = m }
-
-// SetSemiSyncTimeout bounds how long a semi-sync commit waits for a
-// replica ACK before the primary degrades to async (0 = the
-// repl.DefaultAckTimeout). Call before ListenRepl.
-func (s *Server) SetSemiSyncTimeout(d time.Duration) { s.replAckTO = d }
 
 // ReplStatus exposes the hub's view of replication (primaries only;
 // zero value otherwise) for tests and the bsbench drivers.
@@ -203,7 +183,8 @@ func (s *Server) replMetrics() replStatus {
 
 // ListenRepl starts the primary's replication listener on addr and
 // returns the bound address. Requires an open journal — the stream IS
-// the journal. Safe to call once, before or while serving clients.
+// the journal. Open calls it, and so does a promoted replica opening
+// its own fan-out while serving. Safe to call once.
 func (s *Server) ListenRepl(addr string) (string, error) {
 	s.mu.RLock()
 	j := s.journal
@@ -211,7 +192,7 @@ func (s *Server) ListenRepl(addr string) (string, error) {
 	if j == nil {
 		return "", errors.New("server: replication requires a journal (OpenJournal first)")
 	}
-	hub := repl.NewHub(s.replMode, s.replAckTO, 0, s.logf)
+	hub := repl.NewHub(s.opts.ReplMode, s.opts.SemiSyncTimeout, 0, s.logf)
 	hub.SetEpoch(s.epoch.Load())
 	s.replHub.Store(hub)
 	ln, err := net.Listen("tcp", addr)
@@ -220,8 +201,8 @@ func (s *Server) ListenRepl(addr string) (string, error) {
 		s.replHub.Store(nil)
 		return "", err
 	}
-	if s.replListenWrap != nil {
-		ln = s.replListenWrap(ln)
+	if s.opts.ReplListenerWrap != nil {
+		ln = s.opts.ReplListenerWrap(ln)
 	}
 	s.replLn = ln
 	s.wg.Add(1)
@@ -365,7 +346,7 @@ func (s *Server) replCatchup(last, repEpoch uint64) ([][]byte, error) {
 // tail, corruption) — the caller falls back to a snapshot. Called under
 // s.mu at a quiescent point.
 func (s *Server) journalTail(last, cur uint64) ([]byte, bool) {
-	data, err := s.fs.ReadFile(s.journal.path)
+	data, err := s.opts.FS.ReadFile(s.journal.path)
 	if err != nil {
 		return nil, false
 	}
@@ -395,29 +376,21 @@ func (s *Server) journalTail(last, cur uint64) ([]byte, bool) {
 // streaming loop stops retrying.
 var errDiverged = errors.New("replica diverged from primary")
 
-// StartReplica puts the server in replica mode and starts the streaming
-// loop against the primary's replication address. Requires an open
-// journal. The committer OpenJournal started is stopped: replicas apply
-// inline under the lock, so journal I/O has exactly one owner. Call
-// before Listen.
-func (s *Server) StartReplica(primaryAddr string) error {
-	s.mu.Lock()
-	if s.journal == nil {
-		s.mu.Unlock()
-		return errors.New("server: replica mode requires a journal (OpenJournal first)")
+// ReplAddr returns the replication listener's bound address ("" when
+// the server ships no journal).
+func (s *Server) ReplAddr() string {
+	if s.replLn == nil {
+		return ""
 	}
-	c := s.committer
-	s.committer = nil
-	s.mu.Unlock()
-	if c != nil {
-		c.stop()
-	}
-	s.primaryAddr = primaryAddr
+	return s.replLn.Addr().String()
+}
+
+// startReplica starts the streaming loop against Options.ReplicaOf. Open
+// set the role before the journal opened, so there is no committer.
+func (s *Server) startReplica() {
 	s.promoteCh = make(chan struct{})
 	s.replicaDone = make(chan struct{})
-	s.role.Store(int32(RoleReplica))
-	go s.replicaLoop(primaryAddr)
-	return nil
+	go s.replicaLoop(s.opts.ReplicaOf)
 }
 
 // replicaStopped reports whether the streaming loop should exit:
@@ -457,7 +430,7 @@ func (s *Server) closeReplConn() {
 // or restart the fenced node.
 func (s *Server) replicaLoop(addr string) {
 	defer close(s.replicaDone)
-	dial := s.dialer
+	dial := s.opts.Dialer
 	if dial == nil {
 		dial = func(a string, to time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", a, to)
@@ -564,7 +537,7 @@ func (t replicaTarget) ObservePrimarySeq(seq uint64) {
 // a higher epoch also advances this replica's epoch — that is how a
 // rejoining node adopts the regime of a promoted primary.
 func (s *Server) bootstrapFromPrimary(seq, epoch uint64, snapshot []byte) error {
-	d, err := ldif.ReadDirectory(bytes.NewReader(snapshot), s.schema.Registry)
+	d, err := ldif.ReadDirectory(bytes.NewReader(snapshot), s.opts.Schema.Registry)
 	if err != nil {
 		return fmt.Errorf("%w: primary snapshot undecodable: %v", errDiverged, err)
 	}
@@ -616,7 +589,7 @@ func (s *Server) applyReplicated(seg repl.Segment) error {
 		s.degradeReplica(fmt.Sprintf("replicated segment seq=%d undecodable: %v", seg.Seq, err))
 		return fmt.Errorf("%w: segment seq=%d undecodable: %v", errDiverged, seg.Seq, err)
 	}
-	tx, err := txn.FromRecords(recs, s.schema.Registry)
+	tx, err := txn.FromRecords(recs, s.opts.Schema.Registry)
 	if err != nil {
 		s.degradeReplica(fmt.Sprintf("replicated segment seq=%d rejected: %v", seg.Seq, err))
 		return fmt.Errorf("%w: segment seq=%d: %v", errDiverged, seg.Seq, err)
@@ -653,7 +626,7 @@ func (s *Server) applyReplicated(seg repl.Segment) error {
 	}
 	s.commitSeq = seg.Seq
 	s.replApplied.Add(1)
-	if s.rotateBytes > 0 && j.size >= s.rotateBytes {
+	if s.opts.JournalRotate > 0 && j.size >= s.opts.JournalRotate {
 		if rerr := s.rotateJournal(); rerr != nil {
 			s.metrics.JournalErrors.Add(1)
 			s.logf("repl: journal rotation: %v", rerr)

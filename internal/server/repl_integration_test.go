@@ -18,45 +18,44 @@ import (
 // its own in-memory vfs.Fault (with no script it is just a fast FS), so
 // a test can also pull the power on a replica's disk mid-catch-up.
 
-// newReplServer builds a journaled whitepages server on its own FS. The
-// caller owns Close.
-func newReplServer(t *testing.T, fs vfs.FS, rotateBytes int64) *Server {
+// newReplServer recovers a journaled whitepages server from its own FS
+// without serving it, so a test can inspect the recovered state. With
+// replicaOf set it is a replica of that address: it takes the role
+// before its journal opens, as Open does, and streams once the test
+// calls startReplica. The caller owns Close.
+func newReplServer(t *testing.T, fs vfs.FS, replicaOf string) *Server {
 	t.Helper()
 	sch := workload.WhitePagesSchema()
 	srv, err := New(sch, "whitepages", workload.WhitePagesInstance(sch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetFS(fs)
-	srv.SetJournalRotation(rotateBytes)
+	srv.opts.FS, srv.opts.ReplicaOf = fs, replicaOf
+	if replicaOf != "" {
+		srv.role.Store(int32(RoleReplica))
+	}
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
 	return srv
 }
 
-// startPrimary builds a primary and its replication listener.
-func startPrimary(t *testing.T, mode repl.Mode) (*Server, string) {
+// startPrimary opens a journaled primary with o and a replication
+// listener, and returns the listener's address.
+func startPrimary(t *testing.T, o Options) (*Server, string) {
 	t.Helper()
-	srv := newReplServer(t, vfs.NewFault(), 0)
-	srv.SetReplicationMode(mode)
-	addr, err := srv.ListenRepl("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenRepl: %v", err)
+	if o.FS == nil {
+		o.FS = vfs.NewFault()
 	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, addr
+	o.Journal, o.ReplAddr = crashJournalPath, "127.0.0.1:0"
+	srv := openServer(t, o)
+	return srv, srv.ReplAddr()
 }
 
-// startReplica builds a replica on fs streaming from primaryAddr.
+// startReplica opens a replica on fs streaming from primaryAddr.
 func startReplica(t *testing.T, fs vfs.FS, primaryAddr string) *Server {
 	t.Helper()
-	srv := newReplServer(t, fs, 0)
-	if err := srv.StartReplica(primaryAddr); err != nil {
-		t.Fatalf("StartReplica: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return openServer(t, Options{Journal: crashJournalPath, FS: fs, ReplicaOf: primaryAddr})
 }
 
 func commitSeqOf(srv *Server) uint64 {
@@ -114,7 +113,7 @@ func serverLDIF(t *testing.T, srv *Server) string {
 // the primary's encoded directory.
 func TestReplicationCluster(t *testing.T) {
 	const nCommits = 1020
-	primary, addr := startPrimary(t, repl.Async)
+	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
 	r1 := startReplica(t, vfs.NewFault(), addr)
 
 	txns := crashWorkload(nCommits)
@@ -161,13 +160,7 @@ func TestReplicationCluster(t *testing.T) {
 // past the replica's position, catch-up must fall back to a full
 // snapshot — and streaming continues seamlessly after the bootstrap.
 func TestReplicaSnapshotBootstrap(t *testing.T) {
-	pf := vfs.NewFault()
-	primary := newReplServer(t, pf, 1500) // aggressive rotation
-	t.Cleanup(func() { primary.Close() })
-	addr, err := primary.ListenRepl("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenRepl: %v", err)
-	}
+	primary, addr := startPrimary(t, Options{JournalRotate: 1500}) // aggressive rotation
 	txns := crashWorkload(80)
 	for _, ct := range txns[:60] {
 		if _, err := primary.CommitTx(ct.build()); err != nil {
@@ -208,7 +201,7 @@ func TestReplicaSnapshotBootstrap(t *testing.T) {
 // record survives the replica losing power — pull the plug on the
 // replica's FS after the workload and recover a fresh server from it.
 func TestSemiSyncDurability(t *testing.T) {
-	primary, addr := startPrimary(t, repl.SemiSync)
+	primary, addr := startPrimary(t, Options{ReplMode: repl.SemiSync})
 	rf := vfs.NewFault()
 	r := startReplica(t, rf, addr)
 	waitReplicas(t, primary, 1)
@@ -232,7 +225,7 @@ func TestSemiSyncDurability(t *testing.T) {
 	// journal pipeline: every OK'd commit must be there.
 	r.Close()
 	rf.Recover()
-	r2 := newReplServer(t, rf, 0)
+	r2 := newReplServer(t, rf, "")
 	defer r2.Close()
 	if got := commitSeqOf(r2); got != want {
 		t.Errorf("recovered replica at seq %d, want %d", got, want)
@@ -251,7 +244,7 @@ func TestSemiSyncDurability(t *testing.T) {
 // TestSemiSyncDegradeAndReenable: with no replica the hub degrades to
 // async (commits still succeed), and re-arms once a replica catches up.
 func TestSemiSyncDegradeAndReenable(t *testing.T) {
-	primary, addr := startPrimary(t, repl.SemiSync)
+	primary, addr := startPrimary(t, Options{ReplMode: repl.SemiSync})
 	txns := crashWorkload(20)
 	if _, err := primary.CommitTx(txns[0].build()); err != nil {
 		t.Fatalf("commit with no replica must degrade, not fail: %v", err)
@@ -280,7 +273,7 @@ func TestSemiSyncDegradeAndReenable(t *testing.T) {
 // TestReplicaReadsAndWriteRedirect: a replica serves read traffic and
 // reports its role, but BEGIN is refused with a redirect to the primary.
 func TestReplicaReadsAndWriteRedirect(t *testing.T) {
-	primary, addr := startPrimary(t, repl.Async)
+	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
 	txns := crashWorkload(10)
 	for _, ct := range txns {
 		if _, err := primary.CommitTx(ct.build()); err != nil {
@@ -290,11 +283,7 @@ func TestReplicaReadsAndWriteRedirect(t *testing.T) {
 	r := startReplica(t, vfs.NewFault(), addr)
 	waitSeq(t, r, commitSeqOf(primary))
 
-	caddr, err := r.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dialClient(t, caddr)
+	c := dialClient(t, r.Addr())
 
 	body := c.expectOK("SEARCH (objectClass=person)")
 	if len(body) == 0 {
@@ -323,11 +312,7 @@ func TestReplicaReadsAndWriteRedirect(t *testing.T) {
 	}
 
 	// The primary's surfaces report the other side of the relationship.
-	paddr, err := primary.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := dialClient(t, paddr)
+	pc := dialClient(t, primary.Addr())
 	body = pc.expectOK("STAT")
 	if len(body) == 0 || body[0] != "role: primary" {
 		t.Errorf("primary STAT body = %v, want role: primary first", body)
@@ -341,7 +326,7 @@ func TestReplicaReadsAndWriteRedirect(t *testing.T) {
 // TestPromote: a caught-up replica is promoted over the protocol — the
 // reply carries the final journal verify — and then accepts writes.
 func TestPromote(t *testing.T) {
-	primary, addr := startPrimary(t, repl.Async)
+	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
 	txns := crashWorkload(30)
 	for _, ct := range txns[:20] {
 		if _, err := primary.CommitTx(ct.build()); err != nil {
@@ -351,11 +336,7 @@ func TestPromote(t *testing.T) {
 	r := startReplica(t, vfs.NewFault(), addr)
 	waitSeq(t, r, commitSeqOf(primary))
 
-	caddr, err := r.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dialClient(t, caddr)
+	c := dialClient(t, r.Addr())
 	body := c.expectOK("PROMOTE")
 	joined := strings.Join(body, "\n")
 	if !strings.Contains(joined, "verify: clean") || !strings.Contains(joined, "promoted: now primary") {
@@ -388,7 +369,7 @@ func TestPromote(t *testing.T) {
 // TestPromoteRefusedWhileDegraded: promotion must never hand writes to
 // a replica that already knows it cannot trust its state.
 func TestPromoteRefusedWhileDegraded(t *testing.T) {
-	primary, addr := startPrimary(t, repl.Async)
+	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
 	if _, err := primary.CommitTx(crashWorkload(1)[0].build()); err != nil {
 		t.Fatal(err)
 	}
@@ -427,12 +408,7 @@ func TestReplicaCrashDuringCatchup(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			primary := newReplServer(t, vfs.NewFault(), sc.rotateBytes)
-			t.Cleanup(func() { primary.Close() })
-			addr, err := primary.ListenRepl("127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("ListenRepl: %v", err)
-			}
+			primary, addr := startPrimary(t, Options{JournalRotate: sc.rotateBytes})
 			for _, ct := range txns {
 				if _, err := primary.CommitTx(ct.build()); err != nil {
 					t.Fatal(err)
@@ -481,7 +457,7 @@ func TestReplicaCrashDuringCatchup(t *testing.T) {
 					// Restart through the recovery pipeline: a pure crash
 					// must never be refused, and the recovered state must be
 					// legal, atomic, and not ahead of the primary.
-					r2 := newReplServer(t, fault, 0)
+					r2 := newReplServer(t, fault, addr)
 					t.Cleanup(func() { r2.Close() })
 					r2.mu.RLock()
 					for _, ct := range txns {
@@ -506,9 +482,7 @@ func TestReplicaCrashDuringCatchup(t *testing.T) {
 					}
 
 					// Resume streaming: the crash must heal completely.
-					if err := r2.StartReplica(addr); err != nil {
-						t.Fatalf("resume after recovery: %v", err)
-					}
+					r2.startReplica()
 					waitSeq(t, r2, pseq)
 					if got := serverLDIF(t, r2); got != pbytes {
 						t.Errorf("replica not byte-identical after crash at op %d + recovery + resume", op)

@@ -130,23 +130,16 @@ func TestReplicaRefusesIllegalSegment(t *testing.T) {
 	cli, prim := net.Pipe()
 	t.Cleanup(func() { prim.Close() })
 	prim.SetDeadline(time.Now().Add(10 * time.Second))
-	replica := newReplServer(t, vfs.NewFault(), 0)
-	t.Cleanup(func() { replica.Close() })
 	dialed := false // touched only by the replica's streaming goroutine
-	replica.SetDialer(func(string, time.Duration) (net.Conn, error) {
-		if dialed {
-			return nil, errors.New("primary gone")
-		}
-		dialed = true
-		return cli, nil
-	})
-	if err := replica.StartReplica("pipe"); err != nil {
-		t.Fatal(err)
-	}
-	caddr, err := replica.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	replica := openServer(t, Options{Journal: crashJournalPath, FS: vfs.NewFault(), ReplicaOf: "pipe",
+		Dialer: func(string, time.Duration) (net.Conn, error) {
+			if dialed {
+				return nil, errors.New("primary gone")
+			}
+			dialed = true
+			return cli, nil
+		}})
+	caddr := replica.Addr()
 
 	pbr := bufio.NewReader(prim)
 	if hello, err := pbr.ReadString('\n'); err != nil || hello != repl.HelloLine(0, 1) {

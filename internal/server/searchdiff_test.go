@@ -246,7 +246,7 @@ func resultDNs(d *dirtree.Directory, fs []filter.Filter) []string {
 // agreeing with the primary, and survive promotion plus the first
 // post-failover commit.
 func TestSearchDifferentialReplica(t *testing.T) {
-	primary, addr := startPrimary(t, repl.Async)
+	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
 	r := startReplica(t, vfs.NewFault(), addr)
 	for i := 0; i < 25; i++ {
 		if err := commitPerson(t, primary, fmt.Sprintf("rd%02d", i)); err != nil {

@@ -48,7 +48,7 @@ import (
 const maxAcceptBackoff = time.Second
 
 // Limits configures the connection lifecycle. The zero value means "no
-// limits" (and a 1 s default drain on Close). Set before Listen.
+// limits" (and a 1 s default drain on Close).
 type Limits struct {
 	// ReadTimeout bounds a single read syscall, guarding against peers
 	// that trickle bytes forever without completing a line. 0 = none.
@@ -65,10 +65,52 @@ type Limits struct {
 	DrainTimeout time.Duration
 }
 
+// Options is everything a server boots with; Open runs the boot steps
+// it asks for, and nothing changes it afterwards. A zero field means
+// "off" or the default.
+type Options struct {
+	// New's arguments: the bounding-schema, its name, and the initial
+	// instance, which must be legal under it.
+	Schema   *core.Schema
+	Name     string
+	Instance *dirtree.Directory
+
+	Addr    string // client listener; "127.0.0.1:0" picks a free port
+	Journal string // change log to recover and append to; "" = none
+	// ReplAddr makes a primary that ships its journal to replicas on this
+	// address; ReplicaOf makes a read-only replica streaming from a
+	// primary's ReplAddr. Each requires Journal; at most one is set.
+	ReplAddr  string
+	ReplicaOf string
+
+	FS            vfs.FS // journal, snapshot and quarantine I/O; nil = vfs.OS{}
+	JournalRotate int64  // compact the journal past this many bytes; 0 = never
+	Limits        Limits
+	ErrorLog      *log.Logger // operational events; nil discards them
+	// ReplMode is a primary's COMMIT contract (see repl.Mode);
+	// SemiSyncTimeout bounds a semi-sync wait for a replica ACK before
+	// the primary degrades to async (0 = repl.DefaultAckTimeout).
+	ReplMode        repl.Mode
+	SemiSyncTimeout time.Duration
+	// PrimaryClientAddr is the primary's client address a replica's
+	// write redirects advertise; "" advertises ReplicaOf, which does not
+	// speak the client protocol.
+	PrimaryClientAddr string
+	// ShardName and ShardRoots label the server as one shard of a routed
+	// deployment (cmd/bsrouter) owning those subtrees; STAT and METRICS
+	// report them. Purely informational.
+	ShardName  string
+	ShardRoots []string
+	// Dialer replaces net.DialTimeout for a replica's connection to its
+	// primary; ReplListenerWrap wraps every replication listener. Tests
+	// thread internal/netfault through both; nil = the real network.
+	Dialer           func(addr string, timeout time.Duration) (net.Conn, error)
+	ReplListenerWrap func(net.Listener) net.Listener
+}
+
 // Server serves one directory instance guarded by one bounding-schema.
 type Server struct {
-	schema *core.Schema
-	name   string
+	opts Options // set by New (Schema, Name, FS) and Open; read-only after
 	// applier Δ-checks every transaction this node applies: COMMIT,
 	// journal replay and replicated segments. It keeps no state of its
 	// own, so any directory installed under s.mu is checked correctly from
@@ -95,22 +137,13 @@ type Server struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	limits  Limits
-	sem     chan struct{} // MaxConns slots; nil when uncapped
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{}
 
-	metrics  *Metrics
-	errorLog *log.Logger
+	metrics *Metrics
 
-	// fs is the file system behind every durability path (journal,
-	// snapshot, quarantine). vfs.OS{} in production; tests swap in a
-	// vfs.Fault to script crashes and I/O faults.
-	fs vfs.FS
-
-	journal     *journal // nil when journaling is off
-	rotateBytes int64    // journal rotation threshold; 0 = never
-	readOnly    string   // non-empty reason = refuse COMMIT/SNAPSHOT
+	journal  *journal // nil when journaling is off
+	readOnly string   // non-empty reason = refuse COMMIT/SNAPSHOT
 
 	// committer (see groupcommit.go) is non-nil on a journaled primary —
 	// replicas append inline, journal-less servers have nothing to sync;
@@ -118,31 +151,22 @@ type Server struct {
 	committer *committer
 	commitSeq uint64
 
-	// Replication (see repl.go). role flips from primary (the zero
-	// value) to replica in StartReplica and back in Promote. replHub is
-	// non-nil once ListenRepl started the primary's fan-out; replMode
-	// and replAckTO configure it. primaryAddr, promoteCh, replicaDone
-	// and replConn belong to a replica's streaming loop; primarySeq and
-	// replApplied feed the lag gauge.
+	// Replication (see repl.go). role is primary (the zero value) or,
+	// from before the journal opens, replica when Options.ReplicaOf is
+	// set; Promote flips it back. replHub is non-nil once ListenRepl
+	// started the primary's fan-out. promoteCh, replicaDone and replConn
+	// belong to a replica's streaming loop; primarySeq and replApplied
+	// feed the lag gauge.
 	role        atomic.Int32
 	replHub     atomic.Pointer[repl.Hub]
 	replLn      net.Listener
-	replMode    repl.Mode
-	replAckTO   time.Duration
-	primaryAddr string
-	// primaryClientAddr is the primary's CLIENT protocol address, when
-	// known. primaryAddr is the replication listener a replica streams
-	// from — advertising it to redirected writers would point them at a
-	// port that does not speak the client protocol (found by the load
-	// harness following redirects during failover).
-	primaryClientAddr atomic.Pointer[string]
-	promoteMu         sync.Mutex
-	promoteCh         chan struct{}
-	replicaDone       chan struct{}
-	replConnMu        sync.Mutex
-	replConn          net.Conn
-	primarySeq        atomic.Uint64
-	replApplied       atomic.Int64
+	promoteMu   sync.Mutex
+	promoteCh   chan struct{}
+	replicaDone chan struct{}
+	replConnMu  sync.Mutex
+	replConn    net.Conn
+	primarySeq  atomic.Uint64
+	replApplied atomic.Int64
 
 	// epoch is the replication epoch this node last adopted: 1 from New,
 	// recovered from the journal/snapshot headers by OpenJournal, bumped
@@ -150,20 +174,6 @@ type Server struct {
 	// bootstrap. A primary that observes a higher epoch fences itself
 	// read-only (see fence in repl.go).
 	epoch atomic.Uint64
-
-	// shardName/shardRoots label this node as one shard of a routed
-	// deployment (cmd/bsrouter): STAT and METRICS report them so an
-	// operator inspecting a node can tell which subtrees it owns. Purely
-	// informational — the server enforces nothing about the roots.
-	shardName  string
-	shardRoots []string
-
-	// dialer replaces net.DialTimeout for the replica's connection to
-	// the primary; replListenWrap wraps the replication listener. Both
-	// exist so tests can thread internal/netfault through the transport.
-	// Set before StartReplica / ListenRepl; nil means the real network.
-	dialer         func(addr string, timeout time.Duration) (net.Conn, error)
-	replListenWrap func(net.Listener) net.Listener
 }
 
 // New creates a server over the given schema and initial instance. The
@@ -177,8 +187,7 @@ func New(schema *core.Schema, name string, dir *dirtree.Directory) (*Server, err
 	}
 	proofUs := time.Since(t0).Microseconds()
 	s := &Server{
-		schema:      schema,
-		name:        name,
+		opts:        Options{Schema: schema, Name: name, FS: vfs.OS{}},
 		applier:     txn.NewApplier(schema),
 		checker:     checker,
 		dir:         dir,
@@ -186,7 +195,6 @@ func New(schema *core.Schema, name string, dir *dirtree.Directory) (*Server, err
 		closed:      make(chan struct{}),
 		conns:       make(map[net.Conn]struct{}),
 		metrics:     newMetrics(),
-		fs:          vfs.OS{},
 	}
 	checker.OnTiming = s.metrics.noteCheckTiming
 	s.epoch.Store(1)
@@ -196,51 +204,63 @@ func New(schema *core.Schema, name string, dir *dirtree.Directory) (*Server, err
 // Epoch returns the replication epoch this node is currently at.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-// SetDialer replaces the dialer the replica loop uses to reach the
-// primary — the hook tests use to thread a netfault.Fault through the
-// replication transport. Call before StartReplica; nil restores the
-// real network.
-func (s *Server) SetDialer(d func(addr string, timeout time.Duration) (net.Conn, error)) {
-	s.dialer = d
-}
-
-// SetReplListenerWrap wraps the replication listener (and so every
-// accepted replica connection). Call before ListenRepl.
-func (s *Server) SetReplListenerWrap(w func(net.Listener) net.Listener) {
-	s.replListenWrap = w
-}
-
-// SetShardInfo labels this node as the named shard of a routed
-// deployment owning the given subtree roots. STAT gains "shard:" and
-// "shard root:" lines and METRICS a shard line. Call before Listen.
-func (s *Server) SetShardInfo(name string, roots []string) {
-	s.shardName = name
-	s.shardRoots = append([]string(nil), roots...)
-}
-
-// SetLimits installs the connection lifecycle limits. Call before Listen.
-func (s *Server) SetLimits(l Limits) {
-	s.limits = l
-	if l.MaxConns > 0 {
-		s.sem = make(chan struct{}, l.MaxConns)
-	} else {
-		s.sem = nil
+// Open boots a server in the only valid order: New's legality proof,
+// OpenJournal's recovery, the replication role (a primary's fan-out
+// listener, or a replica's streaming loop — its role is set before the
+// journal opens, so it never has a committer), then the client
+// listener. If a step fails, Open closes what earlier steps started.
+func Open(o Options) (*Server, error) {
+	if (o.ReplAddr != "" || o.ReplicaOf != "") && o.Journal == "" {
+		return nil, errors.New("server: replication requires a journal")
 	}
+	if o.ReplAddr != "" && o.ReplicaOf != "" {
+		return nil, errors.New("server: ReplAddr and ReplicaOf are mutually exclusive")
+	}
+	s, err := New(o.Schema, o.Name, o.Instance)
+	if err != nil {
+		return nil, err
+	}
+	if o.FS == nil {
+		o.FS = vfs.OS{}
+	}
+	o.Instance = nil // s.dir owns it; recovery may replace it, so do not pin it
+	s.opts = o
+	if err := s.boot(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
-// SetErrorLog installs a logger for operational events (accept retries,
-// session read errors, journal degradation). nil (the default) discards.
-func (s *Server) SetErrorLog(l *log.Logger) { s.errorLog = l }
+func (s *Server) boot() error {
+	if s.opts.ReplicaOf != "" {
+		s.role.Store(int32(RoleReplica))
+	}
+	if s.opts.Journal != "" {
+		if err := s.OpenJournal(s.opts.Journal); err != nil {
+			return err
+		}
+	}
+	if s.opts.ReplAddr != "" {
+		if _, err := s.ListenRepl(s.opts.ReplAddr); err != nil {
+			return err
+		}
+	}
+	if s.opts.ReplicaOf != "" {
+		s.startReplica()
+	}
+	ln, err := net.Listen("tcp", s.opts.Addr)
+	if err != nil {
+		return err
+	}
+	s.ln = ln
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return nil
+}
 
-// SetJournalRotation sets the journal size threshold in bytes beyond
-// which a successful COMMIT triggers compaction (snapshot + truncate; see
-// journal.go). 0 disables rotation. Call before OpenJournal.
-func (s *Server) SetJournalRotation(bytes int64) { s.rotateBytes = bytes }
-
-// SetFS replaces the file system behind the durability paths (default
-// vfs.OS{}). Tests install a vfs.Fault to inject crashes, torn writes
-// and corruption. Call before OpenJournal.
-func (s *Server) SetFS(fs vfs.FS) { s.fs = fs }
+// Addr returns the bound address of the client listener Open started.
+func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // MetricsSnapshot returns a JSON-marshalable snapshot of the server's
 // metrics, shaped for expvar.Publish(expvar.Func(srv.MetricsSnapshot)).
@@ -254,29 +274,16 @@ func (s *Server) MetricsSnapshot() any {
 }
 
 func (s *Server) logf(format string, args ...any) {
-	if s.errorLog != nil {
-		s.errorLog.Printf(format, args...)
+	if s.opts.ErrorLog != nil {
+		s.opts.ErrorLog.Printf(format, args...)
 	}
 }
 
 func (s *Server) drainTimeout() time.Duration {
-	if s.limits.DrainTimeout > 0 {
-		return s.limits.DrainTimeout
+	if s.opts.Limits.DrainTimeout > 0 {
+		return s.opts.Limits.DrainTimeout
 	}
 	return time.Second
-}
-
-// Listen starts accepting connections on addr ("127.0.0.1:0" picks a
-// free port) and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return ln.Addr().String(), nil
 }
 
 // Close stops the listener and drains in-flight sessions: each gets up to
@@ -346,6 +353,10 @@ func nextAcceptDelay(d time.Duration) time.Duration {
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var sem chan struct{} // MaxConns slots; nil when uncapped
+	if n := s.opts.Limits.MaxConns; n > 0 {
+		sem = make(chan struct{}, n)
+	}
 	var delay time.Duration
 	for {
 		conn, err := s.ln.Accept()
@@ -368,16 +379,16 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		delay = 0
-		if s.sem != nil {
+		if sem != nil {
 			select {
-			case s.sem <- struct{}{}:
+			case sem <- struct{}{}:
 			default:
 				// At MaxConns: hold this accepted conn until a session
 				// ends. Further clients queue in the kernel backlog — the
 				// limit backpressures instead of shedding.
 				s.metrics.ConnsThrottled.Add(1)
 				select {
-				case s.sem <- struct{}{}:
+				case sem <- struct{}{}:
 				case <-s.closed:
 					conn.Close()
 					return
@@ -398,8 +409,8 @@ func (s *Server) acceptLoop() {
 				s.connsMu.Unlock()
 				conn.Close()
 				s.metrics.ConnsActive.Add(-1)
-				if s.sem != nil {
-					<-s.sem
+				if sem != nil {
+					<-sem
 				}
 			}()
 			s.serve(conn)
@@ -420,7 +431,7 @@ type deadlineConn struct {
 
 func (c *deadlineConn) Read(p []byte) (int, error) {
 	var dl time.Time
-	if rt := c.srv.limits.ReadTimeout; rt > 0 {
+	if rt := c.srv.opts.Limits.ReadTimeout; rt > 0 {
 		dl = time.Now().Add(rt)
 	}
 	if !c.lineBy.IsZero() && (dl.IsZero() || c.lineBy.Before(dl)) {
@@ -466,7 +477,7 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		default:
 		}
-		if it := s.limits.IdleTimeout; it > 0 {
+		if it := s.opts.Limits.IdleTimeout; it > 0 {
 			dc.lineBy = time.Now().Add(it)
 		}
 		if !sc.Scan() {
@@ -552,7 +563,7 @@ func (se *session) handle(line string) bool {
 	case "CONSISTENT":
 		se.consistent()
 	case "SCHEMA":
-		se.w.Line(strings.Split(strings.TrimRight(schemadsl.Format(se.srv.schema, se.srv.name), "\n"), "\n")...)
+		se.w.Line(strings.Split(strings.TrimRight(schemadsl.Format(se.srv.opts.Schema, se.srv.opts.Name), "\n"), "\n")...)
 		se.w.OK()
 	case "STAT":
 		se.stat()
@@ -598,7 +609,7 @@ func (se *session) handleTx(line string) {
 		se.pendingClasses = append(se.pendingClasses, l.Value)
 	case l.Attr:
 		var v dirtree.Value
-		if v, err = dirtree.ParseValue(se.srv.schema.Registry.Type(l.Name), l.Value); err == nil {
+		if v, err = dirtree.ParseValue(se.srv.opts.Schema.Registry.Type(l.Name), l.Value); err == nil {
 			se.pendingAttrs[l.Name] = append(se.pendingAttrs[l.Name], v)
 		}
 	}
@@ -807,7 +818,7 @@ func (se *session) check() {
 }
 
 func (se *session) consistent() {
-	res := core.CheckConsistency(se.srv.schema)
+	res := core.CheckConsistency(se.srv.opts.Schema)
 	se.w.Line(fmt.Sprintf("consistent: %v facts: %d", res.Consistent, res.Facts))
 	if res.Consistent {
 		se.w.OK()
@@ -825,9 +836,9 @@ func (se *session) stat() {
 		se.w.Line(role + ": " + se.srv.readOnly)
 	}
 	se.w.Line(fmt.Sprintf("epoch: %d", se.srv.epoch.Load()))
-	if se.srv.shardName != "" {
-		se.w.Line("shard: " + se.srv.shardName)
-		for _, r := range se.srv.shardRoots {
+	if se.srv.opts.ShardName != "" {
+		se.w.Line("shard: " + se.srv.opts.ShardName)
+		for _, r := range se.srv.opts.ShardRoots {
 			se.w.Line("shard root: " + r)
 		}
 	}
@@ -847,8 +858,8 @@ func (se *session) metricsCmd() {
 	journalOn := s.journal != nil
 	readOnly := s.readOnly
 	s.mu.RUnlock()
-	if s.shardName != "" {
-		se.w.Line(fmt.Sprintf("shard: name=%s roots=%d", s.shardName, len(s.shardRoots)))
+	if s.opts.ShardName != "" {
+		se.w.Line(fmt.Sprintf("shard: name=%s roots=%d", s.opts.ShardName, len(s.opts.ShardRoots)))
 	}
 	se.w.Line(s.metrics.lines(journalOn, readOnly, rs)...)
 	se.w.OK()

@@ -23,20 +23,30 @@ type client struct {
 	r    *bufio.Reader
 }
 
-func startServer(t *testing.T) (*Server, *client) {
+// openServer opens a server with o on a free port, over the Figure 1
+// whitepages instance unless o names a schema; the test's cleanup
+// closes it.
+func openServer(t *testing.T, o Options) *Server {
 	t.Helper()
-	s := workload.WhitePagesSchema()
-	d := workload.WhitePagesInstance(s)
-	srv, err := New(s, "whitepages", d)
-	if err != nil {
-		t.Fatal(err)
+	if o.Schema == nil {
+		o.Schema, o.Name = workload.WhitePagesSchema(), "whitepages"
+		o.Instance = workload.WhitePagesInstance(o.Schema)
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
+	if o.Addr == "" {
+		o.Addr = "127.0.0.1:0"
+	}
+	srv, err := Open(o)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	conn, err := net.Dial("tcp", addr)
+	return srv
+}
+
+func startServer(t *testing.T) (*Server, *client) {
+	t.Helper()
+	srv := openServer(t, Options{})
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,18 +332,8 @@ func TestServerJournalReplay(t *testing.T) {
 	journal := t.TempDir() + "/journal.ldif"
 
 	// First server: journal a committed transaction, then close.
-	srv1, err := New(s, "whitepages", workload.WhitePagesInstance(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv1.OpenJournal(journal); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv1.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
+	srv1 := openServer(t, Options{Journal: journal})
+	conn, err := net.Dial("tcp", srv1.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,16 +432,11 @@ func TestServerSearchWithSpacesInFilter(t *testing.T) {
 func TestServerConcurrentCheckCommit(t *testing.T) {
 	s := workload.WhitePagesSchema()
 	d := workload.Corpus(s, rand.New(rand.NewSource(3)), 2000)
-	srv, err := New(s, "whitepages", d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := openServer(t, Options{Schema: s, Name: "whitepages", Instance: d})
+	srv.mu.Lock() // CHECK reads the checker under the read lock
 	srv.checker.Concurrency = 4
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	srv.mu.Unlock()
+	addr := srv.Addr()
 
 	// roundTrip sends the lines and reads one response, returning its
 	// terminator (OK / ILLEGAL / ERR ...).

@@ -60,14 +60,12 @@ func assertUsable(t *testing.T, c *proto.Conn) {
 func startRoutedServer(t *testing.T) (bsdAddr, routerAddr string) {
 	t.Helper()
 	s := workload.WhitePagesSchema()
-	srv, err := server.New(s, "whitepages", workload.WhitePagesInstance(s))
+	srv, err := server.Open(server.Options{Schema: s, Name: "whitepages", Instance: workload.WhitePagesInstance(s), Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bsdAddr, err = srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { srv.Close() })
+	bsdAddr = srv.Addr()
 	rt := NewRouter(mustMap(t, nil, &Shard{Name: "s0", Addr: bsdAddr}))
 	if routerAddr, err = rt.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

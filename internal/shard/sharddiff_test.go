@@ -158,26 +158,18 @@ func startSharded(t *testing.T, sc diffScenario, corpusN, nShards int, seed int6
 // over dir. The fault FS carries the journal across restarts.
 func (c *diffCluster) bootShard(ds *diffShard, dir *dirtree.Directory, addr string) {
 	c.t.Helper()
-	srv, err := server.New(c.sc.newSchema(), c.sc.name, dir)
-	if err != nil {
-		c.t.Fatalf("shard %s: server.New: %v", ds.name, err)
-	}
 	if ds.fs == nil {
 		ds.fs = vfs.NewFault()
 	}
-	srv.SetFS(ds.fs)
-	if err := srv.OpenJournal(diffJournal); err != nil {
-		c.t.Fatalf("shard %s: open journal: %v", ds.name, err)
-	}
-	srv.SetShardInfo(ds.name, ds.roots)
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	bound, err := srv.Listen(addr)
+	srv, err := server.Open(server.Options{Schema: c.sc.newSchema(), Name: c.sc.name, Instance: dir,
+		Addr: addr, Journal: diffJournal, FS: ds.fs, ShardName: ds.name, ShardRoots: ds.roots})
 	if err != nil {
-		c.t.Fatalf("shard %s: listen %s: %v", ds.name, addr, err)
+		c.t.Fatalf("shard %s: %v", ds.name, err)
 	}
-	ds.srv, ds.addr = srv, bound
+	ds.srv, ds.addr = srv, srv.Addr()
 }
 
 // crashShard kills one shard server; restartShard rebuilds it from the
@@ -360,15 +352,13 @@ func runDiffOracle(t *testing.T, sc diffScenario, withCrash bool) {
 	// The reference: one unsharded node over the identical corpus (same
 	// generator, same seed).
 	refSchema := sc.newSchema()
-	refSrv, err := server.New(refSchema, sc.name, sc.newCorpus(refSchema, rand.New(rand.NewSource(seed)), corpusN))
+	refSrv, err := server.Open(server.Options{Schema: refSchema, Name: sc.name,
+		Instance: sc.newCorpus(refSchema, rand.New(rand.NewSource(seed)), corpusN), Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatalf("reference server: %v", err)
 	}
-	refAddr, err := refSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("reference listen: %v", err)
-	}
 	t.Cleanup(func() { refSrv.Close() })
+	refAddr := refSrv.Addr()
 
 	ref, rtc := dialTest(t, refAddr), dialTest(t, c.rtAddr)
 	assertEquivalent(t, ref, rtc, c)

@@ -19,7 +19,7 @@ var sourceBudget = map[string]int{
 	".":                       180,
 	"cmd/bsbench":             780,
 	"cmd/bschema":             539,
-	"cmd/bsd":                 199,
+	"cmd/bsd":                 182,
 	"cmd/bsgen":               171,
 	"cmd/bsrouter":            75,
 	"examples/netpolicy":      147,
@@ -28,16 +28,16 @@ var sourceBudget = map[string]int{
 	"examples/whitepages":     91,
 	"internal/core":           4867,
 	"internal/dirtree":        2177,
-	"internal/filter":         464,
+	"internal/filter":         482,
 	"internal/hquery":         1292,
 	"internal/ldif":           409,
-	"internal/loadgen":        1074,
+	"internal/loadgen":        1022,
 	"internal/netfault":       428,
 	"internal/proto":          445,
 	"internal/repl":           864,
 	"internal/schemadsl":      611,
 	"internal/semistruct":     298,
-	"internal/server":         3222,
+	"internal/server":         3208,
 	"internal/shard":          1640,
 	"internal/txn":            751,
 	"internal/vfs":            625,
