@@ -99,10 +99,7 @@ func Lint(s *Schema) []LintFinding {
 // relationship. The closure is sound (Theorem 5.1), so every instance
 // legal under s then satisfies e. Elements of the class schema are never
 // reported implied.
-func Implies(s *Schema, e Element) bool {
-	_, ok := Infer(s).factOf(e)
-	return ok
-}
+func Implies(s *Schema, e Element) bool { return Infer(s).implies(e) }
 
 // ImpliedElement is a structure element Cover drops, with the closure's
 // derivation of it from the cover (Inference.Explain).

@@ -77,6 +77,11 @@ type chaser struct {
 	queue []*cnode
 }
 
+// hasForb reports the closed prohibition upper ⇥ax lower.
+func (in *Inference) hasForb(upper int, ax Axis, lower int) bool {
+	return in.has(fact{kind: factForb, a: upper, ax: ax, b: lower})
+}
+
 func (ch *chaser) run() (*dirtree.Directory, error) {
 	// Seed one node per required class.
 	for _, c := range ch.schema.Structure.RequiredClasses() {

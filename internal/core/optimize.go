@@ -10,50 +10,30 @@ import (
 // under the schema, guaranteed relationships collapse joins and
 // forbidden relationships empty them.
 type QueryFacts struct {
-	in *Inference
+	in      *Inference
+	classes *ClassSchema
 }
 
 // NewQueryFacts derives optimization facts from the schema's closure.
-func NewQueryFacts(s *Schema) QueryFacts { return QueryFacts{in: Infer(s)} }
+func NewQueryFacts(s *Schema) QueryFacts { return QueryFacts{in: Infer(s), classes: s.Classes} }
 
-// UnsatClass implements hquery.SchemaFacts.
+// UnsatClass implements hquery.SchemaFacts. A class absent from the
+// schema cannot occur in a legal instance either (Definition 2.7's "only
+// object classes mentioned in the schema").
 func (f QueryFacts) UnsatClass(c string) bool {
-	id, ok := f.in.ids[c]
-	if !ok {
-		// A class absent from the schema cannot occur in a legal
-		// instance (Definition 2.7's "only object classes mentioned in
-		// the schema").
-		return !f.in.schema.Classes.IsAux(c)
-	}
-	return f.in.unsat[id]
+	return f.in.Unsatisfiable(c) || !f.classes.Declared(c)
 }
 
 // Required implements hquery.SchemaFacts.
 func (f QueryFacts) Required(ci, axis, cj string) bool {
 	ax, err := ParseAxis(axis)
-	if err != nil {
-		return false
-	}
-	si, ok1 := f.in.ids[ci]
-	ti, ok2 := f.in.ids[cj]
-	if !ok1 || !ok2 {
-		return false
-	}
-	return f.in.hasReq(si, ax, ti)
+	return err == nil && f.in.implies(RequiredRel{Source: ci, Axis: ax, Target: cj})
 }
 
 // Forbidden implements hquery.SchemaFacts.
 func (f QueryFacts) Forbidden(ci, axis, cj string) bool {
 	ax, err := ParseAxis(axis)
-	if err != nil || !ax.Downward() {
-		return false
-	}
-	ui, ok1 := f.in.ids[ci]
-	li, ok2 := f.in.ids[cj]
-	if !ok1 || !ok2 {
-		return false
-	}
-	return f.in.hasForb(ui, ax, li)
+	return err == nil && f.in.implies(ForbiddenRel{Upper: ci, Axis: ax, Lower: cj})
 }
 
 // OptimizeQuery rewrites a hierarchical selection query using the

@@ -8,11 +8,11 @@ import (
 // implementation's extension rule groups (see core.InferOptions): the
 // pairwise Figure 6/7 reconstruction alone misses it. These were found by
 // the randomized stress harness and verified inconsistent by hand; they
-// drive the ablation experiment (E11) and regression tests.
+// drive the ablation experiment (E12) and regression tests.
 type HardCase struct {
 	Name   string
 	Schema *core.Schema
-	// Rule names expected on the inconsistency derivation.
+	// Rule names the extension rule the case was built around.
 	Rule string
 }
 

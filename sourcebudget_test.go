@@ -26,7 +26,7 @@ var sourceBudget = map[string]int{
 	"examples/quickstart":     68,
 	"examples/semistructured": 63,
 	"examples/whitepages":     91,
-	"internal/core":           4867,
+	"internal/core":           4534,
 	"internal/dirtree":        2177,
 	"internal/filter":         482,
 	"internal/hquery":         1292,
