@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"boundschema/internal/proto"
 )
 
 // Parse parses an RFC 2254-style filter string. The outermost parentheses
-// are required, as in "(objectClass=person)".
+// are required, as in "(objectClass=person)". A filter nested deeper than
+// proto.MaxDepth, or with more than proto.MaxNodes nodes, is refused.
 func Parse(src string) (Filter, error) {
 	p := &parser{src: src}
 	f, err := p.parseFilter()
@@ -32,8 +35,9 @@ func MustParse(src string) Filter {
 }
 
 type parser struct {
-	src string
-	pos int
+	src          string
+	pos          int
+	depth, nodes int
 }
 
 func (p *parser) errorf(format string, args ...interface{}) error {
@@ -58,6 +62,10 @@ func (p *parser) parseFilter() (Filter, error) {
 	p.skipSpace()
 	if err := p.expect('('); err != nil {
 		return nil, err
+	}
+	p.depth++
+	if p.nodes++; p.depth > proto.MaxDepth || p.nodes > proto.MaxNodes {
+		return nil, fmt.Errorf("filter: %s: more than %d deep or %d nodes", proto.TooComplex, proto.MaxDepth, proto.MaxNodes)
 	}
 	if p.pos >= len(p.src) {
 		return nil, p.errorf("unexpected end of filter")
@@ -86,6 +94,7 @@ func (p *parser) parseFilter() (Filter, error) {
 	if err := p.expect(')'); err != nil {
 		return nil, err
 	}
+	p.depth--
 	return f, nil
 }
 

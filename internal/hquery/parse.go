@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"boundschema/internal/filter"
+	"boundschema/internal/proto"
 )
 
 // Parse reads a query in the s-expression syntax produced by String:
@@ -15,7 +16,8 @@ import (
 //	       (desc (select (objectClass=orgGroup)) (select (objectClass=person))))
 //
 // The instance tags @0, @delta, @base and @full correspond to the Figure 5
-// annotations [∅], [Δ], [D] and [D±Δ].
+// annotations [∅], [Δ], [D] and [D±Δ]. A query, filters included, nested
+// deeper than proto.MaxDepth or over proto.MaxNodes nodes is refused.
 func Parse(src string) (Query, error) {
 	p := &qparser{src: src}
 	q, err := p.parseQuery()
@@ -40,8 +42,9 @@ func MustParse(src string) Query {
 }
 
 type qparser struct {
-	src string
-	pos int
+	src          string
+	pos          int
+	depth, nodes int
 }
 
 func (p *qparser) errorf(format string, args ...interface{}) error {
@@ -65,6 +68,11 @@ func (p *qparser) parseQuery() (Query, error) {
 		return nil, p.errorf("expected '('")
 	}
 	p.pos++
+	p.depth++
+	defer func() { p.depth-- }()
+	if err := p.count(0); err != nil {
+		return nil, err
+	}
 	op := p.readWord()
 	switch op {
 	case "select":
@@ -150,6 +158,9 @@ func (p *qparser) readBalanced() (string, error) {
 			p.pos++ // skip escaped byte marker; hex digits are plain text
 		case '(':
 			depth++
+			if err := p.count(depth); err != nil {
+				return "", err
+			}
 		case ')':
 			depth--
 			if depth == 0 {
@@ -160,6 +171,15 @@ func (p *qparser) readBalanced() (string, error) {
 		p.pos++
 	}
 	return "", p.errorf("unbalanced filter starting at %d", start)
+}
+
+// count records one more node, query or filter (each opens one '('),
+// nested extra levels below the current query node.
+func (p *qparser) count(extra int) error {
+	if p.nodes++; p.depth+extra > proto.MaxDepth || p.nodes > proto.MaxNodes {
+		return fmt.Errorf("hquery: %s: more than %d deep or %d nodes", proto.TooComplex, proto.MaxDepth, proto.MaxNodes)
+	}
+	return nil
 }
 
 func (p *qparser) readWord() string {

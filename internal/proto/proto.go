@@ -59,6 +59,7 @@ const (
 	StaleEpoch   = "stale epoch"
 	ReadOnly     = "read-only"
 	TooLong      = "line too long"
+	TooComplex   = "too complex" // past MaxDepth or MaxNodes
 	ShuttingDown = "shutting down"
 	IdleTimeout  = "idle timeout"
 	NoEntry      = "no entry"

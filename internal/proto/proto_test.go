@@ -84,6 +84,12 @@ func FuzzProto(f *testing.F) {
 		"ERR \n",
 		"ERR\nOK",
 		"partial",
+		// Filters at and one past MaxDepth and MaxNodes: the grammar
+		// frames them alike, and filter.Parse refuses the second of each.
+		"SEARCH " + strings.Repeat("(!", MaxDepth-1) + "(a=b)" + strings.Repeat(")", MaxDepth-1),
+		"SEARCH " + strings.Repeat("(!", MaxDepth) + "(a=b)" + strings.Repeat(")", MaxDepth),
+		"SEARCH (|" + strings.Repeat("(a=b)", MaxNodes-1) + ")",
+		"SEARCH (|" + strings.Repeat("(a=b)", MaxNodes) + ")",
 	} {
 		f.Add(seed)
 	}

@@ -13,6 +13,12 @@ import (
 // ERR line and the connection closes.
 const MaxLineBytes = 1024 * 1024
 
+// MaxDepth and MaxNodes cap a SEARCH filter and a QUERY expression, whose
+// evaluation costs their size times the entries they range over:
+// filter.Parse and hquery.Parse refuse deeper nesting, or more nodes (a
+// query's filters included), with a TooComplex refusal.
+const MaxDepth, MaxNodes = 32, 256
+
 // NewScanner reads request lines from r, up to MaxLineBytes each.
 func NewScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,5 +123,55 @@ func TestErrGrammarLineTooLong(t *testing.T) {
 	line = strings.TrimRight(line, "\n")
 	if !strings.HasPrefix(line, "ERR ") || !strings.Contains(line, "line too long") {
 		t.Fatalf("oversized line reply = %q", line)
+	}
+}
+
+// TestRequestBounds: proto.MaxDepth and proto.MaxNodes bound what one
+// SEARCH or QUERY line may ask for. At the cap a deep filter, a wide
+// filter and a deep query evaluate to exactly what their one-atom core
+// selects; one past the cap is refused with one proto.TooComplex line
+// before any plan runs, and so is a 1 MiB line of "(!" nesting, which
+// fits proto.MaxLineBytes.
+func TestRequestBounds(t *testing.T) {
+	srv, c := startServer(t)
+	const person = "(objectClass=person)"
+	persons := c.expectOK("SEARCH " + person)
+	if len(persons) == 0 {
+		t.Fatal("no person to select")
+	}
+	nest := func(open, core string, levels int) string {
+		return strings.Repeat(open, levels) + core + strings.Repeat(")", levels)
+	}
+	deepFilter := func(depth int) string { return "SEARCH " + nest("(&", person, depth-1) }
+	wideFilter := func(nodes int) string { return "SEARCH (|" + strings.Repeat(person, nodes-1) + ")" }
+	// (select F) is two deep; each minus level adds one to the depth and
+	// three nodes (the minus, a select and its filter).
+	deepQuery := func(depth int) string {
+		q := "(select " + person + ")"
+		for d := 2; d < depth; d++ {
+			q = "(minus " + q + " (select (objectClass=nothing)))"
+		}
+		return "QUERY " + q
+	}
+	probeA := "SEARCH " + nest("(!", "(a=b)", (proto.MaxLineBytes-64)/3)
+	for _, tc := range []struct{ name, at, past string }{
+		{"deep filter", deepFilter(proto.MaxDepth), deepFilter(proto.MaxDepth + 1)},
+		{"wide filter", wideFilter(proto.MaxNodes), wideFilter(proto.MaxNodes + 1)},
+		{"deep query", deepQuery(proto.MaxDepth), deepQuery(proto.MaxDepth + 1)},
+		{"probe A", "", probeA},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.at != "" {
+				if got := c.expectOK(tc.at); !slices.Equal(got, persons) {
+					t.Errorf("at the cap: %v, want %v", got, persons)
+				}
+			}
+			planned := srv.metrics.SearchIndexed.Load() + srv.metrics.SearchScanned.Load()
+			c.send(tc.past)
+			expectErr(t, c, proto.TooComplex)
+			if n := srv.metrics.SearchIndexed.Load() + srv.metrics.SearchScanned.Load(); n != planned {
+				t.Errorf("a refused request was planned (%d plans, was %d)", n, planned)
+			}
+		})
 	}
 }

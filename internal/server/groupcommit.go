@@ -9,14 +9,14 @@ import (
 	"boundschema/internal/txn"
 )
 
-// This file is the durability half of the commit path — the only one a
-// journaled primary has. CommitTx's write-lock critical section is
-// apply + validate + re-encode + journal-record encoding; durability
-// belongs to a single committer goroutine that coalesces every record
-// staged while the previous fsync was in flight into one write + Sync()
-// (ARIES-style group commit), so a slow disk sync stalls neither
-// readers nor the next wave of appliers. A lone writer is a batch of
-// one.
+// This file is the durability half of the commit path — the only one
+// any journaled node has. A COMMIT's and a replicated segment's
+// write-lock critical section is apply + validate + re-encode +
+// journal-record encoding; durability belongs to a single committer
+// goroutine that coalesces every record staged while the previous fsync
+// was in flight into one write + Sync() (ARIES-style group commit), so a
+// slow disk sync stalls neither readers nor the next wave of appliers. A
+// lone writer is a batch of one.
 //
 // Invariants:
 //
@@ -24,14 +24,14 @@ import (
 //     and records staged while the apply's write lock is still held, so
 //     the staging queue is always in apply order and the committer
 //     writes it front-to-back.
-//   - OK still means applied AND on disk. A session replies only after
-//     its record's batch has fsynced.
+//   - OK (or a replica's ACK) still means applied AND on disk. The
+//     stager waits for its record's batch to fsync before it answers.
 //   - A failed batch write/sync fails every member: the committer
 //     re-acquires the write lock, rolls back the batch's transactions
 //     plus anything staged on top of them (all equally non-durable) in
 //     reverse apply order via their ApplyWithUndo closures, truncates
-//     torn bytes, and replies "ERR commit not durable" to each. If the
-//     rollback or the truncate fails, the server degrades to read-only.
+//     torn bytes, and hands each stager the error. If the rollback or
+//     the truncate fails, the server degrades to read-only.
 //   - Snapshot rotation only runs at a quiescent point (staging queue
 //     empty under the write lock), so the snapshot can never contain a
 //     transaction the journal will replay again.
@@ -46,9 +46,9 @@ type commitReq struct {
 	done chan error   // buffered(1); nil means durable
 }
 
-// committer owns all journal file I/O on a primary (a replica has none
-// and appends inline under srv.mu). It is started by OpenJournal and
-// Promote, and stopped by Close after sessions drain.
+// committer owns all journal file I/O on every journaled node, primary
+// or replica. OpenJournal starts it, and Close stops it after sessions
+// drain.
 type committer struct {
 	srv *Server
 
@@ -81,19 +81,28 @@ func (c *committer) stop() {
 	<-c.dead
 }
 
-// stage enqueues a record for the next batch. Called with srv.mu held,
-// which is what makes the queue order equal the apply order.
-func (c *committer) stage(r *commitReq) {
+// stage hands rec, the journal record of the transaction just applied
+// as seq, to the committer and waits for its batch's fsync: the one way
+// a COMMIT or a replicated segment becomes durable. Called with s.mu
+// held, which keeps the queue order equal to the apply order; returns
+// with it released. An error means the committer rolled the transaction
+// back through undo and reclaimed seq.
+func (s *Server) stage(seq uint64, rec []byte, undo func() error) error {
+	s.commitSeq = seq
+	req := &commitReq{seq: seq, data: rec, undo: undo, done: make(chan error, 1)}
+	c := s.committer
 	c.mu.Lock()
-	if r.seq < c.lastSeq {
+	if seq < c.lastSeq {
 		// Defensive: sequence numbers are assigned under the same lock
 		// that orders staging, so this cannot happen short of a bug.
-		c.srv.logf("server: group commit staged out of order (seq %d after %d)", r.seq, c.lastSeq)
+		s.logf("server: group commit staged out of order (seq %d after %d)", seq, c.lastSeq)
 	}
-	c.lastSeq = r.seq
-	c.staged = append(c.staged, r)
+	c.lastSeq = seq
+	c.staged = append(c.staged, req)
 	c.mu.Unlock()
 	c.ring()
+	s.mu.Unlock()
+	return <-req.done
 }
 
 // quiesceReq is work that must run at a quiescent point — staged queue
@@ -223,8 +232,9 @@ func (c *committer) commitBatch(batch []*commitReq) {
 // any transaction staged on top of the batch while the sync was in
 // flight, which is equally non-durable and was applied later — is rolled
 // back in reverse apply order under the write lock (journal.append
-// already truncated the torn bytes away), and each session gets the
-// error for its "ERR commit not durable" reply.
+// already truncated the torn bytes away), and each stager gets the
+// error: a session's "ERR commit not durable", or a replica's retryable
+// apply failure, whose reconnect re-delivers the segment.
 func (c *committer) failBatch(batch []*commitReq, err error) {
 	s := c.srv
 	s.mu.Lock()
@@ -234,8 +244,7 @@ func (c *committer) failBatch(batch []*commitReq, err error) {
 		undos[i] = r.undo
 	}
 	if uerr := txn.ComposeUndo(undos...)(); uerr != nil {
-		s.readOnly = fmt.Sprintf("in-memory state diverged after failed journal write: %v (rollback: %v)", err, uerr)
-		s.logf("server: %s", s.readOnly)
+		s.degrade(fmt.Sprintf("in-memory state diverged after failed journal write: %v (rollback: %v)", err, uerr))
 	}
 	s.dir.EnsureEncoded()
 	// Reclaim the failed transactions' sequence numbers: none of them
@@ -249,8 +258,7 @@ func (c *committer) failBatch(batch []*commitReq, err error) {
 		c.mu.Unlock()
 	}
 	if s.journal.failed != "" {
-		s.readOnly = s.journal.failed
-		s.logf("journal: %s", s.readOnly)
+		s.degrade(s.journal.failed)
 	}
 	s.mu.Unlock()
 	for _, r := range all {

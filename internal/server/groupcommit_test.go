@@ -519,3 +519,44 @@ func TestRotateQueuedBehindFailedBatchIsRefused(t *testing.T) {
 		t.Errorf("journal lost acknowledged bytes across the refused rotation")
 	}
 }
+
+// TestDegradeKeepsFirstReason: a primary fenced while a batch's fsync is
+// in flight stays fenced when that batch then fails beyond repair (the
+// Sync and the cleanup truncate both fail). The first read-only reason
+// stands, so STAT still says "fenced" and every refusal keeps the
+// proto.Fenced stem that failover tooling and loadgen's error taxonomy
+// match on.
+func TestDegradeKeepsFirstReason(t *testing.T) {
+	srv, addr, _ := startGroupServer(t, 0)
+	bj := &blockingJournal{gate: make(chan struct{}), syncing: make(chan struct{}, 1), failTrunc: true}
+	bj.failSync.Store(true)
+	injectBlocking(srv, bj)
+
+	c := dialClient(t, addr)
+	c.expectOK("BEGIN")
+	c.send(addPersonLines("doomed")...)
+	waitSyncStart(t, bj)
+	srv.fence(srv.Epoch()+1, "a test")
+	close(bj.gate) // the fsync fails, and so does the truncate
+	if _, term := c.until(); !strings.Contains(term, proto.NotDurable) {
+		t.Fatalf("commit on the failed batch replied %q", term)
+	}
+
+	srv.mu.RLock()
+	reason := srv.readOnly
+	srv.mu.RUnlock()
+	if !strings.HasPrefix(reason, proto.Fenced) {
+		t.Errorf("read-only reason = %q, want the fence's %q stem to stand", reason, proto.Fenced)
+	}
+	if body := c.expectOK("STAT"); body[0] != "role: fenced" {
+		t.Errorf("STAT after the failed batch = %v, want role: fenced", body)
+	}
+	c.expectOK("BEGIN")
+	c.send(addPersonLines("refused")...)
+	if _, term := c.until(); !strings.Contains(term, proto.Fenced) {
+		t.Errorf("COMMIT on the fenced primary replied %q, want the %q stem", term, proto.Fenced)
+	}
+	if n := srv.metrics.FencingEvents.Load(); n != 1 {
+		t.Errorf("fencing events = %d, want 1", n)
+	}
+}

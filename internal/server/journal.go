@@ -40,11 +40,10 @@ type journalFile interface {
 	Close() error
 }
 
-// journal is the commit log of a running server. All file I/O and size
-// accounting belong to one goroutine at a time: the committer on a
-// primary (groupcommit.go), which takes the server's write lock only
-// for failure rollback and rotation, or the replica's streaming loop,
-// which appends under that lock.
+// journal is the commit log of a running server. Once recovery has
+// opened it, all file I/O and size accounting belong to the committer
+// (groupcommit.go) on every journaled node, which takes the server's
+// write lock only for failure rollback and quiescent work.
 type journal struct {
 	path     string
 	snapPath string
@@ -94,16 +93,14 @@ func (j *journal) append(recs ...[]byte) error {
 // Theorem 4.2 the recovered instance is too, without a second full proof.
 // Every future successful COMMIT is then appended as checksummed LDIF
 // change records — so a restart with the same arguments reproduces the
-// state. A primary gets its committer here; a replica has none.
+// state. The journal's committer starts here, whatever the role.
 func (s *Server) OpenJournal(path string) error {
 	rep, err := s.recoverJournal(path)
 	s.metrics.noteRecovery(rep)
 	if err != nil {
 		return err
 	}
-	if s.Role() == RolePrimary {
-		s.startCommitter()
-	}
+	s.startCommitter()
 	return nil
 }
 
@@ -125,9 +122,8 @@ func (s *Server) Rotate() error {
 
 // atQuiescent runs fn under s.mu at a point where the in-memory
 // instance equals the durable journal and no append is in flight: the
-// committer's quiescent point on a primary; directly under the lock on
-// a replica or a journal-less server, which have no committer (a
-// replica appends under s.mu, so holding it is already quiescence).
+// committer's quiescent point, or directly under the lock on a
+// journal-less server, which has nothing to append.
 func (s *Server) atQuiescent(fn func() error) error {
 	s.mu.Lock()
 	c := s.committer
@@ -196,14 +192,23 @@ func (s *Server) installSnapshot(write func(io.Writer) error) error {
 		// replay (seq ≤ snapshot-seq is skipped) but the truncate failure
 		// means the file cannot be trusted for future appends.
 		j.failed = fmt.Sprintf("journal %s not truncated after snapshot (%v)", j.path, err)
-		s.readOnly = j.failed
-		s.logf("journal: %s", s.readOnly)
+		s.degrade(j.failed)
 		return err
 	}
 	_ = j.f.Sync()
 	j.size = 0
 	s.metrics.JournalBytes.Store(0)
 	return nil
+}
+
+// degrade flips the server read-only for reason — the only writer of
+// s.readOnly. The first reason stands: a later fault does not rename why
+// writes stopped (a fenced primary stays "fenced:"). Called under s.mu.
+func (s *Server) degrade(reason string) {
+	if s.readOnly == "" {
+		s.readOnly = reason
+	}
+	s.logf("server: %s", reason)
 }
 
 // rotateJournal compacts the durable state: the current instance

@@ -109,22 +109,18 @@ func TestOpen(t *testing.T) {
 		replica := openServer(t, whitepages(Options{Addr: replicaAddr, Journal: crashJournalPath, FS: vfs.NewFault(),
 			ReplicaOf: primary.ReplAddr()}))
 
-		// The replica never had a committer: its role was set before the
-		// journal opened, and Open returned with the loop streaming.
-		replica.mu.RLock()
-		c := replica.committer
-		replica.mu.RUnlock()
-		if c != nil {
-			t.Errorf("replica built by Open has a committer")
+		// Every journaled node owns its journal through a committer,
+		// whatever its role, and Open returned with the loop streaming.
+		for _, srv := range []*Server{primary, replica} {
+			srv.mu.RLock()
+			c := srv.committer
+			srv.mu.RUnlock()
+			if c == nil {
+				t.Errorf("every journaled node built by Open has a committer: the %v has none", srv.Role())
+			}
 		}
 		if replica.Role() != RoleReplica {
 			t.Errorf("replica role = %v", replica.Role())
-		}
-		primary.mu.RLock()
-		c = primary.committer
-		primary.mu.RUnlock()
-		if c == nil {
-			t.Errorf("journaled primary built by Open has no committer")
 		}
 
 		// Addr and ReplAddr are the bound ports: the client protocol

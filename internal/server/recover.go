@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"boundschema/internal/core"
+	"boundschema/internal/dirtree"
 	"boundschema/internal/ldif"
 	"boundschema/internal/repl"
 	"boundschema/internal/txn"
@@ -245,21 +246,32 @@ func (s *Server) loadSnapshot(snapPath string) (loaded bool, snapSeq, snapEpoch 
 		return false, 0, 0, rerr
 	}
 	snapSeq, snapEpoch = parseSnapshotHeaders(data)
-	d, rerr := ldif.ReadDirectory(bytes.NewReader(data), s.opts.Schema.Registry)
-	if rerr != nil {
-		return false, 0, 0, fmt.Errorf("server: snapshot %s: %v", snapPath, rerr)
+	d, proofUs, err := s.proveSnapshot(data)
+	if err != nil {
+		return false, 0, 0, fmt.Errorf("server: snapshot %s %v", snapPath, err)
+	}
+	s.mu.Lock()
+	s.dir, s.baseProofUs = d, proofUs
+	s.mu.Unlock()
+	return true, snapSeq, snapEpoch, nil
+}
+
+// proveSnapshot decodes a snapshot blob and proves it legal in full,
+// returning the directory encoded for readers and the proof's duration
+// in µs. Boot's snapshot load and a replica's bootstrap both install
+// what it returns.
+func (s *Server) proveSnapshot(data []byte) (*dirtree.Directory, int64, error) {
+	d, err := ldif.ReadDirectory(bytes.NewReader(data), s.opts.Schema.Registry)
+	if err != nil {
+		return nil, 0, fmt.Errorf("is undecodable: %v", err)
 	}
 	t0 := time.Now()
 	if r := s.checker.Check(d); !r.Legal() {
-		return false, 0, 0, fmt.Errorf("server: snapshot %s is illegal:\n%s", snapPath, r)
+		return nil, 0, fmt.Errorf("is illegal: %s", firstViolation(r))
 	}
 	proofUs := time.Since(t0).Microseconds()
-	s.mu.Lock()
-	s.dir = d
-	s.dir.EnsureEncoded()
-	s.baseProofUs = proofUs
-	s.mu.Unlock()
-	return true, snapSeq, snapEpoch, nil
+	d.EnsureEncoded()
+	return d, proofUs, nil
 }
 
 // parseSnapshotHeaders reads the "# snapshot-seq" and "# snapshot-epoch"
@@ -475,8 +487,7 @@ func (s *Server) Fsck(path string) (*RecoveryReport, error) {
 // verifyNow is the VERIFY protocol command's engine: re-scan the
 // on-disk journal against its checksums and sequence numbers, then run
 // the full legality checker over the served instance. It must run at a
-// point where no journal append is in flight (atQuiescent, or Promote
-// after it stopped the replica's streaming loop).
+// point where no journal append is in flight (atQuiescent).
 func (s *Server) verifyNow() ([]string, error) {
 	var lines []string
 	if s.journal != nil {

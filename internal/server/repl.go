@@ -28,14 +28,15 @@ import (
 // contract, including the degrade-to-async escape hatch).
 //
 // A replica dials the primary and applies the stream through the same
-// machinery recovery uses: every segment is CRC- and continuity-checked
+// machinery a COMMIT uses: every segment is CRC- and continuity-checked
 // on receipt, decoded, applied transaction-atomically under the
-// incremental legality tests, and appended verbatim to the local journal
-// (write + fsync) before it is acknowledged — so a replica restart
-// recovers through the ordinary journal pipeline, and the primary's and
-// replica's logs are byte-identical. A replicated transaction that fails
-// locally is divergence: the replica degrades to read-only and stops
-// retrying rather than serve state that disagrees with its primary.
+// incremental legality tests, and staged verbatim with the committer;
+// the replica acknowledges it once its batch has fsynced. So a replica
+// restart recovers through the ordinary journal pipeline, the primary's
+// and replica's logs are byte-identical, and replica readers never wait
+// out a replica fsync. A replicated transaction that fails locally is
+// divergence: the replica degrades to read-only and stops retrying
+// rather than serve state that disagrees with its primary.
 //
 // PROMOTE turns a caught-up replica writable: the streaming loop is
 // stopped, the journal is re-verified end to end (checksums, sequence
@@ -106,10 +107,9 @@ const fencedPrefix = proto.Fenced
 func (s *Server) fence(observed uint64, source string) {
 	s.mu.Lock()
 	if s.readOnly == "" {
-		s.readOnly = fmt.Sprintf("%s observed epoch %d > local epoch %d via %s; a newer primary exists",
-			fencedPrefix, observed, s.epoch.Load(), source)
 		s.metrics.FencingEvents.Add(1)
-		s.logf("repl: %s", s.readOnly)
+		s.degrade(fmt.Sprintf("%s observed epoch %d > local epoch %d via %s; a newer primary exists",
+			fencedPrefix, observed, s.epoch.Load(), source))
 	}
 	s.mu.Unlock()
 }
@@ -385,9 +385,10 @@ func (s *Server) ReplAddr() string {
 	return s.replLn.Addr().String()
 }
 
-// startReplica starts the streaming loop against Options.ReplicaOf. Open
-// set the role before the journal opened, so there is no committer.
+// startReplica takes the replica role and starts the streaming loop
+// against Options.ReplicaOf.
 func (s *Server) startReplica() {
+	s.role.Store(int32(RoleReplica))
 	s.promoteCh = make(chan struct{})
 	s.replicaDone = make(chan struct{})
 	go s.replicaLoop(s.opts.ReplicaOf)
@@ -527,72 +528,87 @@ func (t replicaTarget) ObservePrimarySeq(seq uint64) {
 	}
 }
 
-// bootstrapFromPrimary installs a full snapshot from the primary: parse
-// and legality-check the blob, install it as the local snapshot sidecar
-// (installSnapshot — the rotation recipe, which also truncates the
-// journal), and swap the served instance. The snapshot-seq header
-// inside the blob makes every crash window benign: recovery either
-// finds the old state or the new snapshot, and journal records the
-// snapshot already covers are skipped by seq on replay. A snapshot from
-// a higher epoch also advances this replica's epoch — that is how a
-// rejoining node adopts the regime of a promoted primary.
+// bootstrapFromPrimary installs a full snapshot from the primary: decode
+// and prove the blob, then, at the committer's quiescent point, install
+// it as the local snapshot sidecar (installSnapshot — the rotation
+// recipe, which also truncates the journal) and swap the served
+// instance. The snapshot-seq header inside the blob makes every crash
+// window benign: recovery either finds the old state or the new
+// snapshot, and journal records the snapshot already covers are skipped
+// by seq on replay. A snapshot from a higher epoch also advances this
+// replica's epoch — that is how a rejoining node adopts the regime of a
+// promoted primary.
 func (s *Server) bootstrapFromPrimary(seq, epoch uint64, snapshot []byte) error {
-	d, err := ldif.ReadDirectory(bytes.NewReader(snapshot), s.opts.Schema.Registry)
+	d, _, err := s.proveSnapshot(snapshot)
 	if err != nil {
-		return fmt.Errorf("%w: primary snapshot undecodable: %v", errDiverged, err)
+		return fmt.Errorf("%w: primary snapshot %v", errDiverged, err)
 	}
-	if r := s.checker.Check(d); !r.Legal() {
-		return fmt.Errorf("%w: primary snapshot is illegal under this replica's schema: %d violation(s)", errDiverged, len(r.Violations))
-	}
+	return s.atQuiescent(func() error {
+		if s.readOnly != "" {
+			return fmt.Errorf("%w: server is %s: %s", errDiverged, proto.ReadOnly, s.readOnly)
+		}
+		if err := s.installSnapshot(func(w io.Writer) error {
+			_, werr := w.Write(snapshot)
+			return werr
+		}); err != nil {
+			return fmt.Errorf("repl: bootstrap snapshot: %v", err)
+		}
+		s.dir, s.commitSeq = d, seq
+		if epoch > s.epoch.Load() {
+			s.epoch.Store(epoch)
+		}
+		s.logf("repl: bootstrapped from primary snapshot through seq %d epoch %d (%d bytes)", seq, s.epoch.Load(), len(snapshot))
+		return nil
+	})
+}
+
+// applyReplicated admits one verified segment from the primary and
+// stages it with the committer like a COMMIT. nil means the segment is
+// locally durable — the caller acknowledges it. A failed batch comes
+// back as a retryable error (the committer rolled the apply back, and
+// the reconnect re-delivers the segment); a transaction this replica
+// cannot apply, or cannot legally hold, is divergence: the replica
+// degrades to read-only.
+func (s *Server) applyReplicated(seg repl.Segment) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readOnly != "" {
-		return fmt.Errorf("%w: server is %s: %s", errDiverged, proto.ReadOnly, s.readOnly)
+	undo, err := s.admitSegment(seg)
+	if undo == nil {
+		s.mu.Unlock()
+		return err
 	}
-	if err := s.installSnapshot(func(w io.Writer) error {
-		_, werr := w.Write(snapshot)
-		return werr
-	}); err != nil {
-		return fmt.Errorf("repl: bootstrap snapshot: %v", err)
+	if err := s.stage(seg.Seq, seg.Raw, undo); err != nil {
+		return fmt.Errorf("repl: segment seq=%d not durable: %v", seg.Seq, err)
 	}
-	s.dir = d
-	s.dir.EnsureEncoded()
-	s.commitSeq = seq
-	if epoch > s.epoch.Load() {
-		s.epoch.Store(epoch)
-	}
-	s.logf("repl: bootstrapped from primary snapshot through seq %d epoch %d (%d bytes)", seq, s.epoch.Load(), len(snapshot))
+	s.replApplied.Add(1)
 	return nil
 }
 
-// applyReplicated admits one verified segment from the primary: decode,
-// check sequence continuity, apply under the incremental legality
-// tests, append verbatim to the local journal (write + fsync). nil
-// means the segment is locally durable — the caller acknowledges it.
-// Local faults (journal I/O) roll the apply back and return a retryable
-// error; a transaction this replica cannot apply, or cannot legally
-// hold, is divergence: the replica degrades to read-only.
-func (s *Server) applyReplicated(seg repl.Segment) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// admitSegment checks seg's sequence continuity, decodes it and applies
+// it under the incremental legality tests, returning the apply's undo.
+// A nil undo means nothing was applied: a duplicate after a reconnect
+// (err nil, already durable here), a sequence gap, or divergence.
+// Called under s.mu.
+func (s *Server) admitSegment(seg repl.Segment) (func() error, error) {
 	if s.readOnly != "" {
-		return fmt.Errorf("%w: server is %s: %s", errDiverged, proto.ReadOnly, s.readOnly)
+		return nil, fmt.Errorf("%w: server is %s: %s", errDiverged, proto.ReadOnly, s.readOnly)
 	}
 	if seg.Seq <= s.commitSeq {
-		return nil // duplicate after a reconnect: already durable here
+		return nil, nil
 	}
 	if seg.Seq != s.commitSeq+1 {
-		return fmt.Errorf("repl: sequence gap: local seq=%d, stream sent seq=%d", s.commitSeq, seg.Seq)
+		return nil, fmt.Errorf("repl: sequence gap: local seq=%d, stream sent seq=%d", s.commitSeq, seg.Seq)
+	}
+	diverged := func(reason string) (func() error, error) {
+		s.degrade(reason)
+		return nil, fmt.Errorf("%w: %s", errDiverged, reason)
 	}
 	recs, err := ldif.NewReader(bytes.NewReader(seg.Payload)).ReadAll()
 	if err != nil {
-		s.degradeReplica(fmt.Sprintf("replicated segment seq=%d undecodable: %v", seg.Seq, err))
-		return fmt.Errorf("%w: segment seq=%d undecodable: %v", errDiverged, seg.Seq, err)
+		return diverged(fmt.Sprintf("replicated segment seq=%d undecodable: %v", seg.Seq, err))
 	}
 	tx, err := txn.FromRecords(recs, s.opts.Schema.Registry)
 	if err != nil {
-		s.degradeReplica(fmt.Sprintf("replicated segment seq=%d rejected: %v", seg.Seq, err))
-		return fmt.Errorf("%w: segment seq=%d: %v", errDiverged, seg.Seq, err)
+		return diverged(fmt.Sprintf("replicated segment seq=%d rejected: %v", seg.Seq, err))
 	}
 	// The checksum and sequence say the primary sent these bytes, not
 	// that they are legal here: the segment goes through the same Figure 5
@@ -603,61 +619,28 @@ func (s *Server) applyReplicated(seg repl.Segment) error {
 	report, undo, err := s.applier.ApplyWithUndo(s.dir, tx)
 	s.dir.EnsureEncoded()
 	if err != nil {
-		s.degradeReplica(fmt.Sprintf("replicated transaction seq=%d failed to apply: %v", seg.Seq, err))
-		return fmt.Errorf("%w: transaction seq=%d: %v", errDiverged, seg.Seq, err)
+		return diverged(fmt.Sprintf("replicated transaction seq=%d failed to apply: %v", seg.Seq, err))
 	}
 	if !report.Legal() {
-		reason := fmt.Sprintf("replicated transaction seq=%d is illegal here: %s", seg.Seq, firstViolation(report))
-		s.degradeReplica(reason)
-		return fmt.Errorf("%w: %s", errDiverged, reason)
+		return diverged(fmt.Sprintf("replicated transaction seq=%d is illegal here: %s", seg.Seq, firstViolation(report)))
 	}
-	j := s.journal
-	if werr := j.append(seg.Raw); werr != nil {
-		// Local fault, not divergence: roll back and let the reconnect
-		// re-deliver the segment.
-		if uerr := undo(); uerr != nil {
-			s.degradeReplica(fmt.Sprintf("in-memory state diverged after failed journal write: %v (rollback: %v)", werr, uerr))
-		}
-		s.dir.EnsureEncoded()
-		if j.failed != "" {
-			s.degradeReplica(j.failed)
-		}
-		return fmt.Errorf("repl: journal append seq=%d: %v", seg.Seq, werr)
-	}
-	s.commitSeq = seg.Seq
-	s.replApplied.Add(1)
-	if s.opts.JournalRotate > 0 && j.size >= s.opts.JournalRotate {
-		if rerr := s.rotateJournal(); rerr != nil {
-			s.metrics.JournalErrors.Add(1)
-			s.logf("repl: journal rotation: %v", rerr)
-		}
-	}
-	return nil
-}
-
-// degradeReplica records a replica fault and flips the server
-// read-only. Called under s.mu.
-func (s *Server) degradeReplica(reason string) {
-	if s.readOnly == "" {
-		s.readOnly = reason
-	}
-	s.logf("repl: %s", reason)
+	return undo, nil
 }
 
 // Promote turns a caught-up replica into a writable primary: stop the
-// streaming loop, re-verify the local journal end to end (checksums,
-// sequence continuity, full legality), bump the replication epoch and
-// make it durable, and only then flip the role. The epoch bump is the
-// fencing token of the failover: every segment this node ships and
-// every HELLO its replicas relay carries the new epoch, so the old
-// primary fences itself on first contact with any of it — and because
-// the epoch is persisted (in the rotated snapshot's header) before the
-// role flips, a crash+restart of this node can never resurrect the old
-// epoch. Promotion is refused if the epoch cannot be made durable.
-// The verify lines are returned for the PROMOTE protocol reply. The
-// promoted server does not start its own replication listener — that
-// remains an operator decision (restart with -repl-addr, or point the
-// other replicas at it after the failover).
+// streaming loop, then, at one quiescent point, re-verify the local
+// journal end to end (checksums, sequence continuity, full legality),
+// bump the replication epoch and make it durable, and only then flip
+// the role. The epoch bump is the fencing token of the failover: every
+// segment this node ships and every HELLO its replicas relay carries the
+// new epoch, so the old primary fences itself on first contact with any
+// of it — and because the epoch is persisted (in the rotated snapshot's
+// header) before the role flips, a crash+restart of this node can never
+// resurrect the old epoch. Promotion is refused if the epoch cannot be
+// made durable. The verify lines are returned for the PROMOTE protocol
+// reply. The promoted server does not start its own replication
+// listener — that remains an operator decision (restart with
+// -repl-addr, or point the other replicas at it after the failover).
 func (s *Server) Promote() ([]string, error) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -677,43 +660,31 @@ func (s *Server) Promote() ([]string, error) {
 	}
 	s.closeReplConn()
 	<-s.replicaDone
-	// The loop may have degraded the replica on its way out.
-	s.mu.RLock()
-	reason = s.readOnly
-	s.mu.RUnlock()
-	if reason != "" {
-		return nil, fmt.Errorf("replica is %s degraded: %s", proto.ReadOnly, reason)
-	}
-	// Final verify: with the streaming loop stopped nothing appends, so
-	// the read lock is a stable point.
-	s.mu.RLock()
-	lines, err := s.verifyNow()
-	s.mu.RUnlock()
-	if err != nil {
-		return lines, fmt.Errorf("refusing promotion, journal verify failed: %v", err)
-	}
-	// Bump the epoch and persist it by rotating the journal (the
-	// snapshot header carries it) BEFORE the role flips: a node that
-	// accepts a write and then forgets its epoch across a restart would
-	// re-split the brain. On failure the node stays a (non-streaming)
-	// replica; PROMOTE can be retried and bumps again — epochs need
-	// monotonicity, not density.
-	newEpoch := s.epoch.Load() + 1
-	s.mu.Lock()
-	s.epoch.Store(newEpoch)
-	s.dir.EnsureEncoded()
-	if rerr := s.rotateJournal(); rerr != nil {
-		s.mu.Unlock()
-		return lines, fmt.Errorf("refusing promotion, could not persist epoch %d: %v", newEpoch, rerr)
-	}
-	// Give the journal its committer before the role flip lets the first
-	// write in — CommitTx checks the role before it takes s.mu.
-	s.startCommitter()
-	s.role.Store(int32(RolePrimary))
-	local := s.commitSeq
-	s.mu.Unlock()
-	s.logf("repl: promoted to primary at seq %d epoch %d", local, newEpoch)
-	return lines, nil
+	var lines []string
+	err := s.atQuiescent(func() error {
+		// The loop may have degraded the replica on its way out.
+		if s.readOnly != "" {
+			return fmt.Errorf("replica is %s degraded: %s", proto.ReadOnly, s.readOnly)
+		}
+		var verr error
+		if lines, verr = s.verifyNow(); verr != nil {
+			return fmt.Errorf("refusing promotion, journal verify failed: %v", verr)
+		}
+		// Bump the epoch and persist it by rotating the journal (the
+		// snapshot header carries it) BEFORE the role flips: a node that
+		// accepts a write and then forgets its epoch across a restart
+		// would re-split the brain. On failure the node stays a
+		// (non-streaming) replica; PROMOTE can be retried and bumps again
+		// — epochs need monotonicity, not density.
+		newEpoch := s.epoch.Add(1)
+		if rerr := s.rotateJournal(); rerr != nil {
+			return fmt.Errorf("refusing promotion, could not persist epoch %d: %v", newEpoch, rerr)
+		}
+		s.role.Store(int32(RolePrimary))
+		s.logf("repl: promoted to primary at seq %d epoch %d", s.commitSeq, newEpoch)
+		return nil
+	})
+	return lines, err
 }
 
 // stopReplication tears the replication machinery down at Close: the

@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,8 +22,7 @@ import (
 
 // newReplServer recovers a journaled whitepages server from its own FS
 // without serving it, so a test can inspect the recovered state. With
-// replicaOf set it is a replica of that address: it takes the role
-// before its journal opens, as Open does, and streams once the test
+// replicaOf set it becomes a replica of that address once the test
 // calls startReplica. The caller owns Close.
 func newReplServer(t *testing.T, fs vfs.FS, replicaOf string) *Server {
 	t.Helper()
@@ -31,9 +32,6 @@ func newReplServer(t *testing.T, fs vfs.FS, replicaOf string) *Server {
 		t.Fatal(err)
 	}
 	srv.opts.FS, srv.opts.ReplicaOf = fs, replicaOf
-	if replicaOf != "" {
-		srv.role.Store(int32(RoleReplica))
-	}
 	if err := srv.OpenJournal(crashJournalPath); err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
@@ -366,6 +364,75 @@ func TestPromote(t *testing.T) {
 	}
 }
 
+// TestReplicaReadsDuringFsync: a replica's readers never wait out its
+// fsync. The replica stages each segment with its committer, as a
+// primary stages a COMMIT, so while the segment's Sync is parked a GET
+// on the replica still answers.
+func TestReplicaReadsDuringFsync(t *testing.T) {
+	dir := t.TempDir()
+	primary := openServer(t, Options{Journal: filepath.Join(dir, "primary.ldif"), FS: vfs.OS{},
+		ReplAddr: "127.0.0.1:0", ReplMode: repl.Async})
+	replica := openServer(t, Options{Journal: filepath.Join(dir, "replica.ldif"), FS: vfs.OS{},
+		ReplicaOf: primary.ReplAddr()})
+	waitReplicas(t, primary, 1)
+	bj := &blockingJournal{gate: make(chan struct{}), syncing: make(chan struct{}, 1)}
+	injectBlocking(replica, bj)
+	release := sync.OnceFunc(func() { close(bj.gate) })
+	defer release()
+
+	if _, err := primary.CommitTx(crashWorkload(1)[0].build()); err != nil {
+		t.Fatal(err)
+	}
+	waitSyncStart(t, bj)
+	c := dialClient(t, replica.Addr())
+	// A reply that waits for the gate times the read out and fails.
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if body := c.expectOK("GET o=att"); len(body) == 0 || body[0] != "dn: o=att" {
+		t.Errorf("GET o=att on the replica during its fsync = %v", body)
+	}
+
+	release()
+	waitSeq(t, replica, commitSeqOf(primary))
+}
+
+// TestReplicaFailedFsyncRetries: a replica batch whose fsync fails is a
+// local fault, not divergence. The committer rolls the segment back, the
+// stream reconnects and re-delivers it, and the replica converges
+// without degrading.
+func TestReplicaFailedFsyncRetries(t *testing.T) {
+	dir := t.TempDir()
+	primary := openServer(t, Options{Journal: filepath.Join(dir, "primary.ldif"), FS: vfs.OS{},
+		ReplAddr: "127.0.0.1:0", ReplMode: repl.Async})
+	replica := openServer(t, Options{Journal: filepath.Join(dir, "replica.ldif"), FS: vfs.OS{},
+		ReplicaOf: primary.ReplAddr()})
+	waitReplicas(t, primary, 1)
+	bj := &blockingJournal{syncing: make(chan struct{}, 1)}
+	bj.failSync.Store(true)
+	injectBlocking(replica, bj)
+
+	if _, err := primary.CommitTx(crashWorkload(1)[0].build()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for replica.metrics.JournalErrors.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the replica's fsync never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	bj.failSync.Store(false)
+	waitSeq(t, replica, commitSeqOf(primary))
+	if got, want := serverLDIF(t, replica), serverLDIF(t, primary); got != want {
+		t.Errorf("replica not byte-identical to the primary after the retried segment")
+	}
+	replica.mu.RLock()
+	reason := replica.readOnly
+	replica.mu.RUnlock()
+	if reason != "" {
+		t.Errorf("a failed replica fsync degraded the replica: %s", reason)
+	}
+}
+
 // TestPromoteRefusedWhileDegraded: promotion must never hand writes to
 // a replica that already knows it cannot trust its state.
 func TestPromoteRefusedWhileDegraded(t *testing.T) {
@@ -376,7 +443,7 @@ func TestPromoteRefusedWhileDegraded(t *testing.T) {
 	r := startReplica(t, vfs.NewFault(), addr)
 	waitSeq(t, r, commitSeqOf(primary))
 	r.mu.Lock()
-	r.degradeReplica("test: simulated divergence")
+	r.degrade("test: simulated divergence")
 	r.mu.Unlock()
 	if _, err := r.Promote(); err == nil || !strings.Contains(err.Error(), "degraded") {
 		t.Errorf("Promote on a degraded replica = %v, want refusal", err)

@@ -145,18 +145,17 @@ type Server struct {
 	journal  *journal // nil when journaling is off
 	readOnly string   // non-empty reason = refuse COMMIT/SNAPSHOT
 
-	// committer (see groupcommit.go) is non-nil on a journaled primary —
-	// replicas append inline, journal-less servers have nothing to sync;
-	// commitSeq orders records (assigned under mu).
+	// committer (see groupcommit.go) is non-nil on every journaled node —
+	// journal-less servers have nothing to sync; commitSeq orders records
+	// (assigned under mu).
 	committer *committer
 	commitSeq uint64
 
 	// Replication (see repl.go). role is primary (the zero value) or,
-	// from before the journal opens, replica when Options.ReplicaOf is
-	// set; Promote flips it back. replHub is non-nil once ListenRepl
-	// started the primary's fan-out. promoteCh, replicaDone and replConn
-	// belong to a replica's streaming loop; primarySeq and replApplied
-	// feed the lag gauge.
+	// once startReplica runs, replica; Promote flips it back. replHub is
+	// non-nil once ListenRepl started the primary's fan-out. promoteCh,
+	// replicaDone and replConn belong to a replica's streaming loop;
+	// primarySeq and replApplied feed the lag gauge.
 	role        atomic.Int32
 	replHub     atomic.Pointer[repl.Hub]
 	replLn      net.Listener
@@ -205,10 +204,10 @@ func New(schema *core.Schema, name string, dir *dirtree.Directory) (*Server, err
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
 // Open boots a server in the only valid order: New's legality proof,
-// OpenJournal's recovery, the replication role (a primary's fan-out
-// listener, or a replica's streaming loop — its role is set before the
-// journal opens, so it never has a committer), then the client
-// listener. If a step fails, Open closes what earlier steps started.
+// OpenJournal's recovery and committer, the replication role (a
+// primary's fan-out listener, or a replica's streaming loop), then the
+// client listener. If a step fails, Open closes what earlier steps
+// started.
 func Open(o Options) (*Server, error) {
 	if (o.ReplAddr != "" || o.ReplicaOf != "") && o.Journal == "" {
 		return nil, errors.New("server: replication requires a journal")
@@ -233,9 +232,6 @@ func Open(o Options) (*Server, error) {
 }
 
 func (s *Server) boot() error {
-	if s.opts.ReplicaOf != "" {
-		s.role.Store(int32(RoleReplica))
-	}
 	if s.opts.Journal != "" {
 		if err := s.OpenJournal(s.opts.Journal); err != nil {
 			return err
@@ -704,8 +700,7 @@ func (s *Server) CommitTx(tx *txn.Transaction) (*core.Report, error) {
 	var buf bytes.Buffer
 	if werr := tx.WriteChanges(&buf); werr != nil {
 		if uerr := undo(); uerr != nil {
-			s.readOnly = fmt.Sprintf("in-memory state diverged after failed journal encode: %v (rollback: %v)", werr, uerr)
-			s.logf("server: %s", s.readOnly)
+			s.degrade(fmt.Sprintf("in-memory state diverged after failed journal encode: %v (rollback: %v)", werr, uerr))
 		}
 		s.dir.EnsureEncoded()
 		s.mu.Unlock()
@@ -716,12 +711,8 @@ func (s *Server) CommitTx(tx *txn.Transaction) (*core.Report, error) {
 	// The checksummed marker terminates the transaction for atomic replay;
 	// it covers exactly the payload bytes written so far.
 	buf.WriteString(repl.MarkerLine(seq, buf.Bytes(), s.epoch.Load()))
-	s.commitSeq = seq
-	req := &commitReq{seq: seq, data: buf.Bytes(), undo: undo, done: make(chan error, 1)}
-	s.committer.stage(req)
-	s.mu.Unlock()
 	// OK only after the batch fsync: the durability contract is unchanged.
-	if jerr := <-req.done; jerr != nil {
+	if jerr := s.stage(seq, buf.Bytes(), undo); jerr != nil {
 		s.metrics.TxErrors.Add(1)
 		return nil, fmt.Errorf("%s: %v", proto.NotDurable, jerr)
 	}

@@ -99,6 +99,10 @@ func TestErrGrammarDifferential(t *testing.T) {
 		{"search limit empty", false, nil, "SEARCH (objectClass=person) limit=", `malformed "limit="`},
 		{"search limit negative", false, nil, "SEARCH (objectClass=person) limit=-1", `malformed "limit=-1"`},
 		{"search limit with junk base", false, nil, "SEARCH (objectClass=person) bogus limit=2", `unexpected "bogus" after filter`},
+		{"search filter too deep", false, nil, "SEARCH " + strings.Repeat("(!", proto.MaxDepth+1) + "(a=b)" + strings.Repeat(")", proto.MaxDepth+1),
+			"filter: too complex: more than 32 deep or 256 nodes"},
+		{"search filter too wide", false, nil, "SEARCH (|" + strings.Repeat("(a=b)", proto.MaxNodes) + ")",
+			"filter: too complex: more than 32 deep or 256 nodes"},
 		{"count missing class", false, nil, "COUNT", "COUNT needs a class"},
 		{"count trailing junk", false, nil, "COUNT person bogus", `unexpected "bogus" after class`},
 		{"count child without base", false, nil, "COUNT person child", "COUNT child needs a base"},

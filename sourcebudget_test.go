@@ -28,16 +28,16 @@ var sourceBudget = map[string]int{
 	"examples/whitepages":     91,
 	"internal/core":           4534,
 	"internal/dirtree":        2177,
-	"internal/filter":         482,
-	"internal/hquery":         1292,
+	"internal/filter":         491,
+	"internal/hquery":         1312,
 	"internal/ldif":           409,
 	"internal/loadgen":        1022,
 	"internal/netfault":       428,
-	"internal/proto":          445,
+	"internal/proto":          452,
 	"internal/repl":           864,
 	"internal/schemadsl":      611,
 	"internal/semistruct":     298,
-	"internal/server":         3208,
+	"internal/server":         3194,
 	"internal/shard":          1640,
 	"internal/txn":            751,
 	"internal/vfs":            625,
