@@ -9,6 +9,7 @@
 // E6  BenchmarkDeleteCheck*   — Figure 5 deletion rows, narrowed extension
 // E7  BenchmarkRequiredClass* — Section 4 count-index remark
 // E9  BenchmarkConsistency*   — Theorem 5.2 polynomial decision
+// E13 BenchmarkOptimizedQuery — Section 7 schema-aided query optimization
 //
 // plus substrate microbenchmarks (queries, filters, LDIF, applier).
 package boundschema_test
@@ -306,6 +307,32 @@ func BenchmarkMaterializeWhitePages(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Materialize(s); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// E13 — Section 7: schema-aided query optimization. Each query runs as
+// written and as hquery.Optimize rewrites it from the schema's facts;
+// internal/core's TestOptimizeGuaranteedElement pins the rewrites.
+
+func BenchmarkOptimizedQuery(b *testing.B) {
+	s, d := corpus(b, 50000)
+	facts := core.NewQueryFacts(s)
+	bind := hquery.NewBinding(d)
+	for _, qq := range []struct{ name, q string }{
+		{"orgGroup-without-person", "(minus (select (objectClass=orgGroup)) (desc (select (objectClass=orgGroup)) (select (objectClass=person))))"},
+		{"person-under-organization", "(anc (select (objectClass=person)) (select (objectClass=organization)))"},
+		{"child-of-person", "(parent (select (objectClass=top)) (select (objectClass=person)))"},
+		{"researcher-under-orgUnit", "(desc (select (objectClass=orgUnit)) (select (objectClass=researcher)))"},
+	} {
+		raw := hquery.MustParse(qq.q)
+		for i, q := range []hquery.Query{raw, hquery.Optimize(raw, facts)} {
+			b.Run(qq.name+"/"+[]string{"raw", "optimized"}[i], func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					hquery.Eval(q, bind)
+				}
+			})
 		}
 	}
 }

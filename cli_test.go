@@ -29,7 +29,7 @@ func buildCLIs(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tool := range []string{"bschema", "bsgen", "bsbench", "bsd"} {
+	for _, tool := range []string{"bschema", "bsgen", "bsd"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./cmd/"+tool)
 		out, err := cmd.CombinedOutput()
 		if err != nil {
@@ -313,36 +313,6 @@ func TestCLIServerEndToEnd(t *testing.T) {
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, "ou=attLabs,o=att") || !strings.Contains(joined, "OK") {
 		t.Fatalf("server dialogue:\n%s", joined)
-	}
-}
-
-func TestCLIBsbench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI integration skipped in -short mode")
-	}
-	out, err := runCLI(t, "bsbench", "-quick", "e1")
-	if err != nil {
-		t.Fatalf("bsbench -quick e1: %v\n%s", err, out)
-	}
-	for _, want := range []string{
-		"Figure 1 instance: 6 entries, legal=true",
-		"[missing-attribute]",
-		"[unknown-class]",
-		"[disallowed-aux]",
-		"[forbidden-relationship]",
-		"[required-relationship]",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bsbench -quick e1: missing %q in\n%s", want, out)
-		}
-	}
-	// Only the paper's experiments are registered.
-	for _, id := range []string{"e20", "trend"} {
-		out, err := runCLI(t, "bsbench", id)
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out, "no such experiment") {
-			t.Errorf("bsbench %s: %v, want exit 2 with \"no such experiment\":\n%s", id, err, out)
-		}
 	}
 }
 

@@ -222,9 +222,23 @@ func TestMaxWitnesses(t *testing.T) {
 
 // TestFig4Equivalence checks the Figure 4 reduction: for every structure
 // element kind and random instances, D ⊨ φ (naive Definition 2.6
-// semantics) iff the translated query is empty (non-empty for c⇓).
+// semantics) iff the translated query is empty (non-empty for c⇓). Each
+// kind must meet both verdicts during the run, so the equivalence is
+// never tested on one side only; the tiny instances drawn first make
+// sure of it.
 func TestFig4Equivalence(t *testing.T) {
 	classes := []string{"a", "b", "c", ClassTop}
+	// Verdicts per kind: the required axes in Axis order, ⇥ch, ⇥de, c⇓.
+	kinds := [...]string{"→ch", "→de", "→pa", "→an", "⇥ch", "⇥de", "c⇓"}
+	var sat, viol [len(kinds)]int
+	agree := func(kind int, holds, translated bool) bool {
+		if holds {
+			sat[kind]++
+		} else {
+			viol[kind]++
+		}
+		return holds == translated
+	}
 	f := func(seed int64, size uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomInstance(rng, int(size%50)+2, classes)
@@ -233,29 +247,39 @@ func TestFig4Equivalence(t *testing.T) {
 			for _, tgt := range classes {
 				for ax := Axis(0); ax < 4; ax++ {
 					rel := RequiredRel{Source: src, Axis: ax, Target: tgt}
-					if Satisfies(d, rel) != hquery.Empty(RequiredRelQuery(rel), b) {
+					if !agree(int(ax), Satisfies(d, rel), hquery.Empty(RequiredRelQuery(rel), b)) {
 						t.Logf("mismatch for %s", rel.ElementString())
 						return false
 					}
 				}
-				for _, ax := range []Axis{AxisChild, AxisDesc} {
+				for i, ax := range []Axis{AxisChild, AxisDesc} {
 					forb := ForbiddenRel{Upper: src, Axis: ax, Lower: tgt}
-					if Satisfies(d, forb) != hquery.Empty(ForbiddenRelQuery(forb), b) {
+					if !agree(4+i, Satisfies(d, forb), hquery.Empty(ForbiddenRelQuery(forb), b)) {
 						t.Logf("mismatch for %s", forb.ElementString())
 						return false
 					}
 				}
 			}
 			rc := RequiredClass{Class: src}
-			if Satisfies(d, rc) != !hquery.Empty(RequiredClassQuery(src), b) {
+			if !agree(6, Satisfies(d, rc), !hquery.Empty(RequiredClassQuery(src), b)) {
 				t.Logf("mismatch for %s", rc.ElementString())
 				return false
 			}
 		}
 		return true
 	}
+	for seed := int64(0); seed < 8; seed++ {
+		if !f(seed, uint8(seed%3)) {
+			t.Fatalf("tiny instance %d: mismatch", seed)
+		}
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+	for k := range sat {
+		if sat[k] == 0 || viol[k] == 0 {
+			t.Errorf("%s: %d satisfied and %d violated verdicts; the draw must reach both", kinds[k], sat[k], viol[k])
+		}
 	}
 }
 

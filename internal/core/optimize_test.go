@@ -29,6 +29,21 @@ func TestOptimizeGuaranteedElement(t *testing.T) {
 	if hquery.IsStaticallyEmpty(OptimizeQuery(q3, s)) {
 		t.Fatalf("unguaranteed query wrongly optimized to ∅")
 	}
+	// Section 7's user queries, with the forms they optimize to: three
+	// fold (@0 is the empty instance) and the researcher query, which
+	// the schema says nothing about, is untouched.
+	for _, tc := range []struct{ q, want string }{
+		{"(minus (select (objectClass=orgGroup)) (desc (select (objectClass=orgGroup)) (select (objectClass=person))))",
+			"(select (objectClass=orgGroup) @0)"},
+		{"(anc (select (objectClass=person)) (select (objectClass=organization)))", "(select (objectClass=person))"},
+		{"(parent (select (objectClass=top)) (select (objectClass=person)))", "(select (objectClass=top) @0)"},
+		{"(desc (select (objectClass=orgUnit)) (select (objectClass=researcher)))",
+			"(desc (select (objectClass=orgUnit)) (select (objectClass=researcher)))"},
+	} {
+		if got := hquery.String(OptimizeQuery(hquery.MustParse(tc.q), s)); got != tc.want {
+			t.Errorf("%s optimized to %s, want %s", tc.q, got, tc.want)
+		}
+	}
 }
 
 func TestOptimizeUnsatAtom(t *testing.T) {

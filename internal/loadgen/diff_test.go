@@ -59,7 +59,7 @@ func parseTx(schema *core.Schema, lines []string) (*txn.Transaction, error) {
 		}
 	}
 	for _, line := range lines {
-		l, err := proto.ParseTxLine(strings.TrimSpace(line), pendingDN != "")
+		l, err := proto.ParseTxLine(strings.TrimSpace(line), pendingDN != "", 0, 0)
 		if err != nil {
 			return nil, err
 		}

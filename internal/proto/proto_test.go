@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bufio"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,7 +48,7 @@ func TestParseTxLine(t *testing.T) {
 		{"", false, TxLine{}},
 		{"mail:  a@b:c ", true, TxLine{Attr: true, Name: "mail", Value: "a@b:c"}},
 	} {
-		got, err := ParseTxLine(tc.line, tc.adding)
+		got, err := ParseTxLine(tc.line, tc.adding, 0, 0)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseTxLine(%q, %v) = %+v, %v; want %+v", tc.line, tc.adding, got, err, tc.want)
 		}
@@ -58,8 +59,16 @@ func TestParseTxLine(t *testing.T) {
 // or transaction-body line renders back to a line that parses to the
 // same value; and ReadReply on arbitrary bytes returns an error or a
 // reply ending in OK, ILLEGAL or ERR, which relays to bytes that read
-// back as the same reply.
+// back as the same reply. A transaction-body line read after ops
+// operations and size bytes is refused as too big only past MaxTxOps or
+// MaxTxBytes, and is never taken past them.
 func FuzzProto(f *testing.F) {
+	// Lines at and one past each cap.
+	f.Add("DELETE a", uint16(MaxTxOps-1), uint32(0))
+	f.Add("DELETE a", uint16(MaxTxOps), uint32(0))
+	f.Add("COMMIT", uint16(MaxTxOps), uint32(MaxTxBytes))
+	f.Add("a: b", uint16(0), uint32(MaxTxBytes-4))
+	f.Add("a: b", uint16(0), uint32(MaxTxBytes-3))
 	for _, seed := range []string{
 		"SEARCH (objectClass=person)",
 		"SEARCH (name=laks lakshmanan) base=ou=Human Resources,o=acme limit=3",
@@ -91,9 +100,9 @@ func FuzzProto(f *testing.F) {
 		"SEARCH (|" + strings.Repeat("(a=b)", MaxNodes-1) + ")",
 		"SEARCH (|" + strings.Repeat("(a=b)", MaxNodes) + ")",
 	} {
-		f.Add(seed)
+		f.Add(seed, uint16(0), uint32(0))
 	}
-	f.Fuzz(func(t *testing.T, s string) {
+	f.Fuzz(func(t *testing.T, s string, ops uint16, size uint32) {
 		line := strings.TrimSpace(s)
 		cmd, rest := Split(line)
 		switch cmd {
@@ -113,11 +122,17 @@ func FuzzProto(f *testing.F) {
 			}
 		}
 		for _, adding := range []bool{false, true} {
-			if l, err := ParseTxLine(line, adding); err == nil {
-				back, err := ParseTxLine(strings.TrimSpace(txLine(l)), adding)
+			if l, err := ParseTxLine(line, adding, 0, 0); err == nil {
+				back, err := ParseTxLine(strings.TrimSpace(txLine(l)), adding, 0, 0)
 				if err != nil || back != l {
 					t.Fatalf("%q parsed to %+v, rendered %q, reparsed to %+v (%v)", line, l, txLine(l), back, err)
 				}
+			}
+			l, err := ParseTxLine(line, adding, int(ops), int(size))
+			past := int(ops) >= MaxTxOps && l.Cmd != "" || int(size)+len(line) > MaxTxBytes
+			if errors.Is(err, errTxTooBig) && !past ||
+				err == nil && past && line != "" && l.Cmd != "COMMIT" && l.Cmd != "ABORT" {
+				t.Fatalf("%q after %d operations and %d bytes: %v", line, ops, size, err)
 			}
 		}
 

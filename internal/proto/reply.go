@@ -13,6 +13,12 @@ import (
 // ERR line and the connection closes.
 const MaxLineBytes = 1024 * 1024
 
+// MaxTxOps and MaxTxBytes cap one transaction: its ADD, DELETE and MOVE
+// lines, and the bytes of its trimmed body lines. ParseTxLine refuses
+// the line that would pass either with a TooComplex refusal, which drops
+// the transaction; the session goes on.
+const MaxTxOps, MaxTxBytes = 10000, 4 * MaxLineBytes
+
 // MaxDepth and MaxNodes cap a SEARCH filter and a QUERY expression, whose
 // evaluation costs their size times the entries they range over:
 // filter.Parse and hquery.Parse refuse deeper nesting, or more nodes (a

@@ -144,18 +144,23 @@ type TxLine struct {
 	Value string
 }
 
+var errTxTooBig = fmt.Errorf("transaction %s: more than %d operations or %d bytes", TooComplex, MaxTxOps, MaxTxBytes)
+
 // ParseTxLine parses one trimmed line inside BEGIN..COMMIT. adding says
-// whether an ADD is open; attribute lines are valid only then. Cmd is
-// set even when the line is refused, so the refusal is metered under
-// its command.
-func ParseTxLine(line string, adding bool) (TxLine, error) {
+// whether an ADD is open; attribute lines are valid only then. ops and
+// size are the operations and bytes the transaction holds so far, so a
+// line past MaxTxOps or MaxTxBytes is refused. Cmd is set even when the
+// line is refused, so the refusal is metered under its command.
+func ParseTxLine(line string, adding bool, ops, size int) (TxLine, error) {
 	cmd, rest := Split(line)
 	if c, ok := Lookup(cmd); !ok || !c.Tx {
-		if line == "" {
+		switch {
+		case line == "":
 			return TxLine{}, nil // a blank line is a no-op
-		}
-		if !adding {
+		case !adding:
 			return TxLine{}, fmt.Errorf("unexpected %q inside transaction", line)
+		case size+len(line) > MaxTxBytes:
+			return TxLine{}, errTxTooBig
 		}
 		name, value, ok := strings.Cut(line, ":")
 		if !ok {
@@ -164,6 +169,9 @@ func ParseTxLine(line string, adding bool) (TxLine, error) {
 		return TxLine{Attr: true, Name: strings.TrimSpace(name), Value: strings.TrimSpace(value)}, nil
 	}
 	l := TxLine{Cmd: cmd}
+	if cmd != "COMMIT" && cmd != "ABORT" && (ops >= MaxTxOps || size+len(line) > MaxTxBytes) {
+		return l, errTxTooBig
+	}
 	switch cmd {
 	case "ADD":
 		if l.DN = strings.TrimSpace(rest); l.DN == "" {

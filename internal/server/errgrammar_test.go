@@ -2,6 +2,7 @@ package server
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -174,4 +175,39 @@ func TestRequestBounds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTxBounds: a body at proto.MaxTxOps operations or proto.MaxTxBytes
+// bytes is taken whole (ABORT answers alone); the line past the cap is
+// refused with one proto.TooComplex line that drops the transaction, and
+// a legal transaction then commits on the same session.
+func TestTxBounds(t *testing.T) {
+	_, c := startServer(t)
+	var ops []string
+	for len(ops) < proto.MaxTxOps {
+		ops = append(ops, "DELETE uid=x"+strconv.Itoa(len(ops))+",o=att")
+	}
+	for name, body := range map[string][]string{"ops": ops, "bytes": atTxByteCap("uid=big,ou=attLabs,o=att")} {
+		c.expectOK("BEGIN")
+		c.send(body...)
+		c.expectOK("ABORT")
+		c.expectOK("BEGIN")
+		c.send(append(body, "DELETE uid=past,o=att", "COMMIT", "BEGIN")...)
+		expectErr(t, c, "transaction "+proto.TooComplex)
+		expectErr(t, c, `unknown command "COMMIT"`)
+		if _, term := c.until(); term != "OK" {
+			t.Fatalf("%s: BEGIN after the refusal: %s", name, term)
+		}
+		c.expectOK(addPersonLines("capped-" + name)...)
+	}
+}
+
+// atTxByteCap is an ADD whose body lines hold exactly proto.MaxTxBytes
+// bytes, each line within proto.MaxLineBytes.
+func atTxByteCap(dn string) []string {
+	body := []string{"ADD " + dn}
+	for n := proto.MaxTxBytes - len(body[0]); n > 0; n -= proto.MaxLineBytes / 2 {
+		body = append(body, "d:"+strings.Repeat("x", min(n, proto.MaxLineBytes/2)-2))
+	}
+	return body
 }

@@ -137,7 +137,8 @@ func (s *Server) DisconnectReplication() {
 }
 
 // ReplStatus exposes the hub's view of replication (primaries only;
-// zero value otherwise) for tests and the bsbench drivers.
+// zero value otherwise) for the replication, recovery, partition-matrix
+// and Open tests.
 func (s *Server) ReplStatus() repl.HubStatus {
 	if hub := s.replHub.Load(); hub != nil {
 		return hub.Status()

@@ -458,6 +458,9 @@ type session struct {
 	pendingDN      string
 	pendingClasses []string
 	pendingAttrs   map[string][]dirtree.Value
+	// txOps and txBytes are what the open transaction holds, against
+	// proto.MaxTxOps and proto.MaxTxBytes.
+	txOps, txBytes int
 }
 
 func (s *Server) serve(conn net.Conn) {
@@ -583,10 +586,12 @@ func (se *session) handle(line string) bool {
 // handleTx processes one line inside BEGIN..COMMIT; a refused line
 // drops the transaction.
 func (se *session) handleTx(line string) {
-	l, err := proto.ParseTxLine(line, se.pendingDN != "")
+	l, err := proto.ParseTxLine(line, se.pendingDN != "", se.txOps, se.txBytes)
 	se.cmd = l.Cmd
+	se.txBytes += len(line)
 	if l.Cmd != "" {
 		se.flushPending()
+		se.txOps++
 	}
 	switch {
 	case err != nil:
@@ -636,6 +641,7 @@ func (se *session) abort() {
 	}
 	se.tx = nil
 	se.pendingDN, se.pendingClasses, se.pendingAttrs = "", nil, nil
+	se.txOps, se.txBytes = 0, 0
 }
 
 func (se *session) commit() {
@@ -655,11 +661,12 @@ func (se *session) commit() {
 
 // CommitTx applies tx and makes it durable — the exact path a session's
 // COMMIT takes, exposed for callers that commit without a protocol
-// session (the crash-matrix harness, bsbench drivers). On success the
-// returned report is legal; a report with violations means the
-// transaction was rejected and nothing changed; an error covers apply
-// failures and "commit not durable". Metrics are updated here, so
-// session and non-session commits are counted identically.
+// session (the crash-matrix and replication tests, bench/layers.go's
+// commit layer). On success the returned report is legal; a report
+// with violations means the transaction was rejected and nothing
+// changed; an error covers apply failures and "commit not durable".
+// Metrics are updated here, so session and non-session commits are
+// counted identically.
 func (s *Server) CommitTx(tx *txn.Transaction) (*core.Report, error) {
 	if hint := s.writeRedirect(); hint != "" {
 		s.metrics.TxErrors.Add(1)

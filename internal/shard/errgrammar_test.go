@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"net"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -81,6 +82,17 @@ func startRoutedServer(t *testing.T) (bsdAddr, routerAddr string) {
 // dropped on both.
 func TestErrGrammarDifferential(t *testing.T) {
 	bsdAddr, routerAddr := startRoutedServer(t)
+	// Transaction bodies at proto.MaxTxOps operations and at
+	// proto.MaxTxBytes bytes: the next line is refused.
+	var atOps []string
+	for len(atOps) < proto.MaxTxOps {
+		atOps = append(atOps, "DELETE uid=x"+strconv.Itoa(len(atOps))+",ou=attLabs,o=att")
+	}
+	atBytes := []string{"ADD uid=big,ou=attLabs,o=att"}
+	for n := proto.MaxTxBytes - len(atBytes[0]); n > 0; n -= proto.MaxLineBytes / 2 {
+		atBytes = append(atBytes, "d:"+strings.Repeat("x", min(n, proto.MaxLineBytes/2)-2))
+	}
+	const txTooBig = "transaction too complex: more than 10000 operations or 4194304 bytes"
 	for _, tc := range []struct {
 		name string
 		inTx bool     // sent after BEGIN
@@ -111,6 +123,8 @@ func TestErrGrammarDifferential(t *testing.T) {
 		{"move with a word for the arrow", true, nil, "MOVE uid=x,o=att to o=att", `MOVE needs "<dn> -> <dest>"`},
 		{"stray attribute line", true, nil, "name: stray", `unexpected "name: stray" inside transaction`},
 		{"malformed attribute line", true, []string{"ADD uid=x,ou=attLabs,o=att"}, "not-an-attribute", `malformed attribute line "not-an-attribute"`},
+		{"transaction past the op cap", true, atOps, "DELETE uid=past,ou=attLabs,o=att", txTooBig},
+		{"transaction past the byte cap", true, atBytes, "DELETE uid=past,ou=attLabs,o=att", txTooBig},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var errs [2]string

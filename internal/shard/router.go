@@ -168,6 +168,9 @@ type rsession struct {
 	txShard    *Shard
 	txBody     []string
 	pendingAdd bool
+	// txOps and txBytes are what txBody holds, against proto.MaxTxOps
+	// and proto.MaxTxBytes.
+	txOps, txBytes int
 }
 
 func (rt *Router) serve(conn net.Conn) {
@@ -227,10 +230,8 @@ func (se *rsession) handle(line string) bool {
 	case "COUNT":
 		se.count(rest)
 	case "BEGIN":
+		se.abortTx() // a transaction starts from abortTx's empty state
 		se.inTx = true
-		se.txShard = nil
-		se.txBody = nil
-		se.pendingAdd = false
 		se.w.OK()
 	case "CHECK":
 		se.check()
@@ -267,14 +268,16 @@ func (se *rsession) handle(line string) bool {
 // grammar: body lines are silent on success, any refusal replies at
 // once and drops the transaction.
 func (se *rsession) handleTx(line string) {
-	l, err := proto.ParseTxLine(line, se.pendingAdd)
+	l, err := proto.ParseTxLine(line, se.pendingAdd, se.txOps, se.txBytes)
 	if err != nil {
 		se.w.Err(err.Error())
 		se.abortTx()
 		return
 	}
+	se.txBytes += len(line)
 	if l.Cmd != "" {
 		se.pendingAdd = false
+		se.txOps++
 	}
 	switch l.Cmd {
 	case "ADD":
@@ -380,6 +383,7 @@ func (se *rsession) abortTx() {
 	se.txShard = nil
 	se.txBody = nil
 	se.pendingAdd = false
+	se.txOps, se.txBytes = 0, 0
 }
 
 // commit replays the buffered transaction to its owning shard and

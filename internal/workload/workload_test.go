@@ -96,7 +96,7 @@ func TestRandomInstanceUsesDeclaredClasses(t *testing.T) {
 }
 
 func TestSeededFamilies(t *testing.T) {
-	for _, k := range []int{2, 5, 10} {
+	for _, k := range []int{2, 5, 10, 20, 50, 100} {
 		if core.CheckConsistency(CyclicSchema(k)).Consistent {
 			t.Errorf("CyclicSchema(%d) should be inconsistent", k)
 		}

@@ -17,7 +17,6 @@ import (
 // the corrected table when the tree and the table disagree.
 var sourceBudget = map[string]int{
 	".":                       180,
-	"cmd/bsbench":             780,
 	"cmd/bschema":             539,
 	"cmd/bsd":                 182,
 	"cmd/bsgen":               171,
@@ -33,12 +32,12 @@ var sourceBudget = map[string]int{
 	"internal/ldif":           409,
 	"internal/loadgen":        1022,
 	"internal/netfault":       428,
-	"internal/proto":          452,
+	"internal/proto":          466,
 	"internal/repl":           864,
 	"internal/schemadsl":      611,
 	"internal/semistruct":     298,
-	"internal/server":         3194,
-	"internal/shard":          1640,
+	"internal/server":         3202,
+	"internal/shard":          1644,
 	"internal/txn":            751,
 	"internal/vfs":            625,
 	"internal/workload":       697,
