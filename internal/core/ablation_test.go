@@ -5,7 +5,7 @@ import (
 )
 
 // extensionSchemas are inconsistent schemas whose detection needs the
-// implementation's extension rules (CP/DPD compositions, self/above/below
+// implementation's extension rules (the DPD composition, self/above/below
 // case analysis, chain passes); the pairwise Figure 6/7 reconstruction
 // alone misses them. Each was found by the randomized stress harness and
 // verified inconsistent by hand (see the stress test and DESIGN.md).
@@ -27,7 +27,7 @@ func extensionSchemas(t testing.TB) map[string]*Schema {
 		}
 	}
 
-	build("CP: child's parent class conflicts with source", func(s *Schema) {
+	build("SI,SD: child's parent class conflicts with source", func(s *Schema) {
 		for _, c := range []string{"k1", "k3", "k4"} {
 			mustCore(s, c, ClassTop)
 		}

@@ -172,9 +172,6 @@ var derivationRules = map[string][]ruleShape{
 	"LT": {shape(func(d derivCtx, c fact, p []fact) bool {
 		return p[0].ax == AxisAnc && p[0].b != d.none && p[1] == fb(p[0].b, AxisChild, d.top) && c == rq(p[0].a, AxisAnc, d.none)
 	}, kRq, kFb)},
-	"CP": {shape(func(d derivCtx, c fact, p []fact) bool {
-		return composes(d, p, AxisChild) && d.disj(p[0].a, p[1].b) && c == rq(p[0].a, AxisChild, d.none)
-	}, kRq, kRq)},
 	"DPD": {
 		shape(func(d derivCtx, c fact, p []fact) bool {
 			return composes(d, p, AxisDesc) && d.disj(p[0].a, p[1].b) && c == rq(p[0].a, AxisDesc, p[1].b)

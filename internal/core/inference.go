@@ -70,8 +70,8 @@ type InferOptions struct {
 	// PairwiseOnly restricts the system to the rules directly
 	// reconstructable from the paper's Figures 6-7 (pairwise premises
 	// over req/forb/sub/disjoint facts), disabling this implementation's
-	// extensions: the rows of extensionRules (the CP/DPD compositions and
-	// the self/above/below case analysis) and the chain-feasibility
+	// extensions: the rows of extensionRules (the DPD composition and the
+	// self/above/below case analysis) and the chain-feasibility
 	// passes. Used to demonstrate which inconsistencies each group
 	// catches (experiment E12); production callers should use Infer.
 	PairwiseOnly bool
@@ -123,18 +123,18 @@ RT   req(x,de,y) forb(top,ch,y) y≠∅                ⊢ req(x,de,∅)
 LT   req(x,an,y) forb(y,ch,top) y≠∅                ⊢ req(x,an,∅)
 `
 
-// extensionRules go beyond the pairwise reconstruction. CP and DPD
-// compose a required child (descendant) y with y's required parent z,
-// which the x entry, or an entry between them, would have to provide:
-// when it cannot be the x entry, z lies strictly below x, feeding the
-// cycle rules T/L and the conflict rule DC. SI, AB3 and BI introduce the
-// case-analysis facts (the y child's parent is the x entry; its ancestors
-// are x and x's ancestors; a strict descendant's parent is x or below
-// it). SW is the "sandwich" contradiction — something must sit below x,
-// but everything at or above x may not have it below — and WS its
-// downward dual.
+// extensionRules go beyond the pairwise reconstruction. DPD composes a
+// required descendant y with y's required parent z, which the x entry,
+// or an entry between them, would have to provide: when it cannot be the
+// x entry, z lies strictly below x, feeding the cycle rules T/L and the
+// conflict rule DC. Its child form needs no row: SI then SD derive
+// req(x,ch,∅) from req(x,ch,y), req(y,pa,z) and x⊗z. SI, AB3 and BI
+// introduce the case-analysis facts (the y child's parent is the x
+// entry; its ancestors are x and x's ancestors; a strict descendant's
+// parent is x or below it). SW is the "sandwich" contradiction —
+// something must sit below x, but everything at or above x may not have
+// it below — and WS its downward dual.
 const extensionRules = `
-CP   req(x,ch,y) req(y,pa,z) z≠∅ x⊗z               ⊢ req(x,ch,∅)
 DPD  req(x,de,y) req(y,pa,z) z≠∅ x⊗z               ⊢ req(x,de,z)
 DPD  req(x,de,y) req(y,pa,z) forb(x,ch,y) z≠∅      ⊢ req(x,de,z)
 SI   req(x,ch,y) req(y,pa,z)                       ⊢ self(x,z)

@@ -14,7 +14,7 @@ var documentedRules = map[string]bool{
 	// Figure 7 (contradictions).
 	"PT": true, "FW": true, "FS": true, "FL": true, "DC": true, "PH": true,
 	"AH": true, "U": true, "MP": true, "PA": true, "AA": true, "RT": true,
-	"LT": true, "CP": true, "DPD": true,
+	"LT": true, "DPD": true,
 	// Case-analysis extensions.
 	"SI": true, "SD": true, "ST": true, "SR": true, "SF": true, "SE": true,
 	"AB1": true, "AB2": true, "AB3": true, "AO1": true, "AO2": true,

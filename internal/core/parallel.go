@@ -32,9 +32,9 @@ import (
 // randomized workloads, across chunk widths and against independent
 // structure and key references (naive.go).
 //
-// Concurrency contract: workers only read the directory. The directory's
-// interval encoding is brought current once, before the fan-out, so no
-// worker ever triggers the lazy re-encoding (see hquery.Binding).
+// Concurrency contract: workers only read the directory. The directory
+// is sealed once, before the fan-out (dirtree.Directory), so no worker
+// ever writes its encoding (see hquery.Binding).
 
 // autoParallelMin is the instance size below which Concurrency = 0 (auto)
 // runs one worker: the fan-out overhead dominates for small instances,

@@ -15,29 +15,26 @@ package dirtree
 // Maintenance mirrors the interval-encoding patcher (patch.go):
 //
 //   - trees are built lazily, per attribute, on first probe
-//     (Directory.valueTree), from one pre-order walk;
+//     (Directory.valueTree), from one pre-order walk; the probe seals a
+//     building directory first, so trees exist only on a sealed one;
 //   - structural splices (patchInsert/patchDelete) insert or remove the
 //     moved subtree's postings; rank shifts of surviving entries never
 //     reorder a posting list, because relative pre-order is preserved;
 //   - value-only writes (AddValue/SetValues/RemoveValue) patch the tree
-//     of the touched attribute in place when the encoding is current, and
-//     otherwise mark the whole index stale (attrStale), to be dropped and
-//     rebuilt on the next probe — the same fallback contract EnsureEncoded
-//     provides for the encoding itself;
-//   - a full encoding rebuild drops all trees: arbitrary unpatched
-//     mutations may have happened.
+//     of the touched attribute in place.
 //
-// Because every transactional path (txn apply and undo, journal replay,
-// replica apply, PROMOTE) mutates the directory exclusively
-// through these primitives, the value indexes stay consistent through
-// commit, rollback, recovery and replication with no extra bookkeeping.
+// A sealed directory stays sealed, so a built tree is never stale and is
+// never dropped. Because every transactional path (txn apply and undo,
+// journal replay, replica apply, PROMOTE) mutates the directory
+// exclusively through these primitives, the value indexes stay
+// consistent through commit, rollback, recovery and replication with no
+// extra bookkeeping.
 //
 // Concurrency: probing an attribute for the first time builds its tree,
-// which mutates the directory even on the "read" path. Builds are
-// serialized by attrMu, so concurrent read-only evaluation (the rule on
-// hquery.Binding) remains safe; mutation paths touch the trees
-// only under the caller's exclusive access, as for every other directory
-// mutation.
+// which writes to the directory even on the read path. Builds are
+// serialized by attrMu, so concurrent read-only use of a sealed
+// directory stays safe; mutation paths touch the trees only under the
+// caller's exclusive access, as for every other directory mutation.
 
 import (
 	"cmp"
@@ -363,10 +360,6 @@ func (d *Directory) valueTree(attr string) *bptree {
 	d.EnsureEncoded()
 	d.attrMu.Lock()
 	defer d.attrMu.Unlock()
-	if d.attrStale {
-		d.attrTrees = nil
-		d.attrStale = false
-	}
 	if t, ok := d.attrTrees[attr]; ok {
 		return t
 	}
@@ -594,22 +587,13 @@ func dedupByPre(out []*Entry) []*Entry {
 // ---------------------------------------------------------------------
 // Maintenance hooks, called from the mutation paths.
 
-// valueHooksLive reports whether any value tree exists and is being kept
-// current; when false there is nothing to patch (the next probe
-// rebuilds).
-func (d *Directory) valueHooksLive() bool {
-	return len(d.attrTrees) > 0 && !d.attrStale
-}
+// valueHooksLive reports whether any value tree exists; when false there
+// is nothing to patch (the first probe builds from the current values).
+func (d *Directory) valueHooksLive() bool { return len(d.attrTrees) > 0 }
 
-// noteValueAdded patches attr's tree after v was appended to e, or marks
-// the index stale when the encoding is not current (e's pre rank would be
-// unreliable).
+// noteValueAdded patches attr's tree after v was appended to e.
 func (d *Directory) noteValueAdded(e *Entry, name string, v Value) {
 	if d == nil || !d.valueHooksLive() {
-		return
-	}
-	if !d.patchable() {
-		d.attrStale = true
 		return
 	}
 	if t := d.attrTrees[name]; t != nil {
@@ -622,10 +606,6 @@ func (d *Directory) noteValueAdded(e *Entry, name string, v Value) {
 // (SetValues can store duplicates).
 func (d *Directory) noteValueRemoved(e *Entry, name string, v Value) {
 	if d == nil || !d.valueHooksLive() {
-		return
-	}
-	if !d.patchable() {
-		d.attrStale = true
 		return
 	}
 	t := d.attrTrees[name]
@@ -644,10 +624,6 @@ func (d *Directory) noteValueRemoved(e *Entry, name string, v Value) {
 // whole value set; old is the previous slice.
 func (d *Directory) noteValuesReplaced(e *Entry, name string, old []Value) {
 	if d == nil || !d.valueHooksLive() {
-		return
-	}
-	if !d.patchable() {
-		d.attrStale = true
 		return
 	}
 	t := d.attrTrees[name]

@@ -139,11 +139,10 @@ func checkNodes(t *testing.T, tree *bptree, attr, step string) {
 
 // TestValueIndexDifferential drives the same randomized workload shape as
 // TestIncrementalEncodingDifferential — adds, deletes, grafts (including
-// failing ones), class churn, typed value writes, forced invalidations —
-// and after every op asserts the maintained value trees are identical to
-// an independent recomputation. Probing every step keeps the trees built,
-// so the incremental hooks (not the rebuild fallback) are what is tested
-// whenever the encoding stayed current.
+// ones that fail at the root or midway), class churn, typed value
+// writes — and after every op asserts the maintained value trees are
+// identical to an independent recomputation. Probing every step keeps the
+// trees built, so the incremental hooks are what is tested.
 func TestValueIndexDifferential(t *testing.T) {
 	attrs := []string{"name", "port", "tel", "mixed"}
 	valuePool := func(rng *rand.Rand, attr string) Value {
@@ -266,9 +265,9 @@ func TestValueIndexDifferential(t *testing.T) {
 				what = "SetValues clear"
 				e.SetValues(a)
 			}
-		default: // force the rebuild fallback
-			what = "forced invalidation"
-			d.touchStructure()
+		default: // a graft that fails midway must leave the trees alone
+			what = "malformed graft"
+			_, _ = d.GraftSubtree(pick(), malformedSource(classPool[rng.Intn(len(classPool))]))
 		}
 		for _, a := range attrs {
 			checkValueTree(t, d, a, fmt.Sprintf("step %d (%s)", step, what))
@@ -516,8 +515,10 @@ func FuzzValueIndex(f *testing.F) {
 				if src := pick(); src != nil {
 					_, _ = d.GraftSubtree(nil, src)
 				}
-			default: // force rebuild fallback
-				d.touchStructure()
+			default: // graft that fails midway
+				if p := pick(); p != nil {
+					_, _ = d.GraftSubtree(p, malformedSource("c"))
+				}
 			}
 			// Probe so the trees exist and the next iteration exercises
 			// the incremental hooks.

@@ -92,9 +92,9 @@ type classTable struct {
 }
 
 // A directory's first few sets live in the table's inline array and are
-// found by a scan: the small directories a transaction builds for its
-// inserted fragment and for the rollback copy of a deletion then intern
-// their sets without allocating a map or a slice.
+// found by a scan: the small directory a transaction builds for each
+// inserted fragment then interns its sets without allocating a map or a
+// slice.
 func (t *classTable) init() { t.sets = t.inline[:0] }
 
 func (t *classTable) lookup(key []byte) *ClassSet {
@@ -169,11 +169,7 @@ func (e *Entry) setClasses(names []string) {
 	old := e.cls
 	e.cls = d.classes.intern(names)
 	d.classes.release(old)
-	if e.cls == old {
-		return
-	}
-	if !d.patchable() {
-		d.touchContent()
+	if e.cls == old || !d.patchable() {
 		return
 	}
 	// Merge the two sorted name lists; postings only change for names

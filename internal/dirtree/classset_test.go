@@ -53,6 +53,7 @@ func checkInterning(t *testing.T, d *Directory, want map[*Entry][]string, step s
 	if held != len(byKey) {
 		t.Fatalf("%s: table holds %d sets, live entries carry %d distinct sets", step, held, len(byKey))
 	}
+	d.EnsureEncoded() // seals a new directory or a Clone; no-op once sealed
 	checkEncoding(t, d, step)
 }
 

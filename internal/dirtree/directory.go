@@ -8,45 +8,44 @@ import (
 )
 
 // Directory is a directory instance D = (R, class, val, N): a finite forest
-// of entries (Definition 2.1). It maintains, lazily, a pre/post-order
-// interval encoding of the forest and per-class posting lists sorted by
-// pre-order — the "sorted directory entries" that the hierarchical query
-// evaluation of Section 3.2 relies on for its O(|Q|·|D|) bound.
+// of entries (Definition 2.1). It keeps a pre/post-order interval encoding
+// of the forest and per-class posting lists sorted by pre-order — the
+// "sorted directory entries" that the hierarchical query evaluation of
+// Section 3.2 relies on for its O(|Q|·|D|) bound.
 //
-// A Directory is not safe for concurrent mutation; concurrent read-only use
-// is safe once EnsureEncoded has been called.
+// A directory has two states. It is building from New until the first
+// EnsureEncoded or ranked read (Entries, ClassEntries, views, value
+// probes): adds cost O(1) and nothing is ranked. That first call seals it
+// with one O(|D|) pre-order walk, and from then on every mutation patches
+// the encoding in place (patch.go), so it is never stale again.
+//
+// A Directory is not safe for concurrent mutation. Concurrent read-only
+// use is safe once it is sealed: a sealed directory's reads write
+// nothing. Seal a building directory once, single-threaded, before
+// fanning reads out.
 type Directory struct {
 	reg     *Registry
 	roots   []*Entry
-	byID    map[int]*Entry
 	byDN    map[string]*Entry
 	nextID  int
 	classes classTable // the live entries' interned class sets
 
-	epoch        uint64
-	encodedEpoch uint64
-	order        []*Entry            // all entries in pre-order
-	classIndex   map[string][]*Entry // per-class posting lists, pre-order
-	grafting     bool                // GraftSubtree is assembling a subtree (patch once at the end)
+	sealed     bool
+	order      []*Entry            // all entries in pre-order, once sealed
+	classIndex map[string][]*Entry // per-class posting lists, pre-order, once sealed
+	grafting   bool                // GraftSubtree is assembling a subtree (patch once at the end)
 
 	// Attribute-value secondary indexes (attrindex.go), built lazily per
-	// attribute and patched alongside the encoding. attrMu serializes the
-	// lazy builds that happen on otherwise read-only probe paths.
+	// attribute once sealed and patched alongside the encoding. attrMu
+	// serializes the lazy builds that happen on read-only probe paths.
 	attrMu    sync.Mutex
 	attrTrees map[string]*bptree
-	attrStale bool // trees lag the instance; drop and rebuild on next probe
 }
 
 // New returns an empty directory using reg for attribute typing. A nil reg
 // leaves all attributes string-typed and multi-valued.
 func New(reg *Registry) *Directory {
-	d := &Directory{
-		reg:          reg,
-		byID:         make(map[int]*Entry),
-		byDN:         make(map[string]*Entry),
-		epoch:        1, // force initial encoding
-		encodedEpoch: 0,
-	}
+	d := &Directory{reg: reg, byDN: make(map[string]*Entry)}
 	d.classes.init()
 	return d
 }
@@ -56,19 +55,13 @@ func New(reg *Registry) *Directory {
 func (d *Directory) Registry() *Registry { return d.reg }
 
 // Len returns |D|, the number of entries.
-func (d *Directory) Len() int { return len(d.byID) }
+func (d *Directory) Len() int { return len(d.byDN) }
 
 // Roots returns the forest roots. The slice is owned by the directory.
 func (d *Directory) Roots() []*Entry { return d.roots }
 
 // ByDN returns the entry with the given distinguished name, or nil.
 func (d *Directory) ByDN(dn string) *Entry { return d.byDN[dn] }
-
-// ByID returns the entry with the given identifier, or nil.
-func (d *Directory) ByID(id int) *Entry { return d.byID[id] }
-
-func (d *Directory) touchContent()   { d.epoch++ }
-func (d *Directory) touchStructure() { d.epoch++ }
 
 // AddRoot creates a new forest root. LDAP permits new entries only as roots
 // or as children of existing entries (Section 4.1); AddRoot covers the
@@ -111,14 +104,11 @@ func (d *Directory) add(parent *Entry, rdn string, classes []string) (*Entry, er
 	} else {
 		parent.children = append(parent.children, e)
 	}
-	d.byID[e.id] = e
 	d.byDN[dn] = e
 	if d.patchable() {
 		// The new entry is the last child (or last root): splice it into
-		// the current encoding instead of invalidating it (patch.go).
+		// the encoding (patch.go).
 		d.patchInsert(e)
-	} else {
-		d.touchStructure()
 	}
 	return e, nil
 }
@@ -134,11 +124,8 @@ func (d *Directory) DeleteLeaf(e *Entry) error {
 	}
 	if d.patchable() {
 		d.patchDelete(e) // before detach: uses the entry's current interval
-	} else {
-		d.touchStructure()
 	}
 	d.detach(e)
-	delete(d.byID, e.id)
 	delete(d.byDN, e.DN())
 	d.classes.release(e.cls)
 	e.dir = nil
@@ -147,6 +134,8 @@ func (d *Directory) DeleteLeaf(e *Entry) error {
 
 // DeleteSubtree removes the entry and its whole subtree, the Δ-deletion
 // granularity of Section 4.1. It returns the number of entries removed.
+// The detached entries keep their RDNs, classes, values and children, so
+// GraftSubtreeAt can copy the subtree back.
 func (d *Directory) DeleteSubtree(root *Entry) (int, error) {
 	if root.dir != d {
 		return 0, fmt.Errorf("dirtree: entry %s belongs to a different directory", root.DN())
@@ -157,7 +146,6 @@ func (d *Directory) DeleteSubtree(root *Entry) (int, error) {
 		for _, c := range e.children {
 			drop(c)
 		}
-		delete(d.byID, e.id)
 		delete(d.byDN, e.DN())
 		d.classes.release(e.cls)
 		e.dir = nil
@@ -165,8 +153,6 @@ func (d *Directory) DeleteSubtree(root *Entry) (int, error) {
 	}
 	if d.patchable() {
 		d.patchDelete(root) // before detach: uses the subtree's current interval
-	} else {
-		d.touchStructure()
 	}
 	d.detach(root)
 	drop(root)
@@ -203,37 +189,42 @@ func (d *Directory) GraftSubtree(parent *Entry, src *Entry) (*Entry, error) {
 // GraftSubtreeAt is GraftSubtree placing the copy at sibling position i
 // among parent's children (or among the roots), shifting later siblings
 // right; i < 0 or past the end appends. Rolling a deletion back grafts
-// the saved subtree at the position it was deleted from, so the restored
-// instance is the original one, sibling order included.
+// the detached subtree at the position it was deleted from, so the
+// restored instance is the original one, sibling order included.
 func (d *Directory) GraftSubtreeAt(parent *Entry, src *Entry, i int) (*Entry, error) {
 	if parent != nil && parent.dir != d {
 		return nil, fmt.Errorf("dirtree: parent %s belongs to a different directory", parent.DN())
 	}
+	// copyRec returns the copy of s, even when copying below it failed.
 	var copyRec func(p *Entry, s *Entry) (*Entry, error)
 	copyRec = func(p *Entry, s *Entry) (*Entry, error) {
 		e, err := d.add(p, s.rdn, s.cls.Names)
 		if err != nil {
 			return nil, err
 		}
+		if len(s.attrs) > 0 {
+			e.attrs = make(map[string][]Value, len(s.attrs))
+		}
 		for name, vs := range s.attrs {
-			e.attrs = ensureAttrs(e.attrs)
 			e.attrs[name] = append([]Value(nil), vs...)
 		}
 		for _, c := range s.children {
 			if _, err := copyRec(e, c); err != nil {
-				return nil, err
+				return e, err
 			}
 		}
 		return e, nil
 	}
-	// Patch the encoding once for the whole subtree, not per entry: the
-	// grafting flag makes each add bump the epoch instead (O(1)), and a
-	// successful graft splices the finished subtree in and restores
-	// currency. A failed partial graft leaves the epoch bumped, so the
-	// fallback recompute cleans up.
-	patch := d.patchable()
+	// Patch the encoding once for the whole subtree, not per entry: while
+	// grafting is set, adds only link. A copy that fails below its root
+	// (a source with duplicate sibling RDNs) is unlinked again while
+	// grafting still holds, so the encoding, which never saw it, stays
+	// current and d is left as it was.
 	d.grafting = true
 	root, err := copyRec(parent, src)
+	if err != nil && root != nil {
+		_, _ = d.DeleteSubtree(root) // cannot fail: root is d's
+	}
 	d.grafting = false
 	if err != nil {
 		return nil, err
@@ -246,37 +237,21 @@ func (d *Directory) GraftSubtreeAt(parent *Entry, src *Entry, i int) (*Entry, er
 		copy((*sibs)[i+1:], (*sibs)[i:last])
 		(*sibs)[i] = root
 	}
-	if patch {
+	if d.sealed {
 		d.patchInsert(root)
-		d.encodedEpoch = d.epoch
-	} else {
-		d.touchStructure()
 	}
 	return root, nil
 }
 
-func ensureAttrs(m map[string][]Value) map[string][]Value {
-	if m == nil {
-		return make(map[string][]Value)
-	}
-	return m
-}
-
-// EnsureEncoded (re)computes the interval encoding and the per-class
-// posting lists if any mutation happened since the last encoding. It is an
-// O(|D|) pre-order walk; all query evaluation goes through it.
+// EnsureEncoded seals a building directory: one O(|D|) pre-order walk
+// computes the interval encoding and the per-class posting lists. On a
+// sealed directory it does nothing, because every mutation there patches
+// the encoding in place. All query evaluation goes through it.
 func (d *Directory) EnsureEncoded() {
-	if d.encodedEpoch == d.epoch {
+	if d.sealed {
 		return
 	}
-	// Arbitrary unpatched mutations may have happened; drop the value
-	// indexes and let the next probe rebuild them (attrindex.go).
-	d.attrTrees = nil
-	d.attrStale = false
-	d.order = d.order[:0]
-	if cap(d.order) < len(d.byID) {
-		d.order = make([]*Entry, 0, len(d.byID))
-	}
+	d.order = make([]*Entry, 0, len(d.byDN))
 	d.classIndex = make(map[string][]*Entry)
 	pre := 0
 	var walk func(e *Entry, depth int)
@@ -298,16 +273,8 @@ func (d *Directory) EnsureEncoded() {
 	}
 	// Posting lists were appended during a pre-order walk, so they are
 	// already sorted by pre-order rank; no per-class sort is needed.
-	d.encodedEpoch = d.epoch
+	d.sealed = true
 }
-
-// Encoded reports whether the interval encoding is current, i.e. no
-// mutation happened since the last EnsureEncoded. While Encoded is true,
-// every read path (Entries, ClassEntries, views, queries) is free of
-// internal mutation and therefore safe for concurrent use from multiple
-// goroutines; any mutation invalidates that guarantee until EnsureEncoded
-// runs again, single-threaded.
-func (d *Directory) Encoded() bool { return d.encodedEpoch == d.epoch }
 
 // Entries returns all entries in pre-order. The returned slice is owned by
 // the directory and is valid until the next mutation.
@@ -345,23 +312,11 @@ func (d *Directory) ClassNames() []string {
 // registry. Entry IDs are not preserved; DNs are.
 func (d *Directory) Clone() *Directory {
 	out := New(d.reg)
-	var copyRec func(parent *Entry, src *Entry)
-	copyRec = func(parent *Entry, src *Entry) {
-		e, err := out.add(parent, src.rdn, src.cls.Names)
-		if err != nil {
+	for _, r := range d.roots {
+		if _, err := out.GraftSubtree(nil, r); err != nil {
 			// Cannot happen: the source directory has unique DNs.
 			panic(err)
 		}
-		for name, vs := range src.attrs {
-			e.attrs = ensureAttrs(e.attrs)
-			e.attrs[name] = append([]Value(nil), vs...)
-		}
-		for _, c := range src.children {
-			copyRec(e, c)
-		}
-	}
-	for _, r := range d.roots {
-		copyRec(nil, r)
 	}
 	return out
 }

@@ -634,9 +634,6 @@ func TestViewStringAndDirectory(t *testing.T) {
 	if d.EmptyView().IsEmptyView() != true || d.All().IsEmptyView() {
 		t.Errorf("IsEmptyView wrong")
 	}
-	if d.ByID(es["laks"].ID()) != es["laks"] {
-		t.Errorf("ByID lookup wrong")
-	}
 }
 
 func TestRegistryAttrsListing(t *testing.T) {

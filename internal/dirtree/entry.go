@@ -24,7 +24,7 @@ type Entry struct {
 	cls   *ClassSet // interned in dir's class table
 	attrs map[string][]Value
 
-	// Interval encoding, valid while dir.encodedEpoch == dir.epoch.
+	// Interval encoding, valid once dir is sealed.
 	pre, post, depth int
 }
 
@@ -230,8 +230,8 @@ func (e *Entry) RemoveValue(name string, v Value) {
 	}
 }
 
-// Pre returns the entry's pre-order rank in the current encoding. The
-// owning directory's encoding must be current (Directory.EnsureEncoded).
+// Pre returns the entry's pre-order rank in the encoding. The owning
+// directory must be sealed (Directory.EnsureEncoded).
 func (e *Entry) Pre() int { return e.pre }
 
 // Post returns the largest pre-order rank in the entry's subtree, so that
@@ -243,7 +243,7 @@ func (e *Entry) Post() int { return e.post }
 func (e *Entry) Depth() int { return e.depth }
 
 // IsAncestorOf reports whether e is a proper ancestor of d. Both entries
-// must belong to the same directory, whose encoding must be current.
+// must belong to the same directory, which must be sealed.
 func (e *Entry) IsAncestorOf(d *Entry) bool {
 	return e != d && e.pre <= d.pre && d.pre <= e.post
 }

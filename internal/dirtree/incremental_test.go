@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
-// The incremental patching in patch.go must be indistinguishable from a
-// from-scratch EnsureEncoded: same pre/post/depth on every entry, same
+// The incremental patching in patch.go must be indistinguishable from the
+// sealing walk: same pre/post/depth on every entry, same
 // pre-order slice, same posting lists (including which class keys exist).
 // referenceEncode computes all of that independently, walking the forest
 // links only, without reading or writing any cached encoding state.
@@ -40,7 +41,6 @@ func referenceEncode(d *Directory) (order []*Entry, pre, post, depth map[*Entry]
 
 func checkEncoding(t *testing.T, d *Directory, step string) {
 	t.Helper()
-	d.EnsureEncoded() // no-op after a successful patch; rebuild after a fallback
 	order, pre, post, depth, classes := referenceEncode(d)
 	if len(order) != len(d.order) {
 		t.Fatalf("%s: order length %d, reference %d", step, len(d.order), len(order))
@@ -83,27 +83,42 @@ func classKeys(m map[string][]*Entry) []string {
 // sortedEntries returns the live entries ordered by ID, for deterministic
 // random picks regardless of map iteration order.
 func sortedEntries(d *Directory) []*Entry {
-	out := make([]*Entry, 0, len(d.byID))
-	for _, e := range d.byID {
+	out := make([]*Entry, 0, len(d.byDN))
+	for _, e := range d.byDN {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
+// malformedSource fabricates a graft source that fails midway: its root
+// copies fine, then its second child collides with its first (duplicate
+// sibling RDNs), which no well-formed Directory produces. The children
+// carry class c and a cn value, so a partial copy would touch the posting
+// lists, the class table and the value index.
+func malformedSource(c string) *Entry {
+	cs := &ClassSet{Names: []string{c}}
+	src := &Entry{rdn: "ou=bad", cls: cs}
+	for i := 0; i < 2; i++ {
+		src.children = append(src.children, &Entry{rdn: "ou=dup", parent: src, cls: cs,
+			attrs: map[string][]Value{"cn": {String("dup")}}})
+	}
+	return src
+}
+
 // TestIncrementalEncodingDifferential drives a long randomized workload of
-// every mutating operation — adds, leaf and subtree deletes, grafts
-// (including failing ones), class membership changes, attribute writes,
-// and forced invalidations that exercise the EnsureEncoded fallback — and
-// asserts after every single op that the maintained encoding is identical
-// to an independent from-scratch computation.
+// every mutating operation on a sealed directory — adds, leaf and subtree
+// deletes, grafts (including ones that fail midway), class membership
+// changes and attribute writes — and asserts after every single op that
+// the maintained encoding is identical to an independent walk, with no
+// EnsureEncoded in between: a sealed directory has no fallback.
 func TestIncrementalEncodingDifferential(t *testing.T) {
 	classPool := []string{"person", "org", "device", "group", "printer"}
 	rng := rand.New(rand.NewSource(7))
 	d := New(nil)
 	d.EnsureEncoded()
 	nextName := 0
-	patched := 0
+	failedMidway := 0
 
 	for step := 0; step < 4000; step++ {
 		alive := sortedEntries(d)
@@ -113,7 +128,6 @@ func TestIncrementalEncodingDifferential(t *testing.T) {
 			}
 			return alive[rng.Intn(len(alive))]
 		}
-		wasCurrent := d.Encoded()
 		op := rng.Intn(100)
 		var what string
 		switch {
@@ -179,10 +193,17 @@ func TestIncrementalEncodingDifferential(t *testing.T) {
 				at = rng.Intn(4)
 			}
 			what = fmt.Sprintf("GraftSubtreeAt %s -> %s @%d", src.DN(), dest, at)
-			// Duplicate DNs make grafts fail, sometimes after partial
-			// progress; both outcomes must leave a consistent encoding.
+			// Duplicate DNs make some grafts fail at the root; either
+			// outcome must leave a current encoding.
 			_, _ = d.GraftSubtreeAt(parent, src, at)
-		case op < 81: // class membership
+		case op < 76: // a graft that fails midway must unlink its copy
+			parent := pick()
+			what = fmt.Sprintf("malformed graft under %s", parent.DN())
+			if _, err := d.GraftSubtree(parent, malformedSource(classPool[rng.Intn(len(classPool))])); err == nil {
+				t.Fatalf("step %d: graft of a malformed source succeeded", step)
+			}
+			failedMidway++
+		case op < 84: // class membership
 			e := pick()
 			c := classPool[rng.Intn(len(classPool))]
 			if rng.Intn(2) == 0 {
@@ -192,7 +213,7 @@ func TestIncrementalEncodingDifferential(t *testing.T) {
 				what = fmt.Sprintf("RemoveClass %s %s", e.DN(), c)
 				e.RemoveClass(c)
 			}
-		case op < 86: // replace the class set wholesale
+		case op < 89: // replace the class set wholesale
 			e := pick()
 			n := 1 + rng.Intn(3)
 			vs := make([]Value, n)
@@ -201,7 +222,7 @@ func TestIncrementalEncodingDifferential(t *testing.T) {
 			}
 			what = fmt.Sprintf("SetValues objectClass %s", e.DN())
 			e.SetValues(AttrObjectClass, vs...)
-		case op < 94: // attribute values: must never touch the encoding
+		default: // attribute values: must never touch the encoding
 			e := pick()
 			what = fmt.Sprintf("attr write %s", e.DN())
 			switch rng.Intn(3) {
@@ -212,29 +233,45 @@ func TestIncrementalEncodingDifferential(t *testing.T) {
 			default:
 				e.RemoveValue("cn", String(fmt.Sprintf("v%d", rng.Intn(10))))
 			}
-			if wasCurrent && !d.Encoded() {
-				t.Fatalf("step %d (%s): value-only write invalidated the encoding", step, what)
-			}
-		default: // force the fallback path: stale encoding, then mutate
-			what = "forced invalidation"
-			d.touchStructure()
-		}
-		if wasCurrent && d.Encoded() {
-			patched++
 		}
 		checkEncoding(t, d, fmt.Sprintf("step %d (%s)", step, what))
 	}
-	// The point of the test is the patch paths; make sure the workload
-	// actually went through them and not the recompute fallback.
-	if patched < 2000 {
-		t.Fatalf("only %d/4000 steps kept the encoding current via patching", patched)
+	if failedMidway == 0 {
+		t.Fatal("the workload never grafted a malformed source")
 	}
 }
 
+// dirState renders everything a failed graft must leave as it was: the
+// forest, the DN map, the live class sets with their reference counts,
+// the encoding with its posting lists, and the cn value index.
+func dirState(d *Directory) string {
+	var b strings.Builder
+	b.WriteString(d.String())
+	dns := make([]string, 0, len(d.byDN))
+	for dn, e := range d.byDN {
+		dns = append(dns, fmt.Sprintf("%s->%s", dn, e.DN()))
+	}
+	sort.Strings(dns)
+	fmt.Fprintln(&b, dns)
+	for _, s := range d.ClassSets() {
+		if s != nil {
+			fmt.Fprintf(&b, "set %d %v refs=%d\n", s.ID, s.Names, s.refs)
+		}
+	}
+	for _, e := range d.order {
+		fmt.Fprintf(&b, "%s pre=%d post=%d depth=%d\n", e.DN(), e.pre, e.post, e.depth)
+	}
+	for _, c := range classKeys(d.classIndex) {
+		fmt.Fprintf(&b, "class %s %v\n", c, d.classIndex[c])
+	}
+	fmt.Fprintf(&b, "cn pairs=%d\n", d.ValuePairs("cn"))
+	return b.String()
+}
+
 // TestGraftSubtreePatchFailure pins the failure contract: a graft that
-// fails midway (duplicate DN below the root) leaves the partially copied
-// entries attached with a stale encoding, and the next EnsureEncoded
-// rebuild agrees with the reference walk.
+// fails — at its root, or midway after linking part of its copy — leaves
+// the sealed directory exactly as it was: entries, DN map, class sets,
+// encoding and value index.
 func TestGraftSubtreePatchFailure(t *testing.T) {
 	d := New(nil)
 	root, _ := d.AddRoot("o=r", "org")
@@ -243,33 +280,29 @@ func TestGraftSubtreePatchFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := d.AddChild(root, "ou=b", "org")
-	if _, err := d.AddChild(b, "ou=a", "org"); err != nil { // collides below the graft root
+	if _, err := d.AddChild(b, "ou=a", "org"); err != nil {
 		t.Fatal(err)
 	}
+	a.AddValue("cn", String("a"))
 	d.EnsureEncoded()
-	if !d.Encoded() {
-		t.Fatal("encoding should be current before the graft")
-	}
-	// Copy b under a: b's child "ou=a" lands as "ou=a,ou=b,ou=a,o=r" — fine;
-	// then graft b under root again: "ou=b,o=r" exists — fails at the root,
-	// before any add.
+	before := dirState(d)
+
+	// "o=r" exists: the graft fails at its root, before any add.
 	if _, err := d.GraftSubtree(nil, root); err == nil {
 		t.Fatal("graft onto duplicate root DN should fail")
 	}
-	checkEncoding(t, d, "after clean-failure graft")
-	// A graft can only fail midway if the source has colliding sibling
-	// RDNs, which no well-formed Directory produces — fabricate one.
-	org := &ClassSet{Names: []string{"org"}}
-	src := &Entry{rdn: "ou=c", cls: org}
-	src.children = []*Entry{
-		{rdn: "ou=dup", parent: src, cls: org},
-		{rdn: "ou=dup", parent: src, cls: org},
+	if got := dirState(d); got != before {
+		t.Fatalf("clean-failure graft changed the directory:\n%s\nwant:\n%s", got, before)
 	}
-	if _, err := d.GraftSubtree(root, src); err == nil {
+	checkEncoding(t, d, "after clean-failure graft")
+
+	// A midway failure links the root and one child, with a class set
+	// the directory has not seen, before the duplicate sibling refuses.
+	if _, err := d.GraftSubtree(root, malformedSource("unit")); err == nil {
 		t.Fatal("graft should fail on the duplicate sibling RDN")
 	}
-	if d.Encoded() {
-		t.Fatal("partial graft must leave the encoding stale for the rebuild")
+	if got := dirState(d); got != before {
+		t.Fatalf("partial graft changed the directory:\n%s\nwant:\n%s", got, before)
 	}
 	checkEncoding(t, d, "after partial-failure graft")
 }

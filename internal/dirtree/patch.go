@@ -5,13 +5,17 @@ package dirtree
 // The paper's Δ-queries (Theorem 4.1, Figure 5) cost O(|Δ|) only if the
 // auxiliary structures they run over — the pre/post interval encoding and
 // the per-class posting lists — are maintained in O(|Δ|) too. Rebuilding
-// them from the roots after every mutation (EnsureEncoded) silently
-// re-introduces an O(|D|) term per transaction, which once made journal
-// replay superlinear (internal/server's replay-cost ratchet pins it).
+// them from the roots after every mutation silently re-introduces an
+// O(|D|) term per transaction, which once made journal replay
+// superlinear (internal/server's replay-cost ratchet pins it).
 //
-// This file patches the encoding in place instead. Because update
-// granularity is a single subtree Δ (Theorem 4.1) and Δ occupies a
-// contiguous pre-order interval, every mutation is a splice:
+// A directory is building until its first EnsureEncoded or ranked read,
+// and sealed from then on (directory.go). A building directory ranks
+// nothing, so its mutations have nothing to patch. A sealed directory
+// patches the encoding in place on every mutation, and nothing makes it
+// stale again. Because update granularity is a single subtree Δ
+// (Theorem 4.1) and Δ occupies a contiguous pre-order interval, every
+// mutation is a splice:
 //
 //   - inserting a subtree of k entries at pre-rank p shifts the ranks of
 //     the entries at or after p up by k, grows the post of Δ's ancestors
@@ -25,17 +29,17 @@ package dirtree
 // Cost is O(|Δ| + s) where s is the suffix of the pre-order at or after
 // the splice point (entries whose ranks shift) — O(|Δ|) for the common
 // append-at-the-end workloads, O(|D|) only for a splice near rank 0,
-// never worse than the full recompute it replaces. EnsureEncoded remains
-// as the from-scratch fallback: any path that cannot patch (a mutation
-// while the encoding is already stale, a failed partial graft) bumps the
-// epoch as before, and the next read rebuilds. The differential test in
-// incremental_test.go holds the two byte-identical after every op.
+// never worse than a full re-encode. A graft links its whole copy first
+// and splices it once; a graft that fails midway unlinks what it linked
+// before the encoding sees it. The differential test in
+// incremental_test.go holds the maintained encoding and an independent
+// walk identical after every op.
 
-// patchable reports whether mutations may patch the current encoding in
-// place: the encoding must be current, and no bulk graft may be
-// assembling a subtree (GraftSubtree patches once at the end instead).
+// patchable reports whether a mutation must patch the encoding in place:
+// the directory is sealed and no bulk graft is assembling a subtree
+// (GraftSubtree patches once at the end instead).
 func (d *Directory) patchable() bool {
-	return d.encodedEpoch == d.epoch && !d.grafting
+	return d.sealed && !d.grafting
 }
 
 // patchInsert splices a freshly linked subtree into the current
@@ -135,7 +139,7 @@ func (d *Directory) patchDelete(root *Entry) {
 		a, b := rangeWithin(list, lo, hi)
 		list = append(list[:a], list[b:]...)
 		if len(list) == 0 {
-			delete(d.classIndex, c) // EnsureEncoded never materializes empty lists
+			delete(d.classIndex, c) // the sealing walk never materializes empty lists
 		} else {
 			d.classIndex[c] = list
 		}
@@ -163,7 +167,7 @@ func (d *Directory) insertPosting(c string, e *Entry) {
 }
 
 // removePosting removes e from class c's posting list, dropping the list
-// entirely when it empties (matching what a recompute would build).
+// entirely when it empties (matching what the sealing walk would build).
 func (d *Directory) removePosting(c string, e *Entry) {
 	list := d.classIndex[c]
 	i := searchPre(list, e.pre)

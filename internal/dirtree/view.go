@@ -54,8 +54,8 @@ func (v View) Directory() *Directory { return v.d }
 // contents).
 func (v View) IsEmptyView() bool { return v.kind == viewEmpty }
 
-// Contains reports whether the view includes e. The directory encoding
-// must be current; Entries and ClassEntries ensure it.
+// Contains reports whether the view includes e. The directory must be
+// sealed; Entries and ClassEntries seal it.
 func (v View) Contains(e *Entry) bool {
 	if e == nil || e.dir != v.d {
 		return false
@@ -95,27 +95,7 @@ func (v View) Entries() []*Entry {
 
 // ClassEntries returns the view's entries of object class c in pre-order.
 func (v View) ClassEntries(c string) []*Entry {
-	v.d.EnsureEncoded()
-	all := v.d.classIndex[c]
-	switch v.kind {
-	case viewAll:
-		return all
-	case viewEmpty:
-		return nil
-	case viewSubtree:
-		lo, hi := rangeWithin(all, v.root.pre, v.root.post)
-		return all[lo:hi]
-	case viewExceptSubtree:
-		lo, hi := rangeWithin(all, v.root.pre, v.root.post)
-		if lo == hi {
-			return all
-		}
-		out := make([]*Entry, 0, len(all)-(hi-lo))
-		out = append(out, all[:lo]...)
-		out = append(out, all[hi:]...)
-		return out
-	}
-	return nil
+	return v.Filter(v.d.ClassEntries(c))
 }
 
 // Filter clips a pre-order-sorted entry list (a posting list or an index

@@ -56,11 +56,10 @@ func (i Inst) String() string {
 // Binding resolves instance tags to concrete views over one directory.
 // For ordinary (non-incremental) evaluation use NewBinding.
 //
-// A Binding is an immutable value and may be shared across goroutines,
-// with one rule: Eval lazily re-encodes a mutated directory, so bring the
-// encoding current once, single-threaded, before fanning out
-// (dirtree.Directory.EnsureEncoded), and mutate no bound directory while
-// evaluations run. Eval is then read-only.
+// A Binding is an immutable value and may be shared across goroutines
+// while no bound directory is mutated. Evaluation over a sealed
+// directory is read-only; the first evaluation over a building one
+// seals it, so seal it before fanning out (dirtree.Directory).
 type Binding struct {
 	Default dirtree.View
 	Delta   dirtree.View
@@ -116,7 +115,6 @@ type Query interface {
 // Eval evaluates the query against the binding and returns the matching
 // entries in pre-order.
 func Eval(q Query, b Binding) []*dirtree.Entry {
-	b.Default.Directory().EnsureEncoded()
 	return q.eval(b, nil, 0)
 }
 

@@ -250,7 +250,6 @@ func (p sPlan) describe() Plan {
 
 // PlanSelect plans σ(f) over a view without executing it.
 func PlanSelect(f filter.Filter, v dirtree.View) Plan {
-	v.Directory().EnsureEncoded()
 	return planSelect(f, v).describe()
 }
 
@@ -258,7 +257,6 @@ func PlanSelect(f filter.Filter, v dirtree.View) Plan {
 // matching entries in pre-order together with the chosen plan. It is the
 // entry point the server's SEARCH uses.
 func EvalSelect(f filter.Filter, v dirtree.View) ([]*dirtree.Entry, Plan) {
-	v.Directory().EnsureEncoded()
 	if v.IsEmptyView() {
 		return nil, Plan{Strategy: stratEmpty}
 	}

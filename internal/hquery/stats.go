@@ -81,7 +81,6 @@ func (s *Stats) TotalWork() int {
 // EvalWithStats evaluates the query as Eval does and reports, per
 // operator and atom, the strategy it executed and the sizes it touched.
 func EvalWithStats(q Query, b Binding) ([]*dirtree.Entry, *Stats) {
-	b.Default.Directory().EnsureEncoded()
 	st := &Stats{}
 	return q.eval(b, st, 0), st
 }

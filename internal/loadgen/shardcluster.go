@@ -268,6 +268,5 @@ func (c *ShardCluster) mergedInstance() (*dirtree.Directory, int, error) {
 	for _, s := range c.Map.Spine() {
 		expected -= len(c.Map.Holders(s)) - 1
 	}
-	merged.EnsureEncoded()
 	return merged, expected, nil
 }

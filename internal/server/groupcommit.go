@@ -11,12 +11,12 @@ import (
 
 // This file is the durability half of the commit path — the only one
 // any journaled node has. A COMMIT's and a replicated segment's
-// write-lock critical section is apply + validate + re-encode +
-// journal-record encoding; durability belongs to a single committer
-// goroutine that coalesces every record staged while the previous fsync
-// was in flight into one write + Sync() (ARIES-style group commit), so a
-// slow disk sync stalls neither readers nor the next wave of appliers. A
-// lone writer is a batch of one.
+// write-lock critical section is apply (which patches the encoding) +
+// validate + journal-record encoding; durability belongs to a single
+// committer goroutine that coalesces every record staged while the
+// previous fsync was in flight into one write + Sync() (ARIES-style group
+// commit), so a slow disk sync stalls neither readers nor the next wave
+// of appliers. A lone writer is a batch of one.
 //
 // Invariants:
 //
@@ -246,7 +246,6 @@ func (c *committer) failBatch(batch []*commitReq, err error) {
 	if uerr := txn.ComposeUndo(undos...)(); uerr != nil {
 		s.degrade(fmt.Sprintf("in-memory state diverged after failed journal write: %v (rollback: %v)", err, uerr))
 	}
-	s.dir.EnsureEncoded()
 	// Reclaim the failed transactions' sequence numbers: none of them
 	// reached the disk, and leaving a gap would make a later restart read
 	// the journal's seq run as broken. Safe under s.mu — staging requires

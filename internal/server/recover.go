@@ -257,8 +257,8 @@ func (s *Server) loadSnapshot(snapPath string) (loaded bool, snapSeq, snapEpoch 
 }
 
 // proveSnapshot decodes a snapshot blob and proves it legal in full,
-// returning the directory encoded for readers and the proof's duration
-// in µs. Boot's snapshot load and a replica's bootstrap both install
+// returning the directory (sealed by the proof, so readers may share it)
+// and the proof's duration in µs. Boot's snapshot load and a replica's bootstrap both install
 // what it returns.
 func (s *Server) proveSnapshot(data []byte) (*dirtree.Directory, int64, error) {
 	d, err := ldif.ReadDirectory(bytes.NewReader(data), s.opts.Schema.Registry)
@@ -270,7 +270,6 @@ func (s *Server) proveSnapshot(data []byte) (*dirtree.Directory, int64, error) {
 		return nil, 0, fmt.Errorf("is illegal: %s", firstViolation(r))
 	}
 	proofUs := time.Since(t0).Microseconds()
-	d.EnsureEncoded()
 	return d, proofUs, nil
 }
 
@@ -408,7 +407,6 @@ func (s *Server) recoverJournal(path string) (*RecoveryReport, error) {
 		rep.RecordsReplayed++
 		lastSeq = rt.seq
 	}
-	s.dir.EnsureEncoded() // keep readers free of the lazy re-encode
 	s.mu.Unlock()
 	rep.Legal, rep.LegalityUs = true, s.baseProofUs
 

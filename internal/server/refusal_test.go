@@ -17,10 +17,11 @@ import (
 // than a legal ADD. A refusal that rebuilds shadow state allocates about
 // one object per entry.
 const (
-	// legalPairAllocs pins a legal ADD+DELETE commit pair: 84–86 measured
-	// (go1.24, linux/amd64) with the Figure 5 rows built once per applier,
-	// 157–160 when every Δ rebuilt them.
-	legalPairAllocs = 90
+	// legalPairAllocs pins a legal ADD+DELETE commit pair: 42 measured
+	// (go1.24, linux/amd64) now that a deletion's rollback grafts from the
+	// detached subtree instead of a copy (56 with the copy), 157–160 when
+	// every Δ rebuilt the Figure 5 rows.
+	legalPairAllocs = 46
 	// refusalSlack bounds a refused commit above the legal ADD.
 	refusalSlack = 16
 	// sizeSlack bounds how far a refused commit may move between sizes.

@@ -618,7 +618,6 @@ func (s *Server) admitSegment(seg repl.Segment) (func() error, error) {
 	// failure (duplicate DN, missing parent) it is divergence — never
 	// journaled, never acknowledged.
 	report, undo, err := s.applier.ApplyWithUndo(s.dir, tx)
-	s.dir.EnsureEncoded()
 	if err != nil {
 		return diverged(fmt.Sprintf("replicated transaction seq=%d failed to apply: %v", seg.Seq, err))
 	}

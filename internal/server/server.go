@@ -119,11 +119,10 @@ type Server struct {
 	checker *core.Checker
 
 	// mu guards dir, journal state and readOnly. Writers (COMMIT, journal
-	// replay) mutate under the write lock and must leave the interval
-	// encoding current before unlocking, so reader sessions under the read
-	// lock never trigger the lazy re-encode — the read paths are only
-	// concurrency-safe while dirtree's Directory.Encoded() holds (the rule
-	// on hquery.Binding).
+	// replay, replicated segments) mutate under the write lock; reader
+	// sessions run under the read lock. Every directory installed here was
+	// proven by Checker.Check, which seals it, and a sealed directory
+	// patches its encoding on every mutation, so its reads write nothing.
 	mu  sync.RWMutex
 	dir *dirtree.Directory
 	// baseProofUs is the duration, in µs, of the full legality proof of
@@ -680,11 +679,6 @@ func (s *Server) CommitTx(tx *txn.Transaction) (*core.Report, error) {
 		return nil, errors.New("server is " + proto.ReadOnly + ": " + reason)
 	}
 	report, undo, err := s.applier.ApplyWithUndo(s.dir, tx)
-	// Re-encode before releasing the write lock: reader sessions (CHECK,
-	// SEARCH, QUERY) run under the read lock and rely on the encoding
-	// being current, so the lazy re-encode must never fire concurrently
-	// under RLock (dirtree.Directory is read-only while Encoded).
-	s.dir.EnsureEncoded()
 	if err != nil || !report.Legal() {
 		s.mu.Unlock()
 		if err != nil {
@@ -709,7 +703,6 @@ func (s *Server) CommitTx(tx *txn.Transaction) (*core.Report, error) {
 		if uerr := undo(); uerr != nil {
 			s.degrade(fmt.Sprintf("in-memory state diverged after failed journal encode: %v (rollback: %v)", werr, uerr))
 		}
-		s.dir.EnsureEncoded()
 		s.mu.Unlock()
 		s.metrics.TxErrors.Add(1)
 		return nil, fmt.Errorf("%s: %v", proto.NotDurable, werr)

@@ -51,7 +51,7 @@ func TestSessionAllocs(t *testing.T) {
 			"BEGIN",
 			"DELETE uid=pair," + unit,
 			"COMMIT",
-		}, "OK", 71},
+		}, "OK", 57},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

@@ -39,7 +39,6 @@ import (
 // Ghosts cannot drift afterwards: the protocol has no entry-modify
 // command, and the router refuses DELETE/MOVE of spine DNs.
 func Carve(src *dirtree.Directory, m *Map) (map[string]*dirtree.Directory, error) {
-	src.EnsureEncoded()
 	out := make(map[string]*dirtree.Directory, len(m.Shards)+1)
 	for _, sh := range m.Shards {
 		dst := dirtree.New(src.Registry())
@@ -80,7 +79,6 @@ func Carve(src *dirtree.Directory, m *Map) (map[string]*dirtree.Directory, error
 				return nil, fmt.Errorf("carve: shard %s: graft %q: %v", sh.Name, root, err)
 			}
 		}
-		dst.EnsureEncoded()
 		out[sh.Name] = dst
 	}
 	if m.Default != nil {
@@ -94,7 +92,6 @@ func Carve(src *dirtree.Directory, m *Map) (map[string]*dirtree.Directory, error
 				return nil, fmt.Errorf("carve: default: delete %q: %v", root, err)
 			}
 		}
-		dst.EnsureEncoded()
 		out[m.Default.Name] = dst
 	}
 	return out, nil
@@ -144,7 +141,6 @@ func AutoCut(schema *core.Schema, src *dirtree.Directory, n int) ([][]string, er
 	if n < 1 {
 		return nil, fmt.Errorf("autocut: need at least one shard, got %d", n)
 	}
-	src.EnsureEncoded()
 	checker := core.NewChecker(schema)
 	type cand struct {
 		dn   string

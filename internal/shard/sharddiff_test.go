@@ -185,6 +185,8 @@ func (c *diffCluster) restartShard(name string) {
 }
 
 // dialTest returns a protocol client for a router or shard address.
+// Every read from the socket gets a fresh deadline, so a reply that never
+// comes fails the test in seconds instead of hanging it.
 func dialTest(t *testing.T, addr string) *proto.Conn {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -192,7 +194,19 @@ func dialTest(t *testing.T, addr string) *proto.Conn {
 		t.Fatalf("dial %s: %v", addr, err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return proto.NewConn(conn)
+	return proto.NewConn(deadlineConn{conn})
+}
+
+// replyTimeout bounds each socket read of a test client.
+const replyTimeout = 5 * time.Second
+
+type deadlineConn struct{ net.Conn }
+
+func (c deadlineConn) Read(p []byte) (int, error) {
+	if err := c.SetReadDeadline(time.Now().Add(replyTimeout)); err != nil {
+		return 0, err
+	}
+	return c.Conn.Read(p)
 }
 
 func doCmd(t *testing.T, c *proto.Conn, line string) proto.Reply {

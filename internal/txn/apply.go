@@ -180,11 +180,9 @@ func (a *Applier) applyNormalized(d *dirtree.Directory, norm *Normalized) (*core
 		if r := a.checkDelete(d, root); !r.Legal() {
 			return refuse(r, nil)
 		}
-		// Keep a copy and its sibling position for rollback, then delete.
-		saved := dirtree.New(d.Registry())
-		if _, err := saved.GraftSubtree(nil, root); err != nil {
-			return refuse(nil, err)
-		}
+		// Note the sibling position for rollback, then delete. The
+		// detached subtree keeps its RDNs, classes, values and children,
+		// so the rollback grafts from it directly.
 		parentDN, sibs := "", d.Roots()
 		if p := root.Parent(); p != nil {
 			parentDN, sibs = p.DN(), p.Children()
@@ -200,7 +198,7 @@ func (a *Applier) applyNormalized(d *dirtree.Directory, norm *Normalized) (*core
 					return fmt.Errorf("delete parent %q vanished", parentDN)
 				}
 			}
-			_, err := d.GraftSubtreeAt(parent, saved.Roots()[0], at)
+			_, err := d.GraftSubtreeAt(parent, root, at)
 			return err
 		})
 	}

@@ -35,7 +35,7 @@ func HardCases() []HardCase {
 		return nil
 	}
 
-	add("CP: required child's parent class conflicts", "CP", func(s *core.Schema) error {
+	add("SI,SD: required child's parent class conflicts", "SD", func(s *core.Schema) error {
 		if err := cores(s, [2]string{"k1", core.ClassTop}, [2]string{"k3", core.ClassTop}, [2]string{"k4", core.ClassTop}); err != nil {
 			return err
 		}

@@ -26,19 +26,19 @@ var sourceBudget = map[string]int{
 	"examples/semistructured": 63,
 	"examples/whitepages":     91,
 	"internal/core":           4534,
-	"internal/dirtree":        2177,
+	"internal/dirtree":        2088,
 	"internal/filter":         491,
-	"internal/hquery":         1312,
+	"internal/hquery":         1307,
 	"internal/ldif":           409,
-	"internal/loadgen":        1022,
+	"internal/loadgen":        1021,
 	"internal/netfault":       428,
 	"internal/proto":          466,
 	"internal/repl":           864,
 	"internal/schemadsl":      611,
 	"internal/semistruct":     298,
-	"internal/server":         3202,
-	"internal/shard":          1644,
-	"internal/txn":            751,
+	"internal/server":         3191,
+	"internal/shard":          1640,
+	"internal/txn":            749,
 	"internal/vfs":            625,
 	"internal/workload":       697,
 }
