@@ -225,22 +225,6 @@ func BenchmarkDeleteCheckFig5(b *testing.B) {
 	}
 }
 
-func BenchmarkDeleteCheckNarrowed(b *testing.B) {
-	s, d, victim := deletionFixture(b, 50000)
-	var rels []core.RequiredRel
-	for _, chk := range core.DeleteChecks(s.Structure) {
-		if rel, ok := chk.Element.(core.RequiredRel); ok && !chk.Incremental {
-			rels = append(rels, rel)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, rel := range rels {
-			txn.NarrowedDeleteCheck(d, victim, rel)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // E7 — required classes under deletion: survivor scan vs posting-list
 // length.
@@ -248,11 +232,16 @@ func BenchmarkDeleteCheckNarrowed(b *testing.B) {
 func BenchmarkRequiredClassScan(b *testing.B) {
 	s, d, victim := deletionFixture(b, 50000)
 	bind := hquery.DeltaBinding(d, victim)
-	classes := s.Structure.RequiredClasses()
+	var checks []core.DeltaCheck
+	for _, chk := range core.DeleteChecks(s.Structure) {
+		if _, ok := chk.Element.(core.RequiredClass); ok {
+			checks = append(checks, chk)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, c := range classes {
-			core.DeleteCheckClass(c).Holds(bind)
+		for _, chk := range checks {
+			chk.Holds(bind)
 		}
 	}
 }
@@ -313,12 +302,11 @@ func BenchmarkMaterializeWhitePages(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // E13 — Section 7: schema-aided query optimization. Each query runs as
-// written and as hquery.Optimize rewrites it from the schema's facts;
+// written and as core.OptimizeQuery rewrites it from the schema's facts;
 // internal/core's TestOptimizeGuaranteedElement pins the rewrites.
 
 func BenchmarkOptimizedQuery(b *testing.B) {
 	s, d := corpus(b, 50000)
-	facts := core.NewQueryFacts(s)
 	bind := hquery.NewBinding(d)
 	for _, qq := range []struct{ name, q string }{
 		{"orgGroup-without-person", "(minus (select (objectClass=orgGroup)) (desc (select (objectClass=orgGroup)) (select (objectClass=person))))"},
@@ -326,8 +314,11 @@ func BenchmarkOptimizedQuery(b *testing.B) {
 		{"child-of-person", "(parent (select (objectClass=top)) (select (objectClass=person)))"},
 		{"researcher-under-orgUnit", "(desc (select (objectClass=orgUnit)) (select (objectClass=researcher)))"},
 	} {
-		raw := hquery.MustParse(qq.q)
-		for i, q := range []hquery.Query{raw, hquery.Optimize(raw, facts)} {
+		raw, err := hquery.Parse(qq.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, q := range []hquery.Query{raw, core.OptimizeQuery(raw, s)} {
 			b.Run(qq.name+"/"+[]string{"raw", "optimized"}[i], func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					hquery.Eval(q, bind)
@@ -352,7 +343,7 @@ func BenchmarkHQueryDescJoin(b *testing.B) {
 
 func BenchmarkHQueryFig4Violation(b *testing.B) {
 	_, d := corpus(b, 50000)
-	q := core.RequiredRelQuery(core.RequiredRel{Source: "orgGroup", Axis: core.AxisDesc, Target: "person"})
+	q := hquery.Minus(hquery.ClassAtom("orgGroup"), hquery.Desc(hquery.ClassAtom("orgGroup"), hquery.ClassAtom("person")))
 	bind := hquery.NewBinding(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -364,7 +355,10 @@ func BenchmarkHQueryFig4Violation(b *testing.B) {
 
 func BenchmarkFilterMatch(b *testing.B) {
 	_, d := corpus(b, 1000)
-	f := filter.MustParse("(&(objectClass=person)(|(mail=*)(cellularPhone=*)))")
+	f, err := filter.Parse("(&(objectClass=person)(|(mail=*)(cellularPhone=*)))")
+	if err != nil {
+		b.Fatal(err)
+	}
 	ents := d.Entries()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

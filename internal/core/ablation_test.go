@@ -114,12 +114,12 @@ func extensionSchemas(t testing.TB) map[string]*Schema {
 func TestExtensionRulesCatchWhatPairwiseMisses(t *testing.T) {
 	for name, s := range extensionSchemas(t) {
 		t.Run(name, func(t *testing.T) {
-			full := InferWith(s, InferOptions{})
-			if !full.Inconsistent() {
+			full := inferWith(s, inferOptions{})
+			if !full.inconsistent() {
 				t.Fatalf("full system should detect the inconsistency")
 			}
-			pairwise := InferWith(s, InferOptions{PairwiseOnly: true})
-			if pairwise.Inconsistent() {
+			pairwise := inferWith(s, inferOptions{PairwiseOnly: true})
+			if pairwise.inconsistent() {
 				t.Fatalf("pairwise system unexpectedly detects it — the case no longer isolates the extension")
 			}
 			// The chase must agree with the full verdict: no witness.
@@ -168,7 +168,7 @@ func TestPairwiseCatchesPaperTaxonomy(t *testing.T) {
 	cases["5.2 hierarchy contradiction"] = s3
 
 	for name, s := range cases {
-		if !InferWith(s, InferOptions{PairwiseOnly: true}).Inconsistent() {
+		if !inferWith(s, inferOptions{PairwiseOnly: true}).inconsistent() {
 			t.Errorf("%s: pairwise rules should suffice", name)
 		}
 	}
@@ -179,7 +179,7 @@ func TestPairwiseCatchesPaperTaxonomy(t *testing.T) {
 func TestPairwiseIsSound(t *testing.T) {
 	schemas := []*Schema{whitePagesSchema(t)}
 	for _, s := range schemas {
-		if InferWith(s, InferOptions{PairwiseOnly: true}).Inconsistent() {
+		if inferWith(s, inferOptions{PairwiseOnly: true}).inconsistent() {
 			t.Errorf("pairwise system flagged a consistent schema")
 		}
 	}

@@ -17,8 +17,8 @@ type AttributeSchema struct {
 	allowed  map[string]map[string]struct{} // ρa
 }
 
-// NewAttributeSchema returns an empty attribute schema.
-func NewAttributeSchema() *AttributeSchema { return &AttributeSchema{} }
+// newAttributeSchema returns an empty attribute schema.
+func newAttributeSchema() *AttributeSchema { return &AttributeSchema{} }
 
 func (s *AttributeSchema) init() {
 	if s.attrs == nil {
@@ -97,7 +97,7 @@ func (s *AttributeSchema) Classes() []string {
 
 // Clone returns an independent deep copy.
 func (s *AttributeSchema) Clone() *AttributeSchema {
-	out := NewAttributeSchema()
+	out := newAttributeSchema()
 	for c, set := range s.required {
 		for a := range set {
 			out.Require(c, a)

@@ -22,9 +22,9 @@ type ClassSchema struct {
 	depth  map[string]int                 // memoized tree depth
 }
 
-// NewClassSchema returns a class schema containing only the root class
+// newClassSchema returns a class schema containing only the root class
 // top.
-func NewClassSchema() *ClassSchema {
+func newClassSchema() *ClassSchema {
 	return &ClassSchema{
 		parent: map[string]string{ClassTop: ""},
 		kids:   make(map[string][]string),
@@ -41,8 +41,8 @@ func (s *ClassSchema) AddCore(c, superclass string) error {
 	if c == ClassTop {
 		return fmt.Errorf("core: class %s is predeclared as the hierarchy root", ClassTop)
 	}
-	if c == ClassNone || superclass == ClassNone {
-		return fmt.Errorf("core: class name %s is reserved", ClassNone)
+	if c == classNone || superclass == classNone {
+		return fmt.Errorf("core: class name %s is reserved", classNone)
 	}
 	if _, dup := s.parent[c]; dup {
 		return fmt.Errorf("core: core class %s already declared", c)
@@ -61,8 +61,8 @@ func (s *ClassSchema) AddCore(c, superclass string) error {
 
 // AddAux declares a new auxiliary class.
 func (s *ClassSchema) AddAux(c string) error {
-	if c == ClassNone {
-		return fmt.Errorf("core: class name %s is reserved", ClassNone)
+	if c == classNone {
+		return fmt.Errorf("core: class name %s is reserved", classNone)
 	}
 	if _, dup := s.parent[c]; dup {
 		return fmt.Errorf("core: %s already declared as a core class", c)
@@ -233,7 +233,7 @@ func (s *ClassSchema) AuxClasses() []string { return sortedKeys(s.aux) }
 
 // Clone returns an independent deep copy.
 func (s *ClassSchema) Clone() *ClassSchema {
-	out := NewClassSchema()
+	out := newClassSchema()
 	// Re-add cores in depth order so superclasses exist first.
 	cores := s.CoreClasses()
 	sort.Slice(cores, func(i, j int) bool { return s.depth[cores[i]] < s.depth[cores[j]] })

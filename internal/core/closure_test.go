@@ -120,6 +120,19 @@ func TestDerivations(t *testing.T) {
 	}
 }
 
+// TestHardCasesAreExtensionIsolating: each workload hard case is
+// inconsistent, and only the full system's extension rules find it.
+func TestHardCasesAreExtensionIsolating(t *testing.T) {
+	for _, hc := range workload.HardCases() {
+		if !core.InferWith(hc.Schema, core.InferOptions{}).Inconsistent() {
+			t.Errorf("%s: full system misses the inconsistency", hc.Name)
+		}
+		if core.InferWith(hc.Schema, core.InferOptions{PairwiseOnly: true}).Inconsistent() {
+			t.Errorf("%s: pairwise system detects it; the case no longer isolates the extension", hc.Name)
+		}
+	}
+}
+
 // TestClosureGolden pins the closure itself: per corpus schema and
 // option set, the verdict, the fact count and a SHA-256 of the derived
 // elements, and for an inconsistent schema the rules its ⊥ derivation

@@ -23,14 +23,14 @@ type ConsistencyResult struct {
 func CheckConsistency(s *Schema) ConsistencyResult {
 	in := Infer(s)
 	res := ConsistencyResult{
-		Consistent: !in.Inconsistent(),
+		Consistent: !in.inconsistent(),
 		Facts:      in.NumFacts(),
 	}
-	if in.Inconsistent() {
-		res.Explanation = in.ExplainInconsistency()
+	if in.inconsistent() {
+		res.Explanation = in.explainInconsistency()
 	}
 	for _, c := range s.Classes.CoreClasses() {
-		if in.Unsatisfiable(c) {
+		if in.unsatisfiable(c) {
 			res.Unsatisfiable = append(res.Unsatisfiable, c)
 		}
 	}
@@ -38,4 +38,4 @@ func CheckConsistency(s *Schema) ConsistencyResult {
 }
 
 // Consistent is shorthand for CheckConsistency(s).Consistent.
-func (s *Schema) Consistent() bool { return !Infer(s).Inconsistent() }
+func (s *Schema) Consistent() bool { return !Infer(s).inconsistent() }

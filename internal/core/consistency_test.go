@@ -341,22 +341,22 @@ func TestExplainDerivation(t *testing.T) {
 	s.Structure.RequireRel("c1", AxisChild, "c2")
 	s.Structure.RequireRel("c2", AxisDesc, "c1")
 	in := Infer(s)
-	if !in.Inconsistent() {
+	if !in.inconsistent() {
 		t.Fatal("expected inconsistency")
 	}
-	exp := in.ExplainInconsistency()
+	exp := in.explainInconsistency()
 	for _, want := range []string{"∅⇓", "[given]", "c1 →ch c2"} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("explanation missing %q:\n%s", want, exp)
 		}
 	}
-	if in.Explain(RequiredRel{Source: "zzz", Axis: AxisChild, Target: "c1"}) != "" {
+	if in.explain(RequiredRel{Source: "zzz", Axis: AxisChild, Target: "c1"}) != "" {
 		t.Errorf("Explain of underived element should be empty")
 	}
-	if !in.MustExist("c2") {
+	if id, ok := in.ids["c2"]; !ok || !in.has(fact{kind: factExists, a: id}) {
 		t.Errorf("c2 must exist (c1⇓ and c1 →ch c2)")
 	}
-	if !in.Unsatisfiable("c1") {
+	if !in.unsatisfiable("c1") {
 		t.Errorf("c1 should be unsatisfiable (via the cycle)")
 	}
 }
@@ -380,7 +380,7 @@ func TestSoundnessOnWitness(t *testing.T) {
 		}
 		in := Infer(s)
 		for _, el := range in.Derived() {
-			if !Satisfies(d, el) {
+			if !satisfies(d, el) {
 				t.Errorf("schema %d: derived element %s does not hold in the witness\n%s",
 					i, el.ElementString(), d)
 			}

@@ -62,7 +62,7 @@ func TestCoverOracle(t *testing.T) {
 // cut returns a copy of s whose structure schema is exactly els.
 func cut(s *core.Schema, els []core.Element) *core.Schema {
 	out := s.Clone()
-	out.Structure = core.NewStructureSchema()
+	out.Structure = core.NewSchema().Structure
 	for _, el := range els {
 		switch e := el.(type) {
 		case core.RequiredClass:

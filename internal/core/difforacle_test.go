@@ -85,7 +85,7 @@ func addContentSchema(s *core.Schema) {
 	s.Attrs.Require(core.ClassTop, "name")
 	s.Attrs.Allow(core.ClassTop, "age", "ssn")
 	s.Registry.Declare("age", dirtree.TypeInt)
-	s.Registry.DeclareSingle("ssn", dirtree.TypeString)
+	s.Registry.DeclareSingle("ssn", dirtree.String("").Type())
 }
 
 // fillContent gives every entry of an instance generated over an

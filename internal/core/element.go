@@ -20,12 +20,12 @@ import "fmt"
 // it (Definition 2.3).
 const ClassTop = "top"
 
-// ClassNone is the pseudo-class ∅ used by the inference system of Section
+// classNone is the pseudo-class ∅ used by the inference system of Section
 // 5: no entry may belong to it, so the schema element "∅ must exist"
-// (Exists(ClassNone)) signals inconsistency, and "every c entry needs an
-// axis-related ∅ entry" (RequiredRel with Target ClassNone) states that c
+// (Exists(classNone)) signals inconsistency, and "every c entry needs an
+// axis-related ∅ entry" (RequiredRel with Target classNone) states that c
 // is unsatisfiable.
-const ClassNone = "∅"
+const classNone = "∅"
 
 // Axis is a hierarchical relationship direction between entries.
 type Axis int

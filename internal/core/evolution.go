@@ -22,25 +22,25 @@ type EvolutionCost int
 
 // Costs, from free to instance-wide.
 const (
-	// CostNone marks lightweight changes: every old-legal instance
+	// costNone marks lightweight changes: every old-legal instance
 	// remains legal (e.g. a new allowed attribute, a new class, a
 	// removed requirement).
-	CostNone EvolutionCost = iota
-	// CostContent requires re-running the per-entry content check for
+	costNone EvolutionCost = iota
+	// costContent requires re-running the per-entry content check for
 	// the entries of the affected classes.
-	CostContent
-	// CostStructure requires evaluating one structure-schema element's
+	costContent
+	// costStructure requires evaluating one structure-schema element's
 	// query over the instance.
-	CostStructure
+	costStructure
 )
 
 func (c EvolutionCost) String() string {
 	switch c {
-	case CostNone:
+	case costNone:
 		return "lightweight"
-	case CostContent:
+	case costContent:
 		return "content-recheck"
-	case CostStructure:
+	case costStructure:
 		return "structure-check"
 	}
 	return "?"
@@ -69,7 +69,7 @@ type EvolutionPlan struct {
 // Lightweight reports whether the whole evolution needs no revalidation.
 func (p *EvolutionPlan) Lightweight() bool {
 	for _, s := range p.Steps {
-		if s.Cost != CostNone {
+		if s.Cost != costNone {
 			return false
 		}
 	}
@@ -80,7 +80,7 @@ func (p *EvolutionPlan) Lightweight() bool {
 func (p *EvolutionPlan) ContentClasses() []string {
 	set := make(map[string]struct{})
 	for _, s := range p.Steps {
-		if s.Cost == CostContent {
+		if s.Cost == costContent {
 			for _, c := range s.Classes {
 				set[c] = struct{}{}
 			}
@@ -94,7 +94,7 @@ func (p *EvolutionPlan) ContentClasses() []string {
 // recheck.
 func (p *EvolutionPlan) FullContent() bool {
 	for _, s := range p.Steps {
-		if s.Cost == CostContent && len(s.Classes) == 0 {
+		if s.Cost == costContent && len(s.Classes) == 0 {
 			return true
 		}
 	}
@@ -105,7 +105,7 @@ func (p *EvolutionPlan) FullContent() bool {
 func (p *EvolutionPlan) StructureElements() []Element {
 	var out []Element
 	for _, s := range p.Steps {
-		if s.Cost == CostStructure && s.Element != nil {
+		if s.Cost == costStructure && s.Element != nil {
 			out = append(out, s.Element)
 		}
 	}
@@ -139,13 +139,13 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 	newCores := toSet(new.Classes.CoreClasses())
 	for _, c := range new.Classes.CoreClasses() {
 		if _, ok := oldCores[c]; !ok {
-			add(CostNone, fmt.Sprintf("new core class %s (no existing entries belong to it)", c), nil, nil)
+			add(costNone, fmt.Sprintf("new core class %s (no existing entries belong to it)", c), nil, nil)
 		}
 	}
 	for _, c := range old.Classes.CoreClasses() {
 		if _, ok := newCores[c]; !ok {
 			// Entries of a removed class become unknown-class violators.
-			add(CostContent, fmt.Sprintf("core class %s removed", c), []string{c}, nil)
+			add(costContent, fmt.Sprintf("core class %s removed", c), []string{c}, nil)
 		}
 	}
 	for _, c := range new.Classes.CoreClasses() {
@@ -158,18 +158,18 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 			// The superclass chain of c (and of all its subclasses)
 			// changed; their entries must satisfy the new chain.
 			affected := append([]string{c}, coreDescendants(new.Classes, c)...)
-			add(CostContent, fmt.Sprintf("class %s moved from %s to %s", c, os, ns), affected, nil)
+			add(costContent, fmt.Sprintf("class %s moved from %s to %s", c, os, ns), affected, nil)
 		}
 	}
 	for _, x := range new.Classes.AuxClasses() {
 		if !old.Classes.IsAux(x) {
-			add(CostNone, fmt.Sprintf("new auxiliary class %s", x), nil, nil)
+			add(costNone, fmt.Sprintf("new auxiliary class %s", x), nil, nil)
 		}
 	}
 	for _, x := range old.Classes.AuxClasses() {
 		if !new.Classes.IsAux(x) {
 			// Entries carrying the removed aux become unknown-class.
-			add(CostContent, fmt.Sprintf("auxiliary class %s removed", x), []string{x}, nil)
+			add(costContent, fmt.Sprintf("auxiliary class %s removed", x), []string{x}, nil)
 		}
 	}
 	for _, c := range new.Classes.CoreClasses() {
@@ -179,13 +179,13 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 				// The Section 6.2 example: "adding a new auxiliary object
 				// class to the auxiliary object classes associated with a
 				// core object class is extremely lightweight".
-				add(CostNone, fmt.Sprintf("class %s now allows auxiliary %s", c, x), nil, nil)
+				add(costNone, fmt.Sprintf("class %s now allows auxiliary %s", c, x), nil, nil)
 			}
 		}
 		newAux := toSet(new.Classes.AuxesOf(c))
 		for _, x := range old.Classes.AuxesOf(c) {
 			if _, ok := newAux[x]; !ok {
-				add(CostContent, fmt.Sprintf("class %s no longer allows auxiliary %s", c, x), []string{c}, nil)
+				add(costContent, fmt.Sprintf("class %s no longer allows auxiliary %s", c, x), []string{c}, nil)
 			}
 		}
 	}
@@ -202,13 +202,13 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 			case !existed && a != dirtree.AttrObjectClass:
 				// A fresh declaration may retype values that previously
 				// defaulted to string; any entry could carry them.
-				add(CostContent, fmt.Sprintf("attribute %s newly declared as %s", a, new.Registry.Type(a)), nil, nil)
+				add(costContent, fmt.Sprintf("attribute %s newly declared as %s", a, new.Registry.Type(a)), nil, nil)
 			case existed && old.Registry.Type(a) != new.Registry.Type(a):
-				add(CostContent, fmt.Sprintf("attribute %s retyped %s -> %s", a, old.Registry.Type(a), new.Registry.Type(a)), nil, nil)
+				add(costContent, fmt.Sprintf("attribute %s retyped %s -> %s", a, old.Registry.Type(a), new.Registry.Type(a)), nil, nil)
 			case existed && !old.Registry.SingleValued(a) && new.Registry.SingleValued(a):
-				add(CostContent, fmt.Sprintf("attribute %s became single-valued", a), nil, nil)
+				add(costContent, fmt.Sprintf("attribute %s became single-valued", a), nil, nil)
 			case existed && old.Registry.SingleValued(a) && !new.Registry.SingleValued(a):
-				add(CostNone, fmt.Sprintf("attribute %s no longer single-valued", a), nil, nil)
+				add(costNone, fmt.Sprintf("attribute %s no longer single-valued", a), nil, nil)
 			}
 		}
 	}
@@ -218,13 +218,13 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 	for _, k := range new.Keys() {
 		if _, ok := oldKeys[k]; !ok {
 			// Existing values may already collide; scan everything.
-			add(CostContent, fmt.Sprintf("attribute %s became a key", k), nil, nil)
+			add(costContent, fmt.Sprintf("attribute %s became a key", k), nil, nil)
 		}
 	}
 	newKeys := toSet(new.Keys())
 	for _, k := range old.Keys() {
 		if _, ok := newKeys[k]; !ok {
-			add(CostNone, fmt.Sprintf("attribute %s is no longer a key", k), nil, nil)
+			add(costNone, fmt.Sprintf("attribute %s is no longer a key", k), nil, nil)
 		}
 	}
 
@@ -235,13 +235,13 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 		oldAll, newAll := toSet(old.Attrs.Allowed(c)), toSet(new.Attrs.Allowed(c))
 		for _, a := range new.Attrs.Required(c) {
 			if _, ok := oldReq[a]; !ok {
-				add(CostContent, fmt.Sprintf("class %s now requires attribute %s", c, a), []string{c}, nil)
+				add(costContent, fmt.Sprintf("class %s now requires attribute %s", c, a), []string{c}, nil)
 			}
 		}
 		for _, a := range old.Attrs.Required(c) {
 			if _, ok := newReq[a]; !ok {
 				if _, stillAllowed := newAll[a]; stillAllowed {
-					add(CostNone, fmt.Sprintf("class %s no longer requires attribute %s", c, a), nil, nil)
+					add(costNone, fmt.Sprintf("class %s no longer requires attribute %s", c, a), nil, nil)
 				}
 			}
 		}
@@ -250,12 +250,12 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 				// The Section 6.2 example: "adding a new allowed attribute
 				// to an object class ... involving no modifications to
 				// existing directory entries".
-				add(CostNone, fmt.Sprintf("class %s now allows attribute %s", c, a), nil, nil)
+				add(costNone, fmt.Sprintf("class %s now allows attribute %s", c, a), nil, nil)
 			}
 		}
 		for _, a := range old.Attrs.Allowed(c) {
 			if _, ok := newAll[a]; !ok {
-				add(CostContent, fmt.Sprintf("class %s no longer allows attribute %s", c, a), []string{c}, nil)
+				add(costContent, fmt.Sprintf("class %s no longer allows attribute %s", c, a), []string{c}, nil)
 			}
 		}
 	}
@@ -267,7 +267,7 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 	// unchanged.
 	implied := func(Element) string { return "" }
 	if sameClasses {
-		implied = Infer(old).Explain
+		implied = Infer(old).explain
 	}
 	for _, el := range new.Structure.elements() {
 		if old.Structure.has(el) {
@@ -276,14 +276,14 @@ func PlanEvolution(old, new *Schema) *EvolutionPlan {
 		desc := "new structure element " + el.ElementString()
 		if why := implied(el); why != "" {
 			p.Steps = append(p.Steps, EvolutionStep{Description: desc + ", implied by the old schema",
-				Cost: CostNone, Element: el, Derivation: why})
+				Cost: costNone, Element: el, Derivation: why})
 		} else {
-			add(CostStructure, desc, nil, el)
+			add(costStructure, desc, nil, el)
 		}
 	}
 	for _, el := range old.Structure.elements() {
 		if !new.Structure.has(el) {
-			add(CostNone, "structure element "+el.ElementString()+" dropped", nil, nil)
+			add(costNone, "structure element "+el.ElementString()+" dropped", nil, nil)
 		}
 	}
 
@@ -317,7 +317,7 @@ func CheckEvolution(new *Schema, d *dirtree.Directory, plan *EvolutionPlan) *Rep
 
 	if els := plan.StructureElements(); len(els) > 0 {
 		for _, el := range els {
-			if !Satisfies(d, el) {
+			if !satisfies(d, el) {
 				kind := ViolationRequiredRel
 				switch el.(type) {
 				case RequiredClass:

@@ -51,7 +51,7 @@ func TestEvolutionContentRecheck(t *testing.T) {
 	}
 	d := whitePagesInstance(t, old)
 	r := CheckEvolution(new, d, plan)
-	if got := len(r.ByKind(ViolationMissingAttr)); got != 3 { // three persons
+	if got := len(r.ByKind(violationMissingAttr)); got != 3 { // three persons
 		t.Fatalf("missing-attr violations = %d, want 3:\n%s", got, r)
 	}
 }
@@ -92,14 +92,14 @@ func TestEvolutionRegistryChanges(t *testing.T) {
 	for _, a := range old.Registry.Attrs() {
 		reg.Declare(a, old.Registry.Type(a))
 	}
-	reg.DeclareSingle("mail", dirtree.TypeString) // laks has two mails
+	reg.DeclareSingle("mail", dirtree.String("").Type()) // laks has two mails
 	new.Registry = reg
 	plan := PlanEvolution(old, new)
 	if !plan.FullContent() {
 		t.Fatalf("single-valued change must force a full content recheck:\n%s", plan)
 	}
 	r := CheckEvolution(new, d, plan)
-	if len(r.ByKind(ViolationTyping)) == 0 {
+	if len(r.ByKind(violationTyping)) == 0 {
 		t.Fatalf("double mail not caught:\n%s", r)
 	}
 }
@@ -130,7 +130,7 @@ func TestEvolutionRemovedClass(t *testing.T) {
 		t.Fatalf("class removal must not be lightweight")
 	}
 	r := CheckEvolution(new, d, plan)
-	if len(r.ByKind(ViolationUnknownClass)) == 0 {
+	if len(r.ByKind(violationUnknownClass)) == 0 {
 		t.Fatalf("entries of removed class not caught:\n%s", r)
 	}
 }
@@ -153,15 +153,15 @@ func TestEvolutionPlanString(t *testing.T) {
 func addStructureElement(ss *StructureSchema, el Element) {
 	switch e := el.(type) {
 	case RequiredClass:
-		if e.Class != ClassNone {
+		if e.Class != classNone {
 			ss.RequireClass(e.Class)
 		}
 	case RequiredRel:
-		if e.Source != ClassNone && e.Target != ClassNone {
+		if e.Source != classNone && e.Target != classNone {
 			ss.RequireRel(e.Source, e.Axis, e.Target)
 		}
 	case ForbiddenRel:
-		if e.Upper != ClassNone && e.Lower != ClassNone {
+		if e.Upper != classNone && e.Lower != classNone {
 			_ = ss.ForbidRel(e.Upper, e.Axis, e.Lower)
 		}
 	}
@@ -202,7 +202,7 @@ func TestEvolutionImpliedElement(t *testing.T) {
 func TestPlanEvolutionDeterministic(t *testing.T) {
 	old := whitePagesSchema(t)
 	new := old.Clone()
-	new.Structure = NewStructureSchema()
+	new.Structure = newStructureSchema()
 	for _, el := range old.Structure.elements() {
 		if _, ok := el.(RequiredRel); !ok {
 			addStructureElement(new.Structure, el)

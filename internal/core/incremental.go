@@ -80,9 +80,9 @@ func (c DeltaCheck) Holds(b hquery.Binding) bool {
 	return !empty
 }
 
-// InsertCheckRel returns the Figure 5 insertion row for a required
+// insertCheckRel returns the Figure 5 insertion row for a required
 // relationship.
-func InsertCheckRel(r RequiredRel) DeltaCheck {
+func insertCheckRel(r RequiredRel) DeltaCheck {
 	tgt := hquery.InstDelta
 	if !r.Axis.Downward() {
 		// The Δ root's parent and ancestors lie outside Δ.
@@ -96,9 +96,9 @@ func InsertCheckRel(r RequiredRel) DeltaCheck {
 	}
 }
 
-// InsertCheckForb returns the Figure 5 insertion row for a forbidden
+// insertCheckForb returns the Figure 5 insertion row for a forbidden
 // relationship.
-func InsertCheckForb(f ForbiddenRel) DeltaCheck {
+func insertCheckForb(f ForbiddenRel) DeltaCheck {
 	return DeltaCheck{
 		Element:     f,
 		Query:       forbiddenRelQueryOn(f, hquery.InstFull, hquery.InstDelta),
@@ -107,16 +107,16 @@ func InsertCheckForb(f ForbiddenRel) DeltaCheck {
 	}
 }
 
-// InsertCheckClass returns the insertion row for a required class:
+// insertCheckClass returns the insertion row for a required class:
 // insertions cannot violate c⇓, so there is nothing to evaluate.
-func InsertCheckClass(c string) DeltaCheck {
+func insertCheckClass(c string) DeltaCheck {
 	return DeltaCheck{Element: RequiredClass{Class: c}, Incremental: true}
 }
 
-// DeleteCheckRel returns the Figure 5 deletion row for a required
+// deleteCheckRel returns the Figure 5 deletion row for a required
 // relationship: downward axes need a full recheck over the survivors,
 // upward axes need nothing.
-func DeleteCheckRel(r RequiredRel) DeltaCheck {
+func deleteCheckRel(r RequiredRel) DeltaCheck {
 	if !r.Axis.Downward() {
 		return DeltaCheck{Element: r, Incremental: true}
 	}
@@ -128,16 +128,16 @@ func DeleteCheckRel(r RequiredRel) DeltaCheck {
 	}
 }
 
-// DeleteCheckForb returns the deletion row for a forbidden relationship:
+// deleteCheckForb returns the deletion row for a forbidden relationship:
 // deleting entries cannot create forbidden pairs.
-func DeleteCheckForb(f ForbiddenRel) DeltaCheck {
+func deleteCheckForb(f ForbiddenRel) DeltaCheck {
 	return DeltaCheck{Element: f, Incremental: true}
 }
 
-// DeleteCheckClass returns the deletion row for a required class: without
+// deleteCheckClass returns the deletion row for a required class: without
 // auxiliary state the survivors must be rescanned (the Section 4 remark;
 // txn.Applier counts the class posting list instead).
-func DeleteCheckClass(c string) DeltaCheck {
+func deleteCheckClass(c string) DeltaCheck {
 	return DeltaCheck{
 		Element:     RequiredClass{Class: c},
 		Query:       hquery.ClassAtomOn(c, hquery.InstBase),
@@ -151,13 +151,13 @@ func DeleteCheckClass(c string) DeltaCheck {
 func InsertChecks(s *StructureSchema) []DeltaCheck {
 	out := make([]DeltaCheck, 0, s.Size())
 	for _, c := range s.RequiredClasses() {
-		out = append(out, InsertCheckClass(c))
+		out = append(out, insertCheckClass(c))
 	}
 	for _, r := range s.RequiredRels() {
-		out = append(out, InsertCheckRel(r))
+		out = append(out, insertCheckRel(r))
 	}
 	for _, f := range s.ForbiddenRels() {
-		out = append(out, InsertCheckForb(f))
+		out = append(out, insertCheckForb(f))
 	}
 	return out
 }
@@ -167,13 +167,13 @@ func InsertChecks(s *StructureSchema) []DeltaCheck {
 func DeleteChecks(s *StructureSchema) []DeltaCheck {
 	out := make([]DeltaCheck, 0, s.Size())
 	for _, c := range s.RequiredClasses() {
-		out = append(out, DeleteCheckClass(c))
+		out = append(out, deleteCheckClass(c))
 	}
 	for _, r := range s.RequiredRels() {
-		out = append(out, DeleteCheckRel(r))
+		out = append(out, deleteCheckRel(r))
 	}
 	for _, f := range s.ForbiddenRels() {
-		out = append(out, DeleteCheckForb(f))
+		out = append(out, deleteCheckForb(f))
 	}
 	return out
 }

@@ -180,10 +180,10 @@ func TestFig5Table(t *testing.T) {
 	}
 	for ax, wantDel := range rels {
 		r := RequiredRel{Source: "a", Axis: ax, Target: "b"}
-		if ins := InsertCheckRel(r); !ins.Incremental || ins.Query == nil || !ins.WantEmpty {
+		if ins := insertCheckRel(r); !ins.Incremental || ins.Query == nil || !ins.WantEmpty {
 			t.Errorf("%s insert row wrong: %+v", r.ElementString(), ins)
 		}
-		del := DeleteCheckRel(r)
+		del := deleteCheckRel(r)
 		if del.Incremental != wantDel {
 			t.Errorf("%s delete incremental = %v, want %v", r.ElementString(), del.Incremental, wantDel)
 		}
@@ -196,17 +196,17 @@ func TestFig5Table(t *testing.T) {
 	}
 	for _, ax := range []Axis{AxisChild, AxisDesc} {
 		fr := ForbiddenRel{Upper: "a", Axis: ax, Lower: "b"}
-		if ins := InsertCheckForb(fr); !ins.Incremental || ins.Query == nil {
+		if ins := insertCheckForb(fr); !ins.Incremental || ins.Query == nil {
 			t.Errorf("%s insert row wrong", fr.ElementString())
 		}
-		if del := DeleteCheckForb(fr); !del.Incremental || del.Query != nil {
+		if del := deleteCheckForb(fr); !del.Incremental || del.Query != nil {
 			t.Errorf("%s delete row wrong", fr.ElementString())
 		}
 	}
-	if ins := InsertCheckClass("a"); !ins.Incremental || ins.Query != nil {
+	if ins := insertCheckClass("a"); !ins.Incremental || ins.Query != nil {
 		t.Errorf("required-class insert row wrong")
 	}
-	del := DeleteCheckClass("a")
+	del := deleteCheckClass("a")
 	if del.Incremental || del.Query == nil || del.WantEmpty {
 		t.Errorf("required-class delete row wrong: %+v", del)
 	}
@@ -228,15 +228,15 @@ func TestDeltaCheckHolds(t *testing.T) {
 	}
 	b := hquery.DeltaBinding(d, root)
 
-	broken := InsertCheckRel(RequiredRel{Source: "orgGroup", Axis: AxisDesc, Target: "person"})
+	broken := insertCheckRel(RequiredRel{Source: "orgGroup", Axis: AxisDesc, Target: "person"})
 	if broken.Holds(b) {
 		t.Errorf("empty orgUnit should break orgGroup →de person")
 	}
-	fine := InsertCheckRel(RequiredRel{Source: "orgUnit", Axis: AxisParent, Target: "orgGroup"})
+	fine := insertCheckRel(RequiredRel{Source: "orgUnit", Axis: AxisParent, Target: "orgGroup"})
 	if !fine.Holds(b) {
 		t.Errorf("fresh orgUnit does have an orgGroup parent")
 	}
-	forb := InsertCheckForb(ForbiddenRel{Upper: "person", Axis: AxisChild, Lower: ClassTop})
+	forb := insertCheckForb(ForbiddenRel{Upper: "person", Axis: AxisChild, Lower: ClassTop})
 	if !forb.Holds(b) {
 		t.Errorf("no person gained a child")
 	}

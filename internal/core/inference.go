@@ -65,8 +65,8 @@ type fact struct {
 	b    int // target/lower; ∅ for exists
 }
 
-// InferOptions tunes the inference system, for ablation experiments.
-type InferOptions struct {
+// inferOptions tunes the inference system, for ablation experiments.
+type inferOptions struct {
 	// PairwiseOnly restricts the system to the rules directly
 	// reconstructable from the paper's Figures 6-7 (pairwise premises
 	// over req/forb/sub/disjoint facts), disabling this implementation's
@@ -373,7 +373,7 @@ func (r *relation) add(a, b, n int) bool {
 // Inference is the closed schema-element database. Build it with Infer.
 type Inference struct {
 	schema *Schema
-	opts   InferOptions
+	opts   inferOptions
 	names  []string       // id -> class name; ids[0] is the pseudo-class ∅
 	ids    map[string]int // class name -> id
 	top    int
@@ -397,17 +397,17 @@ const (
 
 // Infer computes the closure of the schema's class and structure
 // elements under the inference rules.
-func Infer(s *Schema) *Inference { return InferWith(s, InferOptions{}) }
+func Infer(s *Schema) *Inference { return inferWith(s, inferOptions{}) }
 
-// InferWith is Infer with explicit options (see InferOptions).
-func InferWith(s *Schema, opts InferOptions) *Inference {
+// inferWith is Infer with explicit options (see inferOptions).
+func inferWith(s *Schema, opts inferOptions) *Inference {
 	in := &Inference{
 		schema: s,
 		opts:   opts,
 		ids:    make(map[string]int),
 		prov:   make(map[fact]provenance),
 	}
-	in.addClass(ClassNone)
+	in.addClass(classNone)
 	// Register every core class; ∅ has id 0, and tree pointers follow the
 	// class schema. (Structure schemas range over core classes only.)
 	cores := s.Classes.CoreClasses()
@@ -844,27 +844,20 @@ func digraphCycle(nodes []int, adj map[int][]int) (int, bool) {
 // ---------------------------------------------------------------------
 // Results.
 
-// Inconsistent reports whether Exists(∅) was derived: the schema admits
+// inconsistent reports whether Exists(∅) was derived: the schema admits
 // no legal instance.
-func (in *Inference) Inconsistent() bool { return in.has(fact{kind: factExists, a: idNone}) }
+func (in *Inference) inconsistent() bool { return in.has(fact{kind: factExists, a: idNone}) }
 
-// Unsatisfiable reports whether the closure proves that no entry of
+// unsatisfiable reports whether the closure proves that no entry of
 // class c can occur in any legal instance.
-func (in *Inference) Unsatisfiable(c string) bool {
+func (in *Inference) unsatisfiable(c string) bool {
 	id, ok := in.ids[c]
 	return ok && in.unsat(id)
 }
 
-// MustExist reports whether the closure proves that every legal instance
-// contains an entry of class c.
-func (in *Inference) MustExist(c string) bool {
-	id, ok := in.ids[c]
-	return ok && in.has(fact{kind: factExists, a: id})
-}
-
 // Derived returns every closed schema element as Element values:
 // RequiredClass for exists facts, RequiredRel and ForbiddenRel for the
-// relationship facts (with ∅ rendered as ClassNone).
+// relationship facts (with ∅ rendered as classNone).
 func (in *Inference) Derived() []Element {
 	var out []Element
 	for f := range in.prov {
@@ -880,10 +873,10 @@ func (in *Inference) Derived() []Element {
 // polynomial bound of Theorem 5.2.
 func (in *Inference) NumFacts() int { return len(in.prov) }
 
-// Explain returns a human-readable derivation of the given element, or
+// explain returns a human-readable derivation of the given element, or
 // "" if it was not derived. For an inconsistent schema,
-// Explain(RequiredClass{Class: ClassNone}) explains the inconsistency.
-func (in *Inference) Explain(el Element) string {
+// explain(RequiredClass{Class: classNone}) explains the inconsistency.
+func (in *Inference) explain(el Element) string {
 	f, ok := in.factOf(el)
 	if !ok {
 		return ""
@@ -894,13 +887,13 @@ func (in *Inference) Explain(el Element) string {
 	return b.String()
 }
 
-// ExplainInconsistency returns the derivation of Exists(∅), or "" if the
+// explainInconsistency returns the derivation of Exists(∅), or "" if the
 // schema is consistent.
-func (in *Inference) ExplainInconsistency() string {
-	if !in.Inconsistent() {
+func (in *Inference) explainInconsistency() string {
+	if !in.inconsistent() {
 		return ""
 	}
-	return in.Explain(RequiredClass{Class: ClassNone})
+	return in.explain(RequiredClass{Class: classNone})
 }
 
 // factOf returns the closed fact for a structure element, if derived.

@@ -40,10 +40,10 @@ func TestDerivationRulesAreDocumented(t *testing.T) {
 	}
 	for i, s := range schemas {
 		in := Infer(s)
-		if !in.Inconsistent() {
+		if !in.inconsistent() {
 			t.Fatalf("schema %d should be inconsistent", i)
 		}
-		exp := in.ExplainInconsistency()
+		exp := in.explainInconsistency()
 		for _, tag := range ruleTags(exp) {
 			if !documentedRules[tag] {
 				t.Errorf("schema %d derivation cites undocumented rule %q:\n%s", i, tag, exp)
@@ -83,7 +83,7 @@ func ruleTags(explanation string) []string {
 func TestDerivedElementsWellFormed(t *testing.T) {
 	s := whitePagesSchema(t)
 	in := Infer(s)
-	known := map[string]bool{ClassNone: true}
+	known := map[string]bool{classNone: true}
 	for _, c := range s.Classes.CoreClasses() {
 		known[c] = true
 	}

@@ -69,7 +69,7 @@ func (c *Checker) CheckInsertKeys(d *dirtree.Directory, root *dirtree.Entry, del
 			for i, v := range vs {
 				posts := d.ValueEntries(attr, v)
 				if h := outsideHolder(d, posts, root, deleting); h != nil {
-					r.Add(Violation{Kind: ViolationDuplicateKey, Entry: e,
+					r.Add(Violation{Kind: violationDuplicateKey, Entry: e,
 						Detail: fmt.Sprintf("key %s=%q already used by %s", attr, v.String(), h.DN())})
 					continue
 				}
@@ -83,7 +83,7 @@ func (c *Checker) CheckInsertKeys(d *dirtree.Directory, root *dirtree.Entry, del
 					}
 				}
 				if first != e || slices.Contains(vs[:i], v) {
-					r.Add(Violation{Kind: ViolationDuplicateKey, Entry: e,
+					r.Add(Violation{Kind: violationDuplicateKey, Entry: e,
 						Detail: fmt.Sprintf("key %s=%q duplicated within the insertion (also on %s)", attr, v.String(), first.DN())})
 				}
 			}

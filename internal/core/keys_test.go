@@ -45,7 +45,7 @@ func TestCheckKeys(t *testing.T) {
 	}
 	suciu.SetValues("ssn", dirtree.String("123-45-6789"))
 	r := checker.Check(d)
-	if got := len(r.ByKind(ViolationDuplicateKey)); got != 1 {
+	if got := len(r.ByKind(violationDuplicateKey)); got != 1 {
 		t.Fatalf("duplicate-key violations = %d:\n%s", got, r)
 	}
 	if checker.Legal(d) {
@@ -156,7 +156,7 @@ func TestEvolutionKeyAddition(t *testing.T) {
 		t.Fatalf("declaring a key must not be lightweight:\n%s", plan)
 	}
 	r := CheckEvolution(new, d, plan)
-	if len(r.ByKind(ViolationDuplicateKey)) == 0 {
+	if len(r.ByKind(violationDuplicateKey)) == 0 {
 		t.Fatalf("existing duplicates not caught:\n%s", r)
 	}
 	// Dropping a key is lightweight.

@@ -53,28 +53,28 @@ func TestContentViolations(t *testing.T) {
 			mut: func(t *testing.T, d *dirtree.Directory) {
 				entryByRDN(t, d, "uid=laks").SetValues("name")
 			},
-			want: []ViolationKind{ViolationMissingAttr},
+			want: []ViolationKind{violationMissingAttr},
 		},
 		{
 			name: "disallowed attribute",
 			mut: func(t *testing.T, d *dirtree.Directory) {
 				entryByRDN(t, d, "uid=suciu").AddValue("salary", dirtree.String("lots"))
 			},
-			want: []ViolationKind{ViolationDisallowedAttr},
+			want: []ViolationKind{violationDisallowedAttr},
 		},
 		{
 			name: "mail needs the online class",
 			mut: func(t *testing.T, d *dirtree.Directory) {
 				entryByRDN(t, d, "uid=suciu").AddValue("mail", dirtree.String("suciu@research.att.com"))
 			},
-			want: []ViolationKind{ViolationDisallowedAttr},
+			want: []ViolationKind{violationDisallowedAttr},
 		},
 		{
 			name: "unknown object class",
 			mut: func(t *testing.T, d *dirtree.Directory) {
 				entryByRDN(t, d, "uid=suciu").AddClass("packetRouter")
 			},
-			want: []ViolationKind{ViolationUnknownClass},
+			want: []ViolationKind{violationUnknownClass},
 		},
 		{
 			name: "no core class",
@@ -86,7 +86,7 @@ func TestContentViolations(t *testing.T) {
 				// loses its allowing class (person) alongside the class
 				// violations.
 			},
-			want: []ViolationKind{ViolationNoCoreClass, ViolationDisallowedAux, ViolationDisallowedAttr},
+			want: []ViolationKind{violationNoCoreClass, violationDisallowedAux, violationDisallowedAttr},
 		},
 		{
 			name: "missing superclass breaks inheritance",
@@ -95,7 +95,7 @@ func TestContentViolations(t *testing.T) {
 				// name was allowed through person, so it becomes
 				// disallowed as well.
 			},
-			want: []ViolationKind{ViolationInheritance, ViolationDisallowedAttr},
+			want: []ViolationKind{violationInheritance, violationDisallowedAttr},
 		},
 		{
 			name: "incomparable core classes",
@@ -104,7 +104,7 @@ func TestContentViolations(t *testing.T) {
 				// facultyMember is aux; the core analogue: orgUnit+person.
 				entryByRDN(t, d, "ou=databases").AddClass("person")
 			},
-			want: []ViolationKind{ViolationIncomparable, ViolationMissingAttr},
+			want: []ViolationKind{violationIncomparable, violationMissingAttr},
 		},
 		{
 			name: "disallowed auxiliary class",
@@ -112,7 +112,7 @@ func TestContentViolations(t *testing.T) {
 				// facultyMember is allowed for researcher, not orgUnit.
 				entryByRDN(t, d, "ou=databases").AddClass("facultyMember")
 			},
-			want: []ViolationKind{ViolationDisallowedAux},
+			want: []ViolationKind{violationDisallowedAux},
 		},
 	}
 	for _, c := range cases {
@@ -132,7 +132,7 @@ func TestContentViolations(t *testing.T) {
 func TestTypingViolations(t *testing.T) {
 	s := whitePagesSchema(t)
 	s.Registry.Declare("age", dirtree.TypeInt)
-	s.Registry.DeclareSingle("ssn", dirtree.TypeString)
+	s.Registry.DeclareSingle("ssn", dirtree.String("").Type())
 	s.Attrs.Allow("person", "age", "ssn")
 	d := whitePagesInstance(t, s)
 	laks := entryByRDN(t, d, "uid=laks")
@@ -140,7 +140,7 @@ func TestTypingViolations(t *testing.T) {
 	laks.AddValue("ssn", dirtree.String("1"))
 	laks.AddValue("ssn", dirtree.String("2"))
 	r := NewChecker(s).CheckContent(d)
-	if got := len(r.ByKind(ViolationTyping)); got != 2 {
+	if got := len(r.ByKind(violationTyping)); got != 2 {
 		t.Errorf("typing violations = %d, want 2:\n%s", got, r)
 	}
 }
@@ -247,21 +247,21 @@ func TestFig4Equivalence(t *testing.T) {
 			for _, tgt := range classes {
 				for ax := Axis(0); ax < 4; ax++ {
 					rel := RequiredRel{Source: src, Axis: ax, Target: tgt}
-					if !agree(int(ax), Satisfies(d, rel), hquery.Empty(RequiredRelQuery(rel), b)) {
+					if !agree(int(ax), satisfies(d, rel), hquery.Empty(requiredRelQuery(rel), b)) {
 						t.Logf("mismatch for %s", rel.ElementString())
 						return false
 					}
 				}
 				for i, ax := range []Axis{AxisChild, AxisDesc} {
 					forb := ForbiddenRel{Upper: src, Axis: ax, Lower: tgt}
-					if !agree(4+i, Satisfies(d, forb), hquery.Empty(ForbiddenRelQuery(forb), b)) {
+					if !agree(4+i, satisfies(d, forb), hquery.Empty(forbiddenRelQuery(forb), b)) {
 						t.Logf("mismatch for %s", forb.ElementString())
 						return false
 					}
 				}
 			}
 			rc := RequiredClass{Class: src}
-			if !agree(6, Satisfies(d, rc), !hquery.Empty(RequiredClassQuery(src), b)) {
+			if !agree(6, satisfies(d, rc), !hquery.Empty(requiredClassQuery(src), b)) {
 				t.Logf("mismatch for %s", rc.ElementString())
 				return false
 			}
@@ -408,7 +408,7 @@ func TestReportPlumbing(t *testing.T) {
 	if s := r.String(); s == "" || s == "legal" {
 		t.Errorf("report rendering = %q", s)
 	}
-	if ViolationMissingClass.Content() || !ViolationDisallowedAux.Content() {
+	if ViolationMissingClass.Content() || !violationDisallowedAux.Content() {
 		t.Errorf("Content() classification wrong")
 	}
 }

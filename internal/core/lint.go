@@ -35,7 +35,7 @@ func Lint(s *Schema) []LintFinding {
 
 	// Unsatisfiable classes that the schema still talks about.
 	for _, c := range s.Classes.CoreClasses() {
-		if in.Unsatisfiable(c) {
+		if in.unsatisfiable(c) {
 			out = append(out, LintFinding{
 				Kind:    "unsatisfiable-class",
 				Subject: c,
@@ -94,15 +94,15 @@ func Lint(s *Schema) []LintFinding {
 	return out
 }
 
-// Implies reports whether the closure of s (Figures 6-7) derives the
+// implies reports whether the closure of s (Figures 6-7) derives the
 // structure element e: a required class, or a required or forbidden
 // relationship. The closure is sound (Theorem 5.1), so every instance
 // legal under s then satisfies e. Elements of the class schema are never
 // reported implied.
-func Implies(s *Schema, e Element) bool { return Infer(s).implies(e) }
+func implies(s *Schema, e Element) bool { return Infer(s).implies(e) }
 
 // ImpliedElement is a structure element Cover drops, with the closure's
-// derivation of it from the cover (Inference.Explain).
+// derivation of it from the cover (Inference.explain).
 type ImpliedElement struct {
 	Element    Element
 	Derivation string
@@ -121,7 +121,7 @@ func Cover(s *Schema) (kept []Element, dropped []ImpliedElement) {
 	var implied []Element
 	for _, el := range s.Structure.elements() {
 		rest := &Schema{Classes: s.Classes, Structure: cut.Structure.without(el)}
-		if Implies(rest, el) {
+		if implies(rest, el) {
 			cut, implied = rest, append(implied, el)
 		} else {
 			kept = append(kept, el)
@@ -129,7 +129,7 @@ func Cover(s *Schema) (kept []Element, dropped []ImpliedElement) {
 	}
 	in := Infer(cut)
 	for _, el := range implied {
-		dropped = append(dropped, ImpliedElement{Element: el, Derivation: in.Explain(el)})
+		dropped = append(dropped, ImpliedElement{Element: el, Derivation: in.explain(el)})
 	}
 	return kept, dropped
 }

@@ -139,7 +139,7 @@ func TestImplies(t *testing.T) {
 		{RequiredClass{Class: "staffMember"}, false},
 		{Subclass{Sub: "person", Super: ClassTop}, false},
 	} {
-		if got := Implies(s, tc.el); got != tc.want {
+		if got := implies(s, tc.el); got != tc.want {
 			t.Errorf("Implies(whitepages, %s) = %v, want %v", tc.el.ElementString(), got, tc.want)
 		}
 	}

@@ -25,8 +25,8 @@ func Materialize(s *Schema) (*dirtree.Directory, error) {
 		return nil, err
 	}
 	in := Infer(s)
-	if in.Inconsistent() {
-		return nil, fmt.Errorf("core: schema is inconsistent:\n%s", in.ExplainInconsistency())
+	if in.inconsistent() {
+		return nil, fmt.Errorf("core: schema is inconsistent:\n%s", in.explainInconsistency())
 	}
 	// Two strategies for placing required ancestors: merging them into
 	// existing ancestors where possible, or stacking fresh entries in a

@@ -111,7 +111,7 @@ func naiveKeyCheck(s *Schema, d *dirtree.Directory) *Report {
 			for _, v := range e.Attr(attr) {
 				kv := keyVal{attr: attr, value: v.String()}
 				if prev, dup := seen[kv]; dup && prev != e {
-					r.Add(Violation{Kind: ViolationDuplicateKey, Entry: e,
+					r.Add(Violation{Kind: violationDuplicateKey, Entry: e,
 						Detail: fmt.Sprintf("key %s=%q already used by %s", attr, v.String(), prev.DN())})
 					continue
 				}
@@ -146,7 +146,7 @@ func naiveCheckEntry(s *Schema, e *dirtree.Entry, r *Report) {
 	// Class schema, condition 1: only declared object classes.
 	for _, cls := range classes {
 		if !cs.Declared(cls) {
-			r.Add(Violation{Kind: ViolationUnknownClass, Entry: e,
+			r.Add(Violation{Kind: violationUnknownClass, Entry: e,
 				Detail: fmt.Sprintf("object class %s is not declared in the schema", cls)})
 		}
 	}
@@ -163,7 +163,7 @@ func naiveCheckEntry(s *Schema, e *dirtree.Entry, r *Report) {
 		}
 	}
 	if nCore == 0 {
-		r.Add(Violation{Kind: ViolationNoCoreClass, Entry: e,
+		r.Add(Violation{Kind: violationNoCoreClass, Entry: e,
 			Detail: "entry belongs to no core object class"})
 	} else {
 		// Condition 3 (single inheritance): the entry's core classes must
@@ -175,7 +175,7 @@ func naiveCheckEntry(s *Schema, e *dirtree.Entry, r *Report) {
 		for sup, ok := deepest, true; ok; sup, ok = cs.Superclass(sup) {
 			chain = append(chain, sup)
 			if !e.HasClass(sup) {
-				r.Add(Violation{Kind: ViolationInheritance, Entry: e,
+				r.Add(Violation{Kind: violationInheritance, Entry: e,
 					Element: Subclass{Sub: deepest, Super: sup},
 					Detail:  fmt.Sprintf("belongs to %s but not to its superclass %s", deepest, sup)})
 			}
@@ -185,7 +185,7 @@ func naiveCheckEntry(s *Schema, e *dirtree.Entry, r *Report) {
 				continue
 			}
 			if !slices.Contains(chain, cls) {
-				r.Add(Violation{Kind: ViolationIncomparable, Entry: e,
+				r.Add(Violation{Kind: violationIncomparable, Entry: e,
 					Element: Disjoint{A: deepest, B: cls},
 					Detail:  fmt.Sprintf("core classes %s and %s are incomparable", deepest, cls)})
 			}
@@ -206,7 +206,7 @@ func naiveCheckEntry(s *Schema, e *dirtree.Entry, r *Report) {
 			}
 		}
 		if !ok {
-			r.Add(Violation{Kind: ViolationDisallowedAux, Entry: e,
+			r.Add(Violation{Kind: violationDisallowedAux, Entry: e,
 				Detail: fmt.Sprintf("auxiliary class %s is not allowed by any of the entry's core classes", cls)})
 		}
 	}
@@ -228,7 +228,7 @@ func naiveCheckEntry(s *Schema, e *dirtree.Entry, r *Report) {
 		}
 		for _, a := range as.Required(cls) {
 			if !e.HasAttr(a) {
-				r.Add(Violation{Kind: ViolationMissingAttr, Entry: e,
+				r.Add(Violation{Kind: violationMissingAttr, Entry: e,
 					Detail: fmt.Sprintf("class %s requires attribute %s", cls, a)})
 			}
 		}
@@ -250,7 +250,7 @@ func naiveCheckEntry(s *Schema, e *dirtree.Entry, r *Report) {
 			}
 		}
 		if !ok {
-			r.Add(Violation{Kind: ViolationDisallowedAttr, Entry: e,
+			r.Add(Violation{Kind: violationDisallowedAttr, Entry: e,
 				Detail: fmt.Sprintf("attribute %s is allowed by none of the entry's classes", a)})
 		}
 	}
@@ -265,12 +265,12 @@ func naiveCheckEntry(s *Schema, e *dirtree.Entry, r *Report) {
 			vs := e.Attr(a)
 			for _, v := range vs {
 				if err := reg.CheckValue(a, v); err != nil {
-					r.Add(Violation{Kind: ViolationTyping, Entry: e, Detail: err.Error()})
+					r.Add(Violation{Kind: violationTyping, Entry: e, Detail: err.Error()})
 					break
 				}
 			}
 			if reg.SingleValued(a) && len(vs) > 1 {
-				r.Add(Violation{Kind: ViolationTyping, Entry: e,
+				r.Add(Violation{Kind: violationTyping, Entry: e,
 					Detail: fmt.Sprintf("attribute %s is single-valued but has %d values", a, len(vs))})
 			}
 		}

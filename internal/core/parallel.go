@@ -181,7 +181,7 @@ func (c *Checker) checkKeys(d *dirtree.Directory, workers int) *Report {
 	for _, refs := range streams {
 		for _, ref := range refs {
 			if prev, dup := seen[ref.kv]; dup && prev != ref.e {
-				r.Add(Violation{Kind: ViolationDuplicateKey, Entry: ref.e,
+				r.Add(Violation{Kind: violationDuplicateKey, Entry: ref.e,
 					Detail: fmt.Sprintf("key %s=%q already used by %s", ref.kv.attr, ref.kv.value, prev.DN())})
 				continue
 			}
@@ -206,11 +206,11 @@ func (c *Checker) checkStructure(d *dirtree.Directory, workers int) *Report {
 	runPool(workers, nrc+len(witnesses), func(i int) {
 		switch j := i - nrc; {
 		case j < 0:
-			missing[i] = hquery.Empty(RequiredClassQuery(rc[i]), b)
+			missing[i] = hquery.Empty(requiredClassQuery(rc[i]), b)
 		case j < nrr:
-			witnesses[j] = hquery.Eval(RequiredRelQuery(rr[j]), b)
+			witnesses[j] = hquery.Eval(requiredRelQuery(rr[j]), b)
 		default:
-			witnesses[j] = hquery.Eval(ForbiddenRelQuery(fr[j-nrr]), b)
+			witnesses[j] = hquery.Eval(forbiddenRelQuery(fr[j-nrr]), b)
 		}
 	})
 	// Emit in the canonical element order with the witness cap applied

@@ -118,7 +118,7 @@ func TestMaxWitnessesDoesNotCapContent(t *testing.T) {
 		c.Concurrency = workers
 		c.MaxWitnesses = 2
 		r := c.Check(d)
-		if got := len(r.ByKind(ViolationUnknownClass)); got != 12 {
+		if got := len(r.ByKind(violationUnknownClass)); got != 12 {
 			t.Fatalf("workers=%d: %d unknown-class violations reported, want all 12", workers, got)
 		}
 		if r.Truncated {

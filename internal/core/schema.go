@@ -24,9 +24,9 @@ type Schema struct {
 // containing only top; no attributes; no structural elements).
 func NewSchema() *Schema {
 	return &Schema{
-		Attrs:     NewAttributeSchema(),
-		Classes:   NewClassSchema(),
-		Structure: NewStructureSchema(),
+		Attrs:     newAttributeSchema(),
+		Classes:   newClassSchema(),
+		Structure: newStructureSchema(),
 		Registry:  dirtree.NewRegistry(),
 	}
 }
@@ -93,14 +93,14 @@ func (s *Schema) Clone() *Schema {
 	return out
 }
 
-// Satisfies implements the satisfaction relation D ⊨ φ of Definition 2.6
+// satisfies implements the satisfaction relation D ⊨ φ of Definition 2.6
 // by direct evaluation of the element's semantics. It is the reference
 // implementation the query-based checker is differentially tested
 // against; use Checker for the efficient path.
-func Satisfies(d *dirtree.Directory, el Element) bool {
+func satisfies(d *dirtree.Directory, el Element) bool {
 	switch e := el.(type) {
 	case RequiredClass:
-		if e.Class == ClassNone {
+		if e.Class == classNone {
 			return false // no entry may belong to ∅
 		}
 		return d.ClassCount(e.Class) > 0
@@ -150,7 +150,7 @@ func Satisfies(d *dirtree.Directory, el Element) bool {
 }
 
 func hasAxisWitness(e *dirtree.Entry, axis Axis, class string) bool {
-	if class == ClassNone {
+	if class == classNone {
 		return false
 	}
 	switch axis {

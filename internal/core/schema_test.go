@@ -11,7 +11,7 @@ import (
 )
 
 func TestAttributeSchema(t *testing.T) {
-	a := NewAttributeSchema()
+	a := newAttributeSchema()
 	a.Require("person", "name", "uid")
 	a.Allow("person", "mail")
 	if got := a.Required("person"); !reflect.DeepEqual(got, []string{"name", "uid"}) {
@@ -93,7 +93,7 @@ func TestClassSchemaHierarchy(t *testing.T) {
 }
 
 func TestClassSchemaErrors(t *testing.T) {
-	cs := NewClassSchema()
+	cs := newClassSchema()
 	if err := cs.AddCore("a", ClassTop); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestClassSchemaErrors(t *testing.T) {
 	if err := cs.AddCore("b", "missing"); err == nil {
 		t.Error("unknown superclass accepted")
 	}
-	if err := cs.AddCore(ClassNone, ClassTop); err == nil {
+	if err := cs.AddCore(classNone, ClassTop); err == nil {
 		t.Error("reserved class name accepted")
 	}
 	if err := cs.AddAux("a"); err == nil {
@@ -150,7 +150,7 @@ func TestClassSchemaClone(t *testing.T) {
 }
 
 func TestStructureSchema(t *testing.T) {
-	ss := NewStructureSchema()
+	ss := newStructureSchema()
 	ss.RequireClass("orgUnit")
 	ss.RequireRel("orgGroup", AxisDesc, "person")
 	ss.RequireRel("orgGroup", AxisDesc, "person") // duplicate collapses
@@ -277,30 +277,30 @@ func TestSatisfiesOnWhitePages(t *testing.T) {
 	s := whitePagesSchema(t)
 	d := whitePagesInstance(t, s)
 	for _, el := range s.Elements() {
-		if !Satisfies(d, el) {
+		if !satisfies(d, el) {
 			t.Errorf("legal instance should satisfy %s", el.ElementString())
 		}
 	}
 	// Elements that must NOT hold.
-	if Satisfies(d, RequiredClass{Class: "consultant"}) {
+	if satisfies(d, RequiredClass{Class: "consultant"}) {
 		t.Errorf("no consultant exists")
 	}
-	if Satisfies(d, RequiredRel{Source: "person", Axis: AxisChild, Target: "person"}) {
+	if satisfies(d, RequiredRel{Source: "person", Axis: AxisChild, Target: "person"}) {
 		t.Errorf("persons have no person children")
 	}
-	if Satisfies(d, ForbiddenRel{Upper: "organization", Axis: AxisDesc, Lower: "person"}) {
+	if satisfies(d, ForbiddenRel{Upper: "organization", Axis: AxisDesc, Lower: "person"}) {
 		t.Errorf("organization does have person descendants")
 	}
-	if Satisfies(d, Disjoint{A: "person", B: "online"}) {
+	if satisfies(d, Disjoint{A: "person", B: "online"}) {
 		t.Errorf("laks is both person and online")
 	}
-	if Satisfies(d, Subclass{Sub: "person", Super: "researcher"}) {
+	if satisfies(d, Subclass{Sub: "person", Super: "researcher"}) {
 		t.Errorf("armstrong is person but not researcher")
 	}
-	if Satisfies(d, RequiredClass{Class: ClassNone}) {
+	if satisfies(d, RequiredClass{Class: classNone}) {
 		t.Errorf("∅⇓ must never be satisfied")
 	}
-	if Satisfies(d, RequiredRel{Source: "person", Axis: AxisAnc, Target: ClassNone}) {
+	if satisfies(d, RequiredRel{Source: "person", Axis: AxisAnc, Target: classNone}) {
 		t.Errorf("a required relationship into ∅ is unsatisfiable while persons exist")
 	}
 }
@@ -308,7 +308,7 @@ func TestSatisfiesOnWhitePages(t *testing.T) {
 // randomHierarchy grows a random core class tree for the order-axiom
 // property tests.
 func randomHierarchy(rng *rand.Rand, n int) (*ClassSchema, []string) {
-	cs := NewClassSchema()
+	cs := newClassSchema()
 	names := []string{ClassTop}
 	for i := 0; i < n; i++ {
 		name := "h" + strconv.Itoa(i)

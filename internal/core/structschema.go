@@ -15,8 +15,8 @@ type StructureSchema struct {
 	forbRels map[ForbiddenRel]struct{}
 }
 
-// NewStructureSchema returns an empty structure schema.
-func NewStructureSchema() *StructureSchema {
+// newStructureSchema returns an empty structure schema.
+func newStructureSchema() *StructureSchema {
 	return &StructureSchema{
 		required: make(map[string]struct{}),
 		reqRels:  make(map[RequiredRel]struct{}),
@@ -159,7 +159,7 @@ func (s *StructureSchema) without(el Element) *StructureSchema {
 
 // Clone returns an independent deep copy.
 func (s *StructureSchema) Clone() *StructureSchema {
-	out := NewStructureSchema()
+	out := newStructureSchema()
 	for c := range s.required {
 		out.required[c] = struct{}{}
 	}

@@ -18,11 +18,11 @@ import (
 //	ci ⇥de cj   ↦  δd(σ(ci), σ(cj))
 //	c⇓          ↦  σ(c)          (must be NON-empty)
 
-// RequiredRelQuery returns the violation query for a required structural
+// requiredRelQuery returns the violation query for a required structural
 // relationship: it retrieves exactly the Source entries lacking the
 // required Axis-related Target entry, so the instance satisfies the
 // element iff the query is empty.
-func RequiredRelQuery(r RequiredRel) hquery.Query {
+func requiredRelQuery(r RequiredRel) hquery.Query {
 	return requiredRelQueryOn(r, hquery.InstDefault, hquery.InstDefault)
 }
 
@@ -47,11 +47,11 @@ func requiredRelQueryOn(r RequiredRel, srcInst, tgtInst hquery.Inst) hquery.Quer
 	return hquery.Minus(src, have)
 }
 
-// ForbiddenRelQuery returns the violation query for a forbidden
+// forbiddenRelQuery returns the violation query for a forbidden
 // structural relationship: it retrieves the Upper entries that do have a
 // forbidden Lower child/descendant, so the instance satisfies the element
 // iff the query is empty.
-func ForbiddenRelQuery(f ForbiddenRel) hquery.Query {
+func forbiddenRelQuery(f ForbiddenRel) hquery.Query {
 	return forbiddenRelQueryOn(f, hquery.InstDefault, hquery.InstDefault)
 }
 
@@ -64,6 +64,6 @@ func forbiddenRelQueryOn(f ForbiddenRel, upperInst, lowerInst hquery.Inst) hquer
 	return hquery.Desc(upper, lower)
 }
 
-// RequiredClassQuery returns the query for c⇓; the instance satisfies the
+// requiredClassQuery returns the query for c⇓; the instance satisfies the
 // element iff the query is NON-empty.
-func RequiredClassQuery(c string) hquery.Query { return hquery.ClassAtom(c) }
+func requiredClassQuery(c string) hquery.Query { return hquery.ClassAtom(c) }

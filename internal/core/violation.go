@@ -14,15 +14,15 @@ type ViolationKind int
 // Violation kinds. The first group is content-schema (per entry), the
 // second structure-schema (instance-wide).
 const (
-	ViolationTyping         ViolationKind = iota // value outside dom(τ(a)) or single-value overflow
-	ViolationMissingAttr                         // required attribute absent
-	ViolationDisallowedAttr                      // attribute allowed by no class of the entry
-	ViolationUnknownClass                        // class not declared in the schema
-	ViolationNoCoreClass                         // entry has no core class
-	ViolationInheritance                         // superclass missing (ci ⇒ cj broken)
-	ViolationIncomparable                        // two incomparable core classes (ci ⊗ cj broken)
-	ViolationDisallowedAux                       // auxiliary class not allowed by any core class
-	ViolationDuplicateKey                        // key attribute value used by two entries (Section 6.1)
+	violationTyping         ViolationKind = iota // value outside dom(τ(a)) or single-value overflow
+	violationMissingAttr                         // required attribute absent
+	violationDisallowedAttr                      // attribute allowed by no class of the entry
+	violationUnknownClass                        // class not declared in the schema
+	violationNoCoreClass                         // entry has no core class
+	violationInheritance                         // superclass missing (ci ⇒ cj broken)
+	violationIncomparable                        // two incomparable core classes (ci ⊗ cj broken)
+	violationDisallowedAux                       // auxiliary class not allowed by any core class
+	violationDuplicateKey                        // key attribute value used by two entries (Section 6.1)
 	ViolationMissingClass                        // required class c⇓ has no entry
 	ViolationRequiredRel                         // required structural relationship broken
 	ViolationForbiddenRel                        // forbidden structural relationship present
@@ -41,10 +41,6 @@ func (k ViolationKind) String() string {
 	}
 	return violationNames[k]
 }
-
-// Content reports whether the kind is a per-entry content-schema
-// violation (testable entry by entry, Section 3.1).
-func (k ViolationKind) Content() bool { return k <= ViolationDisallowedAux }
 
 // Violation is one legality defect, with the witness entry when one
 // exists (missing required classes have none).

@@ -79,7 +79,7 @@ type bpnode struct {
 // textual prefix matching.
 func textSafe(v Value) bool {
 	switch v.typ {
-	case TypeString, TypeDN, TypeTel:
+	case typeString, TypeDN, TypeTel:
 		return true
 	}
 	return false
@@ -348,7 +348,7 @@ func prefixUpper(tt Type, p string) Value {
 
 // textTypes are the type tags whose Compare order is bytewise on the
 // rendered text, in tag order.
-var textTypes = [...]Type{TypeString, TypeDN, TypeTel}
+var textTypes = [...]Type{typeString, TypeDN, TypeTel}
 
 // ---------------------------------------------------------------------
 // Directory integration.

@@ -83,8 +83,8 @@ func (d *Directory) AddChild(parent *Entry, rdn string, classes ...string) (*Ent
 }
 
 func (d *Directory) add(parent *Entry, rdn string, classes []string) (*Entry, error) {
-	if rdn == "" || strings.Contains(rdn, ",") {
-		return nil, fmt.Errorf("dirtree: invalid RDN %q", rdn)
+	if !validRDN(rdn) {
+		return nil, fmt.Errorf("dirtree: invalid RDN %q: want attr=value", rdn)
 	}
 	e := &Entry{
 		dir:    d,
@@ -111,6 +111,28 @@ func (d *Directory) add(parent *Entry, rdn string, classes []string) (*Entry, er
 		d.patchInsert(e)
 	}
 	return e, nil
+}
+
+// validRDN reports whether rdn is attr=value: attr a letter followed by
+// letters, digits or '-' (RFC 4512's descr), value non-empty and free of
+// commas and line breaks. Every path that creates an entry (wire ADD,
+// LDIF boot, journal replay, replication) comes through add, and a DN
+// is the first word of a SEARCH reply line, so a DN that could read as
+// a reply terminator ("OK", "ILLEGAL", "ERR ...") never gets in.
+func validRDN(rdn string) bool {
+	attr, value, ok := strings.Cut(rdn, "=")
+	if !ok || attr == "" || value == "" || strings.ContainsAny(value, ",\n\r") {
+		return false
+	}
+	for i := 0; i < len(attr); i++ {
+		switch c := attr[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z':
+		case i > 0 && ('0' <= c && c <= '9' || c == '-'):
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // DeleteLeaf removes a leaf entry. LDAP allows only leaves to be deleted

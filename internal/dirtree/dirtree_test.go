@@ -28,10 +28,10 @@ func mustAdd(t *testing.T, d *Directory, parent *Entry, rdn string, classes ...s
 func buildWhitePages(t *testing.T) (*Directory, map[string]*Entry) {
 	t.Helper()
 	reg := NewRegistry()
-	reg.Declare("name", TypeString)
-	reg.Declare("mail", TypeString)
-	reg.Declare("uri", TypeString)
-	reg.Declare("location", TypeString)
+	reg.Declare("name", typeString)
+	reg.Declare("mail", typeString)
+	reg.Declare("uri", typeString)
+	reg.Declare("location", typeString)
 	d := New(reg)
 	att := mustAdd(t, d, nil, "o=att", "organization", "orgGroup", "online", "top")
 	att.AddValue("uri", String("http://www.att.com/"))
@@ -142,13 +142,50 @@ func TestDuplicateDNRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidRDN: an RDN is attr=value, attr a letter then letters,
+// digits or '-', value non-empty without commas or line breaks. The rest
+// is refused, whether added as a root or as a child: a DN that read as a
+// reply terminator ("OK", "ILLEGAL", "ERR ...") would break SEARCH's
+// framing.
 func TestInvalidRDN(t *testing.T) {
-	d := New(nil)
-	if _, err := d.AddRoot("", "top"); err == nil {
-		t.Error("empty RDN accepted")
-	}
-	if _, err := d.AddRoot("a=b,c=d", "top"); err == nil {
-		t.Error("RDN with comma accepted")
+	for _, tc := range []struct {
+		rdn string
+		ok  bool
+	}{
+		{"uid=p1", true},
+		{"cn=Jane Doe", true},
+		{"x-team2=a=b", true},
+		{"A1-b=v", true},
+		{"", false},
+		{"OK", false},
+		{"ILLEGAL", false},
+		{"ERR gotcha", false},
+		{"ERR x=y", false},
+		{"=v", false},
+		{"uid=", false},
+		{"1uid=v", false},
+		{"-uid=v", false},
+		{"u_id=v", false},
+		{" uid=v", false},
+		{"a=b,c=d", false},
+		{"cn=a\nOK", false},
+		{"cn=a\r", false},
+	} {
+		d := New(nil)
+		root, err := d.AddRoot("o=x", "top")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, errRoot := d.AddRoot(tc.rdn, "top")
+		_, errChild := d.AddChild(root, tc.rdn, "top")
+		for where, err := range map[string]error{"root": errRoot, "child": errChild} {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s RDN %q: err = %v, want accepted = %v", where, tc.rdn, err, tc.ok)
+			}
+			if err != nil && (!strings.Contains(err.Error(), "invalid RDN") || strings.ContainsAny(err.Error(), "\n\r")) {
+				t.Errorf("%s RDN %q: refusal %q is not one line naming the RDN", where, tc.rdn, err)
+			}
+		}
 	}
 }
 
@@ -374,11 +411,11 @@ func TestValueCompareTotalOrder(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Declare("age", TypeInt)
-	r.DeclareSingle("ssn", TypeString)
+	r.DeclareSingle("ssn", typeString)
 	if r.Type("age") != TypeInt {
 		t.Errorf("age type wrong")
 	}
-	if r.Type("undeclared") != TypeString {
+	if r.Type("undeclared") != typeString {
 		t.Errorf("undeclared attrs must default to string")
 	}
 	if !r.SingleValued("ssn") || r.SingleValued("age") {
@@ -396,7 +433,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestTypeParse(t *testing.T) {
-	for _, tt := range []Type{TypeString, TypeInt, TypeBool, TypeDN, TypeTel} {
+	for _, tt := range []Type{typeString, TypeInt, TypeBool, TypeDN, TypeTel} {
 		got, err := ParseType(tt.String())
 		if err != nil || got != tt {
 			t.Errorf("ParseType(%q) = %v, %v", tt.String(), got, err)
@@ -645,7 +682,7 @@ func TestRegistryAttrsListing(t *testing.T) {
 		t.Errorf("Attrs = %v", got)
 	}
 	var nilReg *Registry
-	if nilReg.Attrs() != nil || nilReg.Type("x") != TypeString || nilReg.SingleValued("x") || nilReg.Declared("x") {
+	if nilReg.Attrs() != nil || nilReg.Type("x") != typeString || nilReg.SingleValued("x") || nilReg.Declared("x") {
 		t.Errorf("nil registry accessors wrong")
 	}
 }

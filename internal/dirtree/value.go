@@ -22,10 +22,10 @@ import (
 // Type enumerates the concrete domains this implementation supports.
 type Type int
 
-// Supported value types. TypeString is the default for attributes that have
+// Supported value types. typeString is the default for attributes that have
 // not been declared in a Registry, mirroring LDAP's directoryString syntax.
 const (
-	TypeString Type = iota // free-form UTF-8 string
+	typeString Type = iota // free-form UTF-8 string
 	TypeInt                // signed 64-bit integer
 	TypeBool               // boolean
 	TypeDN                 // distinguished name reference
@@ -33,7 +33,7 @@ const (
 )
 
 var typeNames = [...]string{
-	TypeString: "string",
+	typeString: "string",
 	TypeInt:    "integer",
 	TypeBool:   "boolean",
 	TypeDN:     "dn",
@@ -68,7 +68,7 @@ type Value struct {
 }
 
 // String constructs a string-typed value.
-func String(s string) Value { return Value{typ: TypeString, s: s} }
+func String(s string) Value { return Value{typ: typeString, s: s} }
 
 // Int constructs an integer-typed value.
 func Int(i int64) Value { return Value{typ: TypeInt, i: i} }
@@ -142,7 +142,7 @@ func (v Value) Compare(w Value) int {
 // inverting Value.String.
 func ParseValue(t Type, text string) (Value, error) {
 	switch t {
-	case TypeString:
+	case typeString:
 		return String(text), nil
 	case TypeInt:
 		i, err := strconv.ParseInt(strings.TrimSpace(text), 10, 64)
@@ -169,7 +169,7 @@ func ParseValue(t Type, text string) (Value, error) {
 // Registry implements the typing function τ : A → T of Definition 2.1. All
 // attributes live in a single namespace (Section 2.4): an attribute's type
 // is independent of the object classes it appears in. Attributes that have
-// not been declared default to TypeString, matching common LDAP deployments
+// not been declared default to typeString, matching common LDAP deployments
 // where undeclared attributes are treated as directory strings.
 //
 // A Registry may also mark attributes single-valued, implementing the
@@ -186,7 +186,7 @@ type Registry struct {
 // (τ(objectClass) = string).
 func NewRegistry() *Registry {
 	r := &Registry{}
-	r.Declare(AttrObjectClass, TypeString)
+	r.Declare(AttrObjectClass, typeString)
 	return r
 }
 
@@ -209,15 +209,15 @@ func (r *Registry) DeclareSingle(attr string, t Type) {
 	r.single[attr] = true
 }
 
-// Type returns the declared type of attr, or TypeString if undeclared.
+// Type returns the declared type of attr, or typeString if undeclared.
 func (r *Registry) Type(attr string) Type {
 	if r == nil || r.types == nil {
-		return TypeString
+		return typeString
 	}
 	if t, ok := r.types[attr]; ok {
 		return t
 	}
-	return TypeString
+	return typeString
 }
 
 // Declared reports whether attr has been explicitly declared.

@@ -47,11 +47,11 @@ func (f And) Matches(e *dirtree.Entry) bool {
 
 func (f And) String() string { return render(f) }
 
-// Or is the disjunction of its sub-filters; an empty Or matches nothing.
-type Or []Filter
+// or is the disjunction of its sub-filters; an empty or matches nothing.
+type or []Filter
 
 // Matches implements Filter.
-func (f Or) Matches(e *dirtree.Entry) bool {
+func (f or) Matches(e *dirtree.Entry) bool {
 	for _, sub := range f {
 		if sub.Matches(e) {
 			return true
@@ -60,7 +60,7 @@ func (f Or) Matches(e *dirtree.Entry) bool {
 	return false
 }
 
-func (f Or) String() string { return render(f) }
+func (f or) String() string { return render(f) }
 
 // render writes f through one builder, linear in f's size; rendering
 // each sub-filter to a string at every level is quadratic in depth.
@@ -76,9 +76,9 @@ func write(b *strings.Builder, f Filter) {
 	switch f := f.(type) {
 	case And:
 		open, subs = "(&", f
-	case Or:
+	case or:
 		open, subs = "(|", f
-	case Not:
+	case not:
 		open, subs = "(!", []Filter{f.Sub}
 	default:
 		b.WriteString(f.String())
@@ -91,13 +91,13 @@ func write(b *strings.Builder, f Filter) {
 	b.WriteByte(')')
 }
 
-// Not negates its sub-filter.
-type Not struct{ Sub Filter }
+// not negates its sub-filter.
+type not struct{ Sub Filter }
 
 // Matches implements Filter.
-func (f Not) Matches(e *dirtree.Entry) bool { return !f.Sub.Matches(e) }
+func (f not) Matches(e *dirtree.Entry) bool { return !f.Sub.Matches(e) }
 
-func (f Not) String() string { return render(f) }
+func (f not) String() string { return render(f) }
 
 // CompareOp distinguishes the atomic comparison forms.
 type CompareOp int
@@ -107,7 +107,7 @@ const (
 	OpEqual   CompareOp = iota // =
 	OpGE                       // >=
 	OpLE                       // <=
-	OpApprox                   // ~=
+	opApprox                   // ~=
 	OpPresent                  // =* (presence)
 )
 
@@ -119,7 +119,7 @@ func (op CompareOp) String() string {
 		return ">="
 	case OpLE:
 		return "<="
-	case OpApprox:
+	case opApprox:
 		return "~="
 	case OpPresent:
 		return "=*"
@@ -166,7 +166,7 @@ func (f Compare) compareValue(e *dirtree.Entry, v dirtree.Value) bool {
 			return v.String() == f.Value
 		}
 		return v.Compare(want) == 0
-	case OpApprox:
+	case opApprox:
 		return normalize(v.String()) == normalize(f.Value)
 	case OpGE, OpLE:
 		want, err := parseAs(e, f.Attr, f.Value)

@@ -223,8 +223,8 @@ func TestQuickDeMorgan(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lhs := Not{Sub: And{ClassIs("a"), ClassIs("b")}}
-		rhs := Or{Not{Sub: ClassIs("a")}, Not{Sub: ClassIs("b")}}
+		lhs := not{Sub: And{ClassIs("a"), ClassIs("b")}}
+		rhs := or{not{Sub: ClassIs("a")}, not{Sub: ClassIs("b")}}
 		return lhs.Matches(e) == rhs.Matches(e)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -252,7 +252,7 @@ func TestFilterStringLinear(t *testing.T) {
 	alloc := func(depth int) uint64 {
 		var f Filter = Compare{Attr: "name", Op: OpEqual, Value: "x"}
 		for i := 0; i < depth; i++ {
-			f = Not{Sub: f}
+			f = not{Sub: f}
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -24,16 +24,6 @@ func Parse(src string) (Filter, error) {
 	return f, nil
 }
 
-// MustParse is Parse that panics on error, for filters written as program
-// literals.
-func MustParse(src string) Filter {
-	f, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 type parser struct {
 	src          string
 	pos          int
@@ -80,11 +70,11 @@ func (p *parser) parseFilter() (Filter, error) {
 	case '|':
 		p.pos++
 		subs, serr := p.parseFilterList()
-		f, err = Or(subs), serr
+		f, err = or(subs), serr
 	case '!':
 		p.pos++
 		sub, serr := p.parseFilter()
-		f, err = Not{Sub: sub}, serr
+		f, err = not{Sub: sub}, serr
 	default:
 		f, err = p.parseItem()
 	}
@@ -148,7 +138,7 @@ func (p *parser) parseItem() (Filter, error) {
 		if err := p.expect('='); err != nil {
 			return nil, err
 		}
-		op = OpApprox
+		op = opApprox
 	default:
 		return nil, p.errorf("expected comparison operator after %q", attr)
 	}

@@ -31,7 +31,7 @@ type Inst int
 // Instance tags.
 const (
 	InstDefault Inst = iota // the binding's default instance (plain queries)
-	InstEmpty               // ∅ — no entries
+	instEmpty               // ∅ — no entries
 	InstDelta               // Δ — the inserted or to-be-deleted subtree
 	InstBase                // D — the instance without Δ
 	InstFull                // D+Δ (after insertion) or D (before deletion)
@@ -41,7 +41,7 @@ func (i Inst) String() string {
 	switch i {
 	case InstDefault:
 		return "D"
-	case InstEmpty:
+	case instEmpty:
 		return "0"
 	case InstDelta:
 		return "delta"
@@ -87,7 +87,7 @@ func DeltaBinding(d *dirtree.Directory, delta *dirtree.Entry) Binding {
 
 func (b Binding) view(i Inst) dirtree.View {
 	switch i {
-	case InstEmpty:
+	case instEmpty:
 		return b.Default.Directory().EmptyView()
 	case InstDelta:
 		return b.Delta
@@ -107,9 +107,9 @@ type Query interface {
 	// operator and atom, depth being this node's.
 	eval(b Binding, st *Stats, depth int) []*dirtree.Entry
 	writeTo(sb *strings.Builder)
-	// Size returns |Q|, the number of operators and atoms, used in the
+	// size returns |Q|, the number of operators and atoms, used in the
 	// O(|Q|·|D|) accounting of Theorem 3.1.
-	Size() int
+	size() int
 }
 
 // Eval evaluates the query against the binding and returns the matching
@@ -138,21 +138,21 @@ type selectQ struct {
 	inst Inst
 }
 
-// Select returns the atomic selection σ(f) over the binding's default
+// selectAtom returns the atomic selection σ(f) over the binding's default
 // instance.
-func Select(f filter.Filter) Query { return selectQ{f: f, inst: InstDefault} }
+func selectAtom(f filter.Filter) Query { return selectQ{f: f, inst: InstDefault} }
 
-// SelectOn returns the atomic selection σ(f) evaluated against the named
+// selectOn returns the atomic selection σ(f) evaluated against the named
 // sub-instance, as in Figure 5's "(objectClass=ci)[Δ]".
-func SelectOn(f filter.Filter, inst Inst) Query { return selectQ{f: f, inst: inst} }
+func selectOn(f filter.Filter, inst Inst) Query { return selectQ{f: f, inst: inst} }
 
 // ClassAtom is shorthand for the ubiquitous (objectClass=c) atom.
-func ClassAtom(c string) Query { return Select(filter.ClassIs(c)) }
+func ClassAtom(c string) Query { return selectAtom(filter.ClassIs(c)) }
 
 // ClassAtomOn is ClassAtom with an explicit instance tag.
-func ClassAtomOn(c string, inst Inst) Query { return SelectOn(filter.ClassIs(c), inst) }
+func ClassAtomOn(c string, inst Inst) Query { return selectOn(filter.ClassIs(c), inst) }
 
-func (q selectQ) Size() int { return 1 }
+func (q selectQ) size() int { return 1 }
 
 func (q selectQ) eval(b Binding, st *Stats, depth int) []*dirtree.Entry {
 	v := b.view(q.inst)
@@ -249,7 +249,7 @@ func Anc(left, right Query) Query { return binQ{opAnc, left, right} }
 // right.
 func Minus(left, right Query) Query { return binQ{opMinus, left, right} }
 
-func (q binQ) Size() int { return 1 + q.left.Size() + q.right.Size() }
+func (q binQ) size() int { return 1 + q.left.size() + q.right.size() }
 
 func (q binQ) writeTo(sb *strings.Builder) {
 	sb.WriteByte('(')

@@ -27,6 +27,15 @@ func buildWhitePages(t testing.TB) *dirtree.Directory {
 	return d
 }
 
+// mustFilter parses a filter written as a test literal.
+func mustFilter(src string) filter.Filter {
+	f, err := filter.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func dns(es []*dirtree.Entry) []string {
 	out := make([]string, len(es))
 	for i, e := range es {
@@ -54,11 +63,11 @@ func TestSelect(t *testing.T) {
 	if !equalStrings(got, want) {
 		t.Errorf("persons = %v, want %v", got, want)
 	}
-	got = dns(Eval(Select(filter.MustParse("(&(objectClass=person)(mail=*))")), NewBinding(d)))
+	got = dns(Eval(selectAtom(mustFilter("(&(objectClass=person)(mail=*))")), NewBinding(d)))
 	if !equalStrings(got, []string{"uid=laks"}) {
 		t.Errorf("persons with mail = %v", got)
 	}
-	got = dns(Eval(Select(filter.MustParse("(mail=*concordia*)")), NewBinding(d)))
+	got = dns(Eval(selectAtom(mustFilter("(mail=*concordia*)")), NewBinding(d)))
 	if !equalStrings(got, []string{"uid=laks"}) {
 		t.Errorf("substring scan = %v", got)
 	}
@@ -165,7 +174,7 @@ func TestInstanceTags(t *testing.T) {
 	if got := len(Eval(ClassAtomOn("person", InstFull), b)); got != 3 {
 		t.Errorf("persons in full = %d, want 3", got)
 	}
-	if got := len(Eval(ClassAtomOn("person", InstEmpty), b)); got != 0 {
+	if got := len(Eval(ClassAtomOn("person", instEmpty), b)); got != 0 {
 		t.Errorf("persons in empty = %d, want 0", got)
 	}
 	// Mixed-instance join: delta persons whose parent is in full.
@@ -177,7 +186,7 @@ func TestInstanceTags(t *testing.T) {
 
 func TestSize(t *testing.T) {
 	q := Minus(ClassAtom("a"), Desc(ClassAtom("a"), ClassAtom("b")))
-	if got := q.Size(); got != 5 {
+	if got := q.size(); got != 5 {
 		t.Errorf("Size = %d, want 5", got)
 	}
 }
@@ -318,7 +327,7 @@ func randomForest(rng *rand.Rand, n int) *dirtree.Directory {
 func randomQuery(rng *rand.Rand, depth int) Query {
 	classes := []string{"a", "b", "c", "top"}
 	if depth <= 0 || rng.Intn(3) == 0 {
-		insts := []Inst{InstDefault, InstDelta, InstBase, InstFull, InstEmpty}
+		insts := []Inst{InstDefault, InstDelta, InstBase, InstFull, instEmpty}
 		return ClassAtomOn(classes[rng.Intn(len(classes))], insts[rng.Intn(len(insts))])
 	}
 	l := randomQuery(rng, depth-1)
@@ -491,7 +500,7 @@ func TestQuickStatsEvalMatchesFast(t *testing.T) {
 				return false
 			}
 		}
-		return len(st.Nodes) == q.Size()
+		return len(st.Nodes) == q.size()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -525,8 +534,8 @@ func TestStatsReportProbePaths(t *testing.T) {
 		if got := Eval(tc.q, b); !equalStrings(dns(out), dns(got)) || len(got) == 0 {
 			t.Errorf("%s: EvalWithStats %v, Eval %v", String(tc.q), dns(out), dns(got))
 		}
-		if len(st.Nodes) != tc.q.Size() {
-			t.Errorf("%s: %d stats nodes, want %d", String(tc.q), len(st.Nodes), tc.q.Size())
+		if len(st.Nodes) != tc.q.size() {
+			t.Errorf("%s: %d stats nodes, want %d", String(tc.q), len(st.Nodes), tc.q.size())
 		}
 		s := st.String()
 		if !strings.HasPrefix(s, opNames[tc.q.(binQ).kind]+" ") || !strings.Contains(s, tc.want) ||

@@ -43,12 +43,12 @@ func Optimize(q Query, f SchemaFacts) Query {
 	return optimize(q, f)
 }
 
-// IsStaticallyEmpty reports whether the query optimized to a form that is
+// isStaticallyEmpty reports whether the query optimized to a form that is
 // empty on every legal instance — e.g. a Figure 4 violation query whose
 // element the schema itself guarantees.
-func IsStaticallyEmpty(q Query) bool {
+func isStaticallyEmpty(q Query) bool {
 	sel, ok := q.(selectQ)
-	return ok && sel.inst == InstEmpty
+	return ok && sel.inst == instEmpty
 }
 
 func optimize(q Query, f SchemaFacts) Query {
@@ -67,10 +67,10 @@ func optimize(q Query, f SchemaFacts) Query {
 		right := optimize(t.right, f)
 
 		// Fold empties.
-		if IsStaticallyEmpty(left) {
+		if isStaticallyEmpty(left) {
 			return left // every operator with an empty left is empty
 		}
-		if IsStaticallyEmpty(right) {
+		if isStaticallyEmpty(right) {
 			if t.kind == opMinus {
 				return left // σ−(A, ∅) = A
 			}
@@ -152,4 +152,4 @@ func emptyQuery(operand Query) Query {
 	return emptyOf(filter.ClassIs(dirtree.AttrObjectClass))
 }
 
-func emptyOf(f filter.Filter) Query { return selectQ{f: f, inst: InstEmpty} }
+func emptyOf(f filter.Filter) Query { return selectQ{f: f, inst: instEmpty} }

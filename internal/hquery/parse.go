@@ -31,16 +31,6 @@ func Parse(src string) (Query, error) {
 	return q, nil
 }
 
-// MustParse is Parse that panics on error, for queries written as program
-// literals.
-func MustParse(src string) Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type qparser struct {
 	src          string
 	pos          int
@@ -125,7 +115,7 @@ func (p *qparser) parseSelect() (Query, error) {
 		tag := p.readWord()
 		switch tag {
 		case "0", "empty":
-			inst = InstEmpty
+			inst = instEmpty
 		case "delta":
 			inst = InstDelta
 		case "base":
@@ -141,7 +131,7 @@ func (p *qparser) parseSelect() (Query, error) {
 	if err := p.closeParen(); err != nil {
 		return nil, err
 	}
-	return SelectOn(f, inst), nil
+	return selectOn(f, inst), nil
 }
 
 // readBalanced consumes a balanced parenthesized span (the embedded

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"boundschema/internal/dirtree"
-	"boundschema/internal/filter"
 )
 
 // buildTypedDir returns a directory with skewed class populations and
@@ -81,7 +80,7 @@ func TestPlanStrategies(t *testing.T) {
 		{"(&(objectClass=admin)(port>=0))", "posting-list", "admin", true},
 	}
 	for _, c := range cases {
-		f := filter.MustParse(c.src)
+		f := mustFilter(c.src)
 		p := PlanSelect(f, v)
 		if p.Strategy != c.strategy {
 			t.Errorf("%s: strategy = %s, want %s", c.src, p.Strategy, c.strategy)
@@ -141,7 +140,7 @@ func TestPlanEquivalence(t *testing.T) {
 		views = append(views, d.SubtreeView(r), d.ExceptSubtreeView(r))
 	}
 	for _, src := range filters {
-		f := filter.MustParse(src)
+		f := mustFilter(src)
 		for _, v := range views {
 			got, _ := EvalSelect(f, v)
 			var want []*dirtree.Entry
@@ -170,7 +169,7 @@ func TestPlanEquivalence(t *testing.T) {
 func TestPlanAfterMutation(t *testing.T) {
 	d := buildTypedDir(t)
 	v := d.All()
-	f := filter.MustParse("(name=zed)")
+	f := mustFilter("(name=zed)")
 	if got, p := EvalSelect(f, v); len(got) != 0 || p.Strategy != "index-eq" {
 		t.Fatalf("before insert: %d entries via %s", len(got), p.Strategy)
 	}
@@ -198,7 +197,7 @@ func TestPlanAfterMutation(t *testing.T) {
 func TestStatsPlannerLabels(t *testing.T) {
 	d := buildTypedDir(t)
 	b := NewBinding(d)
-	q := Parent(Select(filter.MustParse("(name=alice)")), ClassAtom("orgUnit"))
+	q := Parent(selectAtom(mustFilter("(name=alice)")), ClassAtom("orgUnit"))
 	out, st := EvalWithStats(q, b)
 	if len(out) != 1 || out[0].RDN() != "uid=alice" {
 		t.Fatalf("result = %v", dns(out))

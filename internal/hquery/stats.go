@@ -124,9 +124,9 @@ func (s *Stats) join(q binQ, strategy string, j joinTrace, out, depth int) {
 		return
 	}
 	last := len(s.Nodes) - 1
-	li, ri := last-q.right.Size(), last
+	li, ri := last-q.right.size(), last
 	if j.rightFirst {
-		li, ri = last, last-q.left.Size()
+		li, ri = last, last-q.left.size()
 	}
 	s.Nodes = append(s.Nodes, NodeStats{Op: opNames[q.kind], Left: j.left, Right: j.right,
 		Out: out, Strategy: strategy, Depth: depth, children: []int{li, ri}})

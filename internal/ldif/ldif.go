@@ -23,9 +23,9 @@ import (
 // ChangeType identifies the kind of a record.
 type ChangeType int
 
-// Record kinds. Content records (plain entries) have ChangeNone.
+// Record kinds. Content records (plain entries) have changeNone.
 const (
-	ChangeNone ChangeType = iota
+	changeNone ChangeType = iota
 	ChangeAdd
 	ChangeDelete
 	// ChangeModDN relocates a subtree under NewSuperior (the RFC 2849
@@ -36,7 +36,7 @@ const (
 
 func (c ChangeType) String() string {
 	switch c {
-	case ChangeNone:
+	case changeNone:
 		return "content"
 	case ChangeAdd:
 		return "add"
@@ -144,8 +144,8 @@ func (r *Reader) nextLogical() (string, bool) {
 	}
 }
 
-// Next returns the next record, or io.EOF.
-func (r *Reader) Next() (*Record, error) {
+// next returns the next record, or io.EOF.
+func (r *Reader) next() (*Record, error) {
 	// Skip blank separators and an optional version line.
 	var first string
 	for {
@@ -211,7 +211,7 @@ func (r *Reader) Next() (*Record, error) {
 func (r *Reader) ReadAll() ([]*Record, error) {
 	var out []*Record
 	for {
-		rec, err := r.Next()
+		rec, err := r.next()
 		if err == io.EOF {
 			return out, nil
 		}
@@ -265,24 +265,24 @@ func ReadDirectory(r io.Reader, reg *dirtree.Registry) (*dirtree.Directory, erro
 	d := dirtree.New(reg)
 	rd := NewReader(r)
 	for {
-		rec, err := rd.Next()
+		rec, err := rd.next()
 		if err == io.EOF {
 			return d, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if rec.Change != ChangeNone {
+		if rec.Change != changeNone {
 			return nil, fmt.Errorf("ldif: line %d: change record in content stream (use ReadChanges)", rec.Line)
 		}
-		if err := AddRecord(d, rec); err != nil {
+		if err := addRecord(d, rec); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// AddRecord materializes one content or add record into the directory.
-func AddRecord(d *dirtree.Directory, rec *Record) error {
+// addRecord materializes one content or add record into the directory.
+func addRecord(d *dirtree.Directory, rec *Record) error {
 	rdn, parentDN, err := SplitDN(rec.DN)
 	if err != nil {
 		return err

@@ -228,7 +228,7 @@ func TestSplitDN(t *testing.T) {
 
 func TestEOFOnEmptyInput(t *testing.T) {
 	r := NewReader(strings.NewReader("\n# only comments\n\n"))
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Errorf("Next on empty input = %v, want io.EOF", err)
 	}
 }

@@ -15,6 +15,10 @@ import (
 	"boundschema/internal/vfs"
 )
 
+// asyncRepl is repl's zero Mode: a primary ships segments after its local
+// fsync and acknowledges COMMIT without waiting for a replica.
+const asyncRepl repl.Mode = 0
+
 // The chaos battery: each scenario runs real traffic against a real
 // cluster, injures it mid-run (role flip, disk fault, dropped
 // connections, a dead shard), and ends with the convergence oracle.
@@ -23,11 +27,11 @@ import (
 // (the steady-state single-kind decks, the create-only fault runs):
 // c30/r30/u15/d10/q15, every class including the restructuring MOVEs
 // and subtree DELETEs that stress Theorem 4.1 normalization.
-var churn = func() []OpKind {
-	var deck []OpKind
-	for kind, n := range [...]int{OpCreate: 30, OpRead: 30, OpUpdate: 15, OpDelete: 10, OpQuery: 15} {
+var churn = func() []opKind {
+	var deck []opKind
+	for kind, n := range [...]int{opCreate: 30, opRead: 30, opUpdate: 15, opDelete: 10, opQuery: 15} {
 		for i := 0; i < n; i++ {
-			deck = append(deck, OpKind(kind))
+			deck = append(deck, opKind(kind))
 		}
 	}
 	return deck
@@ -42,7 +46,7 @@ type load struct {
 	sc      *Scenario
 	pools   *Pools
 	workers int
-	deck    []OpKind
+	deck    []opKind
 	write   func() string // the current write address
 	reads   []string      // worker w reads from reads[w%len(reads)]; none = the write address
 	redial  int           // drop and re-dial both connections every redial ops (0 = never)
@@ -86,7 +90,7 @@ func (l load) run(d time.Duration) tally {
 func (l load) worker(w int, until time.Time) tally {
 	rng := rand.New(rand.NewSource(int64(w+1) * 7919))
 	src := l.sc.newSource(l.pools, w, rng)
-	deck := append([]OpKind(nil), l.deck...)
+	deck := append([]opKind(nil), l.deck...)
 	rng.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
 	t := tally{errs: map[string]int{}}
 	var wc, rc *Client
@@ -102,7 +106,7 @@ func (l load) worker(w int, until time.Time) tally {
 	dial := func(c **Client, addr string) bool {
 		var err error
 		if *c, err = Dial(addr); err != nil {
-			t.errs[ErrConn]++
+			t.errs[errConn]++
 			time.Sleep(5 * time.Millisecond)
 			return false
 		}
@@ -116,7 +120,7 @@ func (l load) worker(w int, until time.Time) tally {
 		}
 		op, ok := src.Op(deck[i%len(deck)])
 		if !ok { // update/delete with nothing owned yet
-			op, _ = src.Op(OpCreate)
+			op, _ = src.Op(opCreate)
 		}
 
 		if op.Cmd != "" { // read/query on the read connection
@@ -187,7 +191,7 @@ const chaosSeed = 11
 func TestChaosFailover(t *testing.T) {
 	corpusN, workers, d := chaosSize()
 	sc, _ := ScenarioByName("whitepages")
-	cl, err := StartCluster(sc, corpusN, 2, chaosSeed, repl.Async)
+	cl, err := StartCluster(sc, corpusN, 2, chaosSeed, asyncRepl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +220,7 @@ func TestChaosFailover(t *testing.T) {
 	promotedAt := seqOf(r0)
 	res := <-done
 	t.Logf("failover: committed=%d errors=%v", res.committed, res.errs)
-	if res.errs[ErrRedirect] == 0 {
+	if res.errs[errRedirect] == 0 {
 		t.Error("no write bounced off the replica before its promotion")
 	}
 	if seqOf(r0) <= promotedAt {
@@ -229,14 +233,14 @@ func TestChaosFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repl listener on promoted node: %v", err)
 	}
-	fresh, err := cl.AddReplica("post-failover", replAddr, r0.Addr)
+	fresh, err := cl.addReplica("post-failover", replAddr, r0.Addr)
 	if err != nil {
 		t.Fatalf("fresh replica: %v", err)
 	}
-	if err := Converge([]*Node{r0, fresh}, 30*time.Second); err != nil {
+	if err := converge([]*Node{r0, fresh}, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := Oracle(cl.Schema, []*Node{r0, fresh}); err != nil {
+	if err := oracle(cl.Schema, []*Node{r0, fresh}); err != nil {
 		t.Fatal(err)
 	}
 	// The orphan kept streaming from a dead primary; whatever prefix it
@@ -256,7 +260,7 @@ func TestChaosFaultsUnderLoad(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			corpusN, workers, d := chaosSize()
 			sc, _ := ScenarioByName("netpolicy")
-			cl, err := StartCluster(sc, corpusN, 0, chaosSeed, repl.Async)
+			cl, err := StartCluster(sc, corpusN, 0, chaosSeed, asyncRepl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +269,7 @@ func TestChaosFaultsUnderLoad(t *testing.T) {
 			// write, so commits are in flight when the scripted fault lands.
 			done := make(chan tally, 1)
 			go func() {
-				done <- load{sc: sc, pools: cl.Pools, workers: workers, deck: []OpKind{OpCreate},
+				done <- load{sc: sc, pools: cl.Pools, workers: workers, deck: []opKind{opCreate},
 					write: at(cl.Primary.Addr)}.run(d)
 			}()
 
@@ -278,7 +282,7 @@ func TestChaosFaultsUnderLoad(t *testing.T) {
 			// Power loss: volatile state gone, durable state survives.
 			cl.Primary.Srv.Close()
 			fs.Recover()
-			node, schema, err := cl.RestartNode("recovered", fs)
+			node, schema, err := cl.restartNode("recovered", fs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +290,7 @@ func TestChaosFaultsUnderLoad(t *testing.T) {
 			if got := seqOf(node); got < uint64(res.committed) {
 				t.Fatalf("durability violated: %d commits were OK'd but recovery reached seq %d", res.committed, got)
 			}
-			if err := Oracle(schema, []*Node{node}); err != nil {
+			if err := oracle(schema, []*Node{node}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -301,7 +305,7 @@ func TestChaosFaultsUnderLoad(t *testing.T) {
 func TestChaosConnStorm(t *testing.T) {
 	corpusN, workers, d := chaosSize()
 	sc, _ := ScenarioByName("semistructured")
-	cl, err := StartCluster(sc, corpusN, 2, chaosSeed, repl.Async)
+	cl, err := StartCluster(sc, corpusN, 2, chaosSeed, asyncRepl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +331,10 @@ func TestChaosConnStorm(t *testing.T) {
 	if res.committed == 0 {
 		t.Fatal("no commits during the storm")
 	}
-	if err := Converge(cl.Nodes(), 30*time.Second); err != nil {
+	if err := converge(cl.nodes(), 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := Oracle(cl.Schema, cl.Nodes()); err != nil {
+	if err := oracle(cl.Schema, cl.nodes()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -341,7 +345,7 @@ func TestChaosConnStorm(t *testing.T) {
 func TestOracleRejectsDivergence(t *testing.T) {
 	sc, _ := ScenarioByName("whitepages")
 	boot := func(t *testing.T) *Cluster {
-		cl, err := StartCluster(sc, 100, 0, chaosSeed, repl.Async)
+		cl, err := StartCluster(sc, 100, 0, chaosSeed, asyncRepl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,11 +367,11 @@ func TestOracleRejectsDivergence(t *testing.T) {
 
 	t.Run("one-commit-apart", func(t *testing.T) {
 		a, b := boot(t), boot(t)
-		if err := Oracle(a.Schema, []*Node{a.Primary, b.Primary}); err != nil {
+		if err := oracle(a.Schema, []*Node{a.Primary, b.Primary}); err != nil {
 			t.Fatalf("twins booted from one seed: %v", err)
 		}
 		commit(t, a, "d1")
-		err := Oracle(a.Schema, []*Node{a.Primary, b.Primary})
+		err := oracle(a.Schema, []*Node{a.Primary, b.Primary})
 		if err == nil || !strings.Contains(err.Error(), "serve different instances") {
 			t.Fatalf("oracle over diverged nodes: %v", err)
 		}
@@ -382,7 +386,7 @@ func TestOracleRejectsDivergence(t *testing.T) {
 		for _, uid := range []string{"f1", "f2", "f3"} {
 			commit(t, cl, uid)
 		}
-		err := Oracle(cl.Schema, cl.Nodes())
+		err := oracle(cl.Schema, cl.nodes())
 		if err == nil || !strings.Contains(err.Error(), "VERIFY") {
 			t.Fatalf("oracle over a bit-flipped journal: %v", err)
 		}

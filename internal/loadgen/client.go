@@ -28,20 +28,20 @@ type Resp = proto.Reply
 
 // Error taxonomy labels — what classify returns for a failed reply.
 const (
-	ErrRedirect   = "redirect"      // write on a replica
-	ErrFenced     = "fenced"        // deposed primary fenced after observing a newer epoch
-	ErrStaleEpoch = "stale_epoch"   // stream refused: the dialed primary's epoch is older
-	ErrNotDurable = "not_durable"   // journal write/fsync failed; state rolled back
-	ErrReadOnly   = "read_only"     // server degraded to read-only
-	ErrTooLong    = "line_too_long" // protocol line over the limit
-	ErrShutdown   = "shutdown"      // server closing or idle-timing the session
-	ErrConn       = "conn"          // transport error (dial, reset, EOF)
-	ErrIllegal    = "illegal"       // transaction rejected by the legality engine
-	ErrNotFound   = "not_found"     // target entry absent — expected after an async failover loses the unreplicated tail
-	ErrWrongShard = "wrong_shard"   // router: no shard owns the DN (map without a default shard)
-	ErrCrossShard = "cross_shard"   // router refused a transaction/move/delete spanning shards
-	ErrShardDown  = "shard_down"    // router could not reach the owning shard
-	ErrOther      = "err_other"     // any ERR not classified above
+	errRedirect   = "redirect"      // write on a replica
+	errFenced     = "fenced"        // deposed primary fenced after observing a newer epoch
+	errStaleEpoch = "stale_epoch"   // stream refused: the dialed primary's epoch is older
+	errNotDurable = "not_durable"   // journal write/fsync failed; state rolled back
+	errReadOnly   = "read_only"     // server degraded to read-only
+	errTooLong    = "line_too_long" // protocol line over the limit
+	errShutdown   = "shutdown"      // server closing or idle-timing the session
+	errConn       = "conn"          // transport error (dial, reset, EOF)
+	errIllegal    = "illegal"       // transaction rejected by the legality engine
+	errNotFound   = "not_found"     // target entry absent — expected after an async failover loses the unreplicated tail
+	errWrongShard = "wrong_shard"   // router: no shard owns the DN (map without a default shard)
+	errCrossShard = "cross_shard"   // router refused a transaction/move/delete spanning shards
+	errShardDown  = "shard_down"    // router could not reach the owning shard
+	errOther      = "err_other"     // any ERR not classified above
 )
 
 // taxonomy maps ERR stems to labels; the first match wins. Fenced must
@@ -49,13 +49,13 @@ const (
 // read-only: fenced: ...", and failover drivers need the two told apart
 // (fenced clears on restart; a degraded journal does not).
 var taxonomy = []struct{ stem, label string }{
-	{proto.Redirect, ErrRedirect}, {proto.NotDurable, ErrNotDurable},
-	{proto.Fenced, ErrFenced}, {proto.StaleEpoch, ErrStaleEpoch},
-	{proto.ReadOnly, ErrReadOnly}, {proto.TooLong, ErrTooLong},
-	{proto.ShuttingDown, ErrShutdown}, {proto.IdleTimeout, ErrShutdown},
-	{proto.NoEntry, ErrNotFound}, {proto.MissingEntry, ErrNotFound},
-	{proto.Unroutable, ErrWrongShard}, {proto.CrossShard, ErrCrossShard},
-	{proto.Unavailable, ErrShardDown},
+	{proto.Redirect, errRedirect}, {proto.NotDurable, errNotDurable},
+	{proto.Fenced, errFenced}, {proto.StaleEpoch, errStaleEpoch},
+	{proto.ReadOnly, errReadOnly}, {proto.TooLong, errTooLong},
+	{proto.ShuttingDown, errShutdown}, {proto.IdleTimeout, errShutdown},
+	{proto.NoEntry, errNotFound}, {proto.MissingEntry, errNotFound},
+	{proto.Unroutable, errWrongShard}, {proto.CrossShard, errCrossShard},
+	{proto.Unavailable, errShardDown},
 }
 
 // classify maps a reply (or transport error) onto the taxonomy; ok
@@ -63,16 +63,16 @@ var taxonomy = []struct{ stem, label string }{
 func classify(resp proto.Reply, err error) string {
 	switch {
 	case err != nil:
-		return ErrConn
+		return errConn
 	case resp.Term == "OK":
 		return ""
 	case resp.Term == "ILLEGAL":
-		return ErrIllegal
+		return errIllegal
 	}
 	for _, t := range taxonomy {
 		if strings.Contains(resp.Err, t.stem) {
 			return t.label
 		}
 	}
-	return ErrOther
+	return errOther
 }

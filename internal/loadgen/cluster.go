@@ -56,9 +56,9 @@ func StartCluster(sc *Scenario, corpusN, nReplicas int, seed int64, mode repl.Mo
 	if err != nil {
 		return nil, err
 	}
-	c.Schema, c.Pools, c.Primary = schema, sc.ExtractPools(dir), p
+	c.Schema, c.Pools, c.Primary = schema, sc.extractPools(dir), p
 	for i := 0; i < nReplicas; i++ {
-		if _, err := c.AddReplica(fmt.Sprintf("replica%d", i), p.ReplAddr, p.Addr); err != nil {
+		if _, err := c.addReplica(fmt.Sprintf("replica%d", i), p.ReplAddr, p.Addr); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -66,10 +66,10 @@ func StartCluster(sc *Scenario, corpusN, nReplicas int, seed int64, mode repl.Mo
 	return c, nil
 }
 
-// AddReplica boots a fresh replica streaming from replAddr and
+// addReplica boots a fresh replica streaming from replAddr and
 // advertising primaryClientAddr in its write redirects. Chaos scenarios
 // use it post-failover to hang a new replica off the promoted primary.
-func (c *Cluster) AddReplica(name, replAddr, primaryClientAddr string) (*Node, error) {
+func (c *Cluster) addReplica(name, replAddr, primaryClientAddr string) (*Node, error) {
 	n, _, _, err := c.boot(name, vfs.NewFault(), server.Options{ReplicaOf: replAddr, PrimaryClientAddr: primaryClientAddr})
 	if err != nil {
 		return nil, err
@@ -78,11 +78,11 @@ func (c *Cluster) AddReplica(name, replAddr, primaryClientAddr string) (*Node, e
 	return n, nil
 }
 
-// RestartNode builds a fresh server over a node's surviving FS: the
+// restartNode builds a fresh server over a node's surviving FS: the
 // caller pulled the plug (fs.Recover() drops volatile state), and this
 // re-runs the recovery pipeline over the durable journal on top of the
 // deterministic seed corpus, exactly as a restarted bsd would.
-func (c *Cluster) RestartNode(name string, fs *vfs.Fault) (*Node, *core.Schema, error) {
+func (c *Cluster) restartNode(name string, fs *vfs.Fault) (*Node, *core.Schema, error) {
 	n, schema, _, err := c.boot(name, fs, server.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("recovery: %v", err)
@@ -111,14 +111,14 @@ func open(sc *Scenario, schema *core.Schema, dir *dirtree.Directory, fs *vfs.Fau
 	return server.Open(o)
 }
 
-// Nodes returns every node, primary first.
-func (c *Cluster) Nodes() []*Node {
+// nodes returns every node, primary first.
+func (c *Cluster) nodes() []*Node {
 	return append([]*Node{c.Primary}, c.Replicas...)
 }
 
 // Close shuts every node down.
 func (c *Cluster) Close() {
-	for _, n := range c.Nodes() {
+	for _, n := range c.nodes() {
 		if n != nil {
 			n.Srv.Close()
 		}
@@ -131,10 +131,10 @@ func seqOf(n *Node) uint64 {
 	return local
 }
 
-// AwaitSeq polls until the node holds sequence want (replicas converge
+// awaitSeq polls until the node holds sequence want (replicas converge
 // asynchronously even after semi-sync OKs — the ACK is durability, the
 // apply is what the reads see).
-func AwaitSeq(n *Node, want uint64, timeout time.Duration) error {
+func awaitSeq(n *Node, want uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		if seqOf(n) >= want {
@@ -147,19 +147,19 @@ func AwaitSeq(n *Node, want uint64, timeout time.Duration) error {
 	}
 }
 
-// Converge waits until every listed node reaches the first node's
+// converge waits until every listed node reaches the first node's
 // sequence. Call it only after write traffic has stopped.
-func Converge(nodes []*Node, timeout time.Duration) error {
+func converge(nodes []*Node, timeout time.Duration) error {
 	want := seqOf(nodes[0])
 	for _, n := range nodes[1:] {
-		if err := AwaitSeq(n, want, timeout); err != nil {
+		if err := awaitSeq(n, want, timeout); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Oracle is the end-of-scenario convergence check over the surviving
+// oracle is the end-of-scenario convergence check over the surviving
 // nodes:
 //
 //  1. every node's served instance is byte-identical LDIF to the
@@ -173,7 +173,7 @@ func Converge(nodes []*Node, timeout time.Duration) error {
 //     (core.DiffEngines: one worker vs several, naive keys and
 //     structure) — so a bug in the incremental Fig 5 path cannot vouch
 //     for itself.
-func Oracle(schema *core.Schema, nodes []*Node) error {
+func oracle(schema *core.Schema, nodes []*Node) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("oracle: no surviving nodes")
 	}

@@ -109,12 +109,12 @@ func TestWorkloadBatchesDifferentialEngines(t *testing.T) {
 	if full() {
 		batchesPerWorker = 400
 	}
-	for _, sc := range Scenarios() {
+	for _, sc := range scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
 			schema := sc.NewSchema()
 			rng := rand.New(rand.NewSource(5))
 			d := sc.NewCorpus(schema, rng, 300)
-			pools := sc.ExtractPools(d)
+			pools := sc.extractPools(d)
 			applier := txn.NewApplier(schema)
 			applied := 0
 			for w := 0; w < 2; w++ {
@@ -123,7 +123,7 @@ func TestWorkloadBatchesDifferentialEngines(t *testing.T) {
 				for i := 0; i < batchesPerWorker; i++ {
 					op, ok := src.Op(churn[wrng.Intn(len(churn))])
 					if !ok {
-						op, _ = src.Op(OpCreate)
+						op, _ = src.Op(opCreate)
 					}
 					if op.Cmd != "" {
 						continue // reads don't mutate
@@ -228,13 +228,13 @@ func TestIllegalMutantsRejectedIdentically(t *testing.T) {
 			}},
 		},
 	}
-	for _, sc := range Scenarios() {
+	for _, sc := range scenarios() {
 		for _, m := range mutants[sc.Name] {
 			t.Run(sc.Name+"/"+m.name, func(t *testing.T) {
 				schema := sc.NewSchema()
 				rng := rand.New(rand.NewSource(5))
 				d := sc.NewCorpus(schema, rng, 300)
-				pools := sc.ExtractPools(d)
+				pools := sc.extractPools(d)
 				tx := m.build(t, d, pools)
 
 				// (a) The guarded applier refuses and rolls back exactly.

@@ -17,11 +17,11 @@ func TestClassifyFailoverTaxonomy(t *testing.T) {
 		msg  string
 		want string
 	}{
-		{"server is read-only: fenced: observed epoch 3 > local epoch 2 via HELLO from replica 127.0.0.1:9; a newer primary exists", ErrFenced},
-		{"stale epoch: this primary is at epoch 1, replica announced epoch 2", ErrStaleEpoch},
-		{"server is read-only: journal sync failed: disk gone", ErrReadOnly},
-		{"read-only replica: writes go to the primary (redirect primary=127.0.0.1:1234)", ErrRedirect},
-		{"commit not durable: sync failed", ErrNotDurable},
+		{"server is read-only: fenced: observed epoch 3 > local epoch 2 via HELLO from replica 127.0.0.1:9; a newer primary exists", errFenced},
+		{"stale epoch: this primary is at epoch 1, replica announced epoch 2", errStaleEpoch},
+		{"server is read-only: journal sync failed: disk gone", errReadOnly},
+		{"read-only replica: writes go to the primary (redirect primary=127.0.0.1:1234)", errRedirect},
+		{"commit not durable: sync failed", errNotDurable},
 	}
 	for _, tc := range cases {
 		resp := proto.Reply{Term: "ERR", Err: tc.msg}

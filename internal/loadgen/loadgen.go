@@ -12,28 +12,28 @@ package loadgen
 
 import "fmt"
 
-// OpKind is one of the five YCSB-style operation classes.
-type OpKind int
+// opKind is one of the five YCSB-style operation classes.
+type opKind int
 
 const (
-	OpCreate OpKind = iota // insert new entries (BEGIN..ADD..COMMIT)
-	OpRead                 // point read (GET <dn>)
-	OpUpdate               // restructure owned entries (BEGIN..MOVE..COMMIT)
-	OpDelete               // remove owned entries (BEGIN..DELETE..COMMIT)
-	OpQuery                // range/subtree scan (SEARCH <filter> [base=<dn>])
+	opCreate opKind = iota // insert new entries (BEGIN..ADD..COMMIT)
+	opRead                 // point read (GET <dn>)
+	opUpdate               // restructure owned entries (BEGIN..MOVE..COMMIT)
+	opDelete               // remove owned entries (BEGIN..DELETE..COMMIT)
+	opQuery                // range/subtree scan (SEARCH <filter> [base=<dn>])
 )
 
-func (k OpKind) String() string {
+func (k opKind) String() string {
 	switch k {
-	case OpCreate:
+	case opCreate:
 		return "create"
-	case OpRead:
+	case opRead:
 		return "read"
-	case OpUpdate:
+	case opUpdate:
 		return "update"
-	case OpDelete:
+	case opDelete:
 		return "delete"
-	case OpQuery:
+	case opQuery:
 		return "query"
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))

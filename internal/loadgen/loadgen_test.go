@@ -36,33 +36,33 @@ func steady() time.Duration {
 // kind but read and query commits; read and query decks must be
 // answered. A stable node never drops a connection or misses a DN.
 func TestSingleNodeEveryScenarioEveryOpKind(t *testing.T) {
-	for _, sc := range Scenarios() {
-		for kind := OpCreate; kind <= OpQuery; kind++ {
+	for _, sc := range scenarios() {
+		for kind := opCreate; kind <= opQuery; kind++ {
 			t.Run(sc.Name+"/"+kind.String(), func(t *testing.T) {
-				cl, err := StartCluster(sc, corpusSize(), 0, 1, repl.Async)
+				cl, err := StartCluster(sc, corpusSize(), 0, 1, asyncRepl)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer cl.Close()
-				res := load{sc: sc, pools: cl.Pools, workers: 4, deck: []OpKind{kind},
+				res := load{sc: sc, pools: cl.Pools, workers: 4, deck: []opKind{kind},
 					write: at(cl.Primary.Addr)}.run(steady())
-				if n := res.errs[ErrIllegal]; n > 0 {
+				if n := res.errs[errIllegal]; n > 0 {
 					t.Fatalf("generator produced %d ILLEGAL batches — schema-respecting ops must never be rejected", n)
 				}
-				if n := res.errs[ErrOther]; n > 0 {
+				if n := res.errs[errOther]; n > 0 {
 					t.Fatalf("%d unclassified ERR replies under load", n)
 				}
-				if n := res.errs[ErrConn] + res.errs[ErrNotFound]; n > 0 {
+				if n := res.errs[errConn] + res.errs[errNotFound]; n > 0 {
 					t.Fatalf("%d conn/not_found failures on a stable node: %v", n, res.errs)
 				}
-				if kind == OpRead || kind == OpQuery {
+				if kind == opRead || kind == opQuery {
 					if res.reads == 0 {
 						t.Fatal("read deck got no OK answer")
 					}
 				} else if res.committed == 0 {
 					t.Fatal("write deck committed nothing")
 				}
-				if err := Oracle(cl.Schema, cl.Nodes()); err != nil {
+				if err := oracle(cl.Schema, cl.nodes()); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -85,11 +85,11 @@ func TestClusterOLTPReplicaReads(t *testing.T) {
 		reads: []string{cl.Replicas[0].Addr, cl.Replicas[1].Addr}}.run(steady())
 	// Reads go to replicas, writes to the primary: a healthy cluster
 	// never redirects.
-	if res.errs[ErrRedirect] > 0 {
-		t.Errorf("%d redirects in a stable cluster", res.errs[ErrRedirect])
+	if res.errs[errRedirect] > 0 {
+		t.Errorf("%d redirects in a stable cluster", res.errs[errRedirect])
 	}
-	if res.errs[ErrIllegal] > 0 {
-		t.Errorf("%d illegal batches", res.errs[ErrIllegal])
+	if res.errs[errIllegal] > 0 {
+		t.Errorf("%d illegal batches", res.errs[errIllegal])
 	}
 	if res.committed == 0 {
 		t.Fatal("nothing committed")
@@ -97,10 +97,10 @@ func TestClusterOLTPReplicaReads(t *testing.T) {
 	if res.reads == 0 {
 		t.Fatal("no read answered by a replica")
 	}
-	if err := Converge(cl.Nodes(), 30*time.Second); err != nil {
+	if err := converge(cl.nodes(), 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := Oracle(cl.Schema, cl.Nodes()); err != nil {
+	if err := oracle(cl.Schema, cl.nodes()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,7 +123,7 @@ func redirectAddr(errMsg string) string {
 // (dialable, speaks the protocol), not its replication listener.
 func TestRedirectAdvertisesClientAddr(t *testing.T) {
 	sc, _ := ScenarioByName("whitepages")
-	cl, err := StartCluster(sc, 100, 1, 3, repl.Async)
+	cl, err := StartCluster(sc, 100, 1, 3, asyncRepl)
 	if err != nil {
 		t.Fatal(err)
 	}

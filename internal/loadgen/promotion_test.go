@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"boundschema/internal/repl"
 )
 
 // TestPromotionRaceSpacedSearchAndRedirects is the regression test for
@@ -21,7 +19,7 @@ import (
 // DNs parse identically before, during, and after the role flip.
 func TestPromotionRaceSpacedSearchAndRedirects(t *testing.T) {
 	sc, _ := ScenarioByName("netpolicy") // every 4th subnet has a spaced RDN
-	cl, err := StartCluster(sc, 400, 1, 13, repl.Async)
+	cl, err := StartCluster(sc, 400, 1, 13, asyncRepl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +103,7 @@ func TestPromotionRaceSpacedSearchAndRedirects(t *testing.T) {
 					mu.Lock()
 					commits++
 					mu.Unlock()
-				case ErrRedirect:
+				case errRedirect:
 					addr := redirectAddr(resp.Err)
 					if addr != cl.Primary.Addr {
 						errc <- &searchErr{base: "redirect", term: resp.Term,
@@ -115,14 +113,14 @@ func TestPromotionRaceSpacedSearchAndRedirects(t *testing.T) {
 					mu.Lock()
 					redirects++
 					mu.Unlock()
-				case ErrIllegal:
+				case errIllegal:
 					errc <- &searchErr{base: "txn", term: "ILLEGAL", msg: strings.Join(resp.Lines, " / ")}
 					return
-				case ErrReadOnly:
+				case errReadOnly:
 					mu.Lock()
 					readOnly++
 					mu.Unlock()
-				case ErrShutdown, ErrNotFound, ErrOther:
+				case errShutdown, errNotFound, errOther:
 					errc <- &searchErr{base: "txn", term: resp.Term, msg: resp.Err}
 					return
 				}
@@ -151,7 +149,7 @@ func TestPromotionRaceSpacedSearchAndRedirects(t *testing.T) {
 	t.Logf("race: %d redirects, %d commits, %d read-only refusals", redirects, commits, readOnly)
 
 	// The promoted node must still serve a legal, verifiable instance.
-	if err := Oracle(cl.Schema, []*Node{r}); err != nil {
+	if err := oracle(cl.Schema, []*Node{r}); err != nil {
 		t.Fatal(err)
 	}
 }

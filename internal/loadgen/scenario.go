@@ -21,24 +21,24 @@ type Scenario struct {
 	Name      string
 	NewSchema func() *core.Schema
 	NewCorpus func(s *core.Schema, rng *rand.Rand, n int) *dirtree.Directory
-	newSource func(p *Pools, worker int, rng *rand.Rand) OpSource
+	newSource func(p *Pools, worker int, rng *rand.Rand) opSource
 }
 
-// Scenarios returns the three example scenarios.
-func Scenarios() []*Scenario {
+// scenarios returns the three example scenarios.
+func scenarios() []*Scenario {
 	return []*Scenario{
 		{Name: "whitepages", NewSchema: workload.WhitePagesSchema, NewCorpus: workload.Corpus,
-			newSource: func(p *Pools, w int, rng *rand.Rand) OpSource { return &wpSource{p: p, w: w, rng: rng} }},
+			newSource: func(p *Pools, w int, rng *rand.Rand) opSource { return &wpSource{p: p, w: w, rng: rng} }},
 		{Name: "netpolicy", NewSchema: workload.NetPolicySchema, NewCorpus: workload.NetPolicyCorpus,
-			newSource: func(p *Pools, w int, rng *rand.Rand) OpSource { return &npSource{p: p, w: w, rng: rng} }},
+			newSource: func(p *Pools, w int, rng *rand.Rand) opSource { return &npSource{p: p, w: w, rng: rng} }},
 		{Name: "semistructured", NewSchema: workload.SemiStructSchema, NewCorpus: workload.SemiStructCorpus,
-			newSource: func(p *Pools, w int, rng *rand.Rand) OpSource { return &ssSource{p: p, w: w, rng: rng} }},
+			newSource: func(p *Pools, w int, rng *rand.Rand) opSource { return &ssSource{p: p, w: w, rng: rng} }},
 	}
 }
 
 // ScenarioByName resolves a scenario; ok is false for unknown names.
 func ScenarioByName(name string) (*Scenario, bool) {
-	for _, sc := range Scenarios() {
+	for _, sc := range scenarios() {
 		if sc.Name == name {
 			return sc, true
 		}
@@ -59,8 +59,8 @@ type Pools struct {
 
 const poolCap = 4096 // corpus samples per pool; workers add their own entries on top
 
-// ExtractPools samples the scenario's pools from a seed corpus.
-func (sc *Scenario) ExtractPools(d *dirtree.Directory) *Pools {
+// extractPools samples the scenario's pools from a seed corpus.
+func (sc *Scenario) extractPools(d *dirtree.Directory) *Pools {
 	var parentClass, readClass string
 	switch sc.Name {
 	case "whitepages":
@@ -106,21 +106,21 @@ func (sc *Scenario) ExtractPools(d *dirtree.Directory) *Pools {
 	return p
 }
 
-// Op is one executable operation: either a single command line (reads,
+// op is one executable operation: either a single command line (reads,
 // queries) or a transaction body (creates, updates, deletes). Applied,
 // when non-nil, is called with the commit outcome so the source can
 // track which of its entries actually exist.
-type Op struct {
+type op struct {
 	Cmd     string
 	Tx      []string
 	Applied func(ok bool)
 }
 
-// OpSource generates operations for one worker. Op returns false when
+// opSource generates operations for one worker. Op returns false when
 // the kind is not currently possible (update/delete with nothing owned
 // yet); callers substitute a create.
-type OpSource interface {
-	Op(kind OpKind) (Op, bool)
+type opSource interface {
+	Op(kind opKind) (op, bool)
 }
 
 // pick returns a uniformly random element.
@@ -129,14 +129,14 @@ func pick(rng *rand.Rand, ss []string) string { return ss[rng.Intn(len(ss))] }
 // moveOp builds the shared restructure op: move owned[i] under a fresh
 // parent from the pool, updating the owned DN on commit. Returns false
 // when nothing is owned or the chosen entry already sits there.
-func moveOp(owned []string, i int, dest string) (Op, bool) {
+func moveOp(owned []string, i int, dest string) (op, bool) {
 	dn := owned[i]
 	if strings.HasSuffix(dn, ","+dest) {
-		return Op{}, false
+		return op{}, false
 	}
 	rdn, _, _ := strings.Cut(dn, ",")
 	newDN := rdn + "," + dest
-	return Op{
+	return op{
 		Tx: []string{fmt.Sprintf("MOVE %s -> %s", dn, dest)},
 		Applied: func(ok bool) {
 			if ok {
@@ -159,9 +159,9 @@ type wpSource struct {
 	owned []string
 }
 
-func (s *wpSource) Op(kind OpKind) (Op, bool) {
+func (s *wpSource) Op(kind opKind) (op, bool) {
 	switch kind {
-	case OpCreate:
+	case opCreate:
 		parent := pick(s.rng, s.p.Parents)
 		dn := fmt.Sprintf("uid=w%dp%d,%s", s.w, s.seq, parent)
 		s.seq++
@@ -175,46 +175,46 @@ func (s *wpSource) Op(kind OpKind) (Op, bool) {
 		if s.rng.Intn(3) == 0 {
 			lines = append(lines, "objectClass: online", fmt.Sprintf("mail: w%dp%d@example.org", s.w, s.seq))
 		}
-		return Op{Tx: lines, Applied: func(ok bool) {
+		return op{Tx: lines, Applied: func(ok bool) {
 			if ok {
 				s.owned = append(s.owned, dn)
 			}
 		}}, true
-	case OpRead:
-		return Op{Cmd: "GET " + s.readDN()}, true
-	case OpUpdate:
+	case opRead:
+		return op{Cmd: "GET " + s.readDN()}, true
+	case opUpdate:
 		if len(s.owned) == 0 {
-			return Op{}, false
+			return op{}, false
 		}
 		return moveOp(s.owned, s.rng.Intn(len(s.owned)), pick(s.rng, s.p.Parents))
-	case OpDelete:
+	case opDelete:
 		if len(s.owned) == 0 {
-			return Op{}, false
+			return op{}, false
 		}
 		i := s.rng.Intn(len(s.owned))
 		dn := s.owned[i]
-		return Op{Tx: []string{"DELETE " + dn}, Applied: func(ok bool) {
+		return op{Tx: []string{"DELETE " + dn}, Applied: func(ok bool) {
 			if ok {
 				s.owned[i] = s.owned[len(s.owned)-1]
 				s.owned = s.owned[:len(s.owned)-1]
 			}
 		}}, true
-	case OpQuery:
+	case opQuery:
 		switch s.rng.Intn(4) {
 		case 0:
-			return Op{Cmd: "SEARCH (name=person*) base=" + pick(s.rng, s.p.Bases)}, true
+			return op{Cmd: "SEARCH (name=person*) base=" + pick(s.rng, s.p.Bases)}, true
 		case 1:
-			return Op{Cmd: "SEARCH (mail=*) base=" + pick(s.rng, s.p.Bases)}, true
+			return op{Cmd: "SEARCH (mail=*) base=" + pick(s.rng, s.p.Bases)}, true
 		case 2:
 			// Truncated scan: base DNs may contain spaces, so this also
 			// exercises the trailing-token limit parse.
-			return Op{Cmd: fmt.Sprintf("SEARCH (name=person*) base=%s limit=%d",
+			return op{Cmd: fmt.Sprintf("SEARCH (name=person*) base=%s limit=%d",
 				pick(s.rng, s.p.Bases), 1+s.rng.Intn(20))}, true
 		default:
-			return Op{Cmd: fmt.Sprintf("SEARCH (objectClass=orgUnit) base=%s", pick(s.rng, s.p.Bases))}, true
+			return op{Cmd: fmt.Sprintf("SEARCH (objectClass=orgUnit) base=%s", pick(s.rng, s.p.Bases))}, true
 		}
 	}
-	return Op{}, false
+	return op{}, false
 }
 
 func (s *wpSource) readDN() string {
@@ -237,9 +237,9 @@ type npSource struct {
 	owned []string
 }
 
-func (s *npSource) Op(kind OpKind) (Op, bool) {
+func (s *npSource) Op(kind opKind) (op, bool) {
 	switch kind {
-	case OpCreate:
+	case opCreate:
 		parent := pick(s.rng, s.p.Parents)
 		dn := fmt.Sprintf("cn=w%dh%d,%s", s.w, s.seq, parent)
 		// First octet 1..249 per worker id: 10.0.x.y belongs to the corpus
@@ -252,47 +252,47 @@ func (s *npSource) Op(kind OpKind) (Op, bool) {
 		if s.rng.Intn(3) == 0 {
 			lines = append(lines, "objectClass: packetRouter", fmt.Sprintf("bandwidth: %d", 1000*(1+s.rng.Intn(10))))
 		}
-		return Op{Tx: lines, Applied: func(ok bool) {
+		return op{Tx: lines, Applied: func(ok bool) {
 			if ok {
 				s.owned = append(s.owned, dn)
 			}
 		}}, true
-	case OpRead:
+	case opRead:
 		if len(s.owned) > 0 && s.rng.Intn(2) == 0 {
-			return Op{Cmd: "GET " + pick(s.rng, s.owned)}, true
+			return op{Cmd: "GET " + pick(s.rng, s.owned)}, true
 		}
-		return Op{Cmd: "GET " + pick(s.rng, s.p.Reads)}, true
-	case OpUpdate:
+		return op{Cmd: "GET " + pick(s.rng, s.p.Reads)}, true
+	case opUpdate:
 		if len(s.owned) == 0 {
-			return Op{}, false
+			return op{}, false
 		}
 		return moveOp(s.owned, s.rng.Intn(len(s.owned)), pick(s.rng, s.p.Parents))
-	case OpDelete:
+	case opDelete:
 		if len(s.owned) == 0 {
-			return Op{}, false
+			return op{}, false
 		}
 		i := s.rng.Intn(len(s.owned))
 		dn := s.owned[i]
-		return Op{Tx: []string{"DELETE " + dn}, Applied: func(ok bool) {
+		return op{Tx: []string{"DELETE " + dn}, Applied: func(ok bool) {
 			if ok {
 				s.owned[i] = s.owned[len(s.owned)-1]
 				s.owned = s.owned[:len(s.owned)-1]
 			}
 		}}, true
-	case OpQuery:
+	case opQuery:
 		switch s.rng.Intn(4) {
 		case 0:
-			return Op{Cmd: "SEARCH (ipAddress=10.*) base=" + pick(s.rng, s.p.Bases)}, true
+			return op{Cmd: "SEARCH (ipAddress=10.*) base=" + pick(s.rng, s.p.Bases)}, true
 		case 1:
-			return Op{Cmd: "SEARCH (bandwidth>=5000) base=" + pick(s.rng, s.p.Bases)}, true
+			return op{Cmd: "SEARCH (bandwidth>=5000) base=" + pick(s.rng, s.p.Bases)}, true
 		case 2:
 			// Typed range probe with a cap — the index-range + limit path.
-			return Op{Cmd: fmt.Sprintf("SEARCH (bandwidth>=5000) limit=%d", 1+s.rng.Intn(10))}, true
+			return op{Cmd: fmt.Sprintf("SEARCH (bandwidth>=5000) limit=%d", 1+s.rng.Intn(10))}, true
 		default:
-			return Op{Cmd: "SEARCH (objectClass=policy)"}, true
+			return op{Cmd: "SEARCH (objectClass=policy)"}, true
 		}
 	}
-	return Op{}, false
+	return op{}, false
 }
 
 // ssOwned is one worker-created person subtree: its root DN and whether
@@ -319,9 +319,9 @@ type ssSource struct {
 	owned []ssOwned
 }
 
-func (s *ssSource) Op(kind OpKind) (Op, bool) {
+func (s *ssSource) Op(kind opKind) (op, bool) {
 	switch kind {
-	case OpCreate:
+	case opCreate:
 		parent := pick(s.rng, s.p.Parents)
 		dn := fmt.Sprintf("uid=w%dp%d,%s", s.w, s.seq, parent)
 		label := fmt.Sprintf("label: load person %d.%d", s.w, s.seq)
@@ -336,27 +336,27 @@ func (s *ssSource) Op(kind OpKind) (Op, bool) {
 				fmt.Sprintf("ADD cn=name,%s", dn), "objectClass: name", "objectClass: top", label)
 		}
 		s.seq++
-		return Op{Tx: lines, Applied: func(ok bool) {
+		return op{Tx: lines, Applied: func(ok bool) {
 			if ok {
 				s.owned = append(s.owned, ssOwned{dn: dn, deep: deep})
 			}
 		}}, true
-	case OpRead:
+	case opRead:
 		if len(s.owned) > 0 && s.rng.Intn(2) == 0 {
-			return Op{Cmd: "GET " + s.owned[s.rng.Intn(len(s.owned))].dn}, true
+			return op{Cmd: "GET " + s.owned[s.rng.Intn(len(s.owned))].dn}, true
 		}
-		return Op{Cmd: "GET " + pick(s.rng, s.p.Reads)}, true
-	case OpUpdate:
+		return op{Cmd: "GET " + pick(s.rng, s.p.Reads)}, true
+	case opUpdate:
 		if len(s.owned) == 0 {
-			return Op{}, false
+			return op{}, false
 		}
 		i := s.rng.Intn(len(s.owned))
 		dn, dest := s.owned[i].dn, pick(s.rng, s.p.Parents)
 		if strings.HasSuffix(dn, ","+dest) {
-			return Op{}, false
+			return op{}, false
 		}
 		rdn, _, _ := strings.Cut(dn, ",")
-		return Op{
+		return op{
 			Tx: []string{fmt.Sprintf("MOVE %s -> %s", dn, dest)},
 			Applied: func(ok bool) {
 				if ok {
@@ -364,9 +364,9 @@ func (s *ssSource) Op(kind OpKind) (Op, bool) {
 				}
 			},
 		}, true
-	case OpDelete:
+	case opDelete:
 		if len(s.owned) == 0 {
-			return Op{}, false
+			return op{}, false
 		}
 		i := s.rng.Intn(len(s.owned))
 		o := s.owned[i]
@@ -381,22 +381,22 @@ func (s *ssSource) Op(kind OpKind) (Op, bool) {
 		} else {
 			lines = []string{fmt.Sprintf("DELETE cn=name,%s", o.dn), "DELETE " + o.dn}
 		}
-		return Op{Tx: lines, Applied: func(ok bool) {
+		return op{Tx: lines, Applied: func(ok bool) {
 			if ok {
 				s.owned[i] = s.owned[len(s.owned)-1]
 				s.owned = s.owned[:len(s.owned)-1]
 			}
 		}}, true
-	case OpQuery:
+	case opQuery:
 		switch s.rng.Intn(3) {
 		case 0:
-			return Op{Cmd: "SEARCH (label=*) base=" + pick(s.rng, s.p.Bases)}, true
+			return op{Cmd: "SEARCH (label=*) base=" + pick(s.rng, s.p.Bases)}, true
 		case 1:
 			// Presence probe with a cap — index-present + limit.
-			return Op{Cmd: fmt.Sprintf("SEARCH (label=*) limit=%d", 1+s.rng.Intn(5))}, true
+			return op{Cmd: fmt.Sprintf("SEARCH (label=*) limit=%d", 1+s.rng.Intn(5))}, true
 		default:
-			return Op{Cmd: "SEARCH (objectClass=contact) base=" + pick(s.rng, s.p.Bases)}, true
+			return op{Cmd: "SEARCH (objectClass=contact) base=" + pick(s.rng, s.p.Bases)}, true
 		}
 	}
-	return Op{}, false
+	return op{}, false
 }

@@ -49,7 +49,7 @@ type ShardCluster struct {
 func StartShardCluster(sc *Scenario, corpusN, nShards int, seed int64) (*ShardCluster, error) {
 	schema := sc.NewSchema()
 	src := sc.NewCorpus(schema, rand.New(rand.NewSource(seed)), corpusN)
-	c := &ShardCluster{Scenario: sc, Schema: schema, Pools: sc.ExtractPools(src)}
+	c := &ShardCluster{Scenario: sc, Schema: schema, Pools: sc.extractPools(src)}
 	roots, err := shard.AutoCut(schema, src, nShards)
 	if err != nil {
 		return nil, err
@@ -103,7 +103,7 @@ func StartShardCluster(sc *Scenario, corpusN, nShards int, seed int64) (*ShardCl
 // time and on n.Addr on a restart (the shard map is static). The fault
 // FS survives restarts and carries the journal.
 func (c *ShardCluster) bootShard(n *ShardNode, dir *dirtree.Directory) error {
-	srv, err := open(c.Scenario, c.Scenario.NewSchema(), dir, n.FS, server.Options{Addr: n.Addr, ShardName: n.Name, ShardRoots: n.Roots})
+	srv, err := open(c.Scenario, c.Scenario.NewSchema(), dir, n.FS, server.Options{Addr: n.Addr})
 	if err != nil {
 		return fmt.Errorf("shard %s: %v", n.Name, err)
 	}
@@ -111,8 +111,8 @@ func (c *ShardCluster) bootShard(n *ShardNode, dir *dirtree.Directory) error {
 	return nil
 }
 
-// ShardByName returns the named shard node, or nil.
-func (c *ShardCluster) ShardByName(name string) *ShardNode {
+// shardByName returns the named shard node, or nil.
+func (c *ShardCluster) shardByName(name string) *ShardNode {
 	for _, n := range c.Shards {
 		if n.Name == name {
 			return n
@@ -121,19 +121,19 @@ func (c *ShardCluster) ShardByName(name string) *ShardNode {
 	return nil
 }
 
-// CrashShard kills one shard server. The router keeps serving; traffic
+// crashShard kills one shard server. The router keeps serving; traffic
 // owned by the dead shard comes back as shard_down errors.
-func (c *ShardCluster) CrashShard(name string) {
-	if n := c.ShardByName(name); n != nil && n.Srv != nil {
+func (c *ShardCluster) crashShard(name string) {
+	if n := c.shardByName(name); n != nil && n.Srv != nil {
 		n.Srv.Close()
 	}
 }
 
-// RestartShard reboots a crashed shard from its pristine carved
+// restartShard reboots a crashed shard from its pristine carved
 // instance plus journal replay, on its original address (the shard map
 // is static).
-func (c *ShardCluster) RestartShard(name string) error {
-	n := c.ShardByName(name)
+func (c *ShardCluster) restartShard(name string) error {
+	n := c.shardByName(name)
 	if n == nil {
 		return fmt.Errorf("shardcluster: no shard %q", name)
 	}
@@ -153,7 +153,7 @@ func (c *ShardCluster) Close() {
 	}
 }
 
-// Oracle is the sharded deployment's end-of-run check:
+// oracle is the sharded deployment's end-of-run check:
 //
 //  1. every shard passes VERIFY over the wire (journal checksums,
 //     sequence continuity, incremental-engine legality) and serves a
@@ -164,7 +164,7 @@ func (c *ShardCluster) Close() {
 //     (default shard plus every carved subtree grafted back under its
 //     spine parent) is legal under the full engine, so the shard-local
 //     arguments cannot vouch for themselves.
-func (c *ShardCluster) Oracle() error {
+func (c *ShardCluster) oracle() error {
 	merged, expected, err := c.mergedInstance()
 	if err != nil {
 		return err

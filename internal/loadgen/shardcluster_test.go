@@ -27,13 +27,13 @@ func TestShardClusterLoad(t *testing.T) {
 	// state (the oracle below would catch that).
 	for label, n := range res.errs {
 		switch label {
-		case ErrCrossShard, ErrIllegal, ErrNotFound:
+		case errCrossShard, errIllegal, errNotFound:
 			// expected under churn against a carved map
 		default:
 			t.Errorf("unexpected error class %s=%d", label, n)
 		}
 	}
-	if err := cl.Oracle(); err != nil {
+	if err := cl.oracle(); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 }
@@ -60,9 +60,9 @@ func TestChaosShardCrash(t *testing.T) {
 
 	victim := cl.Shards[0].Name
 	time.Sleep(d * 2 / 5)
-	cl.CrashShard(victim)
+	cl.crashShard(victim)
 	time.Sleep(d / 5)
-	if err := cl.RestartShard(victim); err != nil {
+	if err := cl.restartShard(victim); err != nil {
 		<-done
 		t.Fatalf("restart %s: %v", victim, err)
 	}
@@ -71,10 +71,10 @@ func TestChaosShardCrash(t *testing.T) {
 	if res.committed == 0 {
 		t.Fatal("no transaction ever committed")
 	}
-	if n := res.errs[ErrWrongShard]; n > 0 {
+	if n := res.errs[errWrongShard]; n > 0 {
 		t.Errorf("wrong_shard errors on a map with a default shard: %d", n)
 	}
-	if err := cl.Oracle(); err != nil {
+	if err := cl.oracle(); err != nil {
 		t.Fatal(err)
 	}
 }

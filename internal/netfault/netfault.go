@@ -123,20 +123,6 @@ func (f *Fault) OpCount() int {
 	return f.ops
 }
 
-// Dropped returns how many connections the script has closed.
-func (f *Fault) Dropped() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped
-}
-
-// Partitioned reports whether any directional cut is active.
-func (f *Fault) Partitioned() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cutIn || f.cutOut || f.slow > 0
-}
-
 // Heal lifts every persistent condition (cuts, slow-reader): held
 // inbound bytes deliver, stalled writes proceed, dials succeed again.
 // One-shot points that already fired stay fired; the op counter keeps
@@ -251,8 +237,8 @@ func (f *Fault) slowFor() time.Duration {
 	return f.slow
 }
 
-// Wrap returns c with the fault script applied to its reads and writes.
-func (f *Fault) Wrap(c net.Conn) net.Conn {
+// wrap returns c with the fault script applied to its reads and writes.
+func (f *Fault) wrap(c net.Conn) net.Conn {
 	fc := &faultConn{Conn: c, f: f}
 	fc.cond = sync.NewCond(&fc.mu)
 	f.mu.Lock()
@@ -262,11 +248,11 @@ func (f *Fault) Wrap(c net.Conn) net.Conn {
 	return fc
 }
 
-// Dial connects with a timeout and wraps the result. While a cut is
+// dial connects with a timeout and wraps the result. While a cut is
 // active the dial blocks (polling for Heal) and then fails with a
 // timeout, the way SYNs vanish inside a real partition. The signature
 // matches server.Options.Dialer.
-func (f *Fault) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+func (f *Fault) dial(addr string, timeout time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(timeout)
 	for f.inCut() || f.outCut() {
 		if time.Now().After(deadline) {
@@ -278,12 +264,12 @@ func (f *Fault) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.Wrap(c), nil
+	return f.wrap(c), nil
 }
 
 // Dialer returns Dial as a function value for server.Options.Dialer.
 func (f *Fault) Dialer() func(addr string, timeout time.Duration) (net.Conn, error) {
-	return f.Dial
+	return f.dial
 }
 
 type errPartitionTimeout struct{}
@@ -307,7 +293,7 @@ func (l *faultListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.f.Wrap(c), nil
+	return l.f.wrap(c), nil
 }
 
 // faultConn applies the script to one connection. Reads are decoupled

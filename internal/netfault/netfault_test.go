@@ -28,7 +28,7 @@ func pipePair(t *testing.T, f *Fault) (client net.Conn, server net.Conn) {
 		}
 		done <- c
 	}()
-	cli, err := f.Dial(ln.Addr().String(), time.Second)
+	cli, err := f.dial(ln.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestPartitionBlocksDial(t *testing.T) {
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	defer ln.Close()
 	start := time.Now()
-	if _, err := f.Dial(ln.Addr().String(), 60*time.Millisecond); err == nil {
+	if _, err := f.dial(ln.Addr().String(), 60*time.Millisecond); err == nil {
 		t.Fatal("dial succeeded through a partition")
 	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 		t.Fatalf("dial error = %v, want a timeout", err)
@@ -192,7 +192,7 @@ func TestPartitionBlocksDial(t *testing.T) {
 		t.Fatal("dial failed fast; it should hang until the timeout like a lost SYN")
 	}
 	f.Heal()
-	c, err := f.Dial(ln.Addr().String(), time.Second)
+	c, err := f.dial(ln.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatalf("dial after heal: %v", err)
 	}
@@ -274,4 +274,18 @@ func TestCloseUnblocksHeldWrite(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("close left the held write blocked")
 	}
+}
+
+// Dropped returns how many connections the script has closed.
+func (f *Fault) Dropped() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.dropped
+}
+
+// Partitioned reports whether any directional cut is active.
+func (f *Fault) Partitioned() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.cutIn || f.cutOut || f.slow > 0
 }

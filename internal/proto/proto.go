@@ -22,7 +22,7 @@
 // Every reply is zero or more payload lines and one terminator: "OK",
 // "ILLEGAL" (after one "# <violation>" line each) or "ERR <message>",
 // one line. A body line that errs is answered at once and drops the
-// transaction; a line over MaxLineBytes is refused and the connection
+// transaction; a line over maxLineBytes is refused and the connection
 // closes.
 package proto
 
@@ -76,8 +76,8 @@ func Split(line string) (cmd, rest string) {
 	return strings.ToUpper(cmd), rest
 }
 
-// Lookup returns the table row of an upper-cased command word.
-func Lookup(cmd string) (Command, bool) {
+// lookup returns the table row of an upper-cased command word.
+func lookup(cmd string) (Command, bool) {
 	for _, c := range Commands {
 		if c.Name == cmd {
 			return c, true

@@ -64,11 +64,11 @@ func TestParseTxLine(t *testing.T) {
 // MaxTxBytes, and is never taken past them.
 func FuzzProto(f *testing.F) {
 	// Lines at and one past each cap.
-	f.Add("DELETE a", uint16(MaxTxOps-1), uint32(0))
-	f.Add("DELETE a", uint16(MaxTxOps), uint32(0))
-	f.Add("COMMIT", uint16(MaxTxOps), uint32(MaxTxBytes))
-	f.Add("a: b", uint16(0), uint32(MaxTxBytes-4))
-	f.Add("a: b", uint16(0), uint32(MaxTxBytes-3))
+	f.Add("DELETE a", uint16(maxTxOps-1), uint32(0))
+	f.Add("DELETE a", uint16(maxTxOps), uint32(0))
+	f.Add("COMMIT", uint16(maxTxOps), uint32(maxTxBytes))
+	f.Add("a: b", uint16(0), uint32(maxTxBytes-4))
+	f.Add("a: b", uint16(0), uint32(maxTxBytes-3))
 	for _, seed := range []string{
 		"SEARCH (objectClass=person)",
 		"SEARCH (name=laks lakshmanan) base=ou=Human Resources,o=acme limit=3",
@@ -129,7 +129,7 @@ func FuzzProto(f *testing.F) {
 				}
 			}
 			l, err := ParseTxLine(line, adding, int(ops), int(size))
-			past := int(ops) >= MaxTxOps && l.Cmd != "" || int(size)+len(line) > MaxTxBytes
+			past := int(ops) >= maxTxOps && l.Cmd != "" || int(size)+len(line) > maxTxBytes
 			if errors.Is(err, errTxTooBig) && !past ||
 				err == nil && past && line != "" && l.Cmd != "COMMIT" && l.Cmd != "ABORT" {
 				t.Fatalf("%q after %d operations and %d bytes: %v", line, ops, size, err)

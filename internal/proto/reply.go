@@ -9,15 +9,15 @@ import (
 	"time"
 )
 
-// MaxLineBytes caps one request line; a longer line is refused with one
+// maxLineBytes caps one request line; a longer line is refused with one
 // ERR line and the connection closes.
-const MaxLineBytes = 1024 * 1024
+const maxLineBytes = 1024 * 1024
 
-// MaxTxOps and MaxTxBytes cap one transaction: its ADD, DELETE and MOVE
+// maxTxOps and maxTxBytes cap one transaction: its ADD, DELETE and MOVE
 // lines, and the bytes of its trimmed body lines. ParseTxLine refuses
 // the line that would pass either with a TooComplex refusal, which drops
 // the transaction; the session goes on.
-const MaxTxOps, MaxTxBytes = 10000, 4 * MaxLineBytes
+const maxTxOps, maxTxBytes = 10000, 4 * maxLineBytes
 
 // MaxDepth and MaxNodes cap a SEARCH filter and a QUERY expression, whose
 // evaluation costs their size times the entries they range over:
@@ -25,20 +25,20 @@ const MaxTxOps, MaxTxBytes = 10000, 4 * MaxLineBytes
 // query's filters included), with a TooComplex refusal.
 const MaxDepth, MaxNodes = 32, 256
 
-// NewScanner reads request lines from r, up to MaxLineBytes each.
+// NewScanner reads request lines from r, up to maxLineBytes each.
 func NewScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	return sc
 }
 
-// RefuseTooLong answers a line over MaxLineBytes (the scanner stopped
+// RefuseTooLong answers a line over maxLineBytes (the scanner stopped
 // with bufio.ErrTooLong) with the protocol's one ERR line, then drains
 // what the peer is still sending for up to 500 ms, so the reply is not
 // destroyed by a TCP reset carrying unread data (the trick net/http
 // uses for unread request bodies). The caller closes the connection.
 func RefuseTooLong(w *Writer, conn net.Conn) {
-	w.Err(fmt.Sprintf("%s (max %d bytes)", TooLong, MaxLineBytes))
+	w.Err(fmt.Sprintf("%s (max %d bytes)", TooLong, maxLineBytes))
 	w.Flush()
 	conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
 	io.Copy(io.Discard, conn)

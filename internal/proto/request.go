@@ -144,22 +144,22 @@ type TxLine struct {
 	Value string
 }
 
-var errTxTooBig = fmt.Errorf("transaction %s: more than %d operations or %d bytes", TooComplex, MaxTxOps, MaxTxBytes)
+var errTxTooBig = fmt.Errorf("transaction %s: more than %d operations or %d bytes", TooComplex, maxTxOps, maxTxBytes)
 
 // ParseTxLine parses one trimmed line inside BEGIN..COMMIT. adding says
 // whether an ADD is open; attribute lines are valid only then. ops and
 // size are the operations and bytes the transaction holds so far, so a
-// line past MaxTxOps or MaxTxBytes is refused. Cmd is set even when the
+// line past maxTxOps or maxTxBytes is refused. Cmd is set even when the
 // line is refused, so the refusal is metered under its command.
 func ParseTxLine(line string, adding bool, ops, size int) (TxLine, error) {
 	cmd, rest := Split(line)
-	if c, ok := Lookup(cmd); !ok || !c.Tx {
+	if c, ok := lookup(cmd); !ok || !c.Tx {
 		switch {
 		case line == "":
 			return TxLine{}, nil // a blank line is a no-op
 		case !adding:
 			return TxLine{}, fmt.Errorf("unexpected %q inside transaction", line)
-		case size+len(line) > MaxTxBytes:
+		case size+len(line) > maxTxBytes:
 			return TxLine{}, errTxTooBig
 		}
 		name, value, ok := strings.Cut(line, ":")
@@ -169,7 +169,7 @@ func ParseTxLine(line string, adding bool, ops, size int) (TxLine, error) {
 		return TxLine{Attr: true, Name: strings.TrimSpace(name), Value: strings.TrimSpace(value)}, nil
 	}
 	l := TxLine{Cmd: cmd}
-	if cmd != "COMMIT" && cmd != "ABORT" && (ops >= MaxTxOps || size+len(line) > MaxTxBytes) {
+	if cmd != "COMMIT" && cmd != "ABORT" && (ops >= maxTxOps || size+len(line) > maxTxBytes) {
 		return l, errTxTooBig
 	}
 	switch cmd {

@@ -50,7 +50,7 @@ var ErrStalePrimary = errors.New("repl: primary epoch is stale")
 // poison writes the fencing ACK that tells a stale primary about the
 // replica's higher epoch. Best-effort: the conn may already be broken.
 func poison(conn io.Writer, t Target) {
-	io.WriteString(conn, AckLine(t.LastSeq(), t.Epoch()))
+	io.WriteString(conn, ackLine(t.LastSeq(), t.Epoch()))
 }
 
 // Run performs the replica side of the replication protocol over an
@@ -63,7 +63,7 @@ func poison(conn io.Writer, t Target) {
 // poison ACK). The caller owns reconnect policy.
 func Run(conn io.ReadWriter, t Target) error {
 	br := bufio.NewReaderSize(conn, 64*1024)
-	if _, err := io.WriteString(conn, HelloLine(t.LastSeq(), t.Epoch())); err != nil {
+	if _, err := io.WriteString(conn, helloLine(t.LastSeq(), t.Epoch())); err != nil {
 		return fmt.Errorf("repl: hello: %w", err)
 	}
 	header, err := readLine(br)
@@ -101,7 +101,7 @@ func Run(conn io.ReadWriter, t Target) error {
 			return err
 		}
 		t.ObservePrimarySeq(seq)
-		if _, err := io.WriteString(conn, AckLine(seq, t.Epoch())); err != nil {
+		if _, err := io.WriteString(conn, ackLine(seq, t.Epoch())); err != nil {
 			return fmt.Errorf("repl: ack: %w", err)
 		}
 	case strings.HasPrefix(header, tailPrefix):
@@ -122,9 +122,9 @@ func Run(conn io.ReadWriter, t Target) error {
 	default:
 		return fmt.Errorf("repl: unexpected handshake reply %q", header)
 	}
-	sr := &SegmentReader{r: br}
+	sr := &segmentReader{r: br}
 	for {
-		seg, err := sr.Next(func(line string) error {
+		seg, err := sr.next(func(line string) error {
 			seq, _, ok := parsePing(line)
 			if !ok {
 				return fmt.Errorf("repl: malformed control line %q", line)
@@ -150,7 +150,7 @@ func Run(conn io.ReadWriter, t Target) error {
 			return err
 		}
 		t.ObservePrimarySeq(seg.Seq)
-		if _, err := io.WriteString(conn, AckLine(seg.Seq, t.Epoch())); err != nil {
+		if _, err := io.WriteString(conn, ackLine(seg.Seq, t.Epoch())); err != nil {
 			return fmt.Errorf("repl: ack: %w", err)
 		}
 	}

@@ -10,9 +10,9 @@ import (
 type Mode int
 
 const (
-	// Async ships segments after the local fsync; COMMIT's OK promises
+	// async ships segments after the local fsync; COMMIT's OK promises
 	// local durability only.
-	Async Mode = iota
+	async Mode = iota
 	// SemiSync gates COMMIT's OK on an ACK from at least one replica, so
 	// OK means the record is durable on the primary AND one replica.
 	// With no replica connected (or none answering within the ack
@@ -32,20 +32,20 @@ func (m Mode) String() string {
 func ParseMode(s string) (Mode, bool) {
 	switch s {
 	case "async":
-		return Async, true
+		return async, true
 	case "semisync":
 		return SemiSync, true
 	}
-	return Async, false
+	return async, false
 }
 
-// DefaultAckTimeout bounds how long a semi-sync commit waits for a
+// defaultAckTimeout bounds how long a semi-sync commit waits for a
 // replica ACK before the hub degrades to async.
-const DefaultAckTimeout = 2 * time.Second
+const defaultAckTimeout = 2 * time.Second
 
-// DefaultPingInterval spaces the heartbeat lines replicas derive their
+// defaultPingInterval spaces the heartbeat lines replicas derive their
 // lag gauge from.
-const DefaultPingInterval = 500 * time.Millisecond
+const defaultPingInterval = 500 * time.Millisecond
 
 // subQueueLen bounds a replica's outgoing queue. A replica that falls
 // this far behind the live stream is dropped; it reconnects and catches
@@ -95,10 +95,10 @@ type HubStatus struct {
 // immediately and runs until Close.
 func NewHub(mode Mode, ackTimeout, pingInterval time.Duration, logf func(string, ...any)) *Hub {
 	if ackTimeout <= 0 {
-		ackTimeout = DefaultAckTimeout
+		ackTimeout = defaultAckTimeout
 	}
 	if pingInterval <= 0 {
-		pingInterval = DefaultPingInterval
+		pingInterval = defaultPingInterval
 	}
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -135,9 +135,6 @@ type Sub struct {
 	onDrop func()
 	acked  uint64
 }
-
-// ID names the subscriber (the replica's remote address) in logs.
-func (s *Sub) ID() string { return s.id }
 
 // Subscribe registers a replica connection. first is written before any
 // queued segment — the bootstrap header and blob — so callers can
@@ -372,7 +369,7 @@ func (h *Hub) pingLoop(every time.Duration) {
 				h.mu.Unlock()
 				return
 			}
-			line := []byte(PingLine(h.lastShipped, h.epoch))
+			line := []byte(pingLine(h.lastShipped, h.epoch))
 			for sub := range h.subs {
 				h.enqueue(sub, line)
 			}

@@ -36,14 +36,14 @@ const (
 	tailPrefix     = "REPL TAIL "
 )
 
-// MaxSegmentBytes bounds one streamed segment (payload plus marker); a
+// maxSegmentBytes bounds one streamed segment (payload plus marker); a
 // peer claiming more is treated as a protocol error, not a huge alloc.
-const MaxSegmentBytes = 64 << 20
+const maxSegmentBytes = 64 << 20
 
-// HelloLine opens the handshake: the replica announces the highest
+// helloLine opens the handshake: the replica announces the highest
 // sequence number it holds durably and the replication epoch it last
 // adopted.
-func HelloLine(lastSeq, epoch uint64) string {
+func helloLine(lastSeq, epoch uint64) string {
 	return fmt.Sprintf("%slast_seq=%d epoch=%d\n", helloPrefix, lastSeq, epoch)
 }
 
@@ -59,11 +59,11 @@ func ParseHello(line string) (lastSeq, epoch uint64, err error) {
 	return lastSeq, epoch, nil
 }
 
-// AckLine acknowledges that segment seq is durable on the replica,
+// ackLine acknowledges that segment seq is durable on the replica,
 // stamped with the replica's epoch. An ACK carrying a higher epoch than
 // the primary's own is a fencing signal: the replica has adopted a
 // newer primary and is poisoning this one.
-func AckLine(seq, epoch uint64) string {
+func ackLine(seq, epoch uint64) string {
 	return fmt.Sprintf("%sseq=%d epoch=%d\n", ackPrefix, seq, epoch)
 }
 
@@ -79,9 +79,9 @@ func ParseAck(line string) (seq, epoch uint64, err error) {
 	return seq, epoch, nil
 }
 
-// PingLine is the primary's heartbeat carrying its current durable
+// pingLine is the primary's heartbeat carrying its current durable
 // sequence number, from which a replica derives its lag, and its epoch.
-func PingLine(seq, epoch uint64) string {
+func pingLine(seq, epoch uint64) string {
 	return fmt.Sprintf("%sseq=%d epoch=%d\n", pingPrefix, seq, epoch)
 }
 
@@ -116,27 +116,20 @@ func TailHeader(from uint64, count int, epoch uint64) string {
 	return fmt.Sprintf("%sfrom=%d count=%d epoch=%d\n", tailPrefix, from, count, epoch)
 }
 
-// SegmentReader incrementally parses the primary's byte stream into
-// verified segments, dispatching interleaved control lines (pings) to a
-// callback. It enforces the same verdict logic as the journal scanner:
-// a complete marker that is damaged, or whose payload fails length or
-// CRC verification, is corruption.
-type SegmentReader struct {
+// segmentReader incrementally parses the primary's byte stream into
+// segments that ParseMarker verified, dispatching interleaved control
+// lines (pings) to a callback.
+type segmentReader struct {
 	r       *bufio.Reader
 	payload bytes.Buffer
 }
 
-// NewSegmentReader wraps the connection's read side.
-func NewSegmentReader(r io.Reader) *SegmentReader {
-	return &SegmentReader{r: bufio.NewReaderSize(r, 64*1024)}
-}
-
-// Next returns the next verified segment. Control lines between
+// next returns the next verified segment. Control lines between
 // segments are passed to onControl (which may be nil). Errors are
 // terminal: a malformed marker, a checksum mismatch, a control line
 // splitting a segment or refused by onControl, or the underlying read
 // error (io.EOF when the primary closes cleanly between segments).
-func (sr *SegmentReader) Next(onControl func(line string) error) (Segment, error) {
+func (sr *segmentReader) next(onControl func(line string) error) (Segment, error) {
 	for {
 		line, err := sr.r.ReadBytes('\n')
 		if err != nil {
@@ -156,27 +149,19 @@ func (sr *SegmentReader) Next(onControl func(line string) error) (Segment, error
 				}
 			}
 		case IsMarkerLine(bytes.TrimRight(line, "\n")):
-			marker := bytes.TrimRight(line, "\n")
-			seq, length, crc, epoch, perr := ParseMarker(marker)
-			if perr != nil {
-				return Segment{}, fmt.Errorf("repl: %v", perr)
-			}
 			payload := append([]byte(nil), sr.payload.Bytes()...)
 			sr.payload.Reset()
-			if int64(len(payload)) != length {
-				return Segment{}, fmt.Errorf("repl: segment seq=%d: payload is %d bytes, marker says %d", seq, len(payload), length)
-			}
-			if Checksum(payload) != crc {
-				return Segment{}, fmt.Errorf("repl: segment seq=%d: checksum mismatch (stored %08x, computed %08x)",
-					seq, crc, Checksum(payload))
+			seq, epoch, err := ParseMarker(bytes.TrimRight(line, "\n"), payload)
+			if err != nil {
+				return Segment{}, fmt.Errorf("repl: %v", err)
 			}
 			raw := make([]byte, 0, len(payload)+len(line))
 			raw = append(raw, payload...)
 			raw = append(raw, line...)
 			return Segment{Seq: seq, Epoch: epoch, Payload: payload, Raw: raw}, nil
 		default:
-			if sr.payload.Len()+len(line) > MaxSegmentBytes {
-				return Segment{}, fmt.Errorf("repl: segment exceeds %d bytes without a marker", MaxSegmentBytes)
+			if sr.payload.Len()+len(line) > maxSegmentBytes {
+				return Segment{}, fmt.Errorf("repl: segment exceeds %d bytes without a marker", maxSegmentBytes)
 			}
 			sr.payload.Write(line)
 		}

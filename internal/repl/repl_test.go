@@ -31,30 +31,37 @@ func TestMarkerRoundTrip(t *testing.T) {
 	if !strings.HasSuffix(line, "\n") {
 		t.Fatalf("marker not newline-terminated: %q", line)
 	}
-	seq, length, crc, epoch, err := ParseMarker([]byte(strings.TrimRight(line, "\n")))
+	marker := []byte(strings.TrimRight(line, "\n"))
+	seq, epoch, err := ParseMarker(marker, payload)
 	if err != nil {
 		t.Fatalf("ParseMarker: seq=%d err=%v", seq, err)
 	}
-	if seq != 7 || length != int64(len(payload)) || crc != Checksum(payload) || epoch != 3 {
-		t.Fatalf("round trip mismatch: seq=%d len=%d crc=%08x epoch=%d", seq, length, crc, epoch)
+	if seq != 7 || epoch != 3 {
+		t.Fatalf("round trip mismatch: seq=%d epoch=%d", seq, epoch)
+	}
+	// The payload must match the marker's length and checksum.
+	for bad, want := range map[string]string{"dn: uid=a": "marker says", string(payload[:len(payload)-1]) + "x": "checksum mismatch"} {
+		if _, _, err := ParseMarker(marker, []byte(bad)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ParseMarker with payload %q = %v, want %q", bad, err, want)
+		}
 	}
 	// Every field is mandatory: the bare and epoch-less markers of
 	// pre-checksum journals are refused by name, anything else that
 	// fails to parse is damage.
-	for _, old := range []string{MarkerPrefix, MarkerPrefix + " seq=7 len=2 crc=0000abcd"} {
-		if _, _, _, _, err := ParseMarker([]byte(old)); err == nil || !strings.Contains(err.Error(), "unsupported pre-checksum journal format") {
+	for _, old := range []string{markerPrefix, markerPrefix + " seq=7 len=2 crc=0000abcd"} {
+		if _, _, err := ParseMarker([]byte(old), nil); err == nil || !strings.Contains(err.Error(), "unsupported pre-checksum journal format") {
 			t.Fatalf("ParseMarker(%q) = %v, want the unsupported-format refusal", old, err)
 		}
 	}
-	for _, bad := range []string{MarkerPrefix + " seq=zap", MarkerPrefix + " seq=1 len=2 crc=0000abcd epoch=x", MarkerPrefix + "seq=1 len=2 crc=0000abcd epoch=1"} {
-		if _, _, _, _, err := ParseMarker([]byte(bad)); err == nil || !strings.Contains(err.Error(), "damaged marker") {
+	for _, bad := range []string{markerPrefix + " seq=zap", markerPrefix + " seq=1 len=2 crc=0000abcd epoch=x", markerPrefix + "seq=1 len=2 crc=0000abcd epoch=1"} {
+		if _, _, err := ParseMarker([]byte(bad), nil); err == nil || !strings.Contains(err.Error(), "damaged marker") {
 			t.Fatalf("ParseMarker(%q) = %v, want damaged marker", bad, err)
 		}
 	}
 }
 
 func TestHelloAckLines(t *testing.T) {
-	n, e, err := ParseHello(strings.TrimRight(HelloLine(42, 3), "\n"))
+	n, e, err := ParseHello(strings.TrimRight(helloLine(42, 3), "\n"))
 	if err != nil || n != 42 || e != 3 {
 		t.Fatalf("hello round trip: %d %d %v", n, e, err)
 	}
@@ -63,7 +70,7 @@ func TestHelloAckLines(t *testing.T) {
 			t.Fatalf("ParseHello(%q) = %v, want malformed", bad, err)
 		}
 	}
-	n, e, err = ParseAck(strings.TrimRight(AckLine(9, 2), "\n"))
+	n, e, err = ParseAck(strings.TrimRight(ackLine(9, 2), "\n"))
 	if err != nil || n != 9 || e != 2 {
 		t.Fatalf("ack round trip: %d %d %v", n, e, err)
 	}
@@ -73,7 +80,7 @@ func TestHelloAckLines(t *testing.T) {
 	if _, _, ok := parsePing("REPL PING seq=9"); ok {
 		t.Fatal("epoch-less ping accepted")
 	}
-	if seq, e, ok := parsePing(strings.TrimRight(PingLine(9, 2), "\n")); !ok || seq != 9 || e != 2 {
+	if seq, e, ok := parsePing(strings.TrimRight(pingLine(9, 2), "\n")); !ok || seq != 9 || e != 2 {
 		t.Fatalf("ping round trip: %d %d %v", seq, e, ok)
 	}
 }
@@ -81,15 +88,15 @@ func TestHelloAckLines(t *testing.T) {
 func TestSegmentReaderStream(t *testing.T) {
 	var stream bytes.Buffer
 	stream.Write(seg(t, 1, "dn: a\nchangetype: delete\n\n").Raw)
-	stream.WriteString(PingLine(1, 1))
+	stream.WriteString(pingLine(1, 1))
 	stream.Write(seg(t, 2, "dn: b\nchangetype: delete\n\n").Raw)
 	stream.Write(epochSeg(t, 3, 2, "dn: c\nchangetype: delete\n\n").Raw)
 
-	sr := NewSegmentReader(&stream)
+	sr := &segmentReader{r: bufio.NewReader(&stream)}
 	var pings []string
 	var got []uint64
 	for {
-		s, err := sr.Next(func(line string) error { pings = append(pings, line); return nil })
+		s, err := sr.next(func(line string) error { pings = append(pings, line); return nil })
 		if err == io.EOF {
 			break
 		}
@@ -115,26 +122,26 @@ func TestSegmentReaderStream(t *testing.T) {
 func TestSegmentReaderRejects(t *testing.T) {
 	cases := map[string]string{
 		"checksum mismatch": "dn: a\n" + MarkerLine(1, []byte("dn: b\n"), 1),
-		"length mismatch":   "dn: a\n" + fmt.Sprintf("%s seq=1 len=3 crc=%08x epoch=1\n", MarkerPrefix, Checksum([]byte("dn: a\n"))),
-		"bare marker":       "dn: a\n" + MarkerPrefix + "\n",
-		"epoch-less marker": "dn: a\n" + fmt.Sprintf("%s seq=1 len=6 crc=%08x\n", MarkerPrefix, Checksum([]byte("dn: a\n"))),
-		"damaged marker":    "dn: a\n" + MarkerPrefix + " seq=zap\n",
-		"control mid-seg":   "dn: a\n" + PingLine(5, 1) + string(RawSegment(1, []byte("dn: a\n"), 1)),
+		"length mismatch":   "dn: a\n" + fmt.Sprintf("%s seq=1 len=3 crc=%08x epoch=1\n", markerPrefix, checksum([]byte("dn: a\n"))),
+		"bare marker":       "dn: a\n" + markerPrefix + "\n",
+		"epoch-less marker": "dn: a\n" + fmt.Sprintf("%s seq=1 len=6 crc=%08x\n", markerPrefix, checksum([]byte("dn: a\n"))),
+		"damaged marker":    "dn: a\n" + markerPrefix + " seq=zap\n",
+		"control mid-seg":   "dn: a\n" + pingLine(5, 1) + string(RawSegment(1, []byte("dn: a\n"), 1)),
 	}
 	for name, stream := range cases {
-		sr := NewSegmentReader(strings.NewReader(stream))
-		if _, err := sr.Next(nil); err == nil || err == io.EOF {
+		sr := &segmentReader{r: bufio.NewReader(strings.NewReader(stream))}
+		if _, err := sr.next(nil); err == nil || err == io.EOF {
 			t.Errorf("%s: error = %v, want rejection", name, err)
 		}
 	}
 	// A torn tail (no trailing newline, or bytes after the last marker)
 	// must be unexpected-EOF, distinguishable from a clean close.
-	sr := NewSegmentReader(strings.NewReader("dn: half-a-segment"))
-	if _, err := sr.Next(nil); err != io.ErrUnexpectedEOF {
+	sr := &segmentReader{r: bufio.NewReader(strings.NewReader("dn: half-a-segment"))}
+	if _, err := sr.next(nil); err != io.ErrUnexpectedEOF {
 		t.Errorf("torn stream: err = %v, want ErrUnexpectedEOF", err)
 	}
-	sr = NewSegmentReader(strings.NewReader(""))
-	if _, err := sr.Next(nil); err != io.EOF {
+	sr = &segmentReader{r: bufio.NewReader(strings.NewReader(""))}
+	if _, err := sr.next(nil); err != io.EOF {
 		t.Errorf("clean close: err = %v, want EOF", err)
 	}
 }
@@ -169,7 +176,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestHubShipOrderAndFirst(t *testing.T) {
-	h := NewHub(Async, 0, time.Hour, nil)
+	h := NewHub(async, 0, time.Hour, nil)
 	defer h.Close()
 	w := &collectWriter{}
 	header := []byte(TailHeader(1, 0, 1))
@@ -370,18 +377,18 @@ func TestClientRunSnapshotThenStream(t *testing.T) {
 	snap := []byte("# snapshot-seq 4\ndn: o=x\nobjectClass: top\n\n")
 	io.WriteString(prim, SnapshotHeader(4, len(snap), 2))
 	prim.Write(snap)
-	if line, _ = readLine(br); line != strings.TrimRight(AckLine(4, 2), "\n") {
+	if line, _ = readLine(br); line != strings.TrimRight(ackLine(4, 2), "\n") {
 		t.Fatalf("snapshot ack = %q", line)
 	}
 	s5, s6 := epochSeg(t, 5, 2, "dn: a\nchangetype: delete\n\n"), epochSeg(t, 6, 2, "dn: b\nchangetype: delete\n\n")
 	prim.Write(s5.Raw)
 	// net.Pipe is synchronous: drain the ack before writing more.
-	if line, _ = readLine(br); line != strings.TrimRight(AckLine(5, 2), "\n") {
+	if line, _ = readLine(br); line != strings.TrimRight(ackLine(5, 2), "\n") {
 		t.Fatalf("ack 5 = %q", line)
 	}
-	io.WriteString(prim, PingLine(6, 2))
+	io.WriteString(prim, pingLine(6, 2))
 	prim.Write(s6.Raw)
-	if line, _ = readLine(br); line != strings.TrimRight(AckLine(6, 2), "\n") {
+	if line, _ = readLine(br); line != strings.TrimRight(ackLine(6, 2), "\n") {
 		t.Fatalf("ack 6 = %q", line)
 	}
 	prim.Close()
@@ -411,7 +418,7 @@ func TestClientRunTail(t *testing.T) {
 	}
 	io.WriteString(prim, TailHeader(3, 1, 1))
 	prim.Write(seg(t, 3, "dn: c\nchangetype: delete\n\n").Raw)
-	if line, _ = readLine(br); line != strings.TrimRight(AckLine(3, 1), "\n") {
+	if line, _ = readLine(br); line != strings.TrimRight(ackLine(3, 1), "\n") {
 		t.Fatalf("ack = %q", line)
 	}
 	prim.Close()
@@ -538,7 +545,7 @@ func TestClientRefusesStalePrimary(t *testing.T) {
 	readLine(br)
 	io.WriteString(prim, TailHeader(3, 1, 2))
 	prim.Write(epochSeg(t, 3, 2, conflicting).Raw)
-	if line, _ := readLine(br); line != strings.TrimRight(AckLine(3, 2), "\n") {
+	if line, _ := readLine(br); line != strings.TrimRight(ackLine(3, 2), "\n") {
 		t.Fatalf("ack = %q", line)
 	}
 	prim.Close()

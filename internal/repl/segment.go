@@ -31,16 +31,16 @@ import (
 	"hash/crc32"
 )
 
-// MarkerPrefix starts the checksummed line terminating every journal
+// markerPrefix starts the checksummed line terminating every journal
 // segment. The marker is an LDIF comment, so generic LDIF tooling
 // ignores it.
-const MarkerPrefix = "# commit"
+const markerPrefix = "# commit"
 
 var crc32cTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum is the CRC32C over a segment's payload bytes — the checksum
+// checksum is the CRC32C over a segment's payload bytes — the checksum
 // the marker line carries.
-func Checksum(payload []byte) uint32 {
+func checksum(payload []byte) uint32 {
 	return crc32.Checksum(payload, crc32cTable)
 }
 
@@ -49,34 +49,45 @@ func Checksum(payload []byte) uint32 {
 // committed under.
 func MarkerLine(seq uint64, payload []byte, epoch uint64) string {
 	return fmt.Sprintf("%s seq=%d len=%d crc=%08x epoch=%d\n",
-		MarkerPrefix, seq, len(payload), Checksum(payload), epoch)
+		markerPrefix, seq, len(payload), checksum(payload), epoch)
 }
 
 // IsMarkerLine reports whether a journal line is a commit marker.
 func IsMarkerLine(line []byte) bool {
-	return bytes.HasPrefix(line, []byte(MarkerPrefix))
+	return bytes.HasPrefix(line, []byte(markerPrefix))
 }
 
-// ParseMarker decodes a complete "# commit…" line. err means the line
-// claims to be a marker but does not carry all four fields — a damaged
-// marker, which is corruption, not a tear, because the line is
-// complete. The bare and epoch-less markers of pre-checksum journals
-// are reported as an unsupported format rather than as damage, so the
-// refusal names what the operator is holding.
-func ParseMarker(line []byte) (seq uint64, length int64, crc uint32, epoch uint64, err error) {
-	rest := line[len(MarkerPrefix):]
+// ParseMarker decodes a complete "# commit…" line and verifies the
+// payload it terminates against the marker's length and CRC32C: the one
+// segment verdict of the journal scanner and the replication stream.
+// err means corruption: a line that claims to be a marker but does not
+// carry all four fields (damaged, not torn, because the line is
+// complete), or a payload whose length or checksum disagrees. The bare
+// and epoch-less markers of pre-checksum journals are reported as an
+// unsupported format rather than as damage, so the refusal names what
+// the operator is holding.
+func ParseMarker(line, payload []byte) (seq, epoch uint64, err error) {
+	rest := line[len(markerPrefix):]
 	if len(rest) > 0 && rest[0] != ' ' {
-		return 0, 0, 0, 0, fmt.Errorf("damaged marker %q", line)
+		return 0, 0, fmt.Errorf("damaged marker %q", line)
 	}
+	var length int64
+	var crc uint32
 	n, _ := fmt.Sscanf(string(rest), " seq=%d len=%d crc=%x epoch=%d", &seq, &length, &crc, &epoch)
 	switch {
 	case n == 4 && seq != 0:
-		return seq, length, crc, epoch, nil
 	case len(rest) == 0, n == 3 && !bytes.Contains(rest, []byte(" epoch=")):
-		return 0, 0, 0, 0, fmt.Errorf("unsupported pre-checksum journal format: marker %q lacks seq/len/crc/epoch", line)
+		return 0, 0, fmt.Errorf("unsupported pre-checksum journal format: marker %q lacks seq/len/crc/epoch", line)
 	default:
-		return 0, 0, 0, 0, fmt.Errorf("damaged marker %q", line)
+		return 0, 0, fmt.Errorf("damaged marker %q", line)
 	}
+	if int64(len(payload)) != length {
+		return seq, epoch, fmt.Errorf("segment seq=%d: payload is %d bytes, marker says %d", seq, len(payload), length)
+	}
+	if sum := checksum(payload); sum != crc {
+		return seq, epoch, fmt.Errorf("segment seq=%d: checksum mismatch (stored %08x, computed %08x)", seq, crc, sum)
+	}
+	return seq, epoch, nil
 }
 
 // Segment is one verified replication unit: exactly one committed

@@ -36,8 +36,8 @@ func Leaf(label, value string) *Node {
 	return &Node{Label: label, Value: value}
 }
 
-// Add appends children and returns the node, for fluent tree building.
-func (n *Node) Add(children ...*Node) *Node {
+// add appends children and returns the node, for fluent tree building.
+func (n *Node) add(children ...*Node) *Node {
 	n.Children = append(n.Children, children...)
 	return n
 }
@@ -64,8 +64,8 @@ func (c *Constraints) declare(label string) error {
 	return c.schema.Classes.AddCore(label, core.ClassTop)
 }
 
-// RequireLabel demands at least one node with the given label.
-func (c *Constraints) RequireLabel(label string) error {
+// requireLabel demands at least one node with the given label.
+func (c *Constraints) requireLabel(label string) error {
 	if err := c.declare(label); err != nil {
 		return err
 	}
@@ -171,10 +171,6 @@ func (c *Constraints) directoryOf(roots []*Node) (*dirtree.Directory, error) {
 	}
 	return d, nil
 }
-
-// Schema exposes the underlying bounding-schema for advanced use
-// (explanations, materialization).
-func (c *Constraints) Schema() *core.Schema { return c.schema }
 
 func parseAxis(s string) (core.Axis, error) {
 	return core.ParseAxis(s)

@@ -74,7 +74,7 @@ func TestPaperSection63Example(t *testing.T) {
 
 func TestRequiredLabel(t *testing.T) {
 	c := NewConstraints()
-	if err := c.RequireLabel("catalog"); err != nil {
+	if err := c.requireLabel("catalog"); err != nil {
 		t.Fatal(err)
 	}
 	r, err := c.Check(New("other"))
@@ -95,7 +95,7 @@ func TestRequiredLabel(t *testing.T) {
 
 func TestConsistencyOverLabels(t *testing.T) {
 	c := NewConstraints()
-	if err := c.RequireLabel("a"); err != nil {
+	if err := c.requireLabel("a"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Require("a", core.AxisChild, "b"); err != nil {
@@ -115,7 +115,7 @@ func TestConsistencyOverLabels(t *testing.T) {
 
 func TestReservedLabel(t *testing.T) {
 	c := NewConstraints()
-	if err := c.RequireLabel(core.ClassTop); err == nil {
+	if err := c.requireLabel(core.ClassTop); err == nil {
 		t.Errorf("reserved label accepted")
 	}
 	if _, err := c.Check(New(core.ClassTop)); err == nil {
@@ -124,7 +124,7 @@ func TestReservedLabel(t *testing.T) {
 }
 
 func TestFluentBuilders(t *testing.T) {
-	n := New("root").Add(Leaf("k", "v"), New("m"))
+	n := New("root").add(Leaf("k", "v"), New("m"))
 	if len(n.Children) != 2 || n.Children[0].Value != "v" {
 		t.Errorf("builder broken: %+v", n)
 	}
@@ -152,7 +152,7 @@ corporation
 		t.Errorf("value lost: %+v", roots[0].Children[1])
 	}
 	var buf strings.Builder
-	if err := WriteForest(&buf, roots); err != nil {
+	if err := writeForest(&buf, roots); err != nil {
 		t.Fatal(err)
 	}
 	again, err := ParseForest(strings.NewReader(buf.String()))
@@ -160,7 +160,7 @@ corporation
 		t.Fatalf("round trip: %v\n%s", err, buf.String())
 	}
 	var buf2 strings.Builder
-	if err := WriteForest(&buf2, again); err != nil {
+	if err := writeForest(&buf2, again); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != buf2.String() {

@@ -67,9 +67,9 @@ func ParseForest(r io.Reader) ([]*Node, error) {
 	return roots, nil
 }
 
-// WriteForest serializes a forest in the outline format read by
+// writeForest serializes a forest in the outline format read by
 // ParseForest.
-func WriteForest(w io.Writer, roots []*Node) error {
+func writeForest(w io.Writer, roots []*Node) error {
 	bw := bufio.NewWriter(w)
 	var emit func(n *Node, depth int)
 	emit = func(n *Node, depth int) {
@@ -99,7 +99,7 @@ func (c *Constraints) ParseConstraint(src string) error {
 	fields := strings.Fields(src)
 	switch {
 	case len(fields) == 2 && fields[0] == "require":
-		return c.RequireLabel(fields[1])
+		return c.requireLabel(fields[1])
 	case len(fields) == 4 && fields[0] == "require":
 		ax, err := parseAxis(fields[2])
 		if err != nil {

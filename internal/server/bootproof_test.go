@@ -88,7 +88,7 @@ func TestBootProvesOnce(t *testing.T) {
 		if err := srv.OpenJournal(crashJournalPath); err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.Rotate(); err != nil {
+		if err := srv.rotate(); err != nil {
 			t.Fatal(err)
 		}
 		if err := commitPerson(t, srv, "after"); err != nil {

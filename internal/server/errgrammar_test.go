@@ -7,8 +7,16 @@ import (
 	"testing"
 
 	"boundschema/internal/proto"
-	"boundschema/internal/repl"
 	"boundschema/internal/vfs"
+)
+
+// The protocol's limits (internal/proto), pinned: a request line of at
+// most maxLineBytes, a transaction of at most maxTxOps operations and
+// maxTxBytes bytes of operation and body lines.
+const (
+	maxLineBytes = 1 << 20
+	maxTxOps     = 10000
+	maxTxBytes   = 4 << 20
 )
 
 // The ERR grammar: every error path replies with exactly one line of the
@@ -72,7 +80,7 @@ func TestErrGrammarCommandPaths(t *testing.T) {
 // TestErrGrammarRedirect: a write on a replica is refused with a single
 // parseable redirect line that names the primary.
 func TestErrGrammarRedirect(t *testing.T) {
-	primary, replAddr := startPrimary(t, Options{ReplMode: repl.Async})
+	primary, replAddr := startPrimary(t, Options{})
 	_ = primary
 	r := startReplica(t, vfs.NewFault(), replAddr)
 	c := dialClient(t, r.Addr())
@@ -114,7 +122,7 @@ func TestErrGrammarNotDurableAndReadOnly(t *testing.T) {
 func TestErrGrammarLineTooLong(t *testing.T) {
 	_, addr := startServerWithLimits(t, Limits{DrainTimeout: 200 * 1e6})
 	c := dialClient(t, addr)
-	if _, err := c.conn.Write([]byte(strings.Repeat("A", proto.MaxLineBytes+4096) + "\n")); err != nil {
+	if _, err := c.conn.Write([]byte(strings.Repeat("A", maxLineBytes+4096) + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	line, err := c.r.ReadString('\n')
@@ -132,7 +140,7 @@ func TestErrGrammarLineTooLong(t *testing.T) {
 // filter and a deep query evaluate to exactly what their one-atom core
 // selects; one past the cap is refused with one proto.TooComplex line
 // before any plan runs, and so is a 1 MiB line of "(!" nesting, which
-// fits proto.MaxLineBytes.
+// fits maxLineBytes.
 func TestRequestBounds(t *testing.T) {
 	srv, c := startServer(t)
 	const person = "(objectClass=person)"
@@ -154,7 +162,7 @@ func TestRequestBounds(t *testing.T) {
 		}
 		return "QUERY " + q
 	}
-	probeA := "SEARCH " + nest("(!", "(a=b)", (proto.MaxLineBytes-64)/3)
+	probeA := "SEARCH " + nest("(!", "(a=b)", (maxLineBytes-64)/3)
 	for _, tc := range []struct{ name, at, past string }{
 		{"deep filter", deepFilter(proto.MaxDepth), deepFilter(proto.MaxDepth + 1)},
 		{"wide filter", wideFilter(proto.MaxNodes), wideFilter(proto.MaxNodes + 1)},
@@ -177,14 +185,14 @@ func TestRequestBounds(t *testing.T) {
 	}
 }
 
-// TestTxBounds: a body at proto.MaxTxOps operations or proto.MaxTxBytes
+// TestTxBounds: a body at maxTxOps operations or maxTxBytes
 // bytes is taken whole (ABORT answers alone); the line past the cap is
 // refused with one proto.TooComplex line that drops the transaction, and
 // a legal transaction then commits on the same session.
 func TestTxBounds(t *testing.T) {
 	_, c := startServer(t)
 	var ops []string
-	for len(ops) < proto.MaxTxOps {
+	for len(ops) < maxTxOps {
 		ops = append(ops, "DELETE uid=x"+strconv.Itoa(len(ops))+",o=att")
 	}
 	for name, body := range map[string][]string{"ops": ops, "bytes": atTxByteCap("uid=big,ou=attLabs,o=att")} {
@@ -202,12 +210,12 @@ func TestTxBounds(t *testing.T) {
 	}
 }
 
-// atTxByteCap is an ADD whose body lines hold exactly proto.MaxTxBytes
-// bytes, each line within proto.MaxLineBytes.
+// atTxByteCap is an ADD whose body lines hold exactly maxTxBytes
+// bytes, each line within maxLineBytes.
 func atTxByteCap(dn string) []string {
 	body := []string{"ADD " + dn}
-	for n := proto.MaxTxBytes - len(body[0]); n > 0; n -= proto.MaxLineBytes / 2 {
-		body = append(body, "d:"+strings.Repeat("x", min(n, proto.MaxLineBytes/2)-2))
+	for n := maxTxBytes - len(body[0]); n > 0; n -= maxLineBytes / 2 {
+		body = append(body, "d:"+strings.Repeat("x", min(n, maxLineBytes/2)-2))
 	}
 	return body
 }

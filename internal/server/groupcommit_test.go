@@ -486,7 +486,7 @@ func TestRotateQueuedBehindFailedBatchIsRefused(t *testing.T) {
 	c.send(addPersonLines("doomed")...)
 	waitSyncStart(t, bj)
 	rotated := make(chan error, 1)
-	go func() { rotated <- srv.Rotate() }()
+	go func() { rotated <- srv.rotate() }()
 	// Rotate holds no lock while it waits, so "queued" is observable.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

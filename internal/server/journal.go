@@ -50,7 +50,7 @@ type journal struct {
 	f        journalFile
 	size     int64    // bytes currently in the live journal file
 	failed   string   // non-empty: why the on-disk journal can no longer be trusted
-	metrics  *Metrics // the owning server's
+	metrics  *metrics // the owning server's
 }
 
 // append makes recs — complete records, in journal order — durable:
@@ -104,9 +104,9 @@ func (s *Server) OpenJournal(path string) error {
 	return nil
 }
 
-// Rotate compacts the open journal into its snapshot immediately — the
+// rotate compacts the open journal into its snapshot immediately — the
 // programmatic equivalent of the SNAPSHOT protocol command.
-func (s *Server) Rotate() error {
+func (s *Server) rotate() error {
 	return s.atQuiescent(func() error {
 		if s.journal == nil {
 			return errors.New("no journal configured")

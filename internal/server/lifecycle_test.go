@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"boundschema/internal/proto"
 )
 
 // startServerWithLimits is startServer with connection-lifecycle limits.
@@ -33,7 +31,7 @@ func TestServerLineTooLong(t *testing.T) {
 	srv, addr := startServerWithLimits(t, Limits{DrainTimeout: 200 * time.Millisecond})
 	c := dialClient(t, addr)
 
-	big := strings.Repeat("A", proto.MaxLineBytes+64*1024)
+	big := strings.Repeat("A", maxLineBytes+64*1024)
 	if _, err := c.conn.Write([]byte(big + "\n")); err != nil {
 		t.Fatalf("write oversized line: %v", err)
 	}

@@ -103,9 +103,9 @@ type cmdStats struct {
 // closed enum ending at ViolationForbiddenRel.
 const nViolationKinds = int(core.ViolationForbiddenRel) + 1
 
-// Metrics holds the server's counters and gauges. All fields are safe for
+// metrics holds the server's counters and gauges. All fields are safe for
 // concurrent use; construct with newMetrics.
-type Metrics struct {
+type metrics struct {
 	start time.Time
 
 	// Connection lifecycle.
@@ -170,8 +170,8 @@ type Metrics struct {
 
 // newMetrics meters each command of the protocol's table under its own
 // name; anything else lands in the UNKNOWN bucket.
-func newMetrics() *Metrics {
-	m := &Metrics{start: time.Now(), cmds: map[string]*cmdStats{"UNKNOWN": {}}}
+func newMetrics() *metrics {
+	m := &metrics{start: time.Now(), cmds: map[string]*cmdStats{"UNKNOWN": {}}}
 	for _, c := range proto.Commands {
 		m.cmds[c.Name] = &cmdStats{}
 	}
@@ -180,7 +180,7 @@ func newMetrics() *Metrics {
 
 // observeCommand records one handled protocol command. The cmds map is
 // fixed at construction, so concurrent lookups are safe.
-func (m *Metrics) observeCommand(cmd string, d time.Duration, failed bool) {
+func (m *metrics) observeCommand(cmd string, d time.Duration, failed bool) {
 	st, ok := m.cmds[cmd]
 	if !ok {
 		st = m.cmds["UNKNOWN"]
@@ -193,7 +193,7 @@ func (m *Metrics) observeCommand(cmd string, d time.Duration, failed bool) {
 
 // noteRecovery publishes the startup recovery pass's outcome. Called by
 // OpenJournal with whatever report recovery produced, even on refusal.
-func (m *Metrics) noteRecovery(r *RecoveryReport) {
+func (m *metrics) noteRecovery(r *RecoveryReport) {
 	if r == nil {
 		return
 	}
@@ -211,18 +211,12 @@ func (m *Metrics) noteRecovery(r *RecoveryReport) {
 }
 
 // noteBatch records one journal fsync that made n commits durable.
-func (m *Metrics) noteBatch(n int) {
+func (m *metrics) noteBatch(n int) {
 	m.batchSizes.observeValue(int64(n))
 }
 
-// Fsyncs returns how many journal syncs have run (one per batch).
-func (m *Metrics) Fsyncs() int64 { return m.batchSizes.count.Load() }
-
-// BatchedCommits returns how many commits those syncs made durable.
-func (m *Metrics) BatchedCommits() int64 { return m.batchSizes.sumUS.Load() }
-
 // noteCheckTiming is installed as the shared Checker's OnTiming hook.
-func (m *Metrics) noteCheckTiming(t core.CheckTiming) {
+func (m *metrics) noteCheckTiming(t core.CheckTiming) {
 	if t.Workers > 1 {
 		m.checkParCount.Add(1)
 		m.checkParNS.Add(int64(t.Duration))
@@ -235,7 +229,7 @@ func (m *Metrics) noteCheckTiming(t core.CheckTiming) {
 
 // noteViolations bumps the per-kind counters for every violation in a
 // report surfaced to a client (an ILLEGAL commit or CHECK).
-func (m *Metrics) noteViolations(r *core.Report) {
+func (m *metrics) noteViolations(r *core.Report) {
 	if r == nil {
 		return
 	}
@@ -252,7 +246,7 @@ func (m *Metrics) noteViolations(r *core.Report) {
 // the non-zero violation kinds in enum order. The ordering is part of
 // the surface — TestMetricsLineOrder pins it — so scraping scripts can
 // rely on it.
-func (m *Metrics) lines(journalOn bool, readOnly string, rs replStatus) []string {
+func (m *metrics) lines(journalOn bool, readOnly string, rs replStatus) []string {
 	var out []string
 	out = append(out,
 		fmt.Sprintf("uptime_ms: %d", time.Since(m.start).Milliseconds()),
@@ -351,7 +345,7 @@ func avgUS(ns, n int64) int64 {
 
 // snapshot returns the metrics as nested JSON-marshalable maps, the shape
 // served by cmd/bsd's expvar endpoint.
-func (m *Metrics) snapshot(journalOn bool, readOnly string, rs replStatus) map[string]any {
+func (m *metrics) snapshot(journalOn bool, readOnly string, rs replStatus) map[string]any {
 	out := map[string]any{
 		"uptime_ms": time.Since(m.start).Milliseconds(),
 		"connections": map[string]int64{

@@ -92,7 +92,7 @@ func probeEpoch(t *testing.T, addr string, lastSeq, epoch uint64) string {
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Write([]byte(repl.HelloLine(lastSeq, epoch))); err != nil {
+	if _, err := fmt.Fprintf(c, "REPL HELLO last_seq=%d epoch=%d\n", lastSeq, epoch); err != nil {
 		t.Fatalf("probe write: %v", err)
 	}
 	line, err := bufio.NewReader(c).ReadString('\n')
@@ -158,7 +158,7 @@ func runPartitionScenario(t *testing.T, kind netfault.Kind, op int) int {
 	if l2 > l1 {
 		promoted, other, otherFS = r2, r1, f1
 	}
-	if _, perr := promoted.Promote(); perr != nil {
+	if _, perr := promoted.promote(); perr != nil {
 		t.Fatalf("promote during %v at op %d: %v", kind, op, perr)
 	}
 	newEpoch := promoted.Epoch()
@@ -303,7 +303,7 @@ func TestSplitBrainFencingRegression(t *testing.T) {
 	}
 	waitSeq(t, r, commitSeqOf(p))
 
-	if _, err := r.Promote(); err != nil {
+	if _, err := r.promote(); err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
 	if got := r.Epoch(); got != 2 {

@@ -62,7 +62,7 @@ func TestReconnectStorm(t *testing.T) {
 
 	sch := workload.WhitePagesSchema()
 	p, err := Open(Options{Schema: sch, Name: "whitepages", Instance: workload.WhitePagesInstance(sch),
-		Addr: "127.0.0.1:0", Journal: crashJournalPath, FS: vfs.NewFault(), ReplAddr: addr, ReplMode: repl.Async})
+		Addr: "127.0.0.1:0", Journal: crashJournalPath, FS: vfs.NewFault(), ReplAddr: addr})
 	if err != nil {
 		t.Skipf("reserved address %s re-bind lost: %v", addr, err)
 	}

@@ -217,7 +217,7 @@ func TestRecoveryTornFirstRecord(t *testing.T) {
 // line ends its session; each refusal is one pinned line.
 func TestPreChecksumFormatsRefused(t *testing.T) {
 	old := fmt.Sprintf(journaledAdd, "old1", "old1")
-	epochless := fmt.Sprintf("# commit seq=1 len=%d crc=%08x\n", len(old), repl.Checksum([]byte(old)))
+	epochless := strings.Replace(repl.MarkerLine(1, []byte(old), 1), " epoch=1", "", 1)
 	for name, journal := range map[string]string{
 		"bare-marker":       old + "# commit\n",
 		"epoch-less-marker": old + epochless,
@@ -275,7 +275,7 @@ func TestPreChecksumFormatsRefused(t *testing.T) {
 	}
 
 	conn, br = dial()
-	io.WriteString(conn, repl.HelloLine(0, 1))
+	io.WriteString(conn, "REPL HELLO last_seq=0 epoch=1\n")
 	if line, _ := br.ReadString('\n'); line != repl.TailHeader(1, 0, 1) {
 		t.Fatalf("handshake answered %q", line)
 	}
@@ -325,7 +325,7 @@ func TestRecoverySnapshotRotationSurvivesPowerLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Rotate(); err != nil {
+	if err := srv.rotate(); err != nil {
 		t.Fatalf("rotation: %v", err)
 	}
 	srv.Close()
@@ -622,7 +622,7 @@ func TestRecoverySnapshotSeqSkipsReplayedRecords(t *testing.T) {
 	}
 	probe := vfs.NewFault()
 	psrv := setup(probe)
-	if err := psrv.Rotate(); err != nil {
+	if err := psrv.rotate(); err != nil {
 		t.Fatalf("probe rotation: %v", err)
 	}
 	psrv.Close()
@@ -637,7 +637,7 @@ func TestRecoverySnapshotSeqSkipsReplayedRecords(t *testing.T) {
 	// The truncate lands in the volatile namespace and the sync after it
 	// dies with the crash (rotation tolerates that), so the durable
 	// journal still holds both records.
-	_ = srv.Rotate()
+	_ = srv.rotate()
 	srv.Close()
 	fault.Recover()
 

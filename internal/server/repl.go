@@ -55,26 +55,26 @@ import (
 // returns, and semi-sync callers can bound the acked-write loss window
 // to zero by promoting the most-advanced replica.
 
-// Role is the server's replication role.
-type Role int32
+// nodeRole is the server's replication role.
+type nodeRole int32
 
 const (
-	// RolePrimary (the zero value) accepts writes; with a replication
+	// rolePrimary (the zero value) accepts writes; with a replication
 	// listener it also ships journal segments to replicas.
-	RolePrimary Role = iota
-	// RoleReplica applies the primary's stream and serves reads only.
-	RoleReplica
+	rolePrimary nodeRole = iota
+	// roleReplica applies the primary's stream and serves reads only.
+	roleReplica
 )
 
-func (r Role) String() string {
-	if r == RoleReplica {
+func (r nodeRole) String() string {
+	if r == roleReplica {
 		return "replica"
 	}
 	return "primary"
 }
 
-// Role returns the server's current replication role.
-func (s *Server) Role() Role { return Role(s.role.Load()) }
+// currentRole returns the server's current replication role.
+func (s *Server) currentRole() nodeRole { return nodeRole(s.role.Load()) }
 
 // roleString is the role as STAT and METRICS report it: a server that
 // degraded to read-only (journal failure, divergence) says so instead
@@ -91,7 +91,7 @@ func (s *Server) roleString() string {
 	if ro != "" {
 		return "read-only degraded"
 	}
-	return s.Role().String()
+	return s.currentRole().String()
 }
 
 // fencedPrefix starts the read-only reason of a fenced ex-primary; the
@@ -121,7 +121,7 @@ func (s *Server) fence(observed uint64, source string) {
 // replication address is the only thing the replica knows, and
 // redirected clients must map it themselves.
 func (s *Server) writeRedirect() string {
-	if s.Role() != RoleReplica {
+	if s.currentRole() != roleReplica {
 		return ""
 	}
 	addr := cmp.Or(s.opts.PrimaryClientAddr, s.opts.ReplicaOf)
@@ -134,16 +134,6 @@ func (s *Server) writeRedirect() string {
 // that drop replication links under load. No-op on a primary.
 func (s *Server) DisconnectReplication() {
 	s.closeReplConn()
-}
-
-// ReplStatus exposes the hub's view of replication (primaries only;
-// zero value otherwise) for the replication, recovery, partition-matrix
-// and Open tests.
-func (s *Server) ReplStatus() repl.HubStatus {
-	if hub := s.replHub.Load(); hub != nil {
-		return hub.Status()
-	}
-	return repl.HubStatus{}
 }
 
 // ReplicaSeqs reports a replica's replication watermarks: the highest
@@ -174,7 +164,7 @@ func (s *Server) replMetrics() replStatus {
 		st := hub.Status()
 		rs.hub = &st
 	}
-	if s.Role() == RoleReplica {
+	if s.currentRole() == roleReplica {
 		rs.replica = true
 		rs.localSeq, rs.primarySeq = s.ReplicaSeqs()
 		rs.applied = s.replApplied.Load()
@@ -389,7 +379,7 @@ func (s *Server) ReplAddr() string {
 // startReplica takes the replica role and starts the streaming loop
 // against Options.ReplicaOf.
 func (s *Server) startReplica() {
-	s.role.Store(int32(RoleReplica))
+	s.role.Store(int32(roleReplica))
 	s.promoteCh = make(chan struct{})
 	s.replicaDone = make(chan struct{})
 	go s.replicaLoop(s.opts.ReplicaOf)
@@ -627,7 +617,7 @@ func (s *Server) admitSegment(seg repl.Segment) (func() error, error) {
 	return undo, nil
 }
 
-// Promote turns a caught-up replica into a writable primary: stop the
+// promote turns a caught-up replica into a writable primary: stop the
 // streaming loop, then, at one quiescent point, re-verify the local
 // journal end to end (checksums, sequence continuity, full legality),
 // bump the replication epoch and make it durable, and only then flip
@@ -641,10 +631,10 @@ func (s *Server) admitSegment(seg repl.Segment) (func() error, error) {
 // reply. The promoted server does not start its own replication
 // listener — that remains an operator decision (restart with
 // -repl-addr, or point the other replicas at it after the failover).
-func (s *Server) Promote() ([]string, error) {
+func (s *Server) promote() ([]string, error) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
-	if s.Role() != RoleReplica {
+	if s.currentRole() != roleReplica {
 		return nil, errors.New("not a replica")
 	}
 	s.mu.RLock()
@@ -680,7 +670,7 @@ func (s *Server) Promote() ([]string, error) {
 		if rerr := s.rotateJournal(); rerr != nil {
 			return fmt.Errorf("refusing promotion, could not persist epoch %d: %v", newEpoch, rerr)
 		}
-		s.role.Store(int32(RolePrimary))
+		s.role.Store(int32(rolePrimary))
 		s.logf("repl: promoted to primary at seq %d epoch %d", s.commitSeq, newEpoch)
 		return nil
 	})

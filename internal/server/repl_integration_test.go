@@ -111,7 +111,7 @@ func serverLDIF(t *testing.T, srv *Server) string {
 // the primary's encoded directory.
 func TestReplicationCluster(t *testing.T) {
 	const nCommits = 1020
-	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
+	primary, addr := startPrimary(t, Options{})
 	r1 := startReplica(t, vfs.NewFault(), addr)
 
 	txns := crashWorkload(nCommits)
@@ -140,8 +140,8 @@ func TestReplicationCluster(t *testing.T) {
 		if got := serverLDIF(t, r); got != pb {
 			t.Errorf("replica %d diverged: %d bytes vs primary's %d", i+1, len(got), len(pb))
 		}
-		if r.Role() != RoleReplica {
-			t.Errorf("replica %d role = %v", i+1, r.Role())
+		if r.currentRole() != roleReplica {
+			t.Errorf("replica %d role = %v", i+1, r.currentRole())
 		}
 		local, pseq := r.ReplicaSeqs()
 		if local != want || pseq < want {
@@ -271,7 +271,7 @@ func TestSemiSyncDegradeAndReenable(t *testing.T) {
 // TestReplicaReadsAndWriteRedirect: a replica serves read traffic and
 // reports its role, but BEGIN is refused with a redirect to the primary.
 func TestReplicaReadsAndWriteRedirect(t *testing.T) {
-	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
+	primary, addr := startPrimary(t, Options{})
 	txns := crashWorkload(10)
 	for _, ct := range txns {
 		if _, err := primary.CommitTx(ct.build()); err != nil {
@@ -324,7 +324,7 @@ func TestReplicaReadsAndWriteRedirect(t *testing.T) {
 // TestPromote: a caught-up replica is promoted over the protocol — the
 // reply carries the final journal verify — and then accepts writes.
 func TestPromote(t *testing.T) {
-	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
+	primary, addr := startPrimary(t, Options{})
 	txns := crashWorkload(30)
 	for _, ct := range txns[:20] {
 		if _, err := primary.CommitTx(ct.build()); err != nil {
@@ -340,8 +340,8 @@ func TestPromote(t *testing.T) {
 	if !strings.Contains(joined, "verify: clean") || !strings.Contains(joined, "promoted: now primary") {
 		t.Errorf("PROMOTE body missing verify/promotion lines:\n%s", joined)
 	}
-	if r.Role() != RolePrimary {
-		t.Errorf("role after PROMOTE = %v", r.Role())
+	if r.currentRole() != rolePrimary {
+		t.Errorf("role after PROMOTE = %v", r.currentRole())
 	}
 
 	// Writes flow on the promoted node, through the protocol and on.
@@ -371,7 +371,7 @@ func TestPromote(t *testing.T) {
 func TestReplicaReadsDuringFsync(t *testing.T) {
 	dir := t.TempDir()
 	primary := openServer(t, Options{Journal: filepath.Join(dir, "primary.ldif"), FS: vfs.OS{},
-		ReplAddr: "127.0.0.1:0", ReplMode: repl.Async})
+		ReplAddr: "127.0.0.1:0"})
 	replica := openServer(t, Options{Journal: filepath.Join(dir, "replica.ldif"), FS: vfs.OS{},
 		ReplicaOf: primary.ReplAddr()})
 	waitReplicas(t, primary, 1)
@@ -402,7 +402,7 @@ func TestReplicaReadsDuringFsync(t *testing.T) {
 func TestReplicaFailedFsyncRetries(t *testing.T) {
 	dir := t.TempDir()
 	primary := openServer(t, Options{Journal: filepath.Join(dir, "primary.ldif"), FS: vfs.OS{},
-		ReplAddr: "127.0.0.1:0", ReplMode: repl.Async})
+		ReplAddr: "127.0.0.1:0"})
 	replica := openServer(t, Options{Journal: filepath.Join(dir, "replica.ldif"), FS: vfs.OS{},
 		ReplicaOf: primary.ReplAddr()})
 	waitReplicas(t, primary, 1)
@@ -436,7 +436,7 @@ func TestReplicaFailedFsyncRetries(t *testing.T) {
 // TestPromoteRefusedWhileDegraded: promotion must never hand writes to
 // a replica that already knows it cannot trust its state.
 func TestPromoteRefusedWhileDegraded(t *testing.T) {
-	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
+	primary, addr := startPrimary(t, Options{})
 	if _, err := primary.CommitTx(crashWorkload(1)[0].build()); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestPromoteRefusedWhileDegraded(t *testing.T) {
 	r.mu.Lock()
 	r.degrade("test: simulated divergence")
 	r.mu.Unlock()
-	if _, err := r.Promote(); err == nil || !strings.Contains(err.Error(), "degraded") {
+	if _, err := r.promote(); err == nil || !strings.Contains(err.Error(), "degraded") {
 		t.Errorf("Promote on a degraded replica = %v, want refusal", err)
 	}
 }

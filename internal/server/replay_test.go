@@ -142,7 +142,7 @@ func TestReplicaRefusesIllegalSegment(t *testing.T) {
 	caddr := replica.Addr()
 
 	pbr := bufio.NewReader(prim)
-	if hello, err := pbr.ReadString('\n'); err != nil || hello != repl.HelloLine(0, 1) {
+	if hello, err := pbr.ReadString('\n'); err != nil || hello != "REPL HELLO last_seq=0 epoch=1\n" {
 		t.Fatalf("replica opened with %q (%v)", hello, err)
 	}
 	io.WriteString(prim, repl.TailHeader(1, 0, 1))
@@ -151,7 +151,7 @@ func TestReplicaRefusesIllegalSegment(t *testing.T) {
 	}
 	legalDN, illegalDN := "uid=r1,ou=attLabs,o=att", "uid=r2,uid=r1,ou=attLabs,o=att"
 	prim.Write(repl.RawSegment(1, []byte(person(legalDN)), 1))
-	if ack, err := pbr.ReadString('\n'); err != nil || ack != repl.AckLine(1, 1) {
+	if ack, err := pbr.ReadString('\n'); err != nil || ack != "REPL ACK seq=1 epoch=1\n" {
 		t.Fatalf("legal segment answered %q (%v), want its ACK", ack, err)
 	}
 	// A person under a person breaks person ⇥ch top.

@@ -8,7 +8,6 @@ import (
 	"boundschema/internal/dirtree"
 	"boundschema/internal/filter"
 	"boundschema/internal/hquery"
-	"boundschema/internal/repl"
 	"boundschema/internal/vfs"
 	"boundschema/internal/workload"
 )
@@ -24,6 +23,16 @@ import (
 // directory (so equality and prefix probes actually hit) plus misses and
 // unparsable values for the fallback paths.
 func diffFilters(d *dirtree.Directory, rng *rand.Rand) []filter.Filter {
+	// Negation, disjunction and approximate match are built from their
+	// filter text, as SEARCH receives them.
+	parse := func(text string) filter.Filter {
+		f, err := filter.Parse(text)
+		if err != nil {
+			panic(err)
+		}
+		return f
+	}
+	not := func(f filter.Filter) filter.Filter { return parse("(!" + f.String() + ")") }
 	var fs []filter.Filter
 	ents := d.Entries()
 	seen := map[string]bool{}
@@ -36,15 +45,16 @@ func diffFilters(d *dirtree.Directory, rng *rand.Rand) []filter.Filter {
 			seen[a] = true
 			vals := e.Attr(a)
 			text := vals[rng.Intn(len(vals))].String()
+			eq := filter.Compare{Attr: a, Op: filter.OpEqual, Value: text}
 			fs = append(fs,
-				filter.Compare{Attr: a, Op: filter.OpEqual, Value: text},
+				eq,
 				filter.Compare{Attr: a, Op: filter.OpEqual, Value: text + "-nope"},
 				filter.Compare{Attr: a, Op: filter.OpGE, Value: text},
 				filter.Compare{Attr: a, Op: filter.OpLE, Value: text},
 				filter.Compare{Attr: a, Op: filter.OpGE, Value: "not a number"},
-				filter.Compare{Attr: a, Op: filter.OpApprox, Value: text},
+				parse("("+a+"~"+eq.String()[1+len(a):]),
 				filter.Compare{Attr: a, Op: filter.OpPresent},
-				filter.Not{Sub: filter.Compare{Attr: a, Op: filter.OpEqual, Value: text}},
+				not(eq),
 			)
 			if len(text) >= 2 {
 				h := len(text) / 2
@@ -59,7 +69,7 @@ func diffFilters(d *dirtree.Directory, rng *rand.Rand) []filter.Filter {
 	}
 	classes := d.ClassNames()
 	for i, c := range classes {
-		fs = append(fs, filter.ClassIs(c), filter.Not{Sub: filter.ClassIs(c)})
+		fs = append(fs, filter.ClassIs(c), not(filter.ClassIs(c)))
 		other := classes[(i+1)%len(classes)]
 		fs = append(fs, filter.And{filter.ClassIs(c), filter.ClassIs(other)})
 	}
@@ -69,9 +79,9 @@ func diffFilters(d *dirtree.Directory, rng *rand.Rand) []filter.Filter {
 		fs = append(fs,
 			filter.And{c, fs[0]},
 			filter.And{fs[0], fs[2], c},
-			filter.Or{fs[0], c},
+			parse("(|"+fs[0].String()+c.String()+")"),
 			filter.And{}, // matches everything
-			filter.Or{},  // matches nothing
+			parse("(|)"), // matches nothing
 		)
 	}
 	return fs
@@ -246,7 +256,7 @@ func resultDNs(d *dirtree.Directory, fs []filter.Filter) []string {
 // agreeing with the primary, and survive promotion plus the first
 // post-failover commit.
 func TestSearchDifferentialReplica(t *testing.T) {
-	primary, addr := startPrimary(t, Options{ReplMode: repl.Async})
+	primary, addr := startPrimary(t, Options{})
 	r := startReplica(t, vfs.NewFault(), addr)
 	for i := 0; i < 25; i++ {
 		if err := commitPerson(t, primary, fmt.Sprintf("rd%02d", i)); err != nil {
@@ -273,7 +283,7 @@ func TestSearchDifferentialReplica(t *testing.T) {
 	}
 
 	primary.Close()
-	if _, err := r.Promote(); err != nil {
+	if _, err := r.promote(); err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
 	if err := commitPerson(t, r, "postpromote"); err != nil {

@@ -96,11 +96,6 @@ type Options struct {
 	// write redirects advertise; "" advertises ReplicaOf, which does not
 	// speak the client protocol.
 	PrimaryClientAddr string
-	// ShardName and ShardRoots label the server as one shard of a routed
-	// deployment (cmd/bsrouter) owning those subtrees; STAT and METRICS
-	// report them. Purely informational.
-	ShardName  string
-	ShardRoots []string
 	// Dialer replaces net.DialTimeout for a replica's connection to its
 	// primary; ReplListenerWrap wraps every replication listener. Tests
 	// thread internal/netfault through both; nil = the real network.
@@ -139,7 +134,7 @@ type Server struct {
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{}
 
-	metrics *Metrics
+	metrics *metrics
 
 	journal  *journal // nil when journaling is off
 	readOnly string   // non-empty reason = refuse COMMIT/SNAPSHOT
@@ -151,7 +146,7 @@ type Server struct {
 	commitSeq uint64
 
 	// Replication (see repl.go). role is primary (the zero value) or,
-	// once startReplica runs, replica; Promote flips it back. replHub is
+	// once startReplica runs, replica; promote flips it back. replHub is
 	// non-nil once ListenRepl started the primary's fan-out. promoteCh,
 	// replicaDone and replConn belong to a replica's streaming loop;
 	// primarySeq and replApplied feed the lag gauge.
@@ -168,7 +163,7 @@ type Server struct {
 
 	// epoch is the replication epoch this node last adopted: 1 from New,
 	// recovered from the journal/snapshot headers by OpenJournal, bumped
-	// (and persisted via rotation) by Promote, adopted from the wire by a
+	// (and persisted via rotation) by promote, adopted from the wire by a
 	// bootstrap. A primary that observes a higher epoch fences itself
 	// read-only (see fence in repl.go).
 	epoch atomic.Uint64
@@ -198,9 +193,6 @@ func New(schema *core.Schema, name string, dir *dirtree.Directory) (*Server, err
 	s.epoch.Store(1)
 	return s, nil
 }
-
-// Epoch returns the replication epoch this node is currently at.
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
 // Open boots a server in the only valid order: New's legality proof,
 // OpenJournal's recovery and committer, the replication role (a
@@ -827,12 +819,6 @@ func (se *session) stat() {
 		se.w.Line(role + ": " + se.srv.readOnly)
 	}
 	se.w.Line(fmt.Sprintf("epoch: %d", se.srv.epoch.Load()))
-	if se.srv.opts.ShardName != "" {
-		se.w.Line("shard: " + se.srv.opts.ShardName)
-		for _, r := range se.srv.opts.ShardRoots {
-			se.w.Line("shard root: " + r)
-		}
-	}
 	se.w.Line(fmt.Sprintf("entries: %d", se.srv.dir.Len()))
 	names := se.srv.dir.ClassNames()
 	sort.Strings(names)
@@ -849,15 +835,12 @@ func (se *session) metricsCmd() {
 	journalOn := s.journal != nil
 	readOnly := s.readOnly
 	s.mu.RUnlock()
-	if s.opts.ShardName != "" {
-		se.w.Line(fmt.Sprintf("shard: name=%s roots=%d", s.opts.ShardName, len(s.opts.ShardRoots)))
-	}
 	se.w.Line(s.metrics.lines(journalOn, readOnly, rs)...)
 	se.w.OK()
 }
 
 func (se *session) promoteCmd() {
-	lines, err := se.srv.Promote()
+	lines, err := se.srv.promote()
 	for _, l := range lines {
 		se.w.Comment(l)
 	}
@@ -871,7 +854,7 @@ func (se *session) promoteCmd() {
 
 func (se *session) snapshotCmd() {
 	s := se.srv
-	if err := s.Rotate(); err != nil {
+	if err := s.rotate(); err != nil {
 		se.w.Err(err.Error())
 		return
 	}

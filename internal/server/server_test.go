@@ -13,8 +13,28 @@ import (
 	"boundschema/internal/core"
 	"boundschema/internal/dirtree"
 	"boundschema/internal/proto"
+	"boundschema/internal/repl"
 	"boundschema/internal/workload"
 )
+
+// ReplStatus exposes the hub's view of replication (primaries only;
+// zero value otherwise) for the replication, recovery, partition-matrix
+// and Open tests.
+func (s *Server) ReplStatus() repl.HubStatus {
+	if hub := s.replHub.Load(); hub != nil {
+		return hub.Status()
+	}
+	return repl.HubStatus{}
+}
+
+// Epoch returns the replication epoch this node is currently at.
+func (s *Server) Epoch() uint64 { return s.epoch.Load() }
+
+// Fsyncs returns how many journal syncs have run (one per batch).
+func (m *metrics) Fsyncs() int64 { return m.batchSizes.count.Load() }
+
+// BatchedCommits returns how many commits those syncs made durable.
+func (m *metrics) BatchedCommits() int64 { return m.batchSizes.sumUS.Load() }
 
 // client is a tiny test client for the line protocol.
 type client struct {
@@ -105,6 +125,25 @@ func TestServerSearch(t *testing.T) {
 	c.send("SEARCH (bad")
 	if _, term := c.until(); !strings.HasPrefix(term, "ERR ") {
 		t.Errorf("bad filter: %q", term)
+	}
+}
+
+// TestDNCannotBreakReplyFraming: an ADD whose RDN is not attr=value is
+// refused at COMMIT with one ERR line. An entry at "ERR gotcha,…" would
+// come back from SEARCH as a line that reads as an ERR terminator,
+// leaving the reply's own OK to answer the next command.
+func TestDNCannotBreakReplyFraming(t *testing.T) {
+	_, c := startServer(t)
+	c.expectOK("BEGIN")
+	c.send("ADD ERR gotcha,ou=attLabs,o=att", "objectClass: person", "objectClass: top", "name: gotcha", "COMMIT")
+	if body, term := c.until(); term != `ERR txn: dirtree: invalid RDN "ERR gotcha": want attr=value` || len(body) != 0 {
+		t.Fatalf("ADD of an RDN that is not attr=value answered %q (body %v)", term, body)
+	}
+	if body := c.expectOK("SEARCH (name=gotcha)"); len(body) != 0 {
+		t.Fatalf("refused entry is searchable: %v", body)
+	}
+	if body := c.expectOK("STAT"); len(body) == 0 || !strings.HasPrefix(body[0], "role:") {
+		t.Fatalf("STAT after the refusal answered %v", body)
 	}
 }
 

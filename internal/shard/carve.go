@@ -47,7 +47,7 @@ func Carve(src *dirtree.Directory, m *Map) (map[string]*dirtree.Directory, error
 		var ghosts []string
 		seen := map[string]bool{}
 		for _, root := range sh.Roots {
-			for _, anc := range ProperAncestors(root) {
+			for _, anc := range properAncestors(root) {
 				if !seen[anc] {
 					seen[anc] = true
 					ghosts = append(ghosts, anc)
@@ -156,7 +156,7 @@ func AutoCut(schema *core.Schema, src *dirtree.Directory, n int) ([][]string, er
 		if cands[i].size != cands[j].size {
 			return cands[i].size > cands[j].size
 		}
-		return CompareDN(cands[i].dn, cands[j].dn) < 0
+		return compareDN(cands[i].dn, cands[j].dn) < 0
 	})
 	roots := make([][]string, n)
 	sizes := make([]int, n)

@@ -115,7 +115,7 @@ func (co *coordinator) correction(a proto.CountArgs) (int, error) {
 				continue
 			}
 		default:
-			if s == a.Base || !UnderDN(s, a.Base) {
+			if s == a.Base || !underDN(s, a.Base) {
 				continue
 			}
 		}

@@ -13,6 +13,15 @@ import (
 	"boundschema/internal/workload"
 )
 
+// The protocol's limits (internal/proto), pinned: a request line of at
+// most maxLineBytes, a transaction of at most maxTxOps operations and
+// maxTxBytes bytes of operation and body lines.
+const (
+	maxLineBytes = 1 << 20
+	maxTxOps     = 10000
+	maxTxBytes   = 4 << 20
+)
+
 // The ERR grammar, pinned on the router and on bsd alike: every refusal
 // is exactly one "ERR <message>" line — no payload lines, no embedded
 // newlines, non-empty message — and the session stays usable
@@ -82,15 +91,15 @@ func startRoutedServer(t *testing.T) (bsdAddr, routerAddr string) {
 // dropped on both.
 func TestErrGrammarDifferential(t *testing.T) {
 	bsdAddr, routerAddr := startRoutedServer(t)
-	// Transaction bodies at proto.MaxTxOps operations and at
-	// proto.MaxTxBytes bytes: the next line is refused.
+	// Transaction bodies at maxTxOps operations and at
+	// maxTxBytes bytes: the next line is refused.
 	var atOps []string
-	for len(atOps) < proto.MaxTxOps {
+	for len(atOps) < maxTxOps {
 		atOps = append(atOps, "DELETE uid=x"+strconv.Itoa(len(atOps))+",ou=attLabs,o=att")
 	}
 	atBytes := []string{"ADD uid=big,ou=attLabs,o=att"}
-	for n := proto.MaxTxBytes - len(atBytes[0]); n > 0; n -= proto.MaxLineBytes / 2 {
-		atBytes = append(atBytes, "d:"+strings.Repeat("x", min(n, proto.MaxLineBytes/2)-2))
+	for n := maxTxBytes - len(atBytes[0]); n > 0; n -= maxLineBytes / 2 {
+		atBytes = append(atBytes, "d:"+strings.Repeat("x", min(n, maxLineBytes/2)-2))
 	}
 	const txTooBig = "transaction too complex: more than 10000 operations or 4194304 bytes"
 	for _, tc := range []struct {
@@ -123,6 +132,8 @@ func TestErrGrammarDifferential(t *testing.T) {
 		{"move with a word for the arrow", true, nil, "MOVE uid=x,o=att to o=att", `MOVE needs "<dn> -> <dest>"`},
 		{"stray attribute line", true, nil, "name: stray", `unexpected "name: stray" inside transaction`},
 		{"malformed attribute line", true, []string{"ADD uid=x,ou=attLabs,o=att"}, "not-an-attribute", `malformed attribute line "not-an-attribute"`},
+		{"rdn not attr=value", true, []string{"ADD ERR gotcha,ou=attLabs,o=att", "objectClass: person", "objectClass: top", "name: gotcha"},
+			"COMMIT", `txn: dirtree: invalid RDN "ERR gotcha": want attr=value`},
 		{"transaction past the op cap", true, atOps, "DELETE uid=past,ou=attLabs,o=att", txTooBig},
 		{"transaction past the byte cap", true, atBytes, "DELETE uid=past,ou=attLabs,o=att", txTooBig},
 	} {
@@ -163,7 +174,7 @@ func TestErrGrammarDifferential(t *testing.T) {
 	}
 }
 
-// TestRouterRefusesLongLine: a line over proto.MaxLineBytes draws bsd's
+// TestRouterRefusesLongLine: a line over maxLineBytes draws bsd's
 // exact refusal from the router before the connection closes.
 func TestRouterRefusesLongLine(t *testing.T) {
 	bsdAddr, routerAddr := startRoutedServer(t)
@@ -174,7 +185,7 @@ func TestRouterRefusesLongLine(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if _, err := conn.Write([]byte(strings.Repeat("A", proto.MaxLineBytes+4096) + "\n")); err != nil {
+		if _, err := conn.Write([]byte(strings.Repeat("A", maxLineBytes+4096) + "\n")); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		if got[i], err = bufio.NewReader(conn).ReadString('\n'); err != nil {

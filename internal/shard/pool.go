@@ -26,8 +26,7 @@ const (
 // router that redials in lockstep across sessions hammers the
 // recovering shard exactly when it is weakest.
 type pool struct {
-	shard  *Shard
-	dialer func(addr string, timeout time.Duration) (net.Conn, error)
+	shard *Shard
 
 	mu     sync.Mutex
 	idle   []*shardConn
@@ -38,15 +37,6 @@ type pool struct {
 type shardConn struct {
 	*proto.Conn
 	nc net.Conn // the raw connection, whose deadline get arms
-}
-
-func newPool(sh *Shard, dialer func(string, time.Duration) (net.Conn, error)) *pool {
-	if dialer == nil {
-		dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	return &pool{shard: sh, dialer: dialer}
 }
 
 // get pops an idle connection or dials a fresh one, and arms its
@@ -81,7 +71,7 @@ func (p *pool) dial() (net.Conn, error) {
 			time.Sleep(repl.JitterBackoff(backoff))
 			backoff = repl.NextBackoff(backoff, 400*time.Millisecond)
 		}
-		conn, err := p.dialer(p.shard.Addr, dialTimeout)
+		conn, err := net.DialTimeout("tcp", p.shard.Addr, dialTimeout)
 		if err == nil {
 			return conn, nil
 		}

@@ -41,7 +41,6 @@ type Router struct {
 	conns     map[net.Conn]struct{}
 
 	errorLog *log.Logger
-	dialer   func(addr string, timeout time.Duration) (net.Conn, error)
 
 	// metrics, served by METRICS.
 	cmdsTotal   atomic.Int64
@@ -63,7 +62,7 @@ func NewRouter(m *Map) *Router {
 		routed: make(map[string]int64),
 	}
 	for _, sh := range m.All() {
-		rt.pools[sh.Name] = newPool(sh, nil)
+		rt.pools[sh.Name] = &pool{shard: sh}
 	}
 	rt.coord = newCoordinator(rt)
 	return rt
@@ -71,18 +70,6 @@ func NewRouter(m *Map) *Router {
 
 // SetErrorLog installs a logger for operational events. nil discards.
 func (rt *Router) SetErrorLog(l *log.Logger) { rt.errorLog = l }
-
-// SetDialer replaces the dialer behind every shard pool (tests thread
-// fault injectors through it). Call before Listen.
-func (rt *Router) SetDialer(d func(addr string, timeout time.Duration) (net.Conn, error)) {
-	rt.dialer = d
-	for _, sh := range rt.m.All() {
-		rt.pools[sh.Name] = newPool(sh, d)
-	}
-}
-
-// Map returns the router's shard map.
-func (rt *Router) Map() *Map { return rt.m }
 
 func (rt *Router) logf(format string, args ...any) {
 	if rt.errorLog != nil {
@@ -286,7 +273,7 @@ func (se *rsession) handleTx(line string) {
 		}
 		se.pendingAdd = true
 	case "DELETE":
-		if se.rt.m.IsSpine(l.DN) {
+		if se.rt.m.isSpine(l.DN) {
 			se.rt.crossShard.Add(1)
 			se.w.Err(fmt.Sprintf("%s delete: %q is a spine entry whose subtree spans shards", proto.CrossShard, l.DN))
 			se.abortTx()
@@ -344,13 +331,13 @@ func (se *rsession) bindTx(dn string) bool {
 // itself.
 func (se *rsession) moveTx(dn, dest string) bool {
 	m := se.rt.m
-	if m.IsSpine(dn) {
+	if m.isSpine(dn) {
 		se.rt.crossShard.Add(1)
 		se.w.Err(fmt.Sprintf("%s move: %q is a spine entry whose subtree spans shards", proto.CrossShard, dn))
 		se.abortTx()
 		return false
 	}
-	if sh := m.RootShard(dn); sh != nil {
+	if sh := m.rootShard(dn); sh != nil {
 		se.rt.crossShard.Add(1)
 		se.w.Err(fmt.Sprintf("%s move: %q is the root of shard %s; re-carve the map to move it", proto.CrossShard, dn, sh.Name))
 		se.abortTx()
@@ -528,7 +515,7 @@ func (se *rsession) search(rest string) {
 	switch {
 	case !args.HasBase:
 		targets = se.rt.m.All()
-	case se.rt.m.IsSpine(args.Base):
+	case se.rt.m.isSpine(args.Base):
 		targets = se.rt.m.Holders(args.Base)
 	default:
 		sh := se.rt.m.Owner(args.Base)
@@ -562,7 +549,7 @@ func (se *rsession) search(rest string) {
 			}
 		}
 	}
-	SortDNs(dns)
+	sortDNs(dns)
 	if args.Limit >= 0 && len(dns) > args.Limit {
 		dns = dns[:args.Limit]
 	}
@@ -726,7 +713,7 @@ func (rt *Router) countAcrossShards(a proto.CountArgs) (int, error) {
 	switch {
 	case !a.HasBase:
 		targets = rt.m.All()
-	case rt.m.IsSpine(a.Base):
+	case rt.m.isSpine(a.Base):
 		targets = rt.m.Holders(a.Base)
 	default:
 		sh := rt.m.Owner(a.Base)

@@ -83,7 +83,6 @@ var diffScenarios = []diffScenario{
 type diffShard struct {
 	name     string
 	addr     string
-	roots    []string
 	srv      *server.Server
 	fs       *vfs.Fault
 	pristine *dirtree.Directory
@@ -128,7 +127,7 @@ func startSharded(t *testing.T, sc diffScenario, corpusN, nShards int, seed int6
 	var withAddrs []*Shard
 	var defShard *Shard
 	for _, sh := range cutMap.All() {
-		ds := &diffShard{name: sh.Name, roots: sh.Roots, pristine: dirs[sh.Name].Clone()}
+		ds := &diffShard{name: sh.Name, pristine: dirs[sh.Name].Clone()}
 		c.bootShard(ds, dirs[sh.Name], "")
 		c.shards[sh.Name] = ds
 		bound := &Shard{Name: sh.Name, Addr: ds.addr, Roots: sh.Roots}
@@ -165,7 +164,7 @@ func (c *diffCluster) bootShard(ds *diffShard, dir *dirtree.Directory, addr stri
 		addr = "127.0.0.1:0"
 	}
 	srv, err := server.Open(server.Options{Schema: c.sc.newSchema(), Name: c.sc.name, Instance: dir,
-		Addr: addr, Journal: diffJournal, FS: ds.fs, ShardName: ds.name, ShardRoots: ds.roots})
+		Addr: addr, Journal: diffJournal, FS: ds.fs})
 	if err != nil {
 		c.t.Fatalf("shard %s: %v", ds.name, err)
 	}
@@ -245,7 +244,7 @@ func mutTxn(t *testing.T, ref, rtc *proto.Conn, body ...string) {
 
 func canon(lines []string) string {
 	out := append([]string(nil), lines...)
-	SortDNs(out)
+	sortDNs(out)
 	return strings.Join(out, "\n")
 }
 
@@ -348,7 +347,7 @@ func containersByShard(t *testing.T, ref *proto.Conn, c *diffCluster) (all []str
 		t.Fatalf("container search: %s %s", r.Term, r.Err)
 	}
 	all = append([]string(nil), r.Lines...)
-	SortDNs(all)
+	sortDNs(all)
 	byShard = map[string][]string{}
 	for _, dn := range all {
 		if sh := c.m.Owner(dn); sh != nil {

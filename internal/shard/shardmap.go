@@ -52,7 +52,7 @@ type Map struct {
 	rootIn  map[string]*Shard
 }
 
-// ParseMap reads the shard map config: one directive per line,
+// parseMap reads the shard map config: one directive per line,
 //
 //	shard <name> <addr> <root>[;<root>...]
 //	default <name> <addr>
@@ -61,7 +61,7 @@ type Map struct {
 // (DNs do), so the roots field is everything after the address, split
 // on ';'. Carved roots must be disjoint: no root equal to or inside
 // another.
-func ParseMap(r io.Reader) (*Map, error) {
+func parseMap(r io.Reader) (*Map, error) {
 	m := &Map{}
 	sc := bufio.NewScanner(r)
 	lineNo := 0
@@ -121,7 +121,7 @@ func LoadMap(path string) (*Map, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ParseMap(f)
+	return parseMap(f)
 }
 
 // NewMap builds a validated map programmatically (tests, embedded
@@ -168,7 +168,7 @@ func (m *Map) init() error {
 	// nested cuts would make the inner subtree owned twice.
 	for r1 := range m.rootIn {
 		for r2 := range m.rootIn {
-			if r1 != r2 && UnderDN(r1, r2) {
+			if r1 != r2 && underDN(r1, r2) {
 				return fmt.Errorf("shardmap: root %q is inside root %q", r1, r2)
 			}
 		}
@@ -178,14 +178,14 @@ func (m *Map) init() error {
 	// replicates them as ghosts and the coordinator audits across them.
 	m.spineIn = map[string]bool{}
 	for root := range m.rootIn {
-		for _, anc := range ProperAncestors(root) {
+		for _, anc := range properAncestors(root) {
 			if !m.spineIn[anc] {
 				m.spineIn[anc] = true
 				m.spine = append(m.spine, anc)
 			}
 		}
 	}
-	SortDNs(m.spine)
+	sortDNs(m.spine)
 	return nil
 }
 
@@ -201,22 +201,12 @@ func (m *Map) allShards() []*Shard {
 // All returns every shard, carved first, default last.
 func (m *Map) All() []*Shard { return m.allShards() }
 
-// ByName returns the named shard, or nil.
-func (m *Map) ByName(name string) *Shard {
-	for _, sh := range m.allShards() {
-		if sh.Name == name {
-			return sh
-		}
-	}
-	return nil
-}
-
 // Owner returns the shard owning dn: the carved shard whose root
 // contains it, else the default shard, else nil (unroutable). Roots
 // are disjoint, so at most one carved root matches.
 func (m *Map) Owner(dn string) *Shard {
 	for root, sh := range m.rootIn {
-		if UnderDN(dn, root) {
+		if underDN(dn, root) {
 			return sh
 		}
 	}
@@ -227,12 +217,12 @@ func (m *Map) Owner(dn string) *Shard {
 // modify the returned slice.
 func (m *Map) Spine() []string { return m.spine }
 
-// IsSpine reports whether dn is a spine entry — a proper ancestor of
+// isSpine reports whether dn is a spine entry — a proper ancestor of
 // some carved root, replicated as a ghost on the shards below it.
-func (m *Map) IsSpine(dn string) bool { return m.spineIn[dn] }
+func (m *Map) isSpine(dn string) bool { return m.spineIn[dn] }
 
-// RootShard returns the carved shard for which dn is a root, or nil.
-func (m *Map) RootShard(dn string) *Shard { return m.rootIn[dn] }
+// rootShard returns the carved shard for which dn is a root, or nil.
+func (m *Map) rootShard(dn string) *Shard { return m.rootIn[dn] }
 
 // Holders returns every shard holding a copy of the spine entry dn:
 // the default shard (the real entry) plus each carved shard with a
@@ -247,7 +237,7 @@ func (m *Map) Holders(dn string) []*Shard {
 	var out []*Shard
 	for _, sh := range m.Shards {
 		for _, root := range sh.Roots {
-			if UnderDN(root, dn) && root != dn {
+			if underDN(root, dn) && root != dn {
 				out = append(out, sh)
 				break
 			}
@@ -260,7 +250,7 @@ func (m *Map) Holders(dn string) []*Shard {
 }
 
 // Render prints the map in the config format SHARDMAP serves (and
-// ParseMap reads back), spine DNs appended as comments.
+// parseMap reads back), spine DNs appended as comments.
 func (m *Map) Render() []string {
 	var out []string
 	for _, sh := range m.Shards {
@@ -275,15 +265,15 @@ func (m *Map) Render() []string {
 	return out
 }
 
-// UnderDN reports whether dn lies in the subtree rooted at anc
+// underDN reports whether dn lies in the subtree rooted at anc
 // (inclusive): dn equals anc or ends in ","+anc. DNs are compared as
 // the repo renders them — comma-joined RDNs, leaf first.
-func UnderDN(dn, anc string) bool {
+func underDN(dn, anc string) bool {
 	return dn == anc || strings.HasSuffix(dn, ","+anc)
 }
 
-// ProperAncestors returns dn's proper ancestor DNs, nearest first.
-func ProperAncestors(dn string) []string {
+// properAncestors returns dn's proper ancestor DNs, nearest first.
+func properAncestors(dn string) []string {
 	var out []string
 	for {
 		_, rest, ok := strings.Cut(dn, ",")
@@ -295,11 +285,11 @@ func ProperAncestors(dn string) []string {
 	}
 }
 
-// CompareDN orders DNs hierarchically: by RDN path from the root down,
+// compareDN orders DNs hierarchically: by RDN path from the root down,
 // ancestors before their descendants, so every subtree is one
 // contiguous run — the deterministic merge order the router gives
 // fanned-out SEARCH results regardless of per-shard insertion order.
-func CompareDN(a, b string) int {
+func compareDN(a, b string) int {
 	ap, bp := strings.Split(a, ","), strings.Split(b, ",")
 	for i, j := len(ap)-1, len(bp)-1; i >= 0 && j >= 0; i, j = i-1, j-1 {
 		if c := strings.Compare(ap[i], bp[j]); c != 0 {
@@ -309,7 +299,7 @@ func CompareDN(a, b string) int {
 	return len(ap) - len(bp)
 }
 
-// SortDNs sorts DNs in the canonical hierarchical order.
-func SortDNs(dns []string) {
-	sort.Slice(dns, func(i, j int) bool { return CompareDN(dns[i], dns[j]) < 0 })
+// sortDNs sorts DNs in the canonical hierarchical order.
+func sortDNs(dns []string) {
+	sort.Slice(dns, func(i, j int) bool { return compareDN(dns[i], dns[j]) < 0 })
 }

@@ -22,7 +22,7 @@ shard s1 127.0.0.1:4002 ou=lab net 4,o=org0
 
 default rest 127.0.0.1:4000
 `
-	m, err := ParseMap(strings.NewReader(conf))
+	m, err := parseMap(strings.NewReader(conf))
 	if err != nil {
 		t.Fatalf("ParseMap: %v", err)
 	}
@@ -33,7 +33,7 @@ default rest 127.0.0.1:4000
 		t.Fatalf("spaced root mangled: %q", got)
 	}
 	// Render must parse back to the same map (the SHARDMAP contract).
-	again, err := ParseMap(strings.NewReader(strings.Join(m.Render(), "\n") + "\n"))
+	again, err := parseMap(strings.NewReader(strings.Join(m.Render(), "\n") + "\n"))
 	if err != nil {
 		t.Fatalf("re-parse rendered map: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestParseMapRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseMap(strings.NewReader(tc.conf))
+			_, err := parseMap(strings.NewReader(tc.conf))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error mentioning %q, got %v", tc.want, err)
 			}
@@ -87,10 +87,10 @@ func TestOwnerSpineHolders(t *testing.T) {
 			t.Errorf("Owner(%q) = %v, want %v", dn, got, want)
 		}
 	}
-	if !m.IsSpine("o=org0") || !m.IsSpine("ou=hq,o=org0") || m.IsSpine("ou=u1,o=org0") {
+	if !m.isSpine("o=org0") || !m.isSpine("ou=hq,o=org0") || m.isSpine("ou=u1,o=org0") {
 		t.Fatalf("IsSpine misclassifies")
 	}
-	if sh := m.RootShard("ou=u1,o=org0"); sh != s0 {
+	if sh := m.rootShard("ou=u1,o=org0"); sh != s0 {
 		t.Fatalf("RootShard = %v", sh)
 	}
 	// o=org0 is above both carved roots: held by s0, s1 and the default.
@@ -137,7 +137,7 @@ func TestCompareDNHierarchical(t *testing.T) {
 		"ou=u2,o=org0",
 		"uid=zz,ou=u10,o=org0",
 	}
-	SortDNs(dns)
+	sortDNs(dns)
 	want := []string{
 		"o=org0",
 		"ou=u1,o=org0",
@@ -153,20 +153,20 @@ func TestCompareDNHierarchical(t *testing.T) {
 		}
 	}
 	// Ancestors always sort before descendants: subtrees are contiguous.
-	if CompareDN("o=org0", "uid=deep,ou=a,ou=b,o=org0") >= 0 {
+	if compareDN("o=org0", "uid=deep,ou=a,ou=b,o=org0") >= 0 {
 		t.Fatal("ancestor must sort before descendant")
 	}
-	if UnderDN("ou=u10,o=org0", "ou=u1,o=org0") {
+	if underDN("ou=u10,o=org0", "ou=u1,o=org0") {
 		t.Fatal("RDN prefix is not subtree containment")
 	}
 }
 
 func TestProperAncestors(t *testing.T) {
-	got := ProperAncestors("uid=p,ou=u,o=org0")
+	got := properAncestors("uid=p,ou=u,o=org0")
 	if len(got) != 2 || got[0] != "ou=u,o=org0" || got[1] != "o=org0" {
 		t.Fatalf("ProperAncestors = %v", got)
 	}
-	if got := ProperAncestors("o=org0"); len(got) != 0 {
+	if got := properAncestors("o=org0"); len(got) != 0 {
 		t.Fatalf("root has ancestors: %v", got)
 	}
 }

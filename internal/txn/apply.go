@@ -249,7 +249,7 @@ func (a *Applier) checkDelete(d *dirtree.Directory, root *dirtree.Entry) *core.R
 				})
 			}
 		case core.RequiredRel:
-			if w := NarrowedDeleteCheck(d, root, el); w != nil {
+			if w := narrowedDeleteCheck(d, root, el); w != nil {
 				r.Add(core.Violation{
 					Kind:    core.ViolationRequiredRel,
 					Entry:   w,
@@ -262,7 +262,7 @@ func (a *Applier) checkDelete(d *dirtree.Directory, root *dirtree.Entry) *core.R
 	return r
 }
 
-// NarrowedDeleteCheck decides a downward required relationship
+// narrowedDeleteCheck decides a downward required relationship
 // (ci →ch cj or ci →de cj) under the deletion of the subtree Δ rooted at
 // root, before removal. Only Δ's ancestors lose children or descendants,
 // and on a legal instance each had a witness before:
@@ -275,7 +275,7 @@ func (a *Applier) checkDelete(d *dirtree.Directory, root *dirtree.Entry) *core.R
 // It returns the nearest violating ancestor or nil — the verdict of
 // Figure 5's full recheck over D−Δ, which Theorem 4.2 shows cannot be
 // incremental without auxiliary structures like these posting lists.
-func NarrowedDeleteCheck(d *dirtree.Directory, root *dirtree.Entry, rel core.RequiredRel) *dirtree.Entry {
+func narrowedDeleteCheck(d *dirtree.Directory, root *dirtree.Entry, rel core.RequiredRel) *dirtree.Entry {
 	if rel.Axis == core.AxisChild {
 		p := root.Parent()
 		if p == nil || !p.HasClass(rel.Source) || !root.HasClass(rel.Target) {

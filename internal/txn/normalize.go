@@ -54,7 +54,7 @@ func Normalize(d *dirtree.Directory, t *Transaction) (*Normalized, error) {
 	// descendant closure.
 	deleted := make(map[string]bool)
 	for _, op := range t.Ops {
-		if op.Kind == OpDelete {
+		if op.Kind == opDelete {
 			if d.ByDN(op.DN) == nil {
 				return nil, fmt.Errorf("txn: cannot delete %s %q", proto.MissingEntry, op.DN)
 			}
@@ -97,7 +97,7 @@ func Normalize(d *dirtree.Directory, t *Transaction) (*Normalized, error) {
 	frags := make(map[string]*InsertTree) // inserted root DN -> fragment
 	reg := d.Registry()
 	for _, op := range t.Ops {
-		if op.Kind != OpAdd {
+		if op.Kind != opAdd {
 			continue
 		}
 		rdn, parentDN, err := ldif.SplitDN(op.DN)
@@ -106,7 +106,7 @@ func Normalize(d *dirtree.Directory, t *Transaction) (*Normalized, error) {
 		}
 		var fragParent *dirtree.Entry
 		var frag *InsertTree
-		if k, added := seen[parentDN]; parentDN != "" && added && k == OpAdd {
+		if k, added := seen[parentDN]; parentDN != "" && added && k == opAdd {
 			// Parent added in this transaction: find its fragment. The
 			// parent op must precede this one, which the fragment lookup
 			// enforces.
@@ -165,14 +165,14 @@ func Normalize(d *dirtree.Directory, t *Transaction) (*Normalized, error) {
 	return out, nil
 }
 
-// expandMoves turns each OpMove into a subtree insertion at the
+// expandMoves turns each opMove into a subtree insertion at the
 // destination (copied from the live subtree) plus the per-entry deletions
 // of the origin, leaving a transaction with only adds and deletes.
 func expandMoves(d *dirtree.Directory, t *Transaction) (*Transaction, []InsertTree, error) {
 	var moves []InsertTree
 	hasMove := false
 	for _, op := range t.Ops {
-		if op.Kind == OpMove {
+		if op.Kind == opMove {
 			hasMove = true
 			break
 		}
@@ -182,7 +182,7 @@ func expandMoves(d *dirtree.Directory, t *Transaction) (*Transaction, []InsertTr
 	}
 	out := &Transaction{}
 	for _, op := range t.Ops {
-		if op.Kind != OpMove {
+		if op.Kind != opMove {
 			out.Ops = append(out.Ops, op)
 			continue
 		}

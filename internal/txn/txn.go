@@ -31,22 +31,22 @@ type OpKind int
 
 // Operation kinds.
 const (
-	OpAdd OpKind = iota
-	OpDelete
-	// OpMove relocates a whole subtree under a new parent (LDAP's
+	opAdd OpKind = iota
+	opDelete
+	// opMove relocates a whole subtree under a new parent (LDAP's
 	// MODDN generalized to subtrees). Normalization expands it into a
 	// subtree insertion at the destination plus a subtree deletion at
 	// the origin, so the Figure 5 checks apply unchanged.
-	OpMove
+	opMove
 )
 
 func (k OpKind) String() string {
 	switch k {
-	case OpAdd:
+	case opAdd:
 		return "add"
-	case OpDelete:
+	case opDelete:
 		return "delete"
-	case OpMove:
+	case opMove:
 		return "move"
 	}
 	return "?"
@@ -56,9 +56,9 @@ func (k OpKind) String() string {
 type Op struct {
 	Kind    OpKind
 	DN      string
-	Classes []string                   // classes for OpAdd
-	Attrs   map[string][]dirtree.Value // attribute values for OpAdd
-	// NewParentDN is the destination parent for OpMove ("" moves the
+	Classes []string                   // classes for opAdd
+	Attrs   map[string][]dirtree.Value // attribute values for opAdd
+	// NewParentDN is the destination parent for opMove ("" moves the
 	// subtree to the forest root).
 	NewParentDN string
 }
@@ -71,18 +71,18 @@ type Transaction struct {
 
 // Add appends an insertion of a new entry with the given DN.
 func (t *Transaction) Add(dn string, classes []string, attrs map[string][]dirtree.Value) {
-	t.Ops = append(t.Ops, Op{Kind: OpAdd, DN: dn, Classes: classes, Attrs: attrs})
+	t.Ops = append(t.Ops, Op{Kind: opAdd, DN: dn, Classes: classes, Attrs: attrs})
 }
 
 // Delete appends a deletion of the entry with the given DN.
 func (t *Transaction) Delete(dn string) {
-	t.Ops = append(t.Ops, Op{Kind: OpDelete, DN: dn})
+	t.Ops = append(t.Ops, Op{Kind: opDelete, DN: dn})
 }
 
 // Move appends a relocation of the subtree rooted at dn to a new parent
 // ("" makes it a forest root). The subtree keeps its RDNs and contents.
 func (t *Transaction) Move(dn, newParentDN string) {
-	t.Ops = append(t.Ops, Op{Kind: OpMove, DN: dn, NewParentDN: newParentDN})
+	t.Ops = append(t.Ops, Op{Kind: opMove, DN: dn, NewParentDN: newParentDN})
 }
 
 // Len returns the number of operations.
@@ -95,7 +95,7 @@ func (t *Transaction) WriteChanges(w io.Writer) error {
 	for _, op := range t.Ops {
 		fmt.Fprintf(bw, "dn: %s\n", op.DN)
 		switch op.Kind {
-		case OpAdd:
+		case opAdd:
 			fmt.Fprintln(bw, "changetype: add")
 			for _, c := range op.Classes {
 				fmt.Fprintf(bw, "objectClass: %s\n", c)
@@ -110,9 +110,9 @@ func (t *Transaction) WriteChanges(w io.Writer) error {
 					fmt.Fprintf(bw, "%s: %s\n", name, v.String())
 				}
 			}
-		case OpDelete:
+		case opDelete:
 			fmt.Fprintln(bw, "changetype: delete")
-		case OpMove:
+		case opMove:
 			fmt.Fprintln(bw, "changetype: moddn")
 			if op.NewParentDN != "" {
 				fmt.Fprintf(bw, "newsuperior: %s\n", op.NewParentDN)

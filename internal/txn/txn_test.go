@@ -270,7 +270,7 @@ changetype: delete
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tx.Len() != 2 || tx.Ops[0].Kind != OpAdd || tx.Ops[1].Kind != OpDelete {
+	if tx.Len() != 2 || tx.Ops[0].Kind != opAdd || tx.Ops[1].Kind != opDelete {
 		t.Fatalf("tx = %+v", tx)
 	}
 	d := workload.WhitePagesInstance(s)
@@ -285,7 +285,7 @@ changetype: delete
 }
 
 func TestFromRecordsRejectsContentRecord(t *testing.T) {
-	recs := []*ldif.Record{{DN: "o=x", Change: ldif.ChangeNone}}
+	recs := []*ldif.Record{{DN: "o=x"}} // no changetype: a content record
 	if _, err := FromRecords(recs, dirtree.NewRegistry()); err == nil {
 		t.Error("content record accepted as change")
 	}
@@ -522,7 +522,7 @@ func TestApplierKeyIndex(t *testing.T) {
 	if r.Legal() {
 		t.Fatalf("key collision accepted")
 	}
-	if len(r.ByKind(core.ViolationDuplicateKey)) == 0 {
+	if r.Violations[0].Kind.String() != "duplicate-key" {
 		t.Fatalf("wrong violation kind:\n%s", r)
 	}
 	if d.Len() != 6 {
@@ -758,7 +758,7 @@ func TestNarrowedDeleteCheck(t *testing.T) {
 		{y1, nil, nil}, // q keeps y2
 		{q, nil, nil},  // a root: no ancestor loses anything
 	} {
-		gotDe, gotCh := NarrowedDeleteCheck(d, c.victim, de), NarrowedDeleteCheck(d, c.victim, ch)
+		gotDe, gotCh := narrowedDeleteCheck(d, c.victim, de), narrowedDeleteCheck(d, c.victim, ch)
 		if gotDe != c.wantDe || gotCh != c.wantCh {
 			t.Errorf("delete %s: →de witness %v (want %v), →ch witness %v (want %v)",
 				c.victim.DN(), gotDe, c.wantDe, gotCh, c.wantCh)
@@ -820,7 +820,7 @@ func TestWriteChangesRoundTrip(t *testing.T) {
 }
 
 func TestOpKindString(t *testing.T) {
-	if OpAdd.String() != "add" || OpDelete.String() != "delete" || OpMove.String() != "move" {
+	if opAdd.String() != "add" || opDelete.String() != "delete" || opMove.String() != "move" {
 		t.Errorf("OpKind strings wrong")
 	}
 	if OpKind(99).String() != "?" {
@@ -866,5 +866,29 @@ func TestRefusedAddLeavesNoClassSets(t *testing.T) {
 	}
 	if got := live(); got != before {
 		t.Fatalf("refused ADD left %d class sets, want %d", got, before)
+	}
+}
+
+// BenchmarkDeleteCheckNarrowed times the posting-list form of Figure 5's
+// downward deletion rows on the fixture of the root package's
+// BenchmarkDeleteCheckFig5: a mid-tree orgUnit of a 50 000-entry
+// whitepages corpus.
+func BenchmarkDeleteCheckNarrowed(b *testing.B) {
+	s := workload.WhitePagesSchema()
+	d := workload.Corpus(s, rand.New(rand.NewSource(7)), 50000)
+	d.EnsureEncoded()
+	units := d.ClassEntries("orgUnit")
+	victim := units[len(units)/2]
+	var rels []core.RequiredRel
+	for _, chk := range core.DeleteChecks(s.Structure) {
+		if rel, ok := chk.Element.(core.RequiredRel); ok && !chk.Incremental {
+			rels = append(rels, rel)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rel := range rels {
+			narrowedDeleteCheck(d, victim, rel)
+		}
 	}
 }

@@ -3,23 +3,21 @@ package vfs
 import (
 	"errors"
 	"fmt"
-	"io"
 	iofs "io/fs"
-	"sort"
 	"sync"
 )
 
-// ErrCrash is returned by every operation on a Fault file system after a
+// errCrash is returned by every operation on a Fault file system after a
 // scripted crash point fires: the simulated machine has lost power and
 // nothing more can happen until Recover.
-var ErrCrash = errors.New("vfs: simulated power failure")
+var errCrash = errors.New("vfs: simulated power failure")
 
 // FaultKind enumerates the injectable failure modes.
 type FaultKind int
 
 const (
 	// FaultCrash completes the op it fires on, then fails every later
-	// operation with ErrCrash. Recover() then discards all volatile
+	// operation with errCrash. Recover() then discards all volatile
 	// (unsynced) state, simulating power loss after op N.
 	FaultCrash FaultKind = iota + 1
 	// FaultSyncErr makes a Sync return an error; nothing becomes durable.
@@ -27,12 +25,12 @@ const (
 	// FaultTruncErr makes a Truncate return an error, leaving the file
 	// unchanged.
 	FaultTruncErr
-	// FaultWriteErr makes a Write fail having written nothing.
-	FaultWriteErr
-	// FaultShortWrite makes a Write persist only Keep bytes (default:
+	// faultWriteErr makes a Write fail having written nothing.
+	faultWriteErr
+	// faultShortWrite makes a Write persist only Keep bytes (default:
 	// half) of the buffer before returning an error — a torn append the
 	// writer observes and can clean up.
-	FaultShortWrite
+	faultShortWrite
 	// FaultTornWrite persists Keep bytes (default: half) of the buffer,
 	// forces everything written so far durable (the tear reached the
 	// platter), and crashes — a torn append only recovery ever sees.
@@ -51,9 +49,9 @@ func (k FaultKind) String() string {
 		return "sync-error"
 	case FaultTruncErr:
 		return "truncate-error"
-	case FaultWriteErr:
+	case faultWriteErr:
 		return "write-error"
-	case FaultShortWrite:
+	case faultShortWrite:
 		return "short-write"
 	case FaultTornWrite:
 		return "torn-write"
@@ -193,37 +191,22 @@ func keepBytes(p *FaultPoint, n int) int {
 
 func (fs *Fault) checkCrashed() error {
 	if fs.crashed {
-		return ErrCrash
+		return errCrash
 	}
 	return nil
 }
 
 // faultFile is a handle into a Fault file system.
 type faultFile struct {
-	fs       *Fault
-	f        *memFile
-	name     string
-	off      int
-	writable bool
-	closed   bool
+	fs     *Fault
+	f      *memFile
+	name   string
+	closed bool
 }
 
 func (fs *Fault) lookup(name string) (*memFile, bool) {
 	f, ok := fs.files[name]
 	return f, ok
-}
-
-func (fs *Fault) Open(name string) (File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.checkCrashed(); err != nil {
-		return nil, err
-	}
-	f, ok := fs.lookup(name)
-	if !ok {
-		return nil, &notExistError{name}
-	}
-	return &faultFile{fs: fs, f: f, name: name}, nil
 }
 
 func (fs *Fault) Create(name string) (File, error) {
@@ -242,7 +225,7 @@ func (fs *Fault) Create(name string) (File, error) {
 	} else {
 		f.data = nil // O_TRUNC: the durable content survives until sync
 	}
-	return &faultFile{fs: fs, f: f, name: name, writable: true}, nil
+	return &faultFile{fs: fs, f: f, name: name}, nil
 }
 
 func (fs *Fault) OpenAppend(name string) (File, error) {
@@ -259,7 +242,7 @@ func (fs *Fault) OpenAppend(name string) (File, error) {
 		f = &memFile{}
 		fs.files[name] = f
 	}
-	return &faultFile{fs: fs, f: f, name: name, writable: true}, nil
+	return &faultFile{fs: fs, f: f, name: name}, nil
 }
 
 func (fs *Fault) ReadFile(name string) ([]byte, error) {
@@ -309,35 +292,6 @@ func (fs *Fault) Remove(name string) error {
 	return nil
 }
 
-func (fs *Fault) Stat(name string) (int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.checkCrashed(); err != nil {
-		return 0, err
-	}
-	f, ok := fs.lookup(name)
-	if !ok {
-		return 0, &notExistError{name}
-	}
-	return int64(len(f.data)), nil
-}
-
-func (fs *Fault) ReadDir(dir string) ([]string, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.checkCrashed(); err != nil {
-		return nil, err
-	}
-	var names []string
-	for name := range fs.files {
-		if DirOf(name) == normDir(dir) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
 // SyncDir makes the directory's current name set durable: entries
 // created, renamed or removed in dir since the last SyncDir survive a
 // crash afterwards. File contents stay only as durable as their own
@@ -379,37 +333,20 @@ func normDir(dir string) string {
 	return dir
 }
 
-func (h *faultFile) Read(p []byte) (int, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if err := h.fs.checkCrashed(); err != nil {
-		return 0, err
-	}
-	if h.closed {
-		return 0, errors.New("vfs: read on closed file")
-	}
-	if h.off >= len(h.f.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, h.f.data[h.off:])
-	h.off += n
-	return n, nil
-}
-
 func (h *faultFile) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if err := h.fs.checkCrashed(); err != nil {
 		return 0, err
 	}
-	if h.closed || !h.writable {
-		return 0, errors.New("vfs: write on closed or read-only file")
+	if h.closed {
+		return 0, errors.New("vfs: write on closed file")
 	}
-	if fp := h.fs.step(FaultWriteErr, FaultShortWrite, FaultTornWrite, FaultBitFlip); fp != nil {
+	if fp := h.fs.step(faultWriteErr, faultShortWrite, FaultTornWrite, FaultBitFlip); fp != nil {
 		switch fp.Kind {
-		case FaultWriteErr:
+		case faultWriteErr:
 			return 0, errors.New("vfs: injected write error")
-		case FaultShortWrite:
+		case faultShortWrite:
 			k := keepBytes(fp, len(p))
 			h.f.data = append(h.f.data, p[:k]...)
 			return k, errors.New("vfs: injected short write")
@@ -421,7 +358,7 @@ func (h *faultFile) Write(p []byte) (int, error) {
 			h.f.durable = append([]byte(nil), h.f.data...)
 			h.fs.durable[h.name] = h.f
 			h.fs.crashed = true
-			return k, ErrCrash
+			return k, errCrash
 		case FaultBitFlip:
 			q := append([]byte(nil), p...)
 			q[len(q)/2] ^= 0x01

@@ -15,7 +15,7 @@
 //     yet fsynced.
 //
 // The interface is the small set the server actually needs, not a
-// general VFS: opening for read and append, whole-file reads, atomic
+// general VFS: creating and appending, whole-file reads, atomic
 // create+rename, and the two sync primitives.
 package vfs
 
@@ -23,13 +23,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // File is the handle type returned by an FS. It is the subset of
 // *os.File the journal and snapshot paths use.
 type File interface {
-	io.Reader
 	io.Writer
 	Sync() error
 	Truncate(size int64) error
@@ -40,8 +38,6 @@ type File interface {
 // interpreted by the implementation; the OS implementation passes them
 // to the real file system verbatim.
 type FS interface {
-	// Open opens an existing file for reading.
-	Open(name string) (File, error)
 	// Create creates (or truncates) a file for writing.
 	Create(name string) (File, error)
 	// OpenAppend opens a file for appending, creating it if absent —
@@ -54,10 +50,6 @@ type FS interface {
 	Rename(oldname, newname string) error
 	// Remove deletes a file.
 	Remove(name string) error
-	// Stat reports a file's size (the only attribute the server needs).
-	Stat(name string) (int64, error)
-	// ReadDir lists the file names in a directory, sorted.
-	ReadDir(dir string) ([]string, error)
 	// SyncDir fsyncs a directory, making renames and creates in it
 	// durable. dir may be "" or "." for the current directory.
 	SyncDir(dir string) error
@@ -66,7 +58,6 @@ type FS interface {
 // OS is the real file system.
 type OS struct{}
 
-func (OS) Open(name string) (File, error)   { return os.Open(name) }
 func (OS) Create(name string) (File, error) { return os.Create(name) }
 
 func (OS) OpenAppend(name string) (File, error) {
@@ -76,30 +67,6 @@ func (OS) OpenAppend(name string) (File, error) {
 func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 func (OS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 func (OS) Remove(name string) error             { return os.Remove(name) }
-
-func (OS) Stat(name string) (int64, error) {
-	st, err := os.Stat(name)
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
-func (OS) ReadDir(dir string) ([]string, error) {
-	if dir == "" {
-		dir = "."
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	return names, nil
-}
 
 func (OS) SyncDir(dir string) error {
 	if dir == "" {

@@ -5,7 +5,7 @@ import (
 )
 
 // HardCase is an inconsistent schema whose detection requires one of the
-// implementation's extension rule groups (see core.InferOptions): the
+// implementation's extension rule groups (core's inferOptions): the
 // pairwise Figure 6/7 reconstruction alone misses it. These were found by
 // the randomized stress harness and verified inconsistent by hand; they
 // drive the ablation experiment (E12) and regression tests.

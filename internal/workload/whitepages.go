@@ -160,9 +160,9 @@ func addPerson(d *dirtree.Directory, parent *dirtree.Entry, rng *rand.Rand, id i
 	return p
 }
 
-// GrowLegal appends roughly n entries to a white-pages instance while
+// growLegal appends roughly n entries to a white-pages instance while
 // preserving legality, for incremental-update experiments.
-func GrowLegal(d *dirtree.Directory, rng *rand.Rand, n int) {
+func growLegal(d *dirtree.Directory, rng *rand.Rand, n int) {
 	start := d.Len()
 	groups := append([]*dirtree.Entry(nil), d.ClassEntries("orgGroup")...)
 	for added := 0; added < n; {

@@ -25,21 +25,21 @@ var sourceBudget = map[string]int{
 	"examples/quickstart":     68,
 	"examples/semistructured": 63,
 	"examples/whitepages":     91,
-	"internal/core":           4534,
-	"internal/dirtree":        2088,
-	"internal/filter":         491,
-	"internal/hquery":         1307,
+	"internal/core":           4523,
+	"internal/dirtree":        2110,
+	"internal/filter":         481,
+	"internal/hquery":         1297,
 	"internal/ldif":           409,
 	"internal/loadgen":        1021,
-	"internal/netfault":       428,
+	"internal/netfault":       414,
 	"internal/proto":          466,
-	"internal/repl":           864,
+	"internal/repl":           857,
 	"internal/schemadsl":      611,
-	"internal/semistruct":     298,
-	"internal/server":         3191,
-	"internal/shard":          1640,
+	"internal/semistruct":     294,
+	"internal/server":         3153,
+	"internal/shard":          1607,
 	"internal/txn":            749,
-	"internal/vfs":            625,
+	"internal/vfs":            529,
 	"internal/workload":       697,
 }
 
