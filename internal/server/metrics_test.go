@@ -228,16 +228,28 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// TestMetricsLineOrder pins the METRICS body ordering — it is part of
-// the observability surface, and scraping scripts rely on it. Every
-// optional section is switched on so the golden sequence covers the
-// whole surface, including the replication lines.
+// metricsLines renders m's METRICS body for the given server state.
+func metricsLines(m *metrics, journalOn bool, readOnly string, rs replStatus) []string {
+	return m.lines(journalOn, readOnly, rs)
+}
+
+// TestMetricsLineOrder pins the METRICS body, line by line and byte for
+// byte (only uptime_ms's value moves) — it is part of the observability
+// surface, and scraping scripts rely on it. Every optional section is
+// switched on so the golden text covers the whole surface, including the
+// replication lines.
 func TestMetricsLineOrder(t *testing.T) {
 	m := newMetrics()
+	m.ConnsActive.Add(1)
+	m.ConnsTotal.Add(2)
+	m.IdleTimeouts.Add(1)
+	m.TxCommitted.Add(1)
 	m.noteBatch(3)
 	m.noteRecovery(&RecoveryReport{RecordsScanned: 2, Legal: true, Clean: true})
 	m.observeCommand("SEARCH", time.Millisecond, false)
 	m.observeCommand("COMMIT", time.Millisecond, false)
+	m.noteCheckTiming(core.CheckTiming{Workers: 1, Duration: 3 * time.Millisecond})
+	m.noteCheckTiming(core.CheckTiming{Workers: 2, Duration: 5 * time.Millisecond})
 	m.SearchIndexed.Add(2)
 	m.SearchScanned.Add(1)
 	m.violations[0].Add(1)
@@ -247,62 +259,44 @@ func TestMetricsLineOrder(t *testing.T) {
 	hub := repl.HubStatus{Mode: repl.SemiSync, Replicas: 2, LastShipped: 9, AckedSeq: 9, Epoch: 3}
 	rs := replStatus{role: "read-only degraded", epoch: 3, hub: &hub, replica: true,
 		primarySeq: 9, localSeq: 8, applied: 4}
-	got := m.lines(true, "stuck", rs)
+	got := metricsLines(m, true, "stuck", rs)
 
 	want := []string{
-		"uptime_ms",
-		"connections",
-		"sessions",
-		"transactions",
-		"search",
-		"journal",
-		"group-commit",
-		"recovery",
-		"read_only",
-		"role",
-		"epoch",
-		"fencing",
-		"replication",
-		"replica",
-		"checker sequential",
-		"checker parallel",
-		"command COMMIT",
-		"command SEARCH",
-		"violations " + core.ViolationKind(0).String(),
+		"uptime_ms: ",
+		"connections: active=1 total=2 throttled=0",
+		"sessions: idle_timeouts=1 lines_too_long=0 scan_errors=0 accept_retries=0",
+		"transactions: active=0 committed=1 illegal=0 errors=0",
+		"search: indexed=2 scanned=1",
+		"journal: bytes=0 rotations=0 errors=0",
+		"group-commit: fsyncs=1 commits=3 commits_per_fsync=3.00 fsyncs_per_commit=0.33 max_batch=3 p99_batch=3",
+		"recovery: journal_records_scanned=2 journal_records_replayed=0 journal_records_truncated=0 journal_records_quarantined=0 recovery_legality_us=0 recovery_clean=1",
+		"read_only: stuck",
+		"role: read-only degraded",
+		"epoch: 3",
+		"fencing: events=1 epoch_rejects=0",
+		"replication: mode=semisync replicas=2 last_shipped=9 acked_seq=9 semisync_degraded=0 epoch=3",
+		"replica: primary_seq=9 applied_seq=8 lag=1 applied=4",
+		"checker sequential: count=1 total_us=3000 avg_us=3000",
+		"checker parallel: count=1 workers=2 total_us=5000 avg_us=5000",
+		"command COMMIT: count=1 errors=0 avg_us=1000 p50_us=1000 p99_us=1000 max_us=1000",
+		"command SEARCH: count=1 errors=0 avg_us=1000 p50_us=1000 p99_us=1000 max_us=1000",
+		"violations " + core.ViolationKind(0).String() + ": 1",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("METRICS rendered %d lines, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
 	}
-	for i, l := range got {
-		key, _, ok := strings.Cut(l, ":")
-		if !ok || key != want[i] {
-			t.Errorf("line %d = %q, want key %q", i, l, want[i])
+	if up, ok := strings.CutPrefix(got[0], want[0]); !ok || strings.Trim(up, "0123456789") != "" || up == "" {
+		t.Errorf("line 0 = %q, want %q and a millisecond count", got[0], want[0])
+	}
+	for i := 1; i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Errorf("line %d = %q\nwant       %q", i, got[i], want[i])
 		}
-	}
-
-	// The replication lines carry exact, scrapable key=value content.
-	if l := got[4]; l != "search: indexed=2 scanned=1" {
-		t.Errorf("search line = %q", l)
-	}
-	if l := got[9]; l != "role: read-only degraded" {
-		t.Errorf("role line = %q", l)
-	}
-	if l := got[10]; l != "epoch: 3" {
-		t.Errorf("epoch line = %q", l)
-	}
-	if l := got[11]; l != "fencing: events=1 epoch_rejects=0" {
-		t.Errorf("fencing line = %q", l)
-	}
-	if l := got[12]; l != "replication: mode=semisync replicas=2 last_shipped=9 acked_seq=9 semisync_degraded=0 epoch=3" {
-		t.Errorf("replication line = %q", l)
-	}
-	if l := got[13]; l != "replica: primary_seq=9 applied_seq=8 lag=1 applied=4" {
-		t.Errorf("replica line = %q", l)
 	}
 
 	// A plain journal-less primary still states its role, in the same slot
 	// relative to its neighbours.
-	plain := newMetrics().lines(false, "", replStatus{role: "primary"})
+	plain := metricsLines(newMetrics(), false, "", replStatus{role: "primary"})
 	idx := -1
 	for i, l := range plain {
 		if l == "role: primary" {
@@ -312,7 +306,7 @@ func TestMetricsLineOrder(t *testing.T) {
 	if idx == -1 {
 		t.Fatalf("no role line on a plain server:\n%s", strings.Join(plain, "\n"))
 	}
-	if !strings.HasPrefix(plain[idx-1], "journal:") || !strings.HasPrefix(plain[idx+1], "epoch:") {
+	if plain[idx-1] != "journal: off" || plain[idx+1] != "epoch: 0" {
 		t.Errorf("role line neighbours = %q / %q", plain[idx-1], plain[idx+1])
 	}
 }
