@@ -73,6 +73,8 @@ type (
 	Report = core.Report
 	// Violation is one legality defect.
 	Violation = core.Violation
+	// ViolationKind names the Definition 2.7 condition a Violation breaks.
+	ViolationKind = core.ViolationKind
 	// ConsistencyResult is the Section 5 verdict.
 	ConsistencyResult = core.ConsistencyResult
 	// EvolutionPlan classifies schema changes by the revalidation they
@@ -102,6 +104,23 @@ const (
 	AxisDesc   = core.AxisDesc
 	AxisParent = core.AxisParent
 	AxisAnc    = core.AxisAnc
+)
+
+// ViolationKind values: the content-schema kinds (per entry), then the
+// structure-schema kinds (instance-wide).
+const (
+	ViolationTyping         = core.ViolationTyping
+	ViolationMissingAttr    = core.ViolationMissingAttr
+	ViolationDisallowedAttr = core.ViolationDisallowedAttr
+	ViolationUnknownClass   = core.ViolationUnknownClass
+	ViolationNoCoreClass    = core.ViolationNoCoreClass
+	ViolationInheritance    = core.ViolationInheritance
+	ViolationIncomparable   = core.ViolationIncomparable
+	ViolationDisallowedAux  = core.ViolationDisallowedAux
+	ViolationDuplicateKey   = core.ViolationDuplicateKey
+	ViolationMissingClass   = core.ViolationMissingClass
+	ViolationRequiredRel    = core.ViolationRequiredRel
+	ViolationForbiddenRel   = core.ViolationForbiddenRel
 )
 
 // ClassTop is the root of every core class hierarchy.

@@ -2,8 +2,10 @@ package boundschema_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -360,7 +362,8 @@ func TestCLIServerBootRefusals(t *testing.T) {
 
 // startBsd runs bsd with args and returns the addresses its stdout
 // announces (the text after " on " on each line up to the serving
-// line), keyed by the line's leading words.
+// line), keyed by the line's leading words, and the metrics URL under
+// "metrics".
 func startBsd(t *testing.T, args ...string) map[string]string {
 	t.Helper()
 	cmd := exec.Command(filepath.Join(buildCLIs(t), "bsd"), args...)
@@ -381,6 +384,8 @@ func startBsd(t *testing.T, args ...string) map[string]string {
 		line := sc.Text()
 		if i := strings.LastIndex(line, " on "); i >= 0 {
 			addrs[strings.Fields(line)[1]] = line[i+len(" on "):]
+		} else if url, ok := strings.CutPrefix(line, "bsd: metrics at "); ok {
+			addrs["metrics"] = url
 		}
 		if strings.Contains(line, "entries) on ") {
 			return addrs
@@ -445,5 +450,53 @@ func TestCLIServerReplicationPair(t *testing.T) {
 	}
 	if want := proto.Redirect + primary["serving"]; rep.Term != "ERR" || !strings.Contains(rep.Err, want) {
 		t.Errorf("write on the replica = %+v, want an ERR naming %q", rep, want)
+	}
+}
+
+// TestCLIServerMetricsEndpoint boots bsd with -metrics-addr on port 0:
+// the announced URL is the bound one and serves the METRICS groups as
+// expvar JSON under "bsd", a command's counters under command.<NAME>.
+// A metrics address that cannot be bound refuses the boot.
+func TestCLIServerMetricsEndpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration skipped in -short mode")
+	}
+	base := []string{"-schema", "testdata/whitepages.bs", "-instance", "testdata/figure1.ldif", "-addr", "127.0.0.1:0"}
+	addrs := startBsd(t, append(base, "-metrics-addr", "127.0.0.1:0")...)
+	if rep, err := dialProto(t, addrs["serving"]).Do("STAT"); err != nil || !rep.OK() {
+		t.Fatalf("STAT: %+v, %v", rep, err)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(addrs["metrics"])
+	if err != nil {
+		t.Fatalf("GET %q (announced %v): %v", addrs["metrics"], addrs, err)
+	}
+	defer resp.Body.Close()
+	var vars struct {
+		Bsd struct {
+			Command map[string]struct{ Count int }
+			Journal string
+		}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatalf("decode /debug/vars: %v", err)
+	}
+	if n := vars.Bsd.Command["STAT"].Count; n != 1 {
+		t.Errorf("bsd.command.STAT.count = %d, want 1 (%+v)", n, vars.Bsd)
+	}
+	if vars.Bsd.Journal != "off" {
+		t.Errorf("bsd.journal = %q on a journal-less bsd, want off", vars.Bsd.Journal)
+	}
+
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cmd := exec.Command(filepath.Join(buildCLIs(t), "bsd"), append(base, "-metrics-addr", taken.Addr().String())...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil || !strings.HasPrefix(stderr.String(), "bsd: metrics endpoint: ") {
+		t.Errorf("bsd on a taken -metrics-addr: err = %v, stderr %q; want a refused boot", err, stderr.String())
 	}
 }

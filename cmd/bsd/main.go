@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -128,6 +129,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bsd: -repl-addr and -replica-of are mutually exclusive")
 		os.Exit(2)
 	}
+	// Bind the metrics endpoint before serving, so a port that cannot be
+	// had refuses the boot and the announced address is the bound one.
+	var metricsLn net.Listener
+	if *metricsAddr != "" {
+		if metricsLn, err = net.Listen("tcp", *metricsAddr); err != nil {
+			fatal(fmt.Errorf("metrics endpoint: %v", err))
+		}
+	}
 	srv, err := server.Open(server.Options{
 		Schema: schema, Name: name, Instance: dir,
 		Addr: *addr, Journal: *journal, ReplAddr: *replAddr, ReplicaOf: *replicaOf,
@@ -145,14 +154,10 @@ func main() {
 	if *replicaOf != "" {
 		fmt.Printf("bsd: read-only replica of %s\n", *replicaOf)
 	}
-	if *metricsAddr != "" {
+	if metricsLn != nil {
 		expvar.Publish("bsd", expvar.Func(func() any { return srv.MetricsSnapshot() }))
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "bsd: metrics endpoint: %v\n", err)
-			}
-		}()
-		fmt.Printf("bsd: metrics at http://%s/debug/vars\n", *metricsAddr)
+		go http.Serve(metricsLn, nil)
+		fmt.Printf("bsd: metrics at http://%s/debug/vars\n", metricsLn.Addr())
 	}
 	fmt.Printf("bsd: serving schema %s (%d entries) on %s\n", name, dir.Len(), srv.Addr())
 

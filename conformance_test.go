@@ -61,14 +61,14 @@ func TestConformanceBrokenInstance(t *testing.T) {
 	if r.Legal() {
 		t.Fatalf("seeded problems not detected")
 	}
-	want := map[string]int{
-		"missing-attribute":      1, // suciu has no name
-		"required-relationship":  1, // ou=empty has no person descendant
-		"forbidden-relationship": 1, // laks has a child (cn=gadget)
+	want := map[boundschema.ViolationKind]int{
+		boundschema.ViolationMissingAttr:  1, // suciu has no name
+		boundschema.ViolationRequiredRel:  1, // ou=empty has no person descendant
+		boundschema.ViolationForbiddenRel: 1, // laks has a child (cn=gadget)
 	}
-	got := map[string]int{}
+	got := map[boundschema.ViolationKind]int{}
 	for _, v := range r.Violations {
-		got[v.Kind.String()]++
+		got[v.Kind]++
 	}
 	for kind, n := range want {
 		if got[kind] < n {

@@ -25,6 +25,7 @@ import (
 // names that other packages' tests use. TestNoDeadExports fails on an
 // entry that is live or no longer exists.
 var exportAllowlist = map[string]string{
+	"core.DiffEngines":         "harness: the convergence oracle's engine agreement in internal/loadgen/{oracle,diff}_test.go",
 	"core.NaiveStructureCheck": "harness: the quadratic reference engine; bench_test.go's BenchmarkStructureNaive times it as E4's baseline",
 
 	"netfault.Fault":           "harness: the type New returns",
@@ -48,6 +49,7 @@ var exportAllowlist = map[string]string{
 	"proto.Conn.Send": "harness: pipelined requests in internal/shard/errgrammar_test.go",
 	"proto.Conn.Read": "harness: pipelined replies in internal/shard/{errgrammar,sharddiff}_test.go",
 
+	"server.Server.ReplicaSeqs":           "harness: a node's committed sequence in internal/loadgen/oracle_test.go",
 	"server.Server.DisconnectReplication": "harness: drops replication links under load in internal/loadgen/chaos_test.go",
 	"server.Server.ListenRepl":            "harness: gives the promoted replica a replication listener in internal/loadgen/chaos_test.go",
 

@@ -51,7 +51,7 @@ func TestEvolutionContentRecheck(t *testing.T) {
 	}
 	d := whitePagesInstance(t, old)
 	r := CheckEvolution(new, d, plan)
-	if got := len(r.ByKind(violationMissingAttr)); got != 3 { // three persons
+	if got := len(r.ByKind(ViolationMissingAttr)); got != 3 { // three persons
 		t.Fatalf("missing-attr violations = %d, want 3:\n%s", got, r)
 	}
 }
@@ -99,7 +99,7 @@ func TestEvolutionRegistryChanges(t *testing.T) {
 		t.Fatalf("single-valued change must force a full content recheck:\n%s", plan)
 	}
 	r := CheckEvolution(new, d, plan)
-	if len(r.ByKind(violationTyping)) == 0 {
+	if len(r.ByKind(ViolationTyping)) == 0 {
 		t.Fatalf("double mail not caught:\n%s", r)
 	}
 }
@@ -130,7 +130,7 @@ func TestEvolutionRemovedClass(t *testing.T) {
 		t.Fatalf("class removal must not be lightweight")
 	}
 	r := CheckEvolution(new, d, plan)
-	if len(r.ByKind(violationUnknownClass)) == 0 {
+	if len(r.ByKind(ViolationUnknownClass)) == 0 {
 		t.Fatalf("entries of removed class not caught:\n%s", r)
 	}
 }

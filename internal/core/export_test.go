@@ -15,7 +15,7 @@ const ClassNone = classNone
 
 // Content reports whether the kind is a per-entry content-schema
 // violation (testable entry by entry, Section 3.1).
-func (k ViolationKind) Content() bool { return k <= violationDisallowedAux }
+func (k ViolationKind) Content() bool { return k <= ViolationDisallowedAux }
 
 func (in *Inference) Inconsistent() bool           { return in.inconsistent() }
 func (in *Inference) Explain(el Element) string    { return in.explain(el) }

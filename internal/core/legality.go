@@ -132,7 +132,7 @@ func newSetMemo(s *Schema, set *dirtree.ClassSet) *setMemo {
 	// Class schema, condition 1: only declared object classes.
 	for _, cls := range classes {
 		if !cs.Declared(cls) {
-			m.class = append(m.class, Violation{Kind: violationUnknownClass,
+			m.class = append(m.class, Violation{Kind: ViolationUnknownClass,
 				Detail: fmt.Sprintf("object class %s is not declared in the schema", cls)})
 		}
 	}
@@ -149,7 +149,7 @@ func newSetMemo(s *Schema, set *dirtree.ClassSet) *setMemo {
 		}
 	}
 	if nCore == 0 {
-		m.class = append(m.class, Violation{Kind: violationNoCoreClass,
+		m.class = append(m.class, Violation{Kind: ViolationNoCoreClass,
 			Detail: "entry belongs to no core object class"})
 	} else {
 		// Condition 3 (single inheritance): the core classes must be
@@ -159,14 +159,14 @@ func newSetMemo(s *Schema, set *dirtree.ClassSet) *setMemo {
 		for sup, ok := deepest, true; ok; sup, ok = cs.Superclass(sup) {
 			chain = append(chain, sup)
 			if !set.Has(sup) {
-				m.class = append(m.class, Violation{Kind: violationInheritance,
+				m.class = append(m.class, Violation{Kind: ViolationInheritance,
 					Element: Subclass{Sub: deepest, Super: sup},
 					Detail:  fmt.Sprintf("belongs to %s but not to its superclass %s", deepest, sup)})
 			}
 		}
 		for _, cls := range classes {
 			if cs.IsCore(cls) && !slices.Contains(chain, cls) {
-				m.class = append(m.class, Violation{Kind: violationIncomparable,
+				m.class = append(m.class, Violation{Kind: ViolationIncomparable,
 					Element: Disjoint{A: deepest, B: cls},
 					Detail:  fmt.Sprintf("core classes %s and %s are incomparable", deepest, cls)})
 			}
@@ -187,7 +187,7 @@ func newSetMemo(s *Schema, set *dirtree.ClassSet) *setMemo {
 			}
 		}
 		if !ok {
-			m.class = append(m.class, Violation{Kind: violationDisallowedAux,
+			m.class = append(m.class, Violation{Kind: ViolationDisallowedAux,
 				Detail: fmt.Sprintf("auxiliary class %s is not allowed by any of the entry's core classes", cls)})
 		}
 	}
@@ -253,7 +253,7 @@ func (c *Checker) checkEntry(m *setMemo, e *dirtree.Entry, r *Report) {
 	// Attribute schema, condition 1: required attributes present.
 	for _, ra := range m.required {
 		if !e.HasAttr(ra.attr) {
-			r.Add(Violation{Kind: violationMissingAttr, Entry: e, Detail: ra.detail})
+			r.Add(Violation{Kind: ViolationMissingAttr, Entry: e, Detail: ra.detail})
 		}
 	}
 
@@ -271,7 +271,7 @@ func (c *Checker) checkEntry(m *setMemo, e *dirtree.Entry, r *Report) {
 			allowed = allowed[1:]
 		}
 		if len(allowed) == 0 || allowed[0] != a {
-			r.Add(Violation{Kind: violationDisallowedAttr, Entry: e,
+			r.Add(Violation{Kind: ViolationDisallowedAttr, Entry: e,
 				Detail: fmt.Sprintf("attribute %s is allowed by none of the entry's classes", a)})
 		}
 	}
@@ -286,12 +286,12 @@ func (c *Checker) checkEntry(m *setMemo, e *dirtree.Entry, r *Report) {
 			vs := e.Attr(a)
 			for _, v := range vs {
 				if err := reg.CheckValue(a, v); err != nil {
-					r.Add(Violation{Kind: violationTyping, Entry: e, Detail: err.Error()})
+					r.Add(Violation{Kind: ViolationTyping, Entry: e, Detail: err.Error()})
 					break
 				}
 			}
 			if reg.SingleValued(a) && len(vs) > 1 {
-				r.Add(Violation{Kind: violationTyping, Entry: e,
+				r.Add(Violation{Kind: ViolationTyping, Entry: e,
 					Detail: fmt.Sprintf("attribute %s is single-valued but has %d values", a, len(vs))})
 			}
 		}

@@ -53,28 +53,28 @@ func TestContentViolations(t *testing.T) {
 			mut: func(t *testing.T, d *dirtree.Directory) {
 				entryByRDN(t, d, "uid=laks").SetValues("name")
 			},
-			want: []ViolationKind{violationMissingAttr},
+			want: []ViolationKind{ViolationMissingAttr},
 		},
 		{
 			name: "disallowed attribute",
 			mut: func(t *testing.T, d *dirtree.Directory) {
 				entryByRDN(t, d, "uid=suciu").AddValue("salary", dirtree.String("lots"))
 			},
-			want: []ViolationKind{violationDisallowedAttr},
+			want: []ViolationKind{ViolationDisallowedAttr},
 		},
 		{
 			name: "mail needs the online class",
 			mut: func(t *testing.T, d *dirtree.Directory) {
 				entryByRDN(t, d, "uid=suciu").AddValue("mail", dirtree.String("suciu@research.att.com"))
 			},
-			want: []ViolationKind{violationDisallowedAttr},
+			want: []ViolationKind{ViolationDisallowedAttr},
 		},
 		{
 			name: "unknown object class",
 			mut: func(t *testing.T, d *dirtree.Directory) {
 				entryByRDN(t, d, "uid=suciu").AddClass("packetRouter")
 			},
-			want: []ViolationKind{violationUnknownClass},
+			want: []ViolationKind{ViolationUnknownClass},
 		},
 		{
 			name: "no core class",
@@ -86,7 +86,7 @@ func TestContentViolations(t *testing.T) {
 				// loses its allowing class (person) alongside the class
 				// violations.
 			},
-			want: []ViolationKind{violationNoCoreClass, violationDisallowedAux, violationDisallowedAttr},
+			want: []ViolationKind{ViolationNoCoreClass, ViolationDisallowedAux, ViolationDisallowedAttr},
 		},
 		{
 			name: "missing superclass breaks inheritance",
@@ -95,7 +95,7 @@ func TestContentViolations(t *testing.T) {
 				// name was allowed through person, so it becomes
 				// disallowed as well.
 			},
-			want: []ViolationKind{violationInheritance, violationDisallowedAttr},
+			want: []ViolationKind{ViolationInheritance, ViolationDisallowedAttr},
 		},
 		{
 			name: "incomparable core classes",
@@ -104,7 +104,7 @@ func TestContentViolations(t *testing.T) {
 				// facultyMember is aux; the core analogue: orgUnit+person.
 				entryByRDN(t, d, "ou=databases").AddClass("person")
 			},
-			want: []ViolationKind{violationIncomparable, violationMissingAttr},
+			want: []ViolationKind{ViolationIncomparable, ViolationMissingAttr},
 		},
 		{
 			name: "disallowed auxiliary class",
@@ -112,7 +112,7 @@ func TestContentViolations(t *testing.T) {
 				// facultyMember is allowed for researcher, not orgUnit.
 				entryByRDN(t, d, "ou=databases").AddClass("facultyMember")
 			},
-			want: []ViolationKind{violationDisallowedAux},
+			want: []ViolationKind{ViolationDisallowedAux},
 		},
 	}
 	for _, c := range cases {
@@ -140,7 +140,7 @@ func TestTypingViolations(t *testing.T) {
 	laks.AddValue("ssn", dirtree.String("1"))
 	laks.AddValue("ssn", dirtree.String("2"))
 	r := NewChecker(s).CheckContent(d)
-	if got := len(r.ByKind(violationTyping)); got != 2 {
+	if got := len(r.ByKind(ViolationTyping)); got != 2 {
 		t.Errorf("typing violations = %d, want 2:\n%s", got, r)
 	}
 }
@@ -408,7 +408,7 @@ func TestReportPlumbing(t *testing.T) {
 	if s := r.String(); s == "" || s == "legal" {
 		t.Errorf("report rendering = %q", s)
 	}
-	if ViolationMissingClass.Content() || !violationDisallowedAux.Content() {
+	if ViolationMissingClass.Content() || !ViolationDisallowedAux.Content() {
 		t.Errorf("Content() classification wrong")
 	}
 }

@@ -181,7 +181,7 @@ func (c *Checker) checkKeys(d *dirtree.Directory, workers int) *Report {
 	for _, refs := range streams {
 		for _, ref := range refs {
 			if prev, dup := seen[ref.kv]; dup && prev != ref.e {
-				r.Add(Violation{Kind: violationDuplicateKey, Entry: ref.e,
+				r.Add(Violation{Kind: ViolationDuplicateKey, Entry: ref.e,
 					Detail: fmt.Sprintf("key %s=%q already used by %s", ref.kv.attr, ref.kv.value, prev.DN())})
 				continue
 			}

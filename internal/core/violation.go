@@ -14,15 +14,15 @@ type ViolationKind int
 // Violation kinds. The first group is content-schema (per entry), the
 // second structure-schema (instance-wide).
 const (
-	violationTyping         ViolationKind = iota // value outside dom(τ(a)) or single-value overflow
-	violationMissingAttr                         // required attribute absent
-	violationDisallowedAttr                      // attribute allowed by no class of the entry
-	violationUnknownClass                        // class not declared in the schema
-	violationNoCoreClass                         // entry has no core class
-	violationInheritance                         // superclass missing (ci ⇒ cj broken)
-	violationIncomparable                        // two incomparable core classes (ci ⊗ cj broken)
-	violationDisallowedAux                       // auxiliary class not allowed by any core class
-	violationDuplicateKey                        // key attribute value used by two entries (Section 6.1)
+	ViolationTyping         ViolationKind = iota // value outside dom(τ(a)) or single-value overflow
+	ViolationMissingAttr                         // required attribute absent
+	ViolationDisallowedAttr                      // attribute allowed by no class of the entry
+	ViolationUnknownClass                        // class not declared in the schema
+	ViolationNoCoreClass                         // entry has no core class
+	ViolationInheritance                         // superclass missing (ci ⇒ cj broken)
+	ViolationIncomparable                        // two incomparable core classes (ci ⊗ cj broken)
+	ViolationDisallowedAux                       // auxiliary class not allowed by any core class
+	ViolationDuplicateKey                        // key attribute value used by two entries (Section 6.1)
 	ViolationMissingClass                        // required class c⇓ has no entry
 	ViolationRequiredRel                         // required structural relationship broken
 	ViolationForbiddenRel                        // forbidden structural relationship present

@@ -3,11 +3,11 @@
 // clusters (a single node, a primary with streaming replicas, or carved
 // shards behind a router) on fault-injectable filesystems, per-scenario
 // sources of schema-respecting operations (whitepages, netpolicy,
-// semistructured), and the convergence oracle every chaos run ends in:
-// surviving nodes must be byte-identical where expected, pass VERIFY,
-// and serve an instance the full (non-incremental) legality engines
-// agree is legal. The traffic driver and the chaos scenarios themselves
-// live in this package's tests.
+// semistructured). The traffic driver, the chaos scenarios and the
+// convergence oracle every chaos run ends in live in this package's
+// tests: surviving nodes must be byte-identical where expected, pass
+// VERIFY, and serve an instance the full (non-incremental) legality
+// engines agree is legal.
 package loadgen
 
 import "fmt"

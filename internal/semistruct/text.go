@@ -67,29 +67,6 @@ func ParseForest(r io.Reader) ([]*Node, error) {
 	return roots, nil
 }
 
-// writeForest serializes a forest in the outline format read by
-// ParseForest.
-func writeForest(w io.Writer, roots []*Node) error {
-	bw := bufio.NewWriter(w)
-	var emit func(n *Node, depth int)
-	emit = func(n *Node, depth int) {
-		bw.WriteString(strings.Repeat("  ", depth))
-		bw.WriteString(n.Label)
-		if n.Value != "" {
-			bw.WriteString(": ")
-			bw.WriteString(n.Value)
-		}
-		bw.WriteByte('\n')
-		for _, c := range n.Children {
-			emit(c, depth+1)
-		}
-	}
-	for _, r := range roots {
-		emit(r, 0)
-	}
-	return bw.Flush()
-}
-
 // ParseConstraint adds one textual constraint to the set. Forms:
 //
 //	require label

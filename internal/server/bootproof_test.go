@@ -52,7 +52,7 @@ func TestBootProvesOnce(t *testing.T) {
 		if err := srv.OpenJournal(crashJournalPath); err != nil {
 			t.Fatal(err)
 		}
-		if got := srv.metrics.recReplayed.Load(); got != records {
+		if got := srv.metrics.recovery.Load().RecordsReplayed; got != records {
 			t.Fatalf("replayed %d records, want %d", got, records)
 		}
 		if got := proofs.Load(); got != 0 {
@@ -102,7 +102,7 @@ func TestBootProvesOnce(t *testing.T) {
 		if err := srv2.OpenJournal(crashJournalPath); err != nil {
 			t.Fatal(err)
 		}
-		if srv2.dir.ByDN("uid=after,ou=attLabs,o=att") == nil || srv2.metrics.recReplayed.Load() != 1 {
+		if srv2.dir.ByDN("uid=after,ou=attLabs,o=att") == nil || srv2.metrics.recovery.Load().RecordsReplayed != 1 {
 			t.Fatal("recovery did not load the snapshot and replay the one record after it")
 		}
 		if got := proofs.Load(); got != 1 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -15,8 +16,10 @@ import (
 // and latency histograms, checker timings (which execution path the
 // legality engine took), violation-kind counters, and live gauges for
 // connections and transactions. Everything is lock-free atomics so the
-// hot protocol paths pay one or two atomic adds per command; the METRICS
-// protocol command and the cmd/bsd expvar endpoint render snapshots.
+// hot protocol paths pay one or two atomic adds per command. One ordered
+// list of groups, built by metrics.groups, is the model both forms read:
+// lines renders it as the METRICS protocol body and snapshot as the JSON
+// that cmd/bsd's expvar endpoint serves, so a counter is written once.
 
 // histBuckets is the number of power-of-two latency buckets. Bucket 0
 // counts sub-microsecond observations and bucket i counts durations in
@@ -140,16 +143,9 @@ type metrics struct {
 	FencingEvents atomic.Int64
 	EpochRejects  atomic.Int64
 
-	// Recovery: what OpenJournal's startup pass found. Set once per
-	// process (recRan flips to 1); recClean is a gauge — 1 means the last
-	// recovery neither truncated nor quarantined anything.
-	recRan         atomic.Int64
-	recScanned     atomic.Int64 // journal_records_scanned
-	recReplayed    atomic.Int64 // journal_records_replayed
-	recTruncated   atomic.Int64 // journal_records_truncated
-	recQuarantined atomic.Int64 // journal_records_quarantined
-	recLegalityUs  atomic.Int64 // recovery_legality_us
-	recClean       atomic.Int64 // recovery_clean gauge
+	// recovery is the report of the last recovery pass (OpenJournal's
+	// startup pass, or Fsck's); nil until one ran.
+	recovery atomic.Pointer[RecoveryReport]
 
 	// Group commit: one observation per fsync, valued at how many
 	// commits that sync made durable. count = fsyncs, sum = commits, so
@@ -191,22 +187,11 @@ func (m *metrics) observeCommand(cmd string, d time.Duration, failed bool) {
 	}
 }
 
-// noteRecovery publishes the startup recovery pass's outcome. Called by
-// OpenJournal with whatever report recovery produced, even on refusal.
+// noteRecovery publishes the recovery pass's outcome. Called with
+// whatever report recovery produced, even on refusal.
 func (m *metrics) noteRecovery(r *RecoveryReport) {
-	if r == nil {
-		return
-	}
-	m.recRan.Store(1)
-	m.recScanned.Store(int64(r.RecordsScanned))
-	m.recReplayed.Store(int64(r.RecordsReplayed))
-	m.recTruncated.Store(int64(r.RecordsTruncated))
-	m.recQuarantined.Store(int64(r.RecordsQuarantined))
-	m.recLegalityUs.Store(r.LegalityUs)
-	if r.Clean {
-		m.recClean.Store(1)
-	} else {
-		m.recClean.Store(0)
+	if r != nil {
+		m.recovery.Store(r)
 	}
 }
 
@@ -240,79 +225,92 @@ func (m *metrics) noteViolations(r *core.Report) {
 	}
 }
 
-// lines renders the METRICS protocol response body in a fixed order:
-// aggregate gauges first, then the node's replication role and state,
-// then checker timings, then the non-zero commands alphabetically, then
-// the non-zero violation kinds in enum order. The ordering is part of
-// the surface — TestMetricsLineOrder pins it — so scraping scripts can
-// rely on it.
-func (m *metrics) lines(journalOn bool, readOnly string, rs replStatus) []string {
-	var out []string
-	out = append(out,
-		fmt.Sprintf("uptime_ms: %d", time.Since(m.start).Milliseconds()),
-		fmt.Sprintf("connections: active=%d total=%d throttled=%d",
-			m.ConnsActive.Load(), m.ConnsTotal.Load(), m.ConnsThrottled.Load()),
-		fmt.Sprintf("sessions: idle_timeouts=%d lines_too_long=%d scan_errors=%d accept_retries=%d",
-			m.IdleTimeouts.Load(), m.LinesTooLong.Load(), m.ScanErrors.Load(), m.AcceptRetries.Load()),
-		fmt.Sprintf("transactions: active=%d committed=%d illegal=%d errors=%d",
-			m.TxActive.Load(), m.TxCommitted.Load(), m.TxIllegal.Load(), m.TxErrors.Load()),
-	)
+// field is one value of a group: key=val, or the group's whole value
+// when key is empty. val is an integer, a float64 or a string.
+type field struct {
+	key string
+	val any
+}
+
+// group is one METRICS line and one member of the expvar JSON.
+type group struct {
+	name   string
+	fields []field
+}
+
+// bit renders a boolean gauge as 0 or 1.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// groups collects the metrics in METRICS order: aggregate gauges first,
+// then the node's replication role and state, then checker timings, then
+// the non-zero commands alphabetically, then the non-zero violation kinds
+// in enum order. The ordering is part of the surface — TestMetricsLineOrder
+// pins it — so scraping scripts can rely on it.
+func (m *metrics) groups(journalOn bool, readOnly string, rs replStatus) []group {
+	one := func(name string, v any) group { return group{name, []field{{"", v}}} }
+	gs := []group{
+		one("uptime_ms", time.Since(m.start).Milliseconds()),
+		{"connections", []field{{"active", m.ConnsActive.Load()}, {"total", m.ConnsTotal.Load()},
+			{"throttled", m.ConnsThrottled.Load()}}},
+		{"sessions", []field{{"idle_timeouts", m.IdleTimeouts.Load()}, {"lines_too_long", m.LinesTooLong.Load()},
+			{"scan_errors", m.ScanErrors.Load()}, {"accept_retries", m.AcceptRetries.Load()}}},
+		{"transactions", []field{{"active", m.TxActive.Load()}, {"committed", m.TxCommitted.Load()},
+			{"illegal", m.TxIllegal.Load()}, {"errors", m.TxErrors.Load()}}},
+	}
 	if idx, sc := m.SearchIndexed.Load(), m.SearchScanned.Load(); idx+sc > 0 {
-		out = append(out, fmt.Sprintf("search: indexed=%d scanned=%d", idx, sc))
+		gs = append(gs, group{"search", []field{{"indexed", idx}, {"scanned", sc}}})
 	}
 	if journalOn {
-		out = append(out, fmt.Sprintf("journal: bytes=%d rotations=%d errors=%d",
-			m.JournalBytes.Load(), m.JournalRotations.Load(), m.JournalErrors.Load()))
+		gs = append(gs, group{"journal", []field{{"bytes", m.JournalBytes.Load()},
+			{"rotations", m.JournalRotations.Load()}, {"errors", m.JournalErrors.Load()}}})
 		if fsyncs := m.batchSizes.count.Load(); fsyncs > 0 {
 			commits := m.batchSizes.sumUS.Load()
-			out = append(out, fmt.Sprintf(
-				"group-commit: fsyncs=%d commits=%d commits_per_fsync=%.2f fsyncs_per_commit=%.2f max_batch=%d p99_batch=%d",
-				fsyncs, commits, float64(commits)/float64(fsyncs), float64(fsyncs)/float64(commits),
-				m.batchSizes.maxUS.Load(), m.batchSizes.quantile(0.99)))
+			gs = append(gs, group{"group-commit", []field{{"fsyncs", fsyncs}, {"commits", commits},
+				{"commits_per_fsync", float64(commits) / float64(fsyncs)},
+				{"fsyncs_per_commit", float64(fsyncs) / float64(commits)},
+				{"max_batch", m.batchSizes.maxUS.Load()}, {"p99_batch", m.batchSizes.quantile(0.99)}}})
 		}
 	} else {
-		out = append(out, "journal: off")
+		gs = append(gs, one("journal", "off"))
 	}
-	if m.recRan.Load() == 1 {
-		out = append(out, fmt.Sprintf(
-			"recovery: journal_records_scanned=%d journal_records_replayed=%d journal_records_truncated=%d journal_records_quarantined=%d recovery_legality_us=%d recovery_clean=%d",
-			m.recScanned.Load(), m.recReplayed.Load(),
-			m.recTruncated.Load(), m.recQuarantined.Load(),
-			m.recLegalityUs.Load(), m.recClean.Load()))
+	if r := m.recovery.Load(); r != nil {
+		gs = append(gs, group{"recovery", []field{{"journal_records_scanned", r.RecordsScanned},
+			{"journal_records_replayed", r.RecordsReplayed}, {"journal_records_truncated", r.RecordsTruncated},
+			{"journal_records_quarantined", r.RecordsQuarantined}, {"recovery_legality_us", r.LegalityUs},
+			{"recovery_clean", bit(r.Clean)}}})
 	}
 	if readOnly != "" {
-		out = append(out, "read_only: "+readOnly)
+		gs = append(gs, one("read_only", readOnly))
 	}
-	out = append(out, "role: "+rs.role)
-	out = append(out, fmt.Sprintf("epoch: %d", rs.epoch))
+	gs = append(gs, one("role", rs.role), one("epoch", rs.epoch))
 	if fe, er := m.FencingEvents.Load(), m.EpochRejects.Load(); fe+er > 0 {
-		out = append(out, fmt.Sprintf("fencing: events=%d epoch_rejects=%d", fe, er))
+		gs = append(gs, group{"fencing", []field{{"events", fe}, {"epoch_rejects", er}}})
 	}
-	if rs.hub != nil {
-		degraded := 0
-		if rs.hub.Degraded {
-			degraded = 1
-		}
-		out = append(out, fmt.Sprintf(
-			"replication: mode=%s replicas=%d last_shipped=%d acked_seq=%d semisync_degraded=%d epoch=%d",
-			rs.hub.Mode, rs.hub.Replicas, rs.hub.LastShipped, rs.hub.AckedSeq, degraded, rs.hub.Epoch))
+	if h := rs.hub; h != nil {
+		gs = append(gs, group{"replication", []field{{"mode", h.Mode.String()}, {"replicas", h.Replicas},
+			{"last_shipped", h.LastShipped}, {"acked_seq", h.AckedSeq},
+			{"semisync_degraded", bit(h.Degraded)}, {"epoch", h.Epoch}}})
 	}
 	if rs.replica {
 		var lag uint64
 		if rs.primarySeq > rs.localSeq {
 			lag = rs.primarySeq - rs.localSeq
 		}
-		out = append(out, fmt.Sprintf(
-			"replica: primary_seq=%d applied_seq=%d lag=%d applied=%d",
-			rs.primarySeq, rs.localSeq, lag, rs.applied))
+		gs = append(gs, group{"replica", []field{{"primary_seq", rs.primarySeq},
+			{"applied_seq", rs.localSeq}, {"lag", lag}, {"applied", rs.applied}}})
 	}
 	seqN, seqNS := m.checkSeqCount.Load(), m.checkSeqNS.Load()
 	parN, parNS := m.checkParCount.Load(), m.checkParNS.Load()
-	out = append(out,
-		fmt.Sprintf("checker sequential: count=%d total_us=%d avg_us=%d",
-			seqN, seqNS/1000, avgUS(seqNS, seqN)),
-		fmt.Sprintf("checker parallel: count=%d workers=%d total_us=%d avg_us=%d",
-			parN, m.checkWorkers.Load(), parNS/1000, avgUS(parNS, parN)),
+	gs = append(gs,
+		group{"checker sequential", []field{{"count", seqN}, {"total_us", seqNS / 1000},
+			{"avg_us", avgUS(seqNS, seqN)}}},
+		group{"checker parallel", []field{{"count", parN}, {"workers", m.checkWorkers.Load()},
+			{"total_us", parNS / 1000}, {"avg_us", avgUS(parNS, parN)}}},
 	)
 	names := make([]string, 0, len(m.cmds))
 	for name, st := range m.cmds {
@@ -323,17 +321,16 @@ func (m *metrics) lines(journalOn bool, readOnly string, rs replStatus) []string
 	sort.Strings(names)
 	for _, name := range names {
 		st := m.cmds[name]
-		out = append(out, fmt.Sprintf(
-			"command %s: count=%d errors=%d avg_us=%d p50_us=%d p99_us=%d max_us=%d",
-			name, st.hist.count.Load(), st.errs.Load(), st.hist.avgUS(),
-			st.hist.quantile(0.50), st.hist.quantile(0.99), st.hist.maxUS.Load()))
+		gs = append(gs, group{"command " + name, []field{{"count", st.hist.count.Load()},
+			{"errors", st.errs.Load()}, {"avg_us", st.hist.avgUS()}, {"p50_us", st.hist.quantile(0.50)},
+			{"p99_us", st.hist.quantile(0.99)}, {"max_us", st.hist.maxUS.Load()}}})
 	}
 	for k := 0; k < nViolationKinds; k++ {
 		if n := m.violations[k].Load(); n > 0 {
-			out = append(out, fmt.Sprintf("violations %s: %d", core.ViolationKind(k), n))
+			gs = append(gs, one("violations "+core.ViolationKind(k).String(), n))
 		}
 	}
-	return out
+	return gs
 }
 
 func avgUS(ns, n int64) int64 {
@@ -343,118 +340,57 @@ func avgUS(ns, n int64) int64 {
 	return ns / n / 1000
 }
 
-// snapshot returns the metrics as nested JSON-marshalable maps, the shape
-// served by cmd/bsd's expvar endpoint.
-func (m *metrics) snapshot(journalOn bool, readOnly string, rs replStatus) map[string]any {
-	out := map[string]any{
-		"uptime_ms": time.Since(m.start).Milliseconds(),
-		"connections": map[string]int64{
-			"active":         m.ConnsActive.Load(),
-			"total":          m.ConnsTotal.Load(),
-			"throttled":      m.ConnsThrottled.Load(),
-			"idle_timeouts":  m.IdleTimeouts.Load(),
-			"lines_too_long": m.LinesTooLong.Load(),
-			"scan_errors":    m.ScanErrors.Load(),
-			"accept_retries": m.AcceptRetries.Load(),
-		},
-		"transactions": map[string]int64{
-			"active":    m.TxActive.Load(),
-			"committed": m.TxCommitted.Load(),
-			"illegal":   m.TxIllegal.Load(),
-			"errors":    m.TxErrors.Load(),
-		},
-		"search": map[string]int64{
-			"indexed": m.SearchIndexed.Load(),
-			"scanned": m.SearchScanned.Load(),
-		},
-		"checker": map[string]int64{
-			"sequential_count":    m.checkSeqCount.Load(),
-			"sequential_total_us": m.checkSeqNS.Load() / 1000,
-			"parallel_count":      m.checkParCount.Load(),
-			"parallel_total_us":   m.checkParNS.Load() / 1000,
-			"parallel_workers":    m.checkWorkers.Load(),
-		},
-	}
-	if journalOn {
-		jm := map[string]any{
-			"bytes":     m.JournalBytes.Load(),
-			"rotations": m.JournalRotations.Load(),
-			"errors":    m.JournalErrors.Load(),
-		}
-		if fsyncs := m.batchSizes.count.Load(); fsyncs > 0 {
-			commits := m.batchSizes.sumUS.Load()
-			jm["fsyncs"] = fsyncs
-			jm["batched_commits"] = commits
-			jm["commits_per_fsync"] = float64(commits) / float64(fsyncs)
-			jm["fsyncs_per_commit"] = float64(fsyncs) / float64(commits)
-			jm["max_batch"] = m.batchSizes.maxUS.Load()
-			jm["p99_batch"] = m.batchSizes.quantile(0.99)
-		}
-		out["journal"] = jm
-	}
-	if m.recRan.Load() == 1 {
-		out["recovery"] = map[string]int64{
-			"journal_records_scanned":     m.recScanned.Load(),
-			"journal_records_replayed":    m.recReplayed.Load(),
-			"journal_records_truncated":   m.recTruncated.Load(),
-			"journal_records_quarantined": m.recQuarantined.Load(),
-			"recovery_legality_us":        m.recLegalityUs.Load(),
-			"recovery_clean":              m.recClean.Load(),
-		}
-	}
-	if readOnly != "" {
-		out["read_only"] = readOnly
-	}
-	out["role"] = rs.role
-	out["epoch"] = rs.epoch
-	if fe, er := m.FencingEvents.Load(), m.EpochRejects.Load(); fe+er > 0 {
-		out["fencing"] = map[string]int64{
-			"events":        fe,
-			"epoch_rejects": er,
-		}
-	}
-	if rs.hub != nil {
-		out["replication"] = map[string]any{
-			"mode":              rs.hub.Mode.String(),
-			"replicas":          rs.hub.Replicas,
-			"last_shipped":      rs.hub.LastShipped,
-			"acked_seq":         rs.hub.AckedSeq,
-			"semisync_degraded": rs.hub.Degraded,
-			"epoch":             rs.hub.Epoch,
-		}
-	}
-	if rs.replica {
-		var lag uint64
-		if rs.primarySeq > rs.localSeq {
-			lag = rs.primarySeq - rs.localSeq
-		}
-		out["replica"] = map[string]uint64{
-			"primary_seq": rs.primarySeq,
-			"applied_seq": rs.localSeq,
-			"lag":         lag,
-			"applied":     uint64(rs.applied),
-		}
-	}
-	cmds := make(map[string]any)
-	for name, st := range m.cmds {
-		if n := st.hist.count.Load(); n > 0 {
-			cmds[name] = map[string]int64{
-				"count":  n,
-				"errors": st.errs.Load(),
-				"avg_us": st.hist.avgUS(),
-				"p50_us": st.hist.quantile(0.50),
-				"p99_us": st.hist.quantile(0.99),
-				"max_us": st.hist.maxUS.Load(),
+// lines renders groups as the METRICS protocol body: one "name: k=v ..."
+// line per group, or "name: v" for a group with one unkeyed value, floats
+// to two decimals.
+func lines(gs []group) []string {
+	out := make([]string, len(gs))
+	for i, g := range gs {
+		b := append([]byte(g.name), ':')
+		for _, f := range g.fields {
+			b = append(b, ' ')
+			if f.key != "" {
+				b = append(append(b, f.key...), '=')
+			}
+			if x, ok := f.val.(float64); ok {
+				b = fmt.Appendf(b, "%.2f", x)
+			} else {
+				b = fmt.Append(b, f.val)
 			}
 		}
+		out[i] = string(b)
 	}
-	out["commands"] = cmds
-	viol := make(map[string]int64)
-	for k := 0; k < nViolationKinds; k++ {
-		if n := m.violations[k].Load(); n > 0 {
-			viol[core.ViolationKind(k).String()] = n
+	return out
+}
+
+// snapshot renders groups as the JSON-marshalable tree cmd/bsd's expvar
+// endpoint serves: each group is a member holding an object of its keyed
+// fields, or its one unkeyed value; a two-word name "a b" is member b of
+// object a.
+func snapshot(gs []group) map[string]any {
+	out := make(map[string]any, len(gs))
+	for _, g := range gs {
+		var v any
+		if len(g.fields) == 1 && g.fields[0].key == "" {
+			v = g.fields[0].val
+		} else {
+			obj := make(map[string]any, len(g.fields))
+			for _, f := range g.fields {
+				obj[f.key] = f.val
+			}
+			v = obj
 		}
+		outer, inner, nested := strings.Cut(g.name, " ")
+		if !nested {
+			out[g.name] = v
+			continue
+		}
+		sub, _ := out[outer].(map[string]any)
+		if sub == nil {
+			sub = map[string]any{}
+			out[outer] = sub
+		}
+		sub[inner] = v
 	}
-	out["violations"] = viol
 	return out
 }

@@ -2,7 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -166,7 +169,8 @@ func TestServerMetricsCommand(t *testing.T) {
 }
 
 // TestMetricsSnapshotJSON: the expvar shape must marshal and carry the
-// same counters the METRICS command reports.
+// same counters the METRICS command reports, a command's under
+// "command", the journal's state as "off" when there is none.
 func TestMetricsSnapshotJSON(t *testing.T) {
 	srv, c := startServer(t)
 	c.expectOK("SEARCH (objectClass=person)")
@@ -180,9 +184,9 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("unmarshal snapshot: %v", err)
 	}
-	cmds, ok := snap["commands"].(map[string]any)
+	cmds, ok := snap["command"].(map[string]any)
 	if !ok {
-		t.Fatalf("snapshot has no commands map: %s", raw)
+		t.Fatalf("snapshot has no command map: %s", raw)
 	}
 	search, ok := cmds["SEARCH"].(map[string]any)
 	if !ok || search["count"].(float64) != 1 {
@@ -191,8 +195,8 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	if _, ok := snap["checker"]; !ok {
 		t.Errorf("snapshot missing checker section: %s", raw)
 	}
-	if _, ok := snap["journal"]; ok {
-		t.Errorf("journal section present on a journal-less server")
+	if j := snap["journal"]; j != "off" {
+		t.Errorf("journal = %v on a journal-less server, want \"off\"", j)
 	}
 }
 
@@ -230,7 +234,7 @@ func TestHistogramQuantile(t *testing.T) {
 
 // metricsLines renders m's METRICS body for the given server state.
 func metricsLines(m *metrics, journalOn bool, readOnly string, rs replStatus) []string {
-	return m.lines(journalOn, readOnly, rs)
+	return lines(m.groups(journalOn, readOnly, rs))
 }
 
 // TestMetricsLineOrder pins the METRICS body, line by line and byte for
@@ -294,6 +298,12 @@ func TestMetricsLineOrder(t *testing.T) {
 		}
 	}
 
+	// Each line is exactly one member of the expvar JSON, with the same
+	// keys and values.
+	for _, d := range metricsDrift(m.groups(true, "stuck", rs)) {
+		t.Error(d)
+	}
+
 	// A plain journal-less primary still states its role, in the same slot
 	// relative to its neighbours.
 	plain := metricsLines(newMetrics(), false, "", replStatus{role: "primary"})
@@ -309,6 +319,87 @@ func TestMetricsLineOrder(t *testing.T) {
 	if plain[idx-1] != "journal: off" || plain[idx+1] != "epoch: 0" {
 		t.Errorf("role line neighbours = %q / %q", plain[idx-1], plain[idx+1])
 	}
+}
+
+// metricsDrift renders gs both ways and lists every METRICS line that
+// does not map to exactly one member of the expvar JSON with the same
+// keys and values, and every JSON member that no line maps to. A
+// two-word line name "a b" maps to member b of object a.
+func metricsDrift(gs []group) []string {
+	body := lines(gs)
+	raw, err := json.Marshal(snapshot(gs))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var js map[string]any
+	if err := json.Unmarshal(raw, &js); err != nil {
+		return []string{err.Error()}
+	}
+	// text renders a JSON value as the line writes it: floats to two
+	// decimals where the line has them.
+	text := func(v any, like string) string {
+		if f, ok := v.(float64); ok {
+			if strings.Contains(like, ".") {
+				return fmt.Sprintf("%.2f", f)
+			}
+			return strconv.FormatFloat(f, 'f', -1, 64)
+		}
+		return fmt.Sprint(v)
+	}
+	var drift []string
+	mapped := map[string]bool{}
+	for _, l := range body {
+		name, val, _ := strings.Cut(l, ": ")
+		outer, inner, nested := strings.Cut(name, " ")
+		member, ok := js[outer]
+		if nested {
+			sub, _ := member.(map[string]any)
+			member, ok = sub[inner]
+		}
+		if !ok {
+			drift = append(drift, fmt.Sprintf("%q: no JSON member %q", l, name))
+			continue
+		}
+		mapped[name] = true
+		kvs := strings.Fields(val)
+		keyed := true
+		for _, kv := range kvs {
+			keyed = keyed && strings.Contains(kv, "=")
+		}
+		obj, isObj := member.(map[string]any)
+		if !keyed {
+			if isObj || text(member, val) != val {
+				drift = append(drift, fmt.Sprintf("%q: JSON %s = %v", l, name, member))
+			}
+			continue
+		}
+		if !isObj || len(obj) != len(kvs) {
+			drift = append(drift, fmt.Sprintf("%q: JSON %s = %v", l, name, member))
+			continue
+		}
+		for _, kv := range kvs {
+			k, v, _ := strings.Cut(kv, "=")
+			if jv, ok := obj[k]; !ok || text(jv, v) != v {
+				drift = append(drift, fmt.Sprintf("%q: JSON %s.%s = %v", l, name, k, jv))
+			}
+		}
+	}
+	for outer, member := range js {
+		if mapped[outer] {
+			continue
+		}
+		sub, _ := member.(map[string]any)
+		if len(sub) == 0 {
+			drift = append(drift, fmt.Sprintf("JSON member %q maps to no line", outer))
+		}
+		for inner := range sub {
+			if !mapped[outer+" "+inner] {
+				drift = append(drift, fmt.Sprintf("JSON member %q maps to no line", outer+" "+inner))
+			}
+		}
+	}
+	sort.Strings(drift)
+	return drift
 }
 
 // BenchmarkObserveCommand measures the metrics tax on the per-command

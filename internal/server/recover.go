@@ -145,24 +145,24 @@ func scanJournal(data []byte) *scanResult {
 // OpenJournal did at startup, what `bsd -fsck` reports, and what the
 // recovery block of METRICS exposes.
 type RecoveryReport struct {
-	JournalPath        string `json:"journal"`
-	SnapshotLoaded     bool   `json:"snapshot_loaded"`
-	SnapshotSeq        uint64 `json:"snapshot_seq"`
-	RecordsScanned     int    `json:"records_scanned"`  // checksum-verified records
-	RecordsReplayed    int    `json:"records_replayed"` // transactions applied
-	RecordsSkipped     int    `json:"records_skipped"`  // seq ≤ snapshot seq: already compacted
-	TornBytes          int64  `json:"torn_bytes"`
-	RecordsTruncated   int    `json:"records_truncated"` // partial records dropped with the tail
-	RecordsQuarantined int    `json:"records_quarantined"`
-	Quarantined        bool   `json:"quarantined"`
-	QuarantinePath     string `json:"quarantine_path,omitempty"`
-	CorruptReason      string `json:"corrupt_reason,omitempty"`
+	JournalPath        string
+	SnapshotLoaded     bool
+	SnapshotSeq        uint64
+	RecordsScanned     int // checksum-verified records
+	RecordsReplayed    int // transactions applied
+	RecordsSkipped     int // seq ≤ snapshot seq: already compacted
+	TornBytes          int64
+	RecordsTruncated   int // partial records dropped with the tail
+	RecordsQuarantined int
+	Quarantined        bool
+	QuarantinePath     string
+	CorruptReason      string
 	// LegalityUs is the duration, in microseconds, of the full legality
 	// proof the verdict rests on: at startup the base's (New's, or the
 	// loaded snapshot's), under fsck the recovered instance's.
-	LegalityUs int64 `json:"legality_us"`
-	Legal      bool  `json:"legal"`
-	Clean      bool  `json:"clean"` // nothing truncated, nothing quarantined
+	LegalityUs int64
+	Legal      bool
+	Clean      bool // nothing truncated, nothing quarantined
 }
 
 // Lines renders the report for humans (fsck output, VERIFY bodies).

@@ -131,10 +131,10 @@ func TestRecoveryTornWriteTruncated(t *testing.T) {
 	if srv2.dir.ByDN("uid=p3,ou=attLabs,o=att") != nil {
 		t.Errorf("torn, unacknowledged entry replayed")
 	}
-	if n := srv2.metrics.recTruncated.Load(); n != 1 {
+	if n := srv2.metrics.recovery.Load().RecordsTruncated; n != 1 {
 		t.Errorf("journal_records_truncated = %d, want 1", n)
 	}
-	if srv2.metrics.recClean.Load() != 0 {
+	if srv2.metrics.recovery.Load().Clean {
 		t.Errorf("recovery_clean = 1 after a truncation")
 	}
 	// The log is clean again: append, restart, everything survives.
@@ -147,7 +147,7 @@ func TestRecoveryTornWriteTruncated(t *testing.T) {
 		t.Fatalf("second recovery: %v", err)
 	}
 	defer srv3.Close()
-	if srv3.metrics.recClean.Load() != 1 {
+	if !srv3.metrics.recovery.Load().Clean {
 		t.Errorf("recovery_clean = 0 after a clean restart")
 	}
 	for _, uid := range []string{"p1", "p2", "p5"} {
@@ -187,9 +187,9 @@ func TestRecoveryTornFirstRecord(t *testing.T) {
 			if srv.dir.ByDN("uid=ghost,ou=attLabs,o=att") != nil {
 				t.Errorf("unacknowledged first write was replayed")
 			}
-			if srv.metrics.recClean.Load() != 0 || srv.metrics.recTruncated.Load() != 1 || srv.metrics.recReplayed.Load() != 0 {
-				t.Errorf("recovery metrics: clean=%d truncated=%d replayed=%d, want 0/1/0",
-					srv.metrics.recClean.Load(), srv.metrics.recTruncated.Load(), srv.metrics.recReplayed.Load())
+			if rep := srv.metrics.recovery.Load(); rep.Clean || rep.RecordsTruncated != 1 || rep.RecordsReplayed != 0 {
+				t.Errorf("recovery metrics: clean=%v truncated=%d replayed=%d, want false/1/0",
+					rep.Clean, rep.RecordsTruncated, rep.RecordsReplayed)
 			}
 			if err := commitPerson(t, srv, "first"); err != nil {
 				t.Fatalf("commit after torn-first-record recovery: %v", err)
@@ -201,7 +201,7 @@ func TestRecoveryTornFirstRecord(t *testing.T) {
 				t.Fatalf("restart: %v", err)
 			}
 			defer srv2.Close()
-			if srv2.metrics.recClean.Load() != 1 {
+			if !srv2.metrics.recovery.Load().Clean {
 				t.Errorf("recovery_clean = 0 on the restart after the repair")
 			}
 			if srv2.dir.ByDN("uid=first,ou=attLabs,o=att") == nil || srv2.dir.ByDN("uid=ghost,ou=attLabs,o=att") != nil {
@@ -241,7 +241,7 @@ func TestPreChecksumFormatsRefused(t *testing.T) {
 				if strings.Contains(err.Error(), "\n") {
 					t.Fatalf("refusal is not one line: %q", err)
 				}
-				if srv.dir.ByDN("uid=old1,ou=attLabs,o=att") != nil || srv.metrics.recReplayed.Load() != 0 {
+				if srv.dir.ByDN("uid=old1,ou=attLabs,o=att") != nil || srv.metrics.recovery.Load().RecordsReplayed != 0 {
 					t.Fatalf("attempt %d: a refused journal was (half-)replayed", attempt)
 				}
 			}
@@ -424,7 +424,7 @@ func TestRecoveryMetricsLine(t *testing.T) {
 	}
 	defer srv2.Close()
 	var line string
-	for _, l := range srv2.metrics.lines(true, "", replStatus{role: "primary"}) {
+	for _, l := range metricsLines(srv2.metrics, true, "", replStatus{role: "primary"}) {
 		if strings.HasPrefix(l, "recovery: ") {
 			line = l
 		}
@@ -646,7 +646,7 @@ func TestRecoverySnapshotSeqSkipsReplayedRecords(t *testing.T) {
 		t.Fatalf("recovery in the rename/truncate crash window: %v", err)
 	}
 	defer srv2.Close()
-	if n := srv2.metrics.recScanned.Load(); n == 0 {
+	if n := srv2.metrics.recovery.Load().RecordsScanned; n == 0 {
 		t.Fatalf("journal was empty — the crash point missed the window (scanned=%d)", n)
 	}
 	for _, uid := range []string{"p1", "p2"} {

@@ -250,14 +250,18 @@ func (s *Server) boot() error {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // MetricsSnapshot returns a JSON-marshalable snapshot of the server's
-// metrics, shaped for expvar.Publish(expvar.Func(srv.MetricsSnapshot)).
-func (s *Server) MetricsSnapshot() any {
+// metrics, shaped for expvar.Publish(expvar.Func(srv.MetricsSnapshot)):
+// the METRICS body's groups as nested members.
+func (s *Server) MetricsSnapshot() any { return snapshot(s.metricGroups()) }
+
+// metricGroups collects the metrics model both METRICS and expvar render.
+func (s *Server) metricGroups() []group {
 	rs := s.replMetrics()
 	s.mu.RLock()
 	journalOn := s.journal != nil
 	readOnly := s.readOnly
 	s.mu.RUnlock()
-	return s.metrics.snapshot(journalOn, readOnly, rs)
+	return s.metrics.groups(journalOn, readOnly, rs)
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -829,13 +833,7 @@ func (se *session) stat() {
 }
 
 func (se *session) metricsCmd() {
-	s := se.srv
-	rs := s.replMetrics()
-	s.mu.RLock()
-	journalOn := s.journal != nil
-	readOnly := s.readOnly
-	s.mu.RUnlock()
-	se.w.Line(s.metrics.lines(journalOn, readOnly, rs)...)
+	se.w.Line(lines(se.srv.metricGroups())...)
 	se.w.OK()
 }
 

@@ -16,9 +16,9 @@ import (
 // edits this table, so its size shows in the diff; TestSourceBudget prints
 // the corrected table when the tree and the table disagree.
 var sourceBudget = map[string]int{
-	".":                       180,
+	".":                       199,
 	"cmd/bschema":             539,
-	"cmd/bsd":                 182,
+	"cmd/bsd":                 187,
 	"cmd/bsgen":               171,
 	"cmd/bsrouter":            75,
 	"examples/netpolicy":      147,
@@ -30,13 +30,13 @@ var sourceBudget = map[string]int{
 	"internal/filter":         481,
 	"internal/hquery":         1297,
 	"internal/ldif":           409,
-	"internal/loadgen":        1021,
+	"internal/loadgen":        903,
 	"internal/netfault":       414,
 	"internal/proto":          466,
 	"internal/repl":           857,
 	"internal/schemadsl":      611,
-	"internal/semistruct":     294,
-	"internal/server":         3153,
+	"internal/semistruct":     271,
+	"internal/server":         3087,
 	"internal/shard":          1607,
 	"internal/txn":            749,
 	"internal/vfs":            529,
