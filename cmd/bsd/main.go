@@ -156,7 +156,10 @@ func main() {
 	}
 	if metricsLn != nil {
 		expvar.Publish("bsd", expvar.Func(func() any { return srv.MetricsSnapshot() }))
-		go http.Serve(metricsLn, nil)
+		go func() {
+			err := http.Serve(metricsLn, nil)
+			fmt.Fprintf(os.Stderr, "bsd: metrics endpoint: %v\n", err)
+		}()
 		fmt.Printf("bsd: metrics at http://%s/debug/vars\n", metricsLn.Addr())
 	}
 	fmt.Printf("bsd: serving schema %s (%d entries) on %s\n", name, dir.Len(), srv.Addr())

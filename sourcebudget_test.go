@@ -18,7 +18,7 @@ import (
 var sourceBudget = map[string]int{
 	".":                       199,
 	"cmd/bschema":             539,
-	"cmd/bsd":                 187,
+	"cmd/bsd":                 190,
 	"cmd/bsgen":               171,
 	"cmd/bsrouter":            75,
 	"examples/netpolicy":      147,
