@@ -8,7 +8,7 @@ package dirtree
 // This file gives each attribute an ordered in-memory B+tree keyed by the
 // typed Value (so integer and telephone attributes sort semantically, per
 // the registry's τ), mapping each distinct value to its posting list of
-// entries sorted by pre-order rank — the same document order the class
+// entries sorted by pre-order label — the same document order the class
 // posting lists use, so index results splice into hierarchical joins and
 // views without re-sorting.
 //
@@ -18,7 +18,7 @@ package dirtree
 //     (Directory.valueTree), from one pre-order walk; the probe seals a
 //     building directory first, so trees exist only on a sealed one;
 //   - structural splices (patchInsert/patchDelete) insert or remove the
-//     moved subtree's postings; rank shifts of surviving entries never
+//     moved subtree's postings; relabels of surviving entries never
 //     reorder a posting list, because relative pre-order is preserved;
 //   - value-only writes (AddValue/SetValues/RemoveValue) patch the tree
 //     of the touched attribute in place.
@@ -46,7 +46,7 @@ import (
 const bpOrder = 32
 
 // bptree is a counted B+tree mapping typed attribute values to posting
-// lists of entries sorted by pre-order rank. Internal nodes cache the
+// lists of entries sorted by pre-order label. Internal nodes cache the
 // number of postings under each child, giving exact O(log n) cardinality
 // for any key range — the planner's cost estimates are not estimates at
 // all.
@@ -201,7 +201,7 @@ func (t *bptree) insertRec(n *bpnode, v Value, e *Entry) (added bool, sib *bpnod
 // remove deletes the (v, e) posting if present. Keys whose posting
 // empties are dropped; nodes are never merged (stale separators still
 // partition correctly, matching the no-rebalance class posting lists).
-// e's pre rank must still be current.
+// e's pre label must still be current.
 func (t *bptree) remove(v Value, e *Entry) {
 	if t.root == nil {
 		return
@@ -372,9 +372,9 @@ func (d *Directory) valueTree(attr string) *bptree {
 }
 
 // buildValueTree bulk-loads attr's tree from the current pre-order. It
-// sorts the (value, entry) pairs once by value then pre rank — the order
-// a stable sort of the pre-order collection gives, since pre ranks are
-// unique — so every posting list comes out sorted by pre rank. Keys,
+// sorts the (value, entry) pairs once by value then pre label — the order
+// a stable sort of the pre-order collection gives, since pre labels are
+// unique — so every posting list comes out sorted by pre label. Keys,
 // postings and leaves each live in one allocation: a posting is a
 // cap-limited window of one shared backing array, so insertRec and
 // removeRec reallocate it rather than write into a neighbour's.
@@ -567,7 +567,7 @@ func (d *Directory) ValuePairs(attr string) int {
 	return d.valueTree(attr).pairs
 }
 
-// dedupByPre sorts entries by pre-order rank and removes duplicates
+// dedupByPre sorts entries by pre-order label and removes duplicates
 // (entries reached through several values) in place.
 func dedupByPre(out []*Entry) []*Entry {
 	if len(out) < 2 {
@@ -649,7 +649,7 @@ func (d *Directory) noteValuesReplaced(e *Entry, name string, old []Value) {
 }
 
 // patchValueInsert indexes every attribute value of a freshly spliced
-// subtree (patchInsert has already assigned current pre ranks).
+// subtree (patchInsert has already assigned current pre labels).
 func (d *Directory) patchValueInsert(sub []*Entry) {
 	if !d.valueHooksLive() {
 		return
@@ -666,7 +666,7 @@ func (d *Directory) patchValueInsert(sub []*Entry) {
 }
 
 // patchValueDelete unindexes every attribute value of a subtree about to
-// be spliced out (pre ranks still current).
+// be spliced out (pre labels still current).
 func (d *Directory) patchValueDelete(doomed []*Entry) {
 	if !d.valueHooksLive() {
 		return

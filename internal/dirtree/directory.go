@@ -9,13 +9,14 @@ import (
 
 // Directory is a directory instance D = (R, class, val, N): a finite forest
 // of entries (Definition 2.1). It keeps a pre/post-order interval encoding
-// of the forest and per-class posting lists sorted by pre-order — the
+// of the forest in gapped order labels (patch.go) and per-class posting
+// lists sorted by pre-order — the
 // "sorted directory entries" that the hierarchical query evaluation of
 // Section 3.2 relies on for its O(|Q|·|D|) bound.
 //
 // A directory has two states. It is building from New until the first
-// EnsureEncoded or ranked read (Entries, ClassEntries, views, value
-// probes): adds cost O(1) and nothing is ranked. That first call seals it
+// EnsureEncoded or labeled read (Entries, ClassEntries, views, value
+// probes): adds cost O(1) and nothing is labeled. That first call seals it
 // with one O(|D|) pre-order walk, and from then on every mutation patches
 // the encoding in place (patch.go), so it is never stale again.
 //
@@ -34,6 +35,7 @@ type Directory struct {
 	order      []*Entry            // all entries in pre-order, once sealed
 	classIndex map[string][]*Entry // per-class posting lists, pre-order, once sealed
 	grafting   bool                // GraftSubtree is assembling a subtree (patch once at the end)
+	relabels   int64               // labels of existing entries rewritten by window relabels (patch.go)
 
 	// Attribute-value secondary indexes (attrindex.go), built lazily per
 	// attribute once sealed and patched alongside the encoding. attrMu
@@ -266,7 +268,8 @@ func (d *Directory) GraftSubtreeAt(parent *Entry, src *Entry, i int) (*Entry, er
 }
 
 // EnsureEncoded seals a building directory: one O(|D|) pre-order walk
-// computes the interval encoding and the per-class posting lists. On a
+// computes the interval encoding, with labels spread evenly over the
+// label space, and the per-class posting lists. On a
 // sealed directory it does nothing, because every mutation there patches
 // the encoding in place. All query evaluation goes through it.
 func (d *Directory) EnsureEncoded() {
@@ -275,12 +278,9 @@ func (d *Directory) EnsureEncoded() {
 	}
 	d.order = make([]*Entry, 0, len(d.byDN))
 	d.classIndex = make(map[string][]*Entry)
-	pre := 0
 	var walk func(e *Entry, depth int)
 	walk = func(e *Entry, depth int) {
-		e.pre = pre
 		e.depth = depth
-		pre++
 		d.order = append(d.order, e)
 		for _, c := range e.cls.Names {
 			d.classIndex[c] = append(d.classIndex[c], e)
@@ -288,13 +288,16 @@ func (d *Directory) EnsureEncoded() {
 		for _, c := range e.children {
 			walk(c, depth+1)
 		}
-		e.post = pre - 1
 	}
 	for _, r := range d.roots {
 		walk(r, 0)
 	}
+	if len(d.order) > 0 {
+		spread(d.order, 0, 1<<labelBits)
+		fixPosts(d.order)
+	}
 	// Posting lists were appended during a pre-order walk, so they are
-	// already sorted by pre-order rank; no per-class sort is needed.
+	// already sorted by pre label; no per-class sort is needed.
 	d.sealed = true
 }
 

@@ -230,12 +230,14 @@ func (e *Entry) RemoveValue(name string, v Value) {
 	}
 }
 
-// Pre returns the entry's pre-order rank in the encoding. The owning
+// Pre returns the entry's pre-order label in the encoding: labels
+// increase along the pre-order but are gapped, so only their order is
+// meaningful, and an insertion may relabel other entries. The owning
 // directory must be sealed (Directory.EnsureEncoded).
 func (e *Entry) Pre() int { return e.pre }
 
-// Post returns the largest pre-order rank in the entry's subtree, so that
-// d is a descendant-or-self of e iff e.pre <= d.pre <= e.post.
+// Post returns the largest pre-order label in the entry's subtree, so
+// that d is a descendant-or-self of e iff e.pre <= d.pre <= e.post.
 func (e *Entry) Post() int { return e.post }
 
 // Depth returns the entry's depth (roots have depth 0) in the current

@@ -9,10 +9,12 @@ import (
 )
 
 // The incremental patching in patch.go must be indistinguishable from the
-// sealing walk: same pre/post/depth on every entry, same
-// pre-order slice, same posting lists (including which class keys exist).
-// referenceEncode computes all of that independently, walking the forest
-// links only, without reading or writing any cached encoding state.
+// sealing walk in everything but label values: same pre-order slice, same
+// depths, same posting lists (including which class keys exist), and
+// labels that order and nest the entries as the forest does.
+// referenceEncode computes the dense ranks independently, walking the
+// forest links only, without reading or writing any cached encoding
+// state.
 func referenceEncode(d *Directory) (order []*Entry, pre, post, depth map[*Entry]int, classes map[string][]*Entry) {
 	pre = make(map[*Entry]int)
 	post = make(map[*Entry]int)
@@ -39,6 +41,11 @@ func referenceEncode(d *Directory) (order []*Entry, pre, post, depth map[*Entry]
 	return order, pre, post, depth, classes
 }
 
+// checkEncoding compares order, not label values: each entry sits at its
+// reference rank in d.order, pre strictly increases along d.order, and
+// every post is at least the pre of the entry's reference-last descendant
+// and below the pre of the entry after its subtree — exactly what the
+// interval tests (a.pre <= b.pre <= a.post) need.
 func checkEncoding(t *testing.T, d *Directory, step string) {
 	t.Helper()
 	order, pre, post, depth, classes := referenceEncode(d)
@@ -46,12 +53,21 @@ func checkEncoding(t *testing.T, d *Directory, step string) {
 		t.Fatalf("%s: order length %d, reference %d", step, len(d.order), len(order))
 	}
 	for i, e := range order {
-		if d.order[i] != e {
+		if d.order[i] != e || pre[e] != i {
 			t.Fatalf("%s: order[%d] = %v, reference %v", step, i, d.order[i], e)
 		}
-		if e.pre != pre[e] || e.post != post[e] || e.depth != depth[e] {
-			t.Fatalf("%s: %s has (pre,post,depth)=(%d,%d,%d), reference (%d,%d,%d)",
-				step, e.DN(), e.pre, e.post, e.depth, pre[e], post[e], depth[e])
+		if i > 0 && e.pre <= order[i-1].pre {
+			t.Fatalf("%s: pre does not increase at %s: %d after %d", step, e.DN(), e.pre, order[i-1].pre)
+		}
+		if e.depth != depth[e] {
+			t.Fatalf("%s: %s has depth %d, reference %d", step, e.DN(), e.depth, depth[e])
+		}
+	}
+	for _, e := range order {
+		last := post[e]
+		if e.post < order[last].pre || last+1 < len(order) && e.post >= order[last+1].pre {
+			t.Fatalf("%s: %s has post %d, outside [%d, next pre) of its last descendant %s",
+				step, e.DN(), e.post, order[last].pre, order[last].DN())
 		}
 	}
 	if len(classes) != len(d.classIndex) {
@@ -239,6 +255,41 @@ func TestIncrementalEncodingDifferential(t *testing.T) {
 	if failedMidway == 0 {
 		t.Fatal("the workload never grafted a malformed source")
 	}
+
+	// One gap: 5k inserts under one parent, alternately as its first and
+	// its last child, exhaust the labels there again and again. p is the
+	// last child of top, so top's post follows p's last leaf through
+	// every relabel; after lies outside both subtrees.
+	top, _ := d.AddRoot("o=gap", "org")
+	p, _ := d.AddChild(top, "ou=p", "org")
+	after, _ := d.AddRoot("o=after", "org")
+	afterPre, relabels := after.pre, d.relabels
+	for i := 0; i < 5000; i++ {
+		var err error
+		what := fmt.Sprintf("gap insert %d as last child", i)
+		if i%2 == 0 {
+			_, err = d.AddChild(p, fmt.Sprintf("cn=g%d", i), "person")
+		} else {
+			what = fmt.Sprintf("gap insert %d as first child", i)
+			src := &Entry{rdn: fmt.Sprintf("cn=g%d", i), cls: &ClassSet{Names: []string{"device"}}}
+			_, err = d.GraftSubtreeAt(p, src, 0)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if d.relabels != relabels || i%100 == 0 {
+			checkEncoding(t, d, what)
+			relabels = d.relabels
+		}
+	}
+	checkEncoding(t, d, "after the gap inserts")
+	if d.relabels == 0 {
+		t.Fatal("5k inserts into one gap relabeled nothing")
+	}
+	if after.pre == afterPre {
+		t.Fatal("no window relabel reached past the parent's subtree")
+	}
+	t.Logf("gap phase: %d labels rewritten, |D| = %d", d.relabels, d.Len())
 }
 
 // dirState renders everything a failed graft must leave as it was: the
@@ -258,8 +309,8 @@ func dirState(d *Directory) string {
 			fmt.Fprintf(&b, "set %d %v refs=%d\n", s.ID, s.Names, s.refs)
 		}
 	}
-	for _, e := range d.order {
-		fmt.Fprintf(&b, "%s pre=%d post=%d depth=%d\n", e.DN(), e.pre, e.post, e.depth)
+	for i, e := range d.order {
+		fmt.Fprintf(&b, "%s pos=%d size=%d depth=%d\n", e.DN(), i, d.SubtreeView(e).Len(), e.depth)
 	}
 	for _, c := range classKeys(d.classIndex) {
 		fmt.Fprintf(&b, "class %s %v\n", c, d.classIndex[c])

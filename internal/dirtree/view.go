@@ -83,11 +83,13 @@ func (v View) Entries() []*Entry {
 	case viewEmpty:
 		return nil
 	case viewSubtree:
-		return v.d.order[v.root.pre : v.root.post+1]
+		lo, hi := rangeWithin(v.d.order, v.root.pre, v.root.post)
+		return v.d.order[lo:hi]
 	case viewExceptSubtree:
-		out := make([]*Entry, 0, len(v.d.order)-(v.root.post-v.root.pre+1))
-		out = append(out, v.d.order[:v.root.pre]...)
-		out = append(out, v.d.order[v.root.post+1:]...)
+		lo, hi := rangeWithin(v.d.order, v.root.pre, v.root.post)
+		out := make([]*Entry, 0, len(v.d.order)-(hi-lo))
+		out = append(out, v.d.order[:lo]...)
+		out = append(out, v.d.order[hi:]...)
 		return out
 	}
 	return nil
@@ -126,7 +128,7 @@ func (v View) Filter(sorted []*Entry) []*Entry {
 }
 
 // rangeWithin returns the half-open index range of entries in the
-// pre-order-sorted list whose pre rank lies in [lo, hi], by binary search.
+// pre-order-sorted list whose pre label lies in [lo, hi], by binary search.
 func rangeWithin(sorted []*Entry, lo, hi int) (int, int) {
 	a := searchPre(sorted, lo)
 	b := searchPre(sorted, hi+1)
@@ -156,9 +158,11 @@ func (v View) Len() int {
 	case viewEmpty:
 		return 0
 	case viewSubtree:
-		return v.root.post - v.root.pre + 1
+		lo, hi := rangeWithin(v.d.order, v.root.pre, v.root.post)
+		return hi - lo
 	case viewExceptSubtree:
-		return len(v.d.order) - (v.root.post - v.root.pre + 1)
+		lo, hi := rangeWithin(v.d.order, v.root.pre, v.root.post)
+		return len(v.d.order) - (hi - lo)
 	}
 	return 0
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 
 	"boundschema/internal/proto"
 )
@@ -10,7 +9,7 @@ import (
 // COUNT is the boundary-count query behind cross-shard legality
 // (internal/shard): it answers "how many entries of class c lie
 // (strictly) below this DN" straight from the interval encoding the
-// directory already maintains — the same pre/post ranks the legality
+// directory already maintains — the same pre/post labels the legality
 // engine's Δ-queries use — without materializing the entries. Its
 // grammar is proto.ParseCountArgs.
 //
@@ -44,12 +43,10 @@ func (se *session) count(rest string) {
 			}
 			break
 		}
-		// The posting list is sorted by pre-order rank, so the proper
-		// descendants of e are one contiguous run: (e.pre, e.post].
-		posting := dir.ClassEntries(a.Class)
-		lo := sort.Search(len(posting), func(i int) bool { return posting[i].Pre() > e.Pre() })
-		hi := sort.Search(len(posting), func(i int) bool { return posting[i].Pre() > e.Post() })
-		n = hi - lo
+		n = len(dir.SubtreeView(e).ClassEntries(a.Class))
+		if e.HasClass(a.Class) {
+			n-- // the subtree view includes e, which is not below itself
+		}
 	}
 	se.w.Line(fmt.Sprintf("count: %d", n))
 	se.w.OK()

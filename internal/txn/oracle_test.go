@@ -139,16 +139,22 @@ func forceApply(d *dirtree.Directory, tx *Transaction) error {
 }
 
 // stateDump renders everything a commit patches: the LDIF dump, every
-// class posting list with each posting's interval, and, per attribute in
-// probes, the value index's size and its posting list for every probed
-// value.
+// class posting list with each posting's position in Entries() and its
+// subtree size, and, per attribute in probes, the value index's size and
+// its posting list for every probed value. Positions, not labels: pre
+// and post are gapped labels, and a refused ADD that forced a relabel
+// and was undone leaves the same order under different labels.
 func stateDump(d *dirtree.Directory, probes map[string][]dirtree.Value) string {
 	var b strings.Builder
 	b.WriteString(ldifOf(d))
+	pos := make(map[*dirtree.Entry]int, d.Len())
+	for i, e := range d.Entries() {
+		pos[e] = i
+	}
 	for _, c := range d.ClassNames() {
 		fmt.Fprintf(&b, "class %s:", c)
 		for _, e := range d.ClassEntries(c) {
-			fmt.Fprintf(&b, " %s[%d,%d]", e.DN(), e.Pre(), e.Post())
+			fmt.Fprintf(&b, " %s[%d,%d]", e.DN(), pos[e], d.SubtreeView(e).Len())
 		}
 		b.WriteByte('\n')
 	}
@@ -162,7 +168,7 @@ func stateDump(d *dirtree.Directory, probes map[string][]dirtree.Value) string {
 		for _, v := range probes[attr] {
 			fmt.Fprintf(&b, "  %s:", v.String())
 			for _, e := range d.ValueEntries(attr, v) {
-				fmt.Fprintf(&b, " %s[%d]", e.DN(), e.Pre())
+				fmt.Fprintf(&b, " %s[%d]", e.DN(), pos[e])
 			}
 			b.WriteByte('\n')
 		}
