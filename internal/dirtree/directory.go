@@ -278,8 +278,10 @@ func (d *Directory) EnsureEncoded() {
 	}
 	d.order = make([]*Entry, 0, len(d.byDN))
 	d.classIndex = make(map[string][]*Entry)
+	step := (1 << labelBits) / max(len(d.byDN), 1) // evenly, as a window relabel spreads
 	var walk func(e *Entry, depth int)
 	walk = func(e *Entry, depth int) {
+		e.pre = len(d.order)*step + step/2
 		e.depth = depth
 		d.order = append(d.order, e)
 		for _, c := range e.cls.Names {
@@ -288,13 +290,10 @@ func (d *Directory) EnsureEncoded() {
 		for _, c := range e.children {
 			walk(c, depth+1)
 		}
+		e.post = d.order[len(d.order)-1].pre
 	}
 	for _, r := range d.roots {
 		walk(r, 0)
-	}
-	if len(d.order) > 0 {
-		spread(d.order, 0, 1<<labelBits)
-		fixPosts(d.order)
 	}
 	// Posting lists were appended during a pre-order walk, so they are
 	// already sorted by pre label; no per-class sort is needed.

@@ -145,19 +145,14 @@ func (d *Directory) label(p, k int) {
 		a := searchPre(d.order[:p], base)
 		b := p + k + searchPre(d.order[p+k:], base+size)
 		if b-a <= windowCap[bits] || bits == labelBits {
-			spread(d.order[a:b], base, size)
+			step := size / (b - a) // spread evenly, centred in their slots
+			for j, e := range d.order[a:b] {
+				e.pre = base + j*step + step/2
+			}
 			d.relabels += int64(b - a - k)
 			fixPosts(d.order[a:b])
 			return
 		}
-	}
-}
-
-// spread labels es evenly over [base, base+size), centred in their slots.
-func spread(es []*Entry, base, size int) {
-	step := size / len(es)
-	for j, e := range es {
-		e.pre = base + j*step + step/2
 	}
 }
 

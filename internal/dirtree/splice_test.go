@@ -34,16 +34,15 @@ func spliceForest(tb testing.TB, n int) (*Directory, []*Entry) {
 	return d, groups
 }
 
-// splicePositions names the groups whose subtree ends near the head, in
-// the middle and at the tail of the pre-order.
-func splicePositions(groups []*Entry) []struct {
+// splicePos is a group whose subtree ends near the head, in the middle
+// or at the tail of the pre-order.
+type splicePos struct {
 	name  string
 	group *Entry
-} {
-	return []struct {
-		name  string
-		group *Entry
-	}{{"head", groups[0]}, {"mid", groups[len(groups)/2]}, {"tail", groups[len(groups)-1]}}
+}
+
+func splicePositions(groups []*Entry) []splicePos {
+	return []splicePos{{"head", groups[0]}, {"mid", groups[len(groups)/2]}, {"tail", groups[len(groups)-1]}}
 }
 
 // TestRelabelsPerInsertAreLogarithmic counts, with no clock, the labels a

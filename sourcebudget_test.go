@@ -26,7 +26,7 @@ var sourceBudget = map[string]int{
 	"examples/semistructured": 63,
 	"examples/whitepages":     91,
 	"internal/core":           4523,
-	"internal/dirtree":        2176,
+	"internal/dirtree":        2170,
 	"internal/filter":         481,
 	"internal/hquery":         1297,
 	"internal/ldif":           409,
