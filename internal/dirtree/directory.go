@@ -10,9 +10,9 @@ import (
 // Directory is a directory instance D = (R, class, val, N): a finite forest
 // of entries (Definition 2.1). It keeps a pre/post-order interval encoding
 // of the forest in gapped order labels (patch.go) and per-class posting
-// lists sorted by pre-order — the
-// "sorted directory entries" that the hierarchical query evaluation of
-// Section 3.2 relies on for its O(|Q|·|D|) bound.
+// lists sorted by pre-order — the "sorted directory entries" that the
+// hierarchical query evaluation of Section 3.2 relies on for its
+// O(|Q|·|D|) bound.
 //
 // A directory has two states. It is building from New until the first
 // EnsureEncoded or labeled read (Entries, ClassEntries, views, value
@@ -269,9 +269,9 @@ func (d *Directory) GraftSubtreeAt(parent *Entry, src *Entry, i int) (*Entry, er
 
 // EnsureEncoded seals a building directory: one O(|D|) pre-order walk
 // computes the interval encoding, with labels spread evenly over the
-// label space, and the per-class posting lists. On a
-// sealed directory it does nothing, because every mutation there patches
-// the encoding in place. All query evaluation goes through it.
+// label space, and the per-class posting lists. On a sealed directory it
+// does nothing, because every mutation there patches the encoding in
+// place. All query evaluation goes through it.
 func (d *Directory) EnsureEncoded() {
 	if d.sealed {
 		return
